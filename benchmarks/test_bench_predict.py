@@ -239,8 +239,10 @@ def test_bench_fleet_end_to_end_delta(dataset):
         fleet.register_fleet(devices)
         ensemble = hmd.ensemble_
         if disable_backend:
-            # Instance attribute shadows the mixin method: the
-            # estimator's member_votes then runs the legacy loop.
+            # Instance attributes shadow the methods: the monitor's
+            # verdict then goes through analyze, whose member_votes
+            # runs the legacy loop instead of the compiled forest.
+            hmd.verdict = hmd.analyze
             ensemble.decisions_fast = ensemble.decisions
         try:
             for device_id, window in arrivals:
@@ -249,6 +251,7 @@ def test_bench_fleet_end_to_end_delta(dataset):
             batches = fleet.drain()
             elapsed = time.perf_counter() - t0
         finally:
+            hmd.__dict__.pop("verdict", None)
             ensemble.__dict__.pop("decisions_fast", None)
         return batches, elapsed
 

@@ -14,9 +14,9 @@ the ensemble vote pass — across fixed-size batches:
    policy (bounded global and per-device depth, shed-oldest/newest);
 2. :meth:`process_batch` takes up to ``batch_size`` windows as a
    pre-stacked :class:`~repro.fleet.queueing.WindowBatch` and runs a
-   **single** vectorised :meth:`TrustedHMD.analyze` pass — one fused
-   front transform, one tree-routing sweep per ensemble member, one
-   bulk vote-entropy/rejection computation for the whole batch;
+   **single** vectorised :meth:`TrustedHMD.verdict` pass — one fused
+   front transform, one routing sweep over all members, and three
+   vote-count table lookups for the whole batch;
 3. verdicts are routed back out: per-device ring-buffered state,
    fleet-wide counters, flagged windows into the forensic queue
    (tagged with their device), and the entropy stream into an optional
@@ -344,7 +344,7 @@ class FleetMonitor:
             if self.tracer is not None:
                 self.tracer.stamp_rows(batch.device_ids, batch.seqs, "queue")
             t0 = time.perf_counter()
-        verdict: TrustedVerdict = self.hmd.analyze(batch.features)
+        verdict: TrustedVerdict = self.hmd.verdict(batch.features)
         if self._obs_on:
             self._m_verdict.observe(time.perf_counter() - t0)
             self._m_batches.inc()

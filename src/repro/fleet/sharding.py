@@ -16,11 +16,9 @@ shape for the fleet engine:
 * :class:`FleetShard` — one :class:`~repro.fleet.engine.FleetMonitor`
   (its own queue, device table, forensic queue) plus the fast verdict
   scatter the fused drain uses;
-* :class:`PublishedHmd` — the single *read-only* compiled model view
-  all shards share: the flat forest node tensor (one tensor, zero
-  per-shard copies), plus count-indexed verdict tables that collapse
-  prediction/entropy/accept of a binary ensemble into three array
-  lookups per window;
+* :class:`PublishedHmd` — the record of the shared HMD's verdict parts
+  (fused front, compiled forest, vote-count tables) that every shard
+  verdicts through in one round, republished after a retrain;
 * :class:`ShardedFleetMonitor` — the facade.  Same API as a single
   ``FleetMonitor`` (``submit``/``submit_many``/``process_batch``/
   ``drain``/``report``), so runners and examples swap in without
@@ -32,17 +30,13 @@ Why sharding is faster *and* identical
 Every per-window computation is row-independent, so partitioning the
 stream by device and fusing each round's shard batches into one
 inference pass cannot change any verdict — the benchmark gate asserts
-bitwise identity against the unsharded monitor.  Throughput comes from
-three structural effects, not from cutting corners:
+bitwise identity against the unsharded monitor, and both run the same
+:func:`~repro.uncertainty.trust.count_table_verdict`.  Throughput comes
+from two structural effects, not from cutting corners:
 
-1. the fused pass routes windows through the shared node tensor in
-   cache-sized row chunks (the single monitor walks far larger slot
-   blocks per batch);
-2. binary-ensemble verdicts reduce to the per-row malware-vote count,
-   so the distribution/entropy/argmax/threshold stage becomes three
-   ``take`` lookups against tables precomputed **with the original
-   functions** (bitwise identity by construction);
-3. routing fans out over each shard's dense integer device index
+1. a fused round verdicts up to ``K x batch_size`` rows in one pass,
+   amortising the per-pass front, encode and traversal set-up;
+2. routing fans out over each shard's dense integer device index
    (bincount + one stable argsort) instead of fleet-wide string ids,
    and each shard's batches concentrate on ``1/K`` of the devices.
 """
@@ -55,18 +49,10 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from ..ml.backend import (
-    FlatForest,
-    QuantizedForest,
-    q_code_view,
-    q_feat_view,
-    q_goto_view,
-)
 from ..obs.metrics import NULL_REGISTRY, merge_snapshots, resolve_registry
 from ..uncertainty.drift import EntropyDriftMonitor
-from ..uncertainty.entropy import shannon_entropy, votes_to_distribution
 from ..uncertainty.online import ForensicQueue, MonitorStats
-from ..uncertainty.trust import TrustedHMD
+from ..uncertainty.trust import TrustedHMD, count_table_verdict
 from .engine import FleetBatchResult, FleetFlaggedSample, FleetMonitor
 from .queueing import BackpressurePolicy, WindowBatch, WindowRequest
 from .report import FleetReport, merge_reports
@@ -653,329 +639,73 @@ _EMPTY_INDEXED_BATCH = IndexedWindowBatch(
 # The shared read-only compiled model view
 # ---------------------------------------------------------------------------
 
-# Row-chunk sizing for the fused vote pass: slots = rows x members per
-# traversal chunk.  16k slots keep every per-level working array inside
-# L2, which measures ~1.7x faster per row than the predict backend's
-# throughput-oriented 51k-slot chunks at fused batch sizes.
-_SHARD_SLOT_TARGET = 16_384
-_MIN_COMPACT = 1024
-_COMPACT_RATIO = 0.75
-
-
 class PublishedHmd:
-    """One read-only compiled view of the shared HMD, used by all shards.
+    """The shared HMD's verdict parts, published to every shard.
 
-    Holds a reference to the ensemble's flat forest (one node tensor —
-    shards share it with zero copies) plus, for binary ensembles,
-    count-indexed verdict tables: a window's prediction, entropy and
-    accept/withhold decision depend *only* on how many members voted
-    for the second class, so all three are precomputed for every
-    possible count ``0..M`` **using the original pipeline functions**
-    (:func:`votes_to_distribution`, :func:`shannon_entropy`, argmax,
-    threshold compare).  Equality with :meth:`TrustedHMD.analyze` is
-    therefore bitwise by construction, and the fuzz suite asserts it.
+    A record of what :func:`~repro.uncertainty.trust.count_table_verdict`
+    needs — the fused front, the compiled forest (one node tensor that
+    all shards share with zero copies) and the vote-count tables — as
+    :meth:`TrustedHMD.verdict_parts` built them, plus the verdict key
+    they were built under.  Holding the parts fixed for a whole fused
+    round keeps every shard on one model generation; :meth:`is_current`
+    turns stale after a (warm) retrain, a threshold change or a compile
+    mode switch, and the facade republishes.
 
-    A published view is keyed to the ensemble's fitted member list and
-    the operating threshold; :meth:`is_current` turns stale after a
-    (warm) retrain or a threshold change, and the facade republishes —
-    one recompile, visible to every shard at the next fused round.
+    Models without count tables (more than two classes, no flat or
+    quantized forest) publish no parts and verdict through
+    ``hmd.analyze``.
     """
 
     def __init__(self, hmd: TrustedHMD):
         if not hasattr(hmd, "estimator_"):
             raise ValueError("hmd must be fitted before publishing.")
         self.hmd = hmd
-        self.members = hmd.ensemble_.estimators_
-        self.threshold = float(hmd.policy_.threshold)
+        parts = hmd.verdict_parts()
+        self.key = hmd.verdict_key()
+        self.front, self.backend, self.tables = parts or (None, None, None)
         self.classes = np.asarray(hmd.classes_)
-        compile_backend = getattr(hmd, "compile", None)
-        if callable(compile_backend):
-            compile_backend()
-        # The compile mode the kernel was built for — part of the
-        # published view's identity: switching modes on a live hmd must
-        # republish even when the fitted members are unchanged
-        # (:meth:`is_current` compares it).
-        self.compile_mode = getattr(hmd, "_compile_mode_", "float64")
-        backend_compile = getattr(hmd.ensemble_, "compile", None)
-        self.backend = backend_compile() if callable(backend_compile) else None
-        self._flat = isinstance(self.backend, FlatForest)
-        self._quantized = isinstance(self.backend, QuantizedForest)
-
-        # The preprocessing front, captured for the fused pass.  Without
-        # a PCA stage ``hmd._transform`` is ``(X - mean) / scale``;
-        # replaying the same two ufuncs in the same order (and, in
-        # float32 mode, the same narrowed operands) is bitwise identical
-        # while skipping the per-call validation layer.  With PCA the
-        # cached fused-GEMM front is the fast path — holding the
-        # weight/bias pair here (rather than calling back into the hmd)
-        # lets a detached view (:meth:`from_parts`) run the identical
-        # GEMM with no model object at all.
-        scaler32 = getattr(hmd, "_scaler32_", None)
-        if hmd.pca_ is None:
-            if scaler32 is not None:
-                self._scaler_front = scaler32
-            else:
-                self._scaler_front = (hmd.scaler_.mean_, hmd.scaler_.scale_)
-            self._affine_front = None
-        else:
-            self._scaler_front = None
-            self._affine_front = (hmd._front_weight_, hmd._front_bias_)
-
-        if len(self.classes) == 2 and self.backend is not None:
-            n_members = self.backend.n_members
-            base = hmd.estimator_.base
-            ks = np.arange(n_members + 1)
-            # Synthetic vote rows with k second-class votes each, fed
-            # through the *original* distribution/entropy functions:
-            # both reduce row-wise, so table entry k is bitwise what
-            # analyze computes for any real row with count k.
-            votes = np.where(
-                np.arange(n_members)[None, :] < ks[:, None],
-                self.classes[1],
-                self.classes[0],
-            )
-            distribution = votes_to_distribution(votes, self.classes)
-            self.entropy_table = shannon_entropy(distribution, base=base)
-            self.prediction_table = self.classes[
-                np.argmax(distribution, axis=1)
-            ]
-            self.accept_table = self.entropy_table <= self.threshold
-        else:
-            self.entropy_table = None
-        if self._flat or self._quantized:
-            self._leaf_is_second = np.ascontiguousarray(
-                (self.backend.leaf_label == self.classes[-1]).astype(np.int64)
-            )
+        self.threshold = float(hmd.policy_.threshold)
+        self.compile_mode = hmd.compile_mode
 
     @classmethod
     def from_parts(
-        cls,
-        *,
-        backend,
-        classes,
-        threshold: float,
-        prediction_table,
-        entropy_table,
-        accept_table,
-        leaf_is_second,
-        scaler_front=None,
-        affine_front=None,
+        cls, *, front, backend, tables, classes, threshold: float
     ) -> "PublishedHmd":
-        """Assemble a *detached* view from already-compiled parts.
+        """A *detached* record around already-built parts.
 
-        This is how a shard worker rebuilds the parent's published view
-        around shared-memory mappings (see :mod:`repro.fleet.shm`): the
-        node tensor, tables and fronts are the parent's exact arrays,
-        so :meth:`verdict` is bitwise identical by construction — but
-        there is no ``hmd`` behind it (``self.hmd is None``), so the
-        detached view can neither fall back to ``analyze`` nor detect
-        retrains itself; currency is managed externally by publication
-        generation.
+        How a shard worker rebuilds the parent's publication around
+        shared-memory mappings (see :mod:`repro.fleet.shm`): the same
+        arrays, so the same verdicts.  There is no ``hmd`` behind it,
+        so its currency is the publication generation, managed by
+        whoever shipped it.
         """
         view = cls.__new__(cls)
         view.hmd = None
-        view.members = None
-        view.backend = backend
-        view._quantized = isinstance(backend, QuantizedForest)
-        view._flat = not view._quantized
-        view.compile_mode = "detached"
+        view.key = None
+        view.front, view.backend, view.tables = front, backend, tables
         view.classes = np.asarray(classes)
         view.threshold = float(threshold)
-        view.prediction_table = np.asarray(prediction_table)
-        view.entropy_table = np.asarray(entropy_table)
-        view.accept_table = np.asarray(accept_table)
-        view._leaf_is_second = leaf_is_second
-        view._scaler_front = scaler_front
-        view._affine_front = affine_front
+        view.compile_mode = "detached"
         return view
+
+    @property
+    def entropy_table(self):
+        """The entropy per vote count, or ``None`` without count tables."""
+        return None if self.tables is None else self.tables.entropy
 
     def is_current(self) -> bool:
         """False once the HMD refit, changed threshold, or switched mode.
 
-        The compile-mode comparison matters even with unchanged fitted
-        members: ``hmd.compile(mode=...)`` swaps the kernel (and the
-        front dtype) without touching ``estimators_``, and a view that
-        only keyed on the member list would keep serving the stale
-        kernel forever.  A detached view (:meth:`from_parts`) has no
-        model to compare against; its currency is the publication
-        generation, managed by whoever shipped it — it never
-        self-reports stale.
+        A detached record never self-reports stale.
         """
-        if self.hmd is None:
-            return True
-        return (
-            self.members is self.hmd.ensemble_.estimators_
-            and self.threshold == float(self.hmd.policy_.threshold)
-            and self.compile_mode == getattr(self.hmd, "_compile_mode_", "float64")
-        )
-
-    # -- fused verdict pass --------------------------------------------
+        return self.hmd is None or self.hmd.is_current_key(self.key)
 
     def verdict(self, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(predictions, entropy, accepted)`` for a stacked batch.
-
-        Bitwise identical to ``hmd.analyze(X)`` on every tier: the
-        count-table fast path for compiled binary ensembles, a
-        votes-then-original-functions path for compiled multi-class
-        ensembles, and a plain ``analyze`` fallback otherwise.
-        """
-        if self.entropy_table is None:
+        """``(predictions, entropy, accepted)`` for a stacked batch."""
+        if self.tables is None:
             verdict = self.hmd.analyze(X)
             return verdict.predictions, verdict.entropy, verdict.accepted
-        if self._scaler_front is not None:
-            mean, scale = self._scaler_front
-            # In float32 mode the captured mean/scale are the narrowed
-            # pair; casting X first keeps the whole front narrow (a
-            # float64 X against float32 operands would silently upcast).
-            X = np.asarray(X, dtype=mean.dtype)
-            Z = np.true_divide(np.subtract(X, mean), scale)
-        elif self._affine_front is not None:
-            # The captured fused front — the same GEMM, operand order
-            # and dtypes as ``hmd._transform`` minus its validation
-            # layer, so bitwise identical (the fuzz suite asserts it).
-            weight, bias = self._affine_front
-            Z = np.asarray(X, dtype=weight.dtype) @ weight + bias
-        else:
-            Z = self.hmd._transform(X)
-        if self._quantized:
-            counts = self._count_votes_quantized(Z)
-        elif self._flat:
-            counts = self._count_votes(Z)
-        else:
-            votes = self.backend.decisions(np.ascontiguousarray(Z, dtype=float))
-            counts = np.count_nonzero(votes == self.classes[-1], axis=1)
-        return (
-            self.prediction_table.take(counts),
-            self.entropy_table.take(counts),
-            self.accept_table.take(counts),
-        )
-
-    def _count_votes(self, Z: np.ndarray) -> np.ndarray:
-        """Second-class vote count per row via the shared node tensor.
-
-        The same level-synchronous routing as ``FlatForest.apply`` —
-        identical node transitions, so identical leaves and counts —
-        but chunked to L2-sized row groups and compacted eagerly, and
-        reduced straight to counts instead of materialising the
-        ``(n, M)`` leaf/vote matrices.
-        """
-        forest = self.backend
-        fg, threshold = forest.fg, forest.threshold
-        m, max_depth = forest.n_members, forest.max_depth
-        # encode() is the forest's own input cast (float64, or float32
-        # for a narrowed forest) — one definition for both kernels.
-        Z = forest.encode(Z)
-        n, n_features = Z.shape
-        chunk = max(16, _SHARD_SLOT_TARGET // m)
-        counts = np.empty(n, dtype=np.intp)
-        for start in range(0, n, chunk):
-            nc = min(chunk, n - start)
-            x = Z[start : start + nc].ravel()
-            # The forest's own cached level-0 gather program — one
-            # definition of the root setup for both kernels.
-            rows_f, xi0, thr0, goto0 = forest._setup(nc, n_features)
-            out = np.empty(nc * m, dtype=np.intp)
-            node = np.add(goto0, np.greater(x.take(xi0, mode="clip"), thr0))
-            rows = rows_f
-            idx = None
-            for level in range(1, max_depth):
-                rec = fg.take(node, axis=0, mode="clip")
-                f = rec[:, 0]
-                if level >= 2 and node.size > _MIN_COMPACT:
-                    alive = f >= 0
-                    n_alive = int(np.count_nonzero(alive))
-                    if n_alive == 0:
-                        break
-                    if n_alive < _COMPACT_RATIO * node.size:
-                        live = np.flatnonzero(alive)
-                        if idx is None:
-                            out[:] = node
-                            idx = live
-                        else:
-                            dead = np.flatnonzero(~alive)
-                            out[idx.take(dead)] = node.take(dead)
-                            idx = idx.take(live)
-                        rows = rows.take(live)
-                        node = node.take(live)
-                        rec = rec.take(live, axis=0)
-                        f = rec[:, 0]
-                xv = x.take(np.add(f, rows), mode="clip")
-                node = np.add(rec[:, 1], np.greater(xv, threshold.take(node)))
-            if idx is None:
-                leaves = node
-            else:
-                out[idx] = node
-                leaves = out
-            counts[start : start + nc] = (
-                self._leaf_is_second.take(leaves).reshape(nc, m).sum(axis=1)
-            )
-        return counts
-
-    def _count_votes_quantized(self, Z: np.ndarray) -> np.ndarray:
-        """Second-class vote counts via the uint8 bin-code kernel.
-
-        The batch is quantized **once** (one batched searchsorted, see
-        :meth:`QuantizedForest.encode`), then routed with the same
-        node transitions as :meth:`QuantizedForest._apply_chunk` —
-        identical leaves, identical counts — chunked and compacted with
-        the shard tuning of :meth:`_count_votes`.  Each level gathers
-        one packed int64 per live slot and one uint8 code; since the
-        rewritten codes reproduce the float comparisons exactly
-        (``code > b  <=>  v > edges[b]``), counts are bitwise equal to
-        the float64 kernel's.
-        """
-        forest = self.backend
-        packed = forest.packed
-        m, max_depth = forest.n_members, forest.max_depth
-        codes = forest.encode(Z)
-        n, n_features = codes.shape
-        chunk = max(16, _SHARD_SLOT_TARGET // m)
-        counts = np.empty(n, dtype=np.intp)
-        leaf_code = 255  # the packed layout's leaf sentinel
-        for start in range(0, n, chunk):
-            nc = min(chunk, n - start)
-            x = codes[start : start + nc].ravel()
-            rows_f, xi0, code0, goto0 = forest._setup(nc, n_features)
-            out = np.empty(nc * m, dtype=np.intp)
-            node = np.add(goto0, np.greater(x.take(xi0), code0))
-            rows = rows_f
-            idx = None
-            for level in range(1, max_depth):
-                rec = packed.take(node)
-                code = q_code_view(rec)
-                if level >= 2:
-                    alive = code != leaf_code
-                    n_alive = int(np.count_nonzero(alive))
-                    if n_alive == 0:
-                        break
-                    if (
-                        n_alive < _COMPACT_RATIO * node.size
-                        and node.size > _MIN_COMPACT
-                    ):
-                        live = np.flatnonzero(alive)
-                        if idx is None:
-                            out[:] = node
-                            idx = live
-                        else:
-                            dead = np.flatnonzero(~alive)
-                            out[idx.take(dead)] = node.take(dead)
-                            idx = idx.take(live)
-                        rows = rows.take(live)
-                        node = node.take(live)
-                        rec = rec.take(live)
-                        code = q_code_view(rec)
-                f = q_feat_view(rec)
-                xv = x.take(np.add(f, rows))
-                node = np.add(q_goto_view(rec), np.greater(xv, code), dtype=np.intp)
-            if idx is None:
-                leaves = node
-            else:
-                out[idx] = node
-                leaves = out
-            counts[start : start + nc] = (
-                self._leaf_is_second.take(leaves).reshape(nc, m).sum(axis=1)
-            )
-        return counts
+        return count_table_verdict(self.front, self.backend, self.tables, X)
 
 
 # ---------------------------------------------------------------------------

@@ -18,17 +18,17 @@ and its shard workers, and neither is ever pickled row by row:
   worker's ``result`` message names it.
 
 * **The model plane** — :func:`publish_model` /
-  :func:`map_publication`, the one-shot publication of a compiled
-  :class:`~repro.fleet.sharding.PublishedHmd`.  The flat forest node
-  tensor, the second-class leaf indicator and the (optional) fused
-  affine front land in one read-only segment; the count-indexed
-  verdict tables and other small arrays travel in a plain header
-  dict.  Every worker maps the segment and rebuilds a *detached*
-  ``PublishedHmd`` (:meth:`PublishedHmd.from_parts`) around the mapped
-  arrays — same node tensor bytes, same tables, same kernel, so
-  worker verdicts are bitwise identical to the parent's by
-  construction.  Ensembles outside the fast path (no flat backend, or
-  more than two classes) fall back to shipping the pickled HMD in the
+  :func:`map_publication`, the one-shot publication of a
+  :class:`~repro.fleet.sharding.PublishedHmd` record.  The forest node
+  tensor, the second-class leaf indicator and the fused front land in
+  one read-only segment; the vote-count tables and other small arrays
+  travel in a plain header dict.  Every worker maps the segment and
+  rebuilds a *detached* ``PublishedHmd``
+  (:meth:`PublishedHmd.from_parts`) around the mapped arrays — same
+  node tensor bytes, same tables, same verdict function, so worker
+  verdicts are bitwise identical to the parent's by construction.
+  Models without verdict parts (no flat or quantized forest, or more
+  than two classes) fall back to shipping the pickled HMD in the
   header — correctness is never gated on the fast path.
 
 A republish (after a warm retrain or threshold change) is a fresh
@@ -46,6 +46,9 @@ import zlib
 from multiprocessing import shared_memory
 
 import numpy as np
+
+from ..ml.backend import FlatForest, QuantizedForest
+from ..uncertainty.trust import VoteCountTables
 
 __all__ = [
     "ShmBlockRing",
@@ -366,20 +369,15 @@ class ShmBlockRing:
 # Model plane: one-shot publication of the compiled verdict state
 # ---------------------------------------------------------------------------
 
-# Arrays big enough to be worth the segment; everything else (vote
-# tables are M+1 entries, the scaler front is n_features long) rides in
-# the pickled header.  "kind" in the header says which set was shipped:
-#   flat      — fg / threshold (float64 or float32) / leaf_is_second
+# Arrays big enough to be worth the segment; the vote tables (M + 1
+# entries each) and scalars ride in the pickled header.  "kind" in the
+# header says which forest was shipped:
+#   flat      — fg / threshold (float64 or float32)
 #   quantized — packed node records + the bin-encoding tables
+# Both ship the second-class leaf indicator and the two front arrays.
 _SEGMENT_ARRAYS = {
-    "flat": ("fg", "threshold", "leaf_is_second", "front_weight"),
-    "quantized": (
-        "packed",
-        "leaf_is_second",
-        "edges_sorted",
-        "edge_prefix",
-        "front_weight",
-    ),
+    "flat": ("fg", "threshold"),
+    "quantized": ("packed", "edges_sorted", "edge_prefix"),
 }
 
 
@@ -391,16 +389,14 @@ def publish_model(published, *, generation: int = 0) -> tuple[dict, object]:
     and the parent-owned segment handle (``None`` in pickle mode) to
     unlink once the publication is retired.
 
-    Fast path — the deployment case (binary ensemble, flat or
-    quantized backend): the node tensor (float thresholds or packed
-    bin-code records plus encoding tables), leaf indicator and
-    optional fused affine front go into one read-only segment; tables
-    and scalars go into the header.  Anything else falls back to a
-    pickled-HMD header (correct, just not zero-copy) so the worker
-    backend never restricts which models the fleet can serve.
+    Fast path — a publication with verdict parts (binary ensemble,
+    flat or quantized forest): the node tensor, leaf indicator and
+    front go into one read-only segment; tables and scalars go into the
+    header.  Anything else falls back to a pickled-HMD header (correct,
+    just not zero-copy) so the worker backend never restricts which
+    models the fleet can serve.
     """
-    quantized = getattr(published, "_quantized", False)
-    if published.entropy_table is None or not (published._flat or quantized):
+    if published.tables is None:
         return (
             {
                 "mode": "pickle",
@@ -411,26 +407,12 @@ def publish_model(published, *, generation: int = 0) -> tuple[dict, object]:
             None,
         )
 
-    backend = published.backend
-    if quantized:
-        kind = "quantized"
-        arrays = {
-            "packed": np.ascontiguousarray(backend.packed),
-            "leaf_is_second": np.ascontiguousarray(published._leaf_is_second),
-            "edges_sorted": np.ascontiguousarray(backend.edges_sorted),
-            "edge_prefix": np.ascontiguousarray(backend.edge_prefix),
-        }
-    else:
-        kind = "flat"
-        arrays = {
-            "fg": np.ascontiguousarray(backend.fg),
-            "threshold": np.ascontiguousarray(backend.threshold),
-            "leaf_is_second": np.ascontiguousarray(published._leaf_is_second),
-        }
-    if published._affine_front is not None:
-        arrays["front_weight"] = np.ascontiguousarray(
-            published._affine_front[0]
-        )
+    backend, tables = published.backend, published.tables
+    kind = "quantized" if isinstance(backend, QuantizedForest) else "flat"
+    arrays = {key: getattr(backend, key) for key in _SEGMENT_ARRAYS[kind]}
+    arrays["leaf_is_second"] = tables.leaf_is_second
+    arrays["front_a"], arrays["front_b"] = published.front
+    arrays = {key: np.ascontiguousarray(value) for key, value in arrays.items()}
     fields = [(k, v.dtype.str, v.shape) for k, v in arrays.items()]
     specs, nbytes = _layout(fields)
     segment = shared_memory.SharedMemory(
@@ -453,19 +435,9 @@ def publish_model(published, *, generation: int = 0) -> tuple[dict, object]:
         "n_features": int(backend.n_features),
         "max_depth": int(backend.max_depth),
         "threshold": float(published.threshold),
-        "prediction_table": np.asarray(published.prediction_table),
-        "entropy_table": np.asarray(published.entropy_table),
-        "accept_table": np.asarray(published.accept_table),
-        "scaler_front": (
-            None
-            if published._scaler_front is None
-            else tuple(np.asarray(a) for a in published._scaler_front)
-        ),
-        "front_bias": (
-            None
-            if published._affine_front is None
-            else np.asarray(published._affine_front[1])
-        ),
+        "prediction_table": np.asarray(tables.prediction),
+        "entropy_table": np.asarray(tables.entropy),
+        "accept_table": np.asarray(tables.accept),
     }
     return header, segment
 
@@ -474,7 +446,6 @@ class MappedPublication:
     """A worker's live view of one published model generation."""
 
     def __init__(self, header: dict):
-        from ..ml.backend import FlatForest, QuantizedForest
         from .sharding import PublishedHmd
 
         self.generation = int(header["generation"])
@@ -487,46 +458,42 @@ class MappedPublication:
         self._segment = _attach(header["segment"])
         views = _map_views(self._segment.buf, header["specs"])
         leaf_is_second = views["leaf_is_second"]
-        # The count kernel never reads leaf labels (the second-class
+        # The count reduction never reads leaf labels (the second-class
         # indicator is the whole reduction), so the indicator doubles
         # as the label column of the mapped forest.
-        if header.get("kind", "flat") == "quantized":
+        shape = dict(
+            leaf_label=leaf_is_second,
+            roots=header["roots"],
+            n_features=header["n_features"],
+            max_depth=header["max_depth"],
+        )
+        if header["kind"] == "quantized":
             forest = QuantizedForest(
                 packed=views["packed"],
-                leaf_label=leaf_is_second,
-                roots=header["roots"],
-                n_features=header["n_features"],
-                max_depth=header["max_depth"],
                 edges_sorted=views["edges_sorted"],
                 edge_prefix=views["edge_prefix"],
+                **shape,
             )
         else:
             forest = FlatForest(
                 fg=views["fg"],
                 threshold=views["threshold"],
-                leaf_label=leaf_is_second,
-                roots=header["roots"],
-                n_features=header["n_features"],
-                max_depth=header["max_depth"],
                 # A float32 publication ships float32 thresholds; the
                 # mapped forest must cast inputs the same way.
                 feature_dtype=views["threshold"].dtype,
+                **shape,
             )
-        front_weight = views.get("front_weight")
         self.view = PublishedHmd.from_parts(
+            front=(views["front_a"], views["front_b"]),
             backend=forest,
+            tables=VoteCountTables(
+                prediction=header["prediction_table"],
+                entropy=header["entropy_table"],
+                accept=header["accept_table"],
+                leaf_is_second=leaf_is_second,
+            ),
             classes=header["classes"],
             threshold=header["threshold"],
-            prediction_table=header["prediction_table"],
-            entropy_table=header["entropy_table"],
-            accept_table=header["accept_table"],
-            leaf_is_second=leaf_is_second,
-            scaler_front=header["scaler_front"],
-            affine_front=(
-                None
-                if front_weight is None
-                else (front_weight, header["front_bias"])
-            ),
         )
 
     def verdict(self, X):

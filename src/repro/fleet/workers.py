@@ -509,9 +509,10 @@ class WorkerShardedFleetMonitor(ShardedFleetMonitor):
     supervised worker processes through shared-memory arenas.  Verdicts,
     merged stats, forensic stream and report device rows are bitwise
     identical to the in-process facade — the workers run the *same*
-    :meth:`PublishedHmd.verdict` kernel on the same bytes and the same
-    :meth:`FleetShard.scatter` state updates; the process boundary
-    changes where the work runs, never what it computes.
+    :func:`~repro.uncertainty.trust.count_table_verdict` on the same
+    bytes and the same :meth:`FleetShard.scatter` state updates; the
+    process boundary changes where the work runs, never what it
+    computes.
 
     Additional parameters
     ---------------------

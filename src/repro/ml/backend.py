@@ -16,9 +16,12 @@ program:
   ``estimators_features_``) are folded in by remapping each node's
   feature index into the *global* input space, so no per-member column
   slicing survives at predict time.
-* :class:`FlatForest` routes all ``n_samples x n_members`` slots at
-  once: one gather per node record per level, with active-set
-  compaction once most slots have reached leaves.
+* :class:`FlatForest` (float64/float32 thresholds) and
+  :class:`QuantizedForest` (uint8 bin codes) route all
+  ``n_samples x n_members`` slots at once through one shared
+  level-synchronous loop — one gather per node record per level, with
+  active-set compaction once most slots have reached leaves — reduced
+  either to leaf ids or to per-row second-class vote counts.
 * :class:`CompositeBackend` handles heterogeneous ensembles
   (``VotingClassifier``): tree members ride the flat tensor, other
   members fall back to their own ``predict`` — column by column, in
@@ -55,9 +58,18 @@ __all__ = [
 ]
 
 _LEAF = -1
-# Rows per traversal chunk are sized so a chunk's slot count
-# (rows x members) stays cache-friendly.
-_SLOT_TARGET = 51_200
+
+# Traversal tuning, shared by both kernels and both reductions.  A
+# batch is split into the fewest equal row chunks whose slot count
+# (rows x members) stays within ``_SLOT_TARGET``, so the per-level
+# working arrays stay cache-resident: a 256-row batch of a 100-member
+# forest is one chunk, a sharded fleet's fused round a few.  Once fewer
+# than ``_COMPACT_RATIO`` of a chunk's slots are still routing, the
+# finished ones are banked and dropped, as long as the active set is big
+# enough for the two compaction passes to pay.
+_SLOT_TARGET = 25_600
+_COMPACT_RATIO = 0.5
+_MIN_COMPACT = 1024
 
 # Backend compile modes: "flat" is the float64 reference kernel,
 # "float32" the same kernel over float32 features/thresholds (front
@@ -78,11 +90,10 @@ COMPILE_MODES = ("flat", "float32", "quantized")
 # <= n_bins - 2), goto = self (the float kernel's self-loop trick) and
 # feature 0 (any in-bounds index: the gathered code is compared
 # against 255, which no uint8 value exceeds, so the slot self-loops
-# forever without clip-mode indexing).
+# forever).
 _Q_GOTO_SHIFT = 32
 _Q_FEAT_SHIFT = 16
 _Q_FEAT_MASK = 0xFFFF
-_Q_CODE_MASK = 0xFF
 _Q_LEAF_CODE = 255
 
 # Byte-view element offsets of (code: uint8, feature: uint16,
@@ -93,26 +104,153 @@ else:  # pragma: no cover - big-endian hosts
     _Q_CODE_OFF, _Q_FEAT_OFF, _Q_GOTO_OFF = 7, 2, 0
 
 
-def q_code_view(rec: np.ndarray) -> np.ndarray:
-    """The uint8 cut-bin codes of a contiguous int64 record array."""
-    return rec.view(np.uint8)[_Q_CODE_OFF::8]
-
-
-def q_feat_view(rec: np.ndarray) -> np.ndarray:
-    """The uint16 feature indices of a contiguous int64 record array."""
-    return rec.view(np.uint16)[_Q_FEAT_OFF::4]
-
-
-def q_goto_view(rec: np.ndarray) -> np.ndarray:
-    """The int32 goto targets of a contiguous int64 record array."""
-    return rec.view(np.int32)[_Q_GOTO_OFF::2]
-
-
 class BackendCompileError(Exception):
     """An ensemble (or member) cannot be flattened; callers fall back."""
 
 
-class FlatForest:
+class _RoutedForest:
+    """The level-synchronous routing loop shared by both kernels.
+
+    All ``rows x members`` slots of a chunk advance one tree level per
+    iteration: gather each slot's node record, compare the slot's
+    feature value against the node's cut, step to ``goto + (x > cut)``.
+    Leaves point ``goto`` at themselves with a cut no value exceeds, so
+    finished slots self-loop instead of branching.  The level-0 step is
+    precomputed per chunk shape; from level 2 on, a liveness scan ends
+    the loop once every slot has settled and compacts the active set
+    when most have.
+
+    A subclass supplies the node storage: :meth:`encode` (the batch in
+    comparison space), the record gather — :meth:`_records` (one gather
+    of node records) and :meth:`_fields` (a record's feature index, cut
+    and goto) — and the liveness test :meth:`_alive` (which gathered
+    records are internal nodes).
+    """
+
+    def __init__(self, leaf_label, roots, n_features: int, max_depth: int):
+        self.leaf_label = leaf_label
+        self.roots = roots
+        self.n_features = int(n_features)
+        self.max_depth = int(max_depth)
+        self.n_members = len(roots)
+        self._setup_cache: dict[int, tuple] = {}
+
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        """Leaf node id per (sample, member), shape ``(n, n_members)``."""
+        return self._route(X)
+
+    def count_second(self, X, leaf_is_second: np.ndarray) -> np.ndarray:
+        """Per-row sum of ``leaf_is_second`` over the members' leaves.
+
+        With a 0/1 indicator of the leaves voting the second class,
+        this is each row's second-class vote count, reduced chunk by
+        chunk without materialising the ``(n, n_members)`` matrix.
+        """
+        return self._route(X, leaf_is_second)
+
+    def decisions(self, X: np.ndarray) -> np.ndarray:
+        """Per-member hard votes, shape ``(n, n_members)``.
+
+        Bitwise identical to the legacy per-member predict loop.
+        """
+        leaves = self.apply(X)
+        return self.leaf_label.take(leaves.ravel()).reshape(leaves.shape)
+
+    def _route(self, X, leaf_is_second=None) -> np.ndarray:
+        x = self.encode(X)
+        n, m = x.shape[0], self.n_members
+        n_chunks = max(1, -(-n * m // _SLOT_TARGET))
+        chunk = max(16, -(-n // n_chunks))
+        if leaf_is_second is None:
+            leaves = np.empty(n * m, dtype=np.intp)
+            for start in range(0, n, chunk):
+                stop = min(start + chunk, n)
+                self._route_chunk(x[start:stop], leaves[start * m : stop * m])
+            return leaves.reshape(n, m)
+        counts = np.empty(n, dtype=np.intp)
+        scratch = np.empty(min(chunk, n) * m, dtype=np.intp)
+        for start in range(0, n, chunk):
+            stop = min(start + chunk, n)
+            leaves = scratch[: (stop - start) * m]
+            self._route_chunk(x[start:stop], leaves)
+            counts[start:stop] = (
+                leaf_is_second.take(leaves).reshape(stop - start, m).sum(axis=1)
+            )
+        return counts
+
+    def _setup(self, nc: int) -> tuple:
+        """Per-chunk-shape constants: slot layout and the level-0 step.
+
+        Level 0 visits each member's root for every row — the node ids,
+        features and cuts are batch-independent, so the entire first
+        gather/compare program is precomputed and cached.
+        """
+        cached = self._setup_cache.get(nc)
+        if cached is not None:
+            return cached
+        if len(self._setup_cache) > 8:
+            self._setup_cache.clear()
+        rows = (np.arange(nc, dtype=np.intp) * self.n_features).repeat(
+            self.n_members
+        )
+        f, cut, goto = self._fields(self._records(self.roots), self.roots)
+        cached = (rows, rows + np.tile(f, nc), np.tile(cut, nc), np.tile(goto, nc))
+        self._setup_cache[nc] = cached
+        return cached
+
+    def _route_chunk(self, x: np.ndarray, out: np.ndarray) -> None:
+        """Route one chunk of encoded rows; ``out`` receives flat leaf ids."""
+        rows, xi0, cut0, goto0 = self._setup(x.shape[0])
+        x = x.ravel()
+        node = self._step(goto0, x.take(xi0, mode="clip"), cut0)
+        idx = None  # None = all slots still tracked full-width
+        for level in range(1, self.max_depth):
+            rec = self._records(node)
+            if level >= 2:
+                alive = self._alive(rec)
+                n_alive = int(np.count_nonzero(alive))
+                if n_alive == 0:
+                    break
+                size = node.size
+                if size > _MIN_COMPACT and n_alive < _COMPACT_RATIO * size:
+                    # Bank the settled slots' leaves, keep the live ones.
+                    live = np.flatnonzero(alive)
+                    if idx is None:
+                        out[:] = node
+                        idx = live
+                    else:
+                        dead = np.flatnonzero(~alive)
+                        out[idx.take(dead)] = node.take(dead)
+                        idx = idx.take(live)
+                    rows = rows.take(live)
+                    node = node.take(live)
+                    rec = rec.take(live, axis=0)
+            node = self._advance(rec, node, x, rows)
+        if idx is None:
+            out[:] = node
+        else:
+            out[idx] = node
+
+    def _advance(self, rec, node, x, rows):
+        """One level's step for the live slots.
+
+        A function of its own so the step's chunk-sized temporaries die
+        on return: keeping them alive across levels raises the peak
+        allocation enough that the allocator hands pages back between
+        batches and faults them in again, measured up to ~1.5x slower
+        on 256-row batches interleaved with other work.
+        """
+        f, cut, goto = self._fields(rec, node)
+        # Clip-mode gather: a float leaf's feature is -1, so row 0's
+        # slot would index -1 (the compare against +inf ignores it).
+        return self._step(goto, x.take(np.add(f, rows), mode="clip"), cut)
+
+    @staticmethod
+    def _step(goto, xv, cut):
+        return np.add(goto, np.greater(xv, cut), dtype=np.intp)
+
+
+class FlatForest(_RoutedForest):
     """All trees of an ensemble packed into one node tensor.
 
     Storage (``n_nodes`` = total nodes across members; all index
@@ -136,10 +274,6 @@ class FlatForest:
         ``member.predict``'s choice including tie-breaks).
     ``roots``
         ``(n_members,) intp`` root node id per member.
-
-    Traversal is level-synchronous over all ``rows x members`` slots,
-    the level-0 step fully precomputed per batch shape, and the active
-    set compacted once enough slots have self-looped into leaves.
     """
 
     def __init__(
@@ -152,16 +286,11 @@ class FlatForest:
         max_depth: int,
         feature_dtype=np.float64,
     ):
+        super().__init__(leaf_label, roots, n_features, max_depth)
         self.fg = fg
         self.threshold = threshold
-        self.leaf_label = leaf_label
-        self.roots = roots
-        self.n_features = int(n_features)
-        self.max_depth = int(max_depth)
-        self.n_members = len(roots)
         self.n_nodes = len(threshold)
         self.feature_dtype = np.dtype(feature_dtype)
-        self._setup_cache: dict[int, tuple] = {}
 
     def cast(self, dtype) -> "FlatForest":
         """A view of this forest comparing in another float precision.
@@ -188,13 +317,8 @@ class FlatForest:
         )
 
     def encode(self, X: np.ndarray) -> np.ndarray:
-        """The traversal-ready feature matrix for :meth:`apply`.
-
-        A contiguous cast to :attr:`feature_dtype` — the one place an
-        input batch is converted, so callers that replay the routing
-        kernel themselves (the sharded fleet's count kernel) encode
-        identically by construction.
-        """
+        """The traversal-ready feature matrix: a contiguous cast to
+        :attr:`feature_dtype`."""
         X = np.ascontiguousarray(X, dtype=self.feature_dtype)
         if X.shape[1] != self.n_features:
             raise ValueError(
@@ -202,110 +326,17 @@ class FlatForest:
             )
         return X
 
-    def _setup(self, nc: int, n_features: int) -> tuple:
-        """Per-batch-shape constants: slot layout and the level-0 step.
+    def _records(self, node):
+        return self.fg.take(node, axis=0, mode="clip")
 
-        Level 0 visits each member's root for every row — the node ids,
-        features and thresholds are batch-independent, so the entire
-        first gather/compare program is precomputed and cached.
-        """
-        cached = self._setup_cache.get(nc)
-        if cached is not None:
-            return cached
-        if len(self._setup_cache) > 8:
-            self._setup_cache.clear()
-        rows_f = (np.arange(nc, dtype=np.intp) * n_features).repeat(
-            self.n_members
-        )
-        root_f = self.fg[self.roots, 0]
-        xi0 = rows_f + np.tile(root_f, nc)  # clip-mode handles stump roots
-        thr0 = np.tile(self.threshold[self.roots], nc)
-        goto0 = np.tile(self.fg[self.roots, 1], nc)
-        cached = (rows_f, xi0, thr0, goto0)
-        self._setup_cache[nc] = cached
-        return cached
+    def _fields(self, rec, node):
+        return rec[:, 0], self.threshold.take(node), rec[:, 1]
 
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        """Leaf node id per (sample, member), shape ``(n, n_members)``."""
-        X = self.encode(X)
-        n, n_features = X.shape
-        m = self.n_members
-        chunk = max(16, _SLOT_TARGET // m)
-        leaves = np.empty(n * m, dtype=np.intp)
-        for start in range(0, n, chunk):
-            nc = min(chunk, n - start)
-            self._apply_chunk(
-                X[start : start + nc],
-                leaves[start * m : (start + nc) * m],
-            )
-        return leaves.reshape(n, m)
-
-    def _apply_chunk(self, X: np.ndarray, out: np.ndarray) -> None:
-        """Route one chunk of rows; ``out`` receives flat leaf ids.
-
-        The sharded fleet's vote-count kernel
-        (:meth:`repro.fleet.sharding.PublishedHmd._count_votes`)
-        replays this exact routing (level-0 gather program, clip-mode
-        stump handling, live-slot compaction) with different chunk/
-        compaction tuning — a change to the node-transition logic here
-        must be mirrored there, and the sharding fuzz suite pins the
-        bitwise equivalence of the two.
-        """
-        nc, n_features = X.shape
-        x_flat = X.ravel()
-        fg = self.fg
-        threshold = self.threshold
-        rows_f, xi0, thr0, goto0 = self._setup(nc, n_features)
-
-        # Level 0: precomputed gather program (see _setup).
-        xv = x_flat.take(xi0, mode="clip")
-        node = np.add(goto0, np.greater(xv, thr0))
-
-        idx = None  # None = all slots still tracked full-width
-        for level in range(1, self.max_depth):
-            rec = fg.take(node, axis=0, mode="clip")
-            f = rec[:, 0]
-            # Compaction: once most slots have self-looped into leaves,
-            # bank their final node ids and keep only the live ones.
-            # The check itself costs two passes, so it only runs while
-            # the active set is big enough for halving to pay for it.
-            if level >= 2 and node.size > 4096:
-                alive = f >= 0
-                n_alive = int(np.count_nonzero(alive))
-                if n_alive == 0:
-                    break
-                if n_alive < 0.5 * node.size:
-                    live = np.flatnonzero(alive)
-                    if idx is None:
-                        out[:] = node
-                        idx = live
-                    else:
-                        dead = np.flatnonzero(~alive)
-                        out[idx.take(dead)] = node.take(dead)
-                        idx = idx.take(live)
-                    rows_f = rows_f.take(live)
-                    node = node.take(live)
-                    rec = rec.take(live, axis=0)
-                    f = rec[:, 0]
-            xv = x_flat.take(np.add(f, rows_f), mode="clip")
-            gb = np.greater(xv, threshold.take(node))
-            node = np.add(rec[:, 1], gb)
-        if idx is None:
-            out[:] = node
-        else:
-            out[idx] = node
-
-    def decisions(self, X: np.ndarray) -> np.ndarray:
-        """Per-member hard votes, shape ``(n, n_members)``.
-
-        Bitwise identical to the legacy per-member predict loop.
-        """
-        return self.leaf_label.take(self.apply(X).ravel()).reshape(
-            X.shape[0], self.n_members
-        )
+    def _alive(self, rec):
+        return rec[:, 0] >= 0
 
 
-class QuantizedForest:
+class QuantizedForest(_RoutedForest):
     """A hist-grown flat forest traversed entirely in uint8 bin codes.
 
     Histogram-grown trees (:mod:`repro.ml.training`) only ever split at
@@ -342,10 +373,9 @@ class QuantizedForest:
       packed array (the early levels span a few KB total) instead of
       striding across the whole table in the growers' depth-first
       order;
-    * **byte-aligned fields** — code/feature/goto are extracted from
-      the gathered records as zero-copy strided views
-      (:func:`q_code_view` et al.), eliminating the three shift/mask
-      passes a bit-packed layout would pay per level.
+    * **byte-aligned fields** — code/feature/goto are read from the
+      gathered records as zero-copy strided views, eliminating the
+      three shift/mask passes a bit-packed layout would pay per level.
 
     Carries the per-feature edge tables (``edges_sorted`` /
     ``edge_prefix``) so it can encode raw float windows itself —
@@ -366,40 +396,11 @@ class QuantizedForest:
         edges_sorted: np.ndarray,
         edge_prefix: np.ndarray,
     ):
+        super().__init__(leaf_label, roots, n_features, max_depth)
         self.packed = packed
-        self.leaf_label = leaf_label
-        self.roots = roots
-        self.n_features = int(n_features)
-        self.max_depth = int(max_depth)
-        self.n_members = len(roots)
         self.n_nodes = len(packed)
         self.edges_sorted = edges_sorted
         self.edge_prefix = edge_prefix
-        self._setup_cache: dict[int, tuple] = {}
-
-    def _setup(self, nc: int, n_features: int) -> tuple:
-        """Per-batch-shape constants — the level-0 gather program.
-
-        Mirrors :meth:`FlatForest._setup`: root node records are batch
-        independent, so the first level's feature indices, codes and
-        goto targets are precomputed per chunk shape and cached.
-        """
-        cached = self._setup_cache.get(nc)
-        if cached is not None:
-            return cached
-        if len(self._setup_cache) > 8:
-            self._setup_cache.clear()
-        rows_f = (np.arange(nc, dtype=np.intp) * n_features).repeat(
-            self.n_members
-        )
-        rec = self.packed[self.roots]
-        root_f = (rec >> _Q_FEAT_SHIFT) & _Q_FEAT_MASK
-        xi0 = rows_f + np.tile(root_f, nc)
-        code0 = np.tile(rec & _Q_CODE_MASK, nc)
-        goto0 = np.tile(rec >> _Q_GOTO_SHIFT, nc)
-        cached = (rows_f, xi0, code0, goto0)
-        self._setup_cache[nc] = cached
-        return cached
 
     def encode(self, X: np.ndarray) -> np.ndarray:
         """Quantize a raw float batch to the uint8 code matrix.
@@ -408,8 +409,7 @@ class QuantizedForest:
         prefix-matrix gather — bitwise identical to
         ``BinMapper.transform`` (which is itself pinned against the
         per-feature reference loop).  Already-encoded uint8 input
-        passes through untouched, so fleet kernels can quantize once
-        per batch and reuse the codes across chunks.
+        passes through untouched.
         """
         X = np.asarray(X)
         if X.dtype == np.uint8:
@@ -424,89 +424,18 @@ class QuantizedForest:
             )
         return codes
 
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        """Leaf node id per (sample, member), shape ``(n, n_members)``."""
-        codes = self.encode(X)
-        n, n_features = codes.shape
-        m = self.n_members
-        chunk = max(16, _SLOT_TARGET // m)
-        leaves = np.empty(n * m, dtype=np.intp)
-        for start in range(0, n, chunk):
-            nc = min(chunk, n - start)
-            self._apply_chunk(
-                codes[start : start + nc],
-                leaves[start * m : (start + nc) * m],
-            )
-        return leaves.reshape(n, m)
+    def _records(self, node):
+        return self.packed.take(node)
 
-    def _apply_chunk(self, codes: np.ndarray, out: np.ndarray) -> None:
-        """Route one chunk of encoded rows; ``out`` receives leaf ids.
-
-        The same level-synchronous program as
-        :meth:`FlatForest._apply_chunk` — identical node transitions by
-        the code/threshold equivalence above — with the per-level loads
-        collapsed into one packed-record gather.  The sharded fleet's
-        quantized count kernel
-        (:meth:`repro.fleet.sharding.PublishedHmd._count_votes_quantized`)
-        replays this routing with its own chunk/compaction tuning; the
-        fuzz suite pins the bitwise equivalence.
-        """
-        nc, n_features = codes.shape
-        x_flat = codes.ravel()
-        packed = self.packed
-        rows_f, xi0, code0, goto0 = self._setup(nc, n_features)
-
-        # Level 0: precomputed gather program.  Root feature indices
-        # are always in-bounds (leaf roots store feature 0), so no
-        # clip-mode gather is needed anywhere in this kernel.
-        xv = x_flat.take(xi0)
-        node = np.add(goto0, np.greater(xv, code0))
-
-        idx = None  # None = all slots still tracked full-width
-        for level in range(1, self.max_depth):
-            rec = packed.take(node)
-            code = q_code_view(rec)
-            # Leaves self-loop on the 255 sentinel.  The liveness scan
-            # runs every level (it is one uint8 pass): ensembles carry
-            # a long sparse depth tail — a handful of slots alive for
-            # the last dozen levels — and breaking the moment the scan
-            # hits zero beats looping to max_depth on shrunken arrays.
-            if level >= 2:
-                alive = code != _Q_LEAF_CODE
-                n_alive = int(np.count_nonzero(alive))
-                if n_alive == 0:
-                    break
-                if n_alive < 0.5 * node.size and node.size > 1024:
-                    live = np.flatnonzero(alive)
-                    if idx is None:
-                        out[:] = node
-                        idx = live
-                    else:
-                        dead = np.flatnonzero(~alive)
-                        out[idx.take(dead)] = node.take(dead)
-                        idx = idx.take(live)
-                    rows_f = rows_f.take(live)
-                    node = node.take(live)
-                    rec = rec.take(live)
-                    code = q_code_view(rec)
-            f = q_feat_view(rec)
-            xv = x_flat.take(np.add(f, rows_f))
-            gb = np.greater(xv, code)
-            node = np.add(q_goto_view(rec), gb, dtype=np.intp)
-        if idx is None:
-            out[:] = node
-        else:
-            out[idx] = node
-
-    def decisions(self, X: np.ndarray) -> np.ndarray:
-        """Per-member hard votes, shape ``(n, n_members)``.
-
-        Bitwise identical to the float64 flat forest (and therefore to
-        the legacy per-member predict loop).
-        """
-        return self.leaf_label.take(self.apply(X).ravel()).reshape(
-            np.asarray(X).shape[0], self.n_members
+    def _fields(self, rec, node):
+        return (
+            rec.view(np.uint16)[_Q_FEAT_OFF::4],
+            rec.view(np.uint8)[_Q_CODE_OFF::8],
+            rec.view(np.int32)[_Q_GOTO_OFF::2],
         )
+
+    def _alive(self, rec):
+        return rec.view(np.uint8)[_Q_CODE_OFF::8] != _Q_LEAF_CODE
 
 
 class CompositeBackend:

@@ -16,14 +16,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..ml.backend import FlatForest, QuantizedForest
 from ..ml.base import BaseEstimator, clone
 from ..ml.decomposition import PCA
 from ..ml.preprocessing import StandardScaler
 from ..ml.validation import check_array, check_X_y
+from .entropy import shannon_entropy, votes_to_distribution
 from .estimator import EnsembleUncertaintyEstimator
 from .rejection import RejectionPolicy, RejectionResult
 
-__all__ = ["UntrustedHMD", "TrustedHMD", "TrustedVerdict"]
+__all__ = [
+    "UntrustedHMD",
+    "TrustedHMD",
+    "TrustedVerdict",
+    "VoteCountTables",
+    "count_table_verdict",
+]
 
 
 class _FusedFrontMixin:
@@ -96,8 +104,7 @@ class _FusedFrontMixin:
             scaler32 = getattr(self, "_scaler32_", None)
             if scaler32 is not None:
                 # Float32 scaler-only front: same (X - mean) / scale op
-                # order as the float64 path, run narrow.  The sharded
-                # fleet's PublishedHmd replays these exact ufuncs.
+                # order as the float64 path, run narrow.
                 mean32, scale32 = scaler32
                 X = check_array(X, dtype=np.float32)
                 if X.shape[1] != self.n_features_in_:
@@ -168,6 +175,83 @@ class TrustedVerdict:
     def flagged_indices(self) -> np.ndarray:
         """Indices of inputs routed to the security analyst."""
         return np.flatnonzero(~self.accepted)
+
+
+@dataclass(frozen=True, eq=False)
+class VoteCountTables:
+    """A binary ensemble's verdict for every second-class vote count.
+
+    For two classes, a window's vote distribution — and therefore its
+    prediction, Eq. 4 entropy and accept bit — depends only on how many
+    of the M members voted for the second class.  Entry ``k`` of each
+    table is what :meth:`TrustedHMD.analyze` returns for a window with
+    ``k`` such votes, computed by feeding synthetic vote rows through
+    the original :func:`votes_to_distribution` / :func:`shannon_entropy`
+    (both reduce row-wise), so a table lookup is bitwise the analyze
+    result.  ``leaf_is_second`` marks the forest nodes whose leaf votes
+    for the second class: summing it over a row's leaves is the count.
+    """
+
+    prediction: np.ndarray      # (M + 1,) class label per count
+    entropy: np.ndarray         # (M + 1,) Eq. 4 entropy per count
+    accept: np.ndarray          # (M + 1,) bool, entropy <= threshold
+    leaf_is_second: np.ndarray  # (n_nodes,) int64 0/1 per forest node
+
+    @classmethod
+    def build(cls, forest, classes, *, base, threshold) -> "VoteCountTables":
+        """Tables for a compiled binary forest at one threshold."""
+        m = forest.n_members
+        counts = np.arange(m + 1)
+        votes = np.where(
+            np.arange(m)[None, :] < counts[:, None], classes[1], classes[0]
+        )
+        distribution = votes_to_distribution(votes, classes)
+        entropy = shannon_entropy(distribution, base=base)
+        return cls(
+            prediction=classes[np.argmax(distribution, axis=1)],
+            entropy=entropy,
+            accept=entropy <= threshold,
+            leaf_is_second=np.ascontiguousarray(
+                (forest.leaf_label == classes[-1]).astype(np.int64)
+            ),
+        )
+
+
+def count_table_verdict(front, forest, tables: VoteCountTables, X):
+    """``(predictions, entropy, accepted)`` of a batch via vote counts.
+
+    The one verdict function of the fleet: ``front`` is the fused
+    preprocessing map as a pair of arrays — ``(weight, bias)`` for
+    ``X @ weight + bias`` (2-D weight, a PCA stage) or ``(mean, scale)``
+    for ``(X - mean) / scale`` (scaler only) — in the dtype the compile
+    mode runs it, exactly the operations of :meth:`TrustedHMD._transform`.
+    ``forest`` counts each row's second-class votes and ``tables`` turns
+    counts into verdicts, so the result is bitwise
+    :meth:`TrustedHMD.analyze`.  The batch is validated first, with the
+    messages ``analyze`` raises: a window with NaN or infinite features
+    is an error on every engine, never a verdict.
+    """
+    X = np.asarray(X)
+    if X.dtype.kind != "f":
+        X = X.astype(float)
+    a, b = front
+    if X.ndim != 2 or X.shape[1] != a.shape[0]:
+        raise ValueError(
+            f"Expected {a.shape[0]} features, got an array of shape {X.shape}."
+        )
+    if not np.isfinite(X).all():
+        raise ValueError("X contains NaN or infinite values.")
+    X = X.astype(a.dtype, copy=False)
+    if a.ndim == 2:
+        Z = X @ a + b
+    else:
+        Z = np.true_divide(np.subtract(X, a), b)
+    counts = forest.count_second(Z, tables.leaf_is_second)
+    return (
+        tables.prediction.take(counts),
+        tables.entropy.take(counts),
+        tables.accept.take(counts),
+    )
 
 
 class TrustedHMD(_FusedFrontMixin, BaseEstimator):
@@ -246,9 +330,9 @@ class TrustedHMD(_FusedFrontMixin, BaseEstimator):
         *sticky*: once ``compile(mode="quantized")`` has been called,
         subsequent no-argument compiles — including the one inside
         :meth:`partial_refit` — rebuild the same kind of kernel, and
-        fleet monitors republish it (``PublishedHmd.is_current`` keys
-        on the mode).  ``"quantized"`` requires a hist-grown ensemble;
-        anything else raises ``ValueError``.
+        the verdict tables are rebuilt for it (:meth:`verdict_key`
+        includes the mode).  ``"quantized"`` requires a hist-grown
+        ensemble; anything else raises ``ValueError``.
         """
         if not hasattr(self, "ensemble_"):
             raise ValueError("hmd must be fitted before compiling.")
@@ -339,6 +423,77 @@ class TrustedHMD(_FusedFrontMixin, BaseEstimator):
             predictions=labels,
             entropy=entropy,
             accepted=result.accepted,
+            threshold=self.policy_.threshold,
+        )
+
+    def verdict_key(self) -> tuple:
+        """What :meth:`verdict_parts` are built from.
+
+        The fitted member list (compared by identity: every refit and
+        warm retrain rebuilds it), the operating threshold and the
+        compile mode.  A change to any of them — :meth:`fit`,
+        :meth:`partial_refit`, :meth:`with_threshold`,
+        ``compile(mode=...)`` — makes parts built earlier stale.
+        """
+        return (
+            getattr(self.ensemble_, "estimators_", None),
+            float(self.policy_.threshold),
+            self.compile_mode,
+        )
+
+    def is_current_key(self, key: tuple) -> bool:
+        """Whether parts built under ``key`` still serve this model."""
+        members, threshold, mode = self.verdict_key()
+        return key[0] is members and key[1:] == (threshold, mode)
+
+    def verdict_parts(self):
+        """``(front, forest, tables)`` for :func:`count_table_verdict`.
+
+        Built once per :meth:`verdict_key` and cached.  ``None`` when
+        the count tables cannot serve this model — more than two
+        classes, or no flat/quantized compiled forest — and
+        :meth:`verdict` falls back to :meth:`analyze`.
+        """
+        cached = getattr(self, "_verdict_parts_", None)
+        if cached is not None and self.is_current_key(cached[0]):
+            return cached[1]
+        self.compile()
+        compile_backend = getattr(self.ensemble_, "compile", None)
+        forest = compile_backend() if callable(compile_backend) else None
+        parts = None
+        binary = len(self.classes_) == 2
+        if binary and isinstance(forest, (FlatForest, QuantizedForest)):
+            if self.pca_ is not None:
+                front = (self._front_weight_, self._front_bias_)
+            elif self._scaler32_ is not None:
+                front = self._scaler32_
+            else:
+                front = (self.scaler_.mean_, self.scaler_.scale_)
+            tables = VoteCountTables.build(
+                forest,
+                np.asarray(self.classes_),
+                base=self.estimator_.base,
+                threshold=self.policy_.threshold,
+            )
+            parts = (front, forest, tables)
+        self._verdict_parts_ = (self.verdict_key(), parts)
+        return parts
+
+    def verdict(self, X) -> TrustedVerdict:
+        """:meth:`analyze`'s result through the vote-count tables.
+
+        Bitwise identical to :meth:`analyze` (which stays the
+        vote-matrix reference), without building the ``(n, M)`` vote
+        matrix; models without count tables fall back to it.
+        """
+        parts = self.verdict_parts()
+        if parts is None:
+            return self.analyze(X)
+        predictions, entropy, accepted = count_table_verdict(*parts, X)
+        return TrustedVerdict(
+            predictions=predictions,
+            entropy=entropy,
+            accepted=accepted,
             threshold=self.policy_.threshold,
         )
 

@@ -11,7 +11,9 @@ The fleet contract per mode:
   front drifts from the float64 front by at most 1e-6 per feature;
 * switching the compile mode on a live HMD makes
   :meth:`PublishedHmd.is_current` go stale so the next drain
-  republishes the right kernel (the satellite-2 regression).
+  republishes the right kernel (the satellite-2 regression);
+* a window with NaN or infinite features is never verdicted, whatever
+  the monitor shape or mode.
 """
 
 import pickle
@@ -26,8 +28,9 @@ from repro.fleet import (
     ShardedFleetMonitor,
     WorkerShardedFleetMonitor,
 )
-from repro.fleet.engine import batch_verdict_key
+from repro.fleet.engine import batch_verdict_key, batch_window_keys
 from repro.fleet.report import device_report_key
+from repro.fleet.resilience import account_windows
 from repro.ml import RandomForestClassifier
 from repro.ml.backend import FlatForest, QuantizedForest
 from repro.uncertainty import TrustedHMD
@@ -148,25 +151,44 @@ class TestShardedModes:
         sharded = _drive(sharded_monitor, arrivals)
         assert batch_verdict_key(sharded) == batch_verdict_key(single)
 
-    def test_live_mode_switch_republishes(self):
+    @pytest.mark.parametrize("sharded", [False, True], ids=["single", "sharded"])
+    def test_live_mode_switch_republishes(self, sharded, monkeypatch):
         """Satellite 2 end-to-end: recompile mid-stream, next drain
         serves the new kernel."""
+        served = []
+        for cls in (FlatForest, QuantizedForest):
+            count_second = cls.count_second
+
+            def spy(self, *args, _count=count_second):
+                served.append(type(self))
+                return _count(self, *args)
+
+            monkeypatch.setattr(cls, "count_second", spy)
         X, hmd = make_hmd("quantized")
         arrivals = _arrivals(X, n_devices=8, rounds=30, seed=6)
         policy = BackpressurePolicy(max_pending=len(arrivals) + 1)
-        monitor = ShardedFleetMonitor(
-            hmd, n_shards=2, batch_size=64, policy=policy
-        )
+        if sharded:
+            monitor = ShardedFleetMonitor(
+                hmd, n_shards=2, batch_size=64, policy=policy
+            )
+        else:
+            monitor = FleetMonitor(hmd, batch_size=64, policy=policy)
         first = _drive(monitor, arrivals)
-        assert isinstance(monitor.published.backend, QuantizedForest)
+        assert set(served) == {QuantizedForest}
+        if sharded:
+            assert isinstance(monitor.published.backend, QuantizedForest)
 
         hmd.compile(mode="float64")
-        assert not monitor.published.is_current()
+        if sharded:
+            assert not monitor.published.is_current()
+        served.clear()
         for device_id, window in arrivals:
             monitor.submit(device_id, window)
         second = monitor.drain()
-        assert isinstance(monitor.published.backend, FlatForest)
-        assert monitor.published.compile_mode == "float64"
+        assert set(served) == {FlatForest}
+        if sharded:
+            assert isinstance(monitor.published.backend, FlatForest)
+            assert monitor.published.compile_mode == "float64"
         # Quantization is exact: replaying the same windows through the
         # float64 kernel yields the same verdicts (sequence numbers keep
         # counting across drains, so re-key the second drain back).
@@ -223,3 +245,63 @@ class TestWorkerModes:
             expected = "<f4" if mode == "float32" else "<f8"
             assert ring.feat_dtype == expected
             assert ring.spec()["feat_dtype"] == expected
+
+
+def _with_bad_row(arrivals, position, value):
+    """Arrivals with one feature of one window set to ``value``."""
+    device_id, window = arrivals[position]
+    bad = window.copy()
+    bad[1] = value
+    return arrivals[:position] + [(device_id, bad)] + arrivals[position + 1 :]
+
+
+class TestNonFiniteInput:
+    """NaN/inf windows fail the same way on every in-process engine.
+
+    The float64 and quantized kernels would otherwise disagree on such
+    a window (NaN compares false in the float kernel, while the bin
+    search puts it in the top bin), so the shared verdict function
+    refuses the batch with ``analyze``'s own error.
+    """
+
+    @pytest.mark.parametrize("mode", ["float64", "quantized"])
+    @pytest.mark.parametrize("n_shards", [None, 2], ids=["single", "sharded"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_window_raises(self, mode, n_shards, value):
+        X, hmd = make_hmd(mode)
+        clean = _arrivals(X, n_devices=6, rounds=10, seed=3)
+        arrivals = _with_bad_row(clean, 17, value)
+        if n_shards is None:
+            monitor = FleetMonitor(hmd, batch_size=16)
+        else:
+            monitor = ShardedFleetMonitor(hmd, n_shards=n_shards, batch_size=16)
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            _drive(monitor, arrivals)
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            hmd.analyze(arrivals[17][1][None, :])
+
+    @pytest.mark.parametrize("mode", ["float64", "quantized"])
+    def test_worker_quarantines_non_finite_window(self, mode):
+        """The worker raises on the row, and poison bisection isolates it.
+
+        The row is quarantined and never verdicted; every other window
+        gets the verdict a clean in-process run gives it.
+        """
+        X, hmd = make_hmd(mode)
+        clean = _arrivals(X, n_devices=6, rounds=10, seed=3)
+        arrivals = _with_bad_row(clean, 17, np.nan)
+        device_id = arrivals[17][0]
+        bad_key = (device_id, sum(d == device_id for d, _ in arrivals[:17]))
+        reference = batch_verdict_key(
+            _drive(ShardedFleetMonitor(hmd, n_shards=2, batch_size=16), clean)
+        )
+        with WorkerShardedFleetMonitor(
+            hmd, n_shards=2, batch_size=16, mp_context="fork", worker_timeout=3.0
+        ) as fleet:
+            results = _drive(fleet, arrivals)
+            quarantined = fleet.quarantine.keys()
+        assert quarantined == {bad_key}
+        verdicts = batch_verdict_key(results)
+        verdicted = batch_window_keys(results)
+        assert account_windows(set(reference), verdicted, quarantined) == []
+        assert verdicts == {k: v for k, v in reference.items() if k != bad_key}

@@ -7,9 +7,9 @@ The load-bearing guarantees, in the order the module builds them up:
 2. :class:`ShardQueue` reproduces :class:`FleetQueue` policy semantics
    operation for operation (fuzzed over submit/submit_block/take
    interleavings and every shed mode);
-3. :class:`PublishedHmd` verdicts are bitwise identical to
-   ``TrustedHMD.analyze`` (fuzzed over ensemble kinds, sizes, depths
-   and class counts);
+3. :class:`PublishedHmd` verdicts (the count-table verdict function)
+   are bitwise identical to ``TrustedHMD.analyze`` (fuzzed over
+   ensemble kinds, sizes, depths and class counts);
 4. :class:`ShardedFleetMonitor` is indistinguishable from one
    :class:`FleetMonitor` over the same traffic: bitwise verdicts,
    identical device report rows, identical forensic streams — fuzzed
@@ -547,8 +547,22 @@ class TestRetrainIntegration:
         assert sharded.published is not epoch_before
         assert sharded.published.is_current()
 
-    def test_post_retrain_verdicts_match_single(self, fitted_hmd):
-        """After a warm refit, sharded verdicts still track analyze."""
+    @pytest.mark.parametrize(
+        "make_monitor",
+        [
+            pytest.param(lambda hmd: FleetMonitor(hmd, batch_size=64), id="single"),
+            pytest.param(
+                lambda hmd: ShardedFleetMonitor(hmd, n_shards=2, batch_size=64),
+                id="sharded",
+            ),
+        ],
+    )
+    def test_post_retrain_verdicts_match_single(self, fitted_hmd, make_monitor):
+        """After a warm refit or a threshold change, verdicts track analyze.
+
+        Both monitors cache vote-count tables; each change lands between
+        two batches, and the next batch must serve the new model.
+        """
         X, y, _ = fitted_hmd
         hmd = TrustedHMD(
             RandomForestClassifier(
@@ -556,14 +570,29 @@ class TestRetrainIntegration:
             ),
             threshold=0.4,
         ).fit(X, y)
-        sharded = ShardedFleetMonitor(hmd, n_shards=2, batch_size=64)
-        hmd.partial_refit(X[:40], y[:40])
-        sharded.submit_many("dev-a", X[:30])
-        result = sharded.process_batch()
-        reference = hmd.analyze(X[:30])
-        np.testing.assert_array_equal(result.predictions, reference.predictions)
-        np.testing.assert_array_equal(result.entropy, reference.entropy)
-        np.testing.assert_array_equal(result.accepted, reference.accepted)
+        # Midpoints between the classes: members disagree, so entropies
+        # spread across the thresholds used below.
+        probe = 0.5 * (X[y == 0][:30] + X[y == 1][:30])
+        monitor = make_monitor(hmd)
+        monitor.submit_many("dev-a", probe)
+        monitor.process_batch()  # tables built for the original fit
+        for change in (
+            lambda: hmd.partial_refit(X[:40], y[:40]),
+            lambda: hmd.with_threshold(0.8),
+        ):
+            before = hmd.analyze(probe)
+            change()
+            monitor.submit_many("dev-a", probe)
+            result = monitor.process_batch()
+            reference = hmd.analyze(probe)
+            assert not (
+                np.array_equal(reference.entropy, before.entropy)
+                and np.array_equal(reference.accepted, before.accepted)
+            )
+            np.testing.assert_array_equal(result.predictions, reference.predictions)
+            np.testing.assert_array_equal(result.entropy, reference.entropy)
+            np.testing.assert_array_equal(result.accepted, reference.accepted)
+            assert result.threshold == reference.threshold
 
 
 class TestSnapshotRestore:

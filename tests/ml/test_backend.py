@@ -6,8 +6,13 @@ Python loop (``decisions``) exactly — votes, and therefore vote
 distributions, entropies and downstream verdicts.  These tests sweep
 randomized ensembles across the axes that stress the flattening
 (ensemble size, tree depth, feature subsetting, class dtypes, stump
-trees) and pin the cache-invalidation-on-refit behaviour.
+trees) and pin the cache-invalidation-on-refit behaviour.  Both
+reductions of the shared routing loop — leaf ids and second-class
+vote counts — are checked against the legacy loop in every precision,
+at the chunk boundaries and through repeated compaction.
 """
+
+import copy
 
 import numpy as np
 import pytest
@@ -23,7 +28,7 @@ from repro.ml import (
     VotingClassifier,
     compile_flat_forest,
 )
-from repro.ml.backend import CompositeBackend, FlatForest
+from repro.ml.backend import _SLOT_TARGET, CompositeBackend, FlatForest
 from repro.uncertainty.entropy import vote_entropy
 from tests.conftest import make_blobs
 
@@ -38,6 +43,53 @@ def assert_fast_path_identical(ensemble, X):
     h_legacy = vote_entropy(legacy, ensemble.classes_)
     h_fast = vote_entropy(fast, ensemble.classes_)
     np.testing.assert_array_equal(h_fast, h_legacy)  # bitwise, no tolerance
+
+
+def legacy_votes(ensemble, X, mode="flat"):
+    """Votes of the legacy per-member loop, in the backend's precision.
+
+    The quantized kernel is exact, so its reference is the plain loop.
+    A float32 forest compares float32-rounded features against
+    float32-rounded thresholds; both round-trip exactly through
+    float64, so the legacy loop over a copy with rounded thresholds,
+    fed rounded features, is its exact reference.
+    """
+    if mode != "float32":
+        return ensemble.decisions(X)
+    rounded = copy.deepcopy(ensemble)
+    rounded._invalidate_backend()
+    for member in rounded.estimators_:
+        member.__dict__.pop("_backend_cache_", None)
+        tree = member.tree_
+        tree.threshold = tree.threshold.astype(np.float32).astype(np.float64)
+    return rounded.decisions(np.asarray(X, dtype=np.float32).astype(np.float64))
+
+
+def assert_reductions_match_legacy(ensemble, X, mode="flat"):
+    """Leaf ids and second-class counts match the legacy member loop."""
+    backend = ensemble.compile(mode=mode)
+    legacy = legacy_votes(ensemble, X, mode)
+    leaves = backend.apply(X)
+    assert leaves.shape == legacy.shape
+    np.testing.assert_array_equal(backend.leaf_label.take(leaves), legacy)
+    if mode == "flat":
+        # Node ids survive flattening (member-local id + member offset).
+        members, features = ensemble._vote_members()
+        for j, member in enumerate(members):
+            Xm = X if features is None else X[:, features[j]]
+            np.testing.assert_array_equal(
+                leaves[:, j], member.apply(Xm) + backend.roots[j]
+            )
+    second = ensemble.classes_[-1]
+    counts = backend.count_second(
+        X, (backend.leaf_label == second).astype(np.int64)
+    )
+    np.testing.assert_array_equal(counts, np.sum(legacy == second, axis=1))
+
+
+def chunk_rows(backend):
+    """The most rows this forest routes as one traversal chunk."""
+    return max(16, _SLOT_TARGET // backend.n_members)
 
 
 def multiclass_blobs(n_classes=3, n_per_class=80, n_features=7, seed=3):
@@ -134,6 +186,56 @@ class TestRandomizedEquivalence:
         forest = RandomForestClassifier(n_estimators=21, random_state=16).fit(X, y)
         for row in X[:5]:
             assert_fast_path_identical(forest, row.reshape(1, -1))
+
+
+class TestRoutingReductions:
+    """Leaves and counts of the one routing loop vs. the legacy loop."""
+
+    @pytest.fixture(scope="class")
+    def deep_forest(self):
+        # Overlapping classes grow deep, ragged trees: slots settle at
+        # very different depths, so the active set shrinks in steps.
+        X, y = make_blobs(n_per_class=150, separation=0.5, seed=31)
+        forest = RandomForestClassifier(n_estimators=40, random_state=3).fit(X, y)
+        return forest, X
+
+    @pytest.mark.parametrize("mode", ["flat", "float32"])
+    @pytest.mark.parametrize("rows", ["one", "chunk", "chunk+1"])
+    def test_chunk_boundaries(self, deep_forest, mode, rows):
+        forest, X = deep_forest
+        chunk = chunk_rows(forest.compile(mode=mode))
+        n = {"one": 1, "chunk": chunk, "chunk+1": chunk + 1}[rows]
+        probe = X[np.random.default_rng(n).integers(len(X), size=n)] + 0.01
+        assert_reductions_match_legacy(forest, probe, mode)
+
+    @pytest.mark.parametrize("mode", ["flat", "float32"])
+    def test_stump_members(self, mode):
+        X, y = make_blobs(n_per_class=80, seed=32)
+        stumps = RandomForestClassifier(
+            n_estimators=30, max_depth=1, random_state=4
+        ).fit(X, y)
+        assert stumps.compile(mode=mode).max_depth == 1
+        assert_reductions_match_legacy(stumps, np.vstack([X] * 30), mode)
+
+    @pytest.mark.parametrize("mode", ["flat", "float32"])
+    def test_repeated_compaction(self, deep_forest, mode, monkeypatch):
+        forest, X = deep_forest
+        backend = forest.compile(mode=mode)
+        rows = np.random.default_rng(5).integers(len(X), size=chunk_rows(backend))
+        probe = X[rows]
+        assert_reductions_match_legacy(forest, probe, mode)
+        # One chunk's traversal: the active set seen by the liveness
+        # scan shrank (a compaction) more than once.
+        sizes = []
+        alive = backend._alive
+
+        def spy(rec):
+            sizes.append(len(rec))
+            return alive(rec)
+
+        monkeypatch.setattr(backend, "_alive", spy)
+        backend.apply(probe)
+        assert sum(b < a for a, b in zip(sizes, sizes[1:])) >= 2, sizes
 
 
 class TestHeterogeneousFallback:

@@ -34,6 +34,7 @@ from repro.ml import (
 from repro.ml.backend import COMPILE_MODES, BackendCompileError, FlatForest
 from repro.ml.training import quantize_with_tables
 from tests.conftest import make_blobs
+from tests.ml.test_backend import assert_reductions_match_legacy, chunk_rows
 
 
 def hist_forest(n_estimators=12, max_depth=None, seed=0, n_per_class=120):
@@ -195,6 +196,48 @@ class TestQuantizedVoteIdentity:
         np.testing.assert_array_equal(
             clone.compile(mode="quantized").decisions(X), reference
         )
+
+
+class TestQuantizedReductions:
+    """Leaves and counts of the uint8 kernel vs. the legacy loop."""
+
+    @pytest.fixture(scope="class")
+    def deep_forest(self):
+        X, y = make_blobs(n_per_class=150, separation=0.5, seed=31)
+        ensemble = RandomForestClassifier(
+            n_estimators=40, random_state=3, grower="hist"
+        ).fit(X, y)
+        return ensemble, X
+
+    @pytest.mark.parametrize("rows", ["one", "chunk", "chunk+1"])
+    def test_chunk_boundaries(self, deep_forest, rows):
+        ensemble, X = deep_forest
+        chunk = chunk_rows(ensemble.compile(mode="quantized"))
+        n = {"one": 1, "chunk": chunk, "chunk+1": chunk + 1}[rows]
+        probe = X[np.random.default_rng(n).integers(len(X), size=n)] + 0.01
+        assert_reductions_match_legacy(ensemble, probe, "quantized")
+
+    def test_stump_members(self):
+        ensemble, X = hist_forest(n_estimators=30, max_depth=1, seed=13)
+        assert ensemble.compile(mode="quantized").max_depth == 1
+        assert_reductions_match_legacy(ensemble, np.vstack([X] * 30), "quantized")
+
+    def test_repeated_compaction(self, deep_forest, monkeypatch):
+        ensemble, X = deep_forest
+        backend = ensemble.compile(mode="quantized")
+        rows = np.random.default_rng(5).integers(len(X), size=chunk_rows(backend))
+        probe = X[rows]
+        assert_reductions_match_legacy(ensemble, probe, "quantized")
+        sizes = []
+        alive = backend._alive
+
+        def spy(rec):
+            sizes.append(len(rec))
+            return alive(rec)
+
+        monkeypatch.setattr(backend, "_alive", spy)
+        backend.apply(probe)
+        assert sum(b < a for a, b in zip(sizes, sizes[1:])) >= 2, sizes
 
 
 class TestCompileModes:
