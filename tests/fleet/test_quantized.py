@@ -11,7 +11,7 @@ The fleet contract per mode:
   front drifts from the float64 front by at most 1e-6 per feature;
 * switching the compile mode on a live HMD makes
   :meth:`PublishedHmd.is_current` go stale so the next drain
-  republishes the right kernel (the satellite-2 regression);
+  republishes the right kernel;
 * a window with NaN or infinite features is never verdicted, whatever
   the monitor shape or mode.
 """
