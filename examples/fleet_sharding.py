@@ -61,7 +61,7 @@ def main() -> None:
     first_half = fleet.drain()
 
     per_shard = {
-        shard.shard_id: len(shard.monitor.devices) for shard in fleet.shards
+        shard_id: len(shard.devices) for shard_id, shard in enumerate(fleet.shards)
     }
     print(f"{N_DEVICES} devices routed across {N_SHARDS} shards: {per_shard}")
     print(

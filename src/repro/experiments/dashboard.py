@@ -85,12 +85,12 @@ def _sample_shards(monitor, dashboard: Dashboard) -> None:
             for row in monitor.shard_health()
         }
     rows = []
-    for shard in monitor.shards:
-        stats = shard.monitor.stats
-        state, restarts = health.get(shard.shard_id, ("healthy", 0))
+    for shard_id, shard in enumerate(monitor.shards):
+        stats = shard.stats
+        state, restarts = health.get(shard_id, ("healthy", 0))
         rows.append(
             ShardSample(
-                shard_id=shard.shard_id,
+                shard_id=shard_id,
                 health=state,
                 n_seen=stats.n_seen,
                 n_flagged=stats.n_flagged,

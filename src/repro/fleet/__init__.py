@@ -2,18 +2,19 @@
 
 The paper's online loop screens one device.  This subpackage is the
 central-monitor deployment of the same trusted HMD: many device
-streams multiplexed through a bounded ingress queue
+streams multiplexed through one bounded arena ingress queue
 (:mod:`~repro.fleet.queueing`), one vectorised ensemble pass per batch
-(:mod:`~repro.fleet.engine`), verdicts routed back to ring-buffered
-per-device state (:mod:`~repro.fleet.state`) and aggregated into
-dashboard snapshots (:mod:`~repro.fleet.report`).  The flagged windows
-feed back into the model: :mod:`~repro.fleet.retrain` triages the
-forensic queue, collects analyst labels and warm-refits the shared HMD
-live between batches.  :mod:`~repro.fleet.sharding` scales the whole
-engine horizontally — K monitor cores behind a device-hash router,
-sharing one read-only compiled HMD, with merged reporting, a merged
-forensic stream, live rebalancing and full checkpoint/restore.  See
-``docs/architecture.md`` for the dataflow and the backpressure policy.
+(:mod:`~repro.fleet.engine`), verdicts folded back to ring-buffered
+per-device state on dense device indices (:mod:`~repro.fleet.state`)
+and aggregated into dashboard snapshots (:mod:`~repro.fleet.report`).
+The flagged windows feed back into the model:
+:mod:`~repro.fleet.retrain` triages the forensic queue, collects
+analyst labels and warm-refits the shared HMD live between batches.
+:mod:`~repro.fleet.sharding` scales the whole engine horizontally — K
+plain monitor cores behind a device-hash router, sharing one read-only
+compiled HMD, with merged reporting, a merged forensic stream, live
+rebalancing and full checkpoint/restore.  See ``docs/architecture.md``
+for the dataflow and the backpressure policy.
 """
 
 from .engine import (
@@ -34,14 +35,7 @@ from .resilience import (
 )
 from .retrain import FleetRetrainer, RetrainOutcome
 from .sampler import FleetWindowSampler
-from .sharding import (
-    FleetShard,
-    IndexedWindowBatch,
-    PublishedHmd,
-    ShardQueue,
-    ShardRouter,
-    ShardedFleetMonitor,
-)
+from .sharding import PublishedHmd, ShardRouter, ShardedFleetMonitor
 from .state import DeviceState, RingBuffer
 from .workers import WorkerShardedFleetMonitor
 
@@ -56,9 +50,7 @@ __all__ = [
     "FleetQueue",
     "FleetReport",
     "FleetRetrainer",
-    "FleetShard",
     "FleetWindowSampler",
-    "IndexedWindowBatch",
     "PublishedHmd",
     "QuarantineStore",
     "QuarantinedWindow",
@@ -66,7 +58,6 @@ __all__ = [
     "RingBuffer",
     "ShardHealth",
     "ShardHealthReport",
-    "ShardQueue",
     "ShardRouter",
     "ShardedFleetMonitor",
     "WindowBatch",

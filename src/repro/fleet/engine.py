@@ -8,8 +8,8 @@ through one bounded ingress queue and amortises the expensive part —
 the ensemble vote pass — across fixed-size batches:
 
 1. devices :meth:`submit` signature windows — or whole feature-matrix
-   blocks via :meth:`submit_many`, which validates once and enqueues
-   one zero-copy segment; the
+   blocks via :meth:`submit_many`, which validates once and bulk-copies
+   the block into the arena; the
    :class:`~repro.fleet.queueing.FleetQueue` applies the backpressure
    policy (bounded global and per-device depth, shed-oldest/newest);
 2. :meth:`process_batch` takes up to ``batch_size`` windows as a
@@ -17,10 +17,11 @@ the ensemble vote pass — across fixed-size batches:
    **single** vectorised :meth:`TrustedHMD.verdict` pass — one fused
    front transform, one routing sweep over all members, and three
    vote-count table lookups for the whole batch;
-3. verdicts are routed back out: per-device ring-buffered state,
-   fleet-wide counters, flagged windows into the forensic queue
-   (tagged with their device), and the entropy stream into an optional
-   fleet drift monitor;
+3. verdicts are folded back out on the batch's dense device indices
+   (one ``bincount`` per counter and one stable argsort): fleet-wide
+   counters, per-device ring-buffered state, flagged windows staged
+   columnar for the forensic queue (tagged with their device), and the
+   entropy stream into an optional fleet drift monitor;
 4. the forensic queue feeds back into the model: a
    :class:`~repro.fleet.retrain.FleetRetrainer` triages it between
    batches, collects analyst labels and warm-refits the shared HMD
@@ -66,6 +67,51 @@ class FleetFlaggedSample(FlaggedSample):
 
     device_id: str = ""
     seq: int = -1
+
+
+class FlaggedStage:
+    """Flagged rows staged columnar in front of a bounded forensic queue.
+
+    The verdict fold appends plain array blocks here; the per-row
+    :class:`FleetFlaggedSample` objects materialise only when the queue
+    is read (:meth:`flush`, triage time), keeping analyst bookkeeping
+    out of the drain hot loop.  Owners flush once ``limit`` rows —
+    ``min(maxlen, 8192)`` — are staged, so a flag storm cannot outgrow
+    the queue's own memory cap.
+    """
+
+    def __init__(self, queue: ForensicQueue):
+        self.queue = queue
+        self.blocks: list[tuple] = []
+        self.rows = 0
+        self.limit = min(queue.maxlen, 8192)
+
+    def add(self, block: tuple) -> None:
+        """Stage one ``(features, predictions, entropy, steps,
+        device_ids, seqs)`` block."""
+        self.blocks.append(block)
+        self.rows += len(block[-1])
+
+    def take(self) -> list[tuple]:
+        """Hand the staged blocks over (the stage is left empty)."""
+        blocks, self.blocks, self.rows = self.blocks, [], 0
+        return blocks
+
+    def flush(self) -> ForensicQueue:
+        """Materialise every staged row into the queue; returns it."""
+        for features, predictions, entropy, steps, device_ids, seqs in self.take():
+            self.queue.push_many(
+                FleetFlaggedSample(
+                    features=features[i],
+                    prediction=int(predictions[i]),
+                    entropy=float(entropy[i]),
+                    step=int(steps[i]),
+                    device_id=str(device_ids[i]),
+                    seq=int(seqs[i]),
+                )
+                for i in range(len(seqs))
+            )
+        return self.queue
 
 
 @dataclass(frozen=True)
@@ -180,11 +226,6 @@ class FleetMonitor:
         :class:`EntropyDriftMonitor` (campaign-level shift detection).
     entropy_window:
         Ring-buffer capacity of each device's recent-entropy view.
-    queue:
-        Pre-built ingress queue (``policy`` is then ignored).  The hook
-        the sharded fleet uses to give each shard's monitor an
-        arena-backed :class:`~repro.fleet.sharding.ShardQueue` while
-        everything downstream stays unchanged.
     telemetry:
         ``True`` for a fresh per-monitor
         :class:`~repro.obs.metrics.MetricsRegistry`, an explicit
@@ -206,7 +247,6 @@ class FleetMonitor:
         forensics: ForensicQueue | None = None,
         drift_reference=None,
         entropy_window: int = 128,
-        queue: FleetQueue | None = None,
         telemetry=None,
         tracer=None,
     ):
@@ -223,8 +263,10 @@ class FleetMonitor:
             # live traffic does not pay the one-off flattening cost.
             compile_hmd()
         self.batch_size = batch_size
-        self.queue = queue if queue is not None else FleetQueue(policy)
-        self.forensics = forensics if forensics is not None else ForensicQueue()
+        self.queue = FleetQueue(policy)
+        self._stage = FlaggedStage(
+            forensics if forensics is not None else ForensicQueue()
+        )
         self.stats = MonitorStats()
         self.drift = (
             EntropyDriftMonitor(drift_reference)
@@ -302,9 +344,9 @@ class FleetMonitor:
 
         Registration, dtype coercion and the feature-count check happen
         once for the whole block, sequence numbers are assigned in bulk,
-        and the block lands in the ingress queue as a single zero-copy
-        segment (:meth:`FleetQueue.submit_block`).  Returns how many
-        windows were admitted.
+        and the block lands in the ingress arena in one bulk copy
+        (:meth:`FleetQueue.submit_block`).  Returns how many windows
+        were admitted.
         """
         windows = np.ascontiguousarray(
             np.atleast_2d(np.asarray(windows, dtype=float))
@@ -351,7 +393,13 @@ class FleetMonitor:
             self._m_drained.inc(len(batch))
             if self.tracer is not None:
                 self.tracer.stamp_rows(batch.device_ids, batch.seqs, "verdict")
-        self._route(batch, verdict)
+        self._m_flagged.inc(
+            self._route(batch, verdict.predictions, verdict.entropy, verdict.accepted)
+        )
+        if self.drift is not None:
+            self.drift.observe(verdict.entropy)
+        if self._stage.rows >= self._stage.limit:
+            self._stage.flush()
         if self._obs_on and self.tracer is not None:
             self.tracer.complete_rows(batch.device_ids, batch.seqs, "scatter")
         self.n_batches += 1
@@ -374,50 +422,112 @@ class FleetMonitor:
             results.append(result)
         return results
 
-    def _route(self, batch: WindowBatch, verdict: TrustedVerdict) -> None:
-        """Fan the batched verdicts back out to per-device state."""
-        n = len(batch)
+    def _route(
+        self,
+        batch: WindowBatch,
+        predictions: np.ndarray,
+        entropy: np.ndarray,
+        accepted: np.ndarray,
+    ) -> int:
+        """Fold one batch's verdicts into this core; returns the flag count.
+
+        The device-state half (:meth:`_fold`) plus columnar staging of
+        the flagged rows.  The sharded facade calls this per shard slice
+        of a fused round.
+        """
+        base_step = self._fold(batch.device_index, predictions, entropy, accepted)
+        return self._stage_withheld(batch, predictions, entropy, accepted, base_step)
+
+    def _fold(
+        self,
+        device_index: np.ndarray,
+        predictions: np.ndarray,
+        entropy: np.ndarray,
+        accepted: np.ndarray,
+    ) -> int:
+        """Fold verdicts into fleet counters and per-device state.
+
+        The one place :class:`DeviceState` counters change from a
+        verdict batch — in-process, in every shard worker and in the
+        failover replay.  Rows are grouped on their dense queue device
+        indices: one bincount per counter and a single stable argsort.
+        Counts are exact integers, and each device's entropy sum is the
+        same ``np.sum`` over the same ordered slice that
+        :meth:`MonitorStats.record_verdicts` would take, so state is
+        bitwise independent of how rows are batched or sharded.
+        Returns the step counter before the batch.
+        """
+        n = len(entropy)
         base_step = self._step
         self._step += n
         # dtype=bool: ~ on an int 0/1 mask would invert bitwise, not logically.
-        accepted = np.asarray(verdict.accepted, dtype=bool)
+        accepted = np.asarray(accepted, dtype=bool)
+        self.stats.record_verdicts(predictions, entropy, accepted)
 
-        # Fleet-wide counters: bulk reductions, no per-window Python.
-        self.stats.record_verdicts(verdict.predictions, verdict.entropy, accepted)
-        if self.drift is not None:
-            self.drift.observe(verdict.entropy)
-
-        # Group batch rows by device (one vectorised pass), then
-        # bulk-update each device's ring-buffered state.
-        unique_devices, inverse = np.unique(batch.device_ids, return_inverse=True)
-        order = np.argsort(inverse, kind="stable")
-        boundaries = np.searchsorted(inverse[order], np.arange(len(unique_devices)))
-        for g, device_id in enumerate(unique_devices):
-            stop = boundaries[g + 1] if g + 1 < len(unique_devices) else n
-            idx = order[boundaries[g] : stop]
-            self.devices[str(device_id)].record(
-                verdict.predictions[idx],
-                verdict.entropy[idx],
-                accepted[idx],
-                last_step=base_step + int(idx[-1]) + 1,
+        group_sizes = np.bincount(device_index)
+        accepted_per = np.bincount(
+            device_index, weights=accepted, minlength=len(group_sizes)
+        )
+        alerts_per = np.bincount(
+            device_index,
+            weights=accepted & (predictions == 1),
+            minlength=len(group_sizes),
+        )
+        order = np.argsort(device_index, kind="stable")
+        entropy_ordered = entropy[order]
+        present = np.flatnonzero(group_sizes)
+        stops = np.cumsum(group_sizes[present])
+        start = 0
+        for g, index in enumerate(present):
+            stop = stops[g]
+            state = self.devices[self.queue.device_name(int(index))]
+            device_entropy = entropy_ordered[start:stop]
+            stats = state.stats
+            n_device = int(group_sizes[index])
+            n_accepted = int(accepted_per[index])
+            stats.n_seen += n_device
+            stats.n_accepted += n_accepted
+            stats.n_flagged += n_device - n_accepted
+            stats.n_malware_alerts += int(alerts_per[index])
+            stats.entropy_sum += float(np.sum(device_entropy))
+            state.entropy_recent.extend(device_entropy)
+            state.last_step = max(
+                state.last_step, base_step + int(order[stop - 1]) + 1
             )
+            start = stop
+        return base_step
 
-        flagged = np.flatnonzero(~accepted)
-        self._m_flagged.inc(len(flagged))
+    def _stage_withheld(
+        self,
+        batch: WindowBatch,
+        predictions: np.ndarray,
+        entropy: np.ndarray,
+        accepted: np.ndarray,
+        base_step: int,
+    ) -> int:
+        """Stage a batch's withheld rows columnar; returns their count.
+
+        Fancy-indexed rows are fresh copies, so the stage never pins
+        the arena blocks (or shared-memory slots) underneath.
+        """
+        flagged = np.flatnonzero(~np.asarray(accepted, dtype=bool))
         if len(flagged):
-            # One bulk hand-off; samples materialise as Python objects
-            # only for the (typically few) flagged rows.
-            self.forensics.push_many(
-                FleetFlaggedSample(
-                    features=batch.features[i].copy(),
-                    prediction=int(verdict.predictions[i]),
-                    entropy=float(verdict.entropy[i]),
-                    step=base_step + int(i) + 1,
-                    device_id=str(batch.device_ids[i]),
-                    seq=int(batch.seqs[i]),
+            self._stage.add(
+                (
+                    batch.features[flagged],
+                    predictions[flagged],
+                    entropy[flagged],
+                    base_step + flagged + 1,
+                    batch.device_ids[flagged],
+                    batch.seqs[flagged],
                 )
-                for i in flagged
             )
+        return len(flagged)
+
+    @property
+    def forensics(self) -> ForensicQueue:
+        """The triage stream (materialises any staged flagged rows)."""
+        return self._stage.flush()
 
     # -- egress --------------------------------------------------------
 
@@ -485,15 +595,6 @@ class FleetMonitor:
             },
         }
 
-    @staticmethod
-    def _queue_cls_for(queue_state: dict) -> type[FleetQueue]:
-        """Queue class matching a snapshot's self-describing ``kind``."""
-        if queue_state.get("kind") == "shard":
-            from .sharding import ShardQueue
-
-            return ShardQueue
-        return FleetQueue
-
     @classmethod
     def restore(
         cls,
@@ -501,7 +602,6 @@ class FleetMonitor:
         state: dict,
         *,
         drift_reference=None,
-        queue_cls: type[FleetQueue] | None = None,
     ) -> "FleetMonitor":
         """Rebuild a monitor from :meth:`snapshot` output.
 
@@ -510,13 +610,12 @@ class FleetMonitor:
         verdicts then come from the refreshed model, exactly as they
         would for a monitor that had stayed up through the retrain.
         A ``drift_reference`` starts a fresh drift detector (its
-        accumulated statistics are not part of the snapshot).  The
-        queue class is picked from the snapshot itself (``kind`` tag);
-        ``queue_cls`` overrides it.
+        accumulated statistics are not part of the snapshot).  A queue
+        payload in a retired format raises ``ValueError`` before any
+        state is built.
         """
+        queue = FleetQueue.restore(state["queue"])
         forensic_state = state["forensics"]
-        if queue_cls is None:
-            queue_cls = cls._queue_cls_for(state["queue"])
         monitor = cls(
             hmd,
             batch_size=state["batch_size"],
@@ -527,8 +626,9 @@ class FleetMonitor:
                 maxlen=forensic_state["maxlen"],
                 total_flagged=forensic_state["total_flagged"],
             ),
-            queue=queue_cls.restore(state["queue"]),
         )
+        monitor.queue = queue
+        queue.bind_metrics(monitor.metrics)
         monitor.devices = {
             device["device_id"]: DeviceState.restore(device)
             for device in state["devices"]

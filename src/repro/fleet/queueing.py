@@ -7,6 +7,9 @@ a bounded central queue in front of the batched processing core, with a
 core.  This module is that ingress: window submissions from all devices
 land in one :class:`FleetQueue`, bounded globally and per device, and
 overload is resolved by policy rather than by unbounded memory growth.
+Every monitor core runs one — the single :class:`~repro.fleet.engine
+.FleetMonitor`, each shard of the sharded facade, and the parent side
+of every worker shard.
 
 Two shedding modes are provided:
 
@@ -19,21 +22,20 @@ Two shedding modes are provided:
 Every shed window is attributed to its device so the fleet report can
 show *who* is being rate-limited.
 
-Storage is **block-oriented**: each submission — a single window or a
-whole :meth:`FleetQueue.submit_block` matrix — becomes one
-single-device :class:`_Segment` holding its feature rows as a
-contiguous matrix.  Both shedding modes and :meth:`FleetQueue.take`
-only ever consume a segment's *oldest* live row, so liveness per
-segment is just a head pointer, and a take materialises its batch as a
-handful of matrix slices (:class:`WindowBatch`) instead of thousands of
-per-row ``WindowRequest`` objects.  The per-row :class:`WindowRequest`
-path is kept for single submits.
+Storage is an **arena** of contiguous 1024-row blocks.  Each row
+carries a dense integer device index next to its sequence number, so
+an uncongested :meth:`FleetQueue.take` returns zero-copy slices of one
+block, and the verdict fold downstream groups rows with integer
+``bincount`` arithmetic instead of string grouping.  Per-device
+eviction tombstones rows in place; once tombstones outnumber the live
+rows the arena is rebuilt from the live rows, so storage stays bounded
+by the backlog, never by the shed volume.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -57,68 +59,27 @@ class WindowRequest:
 class WindowBatch:
     """One dequeued batch, pre-stacked for the vectorised vote path.
 
-    ``features`` rows, ``device_ids`` and ``seqs`` are aligned and in
-    admission order — what :meth:`FleetQueue.take` hands the inference
-    core instead of a list of per-row objects.
+    ``features`` rows, ``device_ids``, ``seqs`` and ``device_index``
+    are aligned and in admission order.  ``device_index[i]`` is the
+    queue-local dense integer id of row ``i``'s device — what the
+    verdict fold groups on.
     """
 
-    device_ids: np.ndarray  # (n,) unicode device ids
-    seqs: np.ndarray        # (n,) per-device submission sequence numbers
-    features: np.ndarray    # (n, n_features) stacked windows
+    device_ids: np.ndarray    # (n,) unicode device ids
+    seqs: np.ndarray          # (n,) per-device submission sequence numbers
+    features: np.ndarray      # (n, n_features) stacked windows
+    device_index: np.ndarray  # (n,) int64 dense device ids
 
     def __len__(self) -> int:
         return len(self.seqs)
-
-    def requests(self) -> list[WindowRequest]:
-        """Per-row view of the batch (diagnostics / compatibility)."""
-        return [
-            WindowRequest(
-                device_id=str(self.device_ids[i]),
-                features=self.features[i],
-                seq=int(self.seqs[i]),
-            )
-            for i in range(len(self.seqs))
-        ]
 
 
 _EMPTY_BATCH = WindowBatch(
     device_ids=np.empty(0, dtype="<U1"),
     seqs=np.empty(0, dtype=np.int64),
     features=np.empty((0, 0)),
+    device_index=np.empty(0, dtype=np.int64),
 )
-
-
-@dataclass
-class _Segment:
-    """One single-device submission block; rows before ``head`` are dead.
-
-    Every consumer (take, global eviction, per-device eviction) removes
-    a segment's oldest live row, so a single head pointer tracks
-    liveness — no per-row tombstone bookkeeping.
-    """
-
-    device_id: str
-    seqs: np.ndarray        # (m,)
-    features: np.ndarray    # (m, n_features)
-    head: int = 0
-
-    @property
-    def n_alive(self) -> int:
-        return len(self.seqs) - self.head
-
-    def compact_storage(self) -> None:
-        """Copy the live tail so the dead prefix's memory is released.
-
-        A large block that was mostly evicted (per-device shedding eats
-        rows front-to-back) would otherwise pin its whole feature matrix
-        — and, for zero-copy admitted blocks, the submitter's original
-        array — for as long as one row stays queued.
-        """
-        if self.head == 0:
-            return
-        self.seqs = self.seqs[self.head :].copy()
-        self.features = self.features[self.head :].copy()
-        self.head = 0
 
 
 @dataclass(frozen=True)
@@ -153,37 +114,78 @@ class BackpressurePolicy:
             raise ValueError(f"shed must be one of {_SHED_MODES}; got {self.shed!r}.")
 
 
-class FleetQueue:
-    """Bounded FIFO of window blocks with per-device accounting.
+_BLOCK_ROWS = 1024
 
-    Submissions are stored as single-device segments; the global and
-    per-device deques hold segment references in admission order.
-    Fully-consumed segments are popped lazily from deque heads, and the
-    deques are rebuilt once dead segments outnumber live ones (a capped
-    chatty device under a stalled consumer would otherwise grow them
-    linearly with shed volume).
+
+class _ArenaBlock:
+    """One contiguous slab of queued rows (feature matrix + metadata)."""
+
+    __slots__ = ("x", "dev", "seqs", "filled", "head", "dead", "n_dead")
+
+    def __init__(self, n_features: int):
+        self.x = np.empty((_BLOCK_ROWS, n_features), dtype=np.float64)
+        self.dev = np.empty(_BLOCK_ROWS, dtype=np.int64)
+        self.seqs = np.empty(_BLOCK_ROWS, dtype=np.int64)
+        self.filled = 0     # rows written
+        self.head = 0       # rows consumed (from the front)
+        self.dead = None    # lazily allocated tombstone mask
+        self.n_dead = 0     # tombstones in [head, filled)
+
+    def live_rows(self) -> np.ndarray:
+        """Positions of the block's live rows, in admission order."""
+        live = np.ones(self.filled - self.head, dtype=bool)
+        if self.dead is not None:
+            live &= ~self.dead[self.head : self.filled]
+        return np.flatnonzero(live) + self.head
+
+    def tombstone(self, positions) -> None:
+        """Mark rows dead in place (per-device eviction, migration)."""
+        if self.dead is None:
+            self.dead = np.zeros(_BLOCK_ROWS, dtype=bool)
+        self.dead[positions] = True
+        self.n_dead += np.size(positions)
+
+
+class FleetQueue:
+    """Bounded FIFO of windows stored in contiguous arena blocks.
+
+    * rows live in fixed-size blocks, so an uncongested ``take``
+      returns zero-copy slices;
+    * each row carries a dense integer device index
+      (:meth:`register_device`), so downstream routing is integer
+      arithmetic;
+    * per-device eviction tombstones rows in place (a lazily allocated
+      mask per block), and the arena is rebuilt from its live rows once
+      tombstones dominate.
     """
 
     def __init__(self, policy: BackpressurePolicy | None = None):
         self.policy = policy if policy is not None else BackpressurePolicy()
-        self._segments: deque[_Segment] = deque()
-        self._by_device: dict[str, deque[_Segment]] = {}
-        self._pending_by_device: dict[str, int] = {}
+        self._blocks: deque[_ArenaBlock] = deque()
+        self._n_features: int | None = None
+        self._index: dict[str, int] = {}
+        self._names: list[str] = []
+        self._names_arr: np.ndarray | None = None
+        self._pending_dev = np.zeros(8, dtype=np.int64)
         self._n_pending = 0
-        self._n_live_segments = 0
+        self._n_dead = 0    # tombstones across all blocks
+        # (block, pos) lookup per device, for per-device eviction; only
+        # maintained when the policy actually has a per-device cap.
+        self._dev_rows: dict[int, deque] | None = (
+            {} if self.policy.max_pending_per_device is not None else None
+        )
         self.shed_by_device: dict[str, int] = {}
         self.bind_metrics(NULL_REGISTRY)
 
     def bind_metrics(self, registry) -> None:
-        """Bind ingress instruments to a registry (no-op registry default).
+        """Bind admission/shed/occupancy instruments to a registry.
 
-        The three choke points every admission, shed and drain already
-        flows through (:meth:`_admit`, :meth:`_shed`, :meth:`take`)
-        observe at segment/batch granularity, so instrumentation adds
-        one counter bump per *block*, never per window.
+        The choke points every admission, shed and drain already flows
+        through observe at block/batch granularity, so instrumentation
+        adds one counter bump per *block*, never per window.
         """
         self._m_admitted = registry.counter(
-            "fleet_windows_admitted_total", "windows accepted by the ingress"
+            "fleet_windows_admitted_total", "windows accepted into the queue"
         )
         self._m_shed = registry.counter(
             "fleet_windows_shed_total", "windows dropped by backpressure"
@@ -191,6 +193,37 @@ class FleetQueue:
         self._m_depth = registry.gauge(
             "fleet_queue_depth", "windows currently queued"
         )
+        self._m_arena = registry.gauge(
+            "fleet_arena_blocks", "arena blocks currently allocated"
+        )
+
+    # -- registry ------------------------------------------------------
+
+    def register_device(self, device_id: str) -> int:
+        """Dense integer index for a device (created on first sight)."""
+        index = self._index.get(device_id)
+        if index is None:
+            index = len(self._names)
+            self._index[device_id] = index
+            self._names.append(device_id)
+            self._names_arr = None
+            if index >= len(self._pending_dev):
+                grown = np.zeros(2 * len(self._pending_dev), dtype=np.int64)
+                grown[: len(self._pending_dev)] = self._pending_dev
+                self._pending_dev = grown
+        return index
+
+    def device_name(self, index: int) -> str:
+        """Device id for a dense index."""
+        return self._names[index]
+
+    def names_array(self) -> np.ndarray:
+        """The registry as a numpy unicode array (cached)."""
+        if self._names_arr is None or len(self._names_arr) != len(self._names):
+            self._names_arr = np.asarray(self._names)
+        return self._names_arr
+
+    # -- accounting ----------------------------------------------------
 
     def __len__(self) -> int:
         return self._n_pending
@@ -201,91 +234,151 @@ class FleetQueue:
         return sum(self.shed_by_device.values())
 
     def pending(self, device_id: str | None = None) -> int:
-        """Queued windows, fleet-wide or for one device."""
+        """Queued windows, queue-wide or for one device."""
         if device_id is None:
             return self._n_pending
-        return self._pending_by_device.get(device_id, 0)
-
-    # -- shedding ------------------------------------------------------
+        index = self._index.get(device_id)
+        return int(self._pending_dev[index]) if index is not None else 0
 
     def _shed(self, device_id: str, n: int = 1) -> None:
         self.shed_by_device[device_id] = self.shed_by_device.get(device_id, 0) + n
         self._m_shed.inc(n)
 
-    def _consume_head(self, segment: _Segment) -> None:
-        """Kill a segment's oldest live row (eviction bookkeeping)."""
-        segment.head += 1
-        self._pending_by_device[segment.device_id] -= 1
-        self._n_pending -= 1
-        self._shed(segment.device_id)
-        if segment.n_alive == 0:
-            self._n_live_segments -= 1
-            # Reclaim the device deque eagerly: a fleet of briefly-seen
-            # devices evicted under the global bound would otherwise pin
-            # one dead segment (and its feature block) per device
-            # forever — the deques are only lazily trimmed elsewhere.
-            device_queue = self._by_device.get(segment.device_id)
-            while device_queue and device_queue[0].n_alive == 0:
-                device_queue.popleft()
-            if device_queue is not None and not device_queue:
-                del self._by_device[segment.device_id]
-        elif segment.head > 32 and segment.head * 2 > len(segment.seqs):
-            # Mostly-dead block: release the dead prefix's storage so a
-            # long-running capped device cannot pin its shed history.
-            segment.compact_storage()
+    # -- shedding ------------------------------------------------------
 
-    @staticmethod
-    def _front_alive(queue: deque[_Segment]) -> _Segment | None:
-        """Oldest segment with live rows, popping dead heads."""
-        while queue:
-            if queue[0].n_alive > 0:
-                return queue[0]
-            queue.popleft()
-        return None
+    def _evict_oldest(self) -> None:
+        """Shed the stalest live row in the whole arena."""
+        while self._blocks:
+            block = self._blocks[0]
+            while block.head < block.filled:
+                position = block.head
+                block.head += 1
+                if block.dead is not None and block.dead[position]:
+                    block.n_dead -= 1
+                    self._n_dead -= 1
+                    continue
+                index = int(block.dev[position])
+                self._pending_dev[index] -= 1
+                self._n_pending -= 1
+                self._shed(self._names[index])
+                if self._dev_rows is not None:
+                    self._trim_dev_rows(index)
+                return
+            if block.filled == _BLOCK_ROWS:
+                self._blocks.popleft()
+            else:
+                return  # open block, nothing live behind it
 
-    def _evict_oldest(self, device_id: str | None = None) -> None:
-        """Shed the stalest live window (optionally of one device)."""
-        queue = self._segments if device_id is None else self._by_device[device_id]
-        segment = self._front_alive(queue)
-        if segment is not None:
-            self._consume_head(segment)
+    def _evict_device_oldest(self, index: int, device_id: str) -> None:
+        """Tombstone the stalest live row of one device."""
+        rows = self._dev_rows.get(index)
+        while rows:
+            block, position = rows.popleft()
+            if position < block.head:
+                continue  # already consumed by a take — stale entry
+            block.tombstone(position)
+            self._n_dead += 1
+            self._pending_dev[index] -= 1
+            self._n_pending -= 1
+            self._shed(device_id)
+            self._compact()
+            return
+        raise RuntimeError(
+            f"eviction bookkeeping lost rows for device {device_id!r}."
+        )
+
+    def _live(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(dev, seqs, features)`` of every live row, admission order."""
+        dev, seqs, features = [], [], []
+        for block in self._blocks:
+            rows = block.live_rows()
+            if len(rows):
+                dev.append(block.dev[rows])
+                seqs.append(block.seqs[rows])
+                features.append(block.x[rows])
+        if not seqs:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty, np.empty((0, 0))
+        return np.concatenate(dev), np.concatenate(seqs), np.vstack(features)
 
     def _compact(self) -> None:
-        """Rebuild the segment deques once dead ones outnumber live.
+        """Rebuild the arena from its live rows once tombstones dominate.
 
-        Runs from both ingress (:meth:`_admit`) and egress
-        (:meth:`take`) so dead segments are reclaimed even when the
-        producer goes quiet and only the consumer keeps running.
+        Per-device shedding under a stalled consumer tombstones rows
+        that no take ever reaches; without the rebuild the arena would
+        keep every shed row.  The threshold (more tombstones than live
+        rows, and at least one block's worth) makes the rebuild cost
+        amortised O(1) per tombstone.
         """
-        if len(self._segments) <= 2 * max(self._n_live_segments, 16):
+        if self._n_dead <= max(self._n_pending, _BLOCK_ROWS):
             return
-        self._segments = deque(s for s in self._segments if s.n_alive > 0)
-        for device_id, queue in list(self._by_device.items()):
-            alive = deque(s for s in queue if s.n_alive > 0)
-            if alive:
-                self._by_device[device_id] = alive
-            else:
-                # A device with nothing queued needs no deque at all.
-                del self._by_device[device_id]
+        dev, seqs, features = self._live()
+        self._blocks = deque()
+        self._n_dead = 0
+        if self._dev_rows is not None:
+            self._dev_rows = {}
+        self._append_rows(dev, features, seqs)
+        self._m_arena.set(len(self._blocks))
 
     # -- ingress -------------------------------------------------------
 
-    def _admit(self, segment: _Segment) -> None:
-        self._segments.append(segment)
-        device_queue = self._by_device.setdefault(segment.device_id, deque())
-        # Trim consumed heads so long-running submit/take cycles never
-        # grow the device deque without bound.
-        while device_queue and device_queue[0].n_alive == 0:
-            device_queue.popleft()
-        device_queue.append(segment)
-        self._pending_by_device[segment.device_id] = (
-            self._pending_by_device.get(segment.device_id, 0) + segment.n_alive
-        )
-        self._n_pending += segment.n_alive
-        self._n_live_segments += 1
-        self._m_admitted.inc(segment.n_alive)
+    def _append_rows(
+        self, dev: np.ndarray, features: np.ndarray, seqs: np.ndarray
+    ) -> None:
+        """Write rows into the arena tail (no counters, no policy)."""
+        m = len(seqs)
+        written = 0
+        while written < m:
+            if not self._blocks or self._blocks[-1].filled == _BLOCK_ROWS:
+                self._blocks.append(_ArenaBlock(self._n_features))
+            block = self._blocks[-1]
+            k = min(m - written, _BLOCK_ROWS - block.filled)
+            stop = block.filled + k
+            block.x[block.filled : stop] = features[written : written + k]
+            block.dev[block.filled : stop] = dev[written : written + k]
+            block.seqs[block.filled : stop] = seqs[written : written + k]
+            if self._dev_rows is not None:
+                for position in range(block.filled, stop):
+                    self._dev_rows.setdefault(
+                        int(block.dev[position]), deque()
+                    ).append((block, position))
+            block.filled = stop
+            written += k
+
+    def _admit_rows(
+        self, dev: np.ndarray, features: np.ndarray, seqs: np.ndarray
+    ) -> None:
+        """Append rows verbatim (no policy) and update the counters."""
+        m = len(seqs)
+        if m == 0:
+            return
+        if self._n_features is None:
+            self._n_features = features.shape[1]
+        elif features.shape[1] != self._n_features:
+            raise ValueError(
+                f"rows have {features.shape[1]} features; this queue "
+                f"holds {self._n_features}-feature windows."
+            )
+        # Account the incoming rows first: the stale-entry sweep below
+        # compares lookup sizes against *post-admit* backlogs (reading
+        # the pre-admit count would re-trigger a full-deque rebuild on
+        # nearly every append of a large block — quadratic bulk ingress).
+        counts = np.bincount(dev, minlength=len(self._pending_dev))
+        self._pending_dev[: len(counts)] += counts
+        self._n_pending += m
+        self._append_rows(dev, features, seqs)
+        if self._dev_rows is not None:
+            # One sweep check per device per admission: entries consumed
+            # by takes must not pin dead blocks for a busy device.
+            for index in np.flatnonzero(counts):
+                rows = self._dev_rows.get(int(index))
+                if rows is not None and len(rows) > 2 * self._pending_dev[index] + 64:
+                    self._dev_rows[int(index)] = deque(
+                        (b, p) for b, p in rows if p >= b.head
+                    )
+        self._m_admitted.inc(m)
         self._m_depth.set(self._n_pending)
-        self._compact()
+        self._m_arena.set(len(self._blocks))
 
     def submit(self, request: WindowRequest) -> bool:
         """Enqueue one window; returns False when *it* was shed.
@@ -293,13 +386,14 @@ class FleetQueue:
         Note a True return may still have shed an older window (in
         ``"drop_oldest"`` mode); check :attr:`shed_by_device`.
         """
+        index = self.register_device(request.device_id)
         per_device_cap = self.policy.max_pending_per_device
         if per_device_cap is not None:
-            while self.pending(request.device_id) >= per_device_cap:
+            while self._pending_dev[index] >= per_device_cap:
                 if self.policy.shed == "drop_newest":
                     self._shed(request.device_id)
                     return False
-                self._evict_oldest(request.device_id)
+                self._evict_device_oldest(index, request.device_id)
 
         while self._n_pending >= self.policy.max_pending:
             if self.policy.shed == "drop_newest":
@@ -307,28 +401,25 @@ class FleetQueue:
                 return False
             self._evict_oldest()
 
-        self._admit(
-            _Segment(
-                device_id=request.device_id,
-                seqs=np.asarray([request.seq], dtype=np.int64),
-                features=np.atleast_2d(request.features),
-            )
+        features = np.atleast_2d(np.asarray(request.features, dtype=float))
+        self._admit_rows(
+            np.asarray([index], dtype=np.int64),
+            features,
+            np.asarray([request.seq], dtype=np.int64),
         )
         return True
 
     def submit_block(
         self, device_id: str, features: np.ndarray, seqs: np.ndarray
     ) -> int:
-        """Enqueue a whole stack of windows from one device at once.
+        """Enqueue a stack of windows from one device at once.
 
-        The common un-congested case admits the block **zero-copy**:
-        the feature matrix is stored as-is as one segment and no per-row
-        Python work happens.  When the block would trip a bound, the
-        rows are replayed through the per-row :meth:`submit` policy
-        machinery instead, so shedding semantics are exactly those of
-        ``m`` sequential submits.  Returns the number of admitted rows.
+        Uncongested blocks are bulk-copied into the arena with no
+        per-row Python; a block that would trip a bound is replayed
+        row-wise, so shedding semantics are exactly those of ``m``
+        sequential :meth:`submit` calls.  Returns the admitted count.
         """
-        features = np.atleast_2d(features)
+        features = np.atleast_2d(np.asarray(features, dtype=float))
         seqs = np.asarray(seqs, dtype=np.int64)
         m = len(seqs)
         if features.shape[0] != m:
@@ -337,18 +428,15 @@ class FleetQueue:
             )
         if m == 0:
             return 0
+        index = self.register_device(device_id)
 
         cap = self.policy.max_pending_per_device
-        fits_device = cap is None or self.pending(device_id) + m <= cap
+        fits_device = cap is None or self._pending_dev[index] + m <= cap
         fits_global = self._n_pending + m <= self.policy.max_pending
         if fits_device and fits_global:
-            self._admit(
-                _Segment(device_id=device_id, seqs=seqs, features=features)
-            )
+            self._admit_rows(np.full(m, index, dtype=np.int64), features, seqs)
             return m
 
-        # Congested: fall back to row-wise admission for exact policy
-        # semantics (the slow path is already paying for shedding).
         admitted = 0
         for i in range(m):
             admitted += self.submit(
@@ -361,137 +449,172 @@ class FleetQueue:
     # -- egress --------------------------------------------------------
 
     def take(self, n: int) -> WindowBatch:
-        """Dequeue up to ``n`` live windows in admission order.
+        """Dequeue up to ``n`` live rows in admission order.
 
-        Returns a :class:`WindowBatch` of pre-stacked matrices; a batch
-        served from a single segment is a zero-copy slice of the
-        submitted block.
+        The common case (front rows without tombstones, one block)
+        returns pure array views of the arena — no copies, no per-row
+        objects.
         """
         if n < 1:
             raise ValueError(f"n must be >= 1; got {n}.")
-        parts: list[tuple[_Segment, int, int]] = []  # (segment, start, stop)
+        parts: list[tuple[_ArenaBlock, int, int]] = []
         need = n
-        while need > 0:
-            segment = self._front_alive(self._segments)
-            if segment is None:
-                break
-            k = min(need, segment.n_alive)
-            parts.append((segment, segment.head, segment.head + k))
-            segment.head += k
-            self._pending_by_device[segment.device_id] -= k
-            self._n_pending -= k
-            need -= k
-            if segment.n_alive == 0:
-                self._segments.popleft()
-                self._n_live_segments -= 1
-                # Drop consumed segments from the device deque too, or a
-                # device that uploads once and goes quiet would pin its
-                # feature blocks for the queue's lifetime.
-                device_queue = self._by_device.get(segment.device_id)
-                while device_queue and device_queue[0].n_alive == 0:
-                    device_queue.popleft()
-        self._m_depth.set(self._n_pending)
-        self._compact()
+        while need > 0 and self._blocks:
+            block = self._blocks[0]
+            while (
+                block.head < block.filled
+                and block.dead is not None
+                and block.dead[block.head]
+            ):
+                block.dead[block.head] = False
+                block.n_dead -= 1
+                self._n_dead -= 1
+                block.head += 1
+            if block.head == block.filled:
+                if block.filled == _BLOCK_ROWS:
+                    self._blocks.popleft()
+                    continue
+                break  # drained open block — nothing queued behind it
+            start = block.head
+            limit = min(start + need, block.filled)
+            if block.n_dead:
+                tombstones = np.flatnonzero(block.dead[start:limit])
+                stop = start + int(tombstones[0]) if len(tombstones) else limit
+            else:
+                stop = limit
+            parts.append((block, start, stop))
+            block.head = stop
+            need -= stop - start
 
         if not parts:
             return _EMPTY_BATCH
+
         if len(parts) == 1:
-            segment, start, stop = parts[0]
-            return WindowBatch(
-                device_ids=np.repeat(
-                    np.asarray([segment.device_id]), stop - start
-                ),
-                seqs=segment.seqs[start:stop],
-                features=segment.features[start:stop],
-            )
-        counts = [stop - start for _, start, stop in parts]
+            block, start, stop = parts[0]
+            dev = block.dev[start:stop]
+            seqs = block.seqs[start:stop]
+            features = block.x[start:stop]
+        else:
+            dev = np.concatenate([b.dev[i:j] for b, i, j in parts])
+            seqs = np.concatenate([b.seqs[i:j] for b, i, j in parts])
+            features = np.vstack([b.x[i:j] for b, i, j in parts])
+
+        counts = np.bincount(dev, minlength=len(self._pending_dev))
+        self._pending_dev[: len(counts)] -= counts
+        self._n_pending -= len(seqs)
+        self._m_depth.set(self._n_pending)
+        self._m_arena.set(len(self._blocks))
+        if self._dev_rows is not None:
+            # Trim the consumed entries off the eviction lookups now:
+            # take consumes in FIFO order, so they sit at the deque
+            # fronts, and a quiet device's last take would otherwise
+            # leave stale entries pinning dead arena blocks forever.
+            for index in np.flatnonzero(counts):
+                self._trim_dev_rows(int(index))
         return WindowBatch(
-            device_ids=np.repeat(
-                np.asarray([segment.device_id for segment, _, _ in parts]),
-                counts,
-            ),
-            seqs=np.concatenate(
-                [segment.seqs[start:stop] for segment, start, stop in parts]
-            ),
-            features=np.vstack(
-                [segment.features[start:stop] for segment, start, stop in parts]
-            ),
+            device_ids=self.names_array().take(dev),
+            seqs=seqs,
+            features=features,
+            device_index=dev,
         )
 
-    # -- rebalancing / persistence hooks -------------------------------
+    def _trim_dev_rows(self, index: int) -> None:
+        """Drop consumed entries from the front of a device's lookup."""
+        rows = self._dev_rows.get(index)
+        if rows is None:
+            return
+        while rows and rows[0][1] < rows[0][0].head:
+            rows.popleft()
+        if not rows:
+            del self._dev_rows[index]
+
+    # -- rebalancing / persistence -------------------------------------
 
     def extract_device(self, device_id: str) -> tuple[np.ndarray, np.ndarray]:
-        """Remove one device's queued windows (migration, not shedding).
+        """Remove one device's queued rows (migration, not shedding).
 
         Returns ``(features, seqs)`` in admission order; the rows are
-        *moved*, not shed, so shed counters are untouched.  The base
-        half of the queue-migration API: the sharded fleet's rebalance
-        drives the :class:`~repro.fleet.sharding.ShardQueue` twin of
-        this method, and this one serves the same purpose for plain
-        ``FleetMonitor`` deployments (draining one device out of a
-        shared queue).
+        *moved*, so shed counters are untouched.
         """
-        device_queue = self._by_device.pop(device_id, None)
-        if not device_queue:
-            self._pending_by_device.pop(device_id, None)
+        index = self._index.get(device_id)
+        if index is None or self._pending_dev[index] == 0:
             return np.empty((0, 0)), np.empty(0, dtype=np.int64)
         features, seqs = [], []
-        for segment in device_queue:
-            if segment.n_alive == 0:
+        for block in self._blocks:
+            rows = block.live_rows()
+            rows = rows[block.dev[rows] == index]
+            if not len(rows):
                 continue
-            features.append(segment.features[segment.head :])
-            seqs.append(segment.seqs[segment.head :])
-            segment.head = len(segment.seqs)
-            self._n_live_segments -= 1
-        moved = sum(len(s) for s in seqs)
-        self._n_pending -= moved
-        self._pending_by_device.pop(device_id, None)
+            features.append(block.x[rows])
+            seqs.append(block.seqs[rows])
+            block.tombstone(rows)
+            self._n_dead += len(rows)
+        self._n_pending -= sum(len(s) for s in seqs)
+        self._pending_dev[index] = 0
+        if self._dev_rows is not None:
+            self._dev_rows.pop(index, None)
         self._compact()
-        if not seqs:
-            return np.empty((0, 0)), np.empty(0, dtype=np.int64)
         return np.vstack(features), np.concatenate(seqs)
 
-    def snapshot(self) -> dict:
-        """Plain-data state for checkpointing: live rows + counters.
+    def move_device(self, device_id: str, target: "FleetQueue") -> None:
+        """Migrate one device's backlog and shed history to ``target``.
 
-        The ``kind`` tag makes the snapshot self-describing, so
-        :meth:`FleetMonitor.restore` can pick the right queue class
-        without the caller knowing which ingress the monitor ran on.
+        The rows already passed the backpressure policy once, so they
+        are admitted directly — a migration moves them, never re-sheds
+        them.
         """
-        segments = [
-            {
-                "device_id": segment.device_id,
-                "seqs": segment.seqs[segment.head :].copy(),
-                "features": segment.features[segment.head :].copy(),
-            }
-            for segment in self._segments
-            if segment.n_alive > 0
-        ]
+        shed = self.shed_by_device.pop(device_id, 0)
+        if shed:
+            target.shed_by_device[device_id] = (
+                target.shed_by_device.get(device_id, 0) + shed
+            )
+        features, seqs = self.extract_device(device_id)
+        if len(seqs):
+            index = target.register_device(device_id)
+            target._admit_rows(
+                np.full(len(seqs), index, dtype=np.int64), features, seqs
+            )
+
+    def snapshot(self) -> dict:
+        """Plain-data state: live rows in admission order + counters.
+
+        The ``kind`` tag names the arena format, so :meth:`restore` can
+        refuse payloads written by an older queue layout.
+        """
+        dev, seqs, features = self._live()
         return {
-            "kind": "fleet",
+            "kind": "shard",
             "policy": asdict(self.policy),
-            "segments": segments,
+            "device_ids": (
+                self.names_array().take(dev) if len(dev) else np.empty(0, "<U1")
+            ),
+            "seqs": seqs,
+            "features": features,
             "shed_by_device": dict(self.shed_by_device),
         }
 
     @classmethod
     def restore(cls, state: dict) -> "FleetQueue":
-        """Rebuild a queue from :meth:`snapshot` output.
-
-        Segments are re-admitted directly (no policy replay): the
-        snapshot only ever holds rows that were already admitted, so
-        restoring must not re-shed them.
-        """
+        """Rebuild a queue from :meth:`snapshot` output (no re-shedding)."""
+        kind = state.get("kind")
+        if kind != "shard":
+            raise ValueError(
+                f"unsupported queue snapshot kind {kind!r}: this build "
+                "restores arena-queue payloads (kind 'shard') only. A "
+                "'fleet' payload holds 'segments' from the retired "
+                "segment queue; replay its windows through submit instead."
+            )
         queue = cls(BackpressurePolicy(**state["policy"]))
-        for segment in state["segments"]:
-            queue._admit(
-                _Segment(
-                    device_id=segment["device_id"],
-                    seqs=np.asarray(segment["seqs"], dtype=np.int64),
-                    features=np.atleast_2d(
-                        np.asarray(segment["features"], dtype=float)
-                    ),
-                )
+        device_ids = np.asarray(state["device_ids"])
+        if len(device_ids):
+            dev = np.asarray(
+                [queue.register_device(str(d)) for d in device_ids],
+                dtype=np.int64,
+            )
+            queue._admit_rows(
+                dev,
+                np.atleast_2d(np.asarray(state["features"], dtype=float)),
+                np.asarray(state["seqs"], dtype=np.int64),
             )
         queue.shed_by_device = dict(state["shed_by_device"])
         return queue

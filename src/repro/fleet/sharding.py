@@ -9,13 +9,9 @@ shape for the fleet engine:
 * :class:`ShardRouter` — a stable device-id hash assigns every device
   to exactly one shard (and yields a deterministic rebalance map when
   the shard count changes);
-* :class:`ShardQueue` — each shard's ingress: an arena-backed queue
-  holding rows in contiguous blocks (a take is a zero-copy slice in
-  the common case) with *exactly* the
-  :class:`~repro.fleet.queueing.FleetQueue` backpressure semantics;
-* :class:`FleetShard` — one :class:`~repro.fleet.engine.FleetMonitor`
-  (its own queue, device table, forensic queue) plus the fast verdict
-  scatter the fused drain uses;
+* each shard is a plain :class:`~repro.fleet.engine.FleetMonitor` —
+  its own :class:`~repro.fleet.queueing.FleetQueue`, device table,
+  counters and flagged-row stage;
 * :class:`PublishedHmd` — the record of the shared HMD's verdict parts
   (fused front, compiled forest, vote-count tables) that every shard
   verdicts through in one round, republished after a retrain;
@@ -36,33 +32,29 @@ from two structural effects, not from cutting corners:
 
 1. a fused round verdicts up to ``K x batch_size`` rows in one pass,
    amortising the per-pass front, encode and traversal set-up;
-2. routing fans out over each shard's dense integer device index
-   (bincount + one stable argsort) instead of fleet-wide string ids,
-   and each shard's batches concentrate on ``1/K`` of the devices.
+2. each shard's batch concentrates on ``1/K`` of the devices, so its
+   verdict fold (:meth:`FleetMonitor._fold`, the same dense-index fold
+   the single monitor runs) visits fewer distinct devices per row.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
-from ..obs.metrics import NULL_REGISTRY, merge_snapshots, resolve_registry
+from ..obs.metrics import merge_snapshots, resolve_registry
 from ..uncertainty.drift import EntropyDriftMonitor
 from ..uncertainty.online import ForensicQueue, MonitorStats
 from ..uncertainty.trust import TrustedHMD, count_table_verdict
-from .engine import FleetBatchResult, FleetFlaggedSample, FleetMonitor
-from .queueing import BackpressurePolicy, WindowBatch, WindowRequest
+from .engine import FlaggedStage, FleetBatchResult, FleetMonitor
+from .queueing import BackpressurePolicy, WindowBatch
 from .report import FleetReport, merge_reports
 
 __all__ = [
     "ShardRouter",
-    "ShardQueue",
-    "IndexedWindowBatch",
     "PublishedHmd",
-    "FleetShard",
     "ShardedFleetMonitor",
     "SNAPSHOT_SCHEMA",
 ]
@@ -172,470 +164,6 @@ class ShardRouter:
 
 
 # ---------------------------------------------------------------------------
-# Arena-backed shard ingress queue
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class IndexedWindowBatch(WindowBatch):
-    """A :class:`WindowBatch` carrying dense per-queue device indices.
-
-    ``device_index[i]`` is the queue-local integer id of the device of
-    row ``i`` — what the shard's verdict scatter groups on (bincount on
-    small ints) instead of re-deriving groups from the string ids.
-    """
-
-    device_index: np.ndarray = None  # (n,) int64
-
-
-_BLOCK_ROWS = 1024
-
-
-class _ArenaBlock:
-    """One contiguous slab of queued rows (feature matrix + metadata)."""
-
-    __slots__ = ("x", "dev", "seqs", "filled", "head", "dead", "n_dead")
-
-    def __init__(self, n_features: int):
-        self.x = np.empty((_BLOCK_ROWS, n_features), dtype=np.float64)
-        self.dev = np.empty(_BLOCK_ROWS, dtype=np.int64)
-        self.seqs = np.empty(_BLOCK_ROWS, dtype=np.int64)
-        self.filled = 0     # rows written
-        self.head = 0       # rows consumed (from the front)
-        self.dead = None    # lazily allocated tombstone mask
-        self.n_dead = 0     # tombstones in [head, filled)
-
-
-class ShardQueue:
-    """Bounded ingress queue storing rows in contiguous arena blocks.
-
-    Drop-in compatible with :class:`~repro.fleet.queueing.FleetQueue`
-    (same submit/take/pending/shed API, same policy semantics — the
-    equivalence is fuzz-tested operation for operation), but organised
-    for the sharded drain's hot path:
-
-    * rows live in fixed-size contiguous blocks, so an uncongested
-      ``take`` returns zero-copy slices instead of re-stacking
-      per-submission segments;
-    * each row carries a dense integer device index, so downstream
-      routing is integer bincount arithmetic, not string grouping;
-    * per-device eviction tombstones rows in place (a lazily allocated
-      mask per block) rather than splitting storage.
-    """
-
-    def __init__(self, policy: BackpressurePolicy | None = None):
-        self.policy = policy if policy is not None else BackpressurePolicy()
-        self._blocks: deque[_ArenaBlock] = deque()
-        self._n_features: int | None = None
-        self._index: dict[str, int] = {}
-        self._names: list[str] = []
-        self._names_arr: np.ndarray | None = None
-        self._pending_dev = np.zeros(8, dtype=np.int64)
-        self._n_pending = 0
-        # (block, pos) lookup per device, for per-device eviction; only
-        # maintained when the policy actually has a per-device cap.
-        self._dev_rows: dict[int, deque] | None = (
-            {} if self.policy.max_pending_per_device is not None else None
-        )
-        self.shed_by_device: dict[str, int] = {}
-        self.bind_metrics(NULL_REGISTRY)
-
-    def bind_metrics(self, registry) -> None:
-        """Bind admission/shed/occupancy instruments to a registry.
-
-        Same instrument set as :meth:`FleetQueue.bind_metrics` plus the
-        arena-occupancy gauge (contiguous blocks currently allocated) —
-        the shard queue's own capacity signal.
-        """
-        self._m_admitted = registry.counter(
-            "fleet_windows_admitted_total", "windows accepted into the queue"
-        )
-        self._m_shed = registry.counter(
-            "fleet_windows_shed_total", "windows dropped by backpressure"
-        )
-        self._m_depth = registry.gauge(
-            "fleet_queue_depth", "windows currently queued"
-        )
-        self._m_arena = registry.gauge(
-            "fleet_arena_blocks", "arena blocks currently allocated"
-        )
-
-    # -- registry ------------------------------------------------------
-
-    def register_device(self, device_id: str) -> int:
-        """Dense integer index for a device (created on first sight)."""
-        index = self._index.get(device_id)
-        if index is None:
-            index = len(self._names)
-            self._index[device_id] = index
-            self._names.append(device_id)
-            self._names_arr = None
-            if index >= len(self._pending_dev):
-                grown = np.zeros(2 * len(self._pending_dev), dtype=np.int64)
-                grown[: len(self._pending_dev)] = self._pending_dev
-                self._pending_dev = grown
-        return index
-
-    def device_name(self, index: int) -> str:
-        """Device id for a dense index."""
-        return self._names[index]
-
-    def names_array(self) -> np.ndarray:
-        """The registry as a numpy unicode array (cached)."""
-        if self._names_arr is None or len(self._names_arr) != len(self._names):
-            self._names_arr = np.asarray(self._names)
-        return self._names_arr
-
-    # -- accounting ----------------------------------------------------
-
-    def __len__(self) -> int:
-        return self._n_pending
-
-    @property
-    def total_shed(self) -> int:
-        """Windows dropped by backpressure since construction."""
-        return sum(self.shed_by_device.values())
-
-    def pending(self, device_id: str | None = None) -> int:
-        """Queued windows, shard-wide or for one device."""
-        if device_id is None:
-            return self._n_pending
-        index = self._index.get(device_id)
-        return int(self._pending_dev[index]) if index is not None else 0
-
-    def _shed(self, device_id: str, n: int = 1) -> None:
-        self.shed_by_device[device_id] = self.shed_by_device.get(device_id, 0) + n
-        self._m_shed.inc(n)
-
-    # -- shedding ------------------------------------------------------
-
-    def _evict_oldest(self) -> None:
-        """Shed the stalest live row in the whole arena."""
-        while self._blocks:
-            block = self._blocks[0]
-            while block.head < block.filled:
-                position = block.head
-                block.head += 1
-                if block.dead is not None and block.dead[position]:
-                    block.n_dead -= 1
-                    continue
-                index = int(block.dev[position])
-                self._pending_dev[index] -= 1
-                self._n_pending -= 1
-                self._shed(self._names[index])
-                if self._dev_rows is not None:
-                    self._trim_dev_rows(index)
-                return
-            if block.filled == _BLOCK_ROWS:
-                self._blocks.popleft()
-            else:
-                return  # open block, nothing live behind it
-
-    def _evict_device_oldest(self, index: int, device_id: str) -> None:
-        """Tombstone the stalest live row of one device."""
-        rows = self._dev_rows.get(index)
-        while rows:
-            block, position = rows.popleft()
-            if position < block.head:
-                continue  # already consumed by a take — stale entry
-            if block.dead is None:
-                block.dead = np.zeros(_BLOCK_ROWS, dtype=bool)
-            block.dead[position] = True
-            block.n_dead += 1
-            self._pending_dev[index] -= 1
-            self._n_pending -= 1
-            self._shed(device_id)
-            return
-        raise RuntimeError(
-            f"eviction bookkeeping lost rows for device {device_id!r}."
-        )
-
-    # -- ingress -------------------------------------------------------
-
-    def _open_block(self) -> _ArenaBlock:
-        if not self._blocks or self._blocks[-1].filled == _BLOCK_ROWS:
-            self._blocks.append(_ArenaBlock(self._n_features))
-        return self._blocks[-1]
-
-    def _admit_rows(
-        self, dev: np.ndarray, features: np.ndarray, seqs: np.ndarray
-    ) -> None:
-        """Append rows verbatim (no policy) and update the counters."""
-        m = len(seqs)
-        if m == 0:
-            return
-        if self._n_features is None:
-            self._n_features = features.shape[1]
-        elif features.shape[1] != self._n_features:
-            raise ValueError(
-                f"rows have {features.shape[1]} features; this queue "
-                f"holds {self._n_features}-feature windows."
-            )
-        # Account the incoming rows first: the stale-entry sweep below
-        # compares lookup sizes against *post-admit* backlogs (reading
-        # the pre-admit count would re-trigger a full-deque rebuild on
-        # nearly every append of a large block — quadratic bulk ingress).
-        counts = np.bincount(dev, minlength=len(self._pending_dev))
-        self._pending_dev[: len(counts)] += counts
-        self._n_pending += m
-        written = 0
-        while written < m:
-            block = self._open_block()
-            k = min(m - written, _BLOCK_ROWS - block.filled)
-            stop = block.filled + k
-            block.x[block.filled : stop] = features[written : written + k]
-            block.dev[block.filled : stop] = dev[written : written + k]
-            block.seqs[block.filled : stop] = seqs[written : written + k]
-            if self._dev_rows is not None:
-                for position in range(block.filled, stop):
-                    self._dev_rows.setdefault(
-                        int(block.dev[position]), deque()
-                    ).append((block, position))
-            block.filled = stop
-            written += k
-        if self._dev_rows is not None:
-            # One sweep check per device per admission: entries consumed
-            # by takes must not pin dead blocks for a busy device.
-            for index in np.flatnonzero(counts):
-                rows = self._dev_rows.get(int(index))
-                if rows is not None and len(rows) > 2 * self._pending_dev[index] + 64:
-                    self._dev_rows[int(index)] = deque(
-                        (b, p) for b, p in rows if p >= b.head
-                    )
-        self._m_admitted.inc(m)
-        self._m_depth.set(self._n_pending)
-        self._m_arena.set(len(self._blocks))
-
-    def submit(self, request: WindowRequest) -> bool:
-        """Enqueue one window; returns False when *it* was shed.
-
-        Exactly :meth:`FleetQueue.submit` semantics, including the
-        possibility of a True return that shed an older window.
-        """
-        index = self.register_device(request.device_id)
-        per_device_cap = self.policy.max_pending_per_device
-        if per_device_cap is not None:
-            while self._pending_dev[index] >= per_device_cap:
-                if self.policy.shed == "drop_newest":
-                    self._shed(request.device_id)
-                    return False
-                self._evict_device_oldest(index, request.device_id)
-
-        while self._n_pending >= self.policy.max_pending:
-            if self.policy.shed == "drop_newest":
-                self._shed(request.device_id)
-                return False
-            self._evict_oldest()
-
-        features = np.atleast_2d(np.asarray(request.features, dtype=float))
-        self._admit_rows(
-            np.asarray([index], dtype=np.int64),
-            features,
-            np.asarray([request.seq], dtype=np.int64),
-        )
-        return True
-
-    def submit_block(
-        self, device_id: str, features: np.ndarray, seqs: np.ndarray
-    ) -> int:
-        """Enqueue a stack of windows from one device at once.
-
-        Uncongested blocks are bulk-copied into the arena with no
-        per-row Python; a block that would trip a bound is replayed
-        row-wise for exact :meth:`submit` shedding semantics.
-        """
-        features = np.atleast_2d(np.asarray(features, dtype=float))
-        seqs = np.asarray(seqs, dtype=np.int64)
-        m = len(seqs)
-        if features.shape[0] != m:
-            raise ValueError(
-                f"features has {features.shape[0]} rows but {m} seqs were given."
-            )
-        if m == 0:
-            return 0
-        index = self.register_device(device_id)
-
-        cap = self.policy.max_pending_per_device
-        fits_device = cap is None or self._pending_dev[index] + m <= cap
-        fits_global = self._n_pending + m <= self.policy.max_pending
-        if fits_device and fits_global:
-            self._admit_rows(np.full(m, index, dtype=np.int64), features, seqs)
-            return m
-
-        admitted = 0
-        for i in range(m):
-            admitted += self.submit(
-                WindowRequest(
-                    device_id=device_id, features=features[i], seq=int(seqs[i])
-                )
-            )
-        return admitted
-
-    # -- egress --------------------------------------------------------
-
-    def take(self, n: int) -> IndexedWindowBatch:
-        """Dequeue up to ``n`` live rows in admission order.
-
-        The common case (front rows without tombstones, one block)
-        returns pure array views of the arena — no copies, no per-row
-        objects.
-        """
-        if n < 1:
-            raise ValueError(f"n must be >= 1; got {n}.")
-        parts: list[tuple[_ArenaBlock, int, int]] = []
-        need = n
-        while need > 0 and self._blocks:
-            block = self._blocks[0]
-            while (
-                block.head < block.filled
-                and block.dead is not None
-                and block.dead[block.head]
-            ):
-                block.dead[block.head] = False
-                block.n_dead -= 1
-                block.head += 1
-            if block.head == block.filled:
-                if block.filled == _BLOCK_ROWS:
-                    self._blocks.popleft()
-                    continue
-                break  # drained open block — nothing queued behind it
-            start = block.head
-            limit = min(start + need, block.filled)
-            if block.n_dead:
-                tombstones = np.flatnonzero(block.dead[start:limit])
-                stop = start + int(tombstones[0]) if len(tombstones) else limit
-            else:
-                stop = limit
-            parts.append((block, start, stop))
-            block.head = stop
-            need -= stop - start
-
-        if not parts:
-            return _EMPTY_INDEXED_BATCH
-
-        if len(parts) == 1:
-            block, start, stop = parts[0]
-            dev = block.dev[start:stop]
-            seqs = block.seqs[start:stop]
-            features = block.x[start:stop]
-        else:
-            dev = np.concatenate([b.dev[i:j] for b, i, j in parts])
-            seqs = np.concatenate([b.seqs[i:j] for b, i, j in parts])
-            features = np.vstack([b.x[i:j] for b, i, j in parts])
-
-        counts = np.bincount(dev, minlength=len(self._pending_dev))
-        self._pending_dev[: len(counts)] -= counts
-        self._n_pending -= len(seqs)
-        self._m_depth.set(self._n_pending)
-        self._m_arena.set(len(self._blocks))
-        if self._dev_rows is not None:
-            # Trim the consumed entries off the eviction lookups now:
-            # take consumes in FIFO order, so they sit at the deque
-            # fronts, and a quiet device's last take would otherwise
-            # leave stale entries pinning dead arena blocks forever.
-            for index in np.flatnonzero(counts):
-                self._trim_dev_rows(int(index))
-        return IndexedWindowBatch(
-            device_ids=self.names_array().take(dev),
-            seqs=seqs,
-            features=features,
-            device_index=dev,
-        )
-
-    def _trim_dev_rows(self, index: int) -> None:
-        """Drop consumed entries from the front of a device's lookup."""
-        rows = self._dev_rows.get(index)
-        if rows is None:
-            return
-        while rows and rows[0][1] < rows[0][0].head:
-            rows.popleft()
-        if not rows:
-            del self._dev_rows[index]
-
-    # -- rebalancing / persistence -------------------------------------
-
-    def extract_device(self, device_id: str) -> tuple[np.ndarray, np.ndarray]:
-        """Remove one device's queued rows (moved, not shed)."""
-        index = self._index.get(device_id)
-        if index is None or self._pending_dev[index] == 0:
-            return np.empty((0, 0)), np.empty(0, dtype=np.int64)
-        features, seqs = [], []
-        for block in self._blocks:
-            live = block.dev[block.head : block.filled] == index
-            if block.dead is not None:
-                live &= ~block.dead[block.head : block.filled]
-            rows = np.flatnonzero(live) + block.head
-            if not len(rows):
-                continue
-            features.append(block.x[rows])
-            seqs.append(block.seqs[rows])
-            if block.dead is None:
-                block.dead = np.zeros(_BLOCK_ROWS, dtype=bool)
-            block.dead[rows] = True
-            block.n_dead += len(rows)
-        moved = sum(len(s) for s in seqs)
-        self._n_pending -= moved
-        self._pending_dev[index] = 0
-        if self._dev_rows is not None:
-            self._dev_rows.pop(index, None)
-        if not seqs:
-            return np.empty((0, 0)), np.empty(0, dtype=np.int64)
-        return np.vstack(features), np.concatenate(seqs)
-
-    def snapshot(self) -> dict:
-        """Plain-data state: live rows in admission order + counters."""
-        device_ids, seqs, features = [], [], []
-        for block in self._blocks:
-            live = np.ones(block.filled - block.head, dtype=bool)
-            if block.dead is not None:
-                live &= ~block.dead[block.head : block.filled]
-            rows = np.flatnonzero(live) + block.head
-            if not len(rows):
-                continue
-            device_ids.append(self.names_array().take(block.dev[rows]))
-            seqs.append(block.seqs[rows])
-            features.append(block.x[rows])
-        return {
-            "kind": "shard",
-            "policy": asdict(self.policy),
-            "device_ids": (
-                np.concatenate(device_ids) if device_ids else np.empty(0, "<U1")
-            ),
-            "seqs": (
-                np.concatenate(seqs) if seqs else np.empty(0, dtype=np.int64)
-            ),
-            "features": np.vstack(features) if features else np.empty((0, 0)),
-            "shed_by_device": dict(self.shed_by_device),
-        }
-
-    @classmethod
-    def restore(cls, state: dict) -> "ShardQueue":
-        """Rebuild a queue from :meth:`snapshot` output (no re-shedding)."""
-        queue = cls(BackpressurePolicy(**state["policy"]))
-        device_ids = np.asarray(state["device_ids"])
-        if len(device_ids):
-            dev = np.asarray(
-                [queue.register_device(str(d)) for d in device_ids],
-                dtype=np.int64,
-            )
-            queue._admit_rows(
-                dev,
-                np.atleast_2d(np.asarray(state["features"], dtype=float)),
-                np.asarray(state["seqs"], dtype=np.int64),
-            )
-        queue.shed_by_device = dict(state["shed_by_device"])
-        return queue
-
-
-_EMPTY_INDEXED_BATCH = IndexedWindowBatch(
-    device_ids=np.empty(0, dtype="<U1"),
-    seqs=np.empty(0, dtype=np.int64),
-    features=np.empty((0, 0)),
-    device_index=np.empty(0, dtype=np.int64),
-)
-
-
-# ---------------------------------------------------------------------------
 # The shared read-only compiled model view
 # ---------------------------------------------------------------------------
 
@@ -706,126 +234,6 @@ class PublishedHmd:
             verdict = self.hmd.analyze(X)
             return verdict.predictions, verdict.entropy, verdict.accepted
         return count_table_verdict(self.front, self.backend, self.tables, X)
-
-
-# ---------------------------------------------------------------------------
-# One shard
-# ---------------------------------------------------------------------------
-
-
-class FleetShard:
-    """One monitor core of the sharded fleet.
-
-    Wraps a full :class:`FleetMonitor` — its own :class:`ShardQueue`,
-    device-state table, counters and forensic queue — so every
-    single-monitor behaviour (reference batch path, reporting,
-    snapshotting) is available per shard.  The facade's fused drain
-    bypasses ``process_batch`` and instead feeds verdicts in through
-    :meth:`scatter`, which reproduces the engine's routing semantics
-    exactly (same ``DeviceState.record`` calls, same flagged-sample
-    objects) from a dense integer grouping pass.
-    """
-
-    def __init__(
-        self, shard_id: int, monitor: FleetMonitor, *, stage_flagged: bool = True
-    ):
-        self.shard_id = shard_id
-        self.monitor = monitor
-        # Columnar staging of flagged rows: the fused drain appends
-        # plain arrays here; FlaggedSample objects materialise lazily
-        # when the forensic stream is actually read (triage time).
-        # A worker-process shard runs with staging off — its feature
-        # views live in a recycled shared-memory slot, so the *parent*
-        # stages flagged rows from its own retained copies instead.
-        self.stage_flagged = stage_flagged
-        self._staged_flagged: list[tuple] = []
-
-    @property
-    def queue(self) -> ShardQueue:
-        """The shard's ingress queue."""
-        return self.monitor.queue
-
-    def take_staged_flagged(self) -> list[tuple]:
-        """Hand the staged flagged-row blocks to the facade (cleared)."""
-        staged = self._staged_flagged
-        self._staged_flagged = []
-        return staged
-
-    def scatter(
-        self,
-        batch: IndexedWindowBatch,
-        predictions: np.ndarray,
-        entropy: np.ndarray,
-        accepted: np.ndarray,
-    ) -> None:
-        """Fan one fused round's verdict slice back into shard state.
-
-        Equivalent to :meth:`FleetMonitor._route` — the equivalence
-        fuzz suite asserts identical device states, counters and
-        forensic streams — but grouped on the batch's dense device
-        indices (one bincount + one stable argsort over small ints).
-        """
-        monitor = self.monitor
-        n = len(batch)
-        base_step = monitor._step
-        monitor._step += n
-        accepted = np.asarray(accepted, dtype=bool)
-        monitor.stats.record_verdicts(predictions, entropy, accepted)
-
-        # Per-device grouping on dense integer indices: one bincount
-        # per counter and a single stable argsort replace the string
-        # unique + per-device numpy reductions of the generic route.
-        # Counts are exact integers, and each device's entropy sum uses
-        # the same np.sum over the same ordered slice as
-        # MonitorStats.record_verdicts would — state stays bitwise
-        # identical to the unsharded monitor's.
-        dev = batch.device_index
-        group_sizes = np.bincount(dev)
-        accepted_per = np.bincount(
-            dev, weights=accepted, minlength=len(group_sizes)
-        )
-        alerts_per = np.bincount(
-            dev, weights=accepted & (predictions == 1), minlength=len(group_sizes)
-        )
-        order = np.argsort(dev, kind="stable")
-        entropy_ordered = entropy[order]
-        present = np.flatnonzero(group_sizes)
-        stops = np.cumsum(group_sizes[present])
-        start = 0
-        for g, index in enumerate(present):
-            stop = stops[g]
-            state = monitor.devices[self.queue.device_name(int(index))]
-            device_entropy = entropy_ordered[start:stop]
-            stats = state.stats
-            n_device = int(group_sizes[index])
-            n_accepted = int(accepted_per[index])
-            stats.n_seen += n_device
-            stats.n_accepted += n_accepted
-            stats.n_flagged += n_device - n_accepted
-            stats.n_malware_alerts += int(alerts_per[index])
-            stats.entropy_sum += float(np.sum(device_entropy))
-            state.entropy_recent.extend(device_entropy)
-            state.last_step = max(
-                state.last_step, base_step + int(order[stop - 1]) + 1
-            )
-            start = stop
-
-        if not self.stage_flagged:
-            return
-        flagged = np.flatnonzero(~accepted)
-        if len(flagged):
-            # Stage columnar: fancy-indexed rows are fresh copies, so
-            # the arena blocks underneath are not pinned by the stage.
-            self._staged_flagged.append(
-                (
-                    batch.features[flagged],
-                    predictions[flagged],
-                    entropy[flagged],
-                    base_step + flagged + 1,
-                    batch.device_ids[flagged],
-                    batch.seqs[flagged],
-                )
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -906,28 +314,10 @@ class ShardedFleetMonitor:
         self._m_scatter = self.metrics.histogram(
             "fleet_scatter_seconds", "verdict scatter latency per round"
         )
-        self.shards = [
-            FleetShard(
-                shard_id,
-                FleetMonitor(
-                    hmd,
-                    batch_size=batch_size,
-                    forensics=ForensicQueue(),
-                    entropy_window=entropy_window,
-                    queue=ShardQueue(self.policy),
-                    telemetry=self.metrics.enabled or None,
-                    tracer=tracer,
-                ),
-            )
-            for shard_id in range(self.router.n_shards)
-        ]
-        self._forensics = forensics if forensics is not None else ForensicQueue()
-        self._staged_flagged: list[tuple] = []
-        self._staged_rows = 0
-        # Flush the columnar stage into the bounded queue before it can
-        # outgrow the queue's own memory cap: staging defers per-row
-        # object creation, it must not defeat maxlen under a flag storm.
-        self._stage_limit = min(self._forensics.maxlen, 8192)
+        self.shards = [self._new_shard() for _ in range(self.router.n_shards)]
+        self._stage = FlaggedStage(
+            forensics if forensics is not None else ForensicQueue()
+        )
         self.drift = (
             EntropyDriftMonitor(drift_reference)
             if drift_reference is not None
@@ -941,17 +331,26 @@ class ShardedFleetMonitor:
         """Number of monitor cores behind the router."""
         return len(self.shards)
 
+    def _new_shard(self) -> FleetMonitor:
+        """One empty monitor core with the facade's configuration."""
+        return FleetMonitor(
+            self.hmd,
+            batch_size=self.batch_size,
+            policy=self.policy,
+            entropy_window=self.entropy_window,
+            telemetry=self.metrics.enabled or None,
+            tracer=self.tracer,
+        )
+
     # -- ingress -------------------------------------------------------
 
-    def shard_for(self, device_id: str) -> FleetShard:
+    def shard_for(self, device_id: str) -> FleetMonitor:
         """The shard owning a device."""
         return self.shards[self.router.shard_of(device_id)]
 
     def register(self, device_id: str, *, cohort: str = "unknown"):
         """Idempotently create the device's state on its home shard."""
-        return self.shard_for(device_id).monitor.register(
-            device_id, cohort=cohort
-        )
+        return self.shard_for(device_id).register(device_id, cohort=cohort)
 
     def register_fleet(self, devices) -> None:
         """Register a whole device population across the shards."""
@@ -960,11 +359,11 @@ class ShardedFleetMonitor:
 
     def submit(self, device_id: str, window) -> bool:
         """Route one window to its device's shard."""
-        return self.shard_for(device_id).monitor.submit(device_id, window)
+        return self.shard_for(device_id).submit(device_id, window)
 
     def submit_many(self, device_id: str, windows) -> int:
         """Route a block of windows to its device's shard."""
-        return self.shard_for(device_id).monitor.submit_many(device_id, windows)
+        return self.shard_for(device_id).submit_many(device_id, windows)
 
     @property
     def pending(self) -> int:
@@ -976,7 +375,7 @@ class ShardedFleetMonitor:
         """Merged fleet-wide counters (computed from the shards)."""
         merged = MonitorStats()
         for shard in self.shards:
-            merged.merge(shard.monitor.stats)
+            merged.merge(shard.stats)
         return merged
 
     # -- fused inference rounds ----------------------------------------
@@ -989,57 +388,23 @@ class ShardedFleetMonitor:
         return self.published
 
     def _collect_flagged(self) -> None:
-        """Pull each shard's flagged output into the facade's stage.
+        """Pull each shard's staged flagged rows into the facade's stage.
 
         Shards are visited in id order and each preserves flag order,
         so the merged stream is deterministic and per-device
-        submission-sequence ordered.  Rows stay columnar here — the
-        per-row :class:`FleetFlaggedSample` objects materialise only
-        when the :attr:`forensics` stream is actually read (triage
-        time), keeping analyst bookkeeping out of the drain hot loop.
+        submission-sequence ordered.  Rows stay columnar until the
+        :attr:`forensics` stream is read.
         """
         for shard in self.shards:
-            if shard._staged_flagged:
-                for block in shard.take_staged_flagged():
-                    self._staged_flagged.append(block)
-                    self._staged_rows += len(block[-1])
-            queue = shard.monitor.forensics
-            if len(queue):
-                # Reference-path pushes (someone drove the shard's own
-                # process_batch) merge as ready-made samples.
-                samples = queue.drain()
-                self._staged_flagged.append(samples)
-                self._staged_rows += len(samples)
-        if self._staged_rows >= self._stage_limit:
-            self._flush_staged()
-
-    def _flush_staged(self) -> None:
-        """Materialise staged flagged rows into the bounded queue."""
-        if self._staged_flagged:
-            staged, self._staged_flagged = self._staged_flagged, []
-            self._staged_rows = 0
-            for block in staged:
-                if isinstance(block, list):  # reference-path samples
-                    self._forensics.push_many(block)
-                    continue
-                features, predictions, entropy, steps, device_ids, seqs = block
-                self._forensics.push_many(
-                    FleetFlaggedSample(
-                        features=features[i],
-                        prediction=int(predictions[i]),
-                        entropy=float(entropy[i]),
-                        step=int(steps[i]),
-                        device_id=str(device_ids[i]),
-                        seq=int(seqs[i]),
-                    )
-                    for i in range(len(seqs))
-                )
+            for block in shard._stage.take():
+                self._stage.add(block)
+        if self._stage.rows >= self._stage.limit:
+            self._stage.flush()
 
     @property
     def forensics(self) -> ForensicQueue:
         """The merged triage stream (flushes staged flagged rows)."""
-        self._flush_staged()
-        return self._forensics
+        return self._stage.flush()
 
     def process_batch(self) -> FleetBatchResult | None:
         """One fused round: up to ``batch_size`` rows *per shard*.
@@ -1049,7 +414,7 @@ class ShardedFleetMonitor:
         empty.
         """
         published = self._ensure_published()
-        parts: list[tuple[FleetShard, IndexedWindowBatch]] = []
+        parts: list[tuple[FleetMonitor, WindowBatch]] = []
         for shard in self.shards:
             if len(shard.queue):
                 batch = shard.queue.take(self.batch_size)
@@ -1073,21 +438,21 @@ class ShardedFleetMonitor:
             self._m_verdict.observe(t1 - t0)
             self._m_rounds.inc()
             self._m_drained.inc(len(predictions))
-            self._m_flagged.inc(int(np.count_nonzero(~np.asarray(accepted, dtype=bool))))
             if self.tracer is not None:
                 for _, batch in parts:
                     self.tracer.stamp_rows(batch.device_ids, batch.seqs, "verdict")
 
-        offset = 0
+        offset = n_flagged = 0
         for shard, batch in parts:
             stop = offset + len(batch)
-            shard.scatter(
+            n_flagged += shard._route(
                 batch,
                 predictions[offset:stop],
                 entropy[offset:stop],
                 accepted[offset:stop],
             )
             offset = stop
+        self._m_flagged.inc(n_flagged)
         if self._obs_on:
             self._m_scatter.observe(time.perf_counter() - t1)
             self._m_scatter_rows.inc(len(predictions))
@@ -1129,7 +494,7 @@ class ShardedFleetMonitor:
     def report(self) -> FleetReport:
         """Merged fleet view over all shards' device tables."""
         report = merge_reports(
-            (shard.monitor.report() for shard in self.shards),
+            (shard.report() for shard in self.shards),
             n_batches=self.n_batches,
             drift_status=self.drift.observe([]).status if self.drift else None,
         )
@@ -1157,7 +522,7 @@ class ShardedFleetMonitor:
         device_ids = [
             device_id
             for shard in self.shards
-            for device_id in shard.monitor.devices
+            for device_id in shard.devices
         ]
         plan = self.router.plan_rebalance(device_ids, n_shards)
         new_router = type(self.router)(n_shards)
@@ -1165,46 +530,18 @@ class ShardedFleetMonitor:
         # post-rebalance flagged-sample steps and last_step keep
         # advancing monotonically (mirrors what snapshot/restore keep).
         step_seed = max(
-            (shard.monitor._step for shard in self.shards), default=0
+            (shard._step for shard in self.shards), default=0
         )
-        new_shards = [
-            FleetShard(
-                shard_id,
-                FleetMonitor(
-                    self.hmd,
-                    batch_size=self.batch_size,
-                    forensics=ForensicQueue(),
-                    entropy_window=self.entropy_window,
-                    queue=ShardQueue(self.policy),
-                    telemetry=self.metrics.enabled or None,
-                    tracer=self.tracer,
-                ),
-            )
-            for shard_id in range(n_shards)
-        ]
+        new_shards = [self._new_shard() for _ in range(n_shards)]
         for shard in new_shards:
-            shard.monitor._step = step_seed
-        for shard in self.shards:
-            monitor = shard.monitor
+            shard._step = step_seed
+        for monitor in self.shards:
             for device_id, state in monitor.devices.items():
-                target = new_shards[new_router.shard_of(device_id)].monitor
+                target = new_shards[new_router.shard_of(device_id)]
                 target.devices[device_id] = state
                 target._seq[device_id] = monitor._seq[device_id]
                 target.stats.merge(state.stats)
-                shed = monitor.queue.shed_by_device.get(device_id, 0)
-                if shed:
-                    target.queue.shed_by_device[device_id] = shed
-                features, seqs = monitor.queue.extract_device(device_id)
-                if len(seqs):
-                    # Direct admission: these rows already passed the
-                    # backpressure policy once — a migration must move
-                    # them, never re-shed them.
-                    index = target.queue.register_device(device_id)
-                    target.queue._admit_rows(
-                        np.full(len(seqs), index, dtype=np.int64),
-                        features,
-                        seqs,
-                    )
+                monitor.queue.move_device(device_id, target.queue)
         self.router = new_router
         self.shards = new_shards
         return plan
@@ -1229,7 +566,7 @@ class ShardedFleetMonitor:
             "entropy_window": self.entropy_window,
             "n_batches": self.n_batches,
             "policy": asdict(self.policy),
-            "shards": [shard.monitor.snapshot() for shard in self.shards],
+            "shards": [shard.snapshot() for shard in self.shards],
             "forensics": {
                 "samples": self.forensics.snapshot(),
                 "maxlen": self.forensics.maxlen,
@@ -1331,10 +668,6 @@ class ShardedFleetMonitor:
             )
         fleet.n_batches = int(state["n_batches"])
         fleet.shards = [
-            FleetShard(
-                shard_id,
-                FleetMonitor.restore(hmd, shard_state, queue_cls=ShardQueue),
-            )
-            for shard_id, shard_state in enumerate(state["shards"])
+            FleetMonitor.restore(hmd, shard_state) for shard_state in state["shards"]
         ]
         return fleet

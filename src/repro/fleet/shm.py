@@ -6,7 +6,7 @@ and its shard workers, and neither is ever pickled row by row:
 * **The data plane** — :class:`ShmBlockRing`, a small ring of
   fixed-size block slots inside one ``multiprocessing.shared_memory``
   segment.  The parent memcpys a dequeued
-  :class:`~repro.fleet.sharding.IndexedWindowBatch` (feature rows,
+  :class:`~repro.fleet.queueing.WindowBatch` (feature rows,
   dense device indices, sequence numbers) into a free slot and sends a
   tiny control tuple naming the slot; the worker maps the same segment
   and reads the rows as zero-copy numpy views.  The verdict columns

@@ -1,7 +1,8 @@
 """Per-device monitoring state for the fleet engine.
 
 Every monitored device keeps a constant-memory footprint regardless of
-how long it has been streaming: an embedded
+how long it has been streaming (the counters change in one place, the
+monitor's verdict fold :meth:`~repro.fleet.engine.FleetMonitor._fold`): an embedded
 :class:`~repro.uncertainty.online.MonitorStats` (the same counter
 definitions the single-device monitor uses, so the two can never
 drift) plus a fixed-capacity ring buffer of its most recent predictive
@@ -62,7 +63,7 @@ class RingBuffer:
         stop = self._head + n
         if stop <= self._capacity:
             # Contiguous write — the overwhelmingly common case, and
-            # the sharded scatter's per-device hot path (plain slice
+            # the verdict fold's per-device hot path (plain slice
             # assignment, no index arithmetic).
             self._data[self._head : stop] = values
         else:
@@ -159,18 +160,6 @@ class DeviceState:
     def recent_entropy(self) -> float:
         """Mean entropy over the ring-buffered recent windows."""
         return self.entropy_recent.mean()
-
-    def record(
-        self,
-        predictions: np.ndarray,
-        entropy: np.ndarray,
-        accepted: np.ndarray,
-        last_step: int,
-    ) -> None:
-        """Fold one batch slice of verdicts into the counters (bulk)."""
-        self.stats.record_verdicts(predictions, entropy, accepted)
-        self.entropy_recent.extend(entropy)
-        self.last_step = max(self.last_step, int(last_step))
 
     def snapshot(self) -> dict:
         """Plain-data state for checkpointing (counters + entropy ring)."""

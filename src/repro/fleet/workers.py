@@ -8,23 +8,25 @@ submit, ``process_batch``/``drain``, ``report``, ``snapshot``/
 GIL.  The split of responsibilities:
 
 Parent (this process)
-    Owns ingress end to end: the per-shard arena-backed
-    :class:`~repro.fleet.sharding.ShardQueue` (backpressure, shedding
+    Owns ingress end to end: each shard's
+    :class:`~repro.fleet.queueing.FleetQueue` (backpressure, shedding
     and sequence numbering are byte-for-byte the in-process
     semantics), the merged forensic stream, drift watching, and the
     mirrors that keep facade-level ``stats`` bitwise identical — the
     parent re-applies each round's verdict columns to its own
     per-shard :class:`~repro.uncertainty.online.MonitorStats` with the
-    *same* ``record_verdicts`` call the worker makes.
+    *same* ``record_verdicts`` call the worker makes, and stages the
+    flagged rows from its own retained copies of the shipped blocks.
 
 Worker (one per shard)
-    Owns the shard's :class:`~repro.fleet.sharding.FleetShard` — the
-    device-state table, ring buffers and counters that
-    :meth:`~repro.fleet.sharding.FleetShard.scatter` maintains — plus
-    a read-only mapping of the published model
-    (:mod:`repro.fleet.shm`).  It drains block messages, runs the
-    fused verdict pass, scatters, and writes the verdict columns back
-    into the same shared slot.  No window tensor is ever pickled.
+    Owns the shard's device-state table, ring buffers and counters —
+    a :class:`~repro.fleet.engine.FleetMonitor` whose
+    :meth:`~repro.fleet.engine.FleetMonitor._fold` (the device-state
+    half of the in-process verdict fold) runs on every block — plus a
+    read-only mapping of the published model (:mod:`repro.fleet.shm`).
+    It drains block messages, runs the fused verdict pass, folds, and
+    writes the verdict columns back into the same shared slot.  No
+    window tensor is ever pickled.
 
 Supervision state machine
 -------------------------
@@ -85,7 +87,7 @@ import numpy as np
 from ..obs.metrics import merge_snapshots, resolve_registry
 from ..uncertainty.online import ForensicQueue, MonitorStats
 from .engine import FleetBatchResult, FleetMonitor
-from .queueing import BackpressurePolicy
+from .queueing import BackpressurePolicy, FleetQueue, WindowBatch
 from .report import merge_reports, rebind_queue_counters
 from .resilience import (
     FaultInjector,
@@ -95,14 +97,7 @@ from .resilience import (
     ShardHealth,
     ShardHealthReport,
 )
-from .sharding import (
-    SNAPSHOT_SCHEMA,
-    FleetShard,
-    IndexedWindowBatch,
-    PublishedHmd,
-    ShardQueue,
-    ShardedFleetMonitor,
-)
+from .sharding import SNAPSHOT_SCHEMA, PublishedHmd, ShardedFleetMonitor
 from .shm import (
     ShmBlockRing,
     ShmIntegrityError,
@@ -160,32 +155,50 @@ def _apply_regs(monitor: FleetMonitor, applied: int, start: int, entries) -> int
     return max(applied, start + len(entries))
 
 
-def _apply_names(monitor: FleetMonitor, queue: ShardQueue, start: int, names) -> None:
+def _apply_names(monitor: FleetMonitor, start: int, names) -> None:
     """Extend the worker's dense device registry in parent order.
 
     Dense indices are positional, so the worker must register exactly
     the parent's first-sight sequence; slices carry their absolute
     start offset so overlapping replays skip what is already applied.
     """
-    skip = max(0, len(queue._names) - start)
+    skip = max(0, len(monitor.queue._names) - start)
     for name in names[skip:]:
-        queue.register_device(name)
+        monitor.queue.register_device(name)
         monitor.register(name)
 
 
-def _worker_checkpoint(
-    monitor: FleetMonitor, queue: ShardQueue, epoch: int, regs_applied: int
-) -> dict:
+def _worker_checkpoint(monitor: FleetMonitor, epoch: int, regs_applied: int) -> dict:
     """The supervision hand-off payload: everything a restart needs."""
     return {
         "epoch": int(epoch),
         "monitor": monitor.snapshot(),
-        "names": list(queue._names),
+        "names": list(monitor.queue._names),
         "regs_applied": int(regs_applied),
     }
 
 
-def _run_block(ring: ShmBlockRing, publication, shard: FleetShard, msg) -> int:
+def _restore_worker_monitor(
+    ckpt: dict | None, *, batch_size: int, entropy_window: int
+) -> tuple[FleetMonitor, int]:
+    """A worker-side monitor from a checkpoint (or empty), and its reg count.
+
+    The queue snapshot holds rows, not the dense registry, so the
+    registry is rebuilt in the parent's first-sight order.
+    """
+    stub = _SharedModelStub()
+    if ckpt is None:
+        monitor = FleetMonitor(
+            stub, batch_size=batch_size, entropy_window=entropy_window
+        )
+        return monitor, 0
+    monitor = FleetMonitor.restore(stub, ckpt["monitor"])
+    for name in ckpt["names"]:
+        monitor.queue.register_device(name)
+    return monitor, int(ckpt["regs_applied"])
+
+
+def _run_block(ring: ShmBlockRing, publication, monitor: FleetMonitor, msg) -> int:
     """Verdict one shipped block in place; returns its epoch.
 
     A helper rather than inline in the dispatch loop so the zero-copy
@@ -194,15 +207,8 @@ def _run_block(ring: ShmBlockRing, publication, shard: FleetShard, msg) -> int:
     """
     _, slot, epoch, n, names_start, names, regs_start, regs = msg
     views = ring.slot(slot)
-    features = views["features"][:n]
-    batch = IndexedWindowBatch(
-        device_ids=None,
-        seqs=views["seqs"][:n],
-        features=features,
-        device_index=views["dev"][:n],
-    )
-    predictions, entropy, accepted = publication.verdict(features)
-    shard.scatter(batch, predictions, entropy, accepted)
+    predictions, entropy, accepted = publication.verdict(views["features"][:n])
+    monitor._fold(views["dev"][:n], predictions, entropy, accepted)
     views["predictions"][:n] = predictions
     views["entropy"][:n] = entropy
     views["accepted"][:n] = accepted
@@ -247,27 +253,12 @@ def worker_main(shard_id: int, conn, init: dict) -> None:
     """
     ring = ShmBlockRing.attach(init["ring"])
     publication = map_publication(init["model"])
-    stub = _SharedModelStub()
     ckpt = init.get("ckpt")
-    if ckpt is not None:
-        monitor = FleetMonitor.restore(stub, ckpt["monitor"], queue_cls=ShardQueue)
-        queue = monitor.queue
-        for name in ckpt["names"]:
-            # Rebuild the dense registry in the parent's first-sight
-            # order (the queue snapshot holds rows, not the registry).
-            queue.register_device(name)
-        regs_applied = int(ckpt["regs_applied"])
-        epoch_done = int(ckpt["epoch"])
-    else:
-        queue = ShardQueue()
-        monitor = FleetMonitor(
-            stub,
-            batch_size=init["batch_size"],
-            entropy_window=init["entropy_window"],
-            queue=queue,
-        )
-        regs_applied = 0
-        epoch_done = -1
+    monitor, regs_applied = _restore_worker_monitor(
+        ckpt, batch_size=init["batch_size"], entropy_window=init["entropy_window"]
+    )
+    queue = monitor.queue
+    epoch_done = int(ckpt["epoch"]) if ckpt is not None else -1
     if init.get("telemetry"):
         # The worker keeps its own registry (restored monitors come up
         # with telemetry off, so rebind here either way); its snapshot
@@ -284,9 +275,6 @@ def worker_main(shard_id: int, conn, init: dict) -> None:
         "fleet_verdict_seconds", "verdict+scatter latency per block"
     )
     obs_on = monitor.metrics.enabled
-    # Staging off: the feature views below live in recycled shared
-    # slots, so the parent stages flagged rows from its own copies.
-    shard = FleetShard(shard_id, monitor, stage_flagged=False)
     checkpoint_every = int(init["checkpoint_every"])
     since_checkpoint = 0
     plan = init.get("chaos")
@@ -304,7 +292,7 @@ def worker_main(shard_id: int, conn, init: dict) -> None:
         if injector is not None:
             injector.on_block()
         regs_applied = _apply_regs(monitor, regs_applied, msg[6], msg[7])
-        _apply_names(monitor, queue, msg[4], msg[5])
+        _apply_names(monitor, msg[4], msg[5])
         slot, n = msg[1], msg[3]
         if not ring.verify_block(slot, n):
             # A corrupted frame must never reach scatter: report it and
@@ -320,17 +308,17 @@ def worker_main(shard_id: int, conn, init: dict) -> None:
             del views
         if obs_on:
             t0 = time.perf_counter()
-            epoch_done = _run_block(ring, publication, shard, msg)
+            epoch_done = _run_block(ring, publication, monitor, msg)
             m_verdict.observe(time.perf_counter() - t0)
             m_blocks.inc()
             m_drained.inc(n)
         else:
-            epoch_done = _run_block(ring, publication, shard, msg)
+            epoch_done = _run_block(ring, publication, monitor, msg)
         conn.send(("result", slot, epoch_done))
         since_checkpoint += 1
         if since_checkpoint >= checkpoint_every:
             conn.send(
-                ("ckpt", _worker_checkpoint(monitor, queue, epoch_done, regs_applied))
+                ("ckpt", _worker_checkpoint(monitor, epoch_done, regs_applied))
             )
             since_checkpoint = 0
         return True
@@ -383,12 +371,12 @@ def worker_main(shard_id: int, conn, init: dict) -> None:
             elif kind == "names":
                 # Registry span of a block excluded from replay: dense
                 # indices are positional, so the span still has to land.
-                _apply_names(monitor, queue, msg[1], msg[2])
+                _apply_names(monitor, msg[1], msg[2])
             elif kind == "regs":
                 regs_applied = _apply_regs(monitor, regs_applied, msg[1], msg[2])
             elif kind == "checkpoint":
                 conn.send(
-                    ("ckpt", _worker_checkpoint(monitor, queue, epoch_done, regs_applied))
+                    ("ckpt", _worker_checkpoint(monitor, epoch_done, regs_applied))
                 )
                 since_checkpoint = 0
             elif kind == "report":
@@ -510,7 +498,7 @@ class WorkerShardedFleetMonitor(ShardedFleetMonitor):
     merged stats, forensic stream and report device rows are bitwise
     identical to the in-process facade — the workers run the *same*
     :func:`~repro.uncertainty.trust.count_table_verdict` on the same
-    bytes and the same :meth:`FleetShard.scatter` state updates; the
+    bytes and the same :meth:`FleetMonitor._fold` state updates; the
     process boundary changes where the work runs, never what it
     computes.
 
@@ -903,30 +891,17 @@ class WorkerShardedFleetMonitor(ShardedFleetMonitor):
         self._kill_process(handle)
         handle.health = ShardHealth.DEAD
         self._m_failovers.inc()
-        shard = self.shards[handle.shard_id]
-        mirror = shard.monitor
-        queue = shard.queue
+        mirror = self.shards[handle.shard_id]
+        queue = mirror.queue
         log = self._reg_logs[handle.shard_id]
 
         # 1. Restore-and-replay in-process: exactly what a replacement
         # worker would compute, minus the process.
-        stub = _SharedModelStub()
-        ckpt = handle.last_ckpt
-        if ckpt is not None:
-            replay = FleetMonitor.restore(stub, ckpt["monitor"], queue_cls=ShardQueue)
-            replay_queue = replay.queue
-            for name in ckpt["names"]:
-                replay_queue.register_device(name)
-            regs_applied = int(ckpt["regs_applied"])
-        else:
-            replay_queue = ShardQueue()
-            replay = FleetMonitor(
-                stub,
-                batch_size=self.batch_size,
-                entropy_window=self.entropy_window,
-                queue=replay_queue,
-            )
-            regs_applied = 0
+        replay, regs_applied = _restore_worker_monitor(
+            handle.last_ckpt,
+            batch_size=self.batch_size,
+            entropy_window=self.entropy_window,
+        )
         for snap, seq in handle.adopts:
             if snap["device_id"] not in replay.devices:
                 replay.devices[snap["device_id"]] = DeviceState.restore(snap)
@@ -934,28 +909,17 @@ class WorkerShardedFleetMonitor(ShardedFleetMonitor):
         regs_applied = _apply_regs(
             replay, regs_applied, regs_applied, log[regs_applied : handle.regs_sent]
         )
-        replay_shard = FleetShard(handle.shard_id, replay, stage_flagged=False)
         for epoch in sorted(handle.retained):
             record = handle.retained[epoch]
             ns, ne = record.names_span
             rs, re_ = record.regs_span
             regs_applied = _apply_regs(replay, regs_applied, rs, log[rs:re_])
-            _apply_names(replay, replay_queue, ns, list(queue._names[ns:ne]))
+            _apply_names(replay, ns, list(queue._names[ns:ne]))
             if record.skipped:
                 continue
             batch = record.batch
             predictions, entropy, accepted = self.published.verdict(batch.features)
-            replay_shard.scatter(
-                IndexedWindowBatch(
-                    device_ids=None,
-                    seqs=batch.seqs,
-                    features=batch.features,
-                    device_index=batch.device_index,
-                ),
-                predictions,
-                entropy,
-                accepted,
-            )
+            replay._fold(batch.device_index, predictions, entropy, accepted)
             if not record.consumed:
                 # The in-flight verdicts the caller is still awaiting;
                 # their stats ride inside the migrated device states,
@@ -977,22 +941,12 @@ class WorkerShardedFleetMonitor(ShardedFleetMonitor):
             seq = int(mirror._seq.get(device_id, 0))
             snap = state.snapshot()
             target_id = self.router.shard_of(device_id)
-            target = self.shards[target_id].monitor
+            target = self.shards[target_id]
             adopted = DeviceState.restore(snap)
             target.devices[device_id] = adopted
             target._seq[device_id] = seq
             target.stats.merge(adopted.stats)
-            shed = queue.shed_by_device.pop(device_id, 0)
-            if shed:
-                target.queue.shed_by_device[device_id] = (
-                    target.queue.shed_by_device.get(device_id, 0) + shed
-                )
-            features, seqs = queue.extract_device(device_id)
-            if len(seqs):
-                index = target.queue.register_device(device_id)
-                target.queue._admit_rows(
-                    np.full(len(seqs), index, dtype=np.int64), features, seqs
-                )
+            queue.move_device(device_id, target.queue)
             moves.setdefault(target_id, []).append((snap, seq))
 
         # 3. Survivors adopt their share.  Recorded before sending so a
@@ -1194,7 +1148,7 @@ class WorkerShardedFleetMonitor(ShardedFleetMonitor):
     def register(self, device_id: str, *, cohort: str = "unknown"):
         """Register on the home shard and log for worker propagation."""
         shard_index = self.router.shard_of(device_id)
-        monitor = self.shards[shard_index].monitor
+        monitor = self.shards[shard_index]
         known = monitor.devices.get(device_id)
         if known is None or (cohort != "unknown" and known.cohort == "unknown"):
             self._reg_logs[shard_index].append((device_id, cohort))
@@ -1265,7 +1219,7 @@ class WorkerShardedFleetMonitor(ShardedFleetMonitor):
 
     # -- fused rounds across processes ---------------------------------
 
-    def _ship(self, handle: _WorkerHandle, batch: IndexedWindowBatch) -> None:
+    def _ship(self, handle: _WorkerHandle, batch: WindowBatch) -> None:
         """Copy a dequeued batch into a free slot and hand it over."""
         if not handle.free_slots:
             raise RuntimeError(
@@ -1430,7 +1384,7 @@ class WorkerShardedFleetMonitor(ShardedFleetMonitor):
             # strict epoch cursor keeps moving.
             record.skipped = True
             record.consumed = True
-            empty = IndexedWindowBatch(
+            empty = WindowBatch(
                 device_ids=batch.device_ids[:0],
                 seqs=batch.seqs[:0],
                 features=batch.features[:0],
@@ -1450,7 +1404,7 @@ class WorkerShardedFleetMonitor(ShardedFleetMonitor):
                 self._restart(handle, reason=str(error))
             return
         if len(bad):
-            record.batch = IndexedWindowBatch(
+            record.batch = WindowBatch(
                 device_ids=batch.device_ids[keep],
                 seqs=batch.seqs[keep],
                 features=batch.features[keep],
@@ -1537,8 +1491,8 @@ class WorkerShardedFleetMonitor(ShardedFleetMonitor):
 
     def _merge_part(
         self,
-        shard: FleetShard,
-        batch: IndexedWindowBatch,
+        shard: FleetMonitor,
+        batch: WindowBatch,
         predictions: np.ndarray,
         entropy: np.ndarray,
         accepted: np.ndarray,
@@ -1547,39 +1501,30 @@ class WorkerShardedFleetMonitor(ShardedFleetMonitor):
     ) -> None:
         """Mirror one shard slice into the parent-side facade state.
 
-        The worker already updated the device table; the parent applies
+        The worker already folded the device table; the parent applies
         the *same* ``record_verdicts`` call to its per-shard stats
         mirror (bitwise-identical merged counters), advances the same
         step counter, and stages flagged rows from its own retained
-        feature arrays — exactly the columnar tuples
-        :meth:`FleetShard.scatter` would stage in-process.
+        feature arrays — the worker's are views of a recycled
+        shared-memory slot.
 
         ``record_stats=False`` is the failover-recompute path: those
         verdicts' stats already travelled inside the migrated device
         states, so only the step counter and flagged staging apply.
         """
-        monitor = shard.monitor
         n = len(batch)
-        base_step = monitor._step
-        monitor._step += n
-        accepted = np.asarray(accepted, dtype=bool)
+        base_step = shard._step
+        shard._step += n
         if record_stats:
-            monitor.stats.record_verdicts(predictions, entropy, accepted)
-        flagged = np.flatnonzero(~accepted)
-        if len(flagged):
-            shard._staged_flagged.append(
-                (
-                    batch.features[flagged],
-                    predictions[flagged],
-                    entropy[flagged],
-                    base_step + flagged + 1,
-                    batch.device_ids[flagged],
-                    batch.seqs[flagged],
-                )
+            shard.stats.record_verdicts(
+                predictions, entropy, np.asarray(accepted, dtype=bool)
             )
+        n_flagged = shard._stage_withheld(
+            batch, predictions, entropy, accepted, base_step
+        )
         if self._obs_on:
             self._m_scatter_rows.inc(n)
-            self._m_flagged.inc(len(flagged))
+            self._m_flagged.inc(n_flagged)
             if self.tracer is not None:
                 self.tracer.complete_rows(batch.device_ids, batch.seqs, "scatter")
 
@@ -1731,9 +1676,9 @@ class WorkerShardedFleetMonitor(ShardedFleetMonitor):
             # home inside the reports (already merged above).
             snapshots = [self.metrics.snapshot()]
             snapshots.extend(
-                shard.monitor.metrics.snapshot()
+                shard.metrics.snapshot()
                 for shard in self.shards
-                if shard.monitor.metrics.enabled
+                if shard.metrics.enabled
             )
             if merged.telemetry:
                 snapshots.append(merged.telemetry)
@@ -1781,11 +1726,11 @@ class WorkerShardedFleetMonitor(ShardedFleetMonitor):
                 # the snapshot is the (empty) parent mirror.  Restoring
                 # such a snapshot needs a router with the same shard
                 # disabled for identical routing — or a rebalance.
-                worker_state = shard.monitor.snapshot()
+                worker_state = shard.snapshot()
             else:
                 worker_state = dict(handle.last_ckpt["monitor"])
             worker_state["queue"] = shard.queue.snapshot()
-            worker_state["seq"] = dict(shard.monitor._seq)
+            worker_state["seq"] = dict(shard._seq)
             shard_states.append(worker_state)
         return {
             "schema": SNAPSHOT_SCHEMA,
@@ -1846,11 +1791,10 @@ class WorkerShardedFleetMonitor(ShardedFleetMonitor):
                 f"snapshot holds {state['n_shards']}."
             )
         fleet.n_batches = int(state["n_batches"])
-        empty_queue_state = ShardQueue().snapshot()
+        empty_queue_state = FleetQueue().snapshot()
         for handle, shard_state in zip(fleet.handles, state["shards"]):
-            shard = fleet.shards[handle.shard_id]
-            monitor = shard.monitor
-            monitor.queue = ShardQueue.restore(shard_state["queue"])
+            monitor = fleet.shards[handle.shard_id]
+            monitor.queue = FleetQueue.restore(shard_state["queue"])
             monitor._seq = dict(shard_state["seq"])
             monitor._step = int(shard_state["step"])
             monitor.stats = MonitorStats.restore(shard_state["stats"])

@@ -9,7 +9,8 @@ from repro.fleet import (
     FleetMonitor,
 )
 from repro.ml import RandomForestClassifier
-from repro.uncertainty import OnlineMonitor, TrustedHMD
+from repro.uncertainty import MonitorStats, OnlineMonitor, TrustedHMD
+from repro.uncertainty.online import ForensicQueue
 from tests.conftest import make_blobs
 
 
@@ -31,6 +32,48 @@ def _arrivals(X, n_devices=6, rounds=10, seed=1):
         for d in range(n_devices):
             events.append((f"dev-{d}", X[rng.integers(len(X))]))
     return events
+
+
+class TestVerdictFold:
+    def test_fold_matches_per_device_reference(self, fitted_hmd):
+        """The dense-index fold equals folding each device's rows alone."""
+        X, y, hmd = fitted_hmd
+        arrivals = _arrivals(X, n_devices=7, rounds=9, seed=4)
+        fleet = FleetMonitor(hmd, batch_size=13)
+        for device_id, window in arrivals:
+            fleet.submit(device_id, window)
+        batches = fleet.drain()
+        for device_id, state in fleet.devices.items():
+            rows = [b.for_device(device_id) for b in batches]
+            expected = MonitorStats()
+            for part in rows:
+                expected.record_verdicts(
+                    part["predictions"], part["entropy"], part["accepted"]
+                )
+            assert state.stats == expected
+            recent = np.concatenate([part["entropy"] for part in rows])
+            np.testing.assert_array_equal(
+                state.entropy_recent.values(), recent[-fleet.entropy_window :]
+            )
+        assert sum(s.n_seen for s in fleet.devices.values()) == len(arrivals)
+
+    def test_flagged_rows_stage_until_read(self, fitted_hmd):
+        """Flagged rows stay columnar until forensics is read, and a
+        full stage flushes so the forensic cap keeps holding."""
+        X, y, hmd = fitted_hmd
+        saddle = 0.5 * (X[y == 0].mean(axis=0) + X[y == 1].mean(axis=0))
+        fleet = FleetMonitor(
+            hmd, batch_size=8, forensics=ForensicQueue(maxlen=20)
+        )
+        fleet.submit_many("dev-a", np.tile(saddle, (8, 1)))
+        fleet.process_batch()
+        assert fleet._stage.rows == 8  # staged, nothing materialised yet
+        fleet.submit_many("dev-a", np.tile(saddle, (40, 1)))
+        fleet.drain()
+        assert fleet._stage.rows < fleet._stage.limit == 20
+        assert len(fleet.forensics) == 20
+        assert fleet._stage.rows == 0
+        assert fleet.forensics.total_flagged == fleet.stats.n_flagged == 48
 
 
 class TestFleetMonitor:

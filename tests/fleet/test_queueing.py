@@ -1,4 +1,4 @@
-"""Tests for the multiplexing queue and backpressure/shedding policy."""
+"""Tests for the arena ingress queue and backpressure/shedding policy."""
 
 import numpy as np
 import pytest
@@ -113,12 +113,14 @@ class TestBulkIngress:
         assert queue.pending(device) == 6
 
     def test_block_take_is_zero_copy_slice(self):
-        """A batch served from one block shares its memory (no copy)."""
+        """A batch served from one arena block is a view of it (no copy)."""
         queue = FleetQueue()
         device, features, seqs = self._block(8)
         queue.submit_block(device, features, seqs)
         batch = queue.take(5)
-        assert np.shares_memory(batch.features, features)
+        rest = queue.take(3)
+        assert batch.features.base is not None
+        assert np.shares_memory(batch.features, rest.features.base)
         np.testing.assert_array_equal(batch.features, features[:5])
         assert batch.seqs.tolist() == [0, 1, 2, 3, 4]
         assert set(batch.device_ids.tolist()) == {device}
@@ -167,116 +169,110 @@ class TestBulkIngress:
         with pytest.raises(ValueError):
             queue.submit_block("d", np.zeros((3, 2)), np.arange(2))
 
-    def test_requests_view_roundtrip(self):
-        queue = FleetQueue()
-        queue.submit_block(*self._block(2, device="a"))
-        requests = queue.take(2).requests()
-        assert [r.device_id for r in requests] == ["a", "a"]
-        assert [r.seq for r in requests] == [0, 1]
-        assert all(isinstance(r, WindowRequest) for r in requests)
 
 
 class TestSegmentHousekeeping:
+    """Storage bounds of the arena's blocks (its storage segments)."""
+
     def test_no_unbounded_segment_growth(self):
-        """Long-running submit/take cycles must not leak dead segments."""
+        """Long-running submit/take cycles must not leak arena blocks."""
         queue = FleetQueue()
-        for seq in range(1000):
+        for seq in range(3000):
             queue.submit(_req(device="d", seq=seq))
             queue.take(1)
         assert len(queue) == 0
-        assert len(queue._by_device["d"]) <= 2
-        assert len(queue._segments) <= 2
+        assert len(queue._blocks) <= 1
 
     def test_drained_device_releases_segments(self):
-        """A device that uploads once and goes quiet must not pin its
-        feature blocks in the per-device deque after a full drain."""
-        queue = FleetQueue()
+        """A device that uploads once and goes quiet must not pin arena
+        blocks through its eviction lookup after a full drain."""
+        queue = FleetQueue(BackpressurePolicy(max_pending_per_device=512))
         for d in range(5):
-            for seq in range(200):
+            for seq in range(300):
                 queue.submit(_req(device=f"dev-{d}", seq=seq))
-        queue.take(1000)
+        queue.take(1500)
         assert len(queue) == 0
-        for d in range(5):
-            assert len(queue._by_device[f"dev-{d}"]) == 0
+        assert queue._dev_rows == {}
+        assert len(queue._blocks) <= 1
 
     def test_no_growth_under_global_eviction(self):
         queue = FleetQueue(BackpressurePolicy(max_pending=2, shed="drop_oldest"))
-        for seq in range(500):
+        for seq in range(5000):
             queue.submit(_req(device="d", seq=seq))
         assert len(queue) == 2
-        assert len(queue._segments) <= 2 * 16
+        assert len(queue._blocks) <= 2
+        assert queue.take(10).seqs.tolist() == [4998, 4999]
 
     def test_segments_compact_under_stalled_consumer(self):
-        """Per-device-cap evictions must not grow the deques while stalled."""
-        policy = BackpressurePolicy(max_pending=4096, max_pending_per_device=4)
+        """Per-device-cap evictions must not grow the arena while stalled."""
+        policy = BackpressurePolicy(max_pending=4096, max_pending_per_device=8)
         queue = FleetQueue(policy)
-        for seq in range(10_000):
+        for seq in range(100_000):
             queue.submit(_req(device="chatty", seq=seq))
-        assert len(queue) == 4
-        assert len(queue._segments) <= 2 * 16 + 1
-        assert queue.take(10).seqs.tolist() == [9996, 9997, 9998, 9999]
+        assert len(queue) == 8
+        assert len(queue._blocks) <= 2
+        assert queue.shed_by_device == {"chatty": 100_000 - 8}
+        assert queue.take(10).seqs.tolist() == list(range(99_992, 100_000))
 
 
 class TestDeadStorageCompaction:
     def test_mostly_dead_segment_releases_prefix_storage(self):
         """A capped device's shed history must not pin block memory.
 
-        Per-device shedding consumes a big submitted block front to
-        back; once the dead prefix dominates, the segment's storage is
-        compacted to its live tail.
+        Per-device shedding tombstones a big submitted block front to
+        back; once tombstones dominate, the arena is rebuilt from its
+        live rows.
         """
-        policy = BackpressurePolicy(max_pending=4096, max_pending_per_device=512)
+        policy = BackpressurePolicy(max_pending=8192, max_pending_per_device=2048)
         queue = FleetQueue(policy)
-        block = np.arange(512 * 3, dtype=float).reshape(512, 3)
-        queue.submit_block("d", block, np.arange(512))
-        # Each new submit evicts the block's oldest row.
-        for seq in range(512, 512 + 400):
+        block = np.arange(2048 * 3, dtype=float).reshape(2048, 3)
+        queue.submit_block("d", block, np.arange(2048))
+        # Each new submit tombstones the block's oldest row.
+        for seq in range(2048, 2048 + 2100):
             queue.submit(_req(device="d", seq=seq))
-        segment = next(s for s in queue._segments if s.n_alive > 0)
-        # The front segment was compacted: its storage holds (close to)
-        # its live rows only, not the original 512-row block.
-        assert len(segment.seqs) <= segment.n_alive * 2
-        assert len(segment.seqs) < 512
+        assert queue._n_dead <= max(len(queue), 1024)
+        assert len(queue._blocks) <= 3
         # Shedding semantics unchanged: freshest rows survive, in order.
-        taken = queue.take(4096)
-        assert taken.seqs.tolist() == list(range(400, 912))
-        assert queue.shed_by_device == {"d": 400}
+        taken = queue.take(8192)
+        assert taken.seqs.tolist() == list(range(2100, 4148))
+        assert queue.shed_by_device == {"d": 2100}
 
     def test_small_segments_not_copied(self):
-        """Compaction must not churn small segments (copy cost > win)."""
+        """Compaction must not churn on small debris (copy cost > win)."""
         policy = BackpressurePolicy(max_pending=4096, max_pending_per_device=8)
         queue = FleetQueue(policy)
-        queue.submit_block("d", np.zeros((16, 2)), np.arange(16))
-        segment = queue._segments[0]
-        storage_before = segment.features
+        queue.submit_block("d", np.zeros((16, 3)), np.arange(16))
+        block = queue._blocks[0]
         for seq in range(16, 24):
             queue.submit(_req(device="d", seq=seq))
-        # 16-row segment: head never exceeds the 32-row threshold.
-        assert segment.features is storage_before
+        # 16 tombstones stay in place: far below one block's worth.
+        assert queue._blocks[0] is block
+        assert block.n_dead == 16
 
     def test_take_reclaims_dead_segments_without_submits(self):
         """A consumer-only phase must still reclaim eviction debris."""
         policy = BackpressurePolicy(max_pending=4096, max_pending_per_device=1)
         queue = FleetQueue(policy)
         # Interleave two devices so per-device eviction kills mid-queue
-        # segments (device "a" rows die behind live "b" rows).
-        for seq in range(200):
+        # rows (device "a" rows die behind live "b" rows).
+        for seq in range(600):
             queue.submit(_req(device="a", seq=seq))
             queue.submit(_req(device="b", seq=seq))
         assert len(queue) == 2
         # Producer stops; only takes happen from here on.
-        queue.take(1)
-        assert len(queue._segments) <= 2 * 16 + 1
-        queue.take(1)
+        assert queue.take(1).seqs.tolist() == [599]
+        assert queue.take(1).seqs.tolist() == [599]
         assert len(queue) == 0
+        assert len(queue._blocks) <= 1
+        assert queue._n_dead == 0
 
     def test_compact_drops_empty_device_deques(self):
-        queue = FleetQueue(BackpressurePolicy(max_pending=2))
+        """Fully evicted devices leave no eviction-lookup entries behind."""
+        queue = FleetQueue(BackpressurePolicy(max_pending=2, max_pending_per_device=4))
         for d in range(100):
             queue.submit(_req(device=f"dev-{d}", seq=0))
-        # 98 devices were fully evicted; their empty deques must not
-        # accumulate once compaction runs.
-        assert len(queue._by_device) <= 2 * 16 + 2
+        # 98 devices were fully evicted by the global bound.
+        assert len(queue._dev_rows) == 2
 
 
 class TestExtractDevice:

@@ -4,9 +4,10 @@ The load-bearing guarantees, in the order the module builds them up:
 
 1. :class:`ShardRouter` assignments are stable and rebalance plans are
    deterministic and minimal;
-2. :class:`ShardQueue` reproduces :class:`FleetQueue` policy semantics
-   operation for operation (fuzzed over submit/submit_block/take
-   interleavings and every shed mode);
+2. :class:`FleetQueue` (the arena queue every shard runs) reproduces a
+   plain-list model of the backpressure policy operation for operation
+   (fuzzed over submit/submit_block/take interleavings and every shed
+   mode);
 3. :class:`PublishedHmd` verdicts (the count-table verdict function)
    are bitwise identical to ``TrustedHMD.analyze`` (fuzzed over
    ensemble kinds, sizes, depths and class counts);
@@ -27,21 +28,21 @@ from repro.fleet import (
     FleetMonitor,
     FleetQueue,
     FleetRetrainer,
-    IndexedWindowBatch,
     PublishedHmd,
-    ShardQueue,
     ShardRouter,
     ShardedFleetMonitor,
+    WindowBatch,
     WindowRequest,
 )
 from repro.fleet.engine import batch_verdict_key
 from repro.fleet.report import device_report_key
+from repro.fleet.state import RingBuffer
 from repro.ml import (
     BaggingClassifier,
     ExtraTreesClassifier,
     RandomForestClassifier,
 )
-from repro.uncertainty import TrustedHMD
+from repro.uncertainty import MonitorStats, TrustedHMD
 from tests.conftest import make_blobs
 
 
@@ -135,6 +136,64 @@ def _random_ops(rng, n_devices, n_ops):
     return ops
 
 
+class _PolicyModel:
+    """The backpressure policy as a plain list of (device, seq, row).
+
+    The reference the arena queue is fuzzed against: every rule of
+    :class:`BackpressurePolicy` spelled out with no storage tricks.
+    """
+
+    def __init__(self, policy):
+        self.policy = policy
+        self.rows = []
+        self.shed_by_device = {}
+
+    def __len__(self):
+        return len(self.rows)
+
+    @property
+    def total_shed(self):
+        return sum(self.shed_by_device.values())
+
+    def pending(self, device):
+        return sum(1 for d, _, _ in self.rows if d == device)
+
+    def _shed(self, device):
+        self.shed_by_device[device] = self.shed_by_device.get(device, 0) + 1
+
+    def submit(self, request):
+        device, cap = request.device_id, self.policy.max_pending_per_device
+        drop_newest = self.policy.shed == "drop_newest"
+        while cap is not None and self.pending(device) >= cap:
+            if drop_newest:
+                self._shed(device)
+                return False
+            oldest = next(i for i, row in enumerate(self.rows) if row[0] == device)
+            self._shed(self.rows.pop(oldest)[0])
+        while len(self.rows) >= self.policy.max_pending:
+            if drop_newest:
+                self._shed(device)
+                return False
+            self._shed(self.rows.pop(0)[0])
+        self.rows.append((device, request.seq, np.asarray(request.features, float)))
+        return True
+
+    def submit_block(self, device, features, seqs):
+        return sum(
+            self.submit(WindowRequest(device, features[i], int(seqs[i])))
+            for i in range(len(seqs))
+        )
+
+    def take(self, n):
+        taken, self.rows = self.rows[:n], self.rows[n:]
+        return WindowBatch(
+            device_ids=np.array([d for d, _, _ in taken]),
+            seqs=np.array([s for _, s, _ in taken], dtype=np.int64),
+            features=np.vstack([x for _, _, x in taken]) if taken else np.empty((0, 0)),
+            device_index=np.empty(0, dtype=np.int64),
+        )
+
+
 def _replay(queue, ops, n_features=4):
     """Run an op list; return the take stream and admission results."""
     taken, admitted = [], []
@@ -168,6 +227,8 @@ def _replay(queue, ops, n_features=4):
 
 
 class TestShardQueue:
+    """The arena queue each shard (and every monitor) runs."""
+
     POLICIES = [
         BackpressurePolicy(),
         BackpressurePolicy(max_pending=20, shed="drop_oldest"),
@@ -188,19 +249,18 @@ class TestShardQueue:
         policy = self.POLICIES[policy_idx]
         rng = np.random.default_rng(1000 * policy_idx + seed)
         ops = _random_ops(rng, n_devices=6, n_ops=120)
-        reference, ref_admitted = _replay(FleetQueue(policy), ops)
-        shard_queue = ShardQueue(policy)
-        actual, actual_admitted = _replay(shard_queue, ops)
+        model, queue = _PolicyModel(policy), FleetQueue(policy)
+        reference, ref_admitted = _replay(model, ops)
+        actual, actual_admitted = _replay(queue, ops)
         assert actual == reference
         assert actual_admitted == ref_admitted
+        assert queue.shed_by_device == model.shed_by_device
         # Drain the rest and compare the tails too.
-        tail_ref, _ = _replay(FleetQueue(policy), ops + [("take", 10_000)])
-        tail_act, _ = _replay(ShardQueue(policy), ops + [("take", 10_000)])
-        assert tail_act == tail_ref
+        assert _replay(queue, [("take", 10_000)]) == _replay(model, [("take", 10_000)])
 
     def test_shed_accounting_matches(self):
         policy = BackpressurePolicy(max_pending=100, max_pending_per_device=3)
-        reference, shard_queue = FleetQueue(policy), ShardQueue(policy)
+        reference, shard_queue = _PolicyModel(policy), FleetQueue(policy)
         for queue in (reference, shard_queue):
             for seq in range(10):
                 queue.submit(
@@ -214,33 +274,33 @@ class TestShardQueue:
         assert shard_queue.total_shed == reference.total_shed
 
     def test_take_returns_indexed_batch(self):
-        queue = ShardQueue()
+        queue = FleetQueue()
         queue.submit_block("a", np.arange(8.0).reshape(2, 4), [0, 1])
         queue.submit(WindowRequest("b", np.zeros(4), 0))
         batch = queue.take(3)
-        assert isinstance(batch, IndexedWindowBatch)
+        assert isinstance(batch, WindowBatch)
         assert batch.device_ids.tolist() == ["a", "a", "b"]
         assert batch.device_index.tolist() == [0, 0, 1]
         assert batch.seqs.tolist() == [0, 1, 0]
 
     def test_uncongested_take_is_zero_copy(self):
-        queue = ShardQueue()
+        queue = FleetQueue()
         queue.submit_block("a", np.arange(12.0).reshape(3, 4), [0, 1, 2])
         batch = queue.take(2)
         assert batch.features.base is not None  # a view of the arena
 
     def test_ragged_rows_rejected(self):
-        queue = ShardQueue()
+        queue = FleetQueue()
         queue.submit(WindowRequest("a", np.zeros(4), 0))
         with pytest.raises(ValueError):
             queue.submit(WindowRequest("a", np.zeros(5), 1))
 
     def test_take_validates_n(self):
         with pytest.raises(ValueError):
-            ShardQueue().take(0)
+            FleetQueue().take(0)
 
     def test_extract_device_moves_rows(self):
-        queue = ShardQueue()
+        queue = FleetQueue()
         queue.submit_block("a", np.ones((3, 2)), [0, 1, 2])
         queue.submit_block("b", np.full((2, 2), 2.0), [0, 1])
         queue.submit(WindowRequest("a", np.full(2, 3.0), 3))
@@ -256,7 +316,7 @@ class TestShardQueue:
         """Quiet devices must not pin dead arena blocks via stale
         (block, pos) eviction entries after their rows are consumed."""
         policy = BackpressurePolicy(max_pending=10_000, max_pending_per_device=32)
-        queue = ShardQueue(policy)
+        queue = FleetQueue(policy)
         for d in range(50):
             queue.submit_block(
                 f"dev-{d}", np.full((16, 3), float(d)), np.arange(16)
@@ -267,11 +327,11 @@ class TestShardQueue:
 
     def test_snapshot_restore_roundtrip(self):
         policy = BackpressurePolicy(max_pending=50, max_pending_per_device=8)
-        queue = ShardQueue(policy)
+        queue = FleetQueue(policy)
         rng = np.random.default_rng(3)
         ops = _random_ops(rng, n_devices=4, n_ops=60)
         _replay(queue, ops)
-        restored = ShardQueue.restore(pickle.loads(pickle.dumps(queue.snapshot())))
+        restored = FleetQueue.restore(pickle.loads(pickle.dumps(queue.snapshot())))
         assert len(restored) == len(queue)
         assert restored.shed_by_device == queue.shed_by_device
         original = queue.take(10_000)
@@ -595,7 +655,106 @@ class TestRetrainIntegration:
             assert result.threshold == reference.threshold
 
 
+def schema1_checkpoint(X):
+    """A ``repro.fleet.sharded/1`` checkpoint spelled out field by field.
+
+    One shard, two registered devices and a three-row backlog in the
+    arena queue format (``"kind": "shard"``) — the payload shape sharded
+    and worker checkpoints have carried since the schema was tagged.
+    """
+    policy = {"max_pending": 64, "max_pending_per_device": None, "shed": "drop_oldest"}
+    forensics = {"samples": (), "maxlen": 100, "total_flagged": 0}
+    devices = [
+        {
+            "device_id": device_id,
+            "cohort": "benign",
+            "stats": MonitorStats().snapshot(),
+            "last_step": -1,
+            "entropy_recent": RingBuffer(8).snapshot(),
+        }
+        for device_id in ("dev-a", "dev-b")
+    ]
+    shard = {
+        "batch_size": 16,
+        "entropy_window": 8,
+        "devices": devices,
+        "seq": {"dev-a": 2, "dev-b": 1},
+        "step": 0,
+        "n_batches": 0,
+        "stats": MonitorStats().snapshot(),
+        "queue": {
+            "kind": "shard",
+            "policy": policy,
+            "device_ids": np.array(["dev-a", "dev-b", "dev-a"]),
+            "seqs": np.array([0, 0, 1], dtype=np.int64),
+            "features": np.array(X[:3], dtype=float),
+            "shed_by_device": {},
+        },
+        "forensics": forensics,
+    }
+    return {
+        "schema": "repro.fleet.sharded/1",
+        "n_shards": 1,
+        "batch_size": 16,
+        "entropy_window": 8,
+        "n_batches": 0,
+        "policy": policy,
+        "shards": [shard],
+        "forensics": forensics,
+    }
+
+
+def assert_schema1_resumes(fleet, hmd, X):
+    """The hand-built checkpoint's backlog drains to analyze's verdicts."""
+    assert fleet.pending == 3
+    keyed = batch_verdict_key(fleet.drain())
+    reference = hmd.analyze(X[:3])
+    for row, key in enumerate([("dev-a", 0), ("dev-b", 0), ("dev-a", 1)]):
+        assert keyed[key] == (
+            reference.predictions[row],
+            reference.entropy[row],
+            bool(reference.accepted[row]),
+        )
+    assert fleet.submit("dev-a", X[3])  # sequence counters carried over
+    assert fleet.drain()[0].seqs.tolist() == [2]
+    assert fleet.report().n_seen == 4
+
+
 class TestSnapshotRestore:
+    def test_restores_hand_built_schema1_checkpoint(self, fitted_hmd):
+        X, y, hmd = fitted_hmd
+        state = pickle.loads(pickle.dumps(schema1_checkpoint(X)))
+        assert_schema1_resumes(ShardedFleetMonitor.restore(hmd, state), hmd, X)
+
+    def test_snapshot_matches_schema1_shape(self, fitted_hmd):
+        """What this build writes has the hand-built checkpoint's keys."""
+        X, y, hmd = fitted_hmd
+        fleet = ShardedFleetMonitor(hmd, n_shards=1, batch_size=16)
+        fleet.submit_many("dev-a", X[:2])
+        state, pinned = fleet.snapshot(), schema1_checkpoint(X)
+        assert set(state) == set(pinned)
+        assert set(state["shards"][0]) == set(pinned["shards"][0])
+        assert set(state["shards"][0]["queue"]) == set(pinned["shards"][0]["queue"])
+        assert state["shards"][0]["queue"]["kind"] == "shard"
+
+    def test_restore_refuses_segment_queue_payload(self, fitted_hmd):
+        """A single-monitor checkpoint from the retired segment queue
+        fails with a ValueError naming the format, before any state."""
+        X, y, hmd = fitted_hmd
+        monitor = FleetMonitor(hmd, batch_size=8)
+        monitor.submit_many("dev-a", X[:2])
+        state = monitor.snapshot()
+        state["queue"] = {
+            "kind": "fleet",
+            "policy": state["queue"]["policy"],
+            "segments": [
+                {"device_id": "dev-a", "seqs": np.arange(2), "features": X[:2]}
+            ],
+            "shed_by_device": {},
+        }
+        with pytest.raises(ValueError, match="'fleet'.*segments"):
+            FleetMonitor.restore(hmd, state)
+
     def test_mid_stream_resume_identical_verdicts(self, fitted_hmd):
         X, y, hmd = fitted_hmd
         arrivals = _arrivals(X, n_devices=10, rounds=20, seed=31)
@@ -666,24 +825,24 @@ class TestSnapshotRestore:
         for i, window in enumerate(storm):
             sharded.submit(f"dev-{i % 4:03d}", window)
         sharded.drain()
-        assert sharded._staged_rows <= sharded._stage_limit
+        assert sharded._stage.rows <= sharded._stage.limit
         assert len(sharded.forensics) <= 40
         assert sharded.forensics.total_flagged == sharded.stats.n_flagged
         assert sharded.stats.n_flagged > 40  # the cap actually bit
 
     def test_shard_monitor_snapshot_self_describing(self, fitted_hmd):
-        """A shard's inner monitor snapshot restores through the public
-        FleetMonitor.restore without naming the queue class."""
+        """A shard's snapshot restores through the public
+        FleetMonitor.restore: shards are plain monitors."""
         X, y, hmd = fitted_hmd
         sharded = ShardedFleetMonitor(hmd, n_shards=2, batch_size=8)
         sharded.submit_many("dev-a", X[:5])
         shard = sharded.shard_for("dev-a")
         restored = FleetMonitor.restore(
-            hmd, pickle.loads(pickle.dumps(shard.monitor.snapshot()))
+            hmd, pickle.loads(pickle.dumps(shard.snapshot()))
         )
-        assert isinstance(restored.queue, ShardQueue)
+        assert isinstance(restored.queue, FleetQueue)
         assert batch_verdict_key(restored.drain()) == batch_verdict_key(
-            shard.monitor.drain()
+            shard.drain()
         )
 
     def test_single_monitor_snapshot_roundtrip(self, fitted_hmd):
@@ -739,9 +898,9 @@ class TestRebalance:
         pending_before = sharded.pending
         sharded.rebalance(4)
         assert sharded.pending == pending_before
-        for shard in sharded.shards:
-            for device_id in shard.monitor.devices:
-                assert sharded.router.shard_of(device_id) == shard.shard_id
+        for shard_id, shard in enumerate(sharded.shards):
+            for device_id in shard.devices:
+                assert sharded.router.shard_of(device_id) == shard_id
         # Per-device seq counters moved with their devices.
         assert sharded.submit_many("dev-000", X[:2]) == 2
         batches = sharded.drain()

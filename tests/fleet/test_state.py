@@ -55,11 +55,14 @@ class TestRingBuffer:
 
 class TestDeviceState:
     def test_record_bulk_counters(self):
+        """The derived rates read the bulk-recorded counters and ring."""
         state = DeviceState(device_id="dev-0", entropy_recent=RingBuffer(8))
         predictions = np.array([1, 0, 1, 1])
         entropy = np.array([0.1, 0.2, 0.9, 0.3])
         accepted = np.array([True, True, False, True])
-        state.record(predictions, entropy, accepted, last_step=4)
+        state.stats.record_verdicts(predictions, entropy, accepted)
+        state.entropy_recent.extend(entropy)
+        state.last_step = 4
         assert state.n_seen == 4
         assert state.n_accepted == 3
         assert state.n_flagged == 1

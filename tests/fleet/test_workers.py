@@ -37,11 +37,12 @@ from repro.fleet import (
 from repro.fleet.engine import batch_verdict_key
 from repro.fleet.resilience import FaultEvent
 from repro.fleet.report import device_report_key, rebind_queue_counters
-from repro.fleet.sharding import SNAPSHOT_SCHEMA, PublishedHmd, ShardQueue
+from repro.fleet.sharding import SNAPSHOT_SCHEMA, PublishedHmd
 from repro.fleet.shm import ShmBlockRing, _unlink, map_publication, publish_model
 from repro.ml import RandomForestClassifier
 from repro.uncertainty import TrustedHMD
 from tests.conftest import make_blobs
+from tests.fleet.test_sharding import assert_schema1_resumes, schema1_checkpoint
 
 mp_mark = pytest.mark.mp
 
@@ -534,6 +535,13 @@ class TestWorkerCheckpointing:
             assert device_report_key(resumed.report()) == device_report_key(
                 inproc.report()
             )
+
+    def test_restores_hand_built_schema1_checkpoint(self, fitted_hmd):
+        X, _, hmd = fitted_hmd
+        with WorkerShardedFleetMonitor.restore(
+            hmd, schema1_checkpoint(X), mp_context="fork"
+        ) as fleet:
+            assert_schema1_resumes(fleet, hmd, X)
 
     def test_inprocess_checkpoint_restores_into_workers(self, fitted_hmd):
         X, _, hmd = fitted_hmd

@@ -146,12 +146,12 @@ class TestMonitorStatsSnapshot:
 class TestDeviceStateSnapshot:
     def test_roundtrip(self):
         state = DeviceState(device_id="dev-7", cohort="zero_day")
-        state.record(
-            np.array([1, 0, 1]),
-            np.array([0.3, 0.1, 0.8]),
-            np.array([True, True, False]),
-            last_step=42,
+        entropy = np.array([0.3, 0.1, 0.8])
+        state.stats.record_verdicts(
+            np.array([1, 0, 1]), entropy, np.array([True, True, False])
         )
+        state.entropy_recent.extend(entropy)
+        state.last_step = 42
         restored = DeviceState.restore(
             pickle.loads(pickle.dumps(state.snapshot()))
         )
