@@ -13,29 +13,36 @@ This is the "Feature Extraction" box of the paper's HMD pipeline
   plus log-scaled raw counts.  Matches Zhou et al., where every counter
   sample is a data point (hence the much larger HPC dataset in Table I).
 
-Two extraction paths are maintained per extractor:
+Two DVFS extraction paths are maintained:
 
 * a **per-window reference path** (:meth:`DvfsFeatureExtractor.extract`,
   :meth:`DvfsFeatureExtractor.extract_windows_reference`) — one window
-  at a time, the readable specification of every feature;
-* a **batched path** (:meth:`DvfsFeatureExtractor.extract_windows`) —
+  and one channel at a time, the readable specification of every
+  feature;
+* a **one-pass path** (:meth:`DvfsFeatureExtractor.extract_windows`) —
   the trace is reshaped to ``(n_windows, n_channels, window_steps)``
-  and every feature is computed for *all* windows at once with
-  whole-tensor numpy ops.
+  and every feature of every channel of every window comes out of
+  whole-tensor numpy ops, with no per-channel loop, written into one
+  preallocated matrix.
 
-The batched path is **bitwise identical** to the reference path.  That
-is not automatic for floating point — it holds because both paths are
-written against the same numpy reduction machinery: every float
-accumulation reduces a *contiguous* innermost axis (numpy applies the
-same pairwise summation to a 1-D contiguous array and to each line of a
-C-contiguous 2-D array), dot products are spelled multiply-then-sum
-(BLAS ``ddot`` has a different accumulation order and is avoided on
-both paths), and everything else is either elementwise or an exact
-integer reduction.  ``tests/hmd/test_features_batched.py`` enforces the
-equivalence across randomized traces.
+The one-pass path is **bitwise identical** to the reference path.  That
+is not automatic for floating point — it holds for three reasons.
+Every float accumulation reduces a *contiguous* innermost axis (numpy
+applies the same pairwise summation to a 1-D contiguous array and to
+each line of a C-contiguous 3-D array).  Dot products are spelled
+multiply-then-sum on both paths (BLAS ``ddot`` accumulates in a
+different order and is avoided).  The counting features — state
+fractions, transition and jump rates, mean dwell — are exact integer
+counts divided by the same denominator the reference's float mean
+divides by, and ``std`` is ``sqrt(var / n)``, the same operations as
+numpy's own.  ``tests/hmd/test_features_batched.py`` and
+``tests/hmd/test_property_features.py`` enforce the equivalence across
+randomized traces.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -212,180 +219,159 @@ class DvfsFeatureExtractor:
 
     # -- batched path --------------------------------------------------
 
+    @classmethod
+    @functools.lru_cache(maxsize=64)
+    def _layout(cls, cardinalities: tuple[int, ...], window_steps: int):
+        """Bin and column indices of :meth:`extract_windows` for one shape.
+
+        Returns the per-channel state counts, first residency bin and
+        float normaliser; the low-half mask and output column of every
+        residency bin; the ``(n_channels, n_stats)`` output columns of the
+        per-channel statistics; the spectral band edges into the full
+        ``rfft`` output (the reference splits the spectrum after its DC
+        bin, so they start at 1); and the channel pairs of the
+        cross-correlations.
+        """
+        k = np.array(cardinalities, dtype=np.int64)
+        n_stats = len(cls._CHANNEL_STATS) + cls.N_SPECTRAL_BANDS
+        bin_start = np.cumsum(k) - k
+        col_start = bin_start + np.arange(len(k)) * n_stats
+        channel = np.repeat(np.arange(len(k)), k)
+        state = np.arange(k.sum()) - bin_start[channel]
+        denom = np.maximum(k - 1, 1)
+        bands = np.array_split(np.arange(window_steps // 2), cls.N_SPECTRAL_BANDS)
+        layout = (
+            k,
+            bin_start,
+            denom[:, None].astype(float),
+            state / denom[channel] < 0.5,
+            col_start[channel] + state,
+            (col_start + k)[:, None] + np.arange(n_stats),
+            np.cumsum([1] + [len(band) for band in bands]),
+            *np.triu_indices(len(k), k=1),
+        )
+        for array in layout:  # shared by every call through the cache
+            array.flags.writeable = False
+        return layout
+
     def extract_windows(self, trace: DvfsTrace, window_steps: int) -> np.ndarray:
         """Split a long trace into windows and extract all of them at once.
 
         Trailing steps that do not fill a whole window are dropped.
         Returns the same ``(n_windows, n_features)`` matrix as
-        :meth:`extract_windows_reference`, bitwise, but computed with
-        whole-tensor ops: one offset-``bincount`` per channel for the
-        residency histograms, axis-wise ``diff`` reductions for the
-        transition statistics, flattened change-point arithmetic for the
-        dwell run-lengths, one batched ``rfft`` per channel for the
-        spectral bands, and pairwise multiply-sum for the cross-channel
-        correlations.
+        :meth:`extract_windows_reference`, bitwise, from one pass over the
+        ``(n_windows, n_channels, window_steps)`` state tensor with no
+        per-channel loop: one offset-``bincount`` counts the residency of
+        every (window, channel) pair, and one ``diff``, one ``rfft`` and
+        one run-length pass cover all channels.  The state fractions,
+        transition and jump rates and the mean dwell are integer counts
+        divided by the same denominator the reference's float mean
+        divides by, so they are exact.
         """
         n_windows = self._check_windowing(trace, window_steps)
         n_channels = trace.n_channels
-        used = n_windows * window_steps
-        # (n_windows, n_channels, window_steps) with each per-(window,
-        # channel) series contiguous — the layout every reduction below
-        # needs for bitwise identity with the 1-D reference path.
-        S = np.ascontiguousarray(
-            trace.states[:used]
-            .reshape(n_windows, window_steps, n_channels)
-            .transpose(0, 2, 1)
+        T = window_steps
+        used = n_windows * T
+        cardinalities = tuple(trace.n_states(c) for c in range(n_channels))
+        k, bin_start, denom, low_half, hist_cols, stat_cols, edges, a, b = (
+            self._layout(cardinalities, T)
         )
-
-        blocks: list[np.ndarray] = []
-        stds = np.empty((n_windows, n_channels))
-        variances = np.empty((n_windows, n_channels))
-        centered_all = np.empty((n_windows, n_channels, window_steps))
-
-        for c in range(n_channels):
-            states = S[:, c, :]
-            n_states = trace.n_states(c)
-            if states.size and int(states.max()) >= n_states:
-                # The offset bincount below would silently bleed an
-                # out-of-range state into the next window's bin block;
-                # fail loudly instead (the per-window reference path
-                # errors on such traces too, at stack time).
-                raise ValueError(
-                    f"channel {trace.channel_names[c]!r} contains state "
-                    f"{int(states.max())} but only {n_states} frequency "
-                    "states are defined."
-                )
-
-            # Residency histogram: one bincount over all windows, each
-            # window shifted into its own bin block.
-            offsets = np.arange(n_windows, dtype=np.int64)[:, None] * n_states
-            counts = np.bincount(
-                (states + offsets).ravel(), minlength=n_windows * n_states
-            ).reshape(n_windows, n_states)
-            hist = counts.astype(float)
-            hist /= window_steps
-
-            norm = states / max(n_states - 1, 1)
-            mean = norm.mean(axis=-1)
-            std = norm.std(axis=-1)
-            stds[:, c] = std
-
-            diffs = np.diff(states, axis=-1)
-            nonzero = diffs != 0
-            transition_rate = nonzero.mean(axis=-1)
-            up_rate = (diffs > 0).mean(axis=-1)
-            abs_jump = np.abs(diffs)
-            mean_jump = abs_jump.mean(axis=-1)
-            max_jump = abs_jump.max(axis=-1).astype(float)
-
-            mean_dwell, max_dwell_frac = self._dwell_stats_batched(nonzero)
-
-            centered = norm - mean[:, None]
-            centered_all[:, c, :] = centered
-            var = (centered * centered).sum(axis=-1)
-            variances[:, c] = var
-            numer = (centered[:, :-1] * centered[:, 1:]).sum(axis=-1)
-            autocorr = np.zeros(n_windows)
-            valid = var > 1e-12
-            if window_steps > 1:
-                np.divide(numer, var, out=autocorr, where=valid)
-
-            bands = self._spectral_bands_batched(centered)
-
-            blocks.append(
-                np.column_stack(
-                    [
-                        hist,
-                        mean,
-                        std,
-                        transition_rate,
-                        up_rate,
-                        mean_jump,
-                        max_jump,
-                        (states == n_states - 1).mean(axis=-1),
-                        (states == 0).mean(axis=-1),
-                        (norm < 0.5).mean(axis=-1),
-                        mean_dwell,
-                        max_dwell_frac,
-                        autocorr,
-                        bands,
-                    ]
-                )
+        # Each per-(window, channel) series contiguous: the layout every
+        # float reduction below needs for bitwise identity with the 1-D
+        # reference path.
+        S = np.ascontiguousarray(
+            trace.states[:used].reshape(n_windows, T, n_channels).transpose(0, 2, 1)
+        )
+        lowest, highest = S.min(axis=(0, 2)), S.max(axis=(0, 2))
+        bad = np.flatnonzero((lowest < 0) | (highest >= k))
+        if bad.size:
+            # The offset bincount below would silently bleed an
+            # out-of-range state into a neighbouring bin block; fail
+            # loudly instead (the reference path errors too).
+            c = int(bad[0])
+            state = int(lowest[c]) if lowest[c] < 0 else int(highest[c])
+            raise ValueError(
+                f"channel {trace.channel_names[c]!r} contains state {state} "
+                f"but only {k[c]} frequency states are defined."
             )
 
-        if n_channels > 1:
-            idx_a, idx_b = np.triu_indices(n_channels, k=1)
-            # Fancy indexing copies → contiguous lines → the per-pair
-            # multiply-sum reduces exactly like the 1-D reference.
-            ca = centered_all[:, idx_a, :]
-            cb = centered_all[:, idx_b, :]
-            numer = (ca * cb).sum(axis=-1)
-            denom = np.sqrt(variances[:, idx_a] * variances[:, idx_b])
-            valid = (stds[:, idx_a] > 1e-9) & (stds[:, idx_b] > 1e-9)
-            xcorr = np.zeros_like(numer)
-            np.divide(numer, denom, out=xcorr, where=valid)
-            np.clip(xcorr, -1.0, 1.0, out=xcorr)
-            blocks.append(xcorr)
+        n_bins = len(hist_cols)
+        offsets = np.arange(n_windows)[:, None] * n_bins + bin_start
+        counts = np.bincount(
+            (S + offsets[:, :, None]).ravel(), minlength=n_windows * n_bins
+        ).reshape(n_windows, n_bins)
+        hist = counts / T
 
-        temp = trace.temperature_c[:used].reshape(n_windows, window_steps)
-        slope = (temp[:, -1] - temp[:, 0]) / max(window_steps - 1, 1)
-        blocks.append(
-            np.column_stack([temp.mean(axis=-1), temp.std(axis=-1), slope])
-        )
-        return np.concatenate(
-            [b if b.ndim == 2 else b[:, None] for b in blocks], axis=1
-        )
+        centered = S / denom
+        mean = centered.mean(axis=-1)
+        centered -= mean[..., None]
+        var = (centered * centered).sum(axis=-1)
 
-    @staticmethod
-    def _dwell_stats_batched(nonzero_diffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-window dwell statistics via flattened run-length arithmetic.
+        feats = np.zeros((n_windows,) + stat_cols.shape)
+        feats[..., 0] = mean
+        feats[..., 1] = np.sqrt(var / T)  # numpy's std, reusing var
 
-        ``nonzero_diffs`` is the boolean ``(n_windows, window_steps-1)``
-        change mask.  Runs never span windows (each window's first step
-        starts a run), so run lengths of *all* windows fall out of one
-        ``flatnonzero``/``diff`` pass over the flattened mask.
-        """
-        n_windows, m = nonzero_diffs.shape
-        window_steps = m + 1
-        starts = np.empty((n_windows, window_steps), dtype=bool)
-        starts[:, 0] = True
-        starts[:, 1:] = nonzero_diffs
-        flat_starts = np.flatnonzero(starts.ravel())
-        run_lengths = np.diff(
-            np.append(flat_starts, n_windows * window_steps)
-        )
-        window_of_run = flat_starts // window_steps
-        n_runs = np.bincount(window_of_run, minlength=n_windows)
-        first_run = np.searchsorted(window_of_run, np.arange(n_windows))
-        max_run = np.maximum.reduceat(run_lengths, first_run)
-        # Run lengths per window sum to exactly window_steps, so the
-        # reference's float mean is exactly window_steps / n_runs.
-        mean_dwell = window_steps / n_runs
-        max_dwell_frac = max_run / window_steps
-        return mean_dwell, max_dwell_frac
+        diffs = S[..., 1:] - S[..., :-1]
+        moved = diffs != 0
+        n_runs = moved.sum(axis=-1) + 1
+        jumps = np.abs(diffs)
+        feats[..., 2] = (n_runs - 1) / (T - 1)
+        feats[..., 3] = (diffs > 0).sum(axis=-1) / (T - 1)
+        feats[..., 4] = jumps.sum(axis=-1) / (T - 1)
+        feats[..., 5] = jumps.max(axis=-1)
+        feats[..., 6] = hist[:, bin_start + k - 1]
+        feats[..., 7] = hist[:, bin_start]
+        feats[..., 8] = np.add.reduceat(counts * low_half, bin_start, axis=1) / T
+        feats[..., 9] = T / n_runs  # run lengths sum to exactly T
+        # Run lengths of every (window, channel) row in one pass: each
+        # row's first step starts a run, so no run spans two rows.
+        starts = np.ones((n_windows * n_channels, T), dtype=bool)
+        starts[:, 1:] = moved.reshape(-1, T - 1)
+        run_length = np.diff(np.flatnonzero(starts), append=starts.size)
+        first_run = np.cumsum(n_runs) - n_runs.ravel()
+        max_run = np.maximum.reduceat(run_length, first_run)
+        feats[..., 10] = max_run.reshape(n_windows, n_channels) / T
+        # Free the integer tensors before the float tensors below are
+        # made; they are as large, so this bounds peak memory.
+        del S, diffs, moved, jumps, starts, run_length
 
-    def _spectral_bands_batched(self, centered: np.ndarray) -> np.ndarray:
-        """Band energies for all windows of one channel at once.
+        lag1 = (centered[..., :-1] * centered[..., 1:]).sum(axis=-1)
+        np.divide(lag1, var, out=feats[..., 11], where=var > 1e-12)
 
-        ``centered`` is the mean-removed normalised signal,
-        ``(n_windows, window_steps)`` contiguous; one batched ``rfft``
-        covers every window.
-        """
-        n_windows = centered.shape[0]
         spectrum = np.abs(np.fft.rfft(centered, axis=-1)) ** 2
-        out = np.zeros((n_windows, self.N_SPECTRAL_BANDS))
-        if spectrum.shape[-1] <= 1:
-            return out
-        spectrum = spectrum[:, 1:]  # drop DC
-        total = spectrum.sum(axis=-1)
-        valid = total > 0
-        # Same band boundaries as np.array_split in the reference.
-        edges = np.array_split(np.arange(spectrum.shape[-1]), self.N_SPECTRAL_BANDS)
-        for b, edge in enumerate(edges):
-            if len(edge) == 0:
-                continue
-            band_sum = spectrum[:, edge[0] : edge[-1] + 1].sum(axis=-1)
-            np.divide(band_sum, total, out=out[:, b], where=valid)
+        total = spectrum[..., 1:].sum(axis=-1)
+        for band in range(self.N_SPECTRAL_BANDS):
+            np.divide(
+                spectrum[..., edges[band] : edges[band + 1]].sum(axis=-1),
+                total,
+                out=feats[..., len(self._CHANNEL_STATS) + band],
+                where=total > 0,
+            )
+
+        n_channel_cols = n_bins + stat_cols.size
+        out = np.empty((n_windows, n_channel_cols + len(a) + 3))
+        out[:, hist_cols] = hist
+        out[:, stat_cols] = feats
+        # Fancy indexing copies → contiguous lines → the per-pair
+        # multiply-sum reduces exactly like the 1-D reference.
+        pair = centered[:, a, :]
+        pair *= centered[:, b, :]
+        numer = pair.sum(axis=-1)
+        std = feats[..., 1]
+        xcorr = np.zeros_like(numer)
+        np.divide(
+            numer,
+            np.sqrt(var[:, a] * var[:, b]),
+            out=xcorr,
+            where=(std[:, a] > 1e-9) & (std[:, b] > 1e-9),
+        )
+        np.clip(xcorr, -1.0, 1.0, out=out[:, n_channel_cols:-3])
+
+        temp = trace.temperature_c[:used].reshape(n_windows, T)
+        out[:, -3] = temp_mean = temp.mean(axis=-1)
+        temp_centered = temp - temp_mean[:, None]
+        out[:, -2] = np.sqrt((temp_centered * temp_centered).sum(axis=-1) / T)
+        out[:, -1] = (temp[:, -1] - temp[:, 0]) / (T - 1)
         return out
 
 

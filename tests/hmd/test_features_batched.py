@@ -6,7 +6,7 @@ performance backends: they must never change results.
 * ``DvfsFeatureExtractor.extract_windows`` (whole-tensor) vs.
   ``extract_windows_reference`` (per-window loop): **bitwise identical**
   across randomized trace lengths, channel counts, state cardinalities,
-  constant signals and minimal (len ≤ 2) windows.
+  state dtypes, constant signals and minimal (len ≤ 2) windows.
 * ``HpcFeatureExtractor.extract_many`` vs. stacked per-trace
   ``extract``: bitwise identical.
 * The fused affine front of ``TrustedHMD``/``UntrustedHMD`` vs. the
@@ -31,6 +31,10 @@ from repro.uncertainty.trust import TrustedHMD, UntrustedHMD
 from tests.conftest import make_blobs
 
 
+#: State counts of the simulated SoC's channels (big, LITTLE, GPU).
+SOC_CARDINALITIES = [8, 7, 6]
+
+
 def random_dvfs_trace(
     rng,
     *,
@@ -38,6 +42,7 @@ def random_dvfs_trace(
     n_channels=None,
     cardinalities=None,
     constant_channel=False,
+    dtype=np.int64,
 ):
     """A synthetic DVFS trace with arbitrary channel/state structure."""
     if cardinalities is None:
@@ -45,7 +50,7 @@ def random_dvfs_trace(
         cardinalities = [int(rng.integers(1, 9)) for _ in range(n_channels)]
     states = np.column_stack(
         [rng.integers(0, k, n_steps) for k in cardinalities]
-    )
+    ).astype(dtype)
     if constant_channel:
         states[:, 0] = 0
     return DvfsTrace(
@@ -73,11 +78,15 @@ class TestDvfsBatchedEquivalence:
         rng = np.random.default_rng(1000 + seed)
         extractor = DvfsFeatureExtractor()
         for _ in range(6):
-            window_steps = int(rng.choice([2, 3, 5, 17, 96]))
+            window_steps = int(rng.choice([2, 3, 5, 17, 96, 240]))
             n_windows = int(rng.integers(1, 12))
             n_steps = window_steps * n_windows + int(rng.integers(0, window_steps))
             trace = random_dvfs_trace(
-                rng, n_steps=n_steps, constant_channel=rng.random() < 0.25
+                rng,
+                n_steps=n_steps,
+                cardinalities=SOC_CARDINALITIES if rng.random() < 0.25 else None,
+                constant_channel=rng.random() < 0.25,
+                dtype=(np.int8, np.int32, np.int64)[int(rng.integers(3))],
             )
             batched = extractor.extract_windows(trace, window_steps)
             reference = extractor.extract_windows_reference(trace, window_steps)
@@ -86,6 +95,20 @@ class TestDvfsBatchedEquivalence:
                 n_steps // window_steps,
                 len(extractor.feature_names(trace)),
             )
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64])
+    def test_soc_shape_partial_window_bitwise(self, dtype):
+        """The production shape: 8/7/6 states, 240-step windows (30-bin
+        spectral bands), a partial trailing window dropped."""
+        rng = np.random.default_rng(17)
+        extractor = DvfsFeatureExtractor()
+        trace = random_dvfs_trace(
+            rng, n_steps=5 * 240 + 17, cardinalities=SOC_CARDINALITIES, dtype=dtype
+        )
+        batched = extractor.extract_windows(trace, 240)
+        reference = extractor.extract_windows_reference(trace, 240)
+        assert np.array_equal(batched, reference)
+        assert batched.shape == (5, len(extractor.feature_names(trace)))
 
     def test_minimal_windows_bitwise(self):
         """window_steps == 2: single-diff transitions, tiny spectra."""
@@ -157,6 +180,22 @@ class TestDvfsBatchedEquivalence:
         )
         with pytest.raises(ValueError, match="frequency states"):
             extractor.extract_windows(trace, 4)
+
+    def test_negative_state_fails_loudly(self):
+        """A negative state must not land in the previous window's bins."""
+        extractor = DvfsFeatureExtractor()
+        states = np.ones((8, 1), dtype=int)
+        states[5] = -1  # window 1; would count as state 1 of window 0
+        trace = DvfsTrace(
+            states=states,
+            frequencies_mhz=((100.0, 200.0),),
+            channel_names=("cpu",),
+            temperature_c=np.full(8, 40.0),
+        )
+        with pytest.raises(ValueError, match="'cpu' contains state -1"):
+            extractor.extract_windows(trace, 4)
+        with pytest.raises(ValueError):
+            extractor.extract_windows_reference(trace, 4)
 
 
 class TestHpcBulkEquivalence:
