@@ -23,16 +23,22 @@ import numpy as np
 from ..data import build_dvfs_dataset, build_hpc_dataset
 from ..formatting import format_table
 from ..data.dataset import HmdDataset
+from ..fleet import BackpressurePolicy, FleetWindowSampler
+from ..hmd.apps import DVFS_KNOWN_BENIGN, DVFS_KNOWN_MALWARE, DVFS_UNKNOWN
 from ..ml.base import BaseEstimator
 from ..ml.ensemble import BaggingClassifier, RandomForestClassifier
 from ..ml.linear import LogisticRegression
 from ..ml.preprocessing import StandardScaler
 from ..ml.svm import LinearSVC
+from ..sim.workloads import FleetPopulation
 from ..uncertainty.estimator import EnsembleUncertaintyEstimator
+from ..uncertainty.trust import TrustedHMD
 
 __all__ = [
     "ExperimentConfig",
     "ExperimentContext",
+    "FleetScenario",
+    "fleet_scenario",
     "make_ensemble",
     "boxplot_stats",
     "format_table",
@@ -194,6 +200,68 @@ class ExperimentContext:
                 predictions_unknown=pred_unknown,
             )
         return self._fitted[key]
+
+
+@dataclass(frozen=True)
+class FleetScenario:
+    """The deployment the fleet runners drive: one model, one fleet."""
+
+    hmd: TrustedHMD
+    dataset: HmdDataset
+    devices: list
+    windows_per_device: int
+    seed: int
+
+    @property
+    def n_windows(self) -> int:
+        """Windows one drive offers (every device, every round)."""
+        return len(self.devices) * self.windows_per_device
+
+    @property
+    def policy(self) -> BackpressurePolicy:
+        """Room for a whole drive, so a closed loop never sheds."""
+        return BackpressurePolicy(max_pending=self.n_windows + 1)
+
+    def arrivals(self) -> list:
+        """Round-robin ``(device_id, window)`` traffic from the dataset."""
+        sampler = FleetWindowSampler(self.dataset, self.devices, random_state=self.seed)
+        return list(sampler.rounds(self.windows_per_device))
+
+
+def fleet_scenario(
+    ctx: ExperimentContext,
+    *,
+    n_devices: int,
+    windows_per_device: int,
+    mode: str = "float64",
+) -> FleetScenario:
+    """Fit the fleet's shared HMD on DVFS and sample its device population.
+
+    No PCA: with the scaler-only front every per-window computation is
+    row-independent, so batched verdicts stay bitwise reproducible
+    whatever the batching.  The quantized mode needs a hist-grown
+    forest; every mode runs on the model compiled for it.
+    """
+    cfg = ctx.config
+    dataset = ctx.dataset("dvfs")
+    hmd = TrustedHMD(
+        RandomForestClassifier(
+            n_estimators=cfg.n_estimators,
+            random_state=cfg.seed,
+            grower="hist" if mode == "quantized" else "exact",
+        ),
+        threshold=0.40,
+    ).fit(dataset.train.X, dataset.train.y)
+    hmd.compile(mode=mode)
+    devices = FleetPopulation(
+        DVFS_KNOWN_BENIGN,
+        DVFS_KNOWN_MALWARE,
+        DVFS_UNKNOWN,
+        malware_fraction=0.08,
+        zero_day_fraction=0.05,
+        random_state=cfg.seed,
+    ).sample(n_devices)
+    return FleetScenario(hmd, dataset, devices, windows_per_device, cfg.seed)
 
 
 def boxplot_stats(values: np.ndarray) -> dict[str, float]:

@@ -21,14 +21,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from ..fleet import (
-    BackpressurePolicy,
-    FleetWindowSampler,
-    ShardedFleetMonitor,
-    WorkerShardedFleetMonitor,
-)
-from ..hmd.apps import DVFS_KNOWN_BENIGN, DVFS_KNOWN_MALWARE, DVFS_UNKNOWN
-from ..ml.ensemble import RandomForestClassifier
+from ..fleet import ShardedFleetMonitor, WorkerShardedFleetMonitor
 from ..obs import (
     Dashboard,
     MetricsUpdate,
@@ -40,9 +33,7 @@ from ..obs import (
     TraceUpdate,
     ansi_frame,
 )
-from ..sim.workloads import FleetPopulation
-from ..uncertainty.trust import TrustedHMD
-from .common import ExperimentConfig, ExperimentContext, resolve_mode
+from .common import ExperimentConfig, ExperimentContext, fleet_scenario, resolve_mode
 
 __all__ = ["DashboardResult", "run_dashboard"]
 
@@ -167,33 +158,13 @@ def run_dashboard(
     """
     mode = resolve_mode(dtype, quantized)
     ctx = context if context is not None else ExperimentContext(config)
-    cfg = ctx.config
-    dataset = ctx.dataset("dvfs")
-
-    hmd = TrustedHMD(
-        RandomForestClassifier(
-            n_estimators=cfg.n_estimators,
-            random_state=cfg.seed,
-            grower="hist" if mode == "quantized" else "exact",
-        ),
-        threshold=0.40,
-    ).fit(dataset.train.X, dataset.train.y)
-    hmd.compile(mode=mode)
-
-    population = FleetPopulation(
-        DVFS_KNOWN_BENIGN,
-        DVFS_KNOWN_MALWARE,
-        DVFS_UNKNOWN,
-        malware_fraction=0.08,
-        zero_day_fraction=0.05,
-        random_state=cfg.seed,
+    scenario = fleet_scenario(
+        ctx, n_devices=n_devices, windows_per_device=windows_per_device, mode=mode
     )
-    devices = population.sample(n_devices)
-    sampler = FleetWindowSampler(dataset, devices, random_state=cfg.seed)
-    arrivals = list(sampler.rounds(windows_per_device))
-    policy = BackpressurePolicy(max_pending=len(arrivals) + 1)
+    hmd, devices, policy = scenario.hmd, scenario.devices, scenario.policy
+    arrivals = scenario.arrivals()
 
-    tracer = TraceContext(TraceSampler(rate=trace_rate, seed=cfg.seed))
+    tracer = TraceContext(TraceSampler(rate=trace_rate, seed=ctx.config.seed))
     dashboard = Dashboard()
     if live is None:
         live = stream is None and sys.stdout.isatty()

@@ -16,18 +16,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from ..fleet import (
-    BackpressurePolicy,
-    FleetMonitor,
-    FleetWindowSampler,
-    batched_verdicts_equal_sequential,
-)
-from ..hmd.apps import DVFS_KNOWN_BENIGN, DVFS_KNOWN_MALWARE, DVFS_UNKNOWN
-from ..ml.ensemble import RandomForestClassifier
-from ..sim.workloads import FleetPopulation
+from ..fleet import FleetMonitor, batched_verdicts_equal_sequential
 from ..uncertainty.online import ForensicQueue, OnlineMonitor
-from ..uncertainty.trust import TrustedHMD
-from .common import ExperimentConfig, ExperimentContext, format_table
+from .common import ExperimentConfig, ExperimentContext, fleet_scenario, format_table
 
 __all__ = ["FleetResult", "run_fleet"]
 
@@ -81,30 +72,14 @@ def run_fleet(
 ) -> FleetResult:
     """Screen a simulated fleet sequentially vs. batched."""
     ctx = context if context is not None else ExperimentContext(config)
-    cfg = ctx.config
-    dataset = ctx.dataset("dvfs")
-
-    # One trusted HMD shared by the fleet.  No PCA: every per-window
-    # computation stays row-independent, so batched results are bitwise
-    # reproducible against the sequential path.
-    hmd = TrustedHMD(
-        RandomForestClassifier(
-            n_estimators=cfg.n_estimators, random_state=cfg.seed
-        ),
-        threshold=0.40,
-    ).fit(dataset.train.X, dataset.train.y)
-
-    population = FleetPopulation(
-        DVFS_KNOWN_BENIGN,
-        DVFS_KNOWN_MALWARE,
-        DVFS_UNKNOWN,
-        malware_fraction=0.08,
-        zero_day_fraction=0.05,
-        random_state=cfg.seed,
+    # One trusted HMD shared by the fleet, row-independent end to end,
+    # so batched results are bitwise reproducible against the
+    # sequential path.
+    scenario = fleet_scenario(
+        ctx, n_devices=n_devices, windows_per_device=windows_per_device
     )
-    devices = population.sample(n_devices)
-    sampler = FleetWindowSampler(dataset, devices, random_state=cfg.seed)
-    arrivals = list(sampler.rounds(windows_per_device))
+    hmd = scenario.hmd
+    arrivals = scenario.arrivals()
 
     # -- sequential baseline: one ensemble pass per window -------------
     sequential = OnlineMonitor(hmd, queue=ForensicQueue())
@@ -115,12 +90,8 @@ def run_fleet(
     sequential_elapsed = time.perf_counter() - t0
 
     # -- batched fleet engine: one vectorised pass per batch -----------
-    fleet = FleetMonitor(
-        hmd,
-        batch_size=batch_size,
-        policy=BackpressurePolicy(max_pending=len(arrivals) + 1),
-    )
-    fleet.register_fleet(devices)
+    fleet = FleetMonitor(hmd, batch_size=batch_size, policy=scenario.policy)
+    fleet.register_fleet(scenario.devices)
     t0 = time.perf_counter()
     for device_id, window in arrivals:
         fleet.submit(device_id, window)

@@ -31,21 +31,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..fleet import BackpressurePolicy, FleetMonitor
+from ..fleet import FleetMonitor
 from ..fleet.engine import batch_verdict_key
-from ..hmd.apps import DVFS_KNOWN_BENIGN, DVFS_KNOWN_MALWARE, DVFS_UNKNOWN
 from ..hmd.features import DvfsFeatureExtractor
-from ..ml.ensemble import RandomForestClassifier
 from ..ml.validation import check_random_state
 from ..obs import JsonlExporter, summarize_snapshot
 from ..sim.batch import ActivityBatch
 from ..sim.power import SocSimulator
 from ..sim.trace import DvfsTrace
-from ..sim.workloads import FleetPopulation, _generate_batch
-from ..uncertainty.trust import TrustedHMD
+from ..sim.workloads import _generate_batch
 from .common import (
     ExperimentConfig,
     ExperimentContext,
+    fleet_scenario,
     format_table,
     resolve_mode,
 )
@@ -163,37 +161,15 @@ def run_ingest(
     telemetry = telemetry or telemetry_out is not None
     mode = resolve_mode(dtype, quantized)
     ctx = context if context is not None else ExperimentContext(config)
-    cfg = ctx.config
-    dataset = ctx.dataset("dvfs")
-    window_steps = dataset.metadata.get("window_steps", 240)
-
-    # No PCA: with the scaler-only front every per-window computation is
-    # row-independent and bitwise reproducible across batch composition.
-    hmd = TrustedHMD(
-        RandomForestClassifier(
-            n_estimators=cfg.n_estimators,
-            random_state=cfg.seed,
-            grower="hist" if mode == "quantized" else "exact",
-        ),
-        threshold=0.40,
-    ).fit(dataset.train.X, dataset.train.y)
-    hmd.compile(mode=mode)
-
-    population = FleetPopulation(
-        DVFS_KNOWN_BENIGN,
-        DVFS_KNOWN_MALWARE,
-        DVFS_UNKNOWN,
-        malware_fraction=0.08,
-        zero_day_fraction=0.05,
-        random_state=cfg.seed,
+    scenario = fleet_scenario(
+        ctx, n_devices=n_devices, windows_per_device=windows_per_device, mode=mode
     )
-    devices = population.sample(n_devices)
+    hmd, policy, n_windows = scenario.hmd, scenario.policy, scenario.n_windows
+    window_steps = scenario.dataset.metadata.get("window_steps", 240)
     traces = _device_traces(
-        devices, window_steps, windows_per_device, seed=cfg.seed
+        scenario.devices, window_steps, windows_per_device, seed=ctx.config.seed
     )
     extractor = DvfsFeatureExtractor()
-    n_windows = n_devices * windows_per_device
-    policy = BackpressurePolicy(max_pending=n_windows + 1)
 
     # -- reference: per-window extraction, per-row submission ----------
     reference = FleetMonitor(hmd, batch_size=batch_size, policy=policy)

@@ -26,24 +26,19 @@ import time
 from dataclasses import dataclass
 
 from ..fleet import (
-    BackpressurePolicy,
     FaultPlan,
     FleetMonitor,
-    FleetWindowSampler,
     ShardedFleetMonitor,
     WorkerShardedFleetMonitor,
     account_windows,
 )
 from ..fleet.engine import batch_verdict_key, batch_window_keys
 from ..fleet.report import device_report_key
-from ..hmd.apps import DVFS_KNOWN_BENIGN, DVFS_KNOWN_MALWARE, DVFS_UNKNOWN
-from ..ml.ensemble import RandomForestClassifier
 from ..obs import JsonlExporter, merge_snapshots, summarize_snapshot
-from ..sim.workloads import FleetPopulation
-from ..uncertainty.trust import TrustedHMD
 from .common import (
     ExperimentConfig,
     ExperimentContext,
+    fleet_scenario,
     format_table,
     resolve_mode,
 )
@@ -191,33 +186,12 @@ def run_shard(
                          "into the worker backend).")
     mode = resolve_mode(dtype, quantized)
     ctx = context if context is not None else ExperimentContext(config)
-    cfg = ctx.config
-    dataset = ctx.dataset("dvfs")
-
-    # One trusted HMD shared by every core (no PCA: row-independent
-    # front keeps batched results bitwise reproducible).
-    hmd = TrustedHMD(
-        RandomForestClassifier(
-            n_estimators=cfg.n_estimators,
-            random_state=cfg.seed,
-            grower="hist" if mode == "quantized" else "exact",
-        ),
-        threshold=0.40,
-    ).fit(dataset.train.X, dataset.train.y)
-    hmd.compile(mode=mode)
-
-    population = FleetPopulation(
-        DVFS_KNOWN_BENIGN,
-        DVFS_KNOWN_MALWARE,
-        DVFS_UNKNOWN,
-        malware_fraction=0.08,
-        zero_day_fraction=0.05,
-        random_state=cfg.seed,
+    # One trusted HMD shared by every core.
+    scenario = fleet_scenario(
+        ctx, n_devices=n_devices, windows_per_device=windows_per_device, mode=mode
     )
-    devices = population.sample(n_devices)
-    sampler = FleetWindowSampler(dataset, devices, random_state=cfg.seed)
-    arrivals = list(sampler.rounds(windows_per_device))
-    policy = BackpressurePolicy(max_pending=len(arrivals) + 1)
+    hmd, devices, policy = scenario.hmd, scenario.devices, scenario.policy
+    arrivals = scenario.arrivals()
 
     def drive(monitor):
         monitor.register_fleet(devices)

@@ -86,20 +86,31 @@ class FlaggedStage:
         self.rows = 0
         self.limit = min(queue.maxlen, 8192)
 
-    def add(self, block: tuple) -> None:
-        """Stage one ``(features, predictions, entropy, steps,
-        device_ids, seqs)`` block."""
-        self.blocks.append(block)
-        self.rows += len(block[-1])
+    def add(self, batch, predictions, entropy, accepted, base_step: int) -> int:
+        """Stage a batch's withheld rows columnar; returns their count.
 
-    def take(self) -> list[tuple]:
-        """Hand the staged blocks over (the stage is left empty)."""
-        blocks, self.blocks, self.rows = self.blocks, [], 0
-        return blocks
+        Fancy-indexed rows are fresh copies, so the stage never pins
+        the arena blocks (or shared-memory slots) underneath.
+        """
+        flagged = np.flatnonzero(~np.asarray(accepted, dtype=bool))
+        if len(flagged):
+            self.blocks.append(
+                (
+                    batch.features[flagged],
+                    predictions[flagged],
+                    entropy[flagged],
+                    base_step + flagged + 1,
+                    batch.device_ids[flagged],
+                    batch.seqs[flagged],
+                )
+            )
+            self.rows += len(flagged)
+        return len(flagged)
 
     def flush(self) -> ForensicQueue:
         """Materialise every staged row into the queue; returns it."""
-        for features, predictions, entropy, steps, device_ids, seqs in self.take():
+        blocks, self.blocks, self.rows = self.blocks, [], 0
+        for features, predictions, entropy, steps, device_ids, seqs in blocks:
             self.queue.push_many(
                 FleetFlaggedSample(
                     features=features[i],
@@ -112,6 +123,24 @@ class FlaggedStage:
                 for i in range(len(seqs))
             )
         return self.queue
+
+    def snapshot(self) -> dict:
+        """The forensic queue's checkpoint payload (staged rows included)."""
+        queue = self.flush()
+        return {
+            "samples": queue.snapshot(),
+            "maxlen": queue.maxlen,
+            "total_flagged": queue.total_flagged,
+        }
+
+    @staticmethod
+    def restore_queue(payload: dict) -> ForensicQueue:
+        """The forensic queue a :meth:`snapshot` payload describes."""
+        return ForensicQueue.restore(
+            payload["samples"],
+            maxlen=payload["maxlen"],
+            total_flagged=payload["total_flagged"],
+        )
 
 
 @dataclass(frozen=True)
@@ -264,23 +293,32 @@ class FleetMonitor:
             compile_hmd()
         self.batch_size = batch_size
         self.queue = FleetQueue(policy)
+        self.stats = MonitorStats()
+        self.entropy_window = entropy_window
+        self.devices: dict[str, DeviceState] = {}
+        self._seq: dict[str, int] = {}
+        self._step = 0
+        self._init_round(forensics, drift_reference, telemetry, tracer)
+        self.queue.bind_metrics(self.metrics)
+
+    def _init_round(self, forensics, drift_reference, telemetry, tracer) -> None:
+        """The state a round owner keeps: forensic stage, drift, telemetry.
+
+        Shared with the sharded facade, which owns the same fields for
+        the rounds it runs over its shards.
+        """
         self._stage = FlaggedStage(
             forensics if forensics is not None else ForensicQueue()
         )
-        self.stats = MonitorStats()
         self.drift = (
             EntropyDriftMonitor(drift_reference)
             if drift_reference is not None
             else None
         )
-        self.entropy_window = entropy_window
-        self.devices: dict[str, DeviceState] = {}
-        self._seq: dict[str, int] = {}
-        self._step = 0
         self.n_batches = 0
         self.metrics = resolve_registry(telemetry)
         self.tracer = tracer
-        # One flag guards every per-batch observation so the
+        # One flag guards every per-round observation so the
         # uninstrumented hot path pays a single attribute test.
         self._obs_on = self.metrics.enabled or tracer is not None
         self._m_batches = self.metrics.counter(
@@ -293,9 +331,14 @@ class FleetMonitor:
             "fleet_windows_flagged_total", "windows withheld as uncertain"
         )
         self._m_verdict = self.metrics.histogram(
-            "fleet_verdict_seconds", "per-batch verdict-pass latency"
+            "fleet_verdict_seconds", "verdict-pass latency per round"
         )
-        self.queue.bind_metrics(self.metrics)
+        self._m_scatter = self.metrics.histogram(
+            "fleet_scatter_seconds", "verdict scatter latency per round"
+        )
+        self._m_scatter_rows = self.metrics.counter(
+            "fleet_scatter_rows_total", "verdict rows folded into device state"
+        )
 
     # -- ingress -------------------------------------------------------
 
@@ -382,38 +425,17 @@ class FleetMonitor:
         batch: WindowBatch = self.queue.take(self.batch_size)
         if len(batch) == 0:
             return None
-        if self._obs_on:
-            if self.tracer is not None:
-                self.tracer.stamp_rows(batch.device_ids, batch.seqs, "queue")
-            t0 = time.perf_counter()
-        verdict: TrustedVerdict = self.hmd.verdict(batch.features)
-        if self._obs_on:
-            self._m_verdict.observe(time.perf_counter() - t0)
-            self._m_batches.inc()
-            self._m_drained.inc(len(batch))
-            if self.tracer is not None:
-                self.tracer.stamp_rows(batch.device_ids, batch.seqs, "verdict")
-        self._m_flagged.inc(
-            self._route(batch, verdict.predictions, verdict.entropy, verdict.accepted)
-        )
-        if self.drift is not None:
-            self.drift.observe(verdict.entropy)
-        if self._stage.rows >= self._stage.limit:
-            self._stage.flush()
-        if self._obs_on and self.tracer is not None:
-            self.tracer.complete_rows(batch.device_ids, batch.seqs, "scatter")
-        self.n_batches += 1
-        return FleetBatchResult(
-            device_ids=batch.device_ids,
-            seqs=batch.seqs,
-            predictions=verdict.predictions,
-            entropy=verdict.entropy,
-            accepted=verdict.accepted,
-            threshold=verdict.threshold,
+        return self._fused_round(
+            [(self, batch)], self._verdict, self.hmd.policy_.threshold
         )
 
+    def _verdict(self, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(predictions, entropy, accepted)`` from :meth:`TrustedHMD.verdict`."""
+        verdict: TrustedVerdict = self.hmd.verdict(X)
+        return verdict.predictions, verdict.entropy, verdict.accepted
+
     def drain(self, max_batches: int | None = None) -> list[FleetBatchResult]:
-        """Process batches until the queue is empty (or the cap hits)."""
+        """Run rounds until every queue is empty (or the cap hits)."""
         results: list[FleetBatchResult] = []
         while max_batches is None or len(results) < max_batches:
             result = self.process_batch()
@@ -422,21 +444,83 @@ class FleetMonitor:
             results.append(result)
         return results
 
-    def _route(
-        self,
-        batch: WindowBatch,
-        predictions: np.ndarray,
-        entropy: np.ndarray,
-        accepted: np.ndarray,
-    ) -> int:
-        """Fold one batch's verdicts into this core; returns the flag count.
+    def _fused_round(self, parts, verdict, threshold: float) -> FleetBatchResult:
+        """One verdict pass over ``[(monitor, batch)]`` parts, folded back.
 
-        The device-state half (:meth:`_fold`) plus columnar staging of
-        the flagged rows.  The sharded facade calls this per shard slice
-        of a fused round.
+        The round of every in-process engine.  The parts' features are
+        stacked (a single part is not copied) and verdicted in one
+        pass; each part's slice is folded into its own monitor's device
+        state, and its withheld rows stage on this owner's forensic
+        stage in part order.  A single monitor runs it over its own
+        batch, the sharded facade over one batch per shard.
         """
-        base_step = self._fold(batch.device_index, predictions, entropy, accepted)
-        return self._stage_withheld(batch, predictions, entropy, accepted, base_step)
+        if self._obs_on:
+            self._trace(parts, "queue")
+            t0 = time.perf_counter()
+        if len(parts) == 1:
+            features = parts[0][1].features
+        else:
+            features = np.vstack([batch.features for _, batch in parts])
+        predictions, entropy, accepted = verdict(features)
+        if self._obs_on:
+            t1 = time.perf_counter()
+            self._m_verdict.observe(t1 - t0)
+            self._m_batches.inc()
+            self._m_drained.inc(len(predictions))
+            self._trace(parts, "verdict")
+        offset = n_flagged = 0
+        for monitor, batch in parts:
+            stop = offset + len(batch)
+            part = (
+                predictions[offset:stop], entropy[offset:stop], accepted[offset:stop]
+            )
+            base_step = monitor._fold(batch.device_index, *part)
+            n_flagged += self._stage.add(batch, *part, base_step)
+            offset = stop
+        self._m_flagged.inc(n_flagged)
+        if self._obs_on:
+            self._m_scatter.observe(time.perf_counter() - t1)
+            self._m_scatter_rows.inc(len(predictions))
+            if self.tracer is not None:
+                for _, batch in parts:
+                    self.tracer.complete_rows(batch.device_ids, batch.seqs, "scatter")
+        return self._round_result(
+            [batch for _, batch in parts], predictions, entropy, accepted, threshold
+        )
+
+    def _trace(self, parts, stage: str) -> None:
+        """Stamp every part's sampled rows with a lifecycle stage."""
+        if self.tracer is not None:
+            for _, batch in parts:
+                self.tracer.stamp_rows(batch.device_ids, batch.seqs, stage)
+
+    def _round_result(
+        self, batches, predictions, entropy, accepted, threshold: float
+    ) -> FleetBatchResult:
+        """Close a round: bound the stage, feed drift, build the result.
+
+        The result-assembly half of every engine's round, the worker
+        backend's included: ``batches`` are the round's parts in order
+        and the verdict columns are already concatenated to match.
+        """
+        if self._stage.rows >= self._stage.limit:
+            self._stage.flush()
+        if self.drift is not None:
+            self.drift.observe(entropy)
+        self.n_batches += 1
+        if len(batches) == 1:
+            device_ids, seqs = batches[0].device_ids, batches[0].seqs
+        else:
+            device_ids = np.concatenate([batch.device_ids for batch in batches])
+            seqs = np.concatenate([batch.seqs for batch in batches])
+        return FleetBatchResult(
+            device_ids=device_ids,
+            seqs=seqs,
+            predictions=predictions,
+            entropy=entropy,
+            accepted=accepted,
+            threshold=threshold,
+        )
 
     def _fold(
         self,
@@ -496,33 +580,6 @@ class FleetMonitor:
             )
             start = stop
         return base_step
-
-    def _stage_withheld(
-        self,
-        batch: WindowBatch,
-        predictions: np.ndarray,
-        entropy: np.ndarray,
-        accepted: np.ndarray,
-        base_step: int,
-    ) -> int:
-        """Stage a batch's withheld rows columnar; returns their count.
-
-        Fancy-indexed rows are fresh copies, so the stage never pins
-        the arena blocks (or shared-memory slots) underneath.
-        """
-        flagged = np.flatnonzero(~np.asarray(accepted, dtype=bool))
-        if len(flagged):
-            self._stage.add(
-                (
-                    batch.features[flagged],
-                    predictions[flagged],
-                    entropy[flagged],
-                    base_step + flagged + 1,
-                    batch.device_ids[flagged],
-                    batch.seqs[flagged],
-                )
-            )
-        return len(flagged)
 
     @property
     def forensics(self) -> ForensicQueue:
@@ -588,11 +645,7 @@ class FleetMonitor:
             "n_batches": self.n_batches,
             "stats": self.stats.snapshot(),
             "queue": self.queue.snapshot(),
-            "forensics": {
-                "samples": self.forensics.snapshot(),
-                "maxlen": self.forensics.maxlen,
-                "total_flagged": self.forensics.total_flagged,
-            },
+            "forensics": self._stage.snapshot(),
         }
 
     @classmethod
@@ -611,30 +664,27 @@ class FleetMonitor:
         would for a monitor that had stayed up through the retrain.
         A ``drift_reference`` starts a fresh drift detector (its
         accumulated statistics are not part of the snapshot).  A queue
-        payload in a retired format raises ``ValueError`` before any
-        state is built.
+        payload in a retired format raises ``ValueError``.
         """
-        queue = FleetQueue.restore(state["queue"])
-        forensic_state = state["forensics"]
         monitor = cls(
             hmd,
             batch_size=state["batch_size"],
             entropy_window=state["entropy_window"],
             drift_reference=drift_reference,
-            forensics=ForensicQueue.restore(
-                forensic_state["samples"],
-                maxlen=forensic_state["maxlen"],
-                total_flagged=forensic_state["total_flagged"],
-            ),
+            forensics=FlaggedStage.restore_queue(state["forensics"]),
         )
-        monitor.queue = queue
-        queue.bind_metrics(monitor.metrics)
-        monitor.devices = {
+        monitor._load(state)
+        return monitor
+
+    def _load(self, state: dict) -> None:
+        """Install a :meth:`snapshot` payload's queue, devices and counters."""
+        self.queue = FleetQueue.restore(state["queue"])
+        self.queue.bind_metrics(self.metrics)
+        self.devices = {
             device["device_id"]: DeviceState.restore(device)
             for device in state["devices"]
         }
-        monitor._seq = dict(state["seq"])
-        monitor._step = int(state["step"])
-        monitor.n_batches = int(state["n_batches"])
-        monitor.stats = MonitorStats.restore(state["stats"])
-        return monitor
+        self._seq = dict(state["seq"])
+        self._step = int(state["step"])
+        self.n_batches = int(state["n_batches"])
+        self.stats = MonitorStats.restore(state["stats"])

@@ -10,8 +10,8 @@ shape for the fleet engine:
   to exactly one shard (and yields a deterministic rebalance map when
   the shard count changes);
 * each shard is a plain :class:`~repro.fleet.engine.FleetMonitor` —
-  its own :class:`~repro.fleet.queueing.FleetQueue`, device table,
-  counters and flagged-row stage;
+  its own :class:`~repro.fleet.queueing.FleetQueue`, device table
+  and counters;
 * :class:`PublishedHmd` — the record of the shared HMD's verdict parts
   (fused front, compiled forest, vote-count tables) that every shard
   verdicts through in one round, republished after a retrain;
@@ -39,13 +39,11 @@ from two structural effects, not from cutting corners:
 
 from __future__ import annotations
 
-import time
 from dataclasses import asdict, replace
 
 import numpy as np
 
-from ..obs.metrics import merge_snapshots, resolve_registry
-from ..uncertainty.drift import EntropyDriftMonitor
+from ..obs.metrics import merge_snapshots
 from ..uncertainty.online import ForensicQueue, MonitorStats
 from ..uncertainty.trust import TrustedHMD, count_table_verdict
 from .engine import FlaggedStage, FleetBatchResult, FleetMonitor
@@ -254,9 +252,9 @@ class ShardedFleetMonitor:
     One :meth:`process_batch` is a *fused round*: up to ``batch_size``
     rows from every shard's queue are stacked and routed through the
     shared :class:`PublishedHmd` in a single pass, then each shard's
-    slice is scattered back to its own device table, and each shard's
-    flagged windows drain into the facade's merged forensic queue (per
-    device still in submission-sequence order).  Verdicts are bitwise
+    slice is folded back into its own device table while its flagged
+    windows stage on the facade's merged forensic queue (per device
+    still in submission-sequence order).  Verdicts are bitwise
     identical to an unsharded monitor over the same traffic.
 
     Backpressure bounds apply per shard: ``max_pending_per_device``
@@ -271,6 +269,16 @@ class ShardedFleetMonitor:
     of them — plus the facade's fused-round instruments — through the
     associative :func:`~repro.obs.metrics.merge_snapshots`.
     """
+
+    # The facade owns the single monitor's round state and runs the same
+    # round, drain and forensic stream — over one batch per shard.
+    _init_round = FleetMonitor._init_round
+    _fused_round = FleetMonitor._fused_round
+    _trace = FleetMonitor._trace
+    _round_result = FleetMonitor._round_result
+    drain = FleetMonitor.drain
+    forensics = FleetMonitor.forensics
+    register_fleet = FleetMonitor.register_fleet
 
     def __init__(
         self,
@@ -293,37 +301,8 @@ class ShardedFleetMonitor:
         self.batch_size = batch_size
         self.policy = policy if policy is not None else BackpressurePolicy()
         self.entropy_window = entropy_window
-        self.metrics = resolve_registry(telemetry)
-        self.tracer = tracer
-        self._obs_on = self.metrics.enabled or tracer is not None
-        self._m_rounds = self.metrics.counter(
-            "fleet_batches_total", "fused inference rounds run"
-        )
-        self._m_drained = self.metrics.counter(
-            "fleet_windows_drained_total", "windows given a verdict"
-        )
-        self._m_verdict = self.metrics.histogram(
-            "fleet_verdict_seconds", "fused verdict-pass latency per round"
-        )
-        self._m_scatter_rows = self.metrics.counter(
-            "fleet_scatter_rows_total", "verdict rows fanned back to shards"
-        )
-        self._m_flagged = self.metrics.counter(
-            "fleet_windows_flagged_total", "windows withheld as uncertain"
-        )
-        self._m_scatter = self.metrics.histogram(
-            "fleet_scatter_seconds", "verdict scatter latency per round"
-        )
+        self._init_round(forensics, drift_reference, telemetry, tracer)
         self.shards = [self._new_shard() for _ in range(self.router.n_shards)]
-        self._stage = FlaggedStage(
-            forensics if forensics is not None else ForensicQueue()
-        )
-        self.drift = (
-            EntropyDriftMonitor(drift_reference)
-            if drift_reference is not None
-            else None
-        )
-        self.n_batches = 0
         self.published = PublishedHmd(hmd)
 
     @property
@@ -351,11 +330,6 @@ class ShardedFleetMonitor:
     def register(self, device_id: str, *, cohort: str = "unknown"):
         """Idempotently create the device's state on its home shard."""
         return self.shard_for(device_id).register(device_id, cohort=cohort)
-
-    def register_fleet(self, devices) -> None:
-        """Register a whole device population across the shards."""
-        for device in devices:
-            self.register(device.device_id, cohort=device.cohort)
 
     def submit(self, device_id: str, window) -> bool:
         """Route one window to its device's shard."""
@@ -387,25 +361,6 @@ class ShardedFleetMonitor:
             self.published = PublishedHmd(self.hmd)
         return self.published
 
-    def _collect_flagged(self) -> None:
-        """Pull each shard's staged flagged rows into the facade's stage.
-
-        Shards are visited in id order and each preserves flag order,
-        so the merged stream is deterministic and per-device
-        submission-sequence ordered.  Rows stay columnar until the
-        :attr:`forensics` stream is read.
-        """
-        for shard in self.shards:
-            for block in shard._stage.take():
-                self._stage.add(block)
-        if self._stage.rows >= self._stage.limit:
-            self._stage.flush()
-
-    @property
-    def forensics(self) -> ForensicQueue:
-        """The merged triage stream (flushes staged flagged rows)."""
-        return self._stage.flush()
-
     def process_batch(self) -> FleetBatchResult | None:
         """One fused round: up to ``batch_size`` rows *per shard*.
 
@@ -422,87 +377,28 @@ class ShardedFleetMonitor:
                     parts.append((shard, batch))
         if not parts:
             return None
-
-        if self._obs_on:
-            if self.tracer is not None:
-                for _, batch in parts:
-                    self.tracer.stamp_rows(batch.device_ids, batch.seqs, "queue")
-            t0 = time.perf_counter()
-        if len(parts) == 1:
-            features = parts[0][1].features
-        else:
-            features = np.vstack([batch.features for _, batch in parts])
-        predictions, entropy, accepted = published.verdict(features)
-        if self._obs_on:
-            t1 = time.perf_counter()
-            self._m_verdict.observe(t1 - t0)
-            self._m_rounds.inc()
-            self._m_drained.inc(len(predictions))
-            if self.tracer is not None:
-                for _, batch in parts:
-                    self.tracer.stamp_rows(batch.device_ids, batch.seqs, "verdict")
-
-        offset = n_flagged = 0
-        for shard, batch in parts:
-            stop = offset + len(batch)
-            n_flagged += shard._route(
-                batch,
-                predictions[offset:stop],
-                entropy[offset:stop],
-                accepted[offset:stop],
-            )
-            offset = stop
-        self._m_flagged.inc(n_flagged)
-        if self._obs_on:
-            self._m_scatter.observe(time.perf_counter() - t1)
-            self._m_scatter_rows.inc(len(predictions))
-            if self.tracer is not None:
-                for _, batch in parts:
-                    self.tracer.complete_rows(batch.device_ids, batch.seqs, "scatter")
-        self._collect_flagged()
-        if self.drift is not None:
-            self.drift.observe(entropy)
-        self.n_batches += 1
-
-        if len(parts) == 1:
-            device_ids = parts[0][1].device_ids
-            seqs = parts[0][1].seqs
-        else:
-            device_ids = np.concatenate([b.device_ids for _, b in parts])
-            seqs = np.concatenate([b.seqs for _, b in parts])
-        return FleetBatchResult(
-            device_ids=device_ids,
-            seqs=seqs,
-            predictions=predictions,
-            entropy=entropy,
-            accepted=accepted,
-            threshold=published.threshold,
-        )
-
-    def drain(self, max_batches: int | None = None) -> list[FleetBatchResult]:
-        """Run fused rounds until every shard queue is empty."""
-        results: list[FleetBatchResult] = []
-        while max_batches is None or len(results) < max_batches:
-            result = self.process_batch()
-            if result is None:
-                break
-            results.append(result)
-        return results
+        return self._fused_round(parts, published.verdict, published.threshold)
 
     # -- egress --------------------------------------------------------
 
     def report(self) -> FleetReport:
         """Merged fleet view over all shards' device tables."""
+        return self._merge_reports(shard.report() for shard in self.shards)
+
+    def _merge_reports(self, reports, *planes: dict) -> FleetReport:
+        """Merge per-shard reports and fold in the facade's telemetry.
+
+        The facade's fused-round instruments, any extra registry
+        ``planes`` and whatever the shard reports carried fold through
+        the associative :func:`~repro.obs.metrics.merge_snapshots`.
+        """
         report = merge_reports(
-            (shard.report() for shard in self.shards),
+            reports,
             n_batches=self.n_batches,
             drift_status=self.drift.observe([]).status if self.drift else None,
         )
         if self.metrics.enabled:
-            # Fold the facade's fused-round instruments into the merged
-            # per-shard telemetry (merge_snapshots is associative, so
-            # order does not matter).
-            snapshots = [self.metrics.snapshot()]
+            snapshots = [self.metrics.snapshot(), *planes]
             if report.telemetry:
                 snapshots.append(report.telemetry)
             report = replace(report, telemetry=merge_snapshots(snapshots))
@@ -518,7 +414,6 @@ class ShardedFleetMonitor:
         shard, so subsequent verdicts are unchanged.  Returns the
         router's deterministic move map ``{device: (old, new)}``.
         """
-        self._collect_flagged()
         device_ids = [
             device_id
             for shard in self.shards
@@ -559,6 +454,10 @@ class ShardedFleetMonitor:
         drift monitor's accumulated detector statistics travel
         separately (model pickle / fresh ``drift_reference``).
         """
+        return self._snapshot([shard.snapshot() for shard in self.shards])
+
+    def _snapshot(self, shard_states: list[dict]) -> dict:
+        """The facade payload around per-shard monitor payloads."""
         return {
             "schema": SNAPSHOT_SCHEMA,
             "n_shards": self.n_shards,
@@ -566,12 +465,8 @@ class ShardedFleetMonitor:
             "entropy_window": self.entropy_window,
             "n_batches": self.n_batches,
             "policy": asdict(self.policy),
-            "shards": [shard.snapshot() for shard in self.shards],
-            "forensics": {
-                "samples": self.forensics.snapshot(),
-                "maxlen": self.forensics.maxlen,
-                "total_flagged": self.forensics.total_flagged,
-            },
+            "shards": shard_states,
+            "forensics": self._stage.snapshot(),
         }
 
     @staticmethod
@@ -645,21 +540,27 @@ class ShardedFleetMonitor:
         with a custom ``router`` must pass an equivalent one here (the
         router is configuration, not serialisable state).
         """
+        return cls._restore(hmd, state, drift_reference, router)
+
+    @classmethod
+    def _restore(cls, hmd, state: dict, drift_reference, router, **options):
+        """Validate a facade checkpoint, then rebuild facade and shards.
+
+        Every structural check runs before the facade is built; each
+        shard core then loads its own monitor payload.  ``options``
+        carry a subclass's extra constructor arguments.
+        """
         cls._validate_snapshot(state)
-        forensic_state = state["forensics"]
         fleet = cls(
             hmd,
             n_shards=state["n_shards"],
             batch_size=state["batch_size"],
             entropy_window=state["entropy_window"],
             policy=BackpressurePolicy(**state["policy"]),
-            forensics=ForensicQueue.restore(
-                forensic_state["samples"],
-                maxlen=forensic_state["maxlen"],
-                total_flagged=forensic_state["total_flagged"],
-            ),
+            forensics=FlaggedStage.restore_queue(state["forensics"]),
             drift_reference=drift_reference,
             router=router,
+            **options,
         )
         if fleet.router.n_shards != state["n_shards"]:
             raise ValueError(
@@ -667,7 +568,6 @@ class ShardedFleetMonitor:
                 f"snapshot holds {state['n_shards']}."
             )
         fleet.n_batches = int(state["n_batches"])
-        fleet.shards = [
-            FleetMonitor.restore(hmd, shard_state) for shard_state in state["shards"]
-        ]
+        for shard, shard_state in zip(fleet.shards, state["shards"]):
+            shard._load(shard_state)
         return fleet

@@ -28,6 +28,15 @@ Worker (one per shard)
     writes the verdict columns back into the same shared slot.  No
     window tensor is ever pickled.
 
+Each protocol step has one path.  Every block frame — first delivery,
+integrity re-ship, restart replay, post-quarantine re-ship — is written
+and sent by ``_send_block``; blocks and bisection probes share one
+worker verdict step (``_run_slot``); report and checkpoint requests
+share one send → await → restart-and-retry loop (``_ask``); restart and
+failover share one walk over the retained records.  A round closes with
+the in-process engines' own result assembly
+(:meth:`FleetMonitor._round_result`).
+
 Supervision state machine
 -------------------------
 
@@ -80,15 +89,14 @@ import multiprocessing as mp
 import time
 import traceback
 from collections import deque
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import numpy as np
 
-from ..obs.metrics import merge_snapshots, resolve_registry
 from ..uncertainty.online import ForensicQueue, MonitorStats
 from .engine import FleetBatchResult, FleetMonitor
 from .queueing import BackpressurePolicy, FleetQueue, WindowBatch
-from .report import merge_reports, rebind_queue_counters
+from .report import rebind_queue_counters
 from .resilience import (
     FaultInjector,
     FaultPlan,
@@ -97,7 +105,7 @@ from .resilience import (
     ShardHealth,
     ShardHealthReport,
 )
-from .sharding import SNAPSHOT_SCHEMA, PublishedHmd, ShardedFleetMonitor
+from .sharding import PublishedHmd, ShardedFleetMonitor
 from .shm import (
     ShmBlockRing,
     ShmIntegrityError,
@@ -179,36 +187,63 @@ def _worker_checkpoint(monitor: FleetMonitor, epoch: int, regs_applied: int) -> 
 
 
 def _restore_worker_monitor(
-    ckpt: dict | None, *, batch_size: int, entropy_window: int
+    ckpt: dict | None, *, batch_size: int, entropy_window: int, telemetry=None
 ) -> tuple[FleetMonitor, int]:
     """A worker-side monitor from a checkpoint (or empty), and its reg count.
 
     The queue snapshot holds rows, not the dense registry, so the
     registry is rebuilt in the parent's first-sight order.
     """
-    stub = _SharedModelStub()
+    monitor = FleetMonitor(
+        _SharedModelStub(),
+        batch_size=batch_size,
+        entropy_window=entropy_window,
+        telemetry=telemetry,
+    )
     if ckpt is None:
-        monitor = FleetMonitor(
-            stub, batch_size=batch_size, entropy_window=entropy_window
-        )
         return monitor, 0
-    monitor = FleetMonitor.restore(stub, ckpt["monitor"])
+    monitor._load(ckpt["monitor"])
     for name in ckpt["names"]:
         monitor.queue.register_device(name)
     return monitor, int(ckpt["regs_applied"])
 
 
-def _run_block(ring: ShmBlockRing, publication, monitor: FleetMonitor, msg) -> int:
-    """Verdict one shipped block in place; returns its epoch.
+def _adopt(monitor: FleetMonitor, payload) -> None:
+    """Install failed-over ``(device snapshot, seq)`` pairs.
 
-    A helper rather than inline in the dispatch loop so the zero-copy
-    slot views die with this frame — lingering views would pin the
-    segment buffer and make the worker's final ``ring.close()`` noisy.
+    Only devices the monitor does not already carry are applied, so a
+    replayed adoption never regresses state.
     """
-    _, slot, epoch, n, names_start, names, regs_start, regs = msg
+    for snap, seq in payload:
+        device_id = snap["device_id"]
+        if device_id not in monitor.devices:
+            adopted = DeviceState.restore(snap)
+            monitor.devices[device_id] = adopted
+            monitor._seq[device_id] = int(seq)
+            monitor.stats.merge(adopted.stats)
+
+
+def _run_slot(
+    ring: ShmBlockRing, publication, monitor, injector, slot: int, n: int, *, fold: bool
+) -> None:
+    """Verdict a slot's rows in place and seal the result columns.
+
+    The worker's one verdict step.  A block folds its verdicts into the
+    device table (``fold``); a bisection probe does not, so probing is
+    repeatable and a probe crash attributes the fault to the probed
+    rows alone.  A helper rather than inline in the dispatch loop so
+    the zero-copy slot views die with this frame — lingering views
+    would pin the segment buffer and make the worker's final
+    ``ring.close()`` noisy.
+    """
     views = ring.slot(slot)
+    if injector is not None:
+        injector.check_poison(
+            monitor.queue._names, views["dev"][:n], views["seqs"][:n]
+        )
     predictions, entropy, accepted = publication.verdict(views["features"][:n])
-    monitor._fold(views["dev"][:n], predictions, entropy, accepted)
+    if fold:
+        monitor._fold(views["dev"][:n], predictions, entropy, accepted)
     views["predictions"][:n] = predictions
     views["entropy"][:n] = entropy
     views["accepted"][:n] = accepted
@@ -216,24 +251,6 @@ def _run_block(ring: ShmBlockRing, publication, monitor: FleetMonitor, msg) -> i
     # the parent to reconstruct the shm crossing (one float store; the
     # sidecar sits outside both checksums, see ShmBlockRing).
     ring.stamp_trace(slot, 1, time.monotonic())
-    ring.seal_results(slot, n)
-    return epoch
-
-
-def _run_probe(ring: ShmBlockRing, publication, msg) -> None:
-    """Verdict probe rows in place — no scatter, no epoch, no state.
-
-    Probes are how the parent bisects a block that keeps faulting its
-    worker: the verdict pass runs (so content-triggered faults fire)
-    but device state is untouched, so a probe is repeatable and its
-    crash attributes the fault to the probed rows alone.
-    """
-    _, slot, n, _token = msg
-    views = ring.slot(slot)
-    predictions, entropy, accepted = publication.verdict(views["features"][:n])
-    views["predictions"][:n] = predictions
-    views["entropy"][:n] = entropy
-    views["accepted"][:n] = accepted
     ring.seal_results(slot, n)
 
 
@@ -254,27 +271,15 @@ def worker_main(shard_id: int, conn, init: dict) -> None:
     ring = ShmBlockRing.attach(init["ring"])
     publication = map_publication(init["model"])
     ckpt = init.get("ckpt")
+    # With telemetry on, the worker's registry snapshot rides home
+    # inside every report message and the parent folds it in.
     monitor, regs_applied = _restore_worker_monitor(
-        ckpt, batch_size=init["batch_size"], entropy_window=init["entropy_window"]
+        ckpt,
+        batch_size=init["batch_size"],
+        entropy_window=init["entropy_window"],
+        telemetry=init["telemetry"] or None,
     )
-    queue = monitor.queue
     epoch_done = int(ckpt["epoch"]) if ckpt is not None else -1
-    if init.get("telemetry"):
-        # The worker keeps its own registry (restored monitors come up
-        # with telemetry off, so rebind here either way); its snapshot
-        # rides home inside every report message and the parent folds
-        # it with merge_snapshots.
-        monitor.metrics = resolve_registry(True)
-    m_blocks = monitor.metrics.counter(
-        "fleet_batches_total", "blocks verdicted by this worker"
-    )
-    m_drained = monitor.metrics.counter(
-        "fleet_windows_drained_total", "windows given a verdict"
-    )
-    m_verdict = monitor.metrics.histogram(
-        "fleet_verdict_seconds", "verdict+scatter latency per block"
-    )
-    obs_on = monitor.metrics.enabled
     checkpoint_every = int(init["checkpoint_every"])
     since_checkpoint = 0
     plan = init.get("chaos")
@@ -289,32 +294,25 @@ def worker_main(shard_id: int, conn, init: dict) -> None:
     def process_block(msg) -> bool:
         """Handle one in-order block; False = integrity failure reported."""
         nonlocal regs_applied, epoch_done, since_checkpoint
+        _, slot, epoch, n, names_start, names, regs_start, regs = msg
         if injector is not None:
             injector.on_block()
-        regs_applied = _apply_regs(monitor, regs_applied, msg[6], msg[7])
-        _apply_names(monitor, msg[4], msg[5])
-        slot, n = msg[1], msg[3]
+        regs_applied = _apply_regs(monitor, regs_applied, regs_start, regs)
+        _apply_names(monitor, names_start, names)
         if not ring.verify_block(slot, n):
             # A corrupted frame must never reach scatter: report it and
             # hold this epoch open — the parent re-ships into the same
             # slot and later epochs wait in the stash meanwhile.
-            conn.send(("badblock", slot, msg[2]))
+            conn.send(("badblock", slot, epoch))
             return False
-        if injector is not None:
-            views = ring.slot(slot)
-            injector.check_poison(
-                queue._names, views["dev"][:n], views["seqs"][:n]
-            )
-            del views
-        if obs_on:
-            t0 = time.perf_counter()
-            epoch_done = _run_block(ring, publication, monitor, msg)
-            m_verdict.observe(time.perf_counter() - t0)
-            m_blocks.inc()
-            m_drained.inc(n)
-        else:
-            epoch_done = _run_block(ring, publication, monitor, msg)
-        conn.send(("result", slot, epoch_done))
+        t0 = time.perf_counter()
+        _run_slot(ring, publication, monitor, injector, slot, n, fold=True)
+        if monitor._obs_on:
+            monitor._m_verdict.observe(time.perf_counter() - t0)
+            monitor._m_batches.inc()
+            monitor._m_drained.inc(n)
+        epoch_done = epoch
+        conn.send(("result", slot, epoch))
         since_checkpoint += 1
         if since_checkpoint >= checkpoint_every:
             conn.send(
@@ -349,25 +347,12 @@ def worker_main(shard_id: int, conn, init: dict) -> None:
                     expected += 1
                     msg = stash.pop(expected, None)
             elif kind == "probe":
-                if injector is not None:
-                    views = ring.slot(msg[1])
-                    injector.check_poison(
-                        queue._names, views["dev"][: msg[2]], views["seqs"][: msg[2]]
-                    )
-                    del views
-                _run_probe(ring, publication, msg)
-                conn.send(("probed", msg[1], msg[3]))
+                _, slot, n, token = msg
+                _run_slot(ring, publication, monitor, injector, slot, n, fold=False)
+                conn.send(("probed", slot, token))
             elif kind == "adopt":
-                # Failover hand-off from a dead sibling shard.  Apply
-                # only devices the restored checkpoint does not already
-                # carry, so a replayed adopt never regresses state.
-                for snap, seq in msg[1]:
-                    device_id = snap["device_id"]
-                    if device_id not in monitor.devices:
-                        adopted = DeviceState.restore(snap)
-                        monitor.devices[device_id] = adopted
-                        monitor._seq[device_id] = int(seq)
-                        monitor.stats.merge(adopted.stats)
+                # Failover hand-off from a dead sibling shard.
+                _adopt(monitor, msg[1])
             elif kind == "names":
                 # Registry span of a block excluded from replay: dense
                 # indices are positional, so the span still has to land.
@@ -803,7 +788,6 @@ class WorkerShardedFleetMonitor(ShardedFleetMonitor):
         for record in handle.retained.values():
             record.slot = None
         self._spawn_process(handle)
-        queue = self.shards[handle.shard_id].queue
         log = self._reg_logs[handle.shard_id]
         try:
             # Adoptions not yet pinned by a checkpoint first (the
@@ -817,40 +801,71 @@ class WorkerShardedFleetMonitor(ShardedFleetMonitor):
             regs_from = int(handle.last_ckpt["regs_applied"]) if handle.last_ckpt else 0
             if regs_from < handle.regs_sent:
                 handle.conn.send(("regs", regs_from, log[regs_from : handle.regs_sent]))
-            for epoch in sorted(handle.retained):
-                record = handle.retained[epoch]
-                ns, ne = record.names_span
-                rs, re_ = record.regs_span
-                if record.poisoned or record.skipped:
-                    if rs < re_:
-                        handle.conn.send(("regs", rs, list(log[rs:re_])))
-                    if ns < ne:
-                        handle.conn.send(("names", ns, list(queue._names[ns:ne])))
-                    if record.skipped:
-                        handle.conn.send(("skipblock", epoch))
+            for epoch, record, names, regs in self._retained_spans(handle):
+                if not (record.poisoned or record.skipped):
+                    self._send_block(handle, epoch)
                     continue
-                slot = handle.free_slots.pop()
-                handle.ring.write_block(
-                    slot,
-                    record.batch.features,
-                    record.batch.device_index,
-                    record.batch.seqs,
-                )
-                handle.conn.send(
-                    (
-                        "block",
-                        slot,
-                        epoch,
-                        record.n,
-                        ns,
-                        list(queue._names[ns:ne]),
-                        rs,
-                        list(log[rs:re_]),
-                    )
-                )
-                record.slot = slot
+                if regs[1]:
+                    handle.conn.send(("regs", *regs))
+                if names[1]:
+                    handle.conn.send(("names", *names))
+                if record.skipped:
+                    handle.conn.send(("skipblock", epoch))
         except (BrokenPipeError, OSError) as error:
             self._restart(handle, reason=f"replay failed: {error}", count=count)
+
+    def _retained_spans(self, handle: _WorkerHandle):
+        """Retained records in epoch order, with their registry spans.
+
+        Yields ``(epoch, record, (names_start, names), (regs_start,
+        regs))`` — the one walk restart replay and failover recompute
+        share.
+        """
+        for epoch in sorted(handle.retained):
+            record = handle.retained[epoch]
+            yield (epoch, record, *self._spans(handle, record))
+
+    def _spans(self, handle: _WorkerHandle, record: _Retained) -> tuple:
+        """A record's dense-registry and reg-log spans, as (start, entries)."""
+        ns, ne = record.names_span
+        rs, re_ = record.regs_span
+        names = self.shards[handle.shard_id].queue._names[ns:ne]
+        return (ns, list(names)), (rs, list(self._reg_logs[handle.shard_id][rs:re_]))
+
+    def _send_block(self, handle: _WorkerHandle, epoch: int, *, first: bool = False):
+        """Write a retained record into its slot and send the block frame.
+
+        The one block frame: first delivery, integrity re-ship, restart
+        replay and post-quarantine re-ship all send ``("block", slot,
+        epoch, n, names_start, names, regs_start, regs)``.  A record
+        without a slot takes a free one.  Only the ``first`` delivery
+        stamps the ship time and is exposed to scheduled corruption, so
+        re-deliveries always converge.
+        """
+        record = handle.retained[epoch]
+        if record.slot is None:
+            record.slot = handle.free_slots.pop()
+        slot, batch = record.slot, record.batch
+        handle.ring.write_block(slot, batch.features, batch.device_index, batch.seqs)
+        if first:
+            if self._obs_on:
+                # Trace sidecar column 0: the parent's ship timestamp.
+                # The worker seals its own into column 1; _await_result
+                # reads the pair back as the shm crossing.
+                ship_ts = time.monotonic()
+                handle.ring.stamp_trace(slot, 0, ship_ts)
+                if self.tracer is not None:
+                    self.tracer.stamp_rows(
+                        batch.device_ids, batch.seqs, "ship", ship_ts
+                    )
+            if self._chaos is not None and self._chaos.should_corrupt(
+                handle.shard_id, epoch
+            ):
+                # Scheduled arena corruption: flip stored bytes *after*
+                # the checksum stamp, exactly like a bit-flip in flight.
+                handle.ring.corrupt_slot(slot)
+        names, regs = self._spans(handle, record)
+        handle.conn.send(("block", slot, epoch, record.n, *names, *regs))
 
     def _failover(self, handle: _WorkerHandle, *, reason: str) -> None:
         """Retire a shard whose circuit breaker opened; move everything.
@@ -892,7 +907,6 @@ class WorkerShardedFleetMonitor(ShardedFleetMonitor):
         handle.health = ShardHealth.DEAD
         self._m_failovers.inc()
         mirror = self.shards[handle.shard_id]
-        queue = mirror.queue
         log = self._reg_logs[handle.shard_id]
 
         # 1. Restore-and-replay in-process: exactly what a replacement
@@ -902,19 +916,13 @@ class WorkerShardedFleetMonitor(ShardedFleetMonitor):
             batch_size=self.batch_size,
             entropy_window=self.entropy_window,
         )
-        for snap, seq in handle.adopts:
-            if snap["device_id"] not in replay.devices:
-                replay.devices[snap["device_id"]] = DeviceState.restore(snap)
-                replay._seq[snap["device_id"]] = int(seq)
+        _adopt(replay, handle.adopts)
         regs_applied = _apply_regs(
             replay, regs_applied, regs_applied, log[regs_applied : handle.regs_sent]
         )
-        for epoch in sorted(handle.retained):
-            record = handle.retained[epoch]
-            ns, ne = record.names_span
-            rs, re_ = record.regs_span
-            regs_applied = _apply_regs(replay, regs_applied, rs, log[rs:re_])
-            _apply_names(replay, ns, list(queue._names[ns:ne]))
+        for epoch, record, names, regs in self._retained_spans(handle):
+            regs_applied = _apply_regs(replay, regs_applied, *regs)
+            _apply_names(replay, *names)
             if record.skipped:
                 continue
             batch = record.batch
@@ -938,16 +946,11 @@ class WorkerShardedFleetMonitor(ShardedFleetMonitor):
         moves: dict[int, list[tuple]] = {}
         for device_id in list(mirror.devices):
             state = replay.devices.get(device_id, mirror.devices[device_id])
-            seq = int(mirror._seq.get(device_id, 0))
-            snap = state.snapshot()
             target_id = self.router.shard_of(device_id)
-            target = self.shards[target_id]
-            adopted = DeviceState.restore(snap)
-            target.devices[device_id] = adopted
-            target._seq[device_id] = seq
-            target.stats.merge(adopted.stats)
-            queue.move_device(device_id, target.queue)
-            moves.setdefault(target_id, []).append((snap, seq))
+            move = [(state.snapshot(), int(mirror._seq.get(device_id, 0)))]
+            _adopt(self.shards[target_id], move)
+            mirror.queue.move_device(device_id, self.shards[target_id].queue)
+            moves.setdefault(target_id, []).extend(move)
 
         # 3. Survivors adopt their share.  Recorded before sending so a
         # send failure replays the adoption on restart.
@@ -1025,25 +1028,8 @@ class WorkerShardedFleetMonitor(ShardedFleetMonitor):
                 f"shard {handle.shard_id} block {epoch} failed integrity "
                 f"checks {record.reships} times."
             )
-        handle.ring.write_block(
-            slot, record.batch.features, record.batch.device_index, record.batch.seqs
-        )
-        ns, ne = record.names_span
-        rs, re_ = record.regs_span
-        queue = self.shards[handle.shard_id].queue
-        log = self._reg_logs[handle.shard_id]
-        handle.conn.send(
-            (
-                "block",
-                slot,
-                epoch,
-                record.n,
-                ns,
-                list(queue._names[ns:ne]),
-                rs,
-                list(log[rs:re_]),
-            )
-        )
+        record.slot = slot
+        self._send_block(handle, epoch)
 
     def _absorb_checkpoint(self, handle: _WorkerHandle, state: dict) -> None:
         """Install a newer checkpoint and release the blocks it covers."""
@@ -1124,24 +1110,36 @@ class WorkerShardedFleetMonitor(ShardedFleetMonitor):
                 restarted.append(handle.shard_id)
         return restarted
 
+    def _ask(self, handle: _WorkerHandle, request: tuple, kind: str, *, match=None):
+        """Send a request and await its reply; restart and retry on failure.
+
+        Returns the reply, or ``None`` once the shard is dead (its
+        breaker opened during a restart and it failed over).
+        """
+        while handle.health is not ShardHealth.DEAD:
+            try:
+                handle.conn.send(request)
+                return self._recv_until(handle, kind, match=match)
+            except (_WorkerDied, BrokenPipeError, OSError) as error:
+                self._restart(handle, reason=str(error))
+        return None
+
     def _sync_checkpoints(self) -> None:
-        """Barrier: a fresh checkpoint from every worker, retained drained."""
+        """Barrier: a fresh checkpoint from every worker, retained drained.
+
+        Registrations no block has carried yet ship first, so every
+        checkpoint covers every device registered so far.
+        """
+        self._flush_regs()
         for handle in self.handles:
-            if handle.health is ShardHealth.DEAD:
-                continue
-            while True:
-                try:
-                    handle.conn.send(("checkpoint",))
-                    msg = self._recv_until(
-                        handle,
-                        "ckpt",
-                        match=lambda m: int(m[1]["epoch"]) >= handle.consumed,
-                    )
-                except (_WorkerDied, BrokenPipeError, OSError) as error:
-                    self._restart(handle, reason=str(error))
-                    continue
+            msg = self._ask(
+                handle,
+                ("checkpoint",),
+                "ckpt",
+                match=lambda m: int(m[1]["epoch"]) >= handle.consumed,
+            )
+            if msg is not None:
                 self._absorb_checkpoint(handle, msg[1])
-                break
 
     # -- ingress (reg-log hooks) ---------------------------------------
 
@@ -1198,17 +1196,14 @@ class WorkerShardedFleetMonitor(ShardedFleetMonitor):
         )
         generation = self._generation
         for handle in self.handles:
-            if handle.health is ShardHealth.DEAD:
-                continue
-            try:
-                handle.conn.send(("republish", self._model_header))
-                self._recv_until(
-                    handle, "republished", match=lambda m: m[1] == generation
-                )
-            except (_WorkerDied, BrokenPipeError, OSError) as error:
-                # The replacement spawns with the new header — already
-                # on the fresh generation, no ack needed.
-                self._restart(handle, reason=str(error))
+            # A replacement spawned on failure already maps the new
+            # header; the retried request re-acks the same generation.
+            self._ask(
+                handle,
+                ("republish", self._model_header),
+                "republished",
+                match=lambda m: m[1] == generation,
+            )
         if stale_segment is not None:
             try:
                 stale_segment.close()
@@ -1220,53 +1215,28 @@ class WorkerShardedFleetMonitor(ShardedFleetMonitor):
     # -- fused rounds across processes ---------------------------------
 
     def _ship(self, handle: _WorkerHandle, batch: WindowBatch) -> None:
-        """Copy a dequeued batch into a free slot and hand it over."""
+        """Retain a dequeued batch under the next epoch and ship it."""
         if not handle.free_slots:
             raise RuntimeError(
                 f"shard {handle.shard_id} arena ring exhausted "
                 f"({self._n_slots} slots) — checkpoint cadence and "
                 "pipeline depth are inconsistent."
             )
-        queue = self.shards[handle.shard_id].queue
-        slot = handle.free_slots.pop()
-        n = handle.ring.write_block(
-            slot, batch.features, batch.device_index, batch.seqs
-        )
-        if self._obs_on:
-            # Trace sidecar column 0: the parent's ship timestamp.  The
-            # worker seals its own into column 1; _await_result reads
-            # the pair back as the shm crossing.
-            ship_ts = time.monotonic()
-            handle.ring.stamp_trace(slot, 0, ship_ts)
-            if self.tracer is not None:
-                self.tracer.stamp_rows(batch.device_ids, batch.seqs, "ship", ship_ts)
-        names_start, regs_start = handle.names_sent, handle.regs_sent
-        names = list(queue._names[names_start:])
-        regs = list(self._reg_logs[handle.shard_id][regs_start:])
-        handle.names_sent = names_start + len(names)
-        handle.regs_sent = regs_start + len(regs)
+        names_end = len(self.shards[handle.shard_id].queue._names)
+        regs_end = len(self._reg_logs[handle.shard_id])
         epoch = handle.epoch
         handle.epoch = epoch + 1
         handle.retained[epoch] = _Retained(
             batch=batch,
-            n=n,
-            slot=slot,
-            names_span=(names_start, handle.names_sent),
-            regs_span=(regs_start, handle.regs_sent),
+            n=len(batch),
+            slot=None,
+            names_span=(handle.names_sent, names_end),
+            regs_span=(handle.regs_sent, regs_end),
         )
+        handle.names_sent, handle.regs_sent = names_end, regs_end
         handle.inflight.append(epoch)
-        if self._chaos is not None and self._chaos.should_corrupt(
-            handle.shard_id, epoch
-        ):
-            # Scheduled arena corruption: flip stored bytes *after* the
-            # checksum stamp, exactly like a bit-flip in flight.  Only
-            # the first delivery is corrupted — the integrity re-ship
-            # rewrites the slot cleanly, so recovery converges.
-            handle.ring.corrupt_slot(slot)
         try:
-            handle.conn.send(
-                ("block", slot, epoch, n, names_start, names, regs_start, regs)
-            )
+            self._send_block(handle, epoch, first=True)
         except (BrokenPipeError, OSError) as error:
             # Retained already — the restart replay re-ships it.
             self._restart(handle, reason=str(error))
@@ -1378,32 +1348,6 @@ class WorkerShardedFleetMonitor(ShardedFleetMonitor):
             # (two unrelated crashes) keeps the count: a crash storm
             # must still be able to open the breaker.
             handle.restarts = 0
-        if not keep.any():
-            # Nothing left to verdict: the epoch resolves to an empty
-            # local result and the worker is told to skip it so its
-            # strict epoch cursor keeps moving.
-            record.skipped = True
-            record.consumed = True
-            empty = WindowBatch(
-                device_ids=batch.device_ids[:0],
-                seqs=batch.seqs[:0],
-                features=batch.features[:0],
-                device_index=batch.device_index[:0],
-            )
-            record.batch = empty
-            record.n = 0
-            handle.local_results[epoch] = (
-                empty,
-                np.empty(0, dtype=np.dtype(self._model_header["pred_dtype"])),
-                np.empty(0, dtype=np.float64),
-                np.empty(0, dtype=bool),
-            )
-            try:
-                handle.conn.send(("skipblock", epoch))
-            except (BrokenPipeError, OSError) as error:
-                self._restart(handle, reason=str(error))
-            return
-        if len(bad):
             record.batch = WindowBatch(
                 device_ids=batch.device_ids[keep],
                 seqs=batch.seqs[keep],
@@ -1412,32 +1356,23 @@ class WorkerShardedFleetMonitor(ShardedFleetMonitor):
             )
             record.n = len(record.batch.seqs)
         try:
-            slot = handle.free_slots.pop()
-            handle.ring.write_block(
-                slot,
-                record.batch.features,
-                record.batch.device_index,
-                record.batch.seqs,
+            if record.n:
+                # The restart replay ships the (now filtered) record.
+                self._send_block(handle, epoch)
+                return
+            # Nothing left to verdict: the epoch resolves to an empty
+            # local result and the worker is told to skip it so its
+            # strict epoch cursor keeps moving.
+            record.skipped = True
+            record.consumed = True
+            handle.local_results[epoch] = (
+                record.batch,
+                np.empty(0, dtype=np.dtype(self._model_header["pred_dtype"])),
+                np.empty(0, dtype=np.float64),
+                np.empty(0, dtype=bool),
             )
-            ns, ne = record.names_span
-            rs, re_ = record.regs_span
-            queue = self.shards[handle.shard_id].queue
-            log = self._reg_logs[handle.shard_id]
-            handle.conn.send(
-                (
-                    "block",
-                    slot,
-                    epoch,
-                    record.n,
-                    ns,
-                    list(queue._names[ns:ne]),
-                    rs,
-                    list(log[rs:re_]),
-                )
-            )
-            record.slot = slot
+            handle.conn.send(("skipblock", epoch))
         except (BrokenPipeError, OSError) as error:
-            # The restart replay ships the (now filtered) record.
             self._restart(handle, reason=str(error))
 
     def _isolate_rows(self, handle: _WorkerHandle, batch) -> np.ndarray:
@@ -1519,9 +1454,7 @@ class WorkerShardedFleetMonitor(ShardedFleetMonitor):
             shard.stats.record_verdicts(
                 predictions, entropy, np.asarray(accepted, dtype=bool)
             )
-        n_flagged = shard._stage_withheld(
-            batch, predictions, entropy, accepted, base_step
-        )
+        n_flagged = self._stage.add(batch, predictions, entropy, accepted, base_step)
         if self._obs_on:
             self._m_scatter_rows.inc(n)
             self._m_flagged.inc(n_flagged)
@@ -1545,42 +1478,22 @@ class WorkerShardedFleetMonitor(ShardedFleetMonitor):
 
     def _finish_round(self, parts) -> FleetBatchResult:
         """Await one round's results and merge them facade-side."""
-        merged = []
+        batches, verdicts = [], []
         for handle, _shipped in parts:
             # The resolved batch may differ from the shipped one (rows
             # quarantined mid-flight), so merge what came back.
-            batch, predictions, entropy, accepted, mirrored = self._await_result(
-                handle
-            )
+            batch, *verdict, mirrored = self._await_result(handle)
             self._merge_part(
-                self.shards[handle.shard_id],
-                batch,
-                predictions,
-                entropy,
-                accepted,
-                record_stats=not mirrored,
+                self.shards[handle.shard_id], batch, *verdict, record_stats=not mirrored
             )
-            merged.append((batch, predictions, entropy, accepted))
-        self._collect_flagged()
-        if len(merged) == 1:
-            batch, predictions, entropy, accepted = merged[0]
-            device_ids, seqs = batch.device_ids, batch.seqs
+            batches.append(batch)
+            verdicts.append(verdict)
+        if len(verdicts) == 1:
+            predictions, entropy, accepted = verdicts[0]
         else:
-            device_ids = np.concatenate([m[0].device_ids for m in merged])
-            seqs = np.concatenate([m[0].seqs for m in merged])
-            predictions = np.concatenate([m[1] for m in merged])
-            entropy = np.concatenate([m[2] for m in merged])
-            accepted = np.concatenate([m[3] for m in merged])
-        if self.drift is not None:
-            self.drift.observe(entropy)
-        self.n_batches += 1
-        return FleetBatchResult(
-            device_ids=device_ids,
-            seqs=seqs,
-            predictions=predictions,
-            entropy=entropy,
-            accepted=accepted,
-            threshold=self.published.threshold,
+            predictions, entropy, accepted = map(np.concatenate, zip(*verdicts))
+        return self._round_result(
+            batches, predictions, entropy, accepted, self.published.threshold
         )
 
     def process_batch(self) -> FleetBatchResult | None:
@@ -1651,38 +1564,18 @@ class WorkerShardedFleetMonitor(ShardedFleetMonitor):
         self._flush_regs()
         reports = []
         for handle in self.handles:
-            if handle.health is ShardHealth.DEAD:
-                continue
-            while True:
-                try:
-                    handle.conn.send(("report",))
-                    msg = self._recv_until(handle, "report")
-                except (_WorkerDied, BrokenPipeError, OSError) as error:
-                    self._restart(handle, reason=str(error))
-                    continue
-                break
-            reports.append(
-                rebind_queue_counters(msg[1], self.shards[handle.shard_id].queue)
-            )
-        merged = merge_reports(
+            msg = self._ask(handle, ("report",), "report")
+            if msg is not None:
+                reports.append(
+                    rebind_queue_counters(msg[1], self.shards[handle.shard_id].queue)
+                )
+        # Three telemetry planes fold here: the facade's supervision
+        # instruments, the parent mirrors' queue instruments (the parent
+        # owns ingress), and the worker snapshots inside the reports.
+        merged = self._merge_reports(
             reports,
-            n_batches=self.n_batches,
-            drift_status=self.drift.observe([]).status if self.drift else None,
+            *(m.snapshot() for m in (s.metrics for s in self.shards) if m.enabled),
         )
-        if self.metrics.enabled:
-            # Three telemetry planes fold here: the facade's supervision
-            # instruments, the parent mirrors' queue instruments (the
-            # parent owns ingress), and whatever worker snapshots rode
-            # home inside the reports (already merged above).
-            snapshots = [self.metrics.snapshot()]
-            snapshots.extend(
-                shard.metrics.snapshot()
-                for shard in self.shards
-                if shard.metrics.enabled
-            )
-            if merged.telemetry:
-                snapshots.append(merged.telemetry)
-            merged = replace(merged, telemetry=merge_snapshots(snapshots))
         return replace(
             merged,
             shard_health=self.shard_health(),
@@ -1719,8 +1612,7 @@ class WorkerShardedFleetMonitor(ShardedFleetMonitor):
         """
         self._sync_checkpoints()
         shard_states = []
-        for handle in self.handles:
-            shard = self.shards[handle.shard_id]
+        for handle, shard in zip(self.handles, self.shards):
             if handle.health is ShardHealth.DEAD:
                 # Failed-over shard: everything migrated, so its slot in
                 # the snapshot is the (empty) parent mirror.  Restoring
@@ -1732,20 +1624,7 @@ class WorkerShardedFleetMonitor(ShardedFleetMonitor):
             worker_state["queue"] = shard.queue.snapshot()
             worker_state["seq"] = dict(shard._seq)
             shard_states.append(worker_state)
-        return {
-            "schema": SNAPSHOT_SCHEMA,
-            "n_shards": self.n_shards,
-            "batch_size": self.batch_size,
-            "entropy_window": self.entropy_window,
-            "n_batches": self.n_batches,
-            "policy": asdict(self.policy),
-            "shards": shard_states,
-            "forensics": {
-                "samples": self.forensics.snapshot(),
-                "maxlen": self.forensics.maxlen,
-                "total_flagged": self.forensics.total_flagged,
-            },
-        }
+        return self._snapshot(shard_states)
 
     @classmethod
     def restore(
@@ -1768,45 +1647,12 @@ class WorkerShardedFleetMonitor(ShardedFleetMonitor):
         ``pipeline_depth``/``worker_timeout``/``max_restarts``/
         ``restart_backoff``/``chaos``/``quarantine_maxlen``.
         """
-        cls._validate_snapshot(state)
-        forensic_state = state["forensics"]
-        fleet = cls(
-            hmd,
-            n_shards=state["n_shards"],
-            batch_size=state["batch_size"],
-            entropy_window=state["entropy_window"],
-            policy=BackpressurePolicy(**state["policy"]),
-            forensics=ForensicQueue.restore(
-                forensic_state["samples"],
-                maxlen=forensic_state["maxlen"],
-                total_flagged=forensic_state["total_flagged"],
-            ),
-            drift_reference=drift_reference,
-            router=router,
-            **worker_options,
-        )
-        if fleet.router.n_shards != state["n_shards"]:
-            raise ValueError(
-                f"router has {fleet.router.n_shards} shards but the "
-                f"snapshot holds {state['n_shards']}."
-            )
-        fleet.n_batches = int(state["n_batches"])
+        fleet = cls._restore(hmd, state, drift_reference, router, **worker_options)
         empty_queue_state = FleetQueue().snapshot()
         for handle, shard_state in zip(fleet.handles, state["shards"]):
-            monitor = fleet.shards[handle.shard_id]
-            monitor.queue = FleetQueue.restore(shard_state["queue"])
-            monitor._seq = dict(shard_state["seq"])
-            monitor._step = int(shard_state["step"])
-            monitor.stats = MonitorStats.restore(shard_state["stats"])
-            monitor.devices = {
-                device["device_id"]: DeviceState.restore(device)
-                for device in shard_state["devices"]
-            }
-            worker_state = dict(shard_state)
-            worker_state["queue"] = empty_queue_state
             handle.last_ckpt = {
                 "epoch": -1,
-                "monitor": worker_state,
+                "monitor": dict(shard_state, queue=empty_queue_state),
                 "names": [],
                 "regs_applied": 0,
             }

@@ -5,6 +5,8 @@ tests/integration/; here we verify each runner produces well-formed
 output quickly on the shared small context.
 """
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,9 @@ from repro.experiments import (
     run_fig8,
     run_fig9a,
     run_fig9b,
+    run_ingest,
     run_platt_ablation,
+    run_shard,
     run_table1,
 )
 
@@ -324,3 +328,31 @@ class TestFleet:
         assert result.sequential_wps > 0 and result.batched_wps > 0
         text = result.as_text()
         assert "Fleet monitoring" in text and "speedup" in text
+
+
+class TestIngest:
+    def test_batched_front_matches_reference(self, small_context):
+        result = run_ingest(
+            context=small_context, n_devices=12, windows_per_device=4, batch_size=32
+        )
+        assert result.n_windows == 48
+        assert result.features_identical
+        assert result.verdicts_identical
+
+
+@pytest.mark.mp
+class TestShard:
+    def test_every_backend_identical_under_chaos(self, small_context):
+        result = run_shard(
+            context=small_context,
+            n_devices=24,
+            windows_per_device=12,
+            n_shards=3,
+            batch_size=32,
+            processes=2,
+            chaos=7,
+        )
+        flags = {k: v for k, v in asdict(result).items() if k.endswith("_identical")}
+        assert len(flags) == 6
+        assert all(value is True for value in flags.values()), flags
+        assert result.chaos_windows_lost == 0

@@ -536,6 +536,34 @@ class TestWorkerCheckpointing:
                 inproc.report()
             )
 
+    def test_snapshot_carries_devices_registered_since_last_block(
+        self, fitted_hmd
+    ):
+        # Devices registered after the last shipped block reach their
+        # worker only at the checkpoint barrier; the snapshot must still
+        # hold them (with their cohorts), exactly like the in-process one.
+        X, _, hmd = fitted_hmd
+
+        def snapshot_after_late_registrations(fleet):
+            for d in range(8):
+                fleet.register(f"dev-{d:03d}", cohort="benign")
+            for d in range(4):
+                fleet.submit_many(f"dev-{d:03d}", X[3 * d : 3 * d + 3])
+            fleet.drain()
+            for d in range(8, 12):
+                fleet.register(f"dev-{d:03d}", cohort="malware")
+            return fleet.snapshot()
+
+        inproc = snapshot_after_late_registrations(
+            ShardedFleetMonitor(hmd, n_shards=2, batch_size=16)
+        )
+        with _worker_fleet(hmd, n_shards=2, batch_size=16) as fleet:
+            state = snapshot_after_late_registrations(fleet)
+        assert sum(len(shard["devices"]) for shard in state["shards"]) == 12
+        assert device_report_key(
+            ShardedFleetMonitor.restore(hmd, state).report()
+        ) == device_report_key(ShardedFleetMonitor.restore(hmd, inproc).report())
+
     def test_restores_hand_built_schema1_checkpoint(self, fitted_hmd):
         X, _, hmd = fitted_hmd
         with WorkerShardedFleetMonitor.restore(
