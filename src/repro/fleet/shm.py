@@ -53,7 +53,6 @@ from ..uncertainty.trust import VoteCountTables
 __all__ = [
     "ShmBlockRing",
     "ShmIntegrityError",
-    "active_owned_segments",
     "publish_model",
     "map_publication",
 ]
@@ -77,11 +76,6 @@ def _register_owned(name: str) -> None:
 
 def _discard_owned(name: str) -> None:
     _OWNED.discard(name)
-
-
-def active_owned_segments() -> list[str]:
-    """Names of parent-owned segments not yet unlinked (leak probe)."""
-    return sorted(_OWNED)
 
 
 @atexit.register

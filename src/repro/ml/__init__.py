@@ -3,49 +3,38 @@
 Implements the subset of a classical ML toolkit that the paper's
 evaluation framework obtains from scikit-learn: estimator API, bagging
 ensembles with accessible base classifiers, Random Forest / Logistic
-Regression / SVM base learners, preprocessing, PCA, t-SNE, metrics,
-model selection, and Platt calibration.
+Regression / SVM base learners, standard scaling, PCA, t-SNE, metrics,
+train/test splitting, and Platt calibration.
 """
 
 from .backend import (
     BackendCompileError,
     CompiledVotePath,
-    CompositeBackend,
     FlatForest,
     QuantizedForest,
     compile_flat_forest,
     compile_quantized_forest,
 )
 from .base import BaseEstimator, ClassifierMixin, TransformerMixin, clone
-from .boosting import AdaBoostClassifier, ExtraTreesClassifier
 from .calibration import CalibratedClassifier, PlattScaler
 from .cluster import KMeans
 from .decomposition import PCA
-from .ensemble import BaggingClassifier, RandomForestClassifier, VotingClassifier
-from .feature_selection import (
-    SelectKBest,
-    VarianceThreshold,
-    f_classif,
-    mutual_info_classif,
-)
+from .ensemble import BaggingClassifier, RandomForestClassifier
+from .feature_selection import SelectKBest, f_classif, mutual_info_classif
 from .exceptions import (
     ConvergenceError,
     ConvergenceWarning,
     DataDimensionError,
     NotFittedError,
 )
-from .linear import LogisticRegression, Perceptron
+from .linear import LogisticRegression
 from .manifold import TSNE
-from .naive_bayes import GaussianNB
-from .neighbors import KNeighborsClassifier
-from .pipeline import Pipeline, make_pipeline
-from .preprocessing import LabelEncoder, MinMaxScaler, RobustScaler, StandardScaler
+from .preprocessing import StandardScaler
 from .svm import SVC, LinearSVC
 from .training import BinMapper, BinnedDataset, grow_tree_binned
 from .tree import DecisionTreeClassifier
 
 __all__ = [
-    "AdaBoostClassifier",
     "BackendCompileError",
     "BaseEstimator",
     "BaggingClassifier",
@@ -53,7 +42,6 @@ __all__ = [
     "BinnedDataset",
     "grow_tree_binned",
     "CompiledVotePath",
-    "CompositeBackend",
     "FlatForest",
     "QuantizedForest",
     "compile_flat_forest",
@@ -64,30 +52,19 @@ __all__ = [
     "ConvergenceWarning",
     "DataDimensionError",
     "DecisionTreeClassifier",
-    "ExtraTreesClassifier",
-    "GaussianNB",
     "KMeans",
-    "KNeighborsClassifier",
-    "LabelEncoder",
     "LinearSVC",
     "LogisticRegression",
-    "MinMaxScaler",
     "NotFittedError",
     "PCA",
-    "Perceptron",
-    "Pipeline",
     "PlattScaler",
     "RandomForestClassifier",
-    "RobustScaler",
     "SVC",
     "SelectKBest",
     "StandardScaler",
     "TSNE",
     "TransformerMixin",
-    "VarianceThreshold",
-    "VotingClassifier",
     "clone",
     "f_classif",
-    "make_pipeline",
     "mutual_info_classif",
 ]

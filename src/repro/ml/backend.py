@@ -22,10 +22,6 @@ program:
   level-synchronous loop — one gather per node record per level, with
   active-set compaction once most slots have reached leaves — reduced
   either to leaf ids or to per-row second-class vote counts.
-* :class:`CompositeBackend` handles heterogeneous ensembles
-  (``VotingClassifier``): tree members ride the flat tensor, other
-  members fall back to their own ``predict`` — column by column, in
-  member order, exactly like the legacy loop.
 * :class:`CompiledVotePath` is the estimator-facing mixin: a cached
   ``compile()`` (auto-invalidated on refit) plus ``decisions_fast``,
   ``vote_distribution`` and ``predict`` routed through the backend.
@@ -50,7 +46,6 @@ __all__ = [
     "BackendCompileError",
     "FlatForest",
     "QuantizedForest",
-    "CompositeBackend",
     "CompiledVotePath",
     "compile_flat_forest",
     "compile_quantized_forest",
@@ -438,47 +433,6 @@ class QuantizedForest(_RoutedForest):
         return rec.view(np.uint8)[_Q_CODE_OFF::8] != _Q_LEAF_CODE
 
 
-class CompositeBackend:
-    """Mixed ensemble backend: flat trees + per-member fallback columns.
-
-    ``VotingClassifier`` can mix tree and non-tree members.  The tree
-    subset is compiled into one :class:`FlatForest`; the remaining
-    members keep their own ``predict``, called in member order so the
-    assembled vote matrix matches the legacy loop column for column.
-    """
-
-    def __init__(
-        self,
-        forest: FlatForest,
-        tree_columns: np.ndarray,
-        others: list,
-        other_columns: list[int],
-        other_features: list | None,
-        classes: np.ndarray,
-        n_members: int,
-    ):
-        self.forest = forest
-        self.tree_columns = tree_columns
-        self.others = others
-        self.other_columns = other_columns
-        self.other_features = other_features
-        self.classes = classes
-        self.n_members = n_members
-
-    def decisions(self, X: np.ndarray) -> np.ndarray:
-        """Votes with tree columns from the flat tensor, rest legacy."""
-        votes = np.empty((X.shape[0], self.n_members), dtype=self.classes.dtype)
-        votes[:, self.tree_columns] = self.forest.decisions(X)
-        for pos, member in zip(self.other_columns, self.others):
-            Xm = (
-                X
-                if self.other_features is None
-                else X[:, self.other_features[pos]]
-            )
-            votes[:, pos] = member.predict(Xm)
-        return votes
-
-
 def _flatten_member(
     member,
     classes: np.ndarray,
@@ -701,8 +655,8 @@ class CompiledVotePath:
     * :meth:`decisions` — the legacy per-member Python loop, kept as
       the reference implementation and benchmark baseline;
     * :meth:`compile` — build and cache the flattened backend (a
-      :class:`FlatForest`, a :class:`CompositeBackend` for mixed
-      ensembles, or ``None`` when nothing is compilable);
+      :class:`FlatForest`, or ``None`` when the members are not all
+      trees);
     * :meth:`decisions_fast` — votes through the compiled backend,
       transparently falling back to :meth:`decisions`;
     * :meth:`vote_distribution` / :meth:`predict` — the shared Eq. 3
@@ -728,8 +682,8 @@ class CompiledVotePath:
 
         * ``"flat"`` — the float64 reference kernel (default);
         * ``"float32"`` — the same kernel over float32 thresholds and
-          features (pure trees only; mixed/uncompilable ensembles keep
-          their float64 behaviour);
+          features (uncompilable ensembles keep their float64
+          behaviour);
         * ``"quantized"`` — the uint8 bin-code kernel, available only
           for hist-grown ensembles (raises
           :class:`BackendCompileError` otherwise — vote identity
@@ -738,8 +692,8 @@ class CompiledVotePath:
         The mode is *sticky*: ``compile()`` with no argument reuses the
         last requested mode, so refit paths that recompile internally
         (``partial_refit``) keep serving the caller's chosen kernel.
-        Returns the backend object, or ``None`` when no member is
-        compilable (the fast path then degrades to the legacy loop).
+        Returns the backend object, or ``None`` when the ensemble is
+        not compilable (the fast path then degrades to the legacy loop).
         Refitting invalidates the cache automatically; backends are
         cached per (member list, mode).
         """
@@ -763,12 +717,10 @@ class CompiledVotePath:
             by_mode["flat"] = self._compile_flat(members, features_list)
         base = by_mode["flat"]
         if mode == "float32":
-            backend = (
-                base.cast(np.float32) if isinstance(base, FlatForest) else base
-            )
+            backend = None if base is None else base.cast(np.float32)
         elif mode == "quantized":
             binned = getattr(self, "_binned_", None)
-            if binned is None or not isinstance(base, FlatForest):
+            if binned is None or base is None:
                 raise BackendCompileError(
                     "quantized compile requires a pure tree ensemble grown "
                     "with grower='hist' (no binned training buffer found)."
@@ -780,43 +732,13 @@ class CompiledVotePath:
         return backend
 
     def _compile_flat(self, members, features_list):
-        """The float64 backend build (flat, composite, or ``None``)."""
-        backend = None
+        """The float64 backend build (flat, or ``None``)."""
         try:
-            backend = compile_flat_forest(
+            return compile_flat_forest(
                 members, self.classes_, self.n_features_in_, features_list
             )
         except BackendCompileError:
-            tree_positions = [
-                i for i, m in enumerate(members) if hasattr(m, "tree_")
-            ]
-            if tree_positions:
-                try:
-                    forest = compile_flat_forest(
-                        [members[i] for i in tree_positions],
-                        self.classes_,
-                        self.n_features_in_,
-                        None
-                        if features_list is None
-                        else [features_list[i] for i in tree_positions],
-                    )
-                    other_positions = [
-                        i
-                        for i in range(len(members))
-                        if i not in set(tree_positions)
-                    ]
-                    backend = CompositeBackend(
-                        forest=forest,
-                        tree_columns=np.asarray(tree_positions, dtype=np.intp),
-                        others=[members[i] for i in other_positions],
-                        other_columns=other_positions,
-                        other_features=features_list,
-                        classes=np.asarray(self.classes_),
-                        n_members=len(members),
-                    )
-                except BackendCompileError:
-                    backend = None
-        return backend
+            return None
 
     def decisions(self, X) -> np.ndarray:
         """Per-member hard votes via the legacy Python loop.

@@ -4,8 +4,7 @@ The API deliberately mirrors the small core of scikit-learn's estimator
 contract that the paper's pipeline relies on:
 
 * constructor parameters are stored verbatim on ``self``;
-* :meth:`get_params` / :meth:`set_params` expose them for cloning and
-  grid search;
+* :meth:`get_params` / :meth:`set_params` expose them for cloning;
 * :func:`clone` produces an unfitted copy with identical parameters —
   this is what bagging uses to stamp out base classifiers;
 * fitted state lives in trailing-underscore attributes.

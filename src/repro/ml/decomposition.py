@@ -100,6 +100,10 @@ class PCA(BaseEstimator, TransformerMixin):
         """Reconstruct samples from their projections."""
         check_is_fitted(self, "components_")
         X = check_array(X)
+        if X.shape[1] != self.n_components_:
+            raise ValueError(
+                f"Expected {self.n_components_} components, got {X.shape[1]}."
+            )
         if self.whiten:
             X = X * np.sqrt(self.explained_variance_)
         return X @ self.components_ + self.mean_

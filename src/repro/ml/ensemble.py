@@ -1,4 +1,4 @@
-"""Ensemble classifiers: bagging, random forest, and voting.
+"""Ensemble classifiers: bagging and random forest.
 
 The paper's uncertainty estimator is built directly on top of
 :class:`BaggingClassifier`: bagging draws bootstrap replicates of the
@@ -8,7 +8,7 @@ training set (Breiman 1996), fits one base classifier per replicate, and
 the *frequency distribution of their individual decisions* (Fig. 2,
 Eq. 3-4 of the paper).
 
-All three ensembles share the :class:`~repro.ml.backend.CompiledVotePath`
+Both ensembles share the :class:`~repro.ml.backend.CompiledVotePath`
 mixin: ``decisions`` is the legacy per-member reference loop, while
 ``decisions_fast`` / ``vote_distribution`` / ``predict`` route through
 the flattened single-tensor backend (bitwise-identical votes, compiled
@@ -36,7 +36,7 @@ from .training import BinMapper, BinnedDataset, BinnedPartialRefitMixin
 from .tree import DecisionTreeClassifier
 from .validation import check_random_state, check_X_y
 
-__all__ = ["BaggingClassifier", "RandomForestClassifier", "VotingClassifier"]
+__all__ = ["BaggingClassifier", "RandomForestClassifier"]
 
 
 def _resolve_count(value: int | float, total: int, name: str) -> int:
@@ -373,60 +373,3 @@ class RandomForestClassifier(
         total = importances.sum()
         return importances / total if total > 0 else importances
 
-
-class VotingClassifier(CompiledVotePath, BaseEstimator, ClassifierMixin):
-    """Hard/soft voting over heterogeneous, named estimators.
-
-    Used in the diversity ablation: a vote over *different model
-    families* is an alternative ensemble construction to bagging one
-    family.  Tree members ride the compiled flat tensor; other member
-    families transparently fall back to their own ``predict`` (the
-    backend assembles a mixed :class:`~repro.ml.backend.CompositeBackend`).
-    """
-
-    def __init__(
-        self,
-        estimators: list[tuple[str, BaseEstimator]],
-        *,
-        voting: str = "hard",
-    ):
-        self.estimators = estimators
-        self.voting = voting
-
-    def fit(self, X, y) -> "VotingClassifier":
-        """Fit every named estimator on the full data."""
-        X, y = check_X_y(X, y)
-        if not self.estimators:
-            raise ValueError("estimators list is empty.")
-        if self.voting not in ("hard", "soft"):
-            raise ValueError(f"voting must be 'hard' or 'soft'; got {self.voting!r}.")
-        self._invalidate_backend()
-        self.classes_ = np.unique(y)
-        self.n_features_in_ = X.shape[1]
-        self.named_estimators_ = {}
-        self.estimators_ = []
-        for name, prototype in self.estimators:
-            model = clone(prototype)
-            model.fit(X, y)
-            self.named_estimators_[name] = model
-            self.estimators_.append(model)
-        return self
-
-    # decisions / decisions_fast / vote_distribution come from
-    # CompiledVotePath.
-
-    def predict_proba(self, X) -> np.ndarray:
-        """Soft voting: mean member probabilities (requires voting='soft')."""
-        if self.voting != "soft":
-            raise ValueError("predict_proba requires voting='soft'.")
-        X = self._check_predict_input(X)
-        proba = np.zeros((X.shape[0], len(self.classes_)))
-        for model in self.estimators_:
-            proba += model.predict_proba(X)
-        return proba / len(self.estimators_)
-
-    def predict(self, X) -> np.ndarray:
-        """Majority (hard) or highest-mean-probability (soft) labels."""
-        if self.voting == "soft":
-            return self.classes_[np.argmax(self.predict_proba(X), axis=1)]
-        return CompiledVotePath.predict(self, X)

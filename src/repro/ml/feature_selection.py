@@ -8,8 +8,7 @@ filter methods:
 * :func:`f_classif` — one-way ANOVA F-statistic per feature;
 * :func:`mutual_info_classif` — histogram-estimated mutual information
   between each feature and the label;
-* :class:`SelectKBest` — keep the top-k features under either score;
-* :class:`VarianceThreshold` — drop (near-)constant features.
+* :class:`SelectKBest` — keep the top-k features under either score.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import numpy as np
 from .base import BaseEstimator, TransformerMixin
 from .validation import check_array, check_is_fitted, check_X_y
 
-__all__ = ["f_classif", "mutual_info_classif", "SelectKBest", "VarianceThreshold"]
+__all__ = ["f_classif", "mutual_info_classif", "SelectKBest"]
 
 
 def f_classif(X, y) -> np.ndarray:
@@ -130,38 +129,3 @@ class SelectKBest(BaseEstimator, TransformerMixin):
         check_is_fitted(self, "support_")
         return np.flatnonzero(self.support_) if indices else self.support_
 
-
-class VarianceThreshold(BaseEstimator, TransformerMixin):
-    """Remove features whose variance is at or below ``threshold``."""
-
-    def __init__(self, threshold: float = 0.0):
-        self.threshold = threshold
-
-    def fit(self, X, y=None) -> "VarianceThreshold":
-        """Compute feature variances and the retained support."""
-        if self.threshold < 0:
-            raise ValueError("threshold must be >= 0.")
-        X = check_array(X)
-        self.variances_ = X.var(axis=0)
-        self.support_ = self.variances_ > self.threshold
-        if not self.support_.any():
-            raise ValueError(
-                "No feature exceeds the variance threshold."
-            )
-        self.n_features_in_ = X.shape[1]
-        return self
-
-    def transform(self, X) -> np.ndarray:
-        """Drop the low-variance features."""
-        check_is_fitted(self, "support_")
-        X = check_array(X)
-        if X.shape[1] != self.n_features_in_:
-            raise ValueError(
-                f"Expected {self.n_features_in_} features, got {X.shape[1]}."
-            )
-        return X[:, self.support_]
-
-    def get_support(self, indices: bool = False) -> np.ndarray:
-        """Boolean mask (or indices) of retained features."""
-        check_is_fitted(self, "support_")
-        return np.flatnonzero(self.support_) if indices else self.support_

@@ -1,4 +1,4 @@
-"""Linear classifiers: logistic regression (and a perceptron baseline).
+"""Linear classifier: logistic regression.
 
 Logistic Regression is one of the three base classifiers the paper bags
 into uncertainty-aware ensembles (Figs. 4, 5, 7, 9).  The solver
@@ -18,7 +18,7 @@ from .base import BaseEstimator, ClassifierMixin
 from .exceptions import ConvergenceWarning
 from .validation import check_random_state, check_X_y
 
-__all__ = ["LogisticRegression", "Perceptron"]
+__all__ = ["LogisticRegression"]
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -165,64 +165,3 @@ class LogisticRegression(BaseEstimator, ClassifierMixin):
             return self.classes_[(scores > 0).astype(int)]
         return self.classes_[np.argmax(scores, axis=1)]
 
-
-class Perceptron(BaseEstimator, ClassifierMixin):
-    """Classic averaged perceptron (binary), used in ablation studies
-    as a cheap, high-variance base classifier."""
-
-    def __init__(
-        self,
-        *,
-        max_iter: int = 50,
-        shuffle: bool = True,
-        random_state: int | np.random.Generator | None = None,
-    ):
-        self.max_iter = max_iter
-        self.shuffle = shuffle
-        self.random_state = random_state
-
-    def fit(self, X, y, sample_weight=None) -> "Perceptron":
-        """Fit with the averaged-perceptron update rule."""
-        X, y = check_X_y(X, y)
-        if sample_weight is not None:
-            weights = np.round(np.asarray(sample_weight)).astype(int)
-            X = np.repeat(X, weights, axis=0)
-            y = np.repeat(y, weights, axis=0)
-        self.classes_ = np.unique(y)
-        if len(self.classes_) != 2:
-            raise ValueError("Perceptron supports binary problems only.")
-        self.n_features_in_ = X.shape[1]
-        y_signed = np.where(y == self.classes_[1], 1.0, -1.0)
-
-        rng = check_random_state(self.random_state)
-        n = len(y_signed)
-        w = np.zeros(X.shape[1])
-        b = 0.0
-        w_sum = np.zeros_like(w)
-        b_sum = 0.0
-        updates = 0
-        for _ in range(self.max_iter):
-            order = rng.permutation(n) if self.shuffle else np.arange(n)
-            mistakes = 0
-            for i in order:
-                if y_signed[i] * (X[i] @ w + b) <= 0:
-                    w += y_signed[i] * X[i]
-                    b += y_signed[i]
-                    mistakes += 1
-                w_sum += w
-                b_sum += b
-                updates += 1
-            if mistakes == 0:
-                break
-        self.coef_ = (w_sum / max(updates, 1))[None, :]
-        self.intercept_ = np.array([b_sum / max(updates, 1)])
-        return self
-
-    def decision_function(self, X) -> np.ndarray:
-        """Signed distance to the averaged hyperplane."""
-        X = self._check_predict_input(X)
-        return (X @ self.coef_.T + self.intercept_).ravel()
-
-    def predict(self, X) -> np.ndarray:
-        """Predicted class labels."""
-        return self.classes_[(self.decision_function(X) > 0).astype(int)]

@@ -1,26 +1,15 @@
-"""Dataset splitting and cross-validation utilities.
+"""Dataset splitting.
 
-The paper splits the *known* signatures into train/test (Fig. 6) and the
-reproduction additionally uses stratified K-fold cross-validation when
-tuning the base classifiers.
+The paper splits the *known* signatures into train/test (Fig. 6).
 """
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
-from .base import BaseEstimator, clone
 from .validation import check_random_state, column_or_1d
 
-__all__ = [
-    "train_test_split",
-    "KFold",
-    "StratifiedKFold",
-    "cross_val_score",
-    "GridSearchCV",
-]
+__all__ = ["train_test_split"]
 
 
 def _resolve_test_size(n_samples: int, test_size: float | int) -> int:
@@ -94,154 +83,3 @@ def train_test_split(
         result.append(a[test_idx])
     return result
 
-
-class KFold:
-    """Plain K-fold cross-validation splitter."""
-
-    def __init__(
-        self,
-        n_splits: int = 5,
-        *,
-        shuffle: bool = False,
-        random_state: int | np.random.Generator | None = None,
-    ):
-        if n_splits < 2:
-            raise ValueError(f"n_splits must be >= 2; got {n_splits}.")
-        self.n_splits = n_splits
-        self.shuffle = shuffle
-        self.random_state = random_state
-
-    def split(self, X, y=None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Yield ``(train_indices, test_indices)`` for each fold."""
-        n_samples = len(X)
-        if self.n_splits > n_samples:
-            raise ValueError(
-                f"n_splits={self.n_splits} > n_samples={n_samples}."
-            )
-        indices = np.arange(n_samples)
-        if self.shuffle:
-            check_random_state(self.random_state).shuffle(indices)
-        fold_sizes = np.full(self.n_splits, n_samples // self.n_splits, dtype=int)
-        fold_sizes[: n_samples % self.n_splits] += 1
-        start = 0
-        for size in fold_sizes:
-            test_idx = indices[start : start + size]
-            train_idx = np.concatenate([indices[:start], indices[start + size :]])
-            yield train_idx, test_idx
-            start += size
-
-    def get_n_splits(self) -> int:
-        """Number of folds."""
-        return self.n_splits
-
-
-class StratifiedKFold(KFold):
-    """K-fold preserving per-class proportions in every fold."""
-
-    def split(self, X, y=None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Yield stratified ``(train_indices, test_indices)`` folds."""
-        if y is None:
-            raise ValueError("StratifiedKFold requires y.")
-        y = column_or_1d(y)
-        n_samples = len(y)
-        if self.n_splits > n_samples:
-            raise ValueError(
-                f"n_splits={self.n_splits} > n_samples={n_samples}."
-            )
-        rng = check_random_state(self.random_state)
-        # Assign each sample a fold id, round-robin within its class.
-        fold_of = np.empty(n_samples, dtype=int)
-        for label in np.unique(y):
-            members = np.flatnonzero(y == label)
-            if self.shuffle:
-                rng.shuffle(members)
-            fold_of[members] = np.arange(len(members)) % self.n_splits
-        for fold in range(self.n_splits):
-            test_idx = np.flatnonzero(fold_of == fold)
-            train_idx = np.flatnonzero(fold_of != fold)
-            yield train_idx, test_idx
-
-
-def cross_val_score(
-    estimator: BaseEstimator,
-    X,
-    y,
-    *,
-    cv: int | KFold = 5,
-    scoring=None,
-) -> np.ndarray:
-    """Fit a clone of ``estimator`` per fold and return per-fold scores.
-
-    ``scoring`` is a callable ``(y_true, y_pred) -> float``; ``None``
-    uses accuracy.
-    """
-    X = np.asarray(X)
-    y = column_or_1d(y)
-    splitter = StratifiedKFold(cv) if isinstance(cv, int) else cv
-    if scoring is None:
-        from .metrics import accuracy_score as scoring  # noqa: PLW0127
-
-    scores = []
-    for train_idx, test_idx in splitter.split(X, y):
-        model = clone(estimator)
-        model.fit(X[train_idx], y[train_idx])
-        scores.append(scoring(y[test_idx], model.predict(X[test_idx])))
-    return np.asarray(scores)
-
-
-class GridSearchCV(BaseEstimator):
-    """Exhaustive parameter search by cross-validated score.
-
-    A deliberately small implementation: a dict of parameter lists, the
-    cartesian product of which is evaluated with :func:`cross_val_score`;
-    the best combination refits on the full data.
-    """
-
-    def __init__(
-        self,
-        estimator: BaseEstimator,
-        param_grid: dict,
-        *,
-        cv: int = 3,
-        scoring=None,
-    ):
-        self.estimator = estimator
-        self.param_grid = param_grid
-        self.cv = cv
-        self.scoring = scoring
-
-    def _iter_grid(self) -> Iterator[dict]:
-        names = sorted(self.param_grid)
-        values = [self.param_grid[name] for name in names]
-
-        def recurse(i: int, current: dict) -> Iterator[dict]:
-            if i == len(names):
-                yield dict(current)
-                return
-            for v in values[i]:
-                current[names[i]] = v
-                yield from recurse(i + 1, current)
-
-        yield from recurse(0, {})
-
-    def fit(self, X, y) -> "GridSearchCV":
-        """Evaluate the grid, keep the best parameters and refit."""
-        if not self.param_grid:
-            raise ValueError("param_grid is empty.")
-        results = []
-        for params in self._iter_grid():
-            candidate = clone(self.estimator).set_params(**params)
-            scores = cross_val_score(candidate, X, y, cv=self.cv, scoring=self.scoring)
-            results.append((float(scores.mean()), params))
-        if not results:
-            raise ValueError("param_grid is empty.")
-        results.sort(key=lambda item: -item[0])
-        self.best_score_, self.best_params_ = results[0]
-        self.cv_results_ = results
-        self.best_estimator_ = clone(self.estimator).set_params(**self.best_params_)
-        self.best_estimator_.fit(X, y)
-        return self
-
-    def predict(self, X) -> np.ndarray:
-        """Predict with the refitted best estimator."""
-        return self.best_estimator_.predict(X)

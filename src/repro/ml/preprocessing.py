@@ -1,7 +1,7 @@
-"""Feature preprocessing: scalers and label encoding.
+"""Feature preprocessing: the standard scaler.
 
 The HMD pipeline (Fig. 1/2 of the paper) standardises features before
-dimensionality reduction and classification; these transformers provide
+dimensionality reduction and classification; this transformer provides
 that stage.
 """
 
@@ -10,9 +10,9 @@ from __future__ import annotations
 import numpy as np
 
 from .base import BaseEstimator, TransformerMixin
-from .validation import check_array, check_is_fitted, column_or_1d
+from .validation import check_array, check_is_fitted
 
-__all__ = ["StandardScaler", "MinMaxScaler", "RobustScaler", "LabelEncoder"]
+__all__ = ["StandardScaler"]
 
 
 class StandardScaler(BaseEstimator, TransformerMixin):
@@ -40,20 +40,23 @@ class StandardScaler(BaseEstimator, TransformerMixin):
             self.scale_ = np.ones(X.shape[1])
         return self
 
-    def transform(self, X) -> np.ndarray:
-        """Standardise ``X`` with the fitted statistics."""
+    def _check_fitted_input(self, X) -> np.ndarray:
         check_is_fitted(self, "mean_")
         X = check_array(X)
         if X.shape[1] != self.n_features_in_:
             raise ValueError(
                 f"Expected {self.n_features_in_} features, got {X.shape[1]}."
             )
+        return X
+
+    def transform(self, X) -> np.ndarray:
+        """Standardise ``X`` with the fitted statistics."""
+        X = self._check_fitted_input(X)
         return (X - self.mean_) / self.scale_
 
     def inverse_transform(self, X) -> np.ndarray:
         """Map standardised values back to the original scale."""
-        check_is_fitted(self, "mean_")
-        X = check_array(X)
+        X = self._check_fitted_input(X)
         return X * self.scale_ + self.mean_
 
     def as_affine(self, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
@@ -77,114 +80,3 @@ class StandardScaler(BaseEstimator, TransformerMixin):
         dtype = np.dtype(dtype)
         return mult.astype(dtype, copy=False), bias.astype(dtype, copy=False)
 
-
-class MinMaxScaler(BaseEstimator, TransformerMixin):
-    """Scale features into ``feature_range`` (default [0, 1])."""
-
-    def __init__(self, *, feature_range: tuple[float, float] = (0.0, 1.0)):
-        self.feature_range = feature_range
-
-    def fit(self, X, y=None) -> "MinMaxScaler":
-        """Record per-feature min/max and the scale into the range."""
-        lo, hi = self.feature_range
-        if lo >= hi:
-            raise ValueError(
-                f"feature_range minimum must be < maximum; got {self.feature_range}."
-            )
-        X = check_array(X)
-        self.n_features_in_ = X.shape[1]
-        self.data_min_ = X.min(axis=0)
-        self.data_max_ = X.max(axis=0)
-        data_range = self.data_max_ - self.data_min_
-        # Sub-normal ranges would overflow the scale factor; treat such
-        # features as constant.
-        data_range[data_range < np.finfo(np.float64).tiny] = 1.0
-        self.scale_ = (hi - lo) / data_range
-        self.min_ = lo - self.data_min_ * self.scale_
-        return self
-
-    def transform(self, X) -> np.ndarray:
-        """Scale ``X`` into the fitted feature range."""
-        check_is_fitted(self, "scale_")
-        X = check_array(X)
-        if X.shape[1] != self.n_features_in_:
-            raise ValueError(
-                f"Expected {self.n_features_in_} features, got {X.shape[1]}."
-            )
-        return X * self.scale_ + self.min_
-
-    def inverse_transform(self, X) -> np.ndarray:
-        """Map scaled values back to the original range."""
-        check_is_fitted(self, "scale_")
-        X = check_array(X)
-        return (X - self.min_) / self.scale_
-
-
-class RobustScaler(BaseEstimator, TransformerMixin):
-    """Scale using median and inter-quartile range (outlier-resistant).
-
-    Useful for HPC counter features whose heavy-tailed distributions make
-    the plain standard deviation a poor scale estimate.
-    """
-
-    def __init__(self, *, quantile_range: tuple[float, float] = (25.0, 75.0)):
-        self.quantile_range = quantile_range
-
-    def fit(self, X, y=None) -> "RobustScaler":
-        """Estimate per-feature median and inter-quantile range."""
-        lo, hi = self.quantile_range
-        if not (0 <= lo < hi <= 100):
-            raise ValueError(f"Invalid quantile_range {self.quantile_range}.")
-        X = check_array(X)
-        self.n_features_in_ = X.shape[1]
-        self.center_ = np.median(X, axis=0)
-        q_low, q_high = np.percentile(X, [lo, hi], axis=0)
-        iqr = q_high - q_low
-        iqr[iqr < np.finfo(np.float64).tiny] = 1.0
-        self.scale_ = iqr
-        return self
-
-    def transform(self, X) -> np.ndarray:
-        """Center by the median and scale by the IQR."""
-        check_is_fitted(self, "center_")
-        X = check_array(X)
-        if X.shape[1] != self.n_features_in_:
-            raise ValueError(
-                f"Expected {self.n_features_in_} features, got {X.shape[1]}."
-            )
-        return (X - self.center_) / self.scale_
-
-
-class LabelEncoder(BaseEstimator):
-    """Encode arbitrary labels as integers ``0..n_classes-1``."""
-
-    def fit(self, y) -> "LabelEncoder":
-        """Memorise the sorted unique labels."""
-        y = column_or_1d(y)
-        self.classes_ = np.unique(y)
-        return self
-
-    def transform(self, y) -> np.ndarray:
-        """Encode labels as their index into ``classes_``."""
-        check_is_fitted(self, "classes_")
-        y = column_or_1d(y)
-        encoded = np.searchsorted(self.classes_, y)
-        valid = (encoded < len(self.classes_)) & (self.classes_[
-            np.minimum(encoded, len(self.classes_) - 1)
-        ] == y)
-        if not np.all(valid):
-            unknown = np.unique(np.asarray(y)[~valid])
-            raise ValueError(f"y contains previously unseen labels: {unknown.tolist()}.")
-        return encoded
-
-    def fit_transform(self, y) -> np.ndarray:
-        """Fit to ``y`` and return the encoded labels."""
-        return self.fit(y).transform(y)
-
-    def inverse_transform(self, encoded) -> np.ndarray:
-        """Map integer codes back to the original labels."""
-        check_is_fitted(self, "classes_")
-        encoded = np.asarray(encoded, dtype=int)
-        if encoded.size and (encoded.min() < 0 or encoded.max() >= len(self.classes_)):
-            raise ValueError("Encoded labels out of range.")
-        return self.classes_[encoded]

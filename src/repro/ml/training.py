@@ -435,45 +435,6 @@ def _sorted_best_cut(codes_sub, yw_sub, counts, min_samples_leaf,
     return int(f_pos), cut_bin, float(best_gain), lc[best_cut, f_pos]
 
 
-def _random_cut(class_hist, count_hist, cut_valid, node_counts,
-                n_node, min_samples_leaf, node_impurity, criterion, rng):
-    """Extra-trees analog: one random cut bin per feature, best feature kept."""
-    F, B = count_hist.shape
-    occupied = count_hist > 0
-    any_occ = occupied.any(axis=1)
-    first = np.argmax(occupied, axis=1)
-    last = B - 1 - np.argmax(occupied[:, ::-1], axis=1)
-    usable = any_occ & (last > first)
-    if not usable.any():
-        return None
-    # Draw every feature's cut in one vectorised call (degenerate
-    # features get a dummy range and are masked out below).
-    lows = np.where(usable, first, 0)
-    highs = np.where(usable, last, 1)
-    cuts = rng.integers(lows, highs)                 # cut bin in [first, last)
-    rows_idx = np.arange(F)
-    left_w = np.cumsum(class_hist, axis=1)[rows_idx, cuts]    # (F, K)
-    left_c = np.cumsum(count_hist, axis=1)[rows_idx, cuts]    # (F,)
-    right_w = node_counts[None, :] - left_w
-    right_c = n_node - left_c
-    wl = left_w.sum(axis=1)
-    wr = right_w.sum(axis=1)
-    w_node = float(node_counts.sum())
-    gain = node_impurity - _children_cost(left_w, right_w, wl, wr, criterion) / w_node
-    admissible = (
-        usable
-        & cut_valid[rows_idx, cuts]
-        & (left_c >= min_samples_leaf)
-        & (right_c >= min_samples_leaf)
-    )
-    gain = np.where(admissible, gain, -np.inf)
-    f_pos = int(np.argmax(gain))
-    best_gain = gain[f_pos]
-    if not np.isfinite(best_gain) or best_gain <= 1e-12:
-        return None
-    return f_pos, int(cuts[f_pos]), float(best_gain), left_w[f_pos]
-
-
 def grow_tree_binned(
     view: BinnedView,
     y_encoded: np.ndarray,
@@ -485,7 +446,6 @@ def grow_tree_binned(
     min_samples_leaf: int = 1,
     min_impurity_decrease: float = 0.0,
     n_candidate_features: int | None = None,
-    splitter: str = "best",
     sample_weight: np.ndarray | None = None,
     rows: np.ndarray | None = None,
     random_state=None,
@@ -527,12 +487,10 @@ def grow_tree_binned(
     # Nodes with far fewer samples than bins switch to the sort-based
     # scan (O(m·F) instead of O(B·F)); the weighted one-hot matrix it
     # prefix-sums is shared across all of them.
-    small_node = B if splitter == "best" else 0
-    onehot_w = None
-    if small_node:
-        onehot_w = np.eye(n_classes, dtype=np.float64)[y_encoded]
-        if sample_weight is not None:
-            onehot_w = onehot_w * sample_weight[:, None]
+    small_node = B
+    onehot_w = np.eye(n_classes, dtype=np.float64)[y_encoded]
+    if sample_weight is not None:
+        onehot_w = onehot_w * sample_weight[:, None]
 
     if sample_weight is None:
         root_counts = np.bincount(
@@ -573,7 +531,7 @@ def grow_tree_binned(
         else:
             feats = None
 
-        if splitter == "best" and n_node <= small_node:
+        if n_node <= small_node:
             codes_sub = (
                 codes[node_rows] if feats is None
                 else codes[np.ix_(node_rows, feats)]
@@ -591,16 +549,10 @@ def grow_tree_binned(
                     node_hist = hist.compute(node_rows)
                 class_hist, count_hist = node_hist
                 cut_valid = cut_valid_all
-            if splitter == "random":
-                best = _random_cut(
-                    class_hist, count_hist, cut_valid, counts, n_node,
-                    min_samples_leaf, node_impurity, criterion, rng,
-                )
-            else:
-                best = _scan_best_cut(
-                    class_hist, count_hist, cut_valid, counts, n_node,
-                    min_samples_leaf, node_impurity, criterion,
-                )
+            best = _scan_best_cut(
+                class_hist, count_hist, cut_valid, counts, n_node,
+                min_samples_leaf, node_impurity, criterion,
+            )
         if best is None:
             continue
         f_pos, cut_bin, gain, left_counts = best

@@ -256,13 +256,6 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
         Seed for the per-split feature subsampling.
     """
 
-    # Ensembles probe this to pass real-valued weights instead of
-    # resampling/replicating (see AdaBoostClassifier.fit).
-    _native_sample_weight = True
-    # Split strategy of the hist grower; the extra-trees subclass
-    # overrides it with "random".
-    _splitter = "best"
-
     def __init__(
         self,
         *,
@@ -429,10 +422,10 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
     def _fit_binned(self, view, y, sample_weight=None) -> "DecisionTreeClassifier":
         """Grow from an already-binned dataset view (no re-binning).
 
-        The ensemble fast path: Bagging/RF/ExtraTrees bin the training
-        set once (:class:`~repro.ml.training.BinnedDataset`) and every
-        member grows from the shared codes.  ``sample_weight`` carries
-        bootstrap multiplicities (or boosting weights) natively;
+        The ensemble fast path: Bagging/RF bin the training set once
+        (:class:`~repro.ml.training.BinnedDataset`) and every member
+        grows from the shared codes.  ``sample_weight`` carries
+        bootstrap multiplicities natively;
         zero-weight rows are excluded from growth without copying the
         code matrix.
         """
@@ -470,7 +463,6 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
             min_samples_leaf=self.min_samples_leaf,
             min_impurity_decrease=self.min_impurity_decrease,
             n_candidate_features=self._resolve_max_features(view.n_features),
-            splitter=self._splitter,
             sample_weight=weights,
             rows=rows,
             random_state=self.random_state,

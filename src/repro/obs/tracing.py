@@ -29,7 +29,7 @@ import numpy as np
 
 __all__ = ["STAGES", "TraceContext", "TraceSampler", "TraceSpan"]
 
-# Pipeline stages in lifecycle order.  Percentiles are reported per
+# Fleet stages in lifecycle order.  Percentiles are reported per
 # *transition* between the consecutive stages a span actually visited,
 # so in-process spans (no ship stage) and worker spans coexist.
 STAGES = ("ingest", "queue", "ship", "verdict", "scatter")

@@ -24,7 +24,7 @@ application, and lets the dataset builder place whole *applications*
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -709,11 +709,6 @@ class FleetTraceGenerator:
             for device in self._emitting():
                 generator = self._generators[device.device_id]
                 yield device, generator.generate(device.spec, window_steps)
-
-
-def scaled_phase(phase: WorkloadPhase, **overrides) -> WorkloadPhase:
-    """Convenience helper: copy ``phase`` with field overrides."""
-    return replace(phase, **overrides)
 
 
 def blend_specs(

@@ -2,8 +2,8 @@
 
 :class:`EnsembleUncertaintyEstimator` wraps any fitted ensemble that
 exposes per-member decisions (``BaggingClassifier``,
-``RandomForestClassifier``, ``VotingClassifier`` — anything with a
-``decisions(X)`` method and a ``classes_`` attribute) and turns the
+``RandomForestClassifier`` — anything with a ``decisions(X)`` method
+and a ``classes_`` attribute) and turns the
 frequency distribution of those decisions into predictive-uncertainty
 estimates:
 

@@ -8,13 +8,13 @@ teardown is skipped or a supervisor dies before ``close()``.
 
 import pytest
 
-from repro.fleet.shm import active_owned_segments
+from repro.fleet import shm
 
 
 @pytest.fixture(autouse=True)
 def no_leaked_segments():
     """Every test must leave the owned-segment registry empty."""
-    before = set(active_owned_segments())
+    before = set(shm._OWNED)
     yield
-    leaked = [name for name in active_owned_segments() if name not in before]
+    leaked = sorted(shm._OWNED - before)
     assert not leaked, f"test leaked shared-memory segments: {leaked}"

@@ -38,11 +38,8 @@ from repro.fleet.engine import batch_verdict_key, batch_window_keys
 from repro.fleet.report import device_report_key
 from repro.fleet.resilience import FaultEvent
 from repro.fleet.sharding import ShardRouter
-from repro.fleet.shm import (
-    ShmBlockRing,
-    ShmIntegrityError,
-    active_owned_segments,
-)
+from repro.fleet import shm
+from repro.fleet.shm import ShmBlockRing, ShmIntegrityError
 from repro.ml import RandomForestClassifier
 from repro.uncertainty import TrustedHMD
 from tests.conftest import make_blobs
@@ -240,16 +237,16 @@ class TestRingIntegrity:
             ring.close()
 
     def test_owned_segment_registry(self):
-        before = set(active_owned_segments())
+        before = set(shm._OWNED)
         ring = self._ring()
         name = ring.name
-        assert name in active_owned_segments()
+        assert name in shm._OWNED
         attached = ShmBlockRing.attach(ring.spec())
         attached.close()  # non-owner close must not touch the registry
-        assert name in active_owned_segments()
+        assert name in shm._OWNED
         ring.close()
-        assert name not in active_owned_segments()
-        assert set(active_owned_segments()) == before
+        assert name not in shm._OWNED
+        assert shm._OWNED == before
 
 
 # ---------------------------------------------------------------------------

@@ -37,11 +37,7 @@ from repro.fleet import (
 from repro.fleet.engine import batch_verdict_key
 from repro.fleet.report import device_report_key
 from repro.fleet.state import RingBuffer
-from repro.ml import (
-    BaggingClassifier,
-    ExtraTreesClassifier,
-    RandomForestClassifier,
-)
+from repro.ml import BaggingClassifier, RandomForestClassifier
 from repro.uncertainty import MonitorStats, TrustedHMD
 from tests.conftest import make_blobs
 
@@ -346,7 +342,9 @@ class TestPublishedHmd:
         "ensemble",
         [
             RandomForestClassifier(n_estimators=15, random_state=0),
-            ExtraTreesClassifier(n_estimators=9, random_state=1),
+            RandomForestClassifier(
+                n_estimators=9, bootstrap=False, grower="hist", random_state=1
+            ),
             BaggingClassifier(n_estimators=7, random_state=2),
             RandomForestClassifier(
                 n_estimators=5, max_depth=1, random_state=3

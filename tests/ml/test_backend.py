@@ -18,17 +18,13 @@ import numpy as np
 import pytest
 
 from repro.ml import (
-    AdaBoostClassifier,
     BaggingClassifier,
     DecisionTreeClassifier,
-    ExtraTreesClassifier,
-    GaussianNB,
     LogisticRegression,
     RandomForestClassifier,
-    VotingClassifier,
     compile_flat_forest,
 )
-from repro.ml.backend import _SLOT_TARGET, CompositeBackend, FlatForest
+from repro.ml.backend import _SLOT_TARGET, FlatForest
 from repro.uncertainty.entropy import vote_entropy
 from tests.conftest import make_blobs
 
@@ -167,13 +163,6 @@ class TestRandomizedEquivalence:
         ).fit(X, y)
         assert_fast_path_identical(leaves, X)
 
-    def test_extra_trees_and_adaboost(self):
-        X, y = make_blobs(n_per_class=80, seed=17)
-        extra = ExtraTreesClassifier(n_estimators=19, random_state=13).fit(X, y)
-        assert_fast_path_identical(extra, X)
-        boost = AdaBoostClassifier(n_estimators=12, random_state=14).fit(X, y)
-        assert_fast_path_identical(boost, X)
-
     def test_large_batch_chunking(self):
         # Batches larger than the traversal chunk must stitch cleanly.
         X, y = make_blobs(n_per_class=90, seed=18)
@@ -239,39 +228,6 @@ class TestRoutingReductions:
 
 
 class TestHeterogeneousFallback:
-    def test_voting_mixed_members_composite(self, blobs_split):
-        X_train, X_test, y_train, _ = blobs_split
-        voting = VotingClassifier(
-            [
-                ("tree", DecisionTreeClassifier(max_depth=4, random_state=0)),
-                ("nb", GaussianNB()),
-                ("lr", LogisticRegression(max_iter=200)),
-            ]
-        ).fit(X_train, y_train)
-        backend = voting.compile()
-        assert isinstance(backend, CompositeBackend)
-        assert list(backend.tree_columns) == [0]
-        assert_fast_path_identical(voting, X_test)
-
-    def test_voting_all_trees_compiles_flat(self, blobs_split):
-        X_train, X_test, y_train, _ = blobs_split
-        voting = VotingClassifier(
-            [
-                ("shallow", DecisionTreeClassifier(max_depth=2, random_state=0)),
-                ("deep", DecisionTreeClassifier(random_state=1)),
-            ]
-        ).fit(X_train, y_train)
-        assert isinstance(voting.compile(), FlatForest)
-        assert_fast_path_identical(voting, X_test)
-
-    def test_voting_no_trees_falls_back(self, blobs_split):
-        X_train, X_test, y_train, _ = blobs_split
-        voting = VotingClassifier(
-            [("nb", GaussianNB()), ("lr", LogisticRegression(max_iter=200))]
-        ).fit(X_train, y_train)
-        assert voting.compile() is None
-        assert_fast_path_identical(voting, X_test)
-
     def test_bagging_non_tree_base_falls_back(self, blobs_split):
         X_train, X_test, y_train, _ = blobs_split
         bag = BaggingClassifier(
@@ -326,50 +282,6 @@ class TestCompileCache:
         )
         np.testing.assert_array_equal(
             flat.decisions(X_test), forest.decisions(X_test)
-        )
-
-
-class TestPipelinePassthrough:
-    def test_pipeline_decisions_fast_routes_through_backend(self, blobs_split):
-        from repro.ml import StandardScaler
-        from repro.ml.pipeline import Pipeline
-
-        X_train, X_test, y_train, _ = blobs_split
-        pipe = Pipeline(
-            [
-                ("scale", StandardScaler()),
-                ("forest", RandomForestClassifier(n_estimators=7, random_state=0)),
-            ]
-        ).fit(X_train, y_train)
-        np.testing.assert_array_equal(
-            pipe.decisions_fast(X_test), pipe.decisions(X_test)
-        )
-
-    def test_pipeline_decisions_fast_falls_back(self, blobs_split):
-        from repro.ml import StandardScaler
-        from repro.ml.base import BaseEstimator
-        from repro.ml.pipeline import Pipeline
-
-        class LoopOnlyEnsemble(BaseEstimator):
-            """Final step with decisions() but no compiled path."""
-
-            def fit(self, X, y):
-                self.inner_ = RandomForestClassifier(
-                    n_estimators=5, random_state=1
-                ).fit(X, y)
-                self.classes_ = self.inner_.classes_
-                return self
-
-            def decisions(self, X):
-                return self.inner_.decisions(X)
-
-        X_train, X_test, y_train, _ = blobs_split
-        pipe = Pipeline(
-            [("scale", StandardScaler()), ("ens", LoopOnlyEnsemble())]
-        ).fit(X_train, y_train)
-        assert not hasattr(pipe.steps_[-1][1], "decisions_fast")
-        np.testing.assert_array_equal(
-            pipe.decisions_fast(X_test), pipe.decisions(X_test)
         )
 
 

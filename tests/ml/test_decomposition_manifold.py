@@ -53,6 +53,13 @@ class TestPCA:
         X_rec = pca.inverse_transform(pca.transform(X))
         np.testing.assert_allclose(X_rec, X, atol=0.1)
 
+    @pytest.mark.parametrize("whiten", [False, True])
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_inverse_transform_component_count_mismatch(self, whiten, width):
+        pca = PCA(n_components=2, whiten=whiten).fit(self._correlated_data())
+        with pytest.raises(ValueError, match=f"Expected 2 components, got {width}"):
+            pca.inverse_transform(np.zeros((5, width)))
+
     def test_whiten_gives_unit_variance(self):
         X = self._correlated_data()
         Z = PCA(n_components=2, whiten=True).fit_transform(X)

@@ -1,4 +1,4 @@
-"""Tests for bagging, random forest and voting ensembles."""
+"""Tests for bagging and random forest ensembles."""
 
 import numpy as np
 import pytest
@@ -6,10 +6,8 @@ import pytest
 from repro.ml import (
     BaggingClassifier,
     DecisionTreeClassifier,
-    GaussianNB,
     LogisticRegression,
     RandomForestClassifier,
-    VotingClassifier,
 )
 from tests.conftest import make_blobs
 
@@ -157,48 +155,3 @@ class TestRandomForest:
         ).fit(X, y)
         assert all(len(s) == len(y) // 4 for s in forest.estimators_samples_)
 
-
-class TestVotingClassifier:
-    def _members(self):
-        return [
-            ("lr", LogisticRegression()),
-            ("nb", GaussianNB()),
-            ("tree", DecisionTreeClassifier(max_depth=4, random_state=0)),
-        ]
-
-    def test_hard_voting_accuracy(self, blobs_split):
-        X_train, X_test, y_train, y_test = blobs_split
-        vc = VotingClassifier(self._members()).fit(X_train, y_train)
-        assert vc.score(X_test, y_test) > 0.95
-
-    def test_soft_voting_proba(self, blobs_split):
-        X_train, X_test, y_train, _ = blobs_split
-        vc = VotingClassifier(self._members(), voting="soft").fit(X_train, y_train)
-        proba = vc.predict_proba(X_test)
-        np.testing.assert_allclose(proba.sum(axis=1), 1.0, atol=1e-9)
-
-    def test_named_access(self, blobs_split):
-        X_train, _, y_train, _ = blobs_split
-        vc = VotingClassifier(self._members()).fit(X_train, y_train)
-        assert isinstance(vc.named_estimators_["nb"], GaussianNB)
-
-    def test_decisions_columns_match_members(self, blobs_split):
-        X_train, X_test, y_train, _ = blobs_split
-        vc = VotingClassifier(self._members()).fit(X_train, y_train)
-        assert vc.decisions(X_test).shape == (len(X_test), 3)
-
-    def test_hard_predict_proba_raises(self, blobs_split):
-        X_train, X_test, y_train, _ = blobs_split
-        vc = VotingClassifier(self._members(), voting="hard").fit(X_train, y_train)
-        with pytest.raises(ValueError):
-            vc.predict_proba(X_test)
-
-    def test_empty_members_raises(self, blobs):
-        X, y = blobs
-        with pytest.raises(ValueError):
-            VotingClassifier([]).fit(X, y)
-
-    def test_invalid_voting_raises(self, blobs):
-        X, y = blobs
-        with pytest.raises(ValueError):
-            VotingClassifier(self._members(), voting="median").fit(X, y)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ml import SelectKBest, VarianceThreshold, f_classif, mutual_info_classif
+from repro.ml import SelectKBest, f_classif, mutual_info_classif
 
 
 def _informative_data(seed=0, n=300):
@@ -94,27 +94,3 @@ class TestSelectKBest:
         selector = SelectKBest(k=2).fit(X, y)
         with pytest.raises(ValueError):
             selector.transform(X[:, :2])
-
-
-class TestVarianceThreshold:
-    def test_drops_constant(self):
-        X = np.column_stack([np.ones(10), np.arange(10.0)])
-        Z = VarianceThreshold().fit_transform(X)
-        assert Z.shape == (10, 1)
-
-    def test_threshold_level(self):
-        rng = np.random.default_rng(8)
-        X = np.column_stack(
-            [rng.normal(scale=0.01, size=100), rng.normal(scale=1.0, size=100)]
-        )
-        selector = VarianceThreshold(threshold=0.01).fit(X)
-        np.testing.assert_array_equal(selector.get_support(indices=True), [1])
-
-    def test_all_dropped_raises(self):
-        X = np.ones((5, 2))
-        with pytest.raises(ValueError):
-            VarianceThreshold().fit(X)
-
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            VarianceThreshold(threshold=-1.0).fit(np.zeros((3, 1)) + np.arange(3)[:, None])

@@ -1,9 +1,9 @@
-"""Tests for LogisticRegression and Perceptron."""
+"""Tests for LogisticRegression."""
 
 import numpy as np
 import pytest
 
-from repro.ml import LogisticRegression, Perceptron
+from repro.ml import LogisticRegression
 from tests.conftest import make_blobs
 
 
@@ -80,21 +80,3 @@ class TestLogisticRegressionMulticlass:
         model = LogisticRegression().fit(X, y)
         proba = model.predict_proba(X)
         np.testing.assert_allclose(proba.sum(axis=1), 1.0, atol=1e-9)
-
-
-class TestPerceptron:
-    def test_separable_converges(self, blobs_split):
-        X_train, X_test, y_train, y_test = blobs_split
-        model = Perceptron(random_state=0).fit(X_train, y_train)
-        assert model.score(X_test, y_test) > 0.95
-
-    def test_multiclass_rejected(self):
-        X = np.zeros((6, 2)) + np.arange(2)
-        y = np.array([0, 1, 2, 0, 1, 2])
-        with pytest.raises(ValueError, match="binary"):
-            Perceptron().fit(X, y)
-
-    def test_decision_function_shape(self, blobs_split):
-        X_train, X_test, y_train, _ = blobs_split
-        model = Perceptron(random_state=1).fit(X_train, y_train)
-        assert model.decision_function(X_test).shape == (len(X_test),)

@@ -1,16 +1,9 @@
-"""Tests for splitting and cross-validation."""
+"""Tests for train/test splitting."""
 
 import numpy as np
 import pytest
 
-from repro.ml import GaussianNB, LogisticRegression
-from repro.ml.model_selection import (
-    GridSearchCV,
-    KFold,
-    StratifiedKFold,
-    cross_val_score,
-    train_test_split,
-)
+from repro.ml.model_selection import train_test_split
 
 
 class TestTrainTestSplit:
@@ -65,83 +58,3 @@ class TestTrainTestSplit:
         with pytest.raises(ValueError):
             train_test_split(np.zeros((5, 1)), np.zeros(4))
 
-
-class TestKFold:
-    def test_covers_all_indices(self):
-        kf = KFold(n_splits=4)
-        X = np.arange(22)
-        test_all = np.concatenate([test for _, test in kf.split(X)])
-        np.testing.assert_array_equal(np.sort(test_all), np.arange(22))
-
-    def test_train_test_disjoint(self):
-        for train, test in KFold(n_splits=3).split(np.arange(12)):
-            assert len(np.intersect1d(train, test)) == 0
-
-    def test_fold_sizes_balanced(self):
-        sizes = [len(test) for _, test in KFold(n_splits=4).split(np.arange(10))]
-        assert sorted(sizes) == [2, 2, 3, 3]
-
-    def test_shuffle_changes_order(self):
-        X = np.arange(20)
-        plain = [test.tolist() for _, test in KFold(4).split(X)]
-        shuffled = [
-            test.tolist()
-            for _, test in KFold(4, shuffle=True, random_state=0).split(X)
-        ]
-        assert plain != shuffled
-
-    def test_invalid_n_splits(self):
-        with pytest.raises(ValueError):
-            KFold(n_splits=1)
-        with pytest.raises(ValueError):
-            list(KFold(n_splits=10).split(np.arange(5)))
-
-
-class TestStratifiedKFold:
-    def test_every_fold_has_both_classes(self):
-        y = np.array([0] * 30 + [1] * 10)
-        for _, test in StratifiedKFold(5).split(np.zeros((40, 1)), y):
-            assert set(y[test]) == {0, 1}
-
-    def test_class_ratio_preserved(self):
-        y = np.array([0] * 60 + [1] * 20)
-        for _, test in StratifiedKFold(4).split(np.zeros((80, 1)), y):
-            assert np.mean(y[test]) == pytest.approx(0.25, abs=0.06)
-
-    def test_requires_y(self):
-        with pytest.raises(ValueError):
-            list(StratifiedKFold(2).split(np.zeros((4, 1))))
-
-
-class TestCrossValScore:
-    def test_scores_reasonable_on_separable(self, blobs):
-        X, y = blobs
-        scores = cross_val_score(LogisticRegression(), X, y, cv=3)
-        assert len(scores) == 3
-        assert scores.mean() > 0.95
-
-    def test_custom_scoring(self, blobs):
-        X, y = blobs
-        from repro.ml.metrics import f1_score
-
-        scores = cross_val_score(GaussianNB(), X, y, cv=3, scoring=f1_score)
-        assert np.all((0 <= scores) & (scores <= 1))
-
-
-class TestGridSearch:
-    def test_finds_better_params(self, blobs):
-        X, y = blobs
-        search = GridSearchCV(
-            LogisticRegression(),
-            {"C": [0.001, 1.0]},
-            cv=3,
-        )
-        search.fit(X, y)
-        assert search.best_params_["C"] in (0.001, 1.0)
-        assert search.best_score_ > 0.9
-        assert search.predict(X).shape == y.shape
-
-    def test_empty_grid_raises(self, blobs):
-        X, y = blobs
-        with pytest.raises(ValueError):
-            GridSearchCV(LogisticRegression(), {}).fit(X, y)

@@ -5,12 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.ml import (
-    DecisionTreeClassifier,
-    GaussianNB,
-    MinMaxScaler,
-    StandardScaler,
-)
+from repro.ml import DecisionTreeClassifier, StandardScaler
 from repro.ml.metrics import (
     accuracy_score,
     confusion_matrix,
@@ -94,13 +89,6 @@ class TestScalerProperties:
 
     @given(feature_matrices(min_rows=3))
     @settings(max_examples=40, deadline=None)
-    def test_minmax_output_in_range(self, X):
-        Z = MinMaxScaler().fit_transform(X)
-        assert np.all(Z >= -1e-9)
-        assert np.all(Z <= 1.0 + 1e-9)
-
-    @given(feature_matrices(min_rows=3))
-    @settings(max_examples=40, deadline=None)
     def test_standard_scaler_output_is_standardised(self, X):
         # Scaling twice must keep the defining properties: zero mean and
         # unit variance on every non-constant column.  (Elementwise
@@ -152,10 +140,3 @@ class TestModelProperties:
         proba = tree.predict_proba(X)
         np.testing.assert_allclose(proba.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(proba >= 0)
-
-    @given(classification_data())
-    @settings(max_examples=30, deadline=None)
-    def test_nb_predictions_are_known_classes(self, data):
-        X, y = data
-        nb = GaussianNB().fit(X, y)
-        assert set(np.unique(nb.predict(X))) <= set(nb.classes_)

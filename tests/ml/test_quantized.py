@@ -26,7 +26,6 @@ from repro.ml import (
     BaggingClassifier,
     BinMapper,
     DecisionTreeClassifier,
-    ExtraTreesClassifier,
     QuantizedForest,
     RandomForestClassifier,
     compile_quantized_forest,
@@ -130,13 +129,6 @@ class TestQuantizedVoteIdentity:
         ensemble, X = hist_forest(n_estimators=n_estimators, seed=11)
         probe = np.vstack([X, np.random.default_rng(0).normal(size=(80, 6))])
         assert_votes_identical(ensemble, probe)
-
-    def test_extra_trees(self):
-        X, y = make_blobs(n_per_class=100, seed=21)
-        ensemble = ExtraTreesClassifier(
-            n_estimators=15, random_state=1, grower="hist"
-        ).fit(X, y)
-        assert_votes_identical(ensemble, X)
 
     def test_bagging_hist_prototype(self):
         X, y = make_blobs(n_per_class=100, seed=22)

@@ -17,7 +17,6 @@ from repro.ml import (
     BinMapper,
     BinnedDataset,
     DecisionTreeClassifier,
-    ExtraTreesClassifier,
     RandomForestClassifier,
 )
 from repro.ml.training import grow_tree_binned
@@ -174,7 +173,9 @@ class TestHistGrowerProperties:
                 max_features=0.6,
                 random_state=1,
             ),
-            ExtraTreesClassifier(n_estimators=15, grower="hist", random_state=1),
+            RandomForestClassifier(
+                n_estimators=15, bootstrap=False, grower="hist", random_state=1
+            ),
         ):
             ensemble.fit(X, y)
             np.testing.assert_array_equal(
@@ -329,15 +330,15 @@ class TestPartialRefit:
         with pytest.raises(ValueError):
             forest.partial_refit(X[:5, :3], y[:5])
 
-    def test_bagging_and_extra_trees_partial_refit(self):
+    def test_bagging_and_unbootstrapped_forest_partial_refit(self):
         X, y = make_blobs(n_per_class=80, seed=28)
         bag = BaggingClassifier(
             DecisionTreeClassifier(grower="hist"), n_estimators=5, random_state=1
         ).fit(X, y)
-        et = ExtraTreesClassifier(
-            n_estimators=5, grower="hist", random_state=1
+        forest = RandomForestClassifier(
+            n_estimators=5, bootstrap=False, grower="hist", random_state=1
         ).fit(X, y)
-        for ensemble in (bag, et):
+        for ensemble in (bag, forest):
             assert ensemble.supports_partial_refit()
             ensemble.partial_refit(X[:20] + 3.0, y[:20])
             assert ensemble._binned_.n_rows == len(y) + 20

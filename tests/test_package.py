@@ -35,7 +35,6 @@ MODULES = [
     "repro.hmd.features",
     "repro.hmd.pipeline",
     "repro.ml.base",
-    "repro.ml.boosting",
     "repro.ml.calibration",
     "repro.ml.cluster",
     "repro.ml.decomposition",
@@ -44,9 +43,6 @@ MODULES = [
     "repro.ml.linear",
     "repro.ml.manifold",
     "repro.ml.model_selection",
-    "repro.ml.naive_bayes",
-    "repro.ml.neighbors",
-    "repro.ml.pipeline",
     "repro.ml.preprocessing",
     "repro.ml.svm",
     "repro.ml.tree",

@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ml import (
-    BaggingClassifier,
-    DecisionTreeClassifier,
-    LogisticRegression,
-    RandomForestClassifier,
-    VotingClassifier,
-)
+from repro.ml import BaggingClassifier, LogisticRegression, RandomForestClassifier
 from repro.uncertainty import EnsembleUncertaintyEstimator
 from tests.conftest import make_blobs
 
@@ -41,8 +35,9 @@ class TestConstruction:
         for ensemble in (
             RandomForestClassifier(n_estimators=5, random_state=0).fit(X, y),
             BaggingClassifier(n_estimators=5, random_state=0).fit(X, y),
-            VotingClassifier(
-                [("lr", LogisticRegression()), ("tree", DecisionTreeClassifier(max_depth=3))]
+            # Non-tree members: the uncompiled decisions() path.
+            BaggingClassifier(
+                LogisticRegression(), n_estimators=5, random_state=0
             ).fit(X, y),
         ):
             estimator = EnsembleUncertaintyEstimator(ensemble)
