@@ -141,7 +141,6 @@ def test_bench_chaos_campaign(chaos_setup):
                 batch_size=BATCH_SIZE,
                 policy=policy,
                 mp_context="fork",
-                checkpoint_every=4,
                 worker_timeout=5.0,
                 chaos=plan,
             ) as chaos_fleet:

@@ -11,8 +11,8 @@ Acceptance criteria of the process-per-shard backend:
 * verdicts AND merged report rows are **bitwise identical** to the
   single-monitor reference, process boundary or not;
 * killing a worker mid-stream (SIGKILL) and letting the supervisor
-  restore it from checkpoint yields a verdict stream identical to an
-  uninterrupted run.
+  restart it yields a verdict stream identical to an uninterrupted
+  run.
 
 Measured numbers are printed and written to ``BENCH_shard_mp.json``
 (uploaded as a CI artifact by the ``bench-shard-mp`` job).
@@ -171,9 +171,9 @@ def test_bench_worker_drain(shard_setup):
 
 
 def test_bench_kill_and_resume(shard_setup):
-    """Gate: SIGKILL a worker mid-stream; the supervisor restores it
-    from checkpoint and the merged verdict stream is identical to an
-    uninterrupted run."""
+    """Gate: SIGKILL a worker mid-stream; the supervisor restarts it,
+    re-ships the unconsumed blocks, and the merged verdict stream is
+    identical to an uninterrupted run."""
     hmd, devices, arrivals = shard_setup
     policy = BackpressurePolicy(max_pending=len(arrivals) + 1)
 
@@ -188,7 +188,6 @@ def test_bench_kill_and_resume(shard_setup):
         batch_size=BATCH_SIZE,
         policy=policy,
         mp_context="fork",
-        checkpoint_every=2,
     ) as fleet:
         fleet.register_fleet(devices)
         for device_id, window in arrivals:

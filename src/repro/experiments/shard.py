@@ -289,7 +289,6 @@ def run_shard(
                 n_shards=processes,
                 batch_size=batch_size,
                 policy=policy,
-                checkpoint_every=4,
                 chaos=plan,
             ) as chaos_fleet:
                 chaos_batches, chaos_elapsed = drive(chaos_fleet)

@@ -449,10 +449,9 @@ class FleetMonitor:
 
         The round of every in-process engine.  The parts' features are
         stacked (a single part is not copied) and verdicted in one
-        pass; each part's slice is folded into its own monitor's device
-        state, and its withheld rows stage on this owner's forensic
-        stage in part order.  A single monitor runs it over its own
-        batch, the sharded facade over one batch per shard.
+        pass, then :meth:`_fold_round` folds the columns back.  A
+        single monitor runs it over its own batch, the sharded facade
+        over one batch per shard.
         """
         if self._obs_on:
             self._trace(parts, "queue")
@@ -463,11 +462,27 @@ class FleetMonitor:
             features = np.vstack([batch.features for _, batch in parts])
         predictions, entropy, accepted = verdict(features)
         if self._obs_on:
+            self._m_verdict.observe(time.perf_counter() - t0)
+            self._trace(parts, "verdict")
+        return self._fold_round(parts, predictions, entropy, accepted, threshold)
+
+    def _fold_round(
+        self, parts, predictions, entropy, accepted, threshold: float
+    ) -> FleetBatchResult:
+        """Fold one round's verdict columns back out; the round's result.
+
+        The fold half of every engine's round, the worker backend's
+        included: the verdict columns are the parts' rows in part
+        order.  Each part's slice is folded into its own monitor's
+        device state, and its withheld rows stage on this owner's
+        forensic stage in part order.  The round instruments are
+        recorded here once per round, whatever backend ran the verdict
+        half (which times itself into ``fleet_verdict_seconds``).
+        """
+        if self._obs_on:
             t1 = time.perf_counter()
-            self._m_verdict.observe(t1 - t0)
             self._m_batches.inc()
             self._m_drained.inc(len(predictions))
-            self._trace(parts, "verdict")
         offset = n_flagged = 0
         for monitor, batch in parts:
             stop = offset + len(batch)
@@ -499,9 +514,8 @@ class FleetMonitor:
     ) -> FleetBatchResult:
         """Close a round: bound the stage, feed drift, build the result.
 
-        The result-assembly half of every engine's round, the worker
-        backend's included: ``batches`` are the round's parts in order
-        and the verdict columns are already concatenated to match.
+        ``batches`` are the round's parts in order and the verdict
+        columns are already concatenated to match.
         """
         if self._stage.rows >= self._stage.limit:
             self._stage.flush()
@@ -532,8 +546,8 @@ class FleetMonitor:
         """Fold verdicts into fleet counters and per-device state.
 
         The one place :class:`DeviceState` counters change from a
-        verdict batch — in-process, in every shard worker and in the
-        failover replay.  Rows are grouped on their dense queue device
+        verdict batch, called only from :meth:`_fold_round`, on every
+        backend.  Rows are grouped on their dense queue device
         indices: one bincount per counter and a single stable argsort.
         Counts are exact integers, and each device's entropy sum is the
         same ``np.sum`` over the same ordered slice that

@@ -9,7 +9,7 @@ keeping up* (throughput, queue depth, shed volume).  Both read the same
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from ..formatting import format_table
 from ..obs.metrics import histogram_percentile, merge_snapshots
@@ -19,7 +19,6 @@ __all__ = [
     "FleetReport",
     "device_report_key",
     "merge_reports",
-    "rebind_queue_counters",
 ]
 
 
@@ -194,30 +193,6 @@ def device_report_key(report: FleetReport) -> dict[str, tuple]:
         )
         for d in report.devices
     }
-
-
-def rebind_queue_counters(report: FleetReport, queue) -> FleetReport:
-    """Re-read a shard report's queue-derived counters from ``queue``.
-
-    In the multi-process backend the ingress queue lives in the parent
-    while the device tables live in the worker, so a worker-built
-    report carries zero shed/pending counts.  This rebinds every
-    device row's ``n_shed``/``n_pending`` — and the report-level totals
-    — to the parent-side queue (anything exposing ``shed_by_device``,
-    ``pending(device_id)``, ``total_shed`` and ``__len__``), leaving
-    all verdict-derived fields untouched.
-    """
-    devices = tuple(
-        replace(
-            device,
-            n_shed=queue.shed_by_device.get(device.device_id, 0),
-            n_pending=queue.pending(device.device_id),
-        )
-        for device in report.devices
-    )
-    return replace(
-        report, devices=devices, n_shed=queue.total_shed, n_pending=len(queue)
-    )
 
 
 def merge_reports(

@@ -4,17 +4,19 @@ Chaos-hardening rests on one idea: every failure mode the supervisor
 must survive is expressed as *data* — a :class:`FaultPlan`, a seeded,
 step-indexed schedule of worker crashes, hangs, slow drains, shm-slot
 corruptions and poison windows — so a "chaotic" run is exactly as
-reproducible as a clean one.  The plan is consulted from two hooks:
+reproducible as a clean one.  The plan is consulted from two sides:
 
+* the **parent**, which owns the device registry and every frame it
+  writes: it flips bits in a just-written arena slot
+  (:meth:`FaultPlan.should_corrupt`) so the worker's integrity
+  checksum must catch it, and flags any block or probe frame whose
+  rows hold a scheduled poison window (:meth:`FaultPlan.poison_rows`);
 * the **worker-side** :class:`FaultInjector`, which fires scheduled
-  crash/hang/slow events as block messages arrive and hard-exits on
-  poison rows (simulating a malformed window taking the process down
-  mid-verdict), and
-* the **parent-side** corruption check
-  (:meth:`FaultPlan.should_corrupt`), which flips bits in a just-written
-  arena slot so the worker's integrity checksum must catch it.
+  crash/hang/slow events as block frames arrive and hard-exits on a
+  flagged frame (simulating a malformed window taking the process
+  down mid-verdict).
 
-Both hooks are ``None``-guarded at the call sites — a fleet built
+Both sides are ``None``-guarded at the call sites — a fleet built
 without a plan pays nothing.
 
 The degradation side lives here too: the per-shard health state
@@ -62,7 +64,7 @@ class FaultEvent:
     restart) and ``block`` the index of the block message within that
     incarnation — keying on the *life-local* count instead of the
     global epoch means a crash does not re-fire forever on every
-    restart replay of the same block.
+    restart's re-ship of the same block.
     """
 
     shard_id: int
@@ -99,8 +101,8 @@ class FaultPlan:
                 )
             self.events[(event.shard_id, event.life, event.block)] = event
         # (shard_id, epoch) pairs whose freshly shipped slot the parent
-        # corrupts in place (replays and re-ships stay clean, so the
-        # badblock retry path converges).
+        # corrupts in place (restart and integrity re-ships stay clean,
+        # so the badblock retry path converges).
         self.corrupt = frozenset((int(s), int(e)) for s, e in corrupt)
         # (device_id, seq) pairs that kill any worker verdicting them.
         self.poison = frozenset((str(d), int(q)) for d, q in poison)
@@ -212,8 +214,8 @@ class FaultInjector:
     """Worker-side hook firing a plan's scheduled faults.
 
     One instance per worker incarnation; the worker calls
-    :meth:`on_block` as each block message arrives and
-    :meth:`check_poison` before verdicting any rows (blocks *and*
+    :meth:`on_block` as each block frame arrives (probes never count)
+    and :meth:`check_poison` before verdicting any frame (blocks *and*
     bisection probes — poison is content-triggered, which is exactly
     what makes the parent's bisection isolate it).
     """
@@ -238,9 +240,9 @@ class FaultInjector:
         else:  # slow
             time.sleep(event.delay)
 
-    def check_poison(self, names, dev, seqs) -> None:
-        """Hard-exit if any row is a scheduled poison window."""
-        if self.plan.poison_rows(names, dev, seqs):
+    def check_poison(self, poisoned: bool) -> None:
+        """Hard-exit on a frame the parent flagged as holding poison rows."""
+        if poisoned:
             os._exit(POISON_EXIT)
 
 
@@ -254,8 +256,8 @@ class ShardHealth(enum.Enum):
 
     ``DEGRADED`` means the shard restarted recently and has not yet
     proven itself by delivering a result; ``DEAD`` means the circuit
-    breaker opened (``max_restarts`` consecutive failures) and the
-    shard's devices were failed over to survivors.
+    breaker opened (``max_restarts`` consecutive failures), the worker
+    is gone and the parent verdicts the shard's rounds itself.
     """
 
     HEALTHY = "healthy"

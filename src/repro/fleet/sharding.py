@@ -60,8 +60,8 @@ __all__ = [
 # Version tag stamped into every ShardedFleetMonitor.snapshot() payload.
 # restore() refuses anything else: a checkpoint from a different schema
 # generation (or a payload that was never a fleet snapshot at all) fails
-# loudly up front instead of corrupting worker state halfway through a
-# supervised restart.  Bump the suffix when the payload shape changes.
+# loudly up front instead of leaving a fleet half-restored.  Bump the
+# suffix when the payload shape changes.
 SNAPSHOT_SCHEMA = "repro.fleet.sharded/1"
 
 
@@ -92,48 +92,14 @@ class ShardRouter:
             raise ValueError(f"n_shards must be >= 1; got {n_shards}.")
         self.n_shards = n_shards
         self._cache: dict[str, int] = {}
-        # Failover state: shards whose hash bucket is remapped onto the
-        # surviving shards.  Empty for the lifetime of a healthy fleet,
-        # so the hot path pays one falsy check.
-        self._disabled: set[int] = set()
-        self._alive: list[int] = []
 
     def shard_of(self, device_id: str) -> int:
         """The shard owning this device (deterministic, memoised)."""
         shard = self._cache.get(device_id)
         if shard is None:
             shard = _fnv1a_32(device_id) % self.n_shards
-            if self._disabled and shard in self._disabled:
-                # Deterministic second hop: the dead shard's bucket is
-                # re-dealt over the survivors by the same device hash,
-                # so any process that knows the disabled set computes
-                # the same assignment (including unseen devices).
-                shard = self._alive[_fnv1a_32(device_id) % len(self._alive)]
             self._cache[device_id] = shard
         return shard
-
-    @property
-    def disabled(self) -> frozenset:
-        """Shards currently excluded from routing (failed over)."""
-        return frozenset(self._disabled)
-
-    def disable(self, shard_id: int) -> list[int]:
-        """Exclude a dead shard from routing; returns the survivors.
-
-        Every cached assignment is dropped so devices previously routed
-        to the dead shard (and to survivors that may re-deal if another
-        shard dies later) resolve against the new alive set.
-        """
-        if not 0 <= shard_id < self.n_shards:
-            raise ValueError(f"shard_id {shard_id} out of range.")
-        self._disabled.add(int(shard_id))
-        self._alive = [
-            s for s in range(self.n_shards) if s not in self._disabled
-        ]
-        if not self._alive:
-            raise ValueError("cannot disable the last live shard.")
-        self._cache.clear()
-        return list(self._alive)
 
     def spread(self, device_ids) -> dict[int, list[str]]:
         """Group device ids by their assigned shard."""
@@ -274,6 +240,7 @@ class ShardedFleetMonitor:
     # round, drain and forensic stream — over one batch per shard.
     _init_round = FleetMonitor._init_round
     _fused_round = FleetMonitor._fused_round
+    _fold_round = FleetMonitor._fold_round
     _trace = FleetMonitor._trace
     _round_result = FleetMonitor._round_result
     drain = FleetMonitor.drain
@@ -382,23 +349,19 @@ class ShardedFleetMonitor:
     # -- egress --------------------------------------------------------
 
     def report(self) -> FleetReport:
-        """Merged fleet view over all shards' device tables."""
-        return self._merge_reports(shard.report() for shard in self.shards)
+        """Merged fleet view over all shards' device tables.
 
-    def _merge_reports(self, reports, *planes: dict) -> FleetReport:
-        """Merge per-shard reports and fold in the facade's telemetry.
-
-        The facade's fused-round instruments, any extra registry
-        ``planes`` and whatever the shard reports carried fold through
-        the associative :func:`~repro.obs.metrics.merge_snapshots`.
+        The facade's fused-round instruments and whatever the shard
+        reports carried fold through the associative
+        :func:`~repro.obs.metrics.merge_snapshots`.
         """
         report = merge_reports(
-            reports,
+            (shard.report() for shard in self.shards),
             n_batches=self.n_batches,
             drift_status=self.drift.observe([]).status if self.drift else None,
         )
         if self.metrics.enabled:
-            snapshots = [self.metrics.snapshot(), *planes]
+            snapshots = [self.metrics.snapshot()]
             if report.telemetry:
                 snapshots.append(report.telemetry)
             report = replace(report, telemetry=merge_snapshots(snapshots))
@@ -474,8 +437,8 @@ class ShardedFleetMonitor:
         """Reject stale, foreign or internally inconsistent checkpoints.
 
         A restore that starts applying a bad payload can leave a fleet
-        (or a supervised worker restarting from it) half-built, so every
-        structural check happens before any state is touched.
+        half-built, so every structural check happens before any state
+        is touched (and before a worker backend spawns anything).
         """
         if not isinstance(state, dict):
             raise ValueError(

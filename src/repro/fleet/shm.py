@@ -232,7 +232,7 @@ class ShmBlockRing:
                 # window-lifecycle tracer — [0] ship (parent, at block
                 # hand-off), [1] verdict (worker, before sealing).
                 # Deliberately outside both checksums: stamps differ
-                # across restart replays of the same block, and the
+                # across restart re-ships of the same block, and the
                 # verdict payload they ride with must stay bitwise
                 # reproducible.
                 ("trace", "<f8", (n_slots, 2)),
@@ -311,7 +311,7 @@ class ShmBlockRing:
         the result is consumed, and the next block must not race the
         caller's arrays.  Raises :class:`ShmIntegrityError` when the
         stored result checksum does not match — the caller treats that
-        exactly like a worker death (restart + replay recomputes).
+        exactly like a worker death (restart + re-ship recomputes).
         """
         slot = self.slot(index)
         if int(self._views["res_crc"][index]) != _crc(

@@ -147,8 +147,11 @@ class TestWorkerTelemetry:
     def test_three_plane_fold_and_shm_roundtrip(self, fitted_hmd):
         X, hmd = fitted_hmd
         arrivals = _arrivals(X)
-        plain = ShardedFleetMonitor(hmd, n_shards=2, batch_size=32)
+        plain = ShardedFleetMonitor(
+            hmd, n_shards=2, batch_size=32, telemetry=True
+        )
         plain_batches = _drive(plain, arrivals)
+        plain_telemetry = plain.report().telemetry
         with WorkerShardedFleetMonitor(
             hmd,
             n_shards=2,
@@ -171,6 +174,21 @@ class TestWorkerTelemetry:
         roundtrip = report.telemetry["histograms"]["fleet_shm_roundtrip_seconds"]
         assert roundtrip["count"] > 0
         assert roundtrip["sum"] > 0.0
+        # One fold half for every backend: the round instruments count
+        # exactly what the in-process facade counts on the same traffic.
+        for name in (
+            "fleet_batches_total",
+            "fleet_windows_drained_total",
+            "fleet_windows_flagged_total",
+            "fleet_scatter_rows_total",
+        ):
+            assert counters[name] == plain_telemetry["counters"][name], name
+        histograms = report.telemetry["histograms"]
+        for name in ("fleet_verdict_seconds", "fleet_scatter_seconds"):
+            assert (
+                histograms[name]["count"]
+                == plain_telemetry["histograms"][name]["count"]
+            ), name
 
 
 def _device(device_id, n_seen=10, n_flagged=1):

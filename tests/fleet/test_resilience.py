@@ -4,13 +4,13 @@ Two layers:
 
 1. unit tests over the resilience vocabulary — :class:`FaultPlan`
    determinism and pickling, the shm ring's request/result checksum
-   lifecycle, the bounded :class:`QuarantineStore`, deterministic
-   failover routing (:meth:`ShardRouter.disable`), the exactly-once
+   lifecycle, the bounded :class:`QuarantineStore`, the exactly-once
    window audit and the report/health rendering;
 2. process-spawning chaos campaigns (``mp`` + ``chaos`` markers):
    seeded kill/hang/corrupt schedules, poison-window quarantine with
-   bisection, crash-storm failover onto survivors and the atexit sweep
-   that reaps owned segments on abnormal supervisor teardown.
+   bisection, crash-storm failover to parent-side verdicts (and the
+   snapshot taken after one) and the atexit sweep that reaps owned
+   segments on abnormal supervisor teardown.
 
 Every campaign asserts the chaos-hardening contract: non-quarantined
 verdicts bitwise identical to a fault-free in-process run, and zero
@@ -37,7 +37,6 @@ from repro.fleet import (
 from repro.fleet.engine import batch_verdict_key, batch_window_keys
 from repro.fleet.report import device_report_key
 from repro.fleet.resilience import FaultEvent
-from repro.fleet.sharding import ShardRouter
 from repro.fleet import shm
 from repro.fleet.shm import ShmBlockRing, ShmIntegrityError
 from repro.ml import RandomForestClassifier
@@ -93,7 +92,6 @@ def reference_run(fitted_hmd):
 def _chaos_fleet(hmd, plan, **kwargs):
     kwargs.setdefault("mp_context", "fork")
     kwargs.setdefault("worker_timeout", 3.0)
-    kwargs.setdefault("checkpoint_every", 4)
     return WorkerShardedFleetMonitor(
         hmd, n_shards=4, batch_size=64, chaos=plan, **kwargs
     )
@@ -289,45 +287,6 @@ class TestQuarantineStore:
 
 
 # ---------------------------------------------------------------------------
-# Failover routing
-# ---------------------------------------------------------------------------
-
-
-class TestRouterDisable:
-    def test_remaps_dead_bucket_onto_survivors(self):
-        router = ShardRouter(4)
-        devices = [f"dev-{i:03d}" for i in range(64)]
-        before = {d: router.shard_of(d) for d in devices}
-        survivors = router.disable(1)
-        assert survivors == [0, 2, 3]
-        assert router.disabled == frozenset({1})
-        after = {d: router.shard_of(d) for d in devices}
-        for device, shard in after.items():
-            assert shard != 1
-            if before[device] != 1:
-                assert shard == before[device]  # survivors undisturbed
-
-    def test_remap_is_deterministic_for_unseen_devices(self):
-        seen = ShardRouter(4)
-        for i in range(32):
-            seen.shard_of(f"dev-{i:03d}")  # warm the cache pre-failure
-        seen.disable(1)
-        fresh = ShardRouter(4)
-        fresh.disable(1)
-        for i in range(64):  # includes ids neither router has seen
-            device = f"dev-{i:03d}"
-            assert seen.shard_of(device) == fresh.shard_of(device)
-
-    def test_refuses_to_disable_last_shard(self):
-        router = ShardRouter(2)
-        router.disable(0)
-        with pytest.raises(ValueError, match="last live shard"):
-            router.disable(1)
-        with pytest.raises(ValueError, match="out of range"):
-            ShardRouter(2).disable(5)
-
-
-# ---------------------------------------------------------------------------
 # Health and report rendering
 # ---------------------------------------------------------------------------
 
@@ -418,7 +377,7 @@ class TestChaosCampaigns:
     ):
         _, _, hmd = fitted_hmd
         # Shard 1 crashes on its first block of every incarnation: the
-        # breaker must open and its devices fail over to survivors.
+        # breaker must open and the parent verdict the shard's rounds.
         events = tuple(
             FaultEvent(shard_id=1, life=life, block=0, kind="crash")
             for life in range(8)
@@ -438,11 +397,43 @@ class TestChaosCampaigns:
                 batch_window_keys(results),
                 set(),
             ) == []
-            # The degraded fleet keeps draining on the survivors.
+            # The degraded fleet keeps draining, shard 1 in the parent.
             for device_id, window in reference_run["arrivals"][:48]:
                 fleet.submit(device_id, window)
             more = fleet.drain()
             assert sum(len(r.seqs) for r in more) == 48
+
+    def test_snapshot_after_failover_restores_exactly(
+        self, fitted_hmd, reference_run
+    ):
+        # A failover must leave the fleet snapshot describing the same
+        # devices on the same shards: restored with the default router,
+        # it keeps every device's row and sequence counter, and the tail
+        # verdicts match a fault-free fleet's.
+        X, _, hmd = fitted_hmd
+        tail = _arrivals(X, n_devices=24, rounds=4, seed=31)
+        reference = ShardedFleetMonitor(hmd, n_shards=4, batch_size=64)
+        _feed(reference, reference_run["arrivals"])
+        reference.drain()
+        _feed(reference, tail)
+        ref_tail = batch_verdict_key(reference.drain())
+        events = tuple(
+            FaultEvent(shard_id=1, life=life, block=0, kind="crash")
+            for life in range(8)
+        )
+        plan = FaultPlan(seed=0, events=events)
+        with _chaos_fleet(hmd, plan, max_restarts=2) as fleet:
+            _feed(fleet, reference_run["arrivals"])
+            fleet.drain()
+            health = {r.shard_id: r.health for r in fleet.shard_health()}
+            assert health[1] is ShardHealth.DEAD
+            state = fleet.snapshot()
+        restored = ShardedFleetMonitor.restore(hmd, state)
+        _feed(restored, tail)
+        assert batch_verdict_key(restored.drain()) == ref_tail
+        report = restored.report()
+        assert report.n_devices == 24
+        assert device_report_key(report) == device_report_key(reference.report())
 
     def test_hung_worker_restarted_and_replayed(
         self, fitted_hmd, reference_run
@@ -468,8 +459,8 @@ class TestChaosCampaigns:
     def test_breaker_raises_without_survivors(self, fitted_hmd):
         X, _, hmd = fitted_hmd
         # Single shard, crash on every incarnation's first block: no
-        # survivor to fail over to, so the breaker must surface the
-        # failure instead of spinning forever.
+        # other live worker, so the breaker must surface the failure
+        # instead of spinning forever.
         events = tuple(
             FaultEvent(shard_id=0, life=life, block=0, kind="crash")
             for life in range(8)

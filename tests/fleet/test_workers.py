@@ -36,7 +36,7 @@ from repro.fleet import (
 )
 from repro.fleet.engine import batch_verdict_key
 from repro.fleet.resilience import FaultEvent
-from repro.fleet.report import device_report_key, rebind_queue_counters
+from repro.fleet.report import device_report_key
 from repro.fleet.sharding import SNAPSHOT_SCHEMA, PublishedHmd
 from repro.fleet.shm import ShmBlockRing, _unlink, map_publication, publish_model
 from repro.ml import RandomForestClassifier
@@ -381,7 +381,6 @@ class TestSupervision:
             hmd,
             n_shards=3,
             batch_size=64,
-            checkpoint_every=3,
             worker_timeout=30,
         ) as fleet:
             _feed(fleet, arrivals)
@@ -412,9 +411,7 @@ class TestSupervision:
         single = FleetMonitor(hmd, batch_size=64)
         _feed(single, arrivals)
         reference = single.drain()
-        with _worker_fleet(
-            hmd, n_shards=2, batch_size=64, checkpoint_every=2
-        ) as fleet:
+        with _worker_fleet(hmd, n_shards=2, batch_size=64) as fleet:
             assert fleet.heartbeat() == []
             os.kill(fleet.handles[0].proc.pid, signal.SIGKILL)
             assert fleet.heartbeat() == [0]
@@ -442,8 +439,8 @@ class TestSupervision:
     def test_restart_storm_fails_over_mid_pipelined_drain(self, fitted_hmd):
         # A shard crashing on the first block of every incarnation trips
         # the circuit breaker while pipelined epochs are still in flight
-        # on every shard; its devices must fail over to survivors with
-        # zero lost or duplicated verdicts.
+        # on every shard; the parent must verdict the dead shard's blocks
+        # with zero lost or duplicated verdicts.
         X, _, hmd = fitted_hmd
         arrivals = _arrivals(X, n_devices=24, rounds=10, seed=21)
         reference = ShardedFleetMonitor(hmd, n_shards=4, batch_size=32)
@@ -507,9 +504,7 @@ class TestSupervision:
 @mp_mark
 class TestWorkerCheckpointing:
     def _driven_fleet(self, hmd, X):
-        fleet = _worker_fleet(
-            hmd, n_shards=3, batch_size=64, checkpoint_every=2
-        )
+        fleet = _worker_fleet(hmd, n_shards=3, batch_size=64)
         _feed(fleet, _arrivals(X, n_devices=12, rounds=10, seed=10))
         fleet.drain()
         # Leave a live backlog so the checkpoint carries queued rows.
@@ -539,9 +534,8 @@ class TestWorkerCheckpointing:
     def test_snapshot_carries_devices_registered_since_last_block(
         self, fitted_hmd
     ):
-        # Devices registered after the last shipped block reach their
-        # worker only at the checkpoint barrier; the snapshot must still
-        # hold them (with their cohorts), exactly like the in-process one.
+        # Devices registered after the last shipped block must be in the
+        # snapshot (with their cohorts), exactly like the in-process one.
         X, _, hmd = fitted_hmd
 
         def snapshot_after_late_registrations(fleet):
@@ -595,9 +589,8 @@ class TestWorkerCheckpointing:
 
     def test_checkpoint_barrier_races_republish(self):
         # Snapshot taken between a warm retrain and the republish that
-        # propagates it: the checkpoint barrier runs with pipelined
-        # epochs in flight against the old model generation, and the
-        # restored fleet must resume on the new one.
+        # propagates it: the state was built under the old model
+        # generation, and the restored fleet must resume on the new one.
         X, y = make_blobs(n_per_class=120, separation=4.0, seed=72)
         hmd = TrustedHMD(
             RandomForestClassifier(n_estimators=20, random_state=0),
@@ -608,7 +601,6 @@ class TestWorkerCheckpointing:
         reference = ShardedFleetMonitor(hmd, n_shards=2, batch_size=32)
         with _worker_fleet(
             hmd, n_shards=2, batch_size=32, pipeline_depth=3,
-            checkpoint_every=2,
         ) as fleet:
             _feed(reference, arrivals)
             _feed(fleet, arrivals)
