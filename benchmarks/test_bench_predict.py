@@ -230,33 +230,44 @@ def test_bench_fleet_end_to_end_delta(dataset):
     sampler = FleetWindowSampler(dataset, devices, random_state=7)
     arrivals = list(sampler.rounds(40))
 
+    legacy_calls = []
+
     def drain(disable_backend):
-        fleet = FleetMonitor(
-            hmd,
-            batch_size=GATE_BATCH,
-            policy=BackpressurePolicy(max_pending=len(arrivals) + 1),
-        )
-        fleet.register_fleet(devices)
         ensemble = hmd.ensemble_
         if disable_backend:
-            # Instance attributes shadow the methods: the monitor's
-            # verdict then goes through analyze, whose member_votes
-            # runs the legacy loop instead of the compiled forest.
-            hmd.verdict = hmd.analyze
-            ensemble.decisions_fast = ensemble.decisions
+            # Instance attributes shadow the methods, and the monitor is
+            # built after them: with no verdict parts to publish its
+            # rounds fall back to analyze, whose member_votes runs the
+            # legacy loop instead of the compiled forest.
+            decisions = ensemble.decisions
+
+            def legacy(X):
+                legacy_calls.append(len(X))
+                return decisions(X)
+
+            hmd.verdict_parts = lambda: None
+            ensemble.decisions_fast = legacy
         try:
+            fleet = FleetMonitor(
+                hmd,
+                batch_size=GATE_BATCH,
+                policy=BackpressurePolicy(max_pending=len(arrivals) + 1),
+            )
+            fleet.register_fleet(devices)
             for device_id, window in arrivals:
                 fleet.submit(device_id, window)
             t0 = time.perf_counter()
             batches = fleet.drain()
             elapsed = time.perf_counter() - t0
         finally:
-            hmd.__dict__.pop("verdict", None)
+            hmd.__dict__.pop("verdict_parts", None)
             ensemble.__dict__.pop("decisions_fast", None)
         return batches, elapsed
 
     compiled_batches, compiled_s = drain(disable_backend=False)
     legacy_batches, legacy_s = drain(disable_backend=True)
+    # The legacy leg really ran the member loop on every window.
+    assert sum(legacy_calls) == len(arrivals)
 
     # Identical verdicts, batch for batch.
     assert len(compiled_batches) == len(legacy_batches)

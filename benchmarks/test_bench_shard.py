@@ -2,9 +2,9 @@
 
 Acceptance criteria of the sharding subsystem:
 
-* draining 96 devices' traffic through a K=4
-  ``ShardedFleetMonitor`` is at least **2x** the drain throughput of a
-  single ``FleetMonitor`` over the same submissions, with **bitwise
+* draining 96 devices' traffic through a
+  ``FleetMonitor(n_shards=4)`` is at least **2x** the drain throughput
+  of a one-partition ``FleetMonitor`` over the same submissions, with **bitwise
   identical** verdicts (same predictions, entropies and accept
   decisions per (device, seq)) and identical merged report rows;
 * ``snapshot()`` → pickle → ``restore()`` of a half-drained sharded
@@ -29,7 +29,6 @@ from repro.fleet import (
     BackpressurePolicy,
     FleetMonitor,
     FleetWindowSampler,
-    ShardedFleetMonitor,
 )
 from repro.fleet.engine import batch_verdict_key
 from repro.fleet.report import device_report_key
@@ -97,7 +96,7 @@ def test_bench_sharded_drain_speedup(shard_setup):
             single_elapsed = elapsed
         single_batches, single_report = batches, monitor.report()
 
-        sharded = ShardedFleetMonitor(
+        sharded = FleetMonitor(
             hmd, n_shards=N_SHARDS, batch_size=BATCH_SIZE, policy=policy
         )
         batches, elapsed = _drive(sharded, devices, arrivals)
@@ -147,7 +146,7 @@ def test_bench_snapshot_restore_resumes(shard_setup):
     hmd, devices, arrivals = shard_setup
     policy = BackpressurePolicy(max_pending=len(arrivals) + 1)
 
-    fleet = ShardedFleetMonitor(
+    fleet = FleetMonitor(
         hmd, n_shards=N_SHARDS, batch_size=BATCH_SIZE, policy=policy
     )
     fleet.register_fleet(devices)
@@ -160,7 +159,7 @@ def test_bench_snapshot_restore_resumes(shard_setup):
     blob = pickle.dumps(fleet.snapshot())
     snapshot_elapsed = time.perf_counter() - t0
     t0 = time.perf_counter()
-    restored = ShardedFleetMonitor.restore(hmd, pickle.loads(blob))
+    restored = FleetMonitor.restore(hmd, pickle.loads(blob))
     restore_elapsed = time.perf_counter() - t0
 
     for monitor in (fleet, restored):

@@ -3,8 +3,8 @@
 Acceptance criteria of the process-per-shard backend:
 
 * draining 96 devices' traffic through a K=4
-  ``WorkerShardedFleetMonitor`` is at least **1.5x** the K=4 in-process
-  ``ShardedFleetMonitor`` drain over the same submissions — *on a
+  ``WorkerShardedFleetMonitor`` is at least **1.5x** the in-process
+  ``FleetMonitor(n_shards=4)`` drain over the same submissions — *on a
   multi-core host*: the speedup comes from true parallelism, so the
   throughput assertion only arms when ``os.cpu_count() >= 4`` (the
   equivalence assertions below are unconditional);
@@ -34,7 +34,6 @@ from repro.fleet import (
     BackpressurePolicy,
     FleetMonitor,
     FleetWindowSampler,
-    ShardedFleetMonitor,
     WorkerShardedFleetMonitor,
 )
 from repro.fleet.engine import batch_verdict_key
@@ -112,7 +111,7 @@ def test_bench_worker_drain(shard_setup):
         mp_context="fork",
     ) as worker_fleet:
         for repeat in range(REPEATS):
-            inproc = ShardedFleetMonitor(
+            inproc = FleetMonitor(
                 hmd, n_shards=N_SHARDS, batch_size=BATCH_SIZE, policy=policy
             )
             _, elapsed = _drive(inproc, devices, arrivals)
@@ -177,7 +176,7 @@ def test_bench_kill_and_resume(shard_setup):
     hmd, devices, arrivals = shard_setup
     policy = BackpressurePolicy(max_pending=len(arrivals) + 1)
 
-    reference = ShardedFleetMonitor(
+    reference = FleetMonitor(
         hmd, n_shards=N_SHARDS, batch_size=BATCH_SIZE, policy=policy
     )
     reference_batches, _ = _drive(reference, devices, arrivals)

@@ -1,18 +1,19 @@
-"""Horizontally sharded fleet: K monitor cores, one merged view.
+"""Horizontally sharded fleet: K partition cores, one monitor.
 
-Extends examples/fleet_monitor.py from one monitor core to a sharded
+Extends examples/fleet_monitor.py from one partition to a sharded
 deployment, the way large DAQ systems fan out their readout:
 
-* a device-hash router pins each of 96 devices to one of 4 shards;
-* every shard runs its own FleetMonitor (queue, device table, forensic
-  stream) but all shards share ONE read-only compiled HMD — a warm
-  retrain republishes to every core at the next round;
-* the facade keeps the single-monitor API: the submit/drain/report
-  calls below are exactly the ones fleet_monitor.py makes, and the
-  verdicts are bitwise identical to the unsharded path;
+* ``FleetMonitor(hmd, n_shards=4)``: a device-hash router pins each of
+  96 devices to one of 4 partitions;
+* every partition keeps its own queue and device table, but all of
+  them verdict through ONE read-only compiled HMD in one fused round —
+  a warm retrain republishes it at the next round;
+* the submit/drain/report calls below are exactly the ones
+  fleet_monitor.py makes, and the verdicts are bitwise identical to
+  the one-partition path;
 * mid-stream the whole fleet is checkpointed with snapshot(), restored
   from the pickled bytes, and resumes with identical verdicts;
-* finally the fleet is rebalanced from 4 to 6 shards live — device
+* finally the fleet is rebalanced from 4 to 6 partitions live — device
   states and queued backlogs migrate, verdicts don't change.
 
     python examples/fleet_sharding.py
@@ -21,7 +22,7 @@ deployment, the way large DAQ systems fan out their readout:
 import pickle
 
 from repro.data import build_dvfs_dataset
-from repro.fleet import FleetMonitor, FleetWindowSampler, ShardedFleetMonitor
+from repro.fleet import FleetMonitor, FleetWindowSampler
 from repro.fleet.engine import batch_verdict_key
 from repro.hmd.apps import DVFS_KNOWN_BENIGN, DVFS_KNOWN_MALWARE, DVFS_UNKNOWN
 from repro.ml import RandomForestClassifier
@@ -53,8 +54,8 @@ def main() -> None:
     sampler = FleetWindowSampler(dataset, devices, random_state=7)
     arrivals = list(sampler.rounds(ROUNDS))
 
-    # -- sharded vs. unsharded: same calls, same verdicts --------------
-    fleet = ShardedFleetMonitor(hmd, n_shards=N_SHARDS, batch_size=256)
+    # -- K partitions vs. one: same calls, same verdicts ---------------
+    fleet = FleetMonitor(hmd, n_shards=N_SHARDS, batch_size=256)
     fleet.register_fleet(devices)
     for device_id, window in arrivals[: len(arrivals) // 2]:
         fleet.submit(device_id, window)
@@ -72,7 +73,7 @@ def main() -> None:
     # -- checkpoint the live fleet, restore it, keep going -------------
     blob = pickle.dumps(fleet.snapshot())
     print(f"snapshot: {len(blob)} bytes (queues, device states, forensics)")
-    restored = ShardedFleetMonitor.restore(hmd, pickle.loads(blob))
+    restored = FleetMonitor.restore(hmd, pickle.loads(blob))
 
     for monitor in (fleet, restored):
         for device_id, window in arrivals[len(arrivals) // 2 :]:
@@ -85,13 +86,13 @@ def main() -> None:
     )
 
     # -- the sharded path never changes a verdict ----------------------
-    single = FleetMonitor(hmd, batch_size=256)
+    single = FleetMonitor(hmd, batch_size=256)  # n_shards=1
     single.register_fleet(devices)
     for device_id, window in arrivals:
         single.submit(device_id, window)
     reference = single.drain()
     print(
-        "sharded verdicts bitwise-identical to one FleetMonitor: "
+        "sharded verdicts bitwise-identical to one partition: "
         f"{batch_verdict_key(first_half + tail) == batch_verdict_key(reference)}\n"
     )
 

@@ -1,8 +1,9 @@
 """Live fleet dashboard experiment (beyond-paper extension).
 
-Stands up a small simulated fleet behind a telemetry-enabled sharded
-monitor — in-process :class:`~repro.fleet.sharding.ShardedFleetMonitor`
-by default, the multi-process
+Stands up a small simulated fleet behind a telemetry-enabled
+partitioned monitor — in-process
+:class:`~repro.fleet.engine.FleetMonitor` with ``n_shards`` partition
+cores by default, the multi-process
 :class:`~repro.fleet.workers.WorkerShardedFleetMonitor` with
 ``--processes K`` — and drives the traffic through it in slices,
 posting a message burst into :class:`~repro.obs.Dashboard` after each
@@ -21,7 +22,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from ..fleet import ShardedFleetMonitor, WorkerShardedFleetMonitor
+from ..fleet import FleetMonitor, WorkerShardedFleetMonitor
 from ..obs import (
     Dashboard,
     MetricsUpdate,
@@ -187,7 +188,7 @@ def run_dashboard(
         n_shards = processes
     else:
         backend = "in-process"
-        monitor = ShardedFleetMonitor(
+        monitor = FleetMonitor(
             hmd,
             n_shards=n_shards,
             batch_size=batch_size,

@@ -1,9 +1,9 @@
 """Sharded fleet experiment (beyond-paper extension).
 
-Stands up the same simulated device fleet twice — behind a single
-:class:`~repro.fleet.engine.FleetMonitor` and behind a
-:class:`~repro.fleet.sharding.ShardedFleetMonitor` (K device-hash
-routed cores sharing one read-only compiled HMD) — and reports the
+Stands up the same simulated device fleet twice — behind a
+one-partition :class:`~repro.fleet.engine.FleetMonitor` and behind a
+``FleetMonitor(n_shards=K)`` (K device-hash routed partition cores
+sharing one read-only compiled HMD) — and reports the
 drain-throughput ratio, bitwise verdict equivalence, merged-report
 consistency, and a mid-stream checkpoint/restore round trip.  With
 ``--processes K`` the drain also runs through the multi-process
@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from ..fleet import (
     FaultPlan,
     FleetMonitor,
-    ShardedFleetMonitor,
     WorkerShardedFleetMonitor,
     account_windows,
 )
@@ -77,7 +76,7 @@ class ShardResult:
 
     @property
     def speedup(self) -> float:
-        """Sharded drain windows/sec over the single monitor's."""
+        """K-partition drain windows/sec over the one-partition monitor's."""
         return self.sharded_wps / self.single_wps if self.single_wps else 0.0
 
     @property
@@ -97,8 +96,8 @@ class ShardResult:
     def as_text(self) -> str:
         """Render the throughput table and the merged fleet dashboard."""
         rows = [
-            ["single FleetMonitor", self.single_wps],
-            [f"ShardedFleetMonitor (K={self.n_shards})", self.sharded_wps],
+            ["FleetMonitor (K=1)", self.single_wps],
+            [f"FleetMonitor (K={self.n_shards})", self.sharded_wps],
         ]
         if self.mp_wps is not None:
             rows.append(
@@ -163,7 +162,7 @@ def run_shard(
     telemetry: bool = False,
     telemetry_out=None,
 ) -> ShardResult:
-    """Drain the same fleet traffic unsharded vs. K-sharded.
+    """Drain the same fleet traffic through one partition vs. K.
 
     With ``processes`` set, the same traffic is additionally drained
     through a :class:`WorkerShardedFleetMonitor` with that many shard
@@ -175,7 +174,7 @@ def run_shard(
     precision (all monitors run the same mode, so the equivalence
     checks remain bitwise).  ``telemetry`` drains the sharded (and
     worker) monitors with live metrics registries — the equivalence
-    checks against the uninstrumented single monitor then double as
+    checks against the uninstrumented one-partition monitor then double as
     the telemetry-neutrality check — and renders the merged snapshot
     after the report; ``telemetry_out`` additionally appends it to
     that JSONL path on exit (implies ``telemetry``).
@@ -204,7 +203,7 @@ def run_shard(
     single = FleetMonitor(hmd, batch_size=batch_size, policy=policy)
     single_batches, single_elapsed = drive(single)
 
-    sharded = ShardedFleetMonitor(
+    sharded = FleetMonitor(
         hmd,
         n_shards=n_shards,
         batch_size=batch_size,
@@ -226,14 +225,14 @@ def run_shard(
 
     # Checkpoint/restore: snapshot a half-drained fleet, restore it
     # from pickled bytes, and check the remaining drains agree.
-    probe = ShardedFleetMonitor(
+    probe = FleetMonitor(
         hmd, n_shards=n_shards, batch_size=batch_size, policy=policy
     )
     probe.register_fleet(devices)
     for device_id, window in arrivals:
         probe.submit(device_id, window)
     probe.drain(max_batches=1)
-    restored = ShardedFleetMonitor.restore(
+    restored = FleetMonitor.restore(
         hmd, pickle.loads(pickle.dumps(probe.snapshot()))
     )
     restore_identical = batch_verdict_key(restored.drain()) == batch_verdict_key(
@@ -328,9 +327,7 @@ def run_shard(
         reports_identical=reports_identical,
         restore_identical=restore_identical,
         n_flagged=sharded.stats.n_flagged,
-        n_shed=sum(
-            shard.queue.total_shed for shard in sharded.shards
-        ),
+        n_shed=sharded_report.n_shed,
         report_text=sharded_report.as_text(max_rows=10),
         n_processes=n_processes,
         mp_wps=mp_wps,

@@ -2,19 +2,21 @@
 
 The paper's online loop screens one device.  This subpackage is the
 central-monitor deployment of the same trusted HMD: many device
-streams multiplexed through one bounded arena ingress queue
-(:mod:`~repro.fleet.queueing`), one vectorised ensemble pass per batch
-(:mod:`~repro.fleet.engine`), verdicts folded back to ring-buffered
-per-device state on dense device indices (:mod:`~repro.fleet.state`)
-and aggregated into dashboard snapshots (:mod:`~repro.fleet.report`).
-The flagged windows feed back into the model:
-:mod:`~repro.fleet.retrain` triages the forensic queue, collects
-analyst labels and warm-refits the shared HMD live between batches.
-:mod:`~repro.fleet.sharding` scales the whole engine horizontally — K
-plain monitor cores behind a device-hash router, sharing one read-only
-compiled HMD, with merged reporting, a merged forensic stream, live
-rebalancing and full checkpoint/restore.  See ``docs/architecture.md``
-for the dataflow and the backpressure policy.
+streams multiplexed through bounded arena ingress queues
+(:mod:`~repro.fleet.queueing`), one vectorised ensemble pass per round
+through the published verdict parts (:mod:`~repro.fleet.engine`),
+verdicts folded back to ring-buffered per-device state on dense
+device indices (:mod:`~repro.fleet.state`) and aggregated into
+dashboard snapshots (:mod:`~repro.fleet.report`).  The flagged
+windows feed back into the model: :mod:`~repro.fleet.retrain` triages
+the forensic queue, collects analyst labels and warm-refits the shared
+HMD live between batches.  ``FleetMonitor(n_shards=K)`` scales the
+engine horizontally — K partition cores behind a device-hash router
+(:mod:`~repro.fleet.sharding`), one fused round over all of them, live
+rebalancing and full checkpoint/restore — and
+:mod:`~repro.fleet.workers` moves each partition's verdict pass into
+its own process.  See ``docs/architecture.md`` for the dataflow and
+the backpressure policy.
 """
 
 from .engine import (
@@ -24,7 +26,7 @@ from .engine import (
     batched_verdicts_equal_sequential,
 )
 from .queueing import BackpressurePolicy, FleetQueue, WindowBatch, WindowRequest
-from .report import DeviceReport, FleetReport, device_report_key, merge_reports
+from .report import DeviceReport, FleetReport, device_report_key
 from .resilience import (
     FaultPlan,
     QuarantineStore,
@@ -35,7 +37,7 @@ from .resilience import (
 )
 from .retrain import FleetRetrainer, RetrainOutcome
 from .sampler import FleetWindowSampler
-from .sharding import PublishedHmd, ShardRouter, ShardedFleetMonitor
+from .sharding import PublishedHmd, ShardRouter
 from .state import DeviceState, RingBuffer
 from .workers import WorkerShardedFleetMonitor
 
@@ -59,12 +61,10 @@ __all__ = [
     "ShardHealth",
     "ShardHealthReport",
     "ShardRouter",
-    "ShardedFleetMonitor",
     "WindowBatch",
     "WindowRequest",
     "WorkerShardedFleetMonitor",
     "account_windows",
     "batched_verdicts_equal_sequential",
     "device_report_key",
-    "merge_reports",
 ]

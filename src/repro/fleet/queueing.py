@@ -7,9 +7,8 @@ a bounded central queue in front of the batched processing core, with a
 core.  This module is that ingress: window submissions from all devices
 land in one :class:`FleetQueue`, bounded globally and per device, and
 overload is resolved by policy rather than by unbounded memory growth.
-Every monitor core runs one — the single :class:`~repro.fleet.engine
-.FleetMonitor`, each shard of the sharded facade, and the parent side
-of every worker shard.
+Every partition of a :class:`~repro.fleet.engine.FleetMonitor` runs
+one, in process or as the parent side of a worker shard.
 
 Two shedding modes are provided:
 
@@ -227,6 +226,11 @@ class FleetQueue:
 
     def __len__(self) -> int:
         return self._n_pending
+
+    @property
+    def arena_blocks(self) -> int:
+        """Arena blocks currently allocated."""
+        return len(self._blocks)
 
     @property
     def total_shed(self) -> int:

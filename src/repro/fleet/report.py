@@ -12,13 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..formatting import format_table
-from ..obs.metrics import histogram_percentile, merge_snapshots
+from ..obs.metrics import histogram_percentile
 
 __all__ = [
     "DeviceReport",
     "FleetReport",
     "device_report_key",
-    "merge_reports",
 ]
 
 
@@ -55,10 +54,10 @@ class FleetReport:
     # Degradation observability (multi-process backend): per-shard
     # supervision rows (:class:`~repro.fleet.resilience.ShardHealthReport`)
     # and the lifetime count of poison windows pulled into quarantine.
-    # Defaulted so single-monitor and in-process reports are unchanged.
+    # Defaulted so in-process reports are unchanged.
     shard_health: tuple = ()
     n_quarantined: int = 0
-    # Telemetry section: the monitor's merged
+    # Telemetry section: the monitor's
     # :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`, ``None`` when
     # telemetry is off (the common case; reports stay cheap).
     telemetry: dict | None = field(default=None, compare=False)
@@ -175,7 +174,7 @@ def device_report_key(report: FleetReport) -> dict[str, tuple]:
     """Index a report's device rows as ``device_id -> stats tuple``.
 
     The single definition of what "identical device rows" means for
-    sharded-vs-single equivalence checks, shared by the ``shard``
+    equivalence checks across partition counts and backends, shared by the ``shard``
     experiment runner, the benchmark acceptance gate and the test
     suite (the same role :func:`~repro.fleet.engine.batch_verdict_key`
     plays for verdicts).
@@ -193,58 +192,3 @@ def device_report_key(report: FleetReport) -> dict[str, tuple]:
         )
         for d in report.devices
     }
-
-
-def merge_reports(
-    reports,
-    *,
-    n_batches: int | None = None,
-    drift_status: str | None = None,
-) -> FleetReport:
-    """Fold per-shard :class:`FleetReport` snapshots into one fleet view.
-
-    Device rows concatenate (each device lives on exactly one shard, so
-    there are no collisions to reconcile), counters sum, and the fleet
-    mean entropy is re-derived as a seen-weighted average — the same
-    quantity one unsharded monitor over the same traffic reports,
-    mathematically, but only to float precision (per-shard partial sums
-    re-associate; the bitwise-pinned equivalence surface is the device
-    rows, see :func:`device_report_key`).
-
-    ``n_batches`` defaults to the summed per-shard count; the sharded
-    facade passes its fused-round count instead (one round covers all
-    shards).  ``drift_status`` likewise belongs to the facade-level
-    drift monitor, not to any single shard.
-
-    The observability sections merge too, and tolerate heterogeneity —
-    shards that never report them simply contribute nothing: health
-    rows concatenate in shard order, quarantine counts sum, and
-    telemetry snapshots fold through the associative
-    :func:`~repro.obs.metrics.merge_snapshots` (``None`` when no shard
-    reported telemetry).
-    """
-    reports = list(reports)
-    if not reports:
-        raise ValueError("At least one report is required.")
-    n_seen = sum(r.n_seen for r in reports)
-    weighted_entropy = sum(r.mean_entropy * r.n_seen for r in reports)
-    telemetries = [r.telemetry for r in reports if r.telemetry]
-    return FleetReport(
-        devices=tuple(device for r in reports for device in r.devices),
-        n_seen=n_seen,
-        n_accepted=sum(r.n_accepted for r in reports),
-        n_flagged=sum(r.n_flagged for r in reports),
-        n_malware_alerts=sum(r.n_malware_alerts for r in reports),
-        n_shed=sum(r.n_shed for r in reports),
-        n_pending=sum(r.n_pending for r in reports),
-        n_batches=(
-            sum(r.n_batches for r in reports) if n_batches is None else n_batches
-        ),
-        mean_entropy=weighted_entropy / n_seen if n_seen else 0.0,
-        drift_status=drift_status,
-        shard_health=tuple(
-            row for r in reports for row in r.shard_health
-        ),
-        n_quarantined=sum(r.n_quarantined for r in reports),
-        telemetry=merge_snapshots(telemetries) if telemetries else None,
-    )

@@ -47,13 +47,12 @@ class FleetRetrainer:
     Parameters
     ----------
     monitor:
-        The running :class:`FleetMonitor` — or a
-        :class:`~repro.fleet.sharding.ShardedFleetMonitor`, whose
-        ``forensics`` queue is the merged per-shard triage stream and
-        whose fused rounds republish the warm-refitted HMD to every
-        shard (the facade recompiles the shared view once, at the next
-        ``process_batch``).  Its ``forensics`` queue and its ``hmd``
-        are the retrainer's inputs and outputs.
+        The running :class:`FleetMonitor` (any partition count or
+        backend), whose ``forensics`` queue is the triage stream of
+        every partition and whose next round republishes the
+        warm-refitted HMD's verdict parts to all of them (recompiled
+        once, at the next ``process_batch``).  Its ``forensics`` queue
+        and its ``hmd`` are the retrainer's inputs and outputs.
     labeler:
         Analyst oracle: ``labeler(cluster) -> label`` called once per
         :class:`~repro.uncertainty.online.TriageCluster` — the paper's

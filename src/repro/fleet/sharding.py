@@ -1,63 +1,52 @@
-"""Sharded fleet: device-hash routed monitor cores behind one facade.
+"""Device-hash partitioning and the verdict parts every partition shares.
 
 Large DAQ systems scale ingest horizontally — the KM3NeT Control Unit
 coordinates many acquisition nodes behind one control plane, the CMS
 HGCAL prototype fans thousands of channels across parallel readout
-units into one merged event stream.  This module is that deployment
-shape for the fleet engine:
+units into one merged event stream.  The fleet engine has the same
+shape: one :class:`~repro.fleet.engine.FleetMonitor` is the control
+plane over ``n_shards`` partition cores, each with its own
+:class:`~repro.fleet.queueing.FleetQueue`, device table and counters.
+This module holds the two pieces the partitions share:
 
 * :class:`ShardRouter` — a stable device-id hash assigns every device
-  to exactly one shard (and yields a deterministic rebalance map when
-  the shard count changes);
-* each shard is a plain :class:`~repro.fleet.engine.FleetMonitor` —
-  its own :class:`~repro.fleet.queueing.FleetQueue`, device table
-  and counters;
+  to exactly one partition (and yields a deterministic rebalance map
+  when the partition count changes);
 * :class:`PublishedHmd` — the record of the shared HMD's verdict parts
-  (fused front, compiled forest, vote-count tables) that every shard
-  verdicts through in one round, republished after a retrain;
-* :class:`ShardedFleetMonitor` — the facade.  Same API as a single
-  ``FleetMonitor`` (``submit``/``submit_many``/``process_batch``/
-  ``drain``/``report``), so runners and examples swap in without
-  call-site changes.
+  (fused front, compiled forest, vote-count tables) that every round
+  verdicts through, republished after a retrain.
 
-Why sharding is faster *and* identical
---------------------------------------
+Why partitioning is faster *and* identical
+------------------------------------------
 
 Every per-window computation is row-independent, so partitioning the
-stream by device and fusing each round's shard batches into one
-inference pass cannot change any verdict — the benchmark gate asserts
-bitwise identity against the unsharded monitor, and both run the same
+stream by device and fusing each round's partition batches into one
+inference pass cannot change any verdict — the equivalence matrix
+asserts bitwise identity against ``TrustedHMD.analyze`` for every
+partition count, and every round runs the same
 :func:`~repro.uncertainty.trust.count_table_verdict`.  Throughput comes
 from two structural effects, not from cutting corners:
 
 1. a fused round verdicts up to ``K x batch_size`` rows in one pass,
    amortising the per-pass front, encode and traversal set-up;
-2. each shard's batch concentrates on ``1/K`` of the devices, so its
-   verdict fold (:meth:`FleetMonitor._fold`, the same dense-index fold
-   the single monitor runs) visits fewer distinct devices per row.
+2. each partition's batch concentrates on ``1/K`` of the devices, so
+   its verdict fold (the partition core's ``_fold``) visits fewer
+   distinct devices per row.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, replace
-
 import numpy as np
 
-from ..obs.metrics import merge_snapshots
-from ..uncertainty.online import ForensicQueue, MonitorStats
 from ..uncertainty.trust import TrustedHMD, count_table_verdict
-from .engine import FlaggedStage, FleetBatchResult, FleetMonitor
-from .queueing import BackpressurePolicy, WindowBatch
-from .report import FleetReport, merge_reports
 
 __all__ = [
     "ShardRouter",
     "PublishedHmd",
-    "ShardedFleetMonitor",
     "SNAPSHOT_SCHEMA",
 ]
 
-# Version tag stamped into every ShardedFleetMonitor.snapshot() payload.
+# Version tag stamped into every FleetMonitor.snapshot() payload.
 # restore() refuses anything else: a checkpoint from a different schema
 # generation (or a payload that was never a fleet snapshot at all) fails
 # loudly up front instead of leaving a fleet half-restored.  Bump the
@@ -132,16 +121,16 @@ class ShardRouter:
 # ---------------------------------------------------------------------------
 
 class PublishedHmd:
-    """The shared HMD's verdict parts, published to every shard.
+    """The shared HMD's verdict parts: the monitor's one verdict path.
 
     A record of what :func:`~repro.uncertainty.trust.count_table_verdict`
     needs — the fused front, the compiled forest (one node tensor that
-    all shards share with zero copies) and the vote-count tables — as
-    :meth:`TrustedHMD.verdict_parts` built them, plus the verdict key
-    they were built under.  Holding the parts fixed for a whole fused
-    round keeps every shard on one model generation; :meth:`is_current`
-    turns stale after a (warm) retrain, a threshold change or a compile
-    mode switch, and the facade republishes.
+    all partitions share with zero copies) and the vote-count tables —
+    as :meth:`TrustedHMD.verdict_parts` built them, plus the verdict
+    key they were built under.  Holding the parts fixed for a whole
+    fused round keeps every partition on one model generation;
+    :meth:`is_current` turns stale after a (warm) retrain, a threshold
+    change or a compile mode switch, and the monitor republishes.
 
     Models without count tables (more than two classes, no flat or
     quantized forest) publish no parts and verdict through
@@ -198,339 +187,3 @@ class PublishedHmd:
             verdict = self.hmd.analyze(X)
             return verdict.predictions, verdict.entropy, verdict.accepted
         return count_table_verdict(self.front, self.backend, self.tables, X)
-
-
-# ---------------------------------------------------------------------------
-# The facade
-# ---------------------------------------------------------------------------
-
-
-class ShardedFleetMonitor:
-    """K monitor cores behind a device-hash router, one merged view.
-
-    Drop-in for :class:`FleetMonitor`: the ingress API (``register``,
-    ``submit``, ``submit_many``), the processing API (``process_batch``,
-    ``drain``), and the egress API (``report``, ``stats``,
-    ``forensics``) all keep their signatures, so experiment runners,
-    examples and the :class:`~repro.fleet.retrain.FleetRetrainer` swap
-    in without call-site changes.
-
-    One :meth:`process_batch` is a *fused round*: up to ``batch_size``
-    rows from every shard's queue are stacked and routed through the
-    shared :class:`PublishedHmd` in a single pass, then each shard's
-    slice is folded back into its own device table while its flagged
-    windows stage on the facade's merged forensic queue (per device
-    still in submission-sequence order).  Verdicts are bitwise
-    identical to an unsharded monitor over the same traffic.
-
-    Backpressure bounds apply per shard: ``max_pending_per_device``
-    semantics are *exactly* those of the single monitor (a device lives
-    on one shard), while the global ``max_pending`` bounds each shard's
-    queue individually — fleet-total capacity is ``K x max_pending``.
-
-    Parameters mirror :class:`FleetMonitor`, plus ``n_shards`` /
-    ``router``.  ``telemetry`` follows the same contract as the single
-    monitor's; each shard core gets its *own* registry (per-shard queue
-    gauges must not overwrite each other), and :meth:`report` folds all
-    of them — plus the facade's fused-round instruments — through the
-    associative :func:`~repro.obs.metrics.merge_snapshots`.
-    """
-
-    # The facade owns the single monitor's round state and runs the same
-    # round, drain and forensic stream — over one batch per shard.
-    _init_round = FleetMonitor._init_round
-    _fused_round = FleetMonitor._fused_round
-    _fold_round = FleetMonitor._fold_round
-    _trace = FleetMonitor._trace
-    _round_result = FleetMonitor._round_result
-    drain = FleetMonitor.drain
-    forensics = FleetMonitor.forensics
-    register_fleet = FleetMonitor.register_fleet
-
-    def __init__(
-        self,
-        hmd: TrustedHMD,
-        *,
-        n_shards: int = 4,
-        batch_size: int = 256,
-        policy: BackpressurePolicy | None = None,
-        forensics: ForensicQueue | None = None,
-        drift_reference=None,
-        entropy_window: int = 128,
-        router: ShardRouter | None = None,
-        telemetry=None,
-        tracer=None,
-    ):
-        if not hasattr(hmd, "estimator_"):
-            raise ValueError("hmd must be fitted before fleet monitoring.")
-        self.hmd = hmd
-        self.router = router if router is not None else ShardRouter(n_shards)
-        self.batch_size = batch_size
-        self.policy = policy if policy is not None else BackpressurePolicy()
-        self.entropy_window = entropy_window
-        self._init_round(forensics, drift_reference, telemetry, tracer)
-        self.shards = [self._new_shard() for _ in range(self.router.n_shards)]
-        self.published = PublishedHmd(hmd)
-
-    @property
-    def n_shards(self) -> int:
-        """Number of monitor cores behind the router."""
-        return len(self.shards)
-
-    def _new_shard(self) -> FleetMonitor:
-        """One empty monitor core with the facade's configuration."""
-        return FleetMonitor(
-            self.hmd,
-            batch_size=self.batch_size,
-            policy=self.policy,
-            entropy_window=self.entropy_window,
-            telemetry=self.metrics.enabled or None,
-            tracer=self.tracer,
-        )
-
-    # -- ingress -------------------------------------------------------
-
-    def shard_for(self, device_id: str) -> FleetMonitor:
-        """The shard owning a device."""
-        return self.shards[self.router.shard_of(device_id)]
-
-    def register(self, device_id: str, *, cohort: str = "unknown"):
-        """Idempotently create the device's state on its home shard."""
-        return self.shard_for(device_id).register(device_id, cohort=cohort)
-
-    def submit(self, device_id: str, window) -> bool:
-        """Route one window to its device's shard."""
-        return self.shard_for(device_id).submit(device_id, window)
-
-    def submit_many(self, device_id: str, windows) -> int:
-        """Route a block of windows to its device's shard."""
-        return self.shard_for(device_id).submit_many(device_id, windows)
-
-    @property
-    def pending(self) -> int:
-        """Windows currently queued across all shards."""
-        return sum(len(shard.queue) for shard in self.shards)
-
-    @property
-    def stats(self) -> MonitorStats:
-        """Merged fleet-wide counters (computed from the shards)."""
-        merged = MonitorStats()
-        for shard in self.shards:
-            merged.merge(shard.stats)
-        return merged
-
-    # -- fused inference rounds ----------------------------------------
-
-    def _ensure_published(self) -> PublishedHmd:
-        if not self.published.is_current():
-            # One recompile per retrain/threshold change; the new view
-            # is shared by every shard from this round on.
-            self.published = PublishedHmd(self.hmd)
-        return self.published
-
-    def process_batch(self) -> FleetBatchResult | None:
-        """One fused round: up to ``batch_size`` rows *per shard*.
-
-        Returns the merged verdict batch (rows grouped by shard id, per
-        device in submission order), or ``None`` when every queue is
-        empty.
-        """
-        published = self._ensure_published()
-        parts: list[tuple[FleetMonitor, WindowBatch]] = []
-        for shard in self.shards:
-            if len(shard.queue):
-                batch = shard.queue.take(self.batch_size)
-                if len(batch):
-                    parts.append((shard, batch))
-        if not parts:
-            return None
-        return self._fused_round(parts, published.verdict, published.threshold)
-
-    # -- egress --------------------------------------------------------
-
-    def report(self) -> FleetReport:
-        """Merged fleet view over all shards' device tables.
-
-        The facade's fused-round instruments and whatever the shard
-        reports carried fold through the associative
-        :func:`~repro.obs.metrics.merge_snapshots`.
-        """
-        report = merge_reports(
-            (shard.report() for shard in self.shards),
-            n_batches=self.n_batches,
-            drift_status=self.drift.observe([]).status if self.drift else None,
-        )
-        if self.metrics.enabled:
-            snapshots = [self.metrics.snapshot()]
-            if report.telemetry:
-                snapshots.append(report.telemetry)
-            report = replace(report, telemetry=merge_snapshots(snapshots))
-        return report
-
-    # -- rebalancing ---------------------------------------------------
-
-    def rebalance(self, n_shards: int) -> dict[str, tuple[int, int]]:
-        """Change the shard count, migrating device state and backlogs.
-
-        Every moved device takes its :class:`DeviceState`, sequence
-        counter, shed history and queued windows (in order) to its new
-        shard, so subsequent verdicts are unchanged.  Returns the
-        router's deterministic move map ``{device: (old, new)}``.
-        """
-        device_ids = [
-            device_id
-            for shard in self.shards
-            for device_id in shard.devices
-        ]
-        plan = self.router.plan_rebalance(device_ids, n_shards)
-        new_router = type(self.router)(n_shards)
-        # Seed every new core's step counter past all the old ones, so
-        # post-rebalance flagged-sample steps and last_step keep
-        # advancing monotonically (mirrors what snapshot/restore keep).
-        step_seed = max(
-            (shard._step for shard in self.shards), default=0
-        )
-        new_shards = [self._new_shard() for _ in range(n_shards)]
-        for shard in new_shards:
-            shard._step = step_seed
-        for monitor in self.shards:
-            for device_id, state in monitor.devices.items():
-                target = new_shards[new_router.shard_of(device_id)]
-                target.devices[device_id] = state
-                target._seq[device_id] = monitor._seq[device_id]
-                target.stats.merge(state.stats)
-                monitor.queue.move_device(device_id, target.queue)
-        self.router = new_router
-        self.shards = new_shards
-        return plan
-
-    # -- persistence ---------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """Checkpoint the full sharded fleet (model excluded).
-
-        Per-shard monitor snapshots (queue backlogs, device states,
-        counters) plus the router/policy configuration and the merged
-        forensic backlog — what :meth:`restore` needs to resume
-        mid-stream with identical subsequent verdicts.  As with
-        :meth:`FleetMonitor.snapshot`, the fitted HMD and the optional
-        drift monitor's accumulated detector statistics travel
-        separately (model pickle / fresh ``drift_reference``).
-        """
-        return self._snapshot([shard.snapshot() for shard in self.shards])
-
-    def _snapshot(self, shard_states: list[dict]) -> dict:
-        """The facade payload around per-shard monitor payloads."""
-        return {
-            "schema": SNAPSHOT_SCHEMA,
-            "n_shards": self.n_shards,
-            "batch_size": self.batch_size,
-            "entropy_window": self.entropy_window,
-            "n_batches": self.n_batches,
-            "policy": asdict(self.policy),
-            "shards": shard_states,
-            "forensics": self._stage.snapshot(),
-        }
-
-    @staticmethod
-    def _validate_snapshot(state: dict) -> None:
-        """Reject stale, foreign or internally inconsistent checkpoints.
-
-        A restore that starts applying a bad payload can leave a fleet
-        half-built, so every structural check happens before any state
-        is touched (and before a worker backend spawns anything).
-        """
-        if not isinstance(state, dict):
-            raise ValueError(
-                f"fleet snapshot must be a dict; got {type(state).__name__}."
-            )
-        schema = state.get("schema")
-        if schema != SNAPSHOT_SCHEMA:
-            raise ValueError(
-                f"unsupported fleet snapshot schema {schema!r}; this build "
-                f"restores {SNAPSHOT_SCHEMA!r} checkpoints only. Re-snapshot "
-                "with the current code (old unversioned payloads predate "
-                "supervised worker restarts and cannot be trusted)."
-            )
-        missing = [
-            key
-            for key in (
-                "n_shards",
-                "batch_size",
-                "entropy_window",
-                "n_batches",
-                "policy",
-                "shards",
-                "forensics",
-            )
-            if key not in state
-        ]
-        if missing:
-            raise ValueError(
-                f"fleet snapshot is missing required keys {missing}; "
-                "the checkpoint is truncated or corrupt."
-            )
-        if len(state["shards"]) != state["n_shards"]:
-            raise ValueError(
-                f"fleet snapshot declares {state['n_shards']} shards but "
-                f"carries {len(state['shards'])} shard payloads; refusing "
-                "a mismatched checkpoint."
-            )
-        try:
-            BackpressurePolicy(**state["policy"])
-        except TypeError as error:
-            raise ValueError(
-                f"fleet snapshot policy {state['policy']!r} does not match "
-                f"this build's BackpressurePolicy: {error}"
-            ) from None
-
-    @classmethod
-    def restore(
-        cls,
-        hmd: TrustedHMD,
-        state: dict,
-        *,
-        drift_reference=None,
-        router: ShardRouter | None = None,
-    ) -> "ShardedFleetMonitor":
-        """Rebuild a sharded fleet from :meth:`snapshot` output.
-
-        As with :meth:`FleetMonitor.restore`, the fitted HMD travels
-        separately; restoring against a warm-retrained model is
-        supported and simply publishes the refreshed view.  The facade
-        policy is restored too, so a later :meth:`rebalance` builds its
-        new queues with the original bounds; a fleet that was built
-        with a custom ``router`` must pass an equivalent one here (the
-        router is configuration, not serialisable state).
-        """
-        return cls._restore(hmd, state, drift_reference, router)
-
-    @classmethod
-    def _restore(cls, hmd, state: dict, drift_reference, router, **options):
-        """Validate a facade checkpoint, then rebuild facade and shards.
-
-        Every structural check runs before the facade is built; each
-        shard core then loads its own monitor payload.  ``options``
-        carry a subclass's extra constructor arguments.
-        """
-        cls._validate_snapshot(state)
-        fleet = cls(
-            hmd,
-            n_shards=state["n_shards"],
-            batch_size=state["batch_size"],
-            entropy_window=state["entropy_window"],
-            policy=BackpressurePolicy(**state["policy"]),
-            forensics=FlaggedStage.restore_queue(state["forensics"]),
-            drift_reference=drift_reference,
-            router=router,
-            **options,
-        )
-        if fleet.router.n_shards != state["n_shards"]:
-            raise ValueError(
-                f"router has {fleet.router.n_shards} shards but the "
-                f"snapshot holds {state['n_shards']}."
-            )
-        fleet.n_batches = int(state["n_batches"])
-        for shard, shard_state in zip(fleet.shards, state["shards"]):
-            shard._load(shard_state)
-        return fleet

@@ -1,7 +1,7 @@
 """Shared-memory primitives for the multi-process sharded fleet.
 
-Two kinds of state cross the process boundary between the fleet facade
-and its shard workers, and neither is ever pickled row by row:
+Two kinds of state cross the process boundary between the parent
+monitor and its shard workers, and neither is ever pickled row by row:
 
 * **The data plane** — :class:`ShmBlockRing`, a small ring of
   fixed-size block slots inside one ``multiprocessing.shared_memory``

@@ -2,7 +2,7 @@
 
 Every monitored device keeps a constant-memory footprint regardless of
 how long it has been streaming (the counters change in one place, the
-monitor's verdict fold :meth:`~repro.fleet.engine.FleetMonitor._fold`): an embedded
+partition core's verdict fold ``_fold`` in :mod:`repro.fleet.engine`): an embedded
 :class:`~repro.uncertainty.online.MonitorStats` (the same counter
 definitions the single-device monitor uses, so the two can never
 drift) plus a fixed-capacity ring buffer of its most recent predictive

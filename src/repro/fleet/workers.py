@@ -1,20 +1,20 @@
-"""Process-per-shard execution backend for the sharded fleet.
+"""Process-per-shard execution backend for the partitioned fleet.
 
-:class:`WorkerShardedFleetMonitor` keeps the whole
-:class:`~repro.fleet.sharding.ShardedFleetMonitor` API — register,
-submit, ``process_batch``/``drain``, ``report``, ``snapshot``/
-``restore`` — but runs every shard's verdict pass in its own worker
-*process*, so K shards verdict on K cores instead of time-slicing one
-GIL.  The split of responsibilities:
+:class:`WorkerShardedFleetMonitor` is a
+:class:`~repro.fleet.engine.FleetMonitor` — register, submit,
+``process_batch``/``drain``, ``report``, ``snapshot``/``restore`` —
+that runs every partition's verdict pass in its own worker *process*,
+so K partitions verdict on K cores instead of time-slicing one GIL.
+The split of responsibilities:
 
 Parent (this process)
-    The one owner of fleet state.  Each shard is a plain
-    :class:`~repro.fleet.engine.FleetMonitor` in the parent — ingress
-    queue (backpressure, shedding, sequence numbering), device table,
-    counters — and every round folds through the same
+    The one owner of fleet state.  Each shard is one of the monitor's
+    partition cores in the parent — ingress queue (backpressure,
+    shedding, sequence numbering), device table, counters — and every
+    round folds through the same
     :meth:`~repro.fleet.engine.FleetMonitor._fold_round` the in-process
-    engines run, with the merged forensic stream and drift watching on
-    the facade.  Registration, reports and snapshots are the inherited
+    rounds run, with the forensic stream and drift watching on the
+    monitor.  Registration, reports and snapshots are the inherited
     in-process ones.
 
 Worker (one per shard)
@@ -29,7 +29,7 @@ Each protocol step has one path.  Every block frame — first delivery,
 integrity re-ship, restart re-ship, post-quarantine re-ship — is
 written and sent by ``_send_block``; blocks and bisection probes share
 one worker verdict step (``_run_slot``); a round closes with the
-in-process engines' own fold half.
+in-process round's own fold half.
 
 Supervision state machine
 -------------------------
@@ -73,12 +73,11 @@ import multiprocessing as mp
 import time
 import traceback
 from collections import deque
-from dataclasses import replace
 
 import numpy as np
 
 from ..uncertainty.online import ForensicQueue
-from .engine import FleetBatchResult
+from .engine import FleetBatchResult, FleetMonitor
 from .queueing import BackpressurePolicy, WindowBatch
 from .resilience import (
     FaultInjector,
@@ -88,7 +87,6 @@ from .resilience import (
     ShardHealth,
     ShardHealthReport,
 )
-from .sharding import ShardedFleetMonitor
 from .shm import (
     ShmBlockRing,
     ShmIntegrityError,
@@ -260,18 +258,22 @@ class _WorkerHandle:
         self.ready: dict[int, int] = {}  # early results: epoch -> slot
 
 
-class WorkerShardedFleetMonitor(ShardedFleetMonitor):
-    """The sharded fleet facade with process-per-shard workers.
+class WorkerShardedFleetMonitor(FleetMonitor):
+    """A :class:`FleetMonitor` with process-per-partition workers.
 
-    Drop-in for :class:`ShardedFleetMonitor` (same constructor shape,
-    same API), with the verdict work fanned out over ``n_shards``
-    supervised worker processes through shared-memory arenas.  Verdicts,
-    merged stats, forensic stream and report device rows are bitwise
-    identical to the in-process facade — the workers run the *same*
-    :func:`~repro.uncertainty.trust.count_table_verdict` on the same
-    bytes, and the parent folds their columns through the same
+    Same constructor shape and API as the in-process monitor (its
+    ``n_shards`` defaults to 4), with the verdict work fanned out over
+    ``n_shards`` supervised worker processes through shared-memory
+    arenas.  Verdicts, stats, forensic stream and report device rows
+    are bitwise identical to the in-process monitor — the workers run
+    the *same* :func:`~repro.uncertainty.trust.count_table_verdict` on
+    the same bytes, and the parent folds their columns through the same
     :meth:`FleetMonitor._fold_round`; the process boundary changes
-    where the verdict runs, never what it computes.
+    where the verdict runs, never what it computes.  Live
+    :meth:`~FleetMonitor.rebalance` is refused: snapshot, restore in
+    process, rebalance, snapshot and :meth:`~FleetMonitor.restore`
+    here instead (checkpoints are cross-backend by construction).
+    :meth:`~FleetMonitor.restore` forwards the parameters below.
 
     Additional parameters
     ---------------------
@@ -304,6 +306,12 @@ class WorkerShardedFleetMonitor(ShardedFleetMonitor):
     Call :meth:`close` (or use as a context manager) to stop workers
     and unlink the shared segments.
     """
+
+    _rebalance_refusal = (
+        "live rebalance is not supported by the multi-process backend; "
+        "snapshot(), restore in-process, rebalance, snapshot and "
+        "restore with WorkerShardedFleetMonitor.restore instead."
+    )
 
     def __init__(
         self,
@@ -383,7 +391,7 @@ class WorkerShardedFleetMonitor(ShardedFleetMonitor):
         # mode switch republishes the model but keeps the arena dtype —
         # the worker front casts whatever arrives, so a float64/
         # quantized republish over an f4 arena would *work* but lose
-        # precision; the facade therefore only narrows the arena when
+        # precision; the monitor therefore only narrows the arena when
         # the hmd is already in float32 mode at construction.
         feat_dtype = (
             "<f4"
@@ -1003,50 +1011,9 @@ class WorkerShardedFleetMonitor(ShardedFleetMonitor):
         """The poison-window quarantine store (bounded, accounted)."""
         return self._quarantine
 
-    def report(self):
-        """The in-process merged report plus health rows and quarantine count."""
-        return replace(
-            super().report(),
-            shard_health=self.shard_health(),
-            n_quarantined=self._quarantine.total_quarantined,
-        )
-
-    # -- rebalancing ---------------------------------------------------
-
-    def rebalance(self, n_shards: int):
-        """Not supported live across processes (by design, for now).
-
-        The migration path is: :meth:`snapshot` → restore in-process
-        (:meth:`ShardedFleetMonitor.restore`) → ``rebalance(K)`` →
-        ``snapshot()`` → :meth:`WorkerShardedFleetMonitor.restore` —
-        checkpoints are cross-backend by construction, so the round
-        trip is exact.
-        """
-        raise NotImplementedError(
-            "live rebalance is not supported by the multi-process backend; "
-            "snapshot(), restore in-process, rebalance, snapshot and "
-            "restore with WorkerShardedFleetMonitor.restore instead."
-        )
-
-    # -- persistence ---------------------------------------------------
-
-    @classmethod
-    def restore(
-        cls,
-        hmd,
-        state: dict,
-        *,
-        drift_reference=None,
-        router=None,
-        **worker_options,
-    ) -> "WorkerShardedFleetMonitor":
-        """Rebuild a worker-backed fleet from a facade snapshot.
-
-        Accepts checkpoints from either backend (the schema is shared,
-        and so is the restore: fleet state lives in the parent, the
-        workers start empty).  ``worker_options`` forwards
-        ``mp_context``/``pipeline_depth``/``worker_timeout``/
-        ``max_restarts``/``restart_backoff``/``chaos``/
-        ``quarantine_maxlen``.
-        """
-        return cls._restore(hmd, state, drift_reference, router, **worker_options)
+    def _health_fields(self) -> dict:
+        """Per-shard health rows and the quarantine count for reports."""
+        return {
+            "shard_health": self.shard_health(),
+            "n_quarantined": self._quarantine.total_quarantined,
+        }

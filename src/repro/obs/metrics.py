@@ -12,9 +12,8 @@ enough to leave on in production:
   (``np.add.at`` for bulk observations); only instrument *creation*
   takes a lock;
 * :meth:`MetricsRegistry.snapshot` is plain data, and
-  :func:`merge_snapshots` is **associative** — per-shard and per-worker
-  registries fold into one fleet view in any grouping, the same
-  contract :func:`~repro.fleet.report.merge_reports` relies on.
+  :func:`merge_snapshots` is **associative** — registries of separate
+  monitors or runs fold into one view in any grouping.
 
 Exposition: :func:`render_prometheus` (text format),
 :func:`summarize_snapshot` (terminal tables) and :class:`JsonlExporter`
@@ -316,12 +315,11 @@ def resolve_registry(telemetry) -> MetricsRegistry:
 def merge_snapshots(snapshots) -> dict:
     """Fold registry snapshots into one (associative, order-insensitive).
 
-    Counters and gauges sum — a summed gauge is the fleet-wide level
-    (e.g. total queued windows across shard queues).  Histograms sum
+    Counters and gauges sum — a summed gauge is the combined level
+    (e.g. total queued windows across monitors).  Histograms sum
     bucket counts element-wise and require identical bucket bounds.
-    Empty snapshots (disabled registries) merge as identities, which is
-    what lets :func:`~repro.fleet.report.merge_reports` tolerate a mix
-    of reporting and non-reporting shards.
+    Empty snapshots (disabled registries) merge as identities, so a mix
+    of reporting and non-reporting sources folds cleanly.
     """
     merged: dict = {"counters": {}, "gauges": {}, "histograms": {}}
     for snapshot in snapshots:

@@ -122,10 +122,15 @@ class TraceContext:
     scatter.  Post-ingress stages re-run the same deterministic sampler
     mask and touch only the handful of sampled rows, so the per-batch
     cost is one vectorised hash plus O(sampled) dict work.
+
+    A window shed by backpressure never reaches scatter, so its span
+    never closes; open spans are therefore capped at ``max_spans`` too,
+    oldest dropped first.
     """
 
     def __init__(self, sampler: TraceSampler | None = None, *, max_spans: int = 4096):
         self.sampler = sampler if sampler is not None else TraceSampler()
+        self.max_spans = max_spans
         self._pending: dict[tuple[str, int], dict] = {}
         self.spans: deque[TraceSpan] = deque(maxlen=max_spans)
         self.n_sampled = 0
@@ -141,6 +146,7 @@ class TraceContext:
             "ingest": time.monotonic() if ts is None else ts
         }
         self.n_sampled += 1
+        self._bound_pending()
         return True
 
     def begin_block(self, device_id: str, seqs, ts: float | None = None) -> int:
@@ -153,7 +159,13 @@ class TraceContext:
         for i in picked:
             self._pending[(device_id, int(seqs[i]))] = {"ingest": t}
         self.n_sampled += len(picked)
+        self._bound_pending()
         return len(picked)
+
+    def _bound_pending(self) -> None:
+        """Drop the oldest open spans beyond ``max_spans``."""
+        while len(self._pending) > self.max_spans:
+            del self._pending[next(iter(self._pending))]
 
     # -- later stages --------------------------------------------------
 

@@ -677,7 +677,7 @@ class FleetTraceGenerator:
         fleet order) and ``batch`` an :class:`ActivityBatch` whose row
         ``i`` is ``devices[i]``'s window.  The rows feed the substrate
         batch simulators — and, featurised, land in
-        ``FleetMonitor.submit_many`` / ``ShardedFleetMonitor`` as one
+        ``FleetMonitor.submit_many`` (any partition count) as one
         block per device with no per-window Python work.
         """
         if n_rounds < 1:

@@ -449,53 +449,32 @@ class TrustedHMD(_FusedFrontMixin, BaseEstimator):
     def verdict_parts(self):
         """``(front, forest, tables)`` for :func:`count_table_verdict`.
 
-        Built once per :meth:`verdict_key` and cached.  ``None`` when
-        the count tables cannot serve this model — more than two
-        classes, or no flat/quantized compiled forest — and
-        :meth:`verdict` falls back to :meth:`analyze`.
+        Built fresh on each call (the fleet's
+        :class:`~repro.fleet.sharding.PublishedHmd` holds them per
+        :meth:`verdict_key`).  ``None`` when the count tables cannot
+        serve this model — more than two classes, or no flat/quantized
+        compiled forest — and the caller falls back to :meth:`analyze`.
         """
-        cached = getattr(self, "_verdict_parts_", None)
-        if cached is not None and self.is_current_key(cached[0]):
-            return cached[1]
         self.compile()
         compile_backend = getattr(self.ensemble_, "compile", None)
         forest = compile_backend() if callable(compile_backend) else None
-        parts = None
-        binary = len(self.classes_) == 2
-        if binary and isinstance(forest, (FlatForest, QuantizedForest)):
-            if self.pca_ is not None:
-                front = (self._front_weight_, self._front_bias_)
-            elif self._scaler32_ is not None:
-                front = self._scaler32_
-            else:
-                front = (self.scaler_.mean_, self.scaler_.scale_)
-            tables = VoteCountTables.build(
-                forest,
-                np.asarray(self.classes_),
-                base=self.estimator_.base,
-                threshold=self.policy_.threshold,
-            )
-            parts = (front, forest, tables)
-        self._verdict_parts_ = (self.verdict_key(), parts)
-        return parts
-
-    def verdict(self, X) -> TrustedVerdict:
-        """:meth:`analyze`'s result through the vote-count tables.
-
-        Bitwise identical to :meth:`analyze` (which stays the
-        vote-matrix reference), without building the ``(n, M)`` vote
-        matrix; models without count tables fall back to it.
-        """
-        parts = self.verdict_parts()
-        if parts is None:
-            return self.analyze(X)
-        predictions, entropy, accepted = count_table_verdict(*parts, X)
-        return TrustedVerdict(
-            predictions=predictions,
-            entropy=entropy,
-            accepted=accepted,
+        if len(self.classes_) != 2 or not isinstance(
+            forest, (FlatForest, QuantizedForest)
+        ):
+            return None
+        if self.pca_ is not None:
+            front = (self._front_weight_, self._front_bias_)
+        elif self._scaler32_ is not None:
+            front = self._scaler32_
+        else:
+            front = (self.scaler_.mean_, self.scaler_.scale_)
+        tables = VoteCountTables.build(
+            forest,
+            np.asarray(self.classes_),
+            base=self.estimator_.base,
             threshold=self.policy_.threshold,
         )
+        return front, forest, tables
 
     def with_threshold(self, threshold: float) -> "TrustedHMD":
         """Return self with a new operating threshold (fitted state kept)."""

@@ -2,10 +2,13 @@
 
 The contract the telemetry plane must keep: instrumentation observes
 the stream without touching it (verdicts bitwise identical with
-telemetry on and off), per-component registries fold associatively
-through ``merge_reports`` even when only some shards report them, and
-the rendered report stays aligned whatever the device ids look like.
+telemetry on and off — a column of the equivalence matrix in
+``test_sharding``), the counters account for the traffic across
+partitions and rebalances, and the rendered report stays aligned
+whatever the device ids look like.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,19 +17,13 @@ from repro.fleet import (
     BackpressurePolicy,
     FleetMonitor,
     FleetRetrainer,
-    ShardedFleetMonitor,
     WorkerShardedFleetMonitor,
 )
 from repro.fleet.engine import batch_verdict_key
-from repro.fleet.report import (
-    DeviceReport,
-    FleetReport,
-    device_report_key,
-    merge_reports,
-)
+from repro.fleet.report import DeviceReport, FleetReport
 from repro.fleet.resilience import ShardHealth, ShardHealthReport
 from repro.ml import RandomForestClassifier
-from repro.obs import MetricsRegistry, TraceContext, TraceSampler
+from repro.obs import MetricsRegistry
 from repro.uncertainty import TrustedHMD
 from tests.conftest import make_blobs
 
@@ -61,30 +58,10 @@ def _drive(monitor, arrivals):
 
 
 class TestTelemetryNeutrality:
-    def test_verdicts_identical_with_telemetry_on_and_off(self, fitted_hmd):
-        X, hmd = fitted_hmd
-        arrivals = _arrivals(X)
-        plain = ShardedFleetMonitor(hmd, n_shards=3, batch_size=32)
-        plain_batches = _drive(plain, arrivals)
-        instrumented = ShardedFleetMonitor(
-            hmd,
-            n_shards=3,
-            batch_size=32,
-            telemetry=True,
-            tracer=TraceContext(TraceSampler(rate=4, seed=0)),
-        )
-        instr_batches = _drive(instrumented, arrivals)
-        assert batch_verdict_key(instr_batches) == batch_verdict_key(
-            plain_batches
-        )
-        assert device_report_key(instrumented.report()) == device_report_key(
-            plain.report()
-        )
-
     def test_counters_account_for_the_traffic(self, fitted_hmd):
         X, hmd = fitted_hmd
         arrivals = _arrivals(X)
-        monitor = ShardedFleetMonitor(
+        monitor = FleetMonitor(
             hmd, n_shards=2, batch_size=32, telemetry=True
         )
         _drive(monitor, arrivals)
@@ -97,6 +74,34 @@ class TestTelemetryNeutrality:
         assert report.telemetry["gauges"]["fleet_queue_depth"] == 0
         verdict = report.telemetry["histograms"]["fleet_verdict_seconds"]
         assert verdict["count"] == counters["fleet_batches_total"] > 0
+
+    def test_counters_survive_rebalance(self, fitted_hmd):
+        """Rebalancing moves devices, not the telemetry history."""
+        X, hmd = fitted_hmd
+        arrivals = _arrivals(X, n_devices=8, rounds=8)
+        monitor = FleetMonitor(hmd, n_shards=2, batch_size=32, telemetry=True)
+        _drive(monitor, arrivals)
+        before = monitor.report().telemetry
+        assert before["counters"]["fleet_windows_admitted_total"] == 64
+        monitor.rebalance(3)
+        after = monitor.report().telemetry
+        for name in (
+            "fleet_windows_admitted_total",
+            "fleet_windows_drained_total",
+            "fleet_batches_total",
+        ):
+            assert after["counters"][name] == before["counters"][name], name
+        # Backlog moved by the rebalance is not admitted a second time,
+        # and the gauges read the fleet-wide levels.
+        for device_id, window in arrivals[:10]:
+            monitor.submit(device_id, window)
+        monitor.rebalance(2)
+        telemetry = monitor.report().telemetry
+        assert telemetry["counters"]["fleet_windows_admitted_total"] == 74
+        assert telemetry["gauges"]["fleet_queue_depth"] == monitor.pending == 10
+        assert telemetry["gauges"]["fleet_arena_blocks"] == sum(
+            shard.queue.arena_blocks for shard in monitor.shards
+        ) > 0
 
     def test_shed_windows_counted(self, fitted_hmd):
         X, hmd = fitted_hmd
@@ -118,7 +123,7 @@ class TestTelemetryNeutrality:
 
     def test_disabled_monitor_reports_no_telemetry(self, fitted_hmd):
         X, hmd = fitted_hmd
-        monitor = ShardedFleetMonitor(hmd, n_shards=2, batch_size=32)
+        monitor = FleetMonitor(hmd, n_shards=2, batch_size=32)
         _drive(monitor, _arrivals(X, rounds=2))
         assert monitor.report().telemetry is None
 
@@ -147,7 +152,7 @@ class TestWorkerTelemetry:
     def test_three_plane_fold_and_shm_roundtrip(self, fitted_hmd):
         X, hmd = fitted_hmd
         arrivals = _arrivals(X)
-        plain = ShardedFleetMonitor(
+        plain = FleetMonitor(
             hmd, n_shards=2, batch_size=32, telemetry=True
         )
         plain_batches = _drive(plain, arrivals)
@@ -175,7 +180,7 @@ class TestWorkerTelemetry:
         assert roundtrip["count"] > 0
         assert roundtrip["sum"] > 0.0
         # One fold half for every backend: the round instruments count
-        # exactly what the in-process facade counts on the same traffic.
+        # exactly what the in-process monitor counts on the same traffic.
         for name in (
             "fleet_batches_total",
             "fleet_windows_drained_total",
@@ -235,49 +240,12 @@ def _telemetry(counter, hist_values=()):
     return registry.snapshot()
 
 
-class TestMergeReportsTelemetry:
-    def test_heterogeneous_sections_merge(self):
-        merged = merge_reports([
-            _shard_report("dev-a", telemetry=_telemetry(10, (0.01,))),
-            _shard_report("dev-b"),  # no telemetry section at all
-            _shard_report(
-                "dev-c",
-                telemetry=_telemetry(5, (0.02, 0.04)),
-                n_quarantined=2,
-                health=(
-                    ShardHealthReport(2, ShardHealth.DEGRADED, 1, 3, 0.5),
-                ),
-            ),
-        ])
-        assert merged.telemetry["counters"]["fleet_windows_drained_total"] == 15
-        assert merged.telemetry["histograms"]["fleet_verdict_seconds"][
-            "count"
-        ] == 3
-        assert merged.n_quarantined == 2
-        assert [r.shard_id for r in merged.shard_health] == [2]
-
-    def test_no_telemetry_anywhere_stays_none(self):
-        merged = merge_reports(
-            [_shard_report("dev-a"), _shard_report("dev-b")]
-        )
-        assert merged.telemetry is None
-
-    def test_histogram_merge_is_associative_through_reports(self):
-        a = _shard_report("dev-a", telemetry=_telemetry(1, (0.001,)))
-        b = _shard_report("dev-b", telemetry=_telemetry(2, (0.01, 0.02)))
-        c = _shard_report("dev-c", telemetry=_telemetry(4, (0.1,)))
-        left = merge_reports([merge_reports([a, b]), c])
-        right = merge_reports([a, merge_reports([b, c])])
-        assert left.telemetry == right.telemetry
-        assert left.telemetry["counters"]["fleet_windows_drained_total"] == 7
-
-
 class TestReportRendering:
     def test_long_device_ids_stay_aligned(self):
-        report = merge_reports([
-            _shard_report("edge-site-ams-rack12-device-0042"),
-            _shard_report("d0"),
-        ])
+        long_row = _shard_report("edge-site-ams-rack12-device-0042")
+        report = replace(
+            long_row, devices=long_row.devices + _shard_report("d0").devices
+        )
         text = report.as_text()
         table_lines = [
             line

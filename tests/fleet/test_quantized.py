@@ -25,7 +25,6 @@ from repro.fleet import (
     BackpressurePolicy,
     FleetMonitor,
     PublishedHmd,
-    ShardedFleetMonitor,
     WorkerShardedFleetMonitor,
 )
 from repro.fleet.engine import batch_verdict_key, batch_window_keys
@@ -137,20 +136,6 @@ class TestPublishedHmdModes:
 
 
 class TestShardedModes:
-    @pytest.mark.parametrize("mode", ["quantized", "float32"])
-    def test_sharded_matches_single(self, mode):
-        X, hmd = make_hmd(mode)
-        arrivals = _arrivals(X, n_devices=12, rounds=40, seed=5)
-        policy = BackpressurePolicy(max_pending=len(arrivals) + 1)
-        single = _drive(
-            FleetMonitor(hmd, batch_size=64, policy=policy), arrivals
-        )
-        sharded_monitor = ShardedFleetMonitor(
-            hmd, n_shards=3, batch_size=64, policy=policy
-        )
-        sharded = _drive(sharded_monitor, arrivals)
-        assert batch_verdict_key(sharded) == batch_verdict_key(single)
-
     @pytest.mark.parametrize("sharded", [False, True], ids=["single", "sharded"])
     def test_live_mode_switch_republishes(self, sharded, monkeypatch):
         """Satellite 2 end-to-end: recompile mid-stream, next drain
@@ -168,7 +153,7 @@ class TestShardedModes:
         arrivals = _arrivals(X, n_devices=8, rounds=30, seed=6)
         policy = BackpressurePolicy(max_pending=len(arrivals) + 1)
         if sharded:
-            monitor = ShardedFleetMonitor(
+            monitor = FleetMonitor(
                 hmd, n_shards=2, batch_size=64, policy=policy
             )
         else:
@@ -202,7 +187,7 @@ class TestShardedModes:
         X, hmd = make_hmd("quantized")
         arrivals = _arrivals(X, n_devices=10, rounds=30, seed=7)
         policy = BackpressurePolicy(max_pending=len(arrivals) + 1)
-        probe = ShardedFleetMonitor(
+        probe = FleetMonitor(
             hmd, n_shards=2, batch_size=64, policy=policy
         )
         for device_id, _ in arrivals:
@@ -210,7 +195,7 @@ class TestShardedModes:
         for device_id, window in arrivals:
             probe.submit(device_id, window)
         probe.drain(max_batches=1)
-        restored = ShardedFleetMonitor.restore(
+        restored = FleetMonitor.restore(
             hmd, pickle.loads(pickle.dumps(probe.snapshot()))
         )
         assert batch_verdict_key(restored.drain()) == batch_verdict_key(
@@ -274,7 +259,7 @@ class TestNonFiniteInput:
         if n_shards is None:
             monitor = FleetMonitor(hmd, batch_size=16)
         else:
-            monitor = ShardedFleetMonitor(hmd, n_shards=n_shards, batch_size=16)
+            monitor = FleetMonitor(hmd, n_shards=n_shards, batch_size=16)
         with pytest.raises(ValueError, match="NaN or infinite"):
             _drive(monitor, arrivals)
         with pytest.raises(ValueError, match="NaN or infinite"):
@@ -293,7 +278,7 @@ class TestNonFiniteInput:
         device_id = arrivals[17][0]
         bad_key = (device_id, sum(d == device_id for d, _ in arrivals[:17]))
         reference = batch_verdict_key(
-            _drive(ShardedFleetMonitor(hmd, n_shards=2, batch_size=16), clean)
+            _drive(FleetMonitor(hmd, n_shards=2, batch_size=16), clean)
         )
         with WorkerShardedFleetMonitor(
             hmd, n_shards=2, batch_size=16, mp_context="fork", worker_timeout=3.0

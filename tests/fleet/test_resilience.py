@@ -26,9 +26,9 @@ import pytest
 
 from repro.fleet import (
     FaultPlan,
+    FleetMonitor,
     QuarantinedWindow,
     QuarantineStore,
-    ShardedFleetMonitor,
     ShardHealth,
     ShardHealthReport,
     WorkerShardedFleetMonitor,
@@ -78,7 +78,7 @@ def reference_run(fitted_hmd):
     """Fault-free in-process drain of the canonical chaos traffic."""
     X, _, hmd = fitted_hmd
     arrivals = _arrivals(X, n_devices=24, rounds=12)
-    ref = ShardedFleetMonitor(hmd, n_shards=4, batch_size=64)
+    ref = FleetMonitor(hmd, n_shards=4, batch_size=64)
     _feed(ref, arrivals)
     results = ref.drain()
     return {
@@ -412,7 +412,7 @@ class TestChaosCampaigns:
         # verdicts match a fault-free fleet's.
         X, _, hmd = fitted_hmd
         tail = _arrivals(X, n_devices=24, rounds=4, seed=31)
-        reference = ShardedFleetMonitor(hmd, n_shards=4, batch_size=64)
+        reference = FleetMonitor(hmd, n_shards=4, batch_size=64)
         _feed(reference, reference_run["arrivals"])
         reference.drain()
         _feed(reference, tail)
@@ -428,7 +428,7 @@ class TestChaosCampaigns:
             health = {r.shard_id: r.health for r in fleet.shard_health()}
             assert health[1] is ShardHealth.DEAD
             state = fleet.snapshot()
-        restored = ShardedFleetMonitor.restore(hmd, state)
+        restored = FleetMonitor.restore(hmd, state)
         _feed(restored, tail)
         assert batch_verdict_key(restored.drain()) == ref_tail
         report = restored.report()

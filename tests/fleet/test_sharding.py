@@ -11,10 +11,12 @@ The load-bearing guarantees, in the order the module builds them up:
 3. :class:`PublishedHmd` verdicts (the count-table verdict function)
    are bitwise identical to ``TrustedHMD.analyze`` (fuzzed over
    ensemble kinds, sizes, depths and class counts);
-4. :class:`ShardedFleetMonitor` is indistinguishable from one
-   :class:`FleetMonitor` over the same traffic: bitwise verdicts,
-   identical device report rows, identical forensic streams — fuzzed
-   over shard counts, device counts and backpressure policies;
+4. :class:`FleetMonitor` gives every window ``TrustedHMD.analyze``'s
+   verdict in every cell of one matrix (partition count x compile mode
+   x telemetry), and a K-partition monitor is indistinguishable from a
+   one-partition one over the same traffic: identical device report
+   rows and forensic streams — fuzzed over partition counts, device
+   counts and backpressure policies;
 5. snapshot/restore and rebalance keep all of the above mid-stream.
 """
 
@@ -30,7 +32,6 @@ from repro.fleet import (
     FleetRetrainer,
     PublishedHmd,
     ShardRouter,
-    ShardedFleetMonitor,
     WindowBatch,
     WindowRequest,
 )
@@ -38,6 +39,7 @@ from repro.fleet.engine import batch_verdict_key
 from repro.fleet.report import device_report_key
 from repro.fleet.state import RingBuffer
 from repro.ml import BaggingClassifier, RandomForestClassifier
+from repro.obs import TraceContext, TraceSampler
 from repro.uncertainty import MonitorStats, TrustedHMD
 from tests.conftest import make_blobs
 
@@ -416,19 +418,69 @@ class TestPublishedHmd:
             PublishedHmd(TrustedHMD(RandomForestClassifier(n_estimators=3)))
 
 
-class TestShardedEquivalence:
-    @pytest.mark.parametrize("n_shards", [1, 2, 3, 5, 8])
-    def test_verdicts_bitwise_identical(self, fitted_hmd, n_shards):
-        X, y, hmd = fitted_hmd
+MATRIX_MODES = ("float64", "float32", "quantized")
+
+
+@pytest.fixture(scope="module")
+def mode_hmds():
+    """One fitted HMD per compile mode (quantized on a hist forest)."""
+    X, y = make_blobs(n_per_class=120, separation=4.0, seed=70)
+    hmds = {}
+    for mode in MATRIX_MODES:
+        hmds[mode] = TrustedHMD(
+            RandomForestClassifier(
+                n_estimators=15,
+                random_state=0,
+                grower="hist" if mode == "quantized" else "exact",
+            ),
+            threshold=0.4,
+        ).fit(X, y)
+        hmds[mode].compile(mode=mode)
+    return X, hmds
+
+
+class TestEquivalenceMatrix:
+    """The same window gets the same verdict in every in-process cell:
+    partition count x compile mode x telemetry on/off, each checked
+    against ``TrustedHMD.analyze`` on the same rows."""
+
+    @pytest.mark.parametrize("telemetry", [False, True], ids=["plain", "telemetry"])
+    @pytest.mark.parametrize("mode", MATRIX_MODES)
+    @pytest.mark.parametrize("n_shards", [1, 2, 3])
+    def test_verdicts_match_analyze(self, mode_hmds, n_shards, mode, telemetry):
+        X, hmds = mode_hmds
+        hmd = hmds[mode]
         arrivals = _arrivals(X, n_devices=13, rounds=20)
-        single = FleetMonitor(hmd, batch_size=64)
-        sharded = ShardedFleetMonitor(hmd, n_shards=n_shards, batch_size=64)
-        single_batches = _drive(single, arrivals)
-        sharded_batches = _drive(sharded, arrivals)
-        assert batch_verdict_key(sharded_batches) == batch_verdict_key(
-            single_batches
+        policy = BackpressurePolicy(max_pending=len(arrivals) + 1)
+        observe = (
+            {"telemetry": True, "tracer": TraceContext(TraceSampler(rate=4))}
+            if telemetry
+            else {}
+        )
+        monitor = FleetMonitor(
+            hmd, n_shards=n_shards, batch_size=64, policy=policy, **observe
+        )
+        keyed = batch_verdict_key(_drive(monitor, arrivals))
+
+        reference = hmd.analyze(np.vstack([window for _, window in arrivals]))
+        expected, seqs = {}, {}
+        for row, (device_id, _) in enumerate(arrivals):
+            seq = seqs[device_id] = seqs.get(device_id, -1) + 1
+            expected[(device_id, seq)] = (
+                reference.predictions[row],
+                reference.entropy[row],
+                bool(reference.accepted[row]),
+            )
+        assert keyed == expected
+
+        baseline = FleetMonitor(hmd, batch_size=64, policy=policy)
+        _drive(baseline, arrivals)
+        assert device_report_key(monitor.report()) == device_report_key(
+            baseline.report()
         )
 
+
+class TestShardedEquivalence:
     @pytest.mark.parametrize(
         "n_devices,rounds,batch_size", [(1, 30, 16), (7, 11, 8), (37, 6, 64)]
     )
@@ -438,7 +490,7 @@ class TestShardedEquivalence:
         X, y, hmd = fitted_hmd
         arrivals = _arrivals(X, n_devices=n_devices, rounds=rounds, seed=7)
         single = FleetMonitor(hmd, batch_size=batch_size)
-        sharded = ShardedFleetMonitor(
+        sharded = FleetMonitor(
             hmd, n_shards=4, batch_size=batch_size
         )
         single_batches = _drive(single, arrivals)
@@ -452,7 +504,7 @@ class TestShardedEquivalence:
         X, y, hmd = fitted_hmd
         arrivals = _arrivals(X, n_devices=24, rounds=15, seed=3)
         single = FleetMonitor(hmd, batch_size=32)
-        sharded = ShardedFleetMonitor(hmd, n_shards=4, batch_size=32)
+        sharded = FleetMonitor(hmd, n_shards=4, batch_size=32)
         _drive(single, arrivals)
         _drive(sharded, arrivals)
         reference, merged = single.report(), sharded.report()
@@ -475,7 +527,7 @@ class TestShardedEquivalence:
         X, y, hmd = fitted_hmd
         arrivals = _arrivals(X, n_devices=9, rounds=25, seed=5)
         single = FleetMonitor(hmd, batch_size=48)
-        sharded = ShardedFleetMonitor(hmd, n_shards=3, batch_size=48)
+        sharded = FleetMonitor(hmd, n_shards=3, batch_size=48)
         _drive(single, arrivals)
         _drive(sharded, arrivals)
         reference = _forensic_stream(single.forensics)
@@ -493,7 +545,7 @@ class TestShardedEquivalence:
         policy = BackpressurePolicy(max_pending=10_000, max_pending_per_device=6)
         arrivals = _arrivals(X, n_devices=11, rounds=30, seed=9)
         single = FleetMonitor(hmd, batch_size=64, policy=policy)
-        sharded = ShardedFleetMonitor(
+        sharded = FleetMonitor(
             hmd, n_shards=4, batch_size=64, policy=policy
         )
         single_batches = _drive(single, arrivals)
@@ -515,7 +567,7 @@ class TestShardedEquivalence:
         )
         arrivals = _arrivals(X, n_devices=8, rounds=24, seed=13)
         single = FleetMonitor(hmd, batch_size=32, policy=policy)
-        sharded = ShardedFleetMonitor(hmd, n_shards=3, batch_size=32, policy=policy)
+        sharded = FleetMonitor(hmd, n_shards=3, batch_size=32, policy=policy)
         results = {}
         for name, monitor in (("single", single), ("sharded", sharded)):
             batches = []
@@ -537,7 +589,7 @@ class TestShardedEquivalence:
         X, y, hmd = fitted_hmd
         rng = np.random.default_rng(2)
         single = FleetMonitor(hmd, batch_size=50)
-        sharded = ShardedFleetMonitor(hmd, n_shards=4, batch_size=50)
+        sharded = FleetMonitor(hmd, n_shards=4, batch_size=50)
         blocks = {
             f"dev-{d:03d}": X[rng.integers(len(X), size=12)] for d in range(17)
         }
@@ -550,7 +602,7 @@ class TestShardedEquivalence:
 
     def test_facade_api_parity(self, fitted_hmd):
         X, y, hmd = fitted_hmd
-        sharded = ShardedFleetMonitor(hmd, n_shards=2, batch_size=16)
+        sharded = FleetMonitor(hmd, n_shards=2, batch_size=16)
         assert sharded.pending == 0
         assert sharded.process_batch() is None
         sharded.register("dev-a", cohort="benign")
@@ -564,8 +616,8 @@ class TestShardedEquivalence:
 
     def test_requires_fitted_hmd(self):
         with pytest.raises(ValueError):
-            ShardedFleetMonitor(
-                TrustedHMD(RandomForestClassifier(n_estimators=3))
+            FleetMonitor(
+                TrustedHMD(RandomForestClassifier(n_estimators=3)), n_shards=4
             )
 
 
@@ -586,7 +638,7 @@ class TestRetrainIntegration:
             ),
             threshold=0.40,
         ).fit(X, y)
-        sharded = ShardedFleetMonitor(hmd, n_shards=3, batch_size=32)
+        sharded = FleetMonitor(hmd, n_shards=3, batch_size=32)
         retrainer = FleetRetrainer(
             sharded, labeler=lambda cluster: 1, X_train=X, y_train=y,
             min_batch=8,
@@ -601,7 +653,7 @@ class TestRetrainIntegration:
         assert len(sharded.forensics) == 0  # fully triaged
         sharded.submit("dev-000", X[0])
         sharded.process_batch()
-        # The facade republished the shared view after the warm refit.
+        # The monitor republished the shared view after the warm refit.
         assert sharded.published is not epoch_before
         assert sharded.published.is_current()
 
@@ -610,7 +662,7 @@ class TestRetrainIntegration:
         [
             pytest.param(lambda hmd: FleetMonitor(hmd, batch_size=64), id="single"),
             pytest.param(
-                lambda hmd: ShardedFleetMonitor(hmd, n_shards=2, batch_size=64),
+                lambda hmd: FleetMonitor(hmd, n_shards=2, batch_size=64),
                 id="sharded",
             ),
         ],
@@ -722,12 +774,12 @@ class TestSnapshotRestore:
     def test_restores_hand_built_schema1_checkpoint(self, fitted_hmd):
         X, y, hmd = fitted_hmd
         state = pickle.loads(pickle.dumps(schema1_checkpoint(X)))
-        assert_schema1_resumes(ShardedFleetMonitor.restore(hmd, state), hmd, X)
+        assert_schema1_resumes(FleetMonitor.restore(hmd, state), hmd, X)
 
     def test_snapshot_matches_schema1_shape(self, fitted_hmd):
         """What this build writes has the hand-built checkpoint's keys."""
         X, y, hmd = fitted_hmd
-        fleet = ShardedFleetMonitor(hmd, n_shards=1, batch_size=16)
+        fleet = FleetMonitor(hmd, n_shards=1, batch_size=16)
         fleet.submit_many("dev-a", X[:2])
         state, pinned = fleet.snapshot(), schema1_checkpoint(X)
         assert set(state) == set(pinned)
@@ -736,15 +788,16 @@ class TestSnapshotRestore:
         assert state["shards"][0]["queue"]["kind"] == "shard"
 
     def test_restore_refuses_segment_queue_payload(self, fitted_hmd):
-        """A single-monitor checkpoint from the retired segment queue
-        fails with a ValueError naming the format, before any state."""
+        """A shard payload holding the retired segment queue fails with
+        a ValueError naming the format."""
         X, y, hmd = fitted_hmd
         monitor = FleetMonitor(hmd, batch_size=8)
         monitor.submit_many("dev-a", X[:2])
         state = monitor.snapshot()
-        state["queue"] = {
+        shard = state["shards"][0]
+        shard["queue"] = {
             "kind": "fleet",
-            "policy": state["queue"]["policy"],
+            "policy": shard["queue"]["policy"],
             "segments": [
                 {"device_id": "dev-a", "seqs": np.arange(2), "features": X[:2]}
             ],
@@ -758,13 +811,13 @@ class TestSnapshotRestore:
         arrivals = _arrivals(X, n_devices=10, rounds=20, seed=31)
         half = len(arrivals) // 2
 
-        continuous = ShardedFleetMonitor(hmd, n_shards=3, batch_size=32)
+        continuous = FleetMonitor(hmd, n_shards=3, batch_size=32)
         for device_id, window in arrivals[:half]:
             continuous.submit(device_id, window)
         first_half = continuous.drain(max_batches=3)  # leave a backlog
 
         checkpoint = pickle.loads(pickle.dumps(continuous.snapshot()))
-        restored = ShardedFleetMonitor.restore(hmd, checkpoint)
+        restored = FleetMonitor.restore(hmd, checkpoint)
         assert restored.pending == continuous.pending
         assert device_report_key(restored.report()) == device_report_key(
             continuous.report()
@@ -786,13 +839,13 @@ class TestSnapshotRestore:
         )
 
     def test_restore_preserves_policy_through_rebalance(self, fitted_hmd):
-        """The facade policy survives restore — and a later rebalance
+        """The monitor policy survives restore — and a later rebalance
         builds its new shard queues with the original bounds."""
         X, y, hmd = fitted_hmd
         policy = BackpressurePolicy(max_pending=7, shed="drop_newest")
-        fleet = ShardedFleetMonitor(hmd, n_shards=2, batch_size=8, policy=policy)
+        fleet = FleetMonitor(hmd, n_shards=2, batch_size=8, policy=policy)
         fleet.submit_many("dev-a", X[:3])
-        restored = ShardedFleetMonitor.restore(
+        restored = FleetMonitor.restore(
             hmd, pickle.loads(pickle.dumps(fleet.snapshot()))
         )
         assert restored.policy == policy
@@ -802,17 +855,17 @@ class TestSnapshotRestore:
 
     def test_restore_rejects_mismatched_router(self, fitted_hmd):
         X, y, hmd = fitted_hmd
-        fleet = ShardedFleetMonitor(hmd, n_shards=2, batch_size=8)
+        fleet = FleetMonitor(hmd, n_shards=2, batch_size=8)
         state = fleet.snapshot()
         with pytest.raises(ValueError):
-            ShardedFleetMonitor.restore(hmd, state, router=ShardRouter(5))
+            FleetMonitor.restore(hmd, state, router=ShardRouter(5))
 
     def test_flag_storm_stays_bounded(self, fitted_hmd):
         """Columnar staging must not defeat the forensic memory cap."""
         X, y, hmd = fitted_hmd
         from repro.uncertainty.online import ForensicQueue
 
-        sharded = ShardedFleetMonitor(
+        sharded = FleetMonitor(
             hmd,
             n_shards=2,
             batch_size=64,
@@ -827,21 +880,6 @@ class TestSnapshotRestore:
         assert len(sharded.forensics) <= 40
         assert sharded.forensics.total_flagged == sharded.stats.n_flagged
         assert sharded.stats.n_flagged > 40  # the cap actually bit
-
-    def test_shard_monitor_snapshot_self_describing(self, fitted_hmd):
-        """A shard's snapshot restores through the public
-        FleetMonitor.restore: shards are plain monitors."""
-        X, y, hmd = fitted_hmd
-        sharded = ShardedFleetMonitor(hmd, n_shards=2, batch_size=8)
-        sharded.submit_many("dev-a", X[:5])
-        shard = sharded.shard_for("dev-a")
-        restored = FleetMonitor.restore(
-            hmd, pickle.loads(pickle.dumps(shard.snapshot()))
-        )
-        assert isinstance(restored.queue, FleetQueue)
-        assert batch_verdict_key(restored.drain()) == batch_verdict_key(
-            shard.drain()
-        )
 
     def test_single_monitor_snapshot_roundtrip(self, fitted_hmd):
         X, y, hmd = fitted_hmd
@@ -867,7 +905,7 @@ class TestRebalance:
         half = len(arrivals) // 2
 
         single = FleetMonitor(hmd, batch_size=32)
-        sharded = ShardedFleetMonitor(hmd, n_shards=2, batch_size=32)
+        sharded = FleetMonitor(hmd, n_shards=2, batch_size=32)
         for monitor in (single, sharded):
             for device_id, window in arrivals[:half]:
                 monitor.submit(device_id, window)
@@ -890,7 +928,7 @@ class TestRebalance:
 
     def test_rebalance_moves_backlog_and_state(self, fitted_hmd):
         X, y, hmd = fitted_hmd
-        sharded = ShardedFleetMonitor(hmd, n_shards=2, batch_size=8)
+        sharded = FleetMonitor(hmd, n_shards=2, batch_size=8)
         for d in range(8):
             sharded.submit_many(f"dev-{d:03d}", X[:5])
         pending_before = sharded.pending

@@ -6,7 +6,7 @@ Three layers, bottom up:
    bitwise, and a model mapped from a shared publication produces
    bitwise-identical verdicts (both the table fast path and the pickle
    fallback);
-2. snapshot versioning — :meth:`ShardedFleetMonitor.restore` (and the
+2. snapshot versioning — :meth:`FleetMonitor.restore` (and the
    worker backend's) reject stale, foreign or inconsistent checkpoints
    before touching any state;
 3. :class:`WorkerShardedFleetMonitor` — indistinguishable from the
@@ -30,7 +30,6 @@ from repro.fleet import (
     BackpressurePolicy,
     FaultPlan,
     FleetMonitor,
-    ShardedFleetMonitor,
     ShardHealth,
     WorkerShardedFleetMonitor,
 )
@@ -204,48 +203,48 @@ class TestModelPublication:
 class TestSnapshotVersioning:
     def test_snapshot_carries_schema_tag(self, fitted_hmd):
         _, _, hmd = fitted_hmd
-        fleet = ShardedFleetMonitor(hmd, n_shards=2)
+        fleet = FleetMonitor(hmd, n_shards=2)
         assert fleet.snapshot()["schema"] == SNAPSHOT_SCHEMA
 
     def test_rejects_unversioned_payload(self, fitted_hmd):
         _, _, hmd = fitted_hmd
-        state = ShardedFleetMonitor(hmd, n_shards=2).snapshot()
+        state = FleetMonitor(hmd, n_shards=2).snapshot()
         del state["schema"]
         with pytest.raises(ValueError, match="snapshot schema"):
-            ShardedFleetMonitor.restore(hmd, state)
+            FleetMonitor.restore(hmd, state)
 
     def test_rejects_foreign_schema(self, fitted_hmd):
         _, _, hmd = fitted_hmd
-        state = ShardedFleetMonitor(hmd, n_shards=2).snapshot()
+        state = FleetMonitor(hmd, n_shards=2).snapshot()
         state["schema"] = "repro.fleet.sharded/999"
         with pytest.raises(ValueError, match="repro.fleet.sharded/999"):
-            ShardedFleetMonitor.restore(hmd, state)
+            FleetMonitor.restore(hmd, state)
 
     def test_rejects_non_dict_payload(self, fitted_hmd):
         _, _, hmd = fitted_hmd
         with pytest.raises(ValueError, match="must be a dict"):
-            ShardedFleetMonitor.restore(hmd, [1, 2, 3])
+            FleetMonitor.restore(hmd, [1, 2, 3])
 
     def test_rejects_truncated_payload(self, fitted_hmd):
         _, _, hmd = fitted_hmd
-        state = ShardedFleetMonitor(hmd, n_shards=2).snapshot()
+        state = FleetMonitor(hmd, n_shards=2).snapshot()
         del state["shards"]
         with pytest.raises(ValueError, match="missing required keys"):
-            ShardedFleetMonitor.restore(hmd, state)
+            FleetMonitor.restore(hmd, state)
 
     def test_rejects_shard_count_mismatch(self, fitted_hmd):
         _, _, hmd = fitted_hmd
-        state = ShardedFleetMonitor(hmd, n_shards=3).snapshot()
+        state = FleetMonitor(hmd, n_shards=3).snapshot()
         state["n_shards"] = 2
         with pytest.raises(ValueError, match="mismatched"):
-            ShardedFleetMonitor.restore(hmd, state)
+            FleetMonitor.restore(hmd, state)
 
     def test_rejects_incompatible_policy(self, fitted_hmd):
         _, _, hmd = fitted_hmd
-        state = ShardedFleetMonitor(hmd, n_shards=2).snapshot()
+        state = FleetMonitor(hmd, n_shards=2).snapshot()
         state["policy"]["no_such_knob"] = 1
         with pytest.raises(ValueError, match="BackpressurePolicy"):
-            ShardedFleetMonitor.restore(hmd, state)
+            FleetMonitor.restore(hmd, state)
 
     def test_worker_restore_validates_before_spawning(self, fitted_hmd):
         _, _, hmd = fitted_hmd
@@ -271,7 +270,7 @@ class TestWorkerEquivalence:
         single = FleetMonitor(hmd, batch_size=64)
         _feed(single, arrivals)
         single_results = single.drain()
-        inproc = ShardedFleetMonitor(hmd, n_shards=3, batch_size=64)
+        inproc = FleetMonitor(hmd, n_shards=3, batch_size=64)
         _feed(inproc, arrivals)
         inproc_results = inproc.drain()
         with _worker_fleet(hmd, n_shards=3, batch_size=64) as fleet:
@@ -320,7 +319,7 @@ class TestWorkerEquivalence:
             max_pending=64, max_pending_per_device=6, shed="drop_oldest"
         )
         arrivals = _arrivals(X, n_devices=8, rounds=20, seed=4)
-        reference = ShardedFleetMonitor(
+        reference = FleetMonitor(
             hmd, n_shards=2, batch_size=32, policy=policy
         )
         _feed(reference, arrivals)
@@ -374,7 +373,7 @@ class TestSupervision:
     def test_sigkill_mid_drain_resumes_identically(self, fitted_hmd):
         X, _, hmd = fitted_hmd
         arrivals = _arrivals(X, n_devices=16, rounds=30, seed=2)
-        reference = ShardedFleetMonitor(hmd, n_shards=3, batch_size=64)
+        reference = FleetMonitor(hmd, n_shards=3, batch_size=64)
         _feed(reference, arrivals)
         reference_results = reference.drain()
         with _worker_fleet(
@@ -443,7 +442,7 @@ class TestSupervision:
         # with zero lost or duplicated verdicts.
         X, _, hmd = fitted_hmd
         arrivals = _arrivals(X, n_devices=24, rounds=10, seed=21)
-        reference = ShardedFleetMonitor(hmd, n_shards=4, batch_size=32)
+        reference = FleetMonitor(hmd, n_shards=4, batch_size=32)
         _feed(reference, arrivals)
         ref_results = reference.drain()
         storm = FaultPlan(
@@ -477,7 +476,7 @@ class TestSupervision:
             threshold=0.4,
         ).fit(X, y)
         arrivals = _arrivals(X, n_devices=10, rounds=6, seed=8)
-        reference = ShardedFleetMonitor(hmd, n_shards=2, batch_size=64)
+        reference = FleetMonitor(hmd, n_shards=2, batch_size=64)
         with _worker_fleet(hmd, n_shards=2, batch_size=64) as fleet:
             _feed(reference, arrivals)
             _feed(fleet, arrivals)
@@ -517,7 +516,7 @@ class TestWorkerCheckpointing:
         with self._driven_fleet(hmd, X) as fleet:
             state = fleet.snapshot()
             assert state["schema"] == SNAPSHOT_SCHEMA
-        inproc = ShardedFleetMonitor.restore(hmd, state)
+        inproc = FleetMonitor.restore(hmd, state)
         _feed(inproc, tail)
         inproc_results = inproc.drain()
         with WorkerShardedFleetMonitor.restore(
@@ -549,14 +548,14 @@ class TestWorkerCheckpointing:
             return fleet.snapshot()
 
         inproc = snapshot_after_late_registrations(
-            ShardedFleetMonitor(hmd, n_shards=2, batch_size=16)
+            FleetMonitor(hmd, n_shards=2, batch_size=16)
         )
         with _worker_fleet(hmd, n_shards=2, batch_size=16) as fleet:
             state = snapshot_after_late_registrations(fleet)
         assert sum(len(shard["devices"]) for shard in state["shards"]) == 12
         assert device_report_key(
-            ShardedFleetMonitor.restore(hmd, state).report()
-        ) == device_report_key(ShardedFleetMonitor.restore(hmd, inproc).report())
+            FleetMonitor.restore(hmd, state).report()
+        ) == device_report_key(FleetMonitor.restore(hmd, inproc).report())
 
     def test_restores_hand_built_schema1_checkpoint(self, fitted_hmd):
         X, _, hmd = fitted_hmd
@@ -569,7 +568,7 @@ class TestWorkerCheckpointing:
         X, _, hmd = fitted_hmd
         arrivals = _arrivals(X, n_devices=10, rounds=8, seed=13)
         tail = _arrivals(X, n_devices=10, rounds=4, seed=14)
-        source = ShardedFleetMonitor(hmd, n_shards=2, batch_size=64)
+        source = FleetMonitor(hmd, n_shards=2, batch_size=64)
         _feed(source, arrivals)
         source.drain()
         _feed(source, tail[:20])
@@ -598,7 +597,7 @@ class TestWorkerCheckpointing:
         ).fit(X, y)
         arrivals = _arrivals(X, n_devices=12, rounds=8, seed=22)
         tail = _arrivals(X, n_devices=12, rounds=4, seed=23)
-        reference = ShardedFleetMonitor(hmd, n_shards=2, batch_size=32)
+        reference = FleetMonitor(hmd, n_shards=2, batch_size=32)
         with _worker_fleet(
             hmd, n_shards=2, batch_size=32, pipeline_depth=3,
         ) as fleet:
@@ -616,7 +615,7 @@ class TestWorkerCheckpointing:
         # The checkpoint predates the republish; restoring it against
         # the retrained model must publish the new generation and stay
         # equivalent to an in-process restore of the same state.
-        inproc = ShardedFleetMonitor.restore(hmd, state)
+        inproc = FleetMonitor.restore(hmd, state)
         _feed(inproc, tail)
         inproc_results = inproc.drain()
         with WorkerShardedFleetMonitor.restore(
@@ -640,7 +639,7 @@ class TestWorkerCheckpointing:
         X, _, hmd = fitted_hmd
         arrivals = _arrivals(X, n_devices=12, rounds=8, seed=24)
         tail = _arrivals(X, n_devices=12, rounds=4, seed=25)
-        source = ShardedFleetMonitor(hmd, n_shards=2, batch_size=64)
+        source = FleetMonitor(hmd, n_shards=2, batch_size=64)
         _feed(source, arrivals)
         source.drain()
         _feed(source, tail[:24])  # backlog straddles the rebalance

@@ -13,7 +13,7 @@ import pytest
 
 from repro.fleet import (
     BackpressurePolicy,
-    ShardedFleetMonitor,
+    FleetMonitor,
     WorkerShardedFleetMonitor,
 )
 from repro.fleet.engine import batch_verdict_key
@@ -148,7 +148,7 @@ class TestMonitorSpans:
     def test_inprocess_spans_cover_all_stages(self, fitted_hmd):
         X, hmd = fitted_hmd
         tracer = TraceContext(TraceSampler(rate=4, seed=0))
-        monitor = ShardedFleetMonitor(
+        monitor = FleetMonitor(
             hmd, n_shards=2, batch_size=32, tracer=tracer
         )
         _drive(monitor, _arrivals(X))
@@ -166,7 +166,7 @@ class TestMonitorSpans:
         X, hmd = fitted_hmd
         arrivals = _arrivals(X)
         tracer = TraceContext(TraceSampler(rate=4, seed=0))
-        plain = ShardedFleetMonitor(hmd, n_shards=2, batch_size=32)
+        plain = FleetMonitor(hmd, n_shards=2, batch_size=32)
         plain_batches = _drive(plain, arrivals)
         with WorkerShardedFleetMonitor(
             hmd,
@@ -195,12 +195,33 @@ class TestMonitorSpans:
         keys = []
         for n_shards in (1, 3):
             tracer = TraceContext(TraceSampler(rate=4, seed=0))
-            monitor = ShardedFleetMonitor(
+            monitor = FleetMonitor(
                 hmd, n_shards=n_shards, batch_size=32, tracer=tracer
             )
             _drive(monitor, arrivals)
             keys.append(sorted((s.device_id, s.seq) for s in tracer.spans))
         assert keys[0] == keys[1]
+
+    @pytest.mark.parametrize("shed", ["drop_oldest", "drop_newest"])
+    def test_shed_windows_keep_pending_spans_bounded(self, fitted_hmd, shed):
+        """A shed window never reaches scatter; its open span must not
+        accumulate for the life of the process."""
+        X, hmd = fitted_hmd
+        max_spans = 16
+        tracer = TraceContext(TraceSampler(rate=1), max_spans=max_spans)
+        monitor = FleetMonitor(
+            hmd,
+            batch_size=16,
+            policy=BackpressurePolicy(max_pending=8, shed=shed),
+            tracer=tracer,
+        )
+        for seed in range(5):
+            for device_id, window in _arrivals(X, n_devices=4, rounds=10, seed=seed):
+                monitor.submit(device_id, window)
+            monitor.drain()
+        assert monitor.pending == 0
+        assert monitor.report().n_shed >= 5 * max_spans
+        assert tracer.n_pending <= max_spans
 
     def test_trace_span_duration_missing_stage(self):
         span = TraceSpan("dev-0", 1, {"ingest": 1.0})

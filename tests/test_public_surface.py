@@ -5,10 +5,11 @@ Two checks, both static (no script is executed):
 * every ``from repro... import X`` (and ``import repro...``) in
   ``examples/``, ``benchmarks/`` and ``bench/`` resolves, so deleting a
   name cannot silently break a script that CI does not run end to end;
-* every name exported by ``repro.ml`` is referenced, as an AST name,
-  attribute or import alias, by some non-``__init__`` file of ``src/``,
-  ``examples/``, ``benchmarks/`` or ``bench/`` outside its own
-  definition, so estimators nothing reaches do not accumulate again.
+* every name exported by ``repro.ml`` or ``repro.fleet`` is
+  referenced, as an AST name, attribute or import alias, by some
+  non-``__init__`` file of ``src/``, ``examples/``, ``benchmarks/`` or
+  ``bench/`` outside its own definition, so estimators and fleet
+  helpers nothing reaches do not accumulate again.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.fleet
 import repro.ml
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -98,12 +100,23 @@ def _referenced_names(tree: ast.Module) -> set[str]:
     return names
 
 
-def test_every_ml_export_is_reached():
+def _unreached(package) -> list[str]:
     referenced: set[str] = set()
     for path in _python_files(SOURCE_DIRS):
         if path.name != "__init__.py":
             referenced |= _referenced_names(ast.parse(path.read_text()))
-    unreached = sorted(set(repro.ml.__all__) - referenced)
+    return sorted(set(package.__all__) - referenced)
+
+
+def test_every_ml_export_is_reached():
+    unreached = _unreached(repro.ml)
     assert not unreached, (
         f"repro.ml exports names nothing outside tests uses: {unreached}"
+    )
+
+
+def test_every_fleet_export_is_reached():
+    unreached = _unreached(repro.fleet)
+    assert not unreached, (
+        f"repro.fleet exports names nothing outside tests uses: {unreached}"
     )
