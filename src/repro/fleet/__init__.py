@@ -5,8 +5,8 @@ central-monitor deployment of the same trusted HMD: many device
 streams multiplexed through bounded arena ingress queues
 (:mod:`~repro.fleet.queueing`), one vectorised ensemble pass per round
 through the published verdict parts (:mod:`~repro.fleet.engine`),
-verdicts folded back to ring-buffered per-device state on dense
-device indices (:mod:`~repro.fleet.state`) and aggregated into
+verdicts folded into a columnar per-device table on dense device
+indices (read views in :mod:`~repro.fleet.state`) and aggregated into
 dashboard snapshots (:mod:`~repro.fleet.report`).  The flagged
 windows feed back into the model: :mod:`~repro.fleet.retrain` triages
 the forensic queue, collects analyst labels and warm-refits the shared

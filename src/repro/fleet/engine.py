@@ -7,32 +7,25 @@ windows, the fleet monitor multiplexes windows from *many* devices
 through bounded ingress queues and amortises the expensive part — the
 ensemble vote pass — across fixed-size batches:
 
-1. devices :meth:`~FleetMonitor.submit` signature windows — or whole
-   feature-matrix blocks via :meth:`~FleetMonitor.submit_many`, which
-   validates once and bulk-copies the block into the arena; a stable
-   device hash (:class:`~repro.fleet.sharding.ShardRouter`) picks the
-   device's partition, whose :class:`~repro.fleet.queueing.FleetQueue`
-   applies the backpressure policy (bounded global and per-device
-   depth, shed-oldest/newest);
+1. devices :meth:`~FleetMonitor.submit` windows — one row straight
+   into the arena tail, or a whole block via
+   :meth:`~FleetMonitor.submit_many` in one bulk copy; a stable device
+   hash (:class:`~repro.fleet.sharding.ShardRouter`) picks the
+   partition, whose :class:`~repro.fleet.queueing.FleetQueue` applies
+   the backpressure policy;
 2. :meth:`~FleetMonitor.process_batch` takes up to ``batch_size``
-   windows from every partition as pre-stacked
-   :class:`~repro.fleet.queueing.WindowBatch` es and runs a **single**
-   vectorised pass through the monitor's
-   :class:`~repro.fleet.sharding.PublishedHmd` — one fused front
-   transform, one routing sweep over all members, and three vote-count
-   table lookups for the whole round;
-3. verdicts are folded back out on each batch's dense device indices
-   (one ``bincount`` per counter and one stable argsort): partition
-   counters, per-device ring-buffered state, flagged windows staged
-   columnar for the forensic queue (tagged with their device), and the
-   entropy stream into an optional fleet drift monitor;
-4. the forensic queue feeds back into the model: a
-   :class:`~repro.fleet.retrain.FleetRetrainer` triages it between
-   batches, collects analyst labels and warm-refits the shared HMD
-   (histogram-grown ensembles refit from their binned buffer and
-   recompile the flat vote backend in-place), and the next round
-   republishes the verdict parts, closing the paper's monitor → flag →
-   label → retrain loop in-process.
+   rows from every partition and runs a **single** vectorised pass
+   through the monitor's :class:`~repro.fleet.sharding.PublishedHmd`
+   (fused front, one routing sweep, vote-count table lookups);
+3. verdicts fold back on each batch's dense device indices into the
+   partition's columnar device table (bincounts and one ring
+   scatter, no per-device Python), flagged rows stage columnar for the
+   forensic queue, and the entropy stream feeds an optional drift
+   monitor;
+4. a :class:`~repro.fleet.retrain.FleetRetrainer` triages the forensic
+   queue between batches, collects analyst labels and warm-refits the
+   shared HMD, and the next round republishes the verdict parts —
+   the paper's monitor → flag → label → retrain loop, in process.
 
 Because every per-window computation in the pipeline is row-independent
 (element-wise scaling, per-row tree routing, per-row vote histograms),
@@ -53,10 +46,10 @@ from ..obs.metrics import resolve_registry
 from ..uncertainty.drift import EntropyDriftMonitor
 from ..uncertainty.online import FlaggedSample, ForensicQueue, MonitorStats
 from ..uncertainty.trust import TrustedHMD, TrustedVerdict
-from .queueing import BackpressurePolicy, FleetQueue, WindowBatch, WindowRequest
+from .queueing import BackpressurePolicy, FleetQueue, WindowBatch
 from .report import DeviceReport, FleetReport
 from .sharding import SNAPSHOT_SCHEMA, PublishedHmd, ShardRouter
-from .state import DeviceState, RingBuffer
+from .state import DeviceState
 
 __all__ = [
     "FleetFlaggedSample",
@@ -77,58 +70,60 @@ class FleetFlaggedSample(FlaggedSample):
 
 
 class FlaggedStage:
-    """Flagged rows staged columnar in front of a bounded forensic queue.
+    """The newest ``maxlen`` flagged rows, columnar, in front of a forensic queue.
 
-    The verdict fold appends plain array blocks here; the per-row
-    :class:`FleetFlaggedSample` objects materialise only when the queue
-    is read (:meth:`flush`, triage time), keeping analyst bookkeeping
-    out of the drain hot loop.  Owners flush once ``limit`` rows —
-    ``min(maxlen, 8192)`` — are staged, so a flag storm cannot outgrow
-    the queue's own memory cap.
+    Rows pushed off the stage's ring only count in ``total_flagged``.
+    :class:`FleetFlaggedSample` objects are built when the queue is read
+    (:meth:`flush`: ``FleetMonitor.forensics`` or a snapshot), never
+    during a drain.
     """
 
     def __init__(self, queue: ForensicQueue):
         self.queue = queue
-        self.blocks: list[tuple] = []
-        self.rows = 0
-        self.limit = min(queue.maxlen, 8192)
+        self.columns: list[np.ndarray] | None = None  # allocated on first add
+        self.head = self.rows = self.dropped = 0
 
     def add(self, batch, predictions, entropy, accepted, base_step: int) -> int:
-        """Stage a batch's withheld rows columnar; returns their count.
-
-        Fancy-indexed rows are fresh copies, so the stage never pins
-        the arena blocks (or shared-memory slots) underneath.
-        """
+        """Copy a batch's withheld rows into the stage; returns their count."""
         flagged = np.flatnonzero(~np.asarray(accepted, dtype=bool))
-        if len(flagged):
-            self.blocks.append(
-                (
-                    batch.features[flagged],
-                    predictions[flagged],
-                    entropy[flagged],
-                    base_step + flagged + 1,
-                    batch.device_ids[flagged],
-                    batch.seqs[flagged],
-                )
-            )
-            self.rows += len(flagged)
-        return len(flagged)
+        k, cap = len(flagged), self.queue.maxlen
+        if k == 0:
+            return 0
+        values = (
+            batch.features[flagged],
+            predictions[flagged],
+            entropy[flagged],
+            base_step + flagged + 1,
+            batch.device_ids[flagged],
+            batch.seqs[flagged],
+        )
+        if self.columns is None:
+            dtypes = (np.float64, np.int64, np.float64, np.int64, "<U1", np.int64)
+            self.columns = [
+                np.empty((cap,) + v.shape[1:], dtype) for v, dtype in zip(values, dtypes)
+            ]
+        if values[4].dtype.itemsize > self.columns[4].dtype.itemsize:
+            self.columns[4] = self.columns[4].astype(values[4].dtype)
+        at = (self.head + np.arange(max(0, k - cap), k)) % cap
+        for column, value in zip(self.columns, values):
+            column[at] = value[k - len(at) :]
+        self.dropped += max(0, self.rows + k - cap)
+        self.rows = min(self.rows + k, cap)
+        self.head = (self.head + k) % cap
+        return k
 
     def flush(self) -> ForensicQueue:
-        """Materialise every staged row into the queue; returns it."""
-        blocks, self.blocks, self.rows = self.blocks, [], 0
-        for features, predictions, entropy, steps, device_ids, seqs in blocks:
+        """Build the staged rows into the queue, oldest first; returns it."""
+        if self.rows:
+            at = (self.head - self.rows + np.arange(self.rows)) % self.queue.maxlen
+            features, *rest = (column[at] for column in self.columns)
+            self.queue.total_flagged += self.dropped
+            # Field order: features, prediction, entropy, step, device_id, seq.
             self.queue.push_many(
-                FleetFlaggedSample(
-                    features=features[i],
-                    prediction=int(predictions[i]),
-                    entropy=float(entropy[i]),
-                    step=int(steps[i]),
-                    device_id=str(device_ids[i]),
-                    seq=int(seqs[i]),
-                )
-                for i in range(len(seqs))
+                FleetFlaggedSample(*fields)
+                for fields in zip(features, *(column.tolist() for column in rest))
             )
+        self.head = self.rows = self.dropped = 0
         return self.queue
 
     def snapshot(self) -> dict:
@@ -179,9 +174,8 @@ def batch_verdict_key(batches) -> dict:
     """Index batch results as ``(device_id, seq) -> verdict tuple``.
 
     The single definition of how device-addressed verdicts are keyed
-    for equivalence checks, shared by
-    :func:`batched_verdicts_equal_sequential` and the ``ingest``
-    experiment runner.
+    for equivalence checks (:func:`batched_verdicts_equal_sequential`,
+    the ``ingest`` runner).
     """
     keyed = {}
     for batch in batches:
@@ -202,11 +196,7 @@ def batch_window_keys(batches) -> set:
     here, in the quarantine store, or in the shed counters — never
     silently lost.
     """
-    return {
-        (str(device_id), int(batch.seqs[j]))
-        for batch in batches
-        for j, device_id in enumerate(batch.device_ids)
-    }
+    return set(batch_verdict_key(batches))
 
 
 def batched_verdicts_equal_sequential(
@@ -260,19 +250,8 @@ def _validate_snapshot(state: dict) -> None:
             "with the current code (old unversioned payloads predate "
             "supervised worker restarts and cannot be trusted)."
         )
-    missing = [
-        key
-        for key in (
-            "n_shards",
-            "batch_size",
-            "entropy_window",
-            "n_batches",
-            "policy",
-            "shards",
-            "forensics",
-        )
-        if key not in state
-    ]
+    required = ("n_shards", "batch_size", "entropy_window", "n_batches", "policy")
+    missing = [key for key in required + ("shards", "forensics") if key not in state]
     if missing:
         raise ValueError(
             f"fleet snapshot is missing required keys {missing}; "
@@ -296,37 +275,83 @@ def _validate_snapshot(state: dict) -> None:
 class _Partition:
     """One device-hash partition of a :class:`FleetMonitor`.
 
-    The per-device half of the engine: the ingress queue, the device
-    table, per-device sequence counters, the step counter and the
-    partition's counters.  Rounds, the forensic stage, drift watching,
-    telemetry and checkpoints belong to the monitor; a partition folds
-    verdicts into its devices (:meth:`_fold`).
+    The ingress queue, the step counter, the partition's counters and a
+    columnar device table indexed by the queue's dense device index:
+    one array per :class:`MonitorStats` counter, ``seq``, ``last_step``
+    and the entropy rings as one ``(devices, entropy_window)`` array
+    with head and size columns.  :class:`DeviceState` records are
+    views built on read (:meth:`row`).
     """
 
-    __slots__ = ("queue", "entropy_window", "devices", "seq", "step", "stats")
+    # The MonitorStats counters (field order), then each column's start value.
+    _STATS = ("n_seen", "n_accepted", "n_flagged", "n_malware_alerts", "entropy_sum")
+    _COLUMNS = dict.fromkeys(_STATS, 0) | {
+        "entropy_sum": 0.0, "seq": 0, "last_step": -1, "ring_head": 0, "ring_size": 0
+    }
 
     def __init__(self, policy: BackpressurePolicy, entropy_window: int):
         self.queue = FleetQueue(policy)
         self.entropy_window = entropy_window
-        self.devices: dict[str, DeviceState] = {}
-        self.seq: dict[str, int] = {}
+        self.cohorts: list[str] = []
         self.step = 0
         self.stats = MonitorStats()
+        self._grow(0)
 
-    def register(self, device_id: str, cohort: str = "unknown") -> DeviceState:
-        """Idempotently create the state record for a device."""
-        state = self.devices.get(device_id)
-        if state is None:
-            state = DeviceState(
-                device_id=device_id,
-                cohort=cohort,
-                entropy_recent=RingBuffer(self.entropy_window),
-            )
-            self.devices[device_id] = state
-            self.seq[device_id] = 0
-        elif cohort != "unknown" and state.cohort == "unknown":
-            state.cohort = cohort
-        return state
+    def register(self, device_id: str, cohort: str = "unknown") -> int:
+        """Idempotently create a device's row; returns its dense index."""
+        index = self.queue.register_device(device_id)
+        if index >= len(self.cohorts):
+            if index >= len(self.seq):
+                self._grow(max(8, 2 * (index + 1)))
+            self.cohorts.extend(["unknown"] * (index + 1 - len(self.cohorts)))
+        if cohort != "unknown" and self.cohorts[index] == "unknown":
+            self.cohorts[index] = cohort
+        return index
+
+    def _grow(self, capacity: int) -> None:
+        """Extend every column to ``capacity`` rows (new rows at their start value)."""
+        for name, fill in self._COLUMNS.items():
+            old = getattr(self, name, np.full(0, fill))
+            setattr(self, name, np.append(old, np.full(capacity - len(old), fill)))
+        old = getattr(self, "ring", np.zeros((0, self.entropy_window)))
+        self.ring = np.vstack([old, np.zeros((capacity - len(old), self.entropy_window))])
+
+    def __len__(self) -> int:
+        return len(self.cohorts)
+
+    def row(self, index: int) -> dict:
+        """Row ``index`` in :meth:`DeviceState.snapshot` form (built on read)."""
+        return {
+            "device_id": self.queue.device_name(index),
+            "cohort": self.cohorts[index],
+            "stats": {name: getattr(self, name)[index].item() for name in self._STATS},
+            "last_step": int(self.last_step[index]),
+            "entropy_recent": {
+                "capacity": self.entropy_window,
+                "data": self.ring[index].copy(),
+                "head": int(self.ring_head[index]),
+                "size": int(self.ring_size[index]),
+            },
+        }
+
+    @property
+    def devices(self) -> dict[str, DeviceState]:
+        """Every device's state by id, in registration order (views)."""
+        return {
+            self.queue.device_name(i): DeviceState.restore(self.row(i))
+            for i in range(len(self))
+        }
+
+    def load(self, row: dict, seq: int) -> None:
+        """Write a :meth:`row` payload and its sequence counter into the table."""
+        index = self.register(row["device_id"], row["cohort"])
+        for name, value in row["stats"].items():
+            getattr(self, name)[index] = value
+        ring = row["entropy_recent"]
+        self.seq[index], self.last_step[index] = seq, row["last_step"]
+        self.ring[index], self.ring_head[index], self.ring_size[index] = (
+            ring["data"], ring["head"], ring["size"]
+        )
 
     def _fold(
         self,
@@ -335,17 +360,17 @@ class _Partition:
         entropy: np.ndarray,
         accepted: np.ndarray,
     ) -> int:
-        """Fold verdicts into the partition counters and device state.
+        """Fold verdicts into the partition counters and the device table.
 
-        The one place :class:`DeviceState` counters change from a
-        verdict batch, called only from :meth:`FleetMonitor._fold_round`,
-        on every backend.  Rows are grouped on their dense queue device
-        indices: one bincount per counter and a single stable argsort.
-        Counts are exact integers, and each device's entropy sum is the
-        same ``np.sum`` over the same ordered slice that
-        :meth:`MonitorStats.record_verdicts` would take, so state is
-        bitwise independent of how rows are batched or partitioned.
-        Returns the step counter before the batch.
+        The one place device counters change, called only from
+        :meth:`FleetMonitor._fold_round` on every backend, with no loop
+        over devices: bincounts, one stable argsort and one ring
+        scatter.  Each device's entropy sum is the pairwise sum of its
+        ordered segment (``sum(axis=1)`` over the gathered segments of
+        each distinct length), and ring slots follow
+        :meth:`~repro.fleet.state.RingBuffer.extend`, so state is
+        bitwise independent of batching and partitioning.  Returns the
+        step counter before the batch.
         """
         n = len(entropy)
         base_step = self.step
@@ -355,36 +380,40 @@ class _Partition:
         self.stats.record_verdicts(predictions, entropy, accepted)
 
         group_sizes = np.bincount(device_index)
-        accepted_per = np.bincount(
-            device_index, weights=accepted, minlength=len(group_sizes)
-        )
-        alerts_per = np.bincount(
-            device_index,
-            weights=accepted & (predictions == 1),
-            minlength=len(group_sizes),
-        )
-        order = np.argsort(device_index, kind="stable")
-        entropy_ordered = entropy[order]
         present = np.flatnonzero(group_sizes)
-        stops = np.cumsum(group_sizes[present])
-        start = 0
-        for g, index in enumerate(present):
-            stop = stops[g]
-            state = self.devices[self.queue.device_name(int(index))]
-            device_entropy = entropy_ordered[start:stop]
-            stats = state.stats
-            n_device = int(group_sizes[index])
-            n_accepted = int(accepted_per[index])
-            stats.n_seen += n_device
-            stats.n_accepted += n_accepted
-            stats.n_flagged += n_device - n_accepted
-            stats.n_malware_alerts += int(alerts_per[index])
-            stats.entropy_sum += float(np.sum(device_entropy))
-            state.entropy_recent.extend(device_entropy)
-            state.last_step = max(
-                state.last_step, base_step + int(order[stop - 1]) + 1
-            )
-            start = stop
+        sizes = group_sizes[present]
+        n_accepted = np.bincount(device_index, weights=accepted)[present].astype(np.int64)
+        alerts = np.bincount(device_index, weights=accepted & (predictions == 1))
+        self.n_seen[present] += sizes
+        self.n_accepted[present] += n_accepted
+        self.n_flagged[present] += sizes - n_accepted
+        self.n_malware_alerts[present] += alerts[present].astype(np.int64)
+
+        order = np.argsort(device_index, kind="stable")
+        ordered = entropy[order]
+        stops = np.cumsum(sizes)
+        starts = stops - sizes
+        self.last_step[present] = np.maximum(
+            self.last_step[present], base_step + order[stops - 1] + 1
+        )
+        sums = np.empty(len(present), dtype=ordered.dtype)
+        for length in np.flatnonzero(np.bincount(sizes)):
+            chosen = np.flatnonzero(sizes == length)
+            sums[chosen] = ordered[starts[chosen, None] + np.arange(length)].sum(axis=1)
+        self.entropy_sum[present] += sums
+
+        # A segment of at least `window` rows keeps its newest from slot 0.
+        window = self.entropy_window
+        head = self.ring_head[present]
+        rank = np.arange(n) - np.repeat(starts, sizes)
+        length = np.repeat(sizes, sizes)
+        wrapped = (np.repeat(head, sizes) + rank) % window
+        position = np.where(length >= window, rank - (length - window), wrapped)
+        kept = position >= 0
+        self.ring[device_index[order][kept], position[kept]] = ordered[kept]
+        full = sizes >= window
+        self.ring_head[present] = np.where(full, 0, (head + sizes) % window)
+        self.ring_size[present] = np.minimum(self.ring_size[present] + sizes, window)
         return base_step
 
 
@@ -394,18 +423,14 @@ class FleetMonitor:
     The one in-process engine.  Devices are hash-routed onto
     ``n_shards`` partition cores (each its own ingress queue, device
     table and counters); one :meth:`process_batch` is a *fused round*
-    that stacks up to ``batch_size`` rows from every partition and
-    verdicts them in a single pass through the shared
-    :class:`~repro.fleet.sharding.PublishedHmd`, then folds each
-    partition's slice back into its own devices while the flagged
-    windows stage on the monitor's forensic queue (per device still in
-    submission-sequence order).  Verdicts are bitwise identical for
-    every partition count.
-
-    Backpressure bounds apply per partition: ``max_pending_per_device``
-    semantics do not depend on ``n_shards`` (a device lives on one
-    partition), while ``max_pending`` bounds each partition's queue
-    individually — fleet-total capacity is ``n_shards x max_pending``.
+    that verdicts up to ``batch_size`` rows from every partition in a
+    single pass through the shared
+    :class:`~repro.fleet.sharding.PublishedHmd`, then folds each slice
+    back into its partition's device table.  Verdicts are bitwise
+    identical for every partition count.  Backpressure bounds apply per
+    partition: a device lives on one partition, while ``max_pending``
+    bounds each partition's queue (fleet total ``n_shards x
+    max_pending``).
 
     Parameters
     ----------
@@ -416,31 +441,26 @@ class FleetMonitor:
     batch_size:
         Windows per partition per vectorised ensemble pass.
     policy:
-        Ingress backpressure policy of every partition queue (defaults
-        to a 4096-deep shed-oldest queue).
+        Backpressure policy of every partition queue (default: 4096
+        deep, shed-oldest).
     forensics:
-        Forensic queue receiving flagged windows (shared with analyst
-        tooling); created when omitted.
+        Forensic queue receiving flagged windows; created when omitted.
     drift_reference:
-        Optional entropy sample from held-out known traffic; when
-        given, the fleet-wide entropy stream is watched by an
-        :class:`EntropyDriftMonitor` (campaign-level shift detection).
+        Optional entropy sample of held-out known traffic; the fleet's
+        entropy stream is then watched by an :class:`EntropyDriftMonitor`.
     entropy_window:
-        Ring-buffer capacity of each device's recent-entropy view.
+        Capacity of each device's recent-entropy ring.
     router:
         A :class:`~repro.fleet.sharding.ShardRouter` to use instead of
         a fresh ``ShardRouter(n_shards)``; it sets the partition count.
     telemetry:
-        ``True`` for a fresh per-monitor
-        :class:`~repro.obs.metrics.MetricsRegistry`, an explicit
-        registry to share one, or ``None``/``False`` (default) for the
-        zero-cost no-op registry.  Every partition queue counts into
-        it.  Purely observational: verdicts are bitwise identical
-        either way.
+        ``True`` for a fresh :class:`~repro.obs.metrics.MetricsRegistry`,
+        a registry to share, or ``None``/``False`` (default) for the
+        no-op one; every partition queue counts into it.  Verdicts are
+        bitwise identical either way.
     tracer:
         Optional :class:`~repro.obs.tracing.TraceContext` recording
-        sampled window-lifecycle spans (ingest→queue→verdict→scatter on
-        this in-process path).
+        sampled window-lifecycle spans (ingest→queue→verdict→scatter).
     """
 
     # Why this backend cannot repartition live (None: it can).
@@ -531,61 +551,54 @@ class FleetMonitor:
     # -- ingress -------------------------------------------------------
 
     def register(self, device_id: str, *, cohort: str = "unknown") -> DeviceState:
-        """Idempotently create the device's state on its partition."""
-        return self.shards[self.router.shard_of(device_id)].register(
-            device_id, cohort
-        )
+        """Idempotently create the device's row on its partition; a view of it."""
+        shard = self.shards[self.router.shard_of(device_id)]
+        return DeviceState.restore(shard.row(shard.register(device_id, cohort)))
 
     def register_fleet(self, devices) -> None:
         """Register a whole :class:`FleetDevice` population at once."""
         for device in devices:
-            self.register(device.device_id, cohort=device.cohort)
+            shard = self.shards[self.router.shard_of(device.device_id)]
+            shard.register(device.device_id, device.cohort)
 
-    def submit(self, device_id: str, window) -> bool:
-        """Enqueue one signature window; False when shed by backpressure."""
-        shard = self.shards[self.router.shard_of(device_id)]
-        shard.register(device_id)
-        window = np.asarray(window, dtype=float).ravel()
-        n_features = getattr(self.hmd, "n_features_in_", None)
-        if n_features is not None and window.shape != (n_features,):
+    def _admission(self, device_id: str, n_features: int) -> tuple[_Partition, int]:
+        """Validate a submission's width first (so a rejected window
+        registers nothing), then its partition and dense index."""
+        expected = getattr(self.hmd, "n_features_in_", None)
+        if expected is not None and n_features != expected:
             # Reject at ingress: a ragged window admitted here would
             # poison the whole batch at stack time.
             raise ValueError(
-                f"window from {device_id!r} has {window.shape[0]} features; "
-                f"the fleet HMD expects {n_features}."
+                f"windows from {device_id!r} have {n_features} features; "
+                f"the fleet HMD expects {expected}."
             )
-        seq = shard.seq[device_id]
-        shard.seq[device_id] = seq + 1
+        shard = self.shards[self.router.shard_of(device_id)]
+        return shard, shard.register(device_id)
+
+    def submit(self, device_id: str, window) -> bool:
+        """Enqueue one window straight into the arena tail; False when shed."""
+        window = np.asarray(window, dtype=float).ravel()
+        shard, index = self._admission(device_id, window.shape[0])
+        seq = int(shard.seq[index])
+        shard.seq[index] = seq + 1
         if self.tracer is not None:
             self.tracer.begin(device_id, seq)
-        return shard.queue.submit(
-            WindowRequest(device_id=device_id, features=window, seq=seq)
-        )
+        return shard.queue.admit_row(index, window, seq)
 
     def submit_many(self, device_id: str, windows) -> int:
-        """Enqueue a stack of windows as one contiguous block.
+        """Enqueue a stack of windows as one block; returns how many were admitted.
 
-        Registration, dtype coercion and the feature-count check happen
-        once for the whole block, sequence numbers are assigned in bulk,
-        and the block lands in the ingress arena in one bulk copy
-        (:meth:`FleetQueue.submit_block`).  Returns how many windows
-        were admitted.
+        Validation, registration and sequence numbering happen once per
+        block, which lands in the arena in one bulk copy.
         """
         windows = np.ascontiguousarray(
             np.atleast_2d(np.asarray(windows, dtype=float))
         )
         if windows.size == 0:
             return 0
-        shard = self.shards[self.router.shard_of(device_id)]
-        shard.register(device_id)
-        n_features = getattr(self.hmd, "n_features_in_", None)
-        if n_features is not None and windows.shape[1] != n_features:
-            raise ValueError(
-                f"windows from {device_id!r} have {windows.shape[1]} features; "
-                f"the fleet HMD expects {n_features}."
-            )
-        start = shard.seq[device_id]
-        shard.seq[device_id] = start + len(windows)
+        shard, index = self._admission(device_id, windows.shape[1])
+        start = int(shard.seq[index])
+        shard.seq[index] = start + len(windows)
         seqs = np.arange(start, start + len(windows), dtype=np.int64)
         if self.tracer is not None:
             self.tracer.begin_block(device_id, seqs)
@@ -608,12 +621,8 @@ class FleetMonitor:
 
     @property
     def devices(self) -> dict[str, DeviceState]:
-        """Every partition's device states by id (a view built on read)."""
-        return {
-            device_id: state
-            for shard in self.shards
-            for device_id, state in shard.devices.items()
-        }
+        """Every partition's device states by id (views built on read)."""
+        return {k: v for shard in self.shards for k, v in shard.devices.items()}
 
     @property
     def stats(self) -> MonitorStats:
@@ -635,9 +644,8 @@ class FleetMonitor:
     def process_batch(self) -> FleetBatchResult | None:
         """One fused round: up to ``batch_size`` rows *per partition*.
 
-        Returns the round's verdicts (rows grouped by partition, per
-        device in submission order), or ``None`` when every queue is
-        empty.
+        The round's verdicts (grouped by partition, per device in
+        submission order), or ``None`` when every queue is empty.
         """
         published = self._ensure_published()
         parts: list[tuple[_Partition, WindowBatch]] = []
@@ -661,11 +669,9 @@ class FleetMonitor:
         return results
 
     def _fused_round(self, parts, published: PublishedHmd) -> FleetBatchResult:
-        """One verdict pass over ``[(partition, batch)]`` parts, folded back.
+        """Verdict ``[(partition, batch)]`` parts in one pass, then fold back.
 
-        The parts' features are stacked (a single part is not copied)
-        and verdicted in one pass, then :meth:`_fold_round` folds the
-        columns back.
+        A single part's features are not copied.
         """
         if self._obs_on:
             self._trace(parts, "queue")
@@ -687,13 +693,10 @@ class FleetMonitor:
     ) -> FleetBatchResult:
         """Fold one round's verdict columns back out; the round's result.
 
-        The fold half of every backend's round, the worker backend's
-        included: the verdict columns are the parts' rows in part
-        order.  Each part's slice is folded into its own partition's
-        device state, and its withheld rows stage on the forensic
-        stage in part order.  The round instruments are recorded here
-        once per round, whatever backend ran the verdict half (which
-        times itself into ``fleet_verdict_seconds``).
+        The fold half of every backend's round: each part's slice of
+        the columns folds into its partition's device table and stages
+        its withheld rows, in part order.  The round instruments are
+        recorded here, whatever backend ran the verdict half.
         """
         if self._obs_on:
             t1 = time.perf_counter()
@@ -728,13 +731,11 @@ class FleetMonitor:
     def _round_result(
         self, batches, predictions, entropy, accepted, threshold: float
     ) -> FleetBatchResult:
-        """Close a round: bound the stage, feed drift, build the result.
+        """Close a round: feed drift, build the result.
 
         ``batches`` are the round's parts in order and the verdict
         columns are already concatenated to match.
         """
-        if self._stage.rows >= self._stage.limit:
-            self._stage.flush()
         if self.drift is not None:
             self.drift.observe(entropy)
         self.n_batches += 1
@@ -754,7 +755,7 @@ class FleetMonitor:
 
     @property
     def forensics(self) -> ForensicQueue:
-        """The triage stream (materialises any staged flagged rows)."""
+        """The triage stream (builds the staged flagged rows into it)."""
         return self._stage.flush()
 
     # -- egress --------------------------------------------------------
@@ -811,11 +812,10 @@ class FleetMonitor:
     def rebalance(self, n_shards: int) -> dict[str, tuple[int, int]]:
         """Change the partition count, migrating device state and backlogs.
 
-        Every moved device takes its :class:`DeviceState`, sequence
-        counter, shed history and queued windows (in order) to its new
-        partition, so subsequent verdicts are unchanged, and the
-        telemetry counters keep counting.  Returns the router's
-        deterministic move map ``{device: (old, new)}``.
+        Every moved device takes its table row, shed history and queued
+        windows (in order) to its new partition, so later verdicts are
+        unchanged and the telemetry counters keep counting.  Returns the
+        router's deterministic move map ``{device: (old, new)}``.
         """
         if self._rebalance_refusal is not None:
             raise NotImplementedError(self._rebalance_refusal)
@@ -831,12 +831,12 @@ class FleetMonitor:
         for shard in new_shards:
             shard.step = step_seed
         for shard in self.shards:
-            for device_id, state in shard.devices.items():
-                target = new_shards[new_router.shard_of(device_id)]
-                target.devices[device_id] = state
-                target.seq[device_id] = shard.seq[device_id]
-                target.stats.merge(state.stats)
-                shard.queue.move_device(device_id, target.queue)
+            for index in range(len(shard)):
+                row = shard.row(index)
+                target = new_shards[new_router.shard_of(row["device_id"])]
+                target.load(row, shard.seq[index])
+                target.stats.merge(MonitorStats.restore(row["stats"]))
+                shard.queue.move_device(row["device_id"], target.queue)
         self.router = new_router
         self._install(new_shards)
         return plan
@@ -846,22 +846,22 @@ class FleetMonitor:
     def snapshot(self) -> dict:
         """Checkpoint the full fleet (model excluded).
 
-        Per-partition payloads (queue backlogs, device states,
-        counters) plus the router/policy configuration and the
-        forensic backlog — what :meth:`restore` needs to resume
-        mid-stream with identical subsequent verdicts.  Two things are
-        deliberately *not* included: the fitted HMD (models are trained
-        artifacts with their own pickle lifecycle, and one snapshot
-        must be restorable against a warm-retrained model without
-        duplicating it) and the optional drift monitor's accumulated
-        detector statistics (the drift reference is configuration —
-        pass it to :meth:`restore` and the detector restarts from a
-        clean window).
+        Per-partition payloads (queue backlogs, device table rows in
+        :meth:`DeviceState.snapshot` form, counters), the router/policy
+        configuration and the forensic backlog: what :meth:`restore`
+        needs to resume mid-stream with identical verdicts.  Not
+        included: the fitted HMD (a trained artifact with its own
+        lifecycle; a snapshot restores against a warm-retrained model
+        too) and the drift detector's statistics (pass the reference to
+        :meth:`restore` and it restarts from a clean window).
         """
         shards = [
             {
-                "devices": [state.snapshot() for state in shard.devices.values()],
-                "seq": dict(shard.seq),
+                "devices": [shard.row(i) for i in range(len(shard))],
+                "seq": {
+                    shard.queue.device_name(i): int(shard.seq[i])
+                    for i in range(len(shard))
+                },
                 "step": shard.step,
                 "stats": shard.stats.snapshot(),
                 "queue": shard.queue.snapshot(),
@@ -901,17 +901,13 @@ class FleetMonitor:
     ) -> "FleetMonitor":
         """Rebuild a fleet from :meth:`snapshot` output.
 
-        ``hmd`` is the (separately persisted) fitted model; restoring
-        against a newer warm-retrained HMD is supported — subsequent
-        verdicts then come from the refreshed model, exactly as they
-        would for a monitor that had stayed up through the retrain.  A
-        ``drift_reference`` starts a fresh drift detector (its
-        accumulated statistics are not part of the snapshot).  A fleet
-        built with a custom ``router`` must pass an equivalent one here
-        (the router is configuration, not serialisable state).
-        ``options`` carry a subclass's extra constructor arguments.
-        Every structural check runs before anything is built; a queue
-        payload in a retired format raises ``ValueError``.
+        ``hmd`` is the separately persisted model (a newer warm-retrained
+        one works: verdicts then come from it, as for a monitor that
+        stayed up through the retrain); ``drift_reference`` starts a
+        fresh drift detector; a custom ``router`` must be passed again
+        (it is configuration); ``options`` carry a subclass's extra
+        constructor arguments.  Every structural check runs before
+        anything is built; a retired queue format raises ``ValueError``.
         """
         _validate_snapshot(state)
         fleet = cls(
@@ -932,12 +928,12 @@ class FleetMonitor:
             )
         fleet.n_batches = int(state["n_batches"])
         for shard, payload in zip(fleet.shards, state["shards"]):
-            shard.queue = FleetQueue.restore(payload["queue"])
-            shard.devices = {
-                device["device_id"]: DeviceState.restore(device)
-                for device in payload["devices"]
-            }
-            shard.seq = dict(payload["seq"])
+            names = [device["device_id"] for device in payload["devices"]]
+            shard.queue = FleetQueue.restore(payload["queue"], names)
+            for device in payload["devices"]:
+                shard.load(device, payload["seq"][device["device_id"]])
+            for name in shard.queue.names_array().tolist():
+                shard.register(name)
             shard.step = int(payload["step"])
             shard.stats = MonitorStats.restore(payload["stats"])
         # Bound after the backlog is in, so it is not counted as admitted.

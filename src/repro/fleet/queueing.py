@@ -356,13 +356,7 @@ class FleetQueue:
         m = len(seqs)
         if m == 0:
             return
-        if self._n_features is None:
-            self._n_features = features.shape[1]
-        elif features.shape[1] != self._n_features:
-            raise ValueError(
-                f"rows have {features.shape[1]} features; this queue "
-                f"holds {self._n_features}-feature windows."
-            )
+        self._check_width(features.shape[1])
         # Account the incoming rows first: the stale-entry sweep below
         # compares lookup sizes against *post-admit* backlogs (reading
         # the pre-admit count would re-trigger a full-deque rebuild on
@@ -372,46 +366,79 @@ class FleetQueue:
         self._n_pending += m
         self._append_rows(dev, features, seqs)
         if self._dev_rows is not None:
-            # One sweep check per device per admission: entries consumed
-            # by takes must not pin dead blocks for a busy device.
             for index in np.flatnonzero(counts):
-                rows = self._dev_rows.get(int(index))
-                if rows is not None and len(rows) > 2 * self._pending_dev[index] + 64:
-                    self._dev_rows[int(index)] = deque(
-                        (b, p) for b, p in rows if p >= b.head
-                    )
+                self._sweep_dev_rows(int(index))
+        self._admitted(m)
+
+    def _check_width(self, n_features: int) -> None:
+        if self._n_features is None:
+            self._n_features = n_features
+        elif n_features != self._n_features:
+            raise ValueError(
+                f"rows have {n_features} features; this queue "
+                f"holds {self._n_features}-feature windows."
+            )
+
+    def _sweep_dev_rows(self, index: int) -> None:
+        """One sweep check per device per admission: entries consumed
+        by takes must not pin dead blocks for a busy device."""
+        rows = self._dev_rows.get(index)
+        if rows is not None and len(rows) > 2 * self._pending_dev[index] + 64:
+            self._dev_rows[index] = deque((b, p) for b, p in rows if p >= b.head)
+
+    def _admitted(self, m: int) -> None:
         self._m_admitted.inc(m)
         self._m_depth.set(self._n_pending)
         self._m_arena.set(len(self._blocks))
 
+    def admit_row(self, index: int, row: np.ndarray, seq: int) -> bool:
+        """Admit one 1-D window under its dense device index; False when shed.
+
+        The one per-row admission (:meth:`submit`, a congested
+        :meth:`submit_block`, the monitor's per-row submit): the policy
+        runs, then the row is written straight into the arena tail.
+        """
+        self._check_width(len(row))
+        policy = self.policy
+        cap = policy.max_pending_per_device
+        if cap is not None:
+            while self._pending_dev[index] >= cap:
+                if policy.shed == "drop_newest":
+                    self._shed(self._names[index])
+                    return False
+                self._evict_device_oldest(index, self._names[index])
+        while self._n_pending >= policy.max_pending:
+            if policy.shed == "drop_newest":
+                self._shed(self._names[index])
+                return False
+            self._evict_oldest()
+        if not self._blocks or self._blocks[-1].filled == _BLOCK_ROWS:
+            self._blocks.append(_ArenaBlock(self._n_features))
+        block = self._blocks[-1]
+        position = block.filled
+        block.x[position] = row
+        block.dev[position] = index
+        block.seqs[position] = seq
+        block.filled = position + 1
+        self._pending_dev[index] += 1
+        self._n_pending += 1
+        if self._dev_rows is not None:
+            self._dev_rows.setdefault(index, deque()).append((block, position))
+            self._sweep_dev_rows(index)
+        self._admitted(1)
+        return True
+
     def submit(self, request: WindowRequest) -> bool:
         """Enqueue one window; returns False when *it* was shed.
 
-        Note a True return may still have shed an older window (in
+        A True return may still have shed an older window (in
         ``"drop_oldest"`` mode); check :attr:`shed_by_device`.
         """
-        index = self.register_device(request.device_id)
-        per_device_cap = self.policy.max_pending_per_device
-        if per_device_cap is not None:
-            while self._pending_dev[index] >= per_device_cap:
-                if self.policy.shed == "drop_newest":
-                    self._shed(request.device_id)
-                    return False
-                self._evict_device_oldest(index, request.device_id)
-
-        while self._n_pending >= self.policy.max_pending:
-            if self.policy.shed == "drop_newest":
-                self._shed(request.device_id)
-                return False
-            self._evict_oldest()
-
-        features = np.atleast_2d(np.asarray(request.features, dtype=float))
-        self._admit_rows(
-            np.asarray([index], dtype=np.int64),
-            features,
-            np.asarray([request.seq], dtype=np.int64),
+        return self.admit_row(
+            self.register_device(request.device_id),
+            np.asarray(request.features, dtype=float).ravel(),
+            int(request.seq),
         )
-        return True
 
     def submit_block(
         self, device_id: str, features: np.ndarray, seqs: np.ndarray
@@ -421,7 +448,7 @@ class FleetQueue:
         Uncongested blocks are bulk-copied into the arena with no
         per-row Python; a block that would trip a bound is replayed
         row-wise, so shedding semantics are exactly those of ``m``
-        sequential :meth:`submit` calls.  Returns the admitted count.
+        sequential :meth:`admit_row` calls.  Returns the admitted count.
         """
         features = np.atleast_2d(np.asarray(features, dtype=float))
         seqs = np.asarray(seqs, dtype=np.int64)
@@ -441,14 +468,7 @@ class FleetQueue:
             self._admit_rows(np.full(m, index, dtype=np.int64), features, seqs)
             return m
 
-        admitted = 0
-        for i in range(m):
-            admitted += self.submit(
-                WindowRequest(
-                    device_id=device_id, features=features[i], seq=int(seqs[i])
-                )
-            )
-        return admitted
+        return sum(self.admit_row(index, features[i], int(seqs[i])) for i in range(m))
 
     # -- egress --------------------------------------------------------
 
@@ -598,8 +618,12 @@ class FleetQueue:
         }
 
     @classmethod
-    def restore(cls, state: dict) -> "FleetQueue":
-        """Rebuild a queue from :meth:`snapshot` output (no re-shedding)."""
+    def restore(cls, state: dict, names=()) -> "FleetQueue":
+        """Rebuild a queue from :meth:`snapshot` output (no re-shedding).
+
+        ``names`` are registered first, in order, so dense indices can
+        follow an owner's device table rather than the backlog.
+        """
         kind = state.get("kind")
         if kind != "shard":
             raise ValueError(
@@ -609,6 +633,8 @@ class FleetQueue:
                 "segment queue; replay its windows through submit instead."
             )
         queue = cls(BackpressurePolicy(**state["policy"]))
+        for name in names:
+            queue.register_device(name)
         device_ids = np.asarray(state["device_ids"])
         if len(device_ids):
             dev = np.asarray(

@@ -25,13 +25,9 @@ inference pass cannot change any verdict — the equivalence matrix
 asserts bitwise identity against ``TrustedHMD.analyze`` for every
 partition count, and every round runs the same
 :func:`~repro.uncertainty.trust.count_table_verdict`.  Throughput comes
-from two structural effects, not from cutting corners:
-
-1. a fused round verdicts up to ``K x batch_size`` rows in one pass,
-   amortising the per-pass front, encode and traversal set-up;
-2. each partition's batch concentrates on ``1/K`` of the devices, so
-   its verdict fold (the partition core's ``_fold``) visits fewer
-   distinct devices per row.
+from the fused round, not from cutting corners: one pass verdicts up
+to ``K x batch_size`` rows, amortising the per-pass front, encode and
+traversal set-up.
 """
 
 from __future__ import annotations

@@ -1,15 +1,13 @@
-"""Per-device monitoring state for the fleet engine.
+"""Per-device monitoring state: read views of the fleet's device table.
 
-Every monitored device keeps a constant-memory footprint regardless of
-how long it has been streaming (the counters change in one place, the
-partition core's verdict fold ``_fold`` in :mod:`repro.fleet.engine`): an embedded
-:class:`~repro.uncertainty.online.MonitorStats` (the same counter
-definitions the single-device monitor uses, so the two can never
-drift) plus a fixed-capacity ring buffer of its most recent predictive
-entropies.  The ring buffer is what the fleet report reads to rank
-devices by *current* uncertainty — a device whose entropy regime
-shifted recently is a drift/zero-day candidate even if its lifetime
-mean looks benign.
+A fleet partition keeps each device's counters and recent-entropy ring
+as columns of one table (``_Partition`` in :mod:`repro.fleet.engine`,
+whose verdict fold is the one place they change).  :class:`DeviceState`
+— the single-device monitor's :class:`MonitorStats` plus a
+:class:`RingBuffer` — is built from a table row on read.  The fleet
+report ranks devices by the ring: a device whose entropy shifted
+recently is a drift/zero-day candidate even if its lifetime mean looks
+benign.
 """
 
 from __future__ import annotations
@@ -44,9 +42,7 @@ class RingBuffer:
 
     def push(self, value: float) -> None:
         """Append one value, evicting the oldest when full."""
-        self._data[self._head] = float(value)
-        self._head = (self._head + 1) % self._capacity
-        self._size = min(self._size + 1, self._capacity)
+        self.extend([value])
 
     def extend(self, values) -> None:
         """Append a batch of values in one vectorised write."""
@@ -60,16 +56,8 @@ class RingBuffer:
             self._head = 0
             self._size = self._capacity
             return
-        stop = self._head + n
-        if stop <= self._capacity:
-            # Contiguous write — the overwhelmingly common case, and
-            # the verdict fold's per-device hot path (plain slice
-            # assignment, no index arithmetic).
-            self._data[self._head : stop] = values
-        else:
-            idx = (self._head + np.arange(n)) % self._capacity
-            self._data[idx] = values
-        self._head = stop % self._capacity
+        self._data[(self._head + np.arange(n)) % self._capacity] = values
+        self._head = (self._head + n) % self._capacity
         self._size = min(self._size + n, self._capacity)
 
     def values(self) -> np.ndarray:
@@ -80,19 +68,13 @@ class RingBuffer:
 
     def mean(self) -> float:
         """Mean of the retained values (0.0 when empty)."""
-        if self._size == 0:
-            return 0.0
-        if self._size < self._capacity:
-            return float(self._data[: self._size].mean())
-        return float(self._data.mean())
+        return float(self._data[: self._size].mean()) if self._size else 0.0
 
     def snapshot(self) -> dict:
-        """Plain-data state for checkpointing (exact, including rotation).
+        """Plain-data state for checkpointing: raw storage, head and size.
 
-        The raw storage/head/size triple is captured rather than the
-        logical ``values()`` view so a restored buffer is *bit-exact*:
-        re-pushing the values would normalise the rotation and perturb
-        the last bit of :meth:`mean` (float summation order).
+        Not the logical ``values()``: re-pushing them would normalise the
+        rotation and perturb the last bit of :meth:`mean`.
         """
         return {
             "capacity": self._capacity,
@@ -113,7 +95,7 @@ class RingBuffer:
 
 @dataclass
 class DeviceState:
-    """Running verdict statistics for one monitored device."""
+    """Running verdict statistics for one monitored device (a table-row view)."""
 
     device_id: str
     cohort: str = "unknown"

@@ -59,7 +59,9 @@ class TestVerdictFold:
 
     def test_flagged_rows_stage_until_read(self, fitted_hmd):
         """Flagged rows stay columnar until forensics is read, and a
-        full stage flushes so the forensic cap keeps holding."""
+        full stage keeps only the newest ``maxlen`` rows, so the
+        forensic cap keeps holding while the lifetime count does not
+        lose the rows it dropped."""
         X, y, hmd = fitted_hmd
         saddle = 0.5 * (X[y == 0].mean(axis=0) + X[y == 1].mean(axis=0))
         fleet = FleetMonitor(
@@ -70,7 +72,8 @@ class TestVerdictFold:
         assert fleet._stage.rows == 8  # staged, nothing materialised yet
         fleet.submit_many("dev-a", np.tile(saddle, (40, 1)))
         fleet.drain()
-        assert fleet._stage.rows < fleet._stage.limit == 20
+        assert fleet._stage.rows == fleet._stage.queue.maxlen == 20
+        assert len(fleet._stage.queue) == 0  # still nothing materialised
         assert len(fleet.forensics) == 20
         assert fleet._stage.rows == 0
         assert fleet.forensics.total_flagged == fleet.stats.n_flagged == 48
@@ -278,3 +281,63 @@ class TestFleetMonitor:
         assert batched_verdicts_equal_sequential(batches, seq_verdicts)
         # Dropping one sequential verdict must break equivalence.
         assert not batched_verdicts_equal_sequential(batches, seq_verdicts[:-1])
+
+    def test_rejected_window_registers_no_device(self, fitted_hmd):
+        """A window rejected at ingress leaves no phantom device behind
+        in the device table, the report or a snapshot."""
+        X, _, hmd = fitted_hmd
+        fleet = FleetMonitor(hmd, n_shards=2, batch_size=4)
+        fleet.submit("dev-0", X[0])
+        with pytest.raises(ValueError, match="features"):
+            fleet.submit("ghost", np.zeros(X.shape[1] - 1))
+        with pytest.raises(ValueError, match="features"):
+            fleet.submit_many("ghost2", np.zeros((2, X.shape[1] + 1)))
+        assert set(fleet.devices) == {"dev-0"}
+        assert [d.device_id for d in fleet.report().devices] == ["dev-0"]
+        snapshot = fleet.snapshot()
+        assert [
+            d["device_id"] for shard in snapshot["shards"] for d in shard["devices"]
+        ] == ["dev-0"]
+        assert [name for shard in snapshot["shards"] for name in shard["seq"]] == [
+            "dev-0"
+        ]
+
+
+# Blocks of (device, rows): uncongested blocks, blocks that trip the
+# per-device cap and blocks that trip the global cap.
+_ADMISSION_BLOCKS = [("a", 3), ("b", 2), ("a", 4), ("c", 6), ("b", 1), ("a", 2), ("c", 3)]
+
+
+class TestAdmission:
+    @pytest.mark.parametrize("max_pending", [7, 1000], ids=["tight", "loose"])
+    @pytest.mark.parametrize("per_device", [3, None], ids=["device_cap", "no_device_cap"])
+    @pytest.mark.parametrize("shed", ["drop_oldest", "drop_newest"])
+    def test_block_and_row_submits_equivalent(
+        self, fitted_hmd, shed, per_device, max_pending
+    ):
+        """Per-row ``submit`` and block ``submit_many`` of the same rows
+        admit, shed and count exactly alike under every policy."""
+        X, _, hmd = fitted_hmd
+        policy = BackpressurePolicy(
+            max_pending=max_pending, max_pending_per_device=per_device, shed=shed
+        )
+        rowwise, bulk = (
+            FleetMonitor(hmd, policy=policy, telemetry=True) for _ in range(2)
+        )
+        rows = iter(range(len(X)))
+        admitted_rowwise = admitted_bulk = 0
+        for device_id, n in _ADMISSION_BLOCKS:
+            block = X[[next(rows) for _ in range(n)]]
+            admitted_rowwise += sum(rowwise.submit(device_id, row) for row in block)
+            admitted_bulk += bulk.submit_many(device_id, block)
+        assert admitted_rowwise == admitted_bulk
+        taken = [monitor.queue.take(1000) for monitor in (rowwise, bulk)]
+        assert taken[0].device_ids.tolist() == taken[1].device_ids.tolist()
+        assert taken[0].seqs.tolist() == taken[1].seqs.tolist()
+        np.testing.assert_array_equal(taken[0].features, taken[1].features)
+        assert rowwise.queue.shed_by_device == bulk.queue.shed_by_device
+        counters = [monitor.metrics.snapshot()["counters"] for monitor in (rowwise, bulk)]
+        for name in ("fleet_windows_admitted_total", "fleet_windows_shed_total"):
+            assert counters[0][name] == counters[1][name]
+        if max_pending == 7 or per_device is not None:
+            assert rowwise.queue.total_shed > 0  # the bound actually bit

@@ -135,20 +135,6 @@ class TestBulkIngress:
         assert batch.seqs.tolist() == [0, 1, 2, 0, 0, 1]
         assert batch.features.shape == (6, 3)
 
-    def test_block_and_row_submits_equivalent(self):
-        """Bulk ingress admits exactly what per-row submission would."""
-        policy = BackpressurePolicy(max_pending=10, max_pending_per_device=4)
-        bulk, rowwise = FleetQueue(policy), FleetQueue(policy)
-        device, features, seqs = self._block(7, device="d")
-        bulk.submit_block(device, features, seqs)
-        for i in range(7):
-            rowwise.submit(
-                WindowRequest(device_id="d", features=features[i], seq=i)
-            )
-        assert bulk.pending("d") == rowwise.pending("d")
-        assert bulk.shed_by_device == rowwise.shed_by_device
-        assert bulk.take(10).seqs.tolist() == rowwise.take(10).seqs.tolist()
-
     def test_block_overflow_falls_back_to_policy(self):
         queue = FleetQueue(BackpressurePolicy(max_pending=4, shed="drop_oldest"))
         device, features, seqs = self._block(10)

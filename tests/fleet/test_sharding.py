@@ -20,6 +20,7 @@ The load-bearing guarantees, in the order the module builds them up:
 5. snapshot/restore and rebalance keep all of the above mid-stream.
 """
 
+import dataclasses
 import pickle
 
 import numpy as np
@@ -770,7 +771,122 @@ def assert_schema1_resumes(fleet, hmd, X):
     assert fleet.report().n_seen == 4
 
 
+def parent_table_checkpoint(X):
+    """A ``repro.fleet.sharded/1`` checkpoint with live per-device state.
+
+    Written field by field as the per-object device table wrote it:
+    ``DeviceState.snapshot()`` dicts — one with a rotated full entropy
+    ring, one with a partial ring — and a ``seq`` dict, next to a
+    one-row backlog.
+    """
+    state = schema1_checkpoint(X)
+    state["entropy_window"] = 4
+    shard = state["shards"][0]
+    shard["entropy_window"] = 4
+    shard["devices"] = [
+        {
+            "device_id": "dev-a",
+            "cohort": "malware",
+            "stats": {
+                "n_seen": 11,
+                "n_accepted": 7,
+                "n_flagged": 4,
+                "n_malware_alerts": 5,
+                "entropy_sum": 3.1415926535897927,
+            },
+            "last_step": 17,
+            "entropy_recent": {
+                "capacity": 4,
+                "data": np.array([0.7, 0.1 + 0.2, 1.0 / 3.0, 0.25]),
+                "head": 2,
+                "size": 4,
+            },
+        },
+        {
+            "device_id": "dev-b",
+            "cohort": "unknown",
+            "stats": {
+                "n_seen": 2,
+                "n_accepted": 2,
+                "n_flagged": 0,
+                "n_malware_alerts": 0,
+                "entropy_sum": 0.30000000000000004,
+            },
+            "last_step": 16,
+            "entropy_recent": {
+                "capacity": 4,
+                "data": np.array([0.1, 0.2, 0.0, 0.0]),
+                "head": 2,
+                "size": 2,
+            },
+        },
+    ]
+    shard["seq"] = {"dev-a": 12, "dev-b": 2}
+    shard["step"] = 18
+    shard["stats"] = {
+        "n_seen": 13,
+        "n_accepted": 9,
+        "n_flagged": 4,
+        "n_malware_alerts": 5,
+        "entropy_sum": 3.4415926535897925,
+    }
+    shard["queue"]["device_ids"] = np.array(["dev-b"])
+    shard["queue"]["seqs"] = np.array([1], dtype=np.int64)
+    shard["queue"]["features"] = np.array(X[:1], dtype=float)
+    return state
+
+
+def assert_payloads_equal(left, right, path="state"):
+    """Deep equality of snapshot payloads; arrays and floats bit for bit."""
+    if dataclasses.is_dataclass(left):
+        assert type(left) is type(right), path
+        assert_payloads_equal(vars(left), vars(right), path)
+    elif isinstance(left, dict):
+        assert isinstance(right, dict) and set(left) == set(right), path
+        for key in left:
+            assert_payloads_equal(left[key], right[key], f"{path}[{key!r}]")
+    elif isinstance(left, (list, tuple)):
+        assert len(left) == len(right), path
+        for i, (a, b) in enumerate(zip(left, right)):
+            assert_payloads_equal(a, b, f"{path}[{i}]")
+    elif isinstance(left, np.ndarray):
+        right = np.asarray(right)
+        assert left.tolist() == right.tolist(), path
+        if left.dtype.kind == "f":
+            assert left.tobytes() == right.astype(left.dtype).tobytes(), path
+    elif isinstance(left, float):
+        assert type(right) is float and left.hex() == right.hex(), path
+    else:
+        assert type(left) is type(right) and left == right, path
+
+
 class TestSnapshotRestore:
+    def test_parent_device_table_payload_round_trips(self, fitted_hmd):
+        """Per-object device records restore into the columnar table,
+        re-snapshot to the same payload and survive two rebalances."""
+        X, y, hmd = fitted_hmd
+        state = parent_table_checkpoint(X)
+        fleet = FleetMonitor.restore(hmd, pickle.loads(pickle.dumps(state)))
+        assert_payloads_equal(fleet.snapshot(), state)
+        rows = {d["device_id"]: d for d in state["shards"][0]["devices"]}
+        assert fleet.devices["dev-a"].recent_entropy == np.mean(
+            rows["dev-a"]["entropy_recent"]["data"]
+        )
+        fleet.rebalance(3)
+        fleet.rebalance(2)
+        for shard in fleet.shards:
+            for index in range(len(shard)):
+                row = shard.row(index)
+                assert_payloads_equal(row, rows[row["device_id"]])
+        moved = fleet.snapshot()
+        assert sorted(
+            (name, seq) for s in moved["shards"] for name, seq in s["seq"].items()
+        ) == [("dev-a", 12), ("dev-b", 2)]
+        assert fleet.pending == 1
+        assert fleet.submit("dev-a", X[1])
+        keyed = batch_verdict_key(fleet.drain())
+        assert set(keyed) == {("dev-b", 1), ("dev-a", 12)}
+
     def test_restores_hand_built_schema1_checkpoint(self, fitted_hmd):
         X, y, hmd = fitted_hmd
         state = pickle.loads(pickle.dumps(schema1_checkpoint(X)))
@@ -876,7 +992,7 @@ class TestSnapshotRestore:
         for i, window in enumerate(storm):
             sharded.submit(f"dev-{i % 4:03d}", window)
         sharded.drain()
-        assert sharded._stage.rows <= sharded._stage.limit
+        assert sharded._stage.rows <= sharded._stage.queue.maxlen
         assert len(sharded.forensics) <= 40
         assert sharded.forensics.total_flagged == sharded.stats.n_flagged
         assert sharded.stats.n_flagged > 40  # the cap actually bit
