@@ -25,7 +25,7 @@ from .engine import (
     FleetMonitor,
     batched_verdicts_equal_sequential,
 )
-from .queueing import BackpressurePolicy, FleetQueue, WindowBatch, WindowRequest
+from .queueing import BackpressurePolicy, FleetQueue, WindowBatch
 from .report import DeviceReport, FleetReport, device_report_key
 from .resilience import (
     FaultPlan,
@@ -62,7 +62,6 @@ __all__ = [
     "ShardHealthReport",
     "ShardRouter",
     "WindowBatch",
-    "WindowRequest",
     "WorkerShardedFleetMonitor",
     "account_windows",
     "batched_verdicts_equal_sequential",

@@ -910,6 +910,11 @@ class FleetMonitor:
         anything is built; a retired queue format raises ``ValueError``.
         """
         _validate_snapshot(state)
+        if router is not None and router.n_shards != state["n_shards"]:
+            raise ValueError(
+                f"router has {router.n_shards} shards but the "
+                f"snapshot holds {state['n_shards']}."
+            )
         fleet = cls(
             hmd,
             n_shards=state["n_shards"],
@@ -921,11 +926,6 @@ class FleetMonitor:
             router=router,
             **options,
         )
-        if fleet.router.n_shards != state["n_shards"]:
-            raise ValueError(
-                f"router has {fleet.router.n_shards} shards but the "
-                f"snapshot holds {state['n_shards']}."
-            )
         fleet.n_batches = int(state["n_batches"])
         for shard, payload in zip(fleet.shards, state["shards"]):
             names = [device["device_id"] for device in payload["devices"]]

@@ -25,10 +25,15 @@ Storage is an **arena** of contiguous 1024-row blocks.  Each row
 carries a dense integer device index next to its sequence number, so
 an uncongested :meth:`FleetQueue.take` returns zero-copy slices of one
 block, and the verdict fold downstream groups rows with integer
-``bincount`` arithmetic instead of string grouping.  Per-device
-eviction tombstones rows in place; once tombstones outnumber the live
-rows the arena is rebuilt from the live rows, so storage stays bounded
-by the backlog, never by the shed volume.
+``bincount`` arithmetic instead of string grouping.  Each row also
+carries its device's admission ordinal, and one rule says which rows
+are still queued: a device's live rows are exactly the ordinals
+``[floor, tail)``.  Admission issues ``tail`` and bumps it; takes,
+global and per-device eviction and migration only raise ``floor``.  A
+row left behind its device's floor is dead storage, skipped by the
+next pass over it; once dead rows outnumber the live rows the arena is
+rebuilt from the live rows, so storage stays bounded by the backlog,
+never by the shed volume.
 """
 
 from __future__ import annotations
@@ -40,18 +45,9 @@ import numpy as np
 
 from ..obs.metrics import NULL_REGISTRY
 
-__all__ = ["WindowRequest", "WindowBatch", "BackpressurePolicy", "FleetQueue"]
+__all__ = ["WindowBatch", "BackpressurePolicy", "FleetQueue"]
 
 _SHED_MODES = ("drop_oldest", "drop_newest")
-
-
-@dataclass(frozen=True)
-class WindowRequest:
-    """One signature window awaiting batched inference."""
-
-    device_id: str
-    features: np.ndarray    # 1-D feature vector
-    seq: int                # per-device submission sequence number
 
 
 @dataclass(frozen=True)
@@ -113,36 +109,32 @@ class BackpressurePolicy:
             raise ValueError(f"shed must be one of {_SHED_MODES}; got {self.shed!r}.")
 
 
+
+
 _BLOCK_ROWS = 1024
 
 
 class _ArenaBlock:
     """One contiguous slab of queued rows (feature matrix + metadata)."""
 
-    __slots__ = ("x", "dev", "seqs", "filled", "head", "dead", "n_dead")
+    __slots__ = ("x", "dev", "ords", "seqs", "filled", "head")
 
     def __init__(self, n_features: int):
         self.x = np.empty((_BLOCK_ROWS, n_features), dtype=np.float64)
         self.dev = np.empty(_BLOCK_ROWS, dtype=np.int64)
+        self.ords = np.empty(_BLOCK_ROWS, dtype=np.int64)  # device ordinal
         self.seqs = np.empty(_BLOCK_ROWS, dtype=np.int64)
         self.filled = 0     # rows written
         self.head = 0       # rows consumed (from the front)
-        self.dead = None    # lazily allocated tombstone mask
-        self.n_dead = 0     # tombstones in [head, filled)
 
-    def live_rows(self) -> np.ndarray:
-        """Positions of the block's live rows, in admission order."""
-        live = np.ones(self.filled - self.head, dtype=bool)
-        if self.dead is not None:
-            live &= ~self.dead[self.head : self.filled]
-        return np.flatnonzero(live) + self.head
 
-    def tombstone(self, positions) -> None:
-        """Mark rows dead in place (per-device eviction, migration)."""
-        if self.dead is None:
-            self.dead = np.zeros(_BLOCK_ROWS, dtype=bool)
-        self.dead[positions] = True
-        self.n_dead += np.size(positions)
+def _ranks(dev: np.ndarray) -> np.ndarray:
+    """Each row's rank among the rows of its own device, in order."""
+    order = np.argsort(dev, kind="stable")
+    grouped = dev[order]
+    ranks = np.empty(len(dev), dtype=np.int64)
+    ranks[order] = np.arange(len(dev)) - np.searchsorted(grouped, grouped)
+    return ranks
 
 
 class FleetQueue:
@@ -153,9 +145,10 @@ class FleetQueue:
     * each row carries a dense integer device index
       (:meth:`register_device`), so downstream routing is integer
       arithmetic;
-    * per-device eviction tombstones rows in place (a lazily allocated
-      mask per block), and the arena is rebuilt from its live rows once
-      tombstones dominate.
+    * each row carries its device's admission ordinal, and a device's
+      live rows are exactly the ordinals ``[floor, tail)``: every
+      removal raises ``floor``, and a row is dead iff its ordinal is
+      below its device's floor.
     """
 
     def __init__(self, policy: BackpressurePolicy | None = None):
@@ -165,14 +158,11 @@ class FleetQueue:
         self._index: dict[str, int] = {}
         self._names: list[str] = []
         self._names_arr: np.ndarray | None = None
-        self._pending_dev = np.zeros(8, dtype=np.int64)
+        # Per dense device index: the live rows are ordinals [floor, tail).
+        self._floor = np.zeros(8, dtype=np.int64)
+        self._tail = np.zeros(8, dtype=np.int64)
         self._n_pending = 0
-        self._n_dead = 0    # tombstones across all blocks
-        # (block, pos) lookup per device, for per-device eviction; only
-        # maintained when the policy actually has a per-device cap.
-        self._dev_rows: dict[int, deque] | None = (
-            {} if self.policy.max_pending_per_device is not None else None
-        )
+        self._dead_count = 0    # unconsumed rows behind their device's floor
         self.shed_by_device: dict[str, int] = {}
         self.bind_metrics(NULL_REGISTRY)
 
@@ -206,10 +196,10 @@ class FleetQueue:
             self._index[device_id] = index
             self._names.append(device_id)
             self._names_arr = None
-            if index >= len(self._pending_dev):
-                grown = np.zeros(2 * len(self._pending_dev), dtype=np.int64)
-                grown[: len(self._pending_dev)] = self._pending_dev
-                self._pending_dev = grown
+            if index >= len(self._floor):
+                grow = np.zeros(len(self._floor), dtype=np.int64)
+                self._floor = np.concatenate([self._floor, grow])
+                self._tail = np.concatenate([self._tail, grow])
         return index
 
     def device_name(self, index: int) -> str:
@@ -242,60 +232,26 @@ class FleetQueue:
         if device_id is None:
             return self._n_pending
         index = self._index.get(device_id)
-        return int(self._pending_dev[index]) if index is not None else 0
+        if index is None:
+            return 0
+        return int(self._tail[index] - self._floor[index])
 
-    def _shed(self, device_id: str, n: int = 1) -> None:
-        self.shed_by_device[device_id] = self.shed_by_device.get(device_id, 0) + n
-        self._m_shed.inc(n)
+    def _shed(self, device_id: str) -> None:
+        self.shed_by_device[device_id] = self.shed_by_device.get(device_id, 0) + 1
+        self._m_shed.inc(1)
 
-    # -- shedding ------------------------------------------------------
+    # -- liveness ------------------------------------------------------
 
-    def _evict_oldest(self) -> None:
-        """Shed the stalest live row in the whole arena."""
-        while self._blocks:
-            block = self._blocks[0]
-            while block.head < block.filled:
-                position = block.head
-                block.head += 1
-                if block.dead is not None and block.dead[position]:
-                    block.n_dead -= 1
-                    self._n_dead -= 1
-                    continue
-                index = int(block.dev[position])
-                self._pending_dev[index] -= 1
-                self._n_pending -= 1
-                self._shed(self._names[index])
-                if self._dev_rows is not None:
-                    self._trim_dev_rows(index)
-                return
-            if block.filled == _BLOCK_ROWS:
-                self._blocks.popleft()
-            else:
-                return  # open block, nothing live behind it
-
-    def _evict_device_oldest(self, index: int, device_id: str) -> None:
-        """Tombstone the stalest live row of one device."""
-        rows = self._dev_rows.get(index)
-        while rows:
-            block, position = rows.popleft()
-            if position < block.head:
-                continue  # already consumed by a take — stale entry
-            block.tombstone(position)
-            self._n_dead += 1
-            self._pending_dev[index] -= 1
-            self._n_pending -= 1
-            self._shed(device_id)
-            self._compact()
-            return
-        raise RuntimeError(
-            f"eviction bookkeeping lost rows for device {device_id!r}."
-        )
+    def _live_rows(self, block: _ArenaBlock) -> np.ndarray:
+        """Positions of a block's unconsumed live rows, in admission order."""
+        rows = np.arange(block.head, block.filled)
+        return rows[block.ords[rows] >= self._floor[block.dev[rows]]]
 
     def _live(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(dev, seqs, features)`` of every live row, admission order."""
         dev, seqs, features = [], [], []
         for block in self._blocks:
-            rows = block.live_rows()
+            rows = self._live_rows(block)
             if len(rows):
                 dev.append(block.dev[rows])
                 seqs.append(block.seqs[rows])
@@ -306,30 +262,61 @@ class FleetQueue:
         return np.concatenate(dev), np.concatenate(seqs), np.vstack(features)
 
     def _compact(self) -> None:
-        """Rebuild the arena from its live rows once tombstones dominate.
+        """Rebuild the arena from its live rows once dead rows dominate.
 
-        Per-device shedding under a stalled consumer tombstones rows
+        Per-device shedding under a stalled consumer leaves dead rows
         that no take ever reaches; without the rebuild the arena would
-        keep every shed row.  The threshold (more tombstones than live
-        rows, and at least one block's worth) makes the rebuild cost
-        amortised O(1) per tombstone.
+        keep every shed row.  The threshold (more dead rows than live
+        ones, and at least one block's worth) makes the rebuild cost
+        amortised O(1) per dead row.
         """
-        if self._n_dead <= max(self._n_pending, _BLOCK_ROWS):
+        if self._dead_count <= max(self._n_pending, _BLOCK_ROWS):
             return
         dev, seqs, features = self._live()
         self._blocks = deque()
-        self._n_dead = 0
-        if self._dev_rows is not None:
-            self._dev_rows = {}
+        self._dead_count = 0
+        np.copyto(self._tail, self._floor)  # re-issues the same ordinals
         self._append_rows(dev, features, seqs)
         self._m_arena.set(len(self._blocks))
+
+    # -- shedding ------------------------------------------------------
+
+    def _evict_oldest(self) -> None:
+        """Shed the stalest live row in the whole arena."""
+        while self._blocks:
+            block = self._blocks[0]
+            while block.head < block.filled:
+                position = block.head
+                block.head += 1
+                index = int(block.dev[position])
+                if block.ords[position] < self._floor[index]:
+                    self._dead_count -= 1
+                    continue
+                self._floor[index] += 1
+                self._n_pending -= 1
+                self._shed(self._names[index])
+                return
+            if block.filled == _BLOCK_ROWS:
+                self._blocks.popleft()
+            else:
+                return  # open block, nothing live behind it
+
+    def _evict_device_oldest(self, index: int) -> None:
+        """Shed one device's stalest row: its floor moves past it."""
+        self._floor[index] += 1
+        self._dead_count += 1
+        self._n_pending -= 1
+        self._shed(self._names[index])
+        self._compact()
 
     # -- ingress -------------------------------------------------------
 
     def _append_rows(
         self, dev: np.ndarray, features: np.ndarray, seqs: np.ndarray
     ) -> None:
-        """Write rows into the arena tail (no counters, no policy)."""
+        """Write rows into the arena tail, issuing each its device ordinal."""
+        ords = self._tail[dev] + _ranks(dev)
+        self._tail += np.bincount(dev, minlength=len(self._tail))
         m = len(seqs)
         written = 0
         while written < m:
@@ -340,12 +327,8 @@ class FleetQueue:
             stop = block.filled + k
             block.x[block.filled : stop] = features[written : written + k]
             block.dev[block.filled : stop] = dev[written : written + k]
+            block.ords[block.filled : stop] = ords[written : written + k]
             block.seqs[block.filled : stop] = seqs[written : written + k]
-            if self._dev_rows is not None:
-                for position in range(block.filled, stop):
-                    self._dev_rows.setdefault(
-                        int(block.dev[position]), deque()
-                    ).append((block, position))
             block.filled = stop
             written += k
 
@@ -357,17 +340,8 @@ class FleetQueue:
         if m == 0:
             return
         self._check_width(features.shape[1])
-        # Account the incoming rows first: the stale-entry sweep below
-        # compares lookup sizes against *post-admit* backlogs (reading
-        # the pre-admit count would re-trigger a full-deque rebuild on
-        # nearly every append of a large block — quadratic bulk ingress).
-        counts = np.bincount(dev, minlength=len(self._pending_dev))
-        self._pending_dev[: len(counts)] += counts
         self._n_pending += m
         self._append_rows(dev, features, seqs)
-        if self._dev_rows is not None:
-            for index in np.flatnonzero(counts):
-                self._sweep_dev_rows(int(index))
         self._admitted(m)
 
     def _check_width(self, n_features: int) -> None:
@@ -379,13 +353,6 @@ class FleetQueue:
                 f"holds {self._n_features}-feature windows."
             )
 
-    def _sweep_dev_rows(self, index: int) -> None:
-        """One sweep check per device per admission: entries consumed
-        by takes must not pin dead blocks for a busy device."""
-        rows = self._dev_rows.get(index)
-        if rows is not None and len(rows) > 2 * self._pending_dev[index] + 64:
-            self._dev_rows[index] = deque((b, p) for b, p in rows if p >= b.head)
-
     def _admitted(self, m: int) -> None:
         self._m_admitted.inc(m)
         self._m_depth.set(self._n_pending)
@@ -394,19 +361,21 @@ class FleetQueue:
     def admit_row(self, index: int, row: np.ndarray, seq: int) -> bool:
         """Admit one 1-D window under its dense device index; False when shed.
 
-        The one per-row admission (:meth:`submit`, a congested
-        :meth:`submit_block`, the monitor's per-row submit): the policy
-        runs, then the row is written straight into the arena tail.
+        The one per-row admission (the monitor's per-row submit, a
+        congested :meth:`submit_block`): the policy runs, then the row
+        is written straight into the arena tail.  A True return may
+        still have shed an older window (in ``"drop_oldest"`` mode);
+        check :attr:`shed_by_device`.
         """
         self._check_width(len(row))
         policy = self.policy
         cap = policy.max_pending_per_device
         if cap is not None:
-            while self._pending_dev[index] >= cap:
+            while self._tail[index] - self._floor[index] >= cap:
                 if policy.shed == "drop_newest":
                     self._shed(self._names[index])
                     return False
-                self._evict_device_oldest(index, self._names[index])
+                self._evict_device_oldest(index)
         while self._n_pending >= policy.max_pending:
             if policy.shed == "drop_newest":
                 self._shed(self._names[index])
@@ -418,27 +387,13 @@ class FleetQueue:
         position = block.filled
         block.x[position] = row
         block.dev[position] = index
+        block.ords[position] = self._tail[index]
         block.seqs[position] = seq
         block.filled = position + 1
-        self._pending_dev[index] += 1
+        self._tail[index] += 1
         self._n_pending += 1
-        if self._dev_rows is not None:
-            self._dev_rows.setdefault(index, deque()).append((block, position))
-            self._sweep_dev_rows(index)
         self._admitted(1)
         return True
-
-    def submit(self, request: WindowRequest) -> bool:
-        """Enqueue one window; returns False when *it* was shed.
-
-        A True return may still have shed an older window (in
-        ``"drop_oldest"`` mode); check :attr:`shed_by_device`.
-        """
-        return self.admit_row(
-            self.register_device(request.device_id),
-            np.asarray(request.features, dtype=float).ravel(),
-            int(request.seq),
-        )
 
     def submit_block(
         self, device_id: str, features: np.ndarray, seqs: np.ndarray
@@ -462,7 +417,9 @@ class FleetQueue:
         index = self.register_device(device_id)
 
         cap = self.policy.max_pending_per_device
-        fits_device = cap is None or self._pending_dev[index] + m <= cap
+        fits_device = (
+            cap is None or self._tail[index] - self._floor[index] + m <= cap
+        )
         fits_global = self._n_pending + m <= self.policy.max_pending
         if fits_device and fits_global:
             self._admit_rows(np.full(m, index, dtype=np.int64), features, seqs)
@@ -475,82 +432,60 @@ class FleetQueue:
     def take(self, n: int) -> WindowBatch:
         """Dequeue up to ``n`` live rows in admission order.
 
-        The common case (front rows without tombstones, one block)
-        returns pure array views of the arena — no copies, no per-row
+        With no dead rows in the arena (the common case) a batch from
+        one block is pure array views of it — no copies, no per-row
         objects.
         """
         if n < 1:
             raise ValueError(f"n must be >= 1; got {n}.")
-        parts: list[tuple[_ArenaBlock, int, int]] = []
+        parts: list[tuple[_ArenaBlock, slice | np.ndarray]] = []
         need = n
         while need > 0 and self._blocks:
             block = self._blocks[0]
-            while (
-                block.head < block.filled
-                and block.dead is not None
-                and block.dead[block.head]
-            ):
-                block.dead[block.head] = False
-                block.n_dead -= 1
-                self._n_dead -= 1
-                block.head += 1
-            if block.head == block.filled:
-                if block.filled == _BLOCK_ROWS:
-                    self._blocks.popleft()
-                    continue
-                break  # drained open block — nothing queued behind it
             start = block.head
-            limit = min(start + need, block.filled)
-            if block.n_dead:
-                tombstones = np.flatnonzero(block.dead[start:limit])
-                stop = start + int(tombstones[0]) if len(tombstones) else limit
+            if self._dead_count:
+                live = self._live_rows(block)[:need]
+                k = len(live)
+                stop = int(live[-1]) + 1 if k == need else block.filled
+                self._dead_count -= stop - start - k
+                rows = slice(start, stop) if k == stop - start else live
             else:
-                stop = limit
-            parts.append((block, start, stop))
+                stop = min(start + need, block.filled)
+                k, rows = stop - start, slice(start, stop)
             block.head = stop
-            need -= stop - start
+            if k:
+                parts.append((block, rows))
+                need -= k
+            if stop == block.filled:
+                if block.filled < _BLOCK_ROWS:
+                    break  # drained the open block — nothing queued behind it
+                self._blocks.popleft()
 
         if not parts:
             return _EMPTY_BATCH
 
         if len(parts) == 1:
-            block, start, stop = parts[0]
-            dev = block.dev[start:stop]
-            seqs = block.seqs[start:stop]
-            features = block.x[start:stop]
+            block, rows = parts[0]
+            dev = block.dev[rows]
+            seqs = block.seqs[rows]
+            features = block.x[rows]
         else:
-            dev = np.concatenate([b.dev[i:j] for b, i, j in parts])
-            seqs = np.concatenate([b.seqs[i:j] for b, i, j in parts])
-            features = np.vstack([b.x[i:j] for b, i, j in parts])
+            dev = np.concatenate([b.dev[r] for b, r in parts])
+            seqs = np.concatenate([b.seqs[r] for b, r in parts])
+            features = np.vstack([b.x[r] for b, r in parts])
 
-        counts = np.bincount(dev, minlength=len(self._pending_dev))
-        self._pending_dev[: len(counts)] -= counts
+        # Takes consume each device's oldest live rows, so its floor
+        # simply moves up by the rows taken.
+        self._floor += np.bincount(dev, minlength=len(self._floor))
         self._n_pending -= len(seqs)
         self._m_depth.set(self._n_pending)
         self._m_arena.set(len(self._blocks))
-        if self._dev_rows is not None:
-            # Trim the consumed entries off the eviction lookups now:
-            # take consumes in FIFO order, so they sit at the deque
-            # fronts, and a quiet device's last take would otherwise
-            # leave stale entries pinning dead arena blocks forever.
-            for index in np.flatnonzero(counts):
-                self._trim_dev_rows(int(index))
         return WindowBatch(
             device_ids=self.names_array().take(dev),
             seqs=seqs,
             features=features,
             device_index=dev,
         )
-
-    def _trim_dev_rows(self, index: int) -> None:
-        """Drop consumed entries from the front of a device's lookup."""
-        rows = self._dev_rows.get(index)
-        if rows is None:
-            return
-        while rows and rows[0][1] < rows[0][0].head:
-            rows.popleft()
-        if not rows:
-            del self._dev_rows[index]
 
     # -- rebalancing / persistence -------------------------------------
 
@@ -561,22 +496,19 @@ class FleetQueue:
         *moved*, so shed counters are untouched.
         """
         index = self._index.get(device_id)
-        if index is None or self._pending_dev[index] == 0:
+        if index is None or self._tail[index] == self._floor[index]:
             return np.empty((0, 0)), np.empty(0, dtype=np.int64)
         features, seqs = [], []
         for block in self._blocks:
-            rows = block.live_rows()
+            rows = self._live_rows(block)
             rows = rows[block.dev[rows] == index]
-            if not len(rows):
-                continue
-            features.append(block.x[rows])
-            seqs.append(block.seqs[rows])
-            block.tombstone(rows)
-            self._n_dead += len(rows)
-        self._n_pending -= sum(len(s) for s in seqs)
-        self._pending_dev[index] = 0
-        if self._dev_rows is not None:
-            self._dev_rows.pop(index, None)
+            if len(rows):
+                features.append(block.x[rows])
+                seqs.append(block.seqs[rows])
+        moved = int(self._tail[index] - self._floor[index])
+        self._floor[index] = self._tail[index]
+        self._dead_count += moved
+        self._n_pending -= moved
         self._compact()
         return np.vstack(features), np.concatenate(seqs)
 
@@ -603,7 +535,9 @@ class FleetQueue:
         """Plain-data state: live rows in admission order + counters.
 
         The ``kind`` tag names the arena format, so :meth:`restore` can
-        refuse payloads written by an older queue layout.
+        refuse payloads written by an older queue layout.  Ordinals are
+        not stored: a restore re-issues them from each row's rank
+        within its device.
         """
         dev, seqs, features = self._live()
         return {

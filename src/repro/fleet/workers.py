@@ -46,11 +46,11 @@ stream is indistinguishable from an uninterrupted run (the crash-
 recovery test asserts exactly this).
 
 Degradation beyond restart (see :mod:`repro.fleet.resilience`): every
-shard carries a health state machine (healthy → degraded → dead).
-Restarts back off exponentially (``restart_backoff``); after
-``max_restarts`` consecutive failures the circuit breaker opens and the
-shard goes **dead**: its retained blocks and every later round are
-verdicted in the parent from the same published kernel.  No device
+shard carries a health state machine (healthy → degraded → dead).  A
+failed worker is replaced at once; after ``max_restarts`` consecutive
+failures the circuit breaker opens and the shard goes **dead**: its
+retained blocks and every later round are verdicted in the parent
+from the same published kernel.  No device
 moves and nothing is shed; with no live worker left the breaker raises
 instead.  Block frames carry integrity checksums both ways
 (:class:`~repro.fleet.shm.ShmBlockRing`), and a block that faults its
@@ -102,9 +102,8 @@ class _WorkerDied(Exception):
     """A worker link failed (process death, pipe EOF, deadline, error)."""
 
 
-# Ceiling on the exponential restart back-off, so a long fault storm
-# degrades throughput smoothly instead of stalling the drain for minutes.
-_BACKOFF_CAP = 2.0
+# Poison windows the quarantine store keeps (it counts every one).
+_QUARANTINE_MAXLEN = 256
 
 # A block that is re-delivered this many times over integrity failures
 # points at a parent-side arena problem, not transient corruption.
@@ -293,15 +292,10 @@ class WorkerShardedFleetMonitor(FleetMonitor):
         breaker opens.  While another worker lives, the broken shard
         goes dead and the parent verdicts its rounds (nothing moves,
         nothing is shed); with no live worker left it raises.
-    restart_backoff:
-        Base seconds of the bounded exponential back-off between
-        consecutive restarts of one shard (0 disables; capped at 2s).
     chaos:
         Optional :class:`~repro.fleet.resilience.FaultPlan` injecting a
         deterministic fault campaign (tests/benchmarks only; ``None``
         costs nothing).
-    quarantine_maxlen:
-        Bound of the poison-window quarantine store.
 
     Call :meth:`close` (or use as a context manager) to stop workers
     and unlink the shared segments.
@@ -328,9 +322,7 @@ class WorkerShardedFleetMonitor(FleetMonitor):
         pipeline_depth: int = 2,
         worker_timeout: float = 30.0,
         max_restarts: int = 3,
-        restart_backoff: float = 0.0,
         chaos: FaultPlan | None = None,
-        quarantine_maxlen: int = 256,
         telemetry=None,
         tracer=None,
     ):
@@ -352,9 +344,8 @@ class WorkerShardedFleetMonitor(FleetMonitor):
         self.pipeline_depth = int(pipeline_depth)
         self.worker_timeout = float(worker_timeout)
         self.max_restarts = int(max_restarts)
-        self.restart_backoff = float(restart_backoff)
         self._chaos = chaos
-        self._quarantine = QuarantineStore(maxlen=int(quarantine_maxlen))
+        self._quarantine = QuarantineStore(maxlen=_QUARANTINE_MAXLEN)
         self._quarantine.bind_metrics(self.metrics)
         # Supervision instruments (no-ops when telemetry is off):
         # restart/failover/reship events plus the shm crossing latency
@@ -515,7 +506,7 @@ class WorkerShardedFleetMonitor(FleetMonitor):
         The unconsumed blocks stay retained with no slot, and
         :meth:`_await_result` re-ships each one as it is awaited.
         ``count=False`` (bisection probes) skips the consecutive-failure
-        breaker, the back-off and the fault attribution — probe crashes
+        breaker and the fault attribution — probe crashes
         are *expected* while isolating a poison row.
         """
         handle.total_restarts += 1
@@ -536,13 +527,6 @@ class WorkerShardedFleetMonitor(FleetMonitor):
             if suspects:
                 suspect = min(suspects)[1]
                 handle.fault_counts[suspect] = handle.fault_counts.get(suspect, 0) + 1
-            if self.restart_backoff > 0.0:
-                time.sleep(
-                    min(
-                        self.restart_backoff * 2 ** (handle.restarts - 1),
-                        _BACKOFF_CAP,
-                    )
-                )
         handle.health = ShardHealth.DEGRADED
         self._kill_process(handle)
         handle.free_slots = set(range(self._n_slots))
@@ -900,7 +884,7 @@ class WorkerShardedFleetMonitor(FleetMonitor):
 
         Probe deaths are the *expected* bisection signal, so the
         restart they trigger is uncounted — no breaker progress, no
-        back-off, no fault attribution.
+        fault attribution.
         """
         self._probe_token += 1
         token = self._probe_token

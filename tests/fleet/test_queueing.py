@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.fleet import BackpressurePolicy, FleetQueue, WindowBatch, WindowRequest
+from repro.fleet import BackpressurePolicy, FleetQueue, WindowBatch
+from tests.oracles.queue_policy import admit
 
 
-def _req(device="dev-0", seq=0):
-    return WindowRequest(device_id=device, features=np.zeros(3), seq=seq)
+def _submit(queue, device="dev-0", seq=0):
+    return admit(queue, device, np.zeros(3), seq)
 
 
 class TestBackpressurePolicy:
@@ -33,7 +34,7 @@ class TestFleetQueue:
     def test_fifo_order(self):
         queue = FleetQueue()
         for i in range(5):
-            assert queue.submit(_req(seq=i))
+            assert _submit(queue, seq=i)
         batch = queue.take(3)
         assert isinstance(batch, WindowBatch)
         assert batch.seqs.tolist() == [0, 1, 2]
@@ -41,17 +42,17 @@ class TestFleetQueue:
 
     def test_drop_newest_refuses_when_full(self):
         queue = FleetQueue(BackpressurePolicy(max_pending=2, shed="drop_newest"))
-        assert queue.submit(_req(seq=0))
-        assert queue.submit(_req(seq=1))
-        assert not queue.submit(_req(seq=2))
+        assert _submit(queue, seq=0)
+        assert _submit(queue, seq=1)
+        assert not _submit(queue, seq=2)
         assert queue.total_shed == 1
         assert queue.take(10).seqs.tolist() == [0, 1]
 
     def test_drop_oldest_evicts_stalest(self):
         queue = FleetQueue(BackpressurePolicy(max_pending=2, shed="drop_oldest"))
-        queue.submit(_req(device="a", seq=0))
-        queue.submit(_req(device="b", seq=0))
-        assert queue.submit(_req(device="c", seq=0))  # evicts a's window
+        _submit(queue, device="a", seq=0)
+        _submit(queue, device="b", seq=0)
+        assert _submit(queue, device="c", seq=0)  # evicts a's window
         assert queue.total_shed == 1
         assert queue.shed_by_device == {"a": 1}
         assert queue.take(10).device_ids.tolist() == ["b", "c"]
@@ -60,8 +61,8 @@ class TestFleetQueue:
         policy = BackpressurePolicy(max_pending=100, max_pending_per_device=3)
         queue = FleetQueue(policy)
         for seq in range(10):
-            queue.submit(_req(device="chatty", seq=seq))
-        queue.submit(_req(device="quiet", seq=0))
+            _submit(queue, device="chatty", seq=seq)
+        _submit(queue, device="quiet", seq=0)
         # Chatty device capped at 3 (its oldest shed), quiet unaffected.
         assert queue.pending("chatty") == 3
         assert queue.pending("quiet") == 1
@@ -75,15 +76,15 @@ class TestFleetQueue:
             max_pending=100, max_pending_per_device=2, shed="drop_newest"
         )
         queue = FleetQueue(policy)
-        assert queue.submit(_req(seq=0))
-        assert queue.submit(_req(seq=1))
-        assert not queue.submit(_req(seq=2))
+        assert _submit(queue, seq=0)
+        assert _submit(queue, seq=1)
+        assert not _submit(queue, seq=2)
         assert queue.take(10).seqs.tolist() == [0, 1]
 
     def test_pending_counts_stay_consistent(self):
         queue = FleetQueue(BackpressurePolicy(max_pending=4, shed="drop_oldest"))
         for seq in range(8):
-            queue.submit(_req(device=f"d{seq % 2}", seq=seq))
+            _submit(queue, device=f"d{seq % 2}", seq=seq)
         assert len(queue) == 4
         assert queue.pending("d0") + queue.pending("d1") == 4
         queue.take(2)
@@ -128,7 +129,7 @@ class TestBulkIngress:
     def test_take_spans_blocks_in_admission_order(self):
         queue = FleetQueue()
         queue.submit_block(*self._block(3, device="a"))
-        queue.submit(_req(device="b", seq=0))
+        _submit(queue, device="b", seq=0)
         queue.submit_block(*self._block(2, device="c"))
         batch = queue.take(10)
         assert batch.device_ids.tolist() == ["a", "a", "a", "b", "c", "c"]
@@ -164,27 +165,28 @@ class TestSegmentHousekeeping:
         """Long-running submit/take cycles must not leak arena blocks."""
         queue = FleetQueue()
         for seq in range(3000):
-            queue.submit(_req(device="d", seq=seq))
+            _submit(queue, device="d", seq=seq)
             queue.take(1)
         assert len(queue) == 0
         assert len(queue._blocks) <= 1
 
     def test_drained_device_releases_segments(self):
-        """A device that uploads once and goes quiet must not pin arena
-        blocks through its eviction lookup after a full drain."""
+        """Devices that upload once under a per-device cap and go quiet
+        must not pin arena blocks after a full drain."""
         queue = FleetQueue(BackpressurePolicy(max_pending_per_device=512))
         for d in range(5):
             for seq in range(300):
-                queue.submit(_req(device=f"dev-{d}", seq=seq))
+                _submit(queue, device=f"dev-{d}", seq=seq)
         queue.take(1500)
         assert len(queue) == 0
-        assert queue._dev_rows == {}
-        assert len(queue._blocks) <= 1
+        assert all(queue.pending(f"dev-{d}") == 0 for d in range(5))
+        assert queue._dead_count == 0
+        assert queue.arena_blocks <= 1
 
     def test_no_growth_under_global_eviction(self):
         queue = FleetQueue(BackpressurePolicy(max_pending=2, shed="drop_oldest"))
         for seq in range(5000):
-            queue.submit(_req(device="d", seq=seq))
+            _submit(queue, device="d", seq=seq)
         assert len(queue) == 2
         assert len(queue._blocks) <= 2
         assert queue.take(10).seqs.tolist() == [4998, 4999]
@@ -194,7 +196,7 @@ class TestSegmentHousekeeping:
         policy = BackpressurePolicy(max_pending=4096, max_pending_per_device=8)
         queue = FleetQueue(policy)
         for seq in range(100_000):
-            queue.submit(_req(device="chatty", seq=seq))
+            _submit(queue, device="chatty", seq=seq)
         assert len(queue) == 8
         assert len(queue._blocks) <= 2
         assert queue.shed_by_device == {"chatty": 100_000 - 8}
@@ -205,18 +207,18 @@ class TestDeadStorageCompaction:
     def test_mostly_dead_segment_releases_prefix_storage(self):
         """A capped device's shed history must not pin block memory.
 
-        Per-device shedding tombstones a big submitted block front to
-        back; once tombstones dominate, the arena is rebuilt from its
-        live rows.
+        Per-device shedding kills a big submitted block's rows front to
+        back in place; once dead rows dominate, the arena is rebuilt
+        from its live rows.
         """
         policy = BackpressurePolicy(max_pending=8192, max_pending_per_device=2048)
         queue = FleetQueue(policy)
         block = np.arange(2048 * 3, dtype=float).reshape(2048, 3)
         queue.submit_block("d", block, np.arange(2048))
-        # Each new submit tombstones the block's oldest row.
+        # Each new submit sheds the block's oldest live row in place.
         for seq in range(2048, 2048 + 2100):
-            queue.submit(_req(device="d", seq=seq))
-        assert queue._n_dead <= max(len(queue), 1024)
+            _submit(queue, device="d", seq=seq)
+        assert queue._dead_count <= max(len(queue), 1024)
         assert len(queue._blocks) <= 3
         # Shedding semantics unchanged: freshest rows survive, in order.
         taken = queue.take(8192)
@@ -230,10 +232,12 @@ class TestDeadStorageCompaction:
         queue.submit_block("d", np.zeros((16, 3)), np.arange(16))
         block = queue._blocks[0]
         for seq in range(16, 24):
-            queue.submit(_req(device="d", seq=seq))
-        # 16 tombstones stay in place: far below one block's worth.
+            _submit(queue, device="d", seq=seq)
+        # 16 dead rows stay in place: far below one block's worth.
         assert queue._blocks[0] is block
-        assert block.n_dead == 16
+        assert queue._dead_count == 16
+        assert queue.pending("d") == 8
+        assert queue.shed_by_device == {"d": 16}
 
     def test_take_reclaims_dead_segments_without_submits(self):
         """A consumer-only phase must still reclaim eviction debris."""
@@ -242,31 +246,35 @@ class TestDeadStorageCompaction:
         # Interleave two devices so per-device eviction kills mid-queue
         # rows (device "a" rows die behind live "b" rows).
         for seq in range(600):
-            queue.submit(_req(device="a", seq=seq))
-            queue.submit(_req(device="b", seq=seq))
+            _submit(queue, device="a", seq=seq)
+            _submit(queue, device="b", seq=seq)
         assert len(queue) == 2
         # Producer stops; only takes happen from here on.
         assert queue.take(1).seqs.tolist() == [599]
         assert queue.take(1).seqs.tolist() == [599]
         assert len(queue) == 0
         assert len(queue._blocks) <= 1
-        assert queue._n_dead == 0
+        assert queue._dead_count == 0
 
-    def test_compact_drops_empty_device_deques(self):
-        """Fully evicted devices leave no eviction-lookup entries behind."""
+    def test_fully_evicted_devices_leave_no_storage(self):
+        """Devices fully evicted by the global bound leave nothing queued
+        and no dead rows behind."""
         queue = FleetQueue(BackpressurePolicy(max_pending=2, max_pending_per_device=4))
         for d in range(100):
-            queue.submit(_req(device=f"dev-{d}", seq=0))
+            _submit(queue, device=f"dev-{d}", seq=0)
         # 98 devices were fully evicted by the global bound.
-        assert len(queue._dev_rows) == 2
+        assert [d for d in range(100) if queue.pending(f"dev-{d}")] == [98, 99]
+        assert queue.shed_by_device == {f"dev-{d}": 1 for d in range(98)}
+        assert queue._dead_count == 0
+        assert queue.arena_blocks == 1
 
 
 class TestExtractDevice:
     def test_moves_rows_in_admission_order(self):
         queue = FleetQueue()
         queue.submit_block("a", np.arange(9.0).reshape(3, 3), np.arange(3))
-        queue.submit(_req(device="b", seq=0))
-        queue.submit(_req(device="a", seq=3))
+        _submit(queue, device="b", seq=0)
+        _submit(queue, device="a", seq=3)
         features, seqs = queue.extract_device("a")
         assert seqs.tolist() == [0, 1, 2, 3]
         assert features.shape == (4, 3)
@@ -279,7 +287,7 @@ class TestExtractDevice:
         queue = FleetQueue()
         features, seqs = queue.extract_device("ghost")
         assert len(seqs) == 0
-        queue.submit(_req(device="a", seq=0))
+        _submit(queue, device="a", seq=0)
         queue.take(1)
         features, seqs = queue.extract_device("a")
         assert len(seqs) == 0
@@ -287,8 +295,8 @@ class TestExtractDevice:
     def test_bookkeeping_survives_extraction(self):
         queue = FleetQueue()
         for seq in range(5):
-            queue.submit(_req(device="a", seq=seq))
-            queue.submit(_req(device="b", seq=seq))
+            _submit(queue, device="a", seq=seq)
+            _submit(queue, device="b", seq=seq)
         queue.extract_device("a")
         assert len(queue) == 5
         assert queue.take(100).seqs.tolist() == list(range(5))

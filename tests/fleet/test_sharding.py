@@ -4,10 +4,10 @@ The load-bearing guarantees, in the order the module builds them up:
 
 1. :class:`ShardRouter` assignments are stable and rebalance plans are
    deterministic and minimal;
-2. :class:`FleetQueue` (the arena queue every shard runs) reproduces a
-   plain-list model of the backpressure policy operation for operation
-   (fuzzed over submit/submit_block/take interleavings and every shed
-   mode);
+2. :class:`FleetQueue` (the arena queue every shard runs) reproduces
+   the plain-list policy oracle (``tests.oracles.queue_policy``)
+   operation for operation (fuzzed over submit/submit_block/take
+   interleavings and every shed mode);
 3. :class:`PublishedHmd` verdicts (the count-table verdict function)
    are bitwise identical to ``TrustedHMD.analyze`` (fuzzed over
    ensemble kinds, sizes, depths and class counts);
@@ -34,7 +34,6 @@ from repro.fleet import (
     PublishedHmd,
     ShardRouter,
     WindowBatch,
-    WindowRequest,
 )
 from repro.fleet.engine import batch_verdict_key
 from repro.fleet.report import device_report_key
@@ -43,6 +42,7 @@ from repro.ml import BaggingClassifier, RandomForestClassifier
 from repro.obs import TraceContext, TraceSampler
 from repro.uncertainty import MonitorStats, TrustedHMD
 from tests.conftest import make_blobs
+from tests.oracles.queue_policy import POLICIES, PolicyModel, admit, random_ops, replay
 
 
 @pytest.fixture(scope="module")
@@ -116,156 +116,32 @@ class TestShardRouter:
         ).plan_rebalance(ids, 7)
 
 
-def _random_ops(rng, n_devices, n_ops):
-    """A random interleaving of submits, block submits and takes."""
-    ops = []
-    seqs = {f"d{i}": 0 for i in range(n_devices)}
-    for _ in range(n_ops):
-        kind = rng.integers(3)
-        device = f"d{rng.integers(n_devices)}"
-        if kind == 0:
-            ops.append(("submit", device, seqs[device]))
-            seqs[device] += 1
-        elif kind == 1:
-            m = int(rng.integers(1, 9))
-            ops.append(("block", device, seqs[device], m))
-            seqs[device] += m
-        else:
-            ops.append(("take", int(rng.integers(1, 17))))
-    return ops
-
-
-class _PolicyModel:
-    """The backpressure policy as a plain list of (device, seq, row).
-
-    The reference the arena queue is fuzzed against: every rule of
-    :class:`BackpressurePolicy` spelled out with no storage tricks.
-    """
-
-    def __init__(self, policy):
-        self.policy = policy
-        self.rows = []
-        self.shed_by_device = {}
-
-    def __len__(self):
-        return len(self.rows)
-
-    @property
-    def total_shed(self):
-        return sum(self.shed_by_device.values())
-
-    def pending(self, device):
-        return sum(1 for d, _, _ in self.rows if d == device)
-
-    def _shed(self, device):
-        self.shed_by_device[device] = self.shed_by_device.get(device, 0) + 1
-
-    def submit(self, request):
-        device, cap = request.device_id, self.policy.max_pending_per_device
-        drop_newest = self.policy.shed == "drop_newest"
-        while cap is not None and self.pending(device) >= cap:
-            if drop_newest:
-                self._shed(device)
-                return False
-            oldest = next(i for i, row in enumerate(self.rows) if row[0] == device)
-            self._shed(self.rows.pop(oldest)[0])
-        while len(self.rows) >= self.policy.max_pending:
-            if drop_newest:
-                self._shed(device)
-                return False
-            self._shed(self.rows.pop(0)[0])
-        self.rows.append((device, request.seq, np.asarray(request.features, float)))
-        return True
-
-    def submit_block(self, device, features, seqs):
-        return sum(
-            self.submit(WindowRequest(device, features[i], int(seqs[i])))
-            for i in range(len(seqs))
-        )
-
-    def take(self, n):
-        taken, self.rows = self.rows[:n], self.rows[n:]
-        return WindowBatch(
-            device_ids=np.array([d for d, _, _ in taken]),
-            seqs=np.array([s for _, s, _ in taken], dtype=np.int64),
-            features=np.vstack([x for _, _, x in taken]) if taken else np.empty((0, 0)),
-            device_index=np.empty(0, dtype=np.int64),
-        )
-
-
-def _replay(queue, ops, n_features=4):
-    """Run an op list; return the take stream and admission results."""
-    taken, admitted = [], []
-    for op in ops:
-        if op[0] == "submit":
-            _, device, seq = op
-            features = np.full(n_features, float(seq) + hash(device) % 7)
-            admitted.append(
-                queue.submit(
-                    WindowRequest(device_id=device, features=features, seq=seq)
-                )
-            )
-        elif op[0] == "block":
-            _, device, start, m = op
-            features = np.arange(m * n_features, dtype=float).reshape(
-                m, n_features
-            ) + start
-            admitted.append(
-                queue.submit_block(
-                    device, features, np.arange(start, start + m)
-                )
-            )
-        else:
-            batch = queue.take(op[1])
-            taken.extend(
-                (str(batch.device_ids[i]), int(batch.seqs[i]))
-                for i in range(len(batch))
-            )
-            taken.append(("features-sum", float(batch.features.sum())))
-    return taken, admitted
-
-
 class TestShardQueue:
-    """The arena queue each shard (and every monitor) runs."""
-
-    POLICIES = [
-        BackpressurePolicy(),
-        BackpressurePolicy(max_pending=20, shed="drop_oldest"),
-        BackpressurePolicy(max_pending=20, shed="drop_newest"),
-        BackpressurePolicy(max_pending=500, max_pending_per_device=5),
-        BackpressurePolicy(
-            max_pending=500, max_pending_per_device=5, shed="drop_newest"
-        ),
-        BackpressurePolicy(
-            max_pending=30, max_pending_per_device=4, shed="drop_oldest"
-        ),
-    ]
+    """The arena queue every partition runs, against the policy oracle."""
 
     @pytest.mark.parametrize("policy_idx", range(len(POLICIES)))
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_fleet_queue_semantics(self, policy_idx, seed):
         """Same ops → same takes, same sheds, same pending, row for row."""
-        policy = self.POLICIES[policy_idx]
+        policy = POLICIES[policy_idx]
         rng = np.random.default_rng(1000 * policy_idx + seed)
-        ops = _random_ops(rng, n_devices=6, n_ops=120)
-        model, queue = _PolicyModel(policy), FleetQueue(policy)
-        reference, ref_admitted = _replay(model, ops)
-        actual, actual_admitted = _replay(queue, ops)
+        ops = random_ops(rng, n_devices=6, n_ops=120)
+        model, queue = PolicyModel(policy), FleetQueue(policy)
+        reference, ref_admitted = replay(model, ops)
+        actual, actual_admitted = replay(queue, ops)
         assert actual == reference
         assert actual_admitted == ref_admitted
         assert queue.shed_by_device == model.shed_by_device
         # Drain the rest and compare the tails too.
-        assert _replay(queue, [("take", 10_000)]) == _replay(model, [("take", 10_000)])
+        assert replay(queue, [("take", 10_000)]) == replay(model, [("take", 10_000)])
 
     def test_shed_accounting_matches(self):
         policy = BackpressurePolicy(max_pending=100, max_pending_per_device=3)
-        reference, shard_queue = _PolicyModel(policy), FleetQueue(policy)
+        reference, shard_queue = PolicyModel(policy), FleetQueue(policy)
         for queue in (reference, shard_queue):
             for seq in range(10):
-                queue.submit(
-                    WindowRequest("chatty", np.zeros(3) + seq, seq)
-                )
-            queue.submit(WindowRequest("quiet", np.ones(3), 0))
+                admit(queue, "chatty", np.zeros(3) + seq, seq)
+            admit(queue, "quiet", np.ones(3), 0)
         assert shard_queue.shed_by_device == reference.shed_by_device
         assert shard_queue.pending("chatty") == reference.pending("chatty")
         assert shard_queue.pending("quiet") == reference.pending("quiet")
@@ -275,7 +151,7 @@ class TestShardQueue:
     def test_take_returns_indexed_batch(self):
         queue = FleetQueue()
         queue.submit_block("a", np.arange(8.0).reshape(2, 4), [0, 1])
-        queue.submit(WindowRequest("b", np.zeros(4), 0))
+        admit(queue, "b", np.zeros(4), 0)
         batch = queue.take(3)
         assert isinstance(batch, WindowBatch)
         assert batch.device_ids.tolist() == ["a", "a", "b"]
@@ -290,9 +166,9 @@ class TestShardQueue:
 
     def test_ragged_rows_rejected(self):
         queue = FleetQueue()
-        queue.submit(WindowRequest("a", np.zeros(4), 0))
+        admit(queue, "a", np.zeros(4), 0)
         with pytest.raises(ValueError):
-            queue.submit(WindowRequest("a", np.zeros(5), 1))
+            admit(queue, "a", np.zeros(5), 1)
 
     def test_take_validates_n(self):
         with pytest.raises(ValueError):
@@ -302,7 +178,7 @@ class TestShardQueue:
         queue = FleetQueue()
         queue.submit_block("a", np.ones((3, 2)), [0, 1, 2])
         queue.submit_block("b", np.full((2, 2), 2.0), [0, 1])
-        queue.submit(WindowRequest("a", np.full(2, 3.0), 3))
+        admit(queue, "a", np.full(2, 3.0), 3)
         features, seqs = queue.extract_device("a")
         assert seqs.tolist() == [0, 1, 2, 3]
         assert features.shape == (4, 2)
@@ -312,24 +188,28 @@ class TestShardQueue:
         assert remaining.device_ids.tolist() == ["b", "b"]
 
     def test_drained_devices_release_eviction_lookups(self):
-        """Quiet devices must not pin dead arena blocks via stale
-        (block, pos) eviction entries after their rows are consumed."""
+        """Under a per-device cap, consumed rows must not pin arena
+        blocks once every device has drained."""
         policy = BackpressurePolicy(max_pending=10_000, max_pending_per_device=32)
         queue = FleetQueue(policy)
-        for d in range(50):
+        for d in range(100):
             queue.submit_block(
                 f"dev-{d}", np.full((16, 3), float(d)), np.arange(16)
             )
+        assert queue.arena_blocks == 2
         while len(queue):
             queue.take(64)
-        assert queue._dev_rows == {}
+        assert queue.arena_blocks <= 1
+        assert queue._dead_count == 0
+        assert all(queue.pending(f"dev-{d}") == 0 for d in range(100))
+        assert queue.shed_by_device == {}
 
     def test_snapshot_restore_roundtrip(self):
         policy = BackpressurePolicy(max_pending=50, max_pending_per_device=8)
         queue = FleetQueue(policy)
         rng = np.random.default_rng(3)
-        ops = _random_ops(rng, n_devices=4, n_ops=60)
-        _replay(queue, ops)
+        ops = random_ops(rng, n_devices=4, n_ops=60)
+        replay(queue, ops)
         restored = FleetQueue.restore(pickle.loads(pickle.dumps(queue.snapshot())))
         assert len(restored) == len(queue)
         assert restored.shed_by_device == queue.shed_by_device

@@ -31,6 +31,7 @@ from repro.fleet import (
     FaultPlan,
     FleetMonitor,
     ShardHealth,
+    ShardRouter,
     WorkerShardedFleetMonitor,
 )
 from repro.fleet.engine import batch_verdict_key
@@ -250,6 +251,23 @@ class TestSnapshotVersioning:
         _, _, hmd = fitted_hmd
         with pytest.raises(ValueError, match="snapshot schema"):
             WorkerShardedFleetMonitor.restore(hmd, {"schema": "bogus"})
+
+    def test_worker_restore_checks_router_before_spawning(
+        self, fitted_hmd, monkeypatch
+    ):
+        _, _, hmd = fitted_hmd
+        state = FleetMonitor(hmd, n_shards=2).snapshot()
+        spawned = []
+        monkeypatch.setattr(
+            WorkerShardedFleetMonitor,
+            "_spawn_process",
+            lambda self, handle: spawned.append(handle.shard_id),
+        )
+        with pytest.raises(ValueError, match="router has 3 shards"):
+            WorkerShardedFleetMonitor.restore(
+                hmd, state, router=ShardRouter(3), mp_context="fork"
+            )
+        assert spawned == []
 
 
 # ---------------------------------------------------------------------------

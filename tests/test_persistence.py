@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.fleet import DeviceState, FleetMonitor, FleetQueue, RingBuffer
-from repro.fleet.queueing import WindowRequest
 from repro.ml import (
     PCA,
     BaggingClassifier,
@@ -33,6 +32,7 @@ from repro.uncertainty.online import (
     MonitorStats,
 )
 from tests.conftest import make_blobs
+from tests.oracles.queue_policy import admit
 
 
 @pytest.fixture(scope="module")
@@ -194,11 +194,11 @@ class TestFleetQueueSnapshot:
             BackpressurePolicy(max_pending=6, shed="drop_oldest")
         )
         for seq in range(4):
-            queue.submit(WindowRequest("a", np.full(2, float(seq)), seq))
+            admit(queue, "a", np.full(2, float(seq)), seq)
         queue.submit_block(
             "b", np.arange(6.0).reshape(3, 2), np.arange(3)
         )
-        queue.submit(WindowRequest("c", np.ones(2), 0))  # sheds a's oldest
+        admit(queue, "c", np.ones(2), 0)  # sheds a's oldest
         restored = FleetQueue.restore(
             pickle.loads(pickle.dumps(queue.snapshot()))
         )
