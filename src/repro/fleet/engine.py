@@ -42,6 +42,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from ..ml.backend import native_traversal
 from ..obs.metrics import resolve_registry
 from ..uncertainty.drift import EntropyDriftMonitor
 from ..uncertainty.online import FlaggedSample, ForensicQueue, MonitorStats
@@ -263,6 +264,8 @@ def _validate_snapshot(state: dict) -> None:
             f"carries {len(state['shards'])} shard payloads; refusing "
             "a mismatched checkpoint."
         )
+    for payload in state["shards"]:
+        FleetQueue.check_snapshot(payload["queue"])
     try:
         BackpressurePolicy(**state["policy"])
     except TypeError as error:
@@ -784,6 +787,10 @@ class FleetMonitor:
             # The partition queues share these gauges, each setting its
             # own level; the report reads the fleet-wide ones.
             self.metrics.gauge("fleet_queue_depth").set(self.pending)
+            self.metrics.gauge(
+                "fleet_native_kernel",
+                "1 when vote counting runs the native kernel, 0 for numpy",
+            ).set(int(native_traversal()))
             self.metrics.gauge("fleet_arena_blocks").set(
                 sum(shard.queue.arena_blocks for shard in self.shards)
             )
@@ -907,7 +914,8 @@ class FleetMonitor:
         fresh drift detector; a custom ``router`` must be passed again
         (it is configuration); ``options`` carry a subclass's extra
         constructor arguments.  Every structural check runs before
-        anything is built; a retired queue format raises ``ValueError``.
+        anything is built (a retired queue format raises ``ValueError``
+        before a worker backend spawns).
         """
         _validate_snapshot(state)
         if router is not None and router.n_shards != state["n_shards"]:

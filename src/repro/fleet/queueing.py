@@ -551,13 +551,9 @@ class FleetQueue:
             "shed_by_device": dict(self.shed_by_device),
         }
 
-    @classmethod
-    def restore(cls, state: dict, names=()) -> "FleetQueue":
-        """Rebuild a queue from :meth:`snapshot` output (no re-shedding).
-
-        ``names`` are registered first, in order, so dense indices can
-        follow an owner's device table rather than the backlog.
-        """
+    @staticmethod
+    def check_snapshot(state: dict) -> None:
+        """Refuse a payload of a retired queue format (``ValueError``)."""
         kind = state.get("kind")
         if kind != "shard":
             raise ValueError(
@@ -566,6 +562,15 @@ class FleetQueue:
                 "'fleet' payload holds 'segments' from the retired "
                 "segment queue; replay its windows through submit instead."
             )
+
+    @classmethod
+    def restore(cls, state: dict, names=()) -> "FleetQueue":
+        """Rebuild a queue from :meth:`snapshot` output (no re-shedding).
+
+        ``names`` are registered first, in order, so dense indices can
+        follow an owner's device table rather than the backlog.
+        """
+        cls.check_snapshot(state)
         queue = cls(BackpressurePolicy(**state["policy"]))
         for name in names:
             queue.register_device(name)

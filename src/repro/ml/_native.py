@@ -1,0 +1,119 @@
+"""Build, cache and load the native traversal kernel (``_traverse.c``).
+
+On first use the C source is compiled with the host compiler
+(``cc -O2 -shared -fPIC``, about 0.1 s) into a per-user cache directory
+(``~/.cache/repro``, mode ``0o700``), under a name hashed from the
+source, the flags and the machine type, and loaded with :mod:`ctypes`.
+Later loads, in this process or in any other (spawned shard workers),
+reuse the cached library.  A build goes to a temporary file that
+``os.replace`` moves into place, so concurrent builds never load a
+half-written library.
+
+:func:`library` never raises: when no compiler is found, the build
+fails or the library does not load, it returns ``None`` and the numpy
+kernel in :mod:`repro.ml.backend` serves.  Tests force that fallback
+by setting ``_handle`` to ``None``.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import platform
+import shutil
+import subprocess
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+_SOURCE = Path(__file__).with_name("_traverse.c")
+_FLAGS = ("-O2", "-shared", "-fPIC")
+
+_UNSET = object()
+_handle = _UNSET  # the loaded CDLL, or None once a build or load failed
+
+
+def library():
+    """The loaded kernel library, or ``None`` when numpy serves."""
+    global _handle
+    if _handle is _UNSET:
+        try:
+            _handle = build_and_load()
+        except (OSError, RuntimeError, subprocess.SubprocessError):
+            _handle = None
+    return _handle
+
+
+def _cache_dir() -> Path:
+    return Path.home() / ".cache" / "repro"
+
+
+def build_and_load() -> ctypes.CDLL:
+    """Load the cached kernel, compiling it first if needed (raises on
+    any failure: a missing compiler, a failed build, an unsafe cache)."""
+    source = _SOURCE.read_bytes()
+    key = hashlib.sha256(
+        b"\0".join([source, " ".join(_FLAGS).encode(), platform.machine().encode()])
+    ).hexdigest()[:16]
+    cache = _cache_dir()
+    cache.mkdir(mode=0o700, parents=True, exist_ok=True)
+    status = cache.stat()
+    # Only load code from a directory no other user can write to.
+    if status.st_uid != os.getuid() or status.st_mode & 0o022:
+        raise PermissionError(f"{cache} is writable by other users.")
+    path = cache / f"_traverse-{key}.so"
+    if not path.exists():
+        _build(path)
+    lib = ctypes.CDLL(str(path))
+    _declare(lib)
+    return lib
+
+
+def _build(path: Path) -> None:
+    compiler = shutil.which("cc") or shutil.which("gcc")
+    if compiler is None:
+        raise FileNotFoundError("no C compiler (cc or gcc) on PATH.")
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".so")
+    os.close(fd)
+    try:
+        subprocess.run(
+            [compiler, *_FLAGS, "-o", tmp, str(_SOURCE)],
+            check=True,
+            capture_output=True,
+            timeout=120,
+        )
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _declare(lib: ctypes.CDLL) -> None:
+    """``argtypes``/``restype`` of the three entry points (one per node
+    record layout); the array arguments are checked for dtype and
+    C-contiguity on every call."""
+
+    def array(dtype):
+        return np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
+
+    i64 = ctypes.c_int64
+    for name, tables, x in (
+        ("count_second_u8", [array(np.int64)], np.uint8),
+        ("count_second_f64", [array(np.int64), array(np.float64)], np.float64),
+        ("count_second_f32", [array(np.int64), array(np.float32)], np.float32),
+    ):
+        entry = getattr(lib, name)
+        entry.argtypes = [
+            *tables,
+            array(np.int64),  # roots
+            i64,  # n_trees
+            i64,  # max_depth
+            array(np.int64),  # leaf_is_second
+            array(x),
+            i64,  # n_rows
+            i64,  # n_features
+            array(np.int64),  # counts (out)
+        ]
+        entry.restype = None

@@ -26,6 +26,26 @@ program:
   ``compile()`` (auto-invalidated on refit) plus ``decisions_fast``,
   ``vote_distribution`` and ``predict`` routed through the backend.
 
+Native vote counting
+--------------------
+``count_second`` (the fleet's one verdict path, through
+:func:`~repro.uncertainty.trust.count_table_verdict`) runs the C kernel
+in ``_traverse.c`` when :mod:`repro.ml._native` could build it: tree by
+tree, 32 rows in lockstep, the same ``goto + (x > cut)`` step, reduced
+straight to counts.  The loader compiles it on first use with the host
+``cc`` into a per-user cache (``~/.cache/repro``, mode ``0o700``,
+named by a hash of source and flags; a temp file is moved into place
+with ``os.replace``, so concurrent workers build safely) and loads it
+with ``ctypes``.  Without a compiler, or if building or loading fails, the
+numpy loop here serves; it is also the reference the kernel is tested
+against, and the integer counts of the two are identical.  Before a
+forest's first native call one bounds check of its node table runs
+(the C loop has none) and a corrupt table raises.  A ``ctypes`` call
+releases the GIL, so threads can count in parallel.  ``apply`` and
+``decisions`` stay on numpy: they feed ``TrustedHMD.analyze``, the
+oracle the fleet's verdicts are checked against, so the oracle never
+runs the code it checks.
+
 Equivalence guarantee
 ---------------------
 The compiled path performs the *same comparisons* (``x[f] <= t`` with
@@ -41,6 +61,8 @@ from __future__ import annotations
 import sys
 
 import numpy as np
+
+from . import _native
 
 __all__ = [
     "BackendCompileError",
@@ -99,6 +121,11 @@ else:  # pragma: no cover - big-endian hosts
     _Q_CODE_OFF, _Q_FEAT_OFF, _Q_GOTO_OFF = 7, 2, 0
 
 
+def native_traversal() -> bool:
+    """Whether vote counting runs the native kernel in this process."""
+    return _native.library() is not None
+
+
 class BackendCompileError(Exception):
     """An ensemble (or member) cannot be flattened; callers fall back."""
 
@@ -119,8 +146,15 @@ class _RoutedForest:
     comparison space), the record gather — :meth:`_records` (one gather
     of node records) and :meth:`_fields` (a record's feature index, cut
     and goto) — and the liveness test :meth:`_alive` (which gathered
-    records are internal nodes).
+    records are internal nodes).  For the native count it names its C
+    entry point and tables (:meth:`_native_tables`) and lists every
+    node's feature read, goto and internal bit (:meth:`_node_fields`)
+    for the bounds check.
     """
+
+    # The native kernel's (entry name, node tables) once checked; False
+    # when numpy serves this forest, None before the first count.
+    _kernel = None
 
     def __init__(self, leaf_label, roots, n_features: int, max_depth: int):
         self.leaf_label = leaf_label
@@ -131,17 +165,86 @@ class _RoutedForest:
         self._setup_cache: dict[int, tuple] = {}
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        """Leaf node id per (sample, member), shape ``(n, n_members)``."""
-        return self._route(X)
+        """Leaf node id per (sample, member), shape ``(n, n_members)``.
+
+        Always the numpy loop: leaf ids feed ``decisions`` and so
+        ``TrustedHMD.analyze``, the reference the native counts are
+        checked against.
+        """
+        return self._route(self.encode(X))
 
     def count_second(self, X, leaf_is_second: np.ndarray) -> np.ndarray:
         """Per-row sum of ``leaf_is_second`` over the members' leaves.
 
         With a 0/1 indicator of the leaves voting the second class,
-        this is each row's second-class vote count, reduced chunk by
-        chunk without materialising the ``(n, n_members)`` matrix.
+        this is each row's second-class vote count.  The native kernel
+        serves when it is loaded and the operands fit it (int64
+        indicator, one entry per node); otherwise the numpy loop
+        reduces chunk by chunk without materialising the
+        ``(n, n_members)`` matrix.  Both return the same integers.
         """
-        return self._route(X, leaf_is_second)
+        x = self.encode(X)
+        lib = _native.library()
+        if lib is None or not self._native_fits(x, leaf_is_second):
+            return self._route(x, leaf_is_second)
+        entry, tables = self._kernel
+        counts = np.empty(x.shape[0], dtype=np.int64)
+        getattr(lib, entry)(
+            *tables,
+            self.roots,
+            self.n_members,
+            self.max_depth,
+            leaf_is_second,
+            x,
+            x.shape[0],
+            self.n_features,
+            counts,
+        )
+        return counts
+
+    def _native_fits(self, x, leaf_is_second) -> bool:
+        """Whether the C kernel can take this call.
+
+        The first call checks the node table (:meth:`_check_nodes`) and
+        caches the answer; the operands are checked on every call.
+        """
+        if self._kernel is None:
+            self._kernel = self._check_nodes()
+        return (
+            bool(self._kernel)
+            and x.dtype == self.feature_dtype
+            and x.flags.c_contiguous
+            and leaf_is_second.dtype == np.int64
+            and leaf_is_second.shape == (self.n_nodes,)
+            and leaf_is_second.flags.c_contiguous
+        )
+
+    def _check_nodes(self):
+        """The kernel's ``(entry name, node tables)``, after a bounds
+        check of every read the C loop makes, which has none of its own.
+
+        A step from any node lands on ``goto`` (from an internal node
+        also on ``goto + 1``) and reads the row at the node's feature;
+        rows start at the roots.  Returns ``False`` when the tables do
+        not have the kernel's dtypes and layout (numpy then serves),
+        and raises ``ValueError`` when an index is out of bounds.
+        """
+        native = self._native_tables()
+        roots = self.roots
+        if native is None or roots.dtype != np.int64 or not roots.flags.c_contiguous:
+            return False
+        feature, goto, internal = self._node_fields()
+        n = self.n_nodes
+        if not (
+            np.all((roots >= 0) & (roots < n))
+            and np.all((goto >= 0) & (goto + internal < n))
+            and np.all((feature >= 0) & (feature < self.n_features))
+        ):
+            raise ValueError(
+                "forest node table indexes outside itself or the feature "
+                "row; refusing to traverse it natively."
+            )
+        return native
 
     def decisions(self, X: np.ndarray) -> np.ndarray:
         """Per-member hard votes, shape ``(n, n_members)``.
@@ -151,8 +254,8 @@ class _RoutedForest:
         leaves = self.apply(X)
         return self.leaf_label.take(leaves.ravel()).reshape(leaves.shape)
 
-    def _route(self, X, leaf_is_second=None) -> np.ndarray:
-        x = self.encode(X)
+    def _route(self, x, leaf_is_second=None) -> np.ndarray:
+        """The numpy kernel over an encoded batch."""
         n, m = x.shape[0], self.n_members
         n_chunks = max(1, -(-n * m // _SLOT_TARGET))
         chunk = max(16, -(-n // n_chunks))
@@ -321,6 +424,27 @@ class FlatForest(_RoutedForest):
             )
         return X
 
+    def _native_tables(self):
+        fg, threshold = self.fg, self.threshold
+        if not (
+            fg.dtype == np.int64
+            and fg.shape == (self.n_nodes, 2)
+            and threshold.dtype == self.feature_dtype
+            and threshold.dtype in (np.float64, np.float32)
+            and fg.flags.c_contiguous
+            and threshold.flags.c_contiguous
+        ):
+            return None
+        if threshold.dtype == np.float64:
+            return "count_second_f64", (fg, threshold)
+        return "count_second_f32", (fg, threshold)
+
+    def _node_fields(self):
+        f = self.fg[:, 0]
+        internal = f >= 0
+        # A leaf (feature -1) never reads the row in C.
+        return np.where(internal, f, 0), self.fg[:, 1], internal
+
     def _records(self, node):
         return self.fg.take(node, axis=0, mode="clip")
 
@@ -418,6 +542,19 @@ class QuantizedForest(_RoutedForest):
                 f"X has {codes.shape[1]} features; backend expects {self.n_features}."
             )
         return codes
+
+    def _native_tables(self):
+        packed = self.packed
+        if packed.dtype != np.int64 or not packed.flags.c_contiguous:
+            return None
+        return "count_second_u8", (packed,)
+
+    def _node_fields(self):
+        # A leaf reads its feature (0) too; its code 255 keeps it put.
+        packed = self.packed
+        internal = (packed & 0xFF) != _Q_LEAF_CODE
+        feature = (packed >> _Q_FEAT_SHIFT) & _Q_FEAT_MASK
+        return feature, packed >> _Q_GOTO_SHIFT, internal
 
     def _records(self, node):
         return self.packed.take(node)

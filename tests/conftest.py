@@ -30,6 +30,14 @@ def make_blobs(
     return X[order], y[order]
 
 
+@pytest.fixture
+def numpy_kernel(monkeypatch):
+    """Vote counting through the numpy loop, the native kernel's fallback."""
+    from repro.ml import _native
+
+    monkeypatch.setattr(_native, "_handle", None)
+
+
 @pytest.fixture(scope="session")
 def blobs():
     """Well-separated binary blobs (train-quality)."""

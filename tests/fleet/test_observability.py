@@ -22,7 +22,7 @@ from repro.fleet import (
 from repro.fleet.engine import batch_verdict_key
 from repro.fleet.report import DeviceReport, FleetReport
 from repro.fleet.resilience import ShardHealth, ShardHealthReport
-from repro.ml import RandomForestClassifier
+from repro.ml import RandomForestClassifier, _native
 from repro.obs import MetricsRegistry
 from repro.uncertainty import TrustedHMD
 from tests.conftest import make_blobs
@@ -102,6 +102,19 @@ class TestTelemetryNeutrality:
         assert telemetry["gauges"]["fleet_arena_blocks"] == sum(
             shard.queue.arena_blocks for shard in monitor.shards
         ) > 0
+
+    @pytest.mark.parametrize("kernel", ["loaded", "numpy"])
+    def test_native_kernel_gauge(self, fitted_hmd, kernel, request):
+        """``fleet_native_kernel`` reads which kernel counts the votes."""
+        if kernel == "numpy":
+            request.getfixturevalue("numpy_kernel")
+        X, hmd = fitted_hmd
+        monitor = FleetMonitor(hmd, batch_size=32, telemetry=True)
+        _drive(monitor, _arrivals(X, rounds=2))
+        gauges = monitor.report().telemetry["gauges"]
+        assert gauges["fleet_native_kernel"] == int(_native.library() is not None)
+        if kernel == "numpy":
+            assert gauges["fleet_native_kernel"] == 0
 
     def test_shed_windows_counted(self, fitted_hmd):
         X, hmd = fitted_hmd

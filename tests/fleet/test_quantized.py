@@ -135,6 +135,11 @@ class TestPublishedHmdModes:
         assert not republished.is_current()
 
 
+@pytest.mark.usefixtures("numpy_kernel")
+class TestPublishedHmdModesNumpy(TestPublishedHmdModes):
+    """The mode verdicts with the numpy loop counting."""
+
+
 class TestShardedModes:
     @pytest.mark.parametrize("sharded", [False, True], ids=["single", "sharded"])
     def test_live_mode_switch_republishes(self, sharded, monkeypatch):

@@ -269,6 +269,29 @@ class TestSnapshotVersioning:
             )
         assert spawned == []
 
+    def test_worker_restore_checks_queue_kind_before_spawning(
+        self, fitted_hmd, monkeypatch
+    ):
+        """A retired queue payload is refused before any worker starts
+        (and before any shm segment is mapped)."""
+        _, _, hmd = fitted_hmd
+        state = FleetMonitor(hmd, n_shards=2).snapshot()
+        state["shards"][1]["queue"] = {
+            "kind": "fleet",
+            "policy": state["shards"][1]["queue"]["policy"],
+            "segments": [],
+            "shed_by_device": {},
+        }
+        spawned = []
+        monkeypatch.setattr(
+            WorkerShardedFleetMonitor,
+            "_spawn_process",
+            lambda self, handle: spawned.append(handle.shard_id),
+        )
+        with pytest.raises(ValueError, match="'fleet'.*segments"):
+            WorkerShardedFleetMonitor.restore(hmd, state, mp_context="fork")
+        assert spawned == []
+
 
 # ---------------------------------------------------------------------------
 # The multi-process facade

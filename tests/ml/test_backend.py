@@ -227,6 +227,12 @@ class TestRoutingReductions:
         assert sum(b < a for a, b in zip(sizes, sizes[1:])) >= 2, sizes
 
 
+@pytest.mark.usefixtures("numpy_kernel")
+class TestRoutingReductionsNumpy(TestRoutingReductions):
+    """The same reductions with the numpy loop counting: the class
+    above counts through the native kernel wherever it is built."""
+
+
 class TestHeterogeneousFallback:
     def test_bagging_non_tree_base_falls_back(self, blobs_split):
         X_train, X_test, y_train, _ = blobs_split

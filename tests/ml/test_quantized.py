@@ -232,6 +232,11 @@ class TestQuantizedReductions:
         assert sum(b < a for a, b in zip(sizes, sizes[1:])) >= 2, sizes
 
 
+@pytest.mark.usefixtures("numpy_kernel")
+class TestQuantizedReductionsNumpy(TestQuantizedReductions):
+    """The uint8 reductions with the numpy loop counting."""
+
+
 class TestCompileModes:
     def test_mode_lattice(self):
         assert COMPILE_MODES == ("flat", "float32", "quantized")
