@@ -18,8 +18,8 @@ ensemble, fleet default batch size 256):
 * votes and vote entropies must be **bitwise identical** between the
   two paths;
 * end to end, a FleetMonitor drain with the compiled backend must beat
-  the same drain with the backend disabled by >= 2x, with identical
-  verdicts batch for batch.
+  ``TrustedHMD.analyze`` over the same batches with the backend
+  disabled by >= 2x, with identical verdicts batch for batch.
 
 Timing uses min-over-repeats inside max-over-trials, so a single noisy
 scheduler tick cannot fail the gate.  Results are written to
@@ -215,7 +215,7 @@ def test_bench_vote_throughput_gate(forest, bagging, dataset):
 
 
 def test_bench_fleet_end_to_end_delta(dataset):
-    """FleetMonitor drain: compiled backend vs. backend disabled."""
+    """FleetMonitor drain vs. ``analyze`` with the backend disabled."""
     hmd = TrustedHMD(
         RandomForestClassifier(n_estimators=M, random_state=7), threshold=0.40
     ).fit(dataset.train.X, dataset.train.y)
@@ -230,52 +230,55 @@ def test_bench_fleet_end_to_end_delta(dataset):
     sampler = FleetWindowSampler(dataset, devices, random_state=7)
     arrivals = list(sampler.rounds(40))
 
+    fleet = FleetMonitor(
+        hmd,
+        batch_size=GATE_BATCH,
+        policy=BackpressurePolicy(max_pending=len(arrivals) + 1),
+    )
+    fleet.register_fleet(devices)
+    for device_id, window in arrivals:
+        fleet.submit(device_id, window)
+    t0 = time.perf_counter()
+    compiled_batches = fleet.drain()
+    compiled_s = time.perf_counter() - t0
+
+    # The baseline verdicts the same 256-row batches through analyze,
+    # with an instance attribute shadowing decisions_fast so that
+    # member_votes runs the legacy member loop instead of the compiled
+    # forest.  (The fleet itself only serves models with vote-count
+    # tables.)
+    rows = np.stack([window for _, window in arrivals])
     legacy_calls = []
+    ensemble = hmd.ensemble_
+    decisions = ensemble.decisions
 
-    def drain(disable_backend):
-        ensemble = hmd.ensemble_
-        if disable_backend:
-            # Instance attributes shadow the methods, and the monitor is
-            # built after them: with no verdict parts to publish its
-            # rounds fall back to analyze, whose member_votes runs the
-            # legacy loop instead of the compiled forest.
-            decisions = ensemble.decisions
+    def legacy(X):
+        legacy_calls.append(len(X))
+        return decisions(X)
 
-            def legacy(X):
-                legacy_calls.append(len(X))
-                return decisions(X)
-
-            hmd.verdict_parts = lambda: None
-            ensemble.decisions_fast = legacy
-        try:
-            fleet = FleetMonitor(
-                hmd,
-                batch_size=GATE_BATCH,
-                policy=BackpressurePolicy(max_pending=len(arrivals) + 1),
-            )
-            fleet.register_fleet(devices)
-            for device_id, window in arrivals:
-                fleet.submit(device_id, window)
-            t0 = time.perf_counter()
-            batches = fleet.drain()
-            elapsed = time.perf_counter() - t0
-        finally:
-            hmd.__dict__.pop("verdict_parts", None)
-            ensemble.__dict__.pop("decisions_fast", None)
-        return batches, elapsed
-
-    compiled_batches, compiled_s = drain(disable_backend=False)
-    legacy_batches, legacy_s = drain(disable_backend=True)
+    ensemble.decisions_fast = legacy
+    try:
+        t0 = time.perf_counter()
+        legacy_verdicts = [
+            hmd.analyze(rows[start : start + GATE_BATCH])
+            for start in range(0, len(rows), GATE_BATCH)
+        ]
+        legacy_s = time.perf_counter() - t0
+    finally:
+        ensemble.__dict__.pop("decisions_fast", None)
     # The legacy leg really ran the member loop on every window.
     assert sum(legacy_calls) == len(arrivals)
 
-    # Identical verdicts, batch for batch.
-    assert len(compiled_batches) == len(legacy_batches)
-    for fast_batch, slow_batch in zip(compiled_batches, legacy_batches):
-        assert np.array_equal(fast_batch.device_ids, slow_batch.device_ids)
-        np.testing.assert_array_equal(fast_batch.predictions, slow_batch.predictions)
-        np.testing.assert_array_equal(fast_batch.entropy, slow_batch.entropy)
-        np.testing.assert_array_equal(fast_batch.accepted, slow_batch.accepted)
+    # Identical verdicts, batch for batch, on the same rows.
+    assert len(compiled_batches) == len(legacy_verdicts)
+    for index, (fast_batch, slow) in enumerate(
+        zip(compiled_batches, legacy_verdicts)
+    ):
+        chunk = arrivals[index * GATE_BATCH : (index + 1) * GATE_BATCH]
+        assert fast_batch.device_ids.tolist() == [d for d, _ in chunk]
+        np.testing.assert_array_equal(fast_batch.predictions, slow.predictions)
+        np.testing.assert_array_equal(fast_batch.entropy, slow.entropy)
+        np.testing.assert_array_equal(fast_batch.accepted, slow.accepted)
 
     n = len(arrivals)
     delta = legacy_s / compiled_s
@@ -289,7 +292,7 @@ def test_bench_fleet_end_to_end_delta(dataset):
     }
     print(
         f"\nfleet end-to-end ({n} windows, batch={GATE_BATCH}):\n"
-        f"  backend disabled: {n / legacy_s:10.0f} windows/sec\n"
+        f"  analyze, legacy:  {n / legacy_s:10.0f} windows/sec\n"
         f"  compiled:         {n / compiled_s:10.0f} windows/sec\n"
         f"  delta:            {delta:10.1f}x"
     )

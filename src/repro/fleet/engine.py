@@ -438,7 +438,8 @@ class FleetMonitor:
     Parameters
     ----------
     hmd:
-        A *fitted* :class:`TrustedHMD` shared by the whole fleet.
+        A *fitted* :class:`TrustedHMD` with vote-count tables (a binary
+        compiled forest); any other model raises ``ValueError``.
     n_shards:
         Device-hash partitions behind the router (default 1).
     batch_size:
@@ -683,24 +684,26 @@ class FleetMonitor:
             features = parts[0][1].features
         else:
             features = np.vstack([batch.features for _, batch in parts])
-        predictions, entropy, accepted = published.verdict(features)
+        counts = published.counts(features)
         if self._obs_on:
             self._m_verdict.observe(time.perf_counter() - t0)
             self._trace(parts, "verdict")
-        return self._fold_round(
-            parts, predictions, entropy, accepted, published.threshold
-        )
+        return self._fold_round(parts, counts, published)
 
     def _fold_round(
-        self, parts, predictions, entropy, accepted, threshold: float
+        self, parts, counts, published: PublishedHmd
     ) -> FleetBatchResult:
-        """Fold one round's verdict columns back out; the round's result.
+        """Expand one round's vote counts and fold them back out.
 
-        The fold half of every backend's round: each part's slice of
-        the columns folds into its partition's device table and stages
+        The fold half of every backend's round: the counts, whichever
+        process computed them, are expanded here once through the
+        tables of the publication that produced them.  Each part's
+        slice then folds into its partition's device table and stages
         its withheld rows, in part order.  The round instruments are
         recorded here, whatever backend ran the verdict half.
         """
+        predictions, entropy, accepted = published.tables.expand(counts)
+        threshold = published.threshold
         if self._obs_on:
             t1 = time.perf_counter()
             self._m_batches.inc()

@@ -14,7 +14,10 @@ This module holds the two pieces the partitions share:
   when the partition count changes);
 * :class:`PublishedHmd` — the record of the shared HMD's verdict parts
   (fused front, compiled forest, vote-count tables) that every round
-  verdicts through, republished after a retrain.
+  verdicts through, republished after a retrain.  A round computes
+  vote counts, on whichever side of the process boundary, and the
+  fold expands them through these tables; a model without tables
+  cannot be published, so the fleet refuses it.
 
 Why partitioning is faster *and* identical
 ------------------------------------------
@@ -24,7 +27,7 @@ stream by device and fusing each round's partition batches into one
 inference pass cannot change any verdict — the equivalence matrix
 asserts bitwise identity against ``TrustedHMD.analyze`` for every
 partition count, and every round runs the same
-:func:`~repro.uncertainty.trust.count_table_verdict`.  Throughput comes
+:func:`~repro.uncertainty.trust.vote_counts`.  Throughput comes
 from the fused round, not from cutting corners: one pass verdicts up
 to ``K x batch_size`` rows, amortising the per-pass front, encode and
 traversal set-up.
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..uncertainty.trust import TrustedHMD, count_table_verdict
+from ..uncertainty.trust import TrustedHMD, vote_counts
 
 __all__ = [
     "ShardRouter",
@@ -119,7 +122,7 @@ class ShardRouter:
 class PublishedHmd:
     """The shared HMD's verdict parts: the monitor's one verdict path.
 
-    A record of what :func:`~repro.uncertainty.trust.count_table_verdict`
+    A record of what :func:`~repro.uncertainty.trust.vote_counts`
     needs — the fused front, the compiled forest (one node tensor that
     all partitions share with zero copies) and the vote-count tables —
     as :meth:`TrustedHMD.verdict_parts` built them, plus the verdict
@@ -128,58 +131,39 @@ class PublishedHmd:
     :meth:`is_current` turns stale after a (warm) retrain, a threshold
     change or a compile mode switch, and the monitor republishes.
 
-    Models without count tables (more than two classes, no flat or
-    quantized forest) publish no parts and verdict through
-    ``hmd.analyze``.
+    Only models with count tables (a binary ensemble compiled to a flat
+    or quantized forest) can be published; anything else raises
+    ``ValueError`` and is served by ``hmd.analyze`` or
+    :class:`~repro.uncertainty.online.OnlineMonitor`.
     """
 
     def __init__(self, hmd: TrustedHMD):
         if not hasattr(hmd, "estimator_"):
             raise ValueError("hmd must be fitted before publishing.")
-        self.hmd = hmd
         parts = hmd.verdict_parts()
+        if parts is None:
+            raise ValueError(
+                "the fleet serves binary forests with vote-count tables; "
+                f"this model ({len(hmd.classes_)} classes, "
+                f"{type(hmd.ensemble_).__name__}) has none. Serve it with "
+                "OnlineMonitor or hmd.analyze."
+            )
+        self.hmd = hmd
         self.key = hmd.verdict_key()
-        self.front, self.backend, self.tables = parts or (None, None, None)
-        self.classes = np.asarray(hmd.classes_)
+        self.front, self.backend, self.tables = parts
         self.threshold = float(hmd.policy_.threshold)
         self.compile_mode = hmd.compile_mode
 
-    @classmethod
-    def from_parts(
-        cls, *, front, backend, tables, classes, threshold: float
-    ) -> "PublishedHmd":
-        """A *detached* record around already-built parts.
-
-        How a shard worker rebuilds the parent's publication around
-        shared-memory mappings (see :mod:`repro.fleet.shm`): the same
-        arrays, so the same verdicts.  There is no ``hmd`` behind it,
-        so its currency is the publication generation, managed by
-        whoever shipped it.
-        """
-        view = cls.__new__(cls)
-        view.hmd = None
-        view.key = None
-        view.front, view.backend, view.tables = front, backend, tables
-        view.classes = np.asarray(classes)
-        view.threshold = float(threshold)
-        view.compile_mode = "detached"
-        return view
-
-    @property
-    def entropy_table(self):
-        """The entropy per vote count, or ``None`` without count tables."""
-        return None if self.tables is None else self.tables.entropy
-
     def is_current(self) -> bool:
-        """False once the HMD refit, changed threshold, or switched mode.
+        """False once the HMD refit, changed threshold, or switched mode."""
+        return self.hmd.is_current_key(self.key)
 
-        A detached record never self-reports stale.
-        """
-        return self.hmd is None or self.hmd.is_current_key(self.key)
+    def counts(self, X) -> np.ndarray:
+        """Each row's second-class vote count for a stacked batch."""
+        return vote_counts(
+            self.front, self.backend, self.tables.leaf_is_second, X
+        )
 
     def verdict(self, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(predictions, entropy, accepted)`` for a stacked batch."""
-        if self.tables is None:
-            verdict = self.hmd.analyze(X)
-            return verdict.predictions, verdict.entropy, verdict.accepted
-        return count_table_verdict(self.front, self.backend, self.tables, X)
+        return self.tables.expand(self.counts(X))

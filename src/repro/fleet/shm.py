@@ -9,9 +9,10 @@ monitor and its shard workers, and neither is ever pickled row by row:
   :class:`~repro.fleet.queueing.WindowBatch` (feature rows,
   dense device indices, sequence numbers) into a free slot and sends a
   tiny control tuple naming the slot; the worker maps the same segment
-  and reads the rows as zero-copy numpy views.  The verdict columns
-  (predictions, entropies, accept flags) travel back through result
-  fields of the *same* slot, so one round trip moves exactly one
+  and reads the rows as zero-copy numpy views.  The verdict travels
+  back as one column of per-row second-class vote counts in the *same*
+  slot (the parent expands counts into predictions, entropies and
+  accept flags when it folds), so one round trip moves exactly one
   header tuple through the pipe regardless of batch size.  Ownership
   of a slot is explicit: the parent owns FREE slots, hands one to the
   worker with the ``block`` message, and takes it back when the
@@ -21,15 +22,12 @@ monitor and its shard workers, and neither is ever pickled row by row:
   :func:`map_publication`, the one-shot publication of a
   :class:`~repro.fleet.sharding.PublishedHmd` record.  The forest node
   tensor, the second-class leaf indicator and the fused front land in
-  one read-only segment; the vote-count tables and other small arrays
-  travel in a plain header dict.  Every worker maps the segment and
-  rebuilds a *detached* ``PublishedHmd``
-  (:meth:`PublishedHmd.from_parts`) around the mapped arrays — same
-  node tensor bytes, same tables, same verdict function, so worker
-  verdicts are bitwise identical to the parent's by construction.
-  Models without verdict parts (no flat or quantized forest, or more
-  than two classes) fall back to shipping the pickled HMD in the
-  header — correctness is never gated on the fast path.
+  one read-only segment; the forest's roots and shape travel in a
+  plain header dict.  Every worker maps the segment into a
+  :class:`MappedPublication` — same node tensor bytes, same
+  :func:`~repro.uncertainty.trust.vote_counts` — so worker counts are
+  bitwise the parent's by construction.  The vote-count tables never
+  ship: only the parent expands counts.
 
 A republish (after a warm retrain or threshold change) is a fresh
 segment with a bumped ``generation``; workers swap views on the next
@@ -40,7 +38,6 @@ worker has acknowledged the new one.
 from __future__ import annotations
 
 import atexit
-import pickle
 import secrets
 import zlib
 from multiprocessing import shared_memory
@@ -48,7 +45,7 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from ..ml.backend import FlatForest, QuantizedForest
-from ..uncertainty.trust import VoteCountTables
+from ..uncertainty.trust import vote_counts
 
 __all__ = [
     "ShmBlockRing",
@@ -185,8 +182,8 @@ class ShmBlockRing:
 
     Each slot carries one in-flight batch: the request columns the
     parent writes (``features``, ``dev``, ``seqs``) and the result
-    columns the worker writes back (``predictions``, ``entropy``,
-    ``accepted``).  Slot hand-off is driven entirely by control
+    column the worker writes back (``counts``, each row's second-class
+    vote count).  Slot hand-off is driven entirely by control
     messages — the segment itself holds no locks or headers, so a
     SIGKILLed worker can never leave a slot in a half-locked state;
     the parent simply reclaims every slot it had handed out.
@@ -198,7 +195,6 @@ class ShmBlockRing:
         n_slots: int,
         capacity: int,
         n_features: int,
-        pred_dtype: str,
         feat_dtype: str = "<f8",
         name: str | None = None,
         create: bool = True,
@@ -206,7 +202,6 @@ class ShmBlockRing:
         self.n_slots = int(n_slots)
         self.capacity = int(capacity)
         self.n_features = int(n_features)
-        self.pred_dtype = str(pred_dtype)
         # Feature-arena precision: "<f4" when the published model runs
         # the float32 front (halves the dominant arena traffic).  The
         # parent's write_block cast f8→f4 rounds exactly like the
@@ -218,12 +213,10 @@ class ShmBlockRing:
                 ("features", self.feat_dtype, (n_slots, capacity, n_features)),
                 ("dev", "<i8", (n_slots, capacity)),
                 ("seqs", "<i8", (n_slots, capacity)),
-                ("predictions", pred_dtype, (n_slots, capacity)),
-                ("entropy", "<f8", (n_slots, capacity)),
-                ("accepted", "|u1", (n_slots, capacity)),
+                ("counts", "<i8", (n_slots, capacity)),
                 # Per-slot integrity checksums: the request columns'
                 # crc (parent writes, worker verifies) and the result
-                # columns' crc (worker writes, parent verifies).  A
+                # column's crc (worker writes, parent verifies).  A
                 # corrupted frame is detected before it can poison
                 # device state on either side of the boundary.
                 ("req_crc", "<u4", (n_slots,)),
@@ -260,7 +253,6 @@ class ShmBlockRing:
             "n_slots": self.n_slots,
             "capacity": self.capacity,
             "n_features": self.n_features,
-            "pred_dtype": self.pred_dtype,
             "feat_dtype": self.feat_dtype,
         }
 
@@ -298,33 +290,24 @@ class ShmBlockRing:
         )
 
     def seal_results(self, index: int, n: int) -> None:
-        """Stamp a slot's result checksum after writing verdicts."""
-        slot = self.slot(index)
-        self._views["res_crc"][index] = _crc(
-            slot["predictions"][:n], slot["entropy"][:n], slot["accepted"][:n]
-        )
+        """Stamp a slot's result checksum after writing its counts."""
+        self._views["res_crc"][index] = _crc(self._views["counts"][index, :n])
 
-    def read_results(self, index: int, n: int):
-        """Copy one slot's verdict columns out (parent side).
+    def read_results(self, index: int, n: int) -> np.ndarray:
+        """Copy one slot's vote counts out (parent side).
 
-        Copies, not views: the slot returns to the free pool as soon as
-        the result is consumed, and the next block must not race the
-        caller's arrays.  Raises :class:`ShmIntegrityError` when the
+        A copy, not a view: the slot returns to the free pool as soon
+        as the result is consumed, and the next block must not race the
+        caller's array.  Raises :class:`ShmIntegrityError` when the
         stored result checksum does not match — the caller treats that
         exactly like a worker death (restart + re-ship recomputes).
         """
-        slot = self.slot(index)
-        if int(self._views["res_crc"][index]) != _crc(
-            slot["predictions"][:n], slot["entropy"][:n], slot["accepted"][:n]
-        ):
+        counts = self._views["counts"][index, :n]
+        if int(self._views["res_crc"][index]) != _crc(counts):
             raise ShmIntegrityError(
-                f"slot {index} result columns failed their checksum."
+                f"slot {index} result column failed its checksum."
             )
-        return (
-            slot["predictions"][:n].copy(),
-            slot["entropy"][:n].copy(),
-            slot["accepted"][:n].astype(bool),
-        )
+        return counts.copy()
 
     def stamp_trace(self, index: int, column: int, ts: float) -> None:
         """Write one sidecar stamp (0 = ship, 1 = verdict)."""
@@ -363,9 +346,9 @@ class ShmBlockRing:
 # Model plane: one-shot publication of the compiled verdict state
 # ---------------------------------------------------------------------------
 
-# Arrays big enough to be worth the segment; the vote tables (M + 1
-# entries each) and scalars ride in the pickled header.  "kind" in the
-# header says which forest was shipped:
+# Arrays big enough to be worth the segment; the roots and scalars ride
+# in the pickled header.  "kind" in the header says which forest was
+# shipped:
 #   flat      — fg / threshold (float64 or float32)
 #   quantized — packed node records + the bin-encoding tables
 # Both ship the second-class leaf indicator and the two front arrays.
@@ -376,35 +359,18 @@ _SEGMENT_ARRAYS = {
 
 
 def publish_model(published, *, generation: int = 0) -> tuple[dict, object]:
-    """Publish a compiled model view into shared memory.
+    """Publish a model's counting parts into shared memory.
 
     Returns ``(header, segment)``: the picklable header every worker
     receives (through spawn args or a ``republish`` control message)
-    and the parent-owned segment handle (``None`` in pickle mode) to
-    unlink once the publication is retired.
-
-    Fast path — a publication with verdict parts (binary ensemble,
-    flat or quantized forest): the node tensor, leaf indicator and
-    front go into one read-only segment; tables and scalars go into the
-    header.  Anything else falls back to a pickled-HMD header (correct,
-    just not zero-copy) so the worker backend never restricts which
-    models the fleet can serve.
+    and the parent-owned segment handle to unlink once the publication
+    is retired.  The node tensor, leaf indicator and front go into one
+    read-only segment; the forest's roots and shape go into the header.
     """
-    if published.tables is None:
-        return (
-            {
-                "mode": "pickle",
-                "generation": int(generation),
-                "payload": pickle.dumps(published.hmd),
-                "pred_dtype": np.asarray(published.classes).dtype.str,
-            },
-            None,
-        )
-
-    backend, tables = published.backend, published.tables
+    backend = published.backend
     kind = "quantized" if isinstance(backend, QuantizedForest) else "flat"
     arrays = {key: getattr(backend, key) for key in _SEGMENT_ARRAYS[kind]}
-    arrays["leaf_is_second"] = tables.leaf_is_second
+    arrays["leaf_is_second"] = published.tables.leaf_is_second
     arrays["front_a"], arrays["front_b"] = published.front
     arrays = {key: np.ascontiguousarray(value) for key, value in arrays.items()}
     fields = [(k, v.dtype.str, v.shape) for k, v in arrays.items()]
@@ -418,20 +384,13 @@ def publish_model(published, *, generation: int = 0) -> tuple[dict, object]:
         views[key][...] = value
 
     header = {
-        "mode": "tables",
         "kind": kind,
         "generation": int(generation),
         "segment": segment.name,
         "specs": specs,
-        "pred_dtype": np.asarray(published.classes).dtype.str,
-        "classes": np.asarray(published.classes),
         "roots": np.asarray(backend.roots),
         "n_features": int(backend.n_features),
         "max_depth": int(backend.max_depth),
-        "threshold": float(published.threshold),
-        "prediction_table": np.asarray(tables.prediction),
-        "entropy_table": np.asarray(tables.entropy),
-        "accept_table": np.asarray(tables.accept),
     }
     return header, segment
 
@@ -440,36 +399,28 @@ class MappedPublication:
     """A worker's live view of one published model generation."""
 
     def __init__(self, header: dict):
-        from .sharding import PublishedHmd
-
         self.generation = int(header["generation"])
-        self.mode = header["mode"]
-        if self.mode == "pickle":
-            self._segment = None
-            self.view = PublishedHmd(pickle.loads(header["payload"]))
-            return
-
         self._segment = _attach(header["segment"])
         views = _map_views(self._segment.buf, header["specs"])
-        leaf_is_second = views["leaf_is_second"]
+        self.leaf_is_second = views["leaf_is_second"]
         # The count reduction never reads leaf labels (the second-class
         # indicator is the whole reduction), so the indicator doubles
         # as the label column of the mapped forest.
         shape = dict(
-            leaf_label=leaf_is_second,
+            leaf_label=self.leaf_is_second,
             roots=header["roots"],
             n_features=header["n_features"],
             max_depth=header["max_depth"],
         )
         if header["kind"] == "quantized":
-            forest = QuantizedForest(
+            self.forest = QuantizedForest(
                 packed=views["packed"],
                 edges_sorted=views["edges_sorted"],
                 edge_prefix=views["edge_prefix"],
                 **shape,
             )
         else:
-            forest = FlatForest(
+            self.forest = FlatForest(
                 fg=views["fg"],
                 threshold=views["threshold"],
                 # A float32 publication ships float32 thresholds; the
@@ -477,26 +428,15 @@ class MappedPublication:
                 feature_dtype=views["threshold"].dtype,
                 **shape,
             )
-        self.view = PublishedHmd.from_parts(
-            front=(views["front_a"], views["front_b"]),
-            backend=forest,
-            tables=VoteCountTables(
-                prediction=header["prediction_table"],
-                entropy=header["entropy_table"],
-                accept=header["accept_table"],
-                leaf_is_second=leaf_is_second,
-            ),
-            classes=header["classes"],
-            threshold=header["threshold"],
-        )
+        self.front = (views["front_a"], views["front_b"])
 
-    def verdict(self, X):
-        """``(predictions, entropy, accepted)`` — the shared kernel."""
-        return self.view.verdict(X)
+    def counts(self, X) -> np.ndarray:
+        """Each row's second-class vote count — the parent's function."""
+        return vote_counts(self.front, self.forest, self.leaf_is_second, X)
 
     def close(self) -> None:
         """Drop the mapping (never unlinks — the parent owns the name)."""
-        self.view = None
+        self.front = self.forest = self.leaf_is_second = None
         if self._segment is not None:
             try:
                 self._segment.close()

@@ -18,12 +18,13 @@ Parent (this process)
     in-process ones.
 
 Worker (one per shard)
-    A stateless verdict kernel: a read-only mapping of the published
+    A stateless vote counter: a read-only mapping of the published
     model (:mod:`repro.fleet.shm`) and the shard's block ring.  It
-    verdicts the slot each block frame names, writes the verdict
-    columns back into the same shared slot and seals them.  No window
-    tensor is ever pickled, and no worker holds anything a restart
-    would need to rebuild.
+    counts the votes of the rows in the slot each block frame names,
+    writes the counts back into the same shared slot and seals them;
+    the parent's fold expands them into verdicts.  No window tensor is
+    ever pickled, and no worker holds anything a restart would need to
+    rebuild.
 
 Each protocol step has one path.  Every block frame — first delivery,
 integrity re-ship, restart re-ship, post-quarantine re-ship — is
@@ -116,7 +117,7 @@ _MAX_RESHIPS = 3
 
 
 def _run_slot(ring: ShmBlockRing, publication, injector, slot, n, poisoned) -> None:
-    """Verdict a slot's rows in place and seal the result columns.
+    """Count a slot's rows' votes in place and seal the result column.
 
     The worker's one verdict step, for blocks and bisection probes
     alike.  A helper rather than inline in the dispatch loop so the
@@ -127,10 +128,7 @@ def _run_slot(ring: ShmBlockRing, publication, injector, slot, n, poisoned) -> N
     if injector is not None:
         injector.check_poison(poisoned)
     views = ring.slot(slot)
-    predictions, entropy, accepted = publication.verdict(views["features"][:n])
-    views["predictions"][:n] = predictions
-    views["entropy"][:n] = entropy
-    views["accepted"][:n] = accepted
+    views["counts"][:n] = publication.counts(views["features"][:n])
     # Trace sidecar column 1: the worker's seal timestamp, read back by
     # the parent to reconstruct the shm crossing (one float store; the
     # sidecar sits outside both checksums, see ShmBlockRing).
@@ -265,10 +263,10 @@ class WorkerShardedFleetMonitor(FleetMonitor):
     ``n_shards`` supervised worker processes through shared-memory
     arenas.  Verdicts, stats, forensic stream and report device rows
     are bitwise identical to the in-process monitor — the workers run
-    the *same* :func:`~repro.uncertainty.trust.count_table_verdict` on
-    the same bytes, and the parent folds their columns through the same
-    :meth:`FleetMonitor._fold_round`; the process boundary changes
-    where the verdict runs, never what it computes.  Live
+    the *same* :func:`~repro.uncertainty.trust.vote_counts` on the
+    same bytes, and the parent expands and folds their counts through
+    the same :meth:`FleetMonitor._fold_round`; the process boundary
+    changes where the votes are counted, never what is computed.  Live
     :meth:`~FleetMonitor.rebalance` is refused: snapshot, restore in
     process, rebalance, snapshot and :meth:`~FleetMonitor.restore`
     here instead (checkpoints are cross-backend by construction).
@@ -397,7 +395,6 @@ class WorkerShardedFleetMonitor(FleetMonitor):
                     n_slots=self._n_slots,
                     capacity=self.batch_size,
                     n_features=int(hmd.n_features_in_),
-                    pred_dtype=self._model_header["pred_dtype"],
                     feat_dtype=feat_dtype,
                 )
                 handle.free_slots = set(range(self._n_slots))
@@ -756,9 +753,9 @@ class WorkerShardedFleetMonitor(FleetMonitor):
     def _await_result(self, handle: _WorkerHandle):
         """Resolve the oldest retained epoch's verdicts and release it.
 
-        Returns ``(batch, predictions, entropy, accepted)``.  ``batch``
-        is the authoritative batch for the epoch — it may be a
-        quarantine-filtered subset of what was shipped.
+        Returns ``(batch, counts)``: ``batch`` is the authoritative
+        batch for the epoch — it may be a quarantine-filtered subset of
+        what was shipped — and ``counts`` its rows' vote counts.
         """
         while True:
             epoch, record = next(iter(handle.retained.items()))
@@ -767,7 +764,7 @@ class WorkerShardedFleetMonitor(FleetMonitor):
                 # Resolved parent-side: a dead shard's block, or one
                 # quarantined down to nothing.
                 del handle.retained[epoch]
-                return (batch, *self._parent_verdict(batch))
+                return batch, self._parent_counts(batch)
             if handle.fault_counts.get(epoch, 0) >= 2:
                 self._bisect(handle, epoch)
                 continue
@@ -782,7 +779,7 @@ class WorkerShardedFleetMonitor(FleetMonitor):
                     )[1]
                 # A damaged result frame is indistinguishable from a
                 # worker that scribbled and died: restart and recompute.
-                verdict = handle.ring.read_results(slot, len(batch))
+                counts = handle.ring.read_results(slot, len(batch))
             except (_WorkerDied, ShmIntegrityError, BrokenPipeError, OSError) as error:
                 self._restart(handle, reason=str(error))
                 continue
@@ -800,17 +797,13 @@ class WorkerShardedFleetMonitor(FleetMonitor):
             handle.fault_counts.pop(epoch, None)
             if handle.health is ShardHealth.DEGRADED:
                 handle.health = ShardHealth.HEALTHY
-            return (batch, *verdict)
+            return batch, counts
 
-    def _parent_verdict(self, batch: WindowBatch):
-        """``(predictions, entropy, accepted)`` computed in this process."""
+    def _parent_counts(self, batch: WindowBatch) -> np.ndarray:
+        """The batch's vote counts, computed in this process."""
         if len(batch):
-            return self.published.verdict(batch.features)
-        return (
-            np.empty(0, dtype=np.dtype(self._model_header["pred_dtype"])),
-            np.empty(0, dtype=np.float64),
-            np.empty(0, dtype=bool),
-        )
+            return self.published.counts(batch.features)
+        return np.empty(0, dtype=np.int64)
 
     def _bisect(self, handle: _WorkerHandle, epoch: int) -> None:
         """Bisect a twice-faulting block and quarantine its poison rows.
@@ -923,20 +916,15 @@ class WorkerShardedFleetMonitor(FleetMonitor):
         """Await one round's verdicts and fold them like any engine."""
         if self._obs_on:
             t0 = time.perf_counter()
-        parts, verdicts = [], []
+        parts, counts = [], []
         for handle in handles:
-            batch, *verdict = self._await_result(handle)
+            batch, batch_counts = self._await_result(handle)
             parts.append((self.shards[handle.shard_id], batch))
-            verdicts.append(verdict)
+            counts.append(batch_counts)
         if self._obs_on:
             self._m_verdict.observe(time.perf_counter() - t0)
-        if len(verdicts) == 1:
-            predictions, entropy, accepted = verdicts[0]
-        else:
-            predictions, entropy, accepted = map(np.concatenate, zip(*verdicts))
-        return self._fold_round(
-            parts, predictions, entropy, accepted, self.published.threshold
-        )
+        counts = counts[0] if len(counts) == 1 else np.concatenate(counts)
+        return self._fold_round(parts, counts, self.published)
 
     def process_batch(self) -> FleetBatchResult | None:
         """One fused round, fanned across the workers."""

@@ -29,7 +29,7 @@ program:
 Native vote counting
 --------------------
 ``count_second`` (the fleet's one verdict path, through
-:func:`~repro.uncertainty.trust.count_table_verdict`) runs the C kernel
+:func:`~repro.uncertainty.trust.vote_counts`) runs the C kernel
 in ``_traverse.c`` when :mod:`repro.ml._native` could build it: tree by
 tree, 32 rows in lockstep, the same ``goto + (x > cut)`` step, reduced
 straight to counts.  The loader compiles it on first use with the host

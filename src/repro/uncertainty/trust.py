@@ -30,7 +30,7 @@ __all__ = [
     "TrustedHMD",
     "TrustedVerdict",
     "VoteCountTables",
-    "count_table_verdict",
+    "vote_counts",
 ]
 
 
@@ -216,20 +216,28 @@ class VoteCountTables:
             ),
         )
 
+    def expand(self, counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(predictions, entropy, accepted)`` for per-row vote counts."""
+        return (
+            self.prediction.take(counts),
+            self.entropy.take(counts),
+            self.accept.take(counts),
+        )
 
-def count_table_verdict(front, forest, tables: VoteCountTables, X):
-    """``(predictions, entropy, accepted)`` of a batch via vote counts.
 
-    The one verdict function of the fleet: ``front`` is the fused
-    preprocessing map as a pair of arrays — ``(weight, bias)`` for
-    ``X @ weight + bias`` (2-D weight, a PCA stage) or ``(mean, scale)``
-    for ``(X - mean) / scale`` (scaler only) — in the dtype the compile
-    mode runs it, exactly the operations of :meth:`TrustedHMD._transform`.
-    ``forest`` counts each row's second-class votes and ``tables`` turns
-    counts into verdicts, so the result is bitwise
-    :meth:`TrustedHMD.analyze`.  The batch is validated first, with the
-    messages ``analyze`` raises: a window with NaN or infinite features
-    is an error on every engine, never a verdict.
+def vote_counts(front, forest, leaf_is_second, X) -> np.ndarray:
+    """Each row's second-class vote count: the fleet's one verdict value.
+
+    ``front`` is the fused preprocessing map as a pair of arrays —
+    ``(weight, bias)`` for ``X @ weight + bias`` (2-D weight, a PCA
+    stage) or ``(mean, scale)`` for ``(X - mean) / scale`` (scaler
+    only) — in the dtype the compile mode runs it, exactly the
+    operations of :meth:`TrustedHMD._transform`.  ``forest`` sums
+    ``leaf_is_second`` over each row's leaves, and
+    :meth:`VoteCountTables.expand` turns the counts into verdicts that
+    are bitwise :meth:`TrustedHMD.analyze`.  The batch is validated
+    first, with the messages ``analyze`` raises: a window with NaN or
+    infinite features is an error on every engine, never a verdict.
     """
     X = np.asarray(X)
     if X.dtype.kind != "f":
@@ -246,12 +254,7 @@ def count_table_verdict(front, forest, tables: VoteCountTables, X):
         Z = X @ a + b
     else:
         Z = np.true_divide(np.subtract(X, a), b)
-    counts = forest.count_second(Z, tables.leaf_is_second)
-    return (
-        tables.prediction.take(counts),
-        tables.entropy.take(counts),
-        tables.accept.take(counts),
-    )
+    return forest.count_second(Z, leaf_is_second)
 
 
 class TrustedHMD(_FusedFrontMixin, BaseEstimator):
@@ -355,11 +358,6 @@ class TrustedHMD(_FusedFrontMixin, BaseEstimator):
                     f"this ensemble cannot serve mode {mode!r}: {exc} "
                     "(fit with grower='hist' for the quantized kernel)."
                 ) from exc
-            except TypeError:
-                # Ensemble predates mode-aware compile; float64 only.
-                if mode != "float64":
-                    raise
-                compile_backend()
         elif mode != "float64":
             raise ValueError(
                 f"the fitted ensemble has no compiled vote path; mode "
@@ -447,13 +445,14 @@ class TrustedHMD(_FusedFrontMixin, BaseEstimator):
         return key[0] is members and key[1:] == (threshold, mode)
 
     def verdict_parts(self):
-        """``(front, forest, tables)`` for :func:`count_table_verdict`.
+        """``(front, forest, tables)`` for :func:`vote_counts`.
 
         Built fresh on each call (the fleet's
         :class:`~repro.fleet.sharding.PublishedHmd` holds them per
         :meth:`verdict_key`).  ``None`` when the count tables cannot
         serve this model — more than two classes, or no flat/quantized
-        compiled forest — and the caller falls back to :meth:`analyze`.
+        compiled forest — and the model is served by :meth:`analyze`
+        (and :class:`~repro.uncertainty.online.OnlineMonitor`) only.
         """
         self.compile()
         compile_backend = getattr(self.ensemble_, "compile", None)

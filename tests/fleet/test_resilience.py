@@ -174,9 +174,7 @@ class TestFaultPlan:
 
 class TestRingIntegrity:
     def _ring(self):
-        return ShmBlockRing(
-            n_slots=2, capacity=8, n_features=4, pred_dtype="<i8"
-        )
+        return ShmBlockRing(n_slots=2, capacity=8, n_features=4)
 
     def test_checksum_lifecycle(self):
         rng = np.random.default_rng(3)
@@ -191,18 +189,16 @@ class TestRingIntegrity:
             assert ring.verify_block(0, n)
             ring.corrupt_slot(0)
             assert not ring.verify_block(0, n)
-            # Result columns: sealed reads pass, unsealed / tampered fail.
+            # Result column: sealed reads pass, unsealed / tampered fail.
             slot = ring.slot(0)
-            slot["predictions"][:n] = 1
-            slot["entropy"][:n] = 0.5
-            slot["accepted"][:n] = 1
+            slot["counts"][:n] = 1
             with pytest.raises(ShmIntegrityError):
                 ring.read_results(0, n)  # never sealed
             ring.seal_results(0, n)
-            predictions, entropy, accepted = ring.read_results(0, n)
-            assert predictions.tolist() == [1] * n
-            assert accepted.dtype == bool
-            slot["entropy"][0] = 9.0  # tamper after sealing
+            counts = ring.read_results(0, n)
+            assert counts.tolist() == [1] * n
+            assert counts.dtype == np.int64
+            slot["counts"][0] = 9  # tamper after sealing
             with pytest.raises(ShmIntegrityError):
                 ring.read_results(0, n)
             del slot
@@ -495,10 +491,8 @@ X, y = make_blobs(n_per_class=40, separation=4.0, seed=0)
 hmd = TrustedHMD(
     RandomForestClassifier(n_estimators=5, random_state=0), threshold=0.4
 ).fit(X, y)
-ring = ShmBlockRing(n_slots=2, capacity=8, n_features=X.shape[1],
-                    pred_dtype="<i8")
+ring = ShmBlockRing(n_slots=2, capacity=8, n_features=X.shape[1])
 header, segment = publish_model(PublishedHmd(hmd))
-assert segment is not None, "expected the shared-table publish path"
 print(ring.name)
 print(header["segment"])
 sys.exit(0)  # abnormal teardown: neither close() nor unlink() ran

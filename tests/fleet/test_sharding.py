@@ -220,6 +220,15 @@ class TestShardQueue:
         np.testing.assert_array_equal(copy.features, original.features)
 
 
+def three_class_blobs(n_per_class=60, seed=5):
+    """Three Gaussian blobs in 4-D: a model the count tables cannot serve."""
+    rng = np.random.default_rng(seed)
+    X = np.vstack(
+        [rng.normal(loc, 1.0, size=(n_per_class, 4)) for loc in (0.0, 3.0, 6.0)]
+    )
+    return X, np.repeat([0, 1, 2], n_per_class)
+
+
 class TestPublishedHmd:
     @pytest.mark.parametrize(
         "ensemble",
@@ -261,24 +270,6 @@ class TestPublishedHmd:
         np.testing.assert_array_equal(entropy, reference.entropy)
         np.testing.assert_array_equal(accepted, reference.accepted)
 
-    def test_multiclass_falls_back_bitwise(self):
-        rng = np.random.default_rng(5)
-        X = np.vstack(
-            [rng.normal(loc, 1.0, size=(60, 4)) for loc in (0.0, 3.0, 6.0)]
-        )
-        y = np.repeat([0, 1, 2], 60)
-        hmd = TrustedHMD(
-            RandomForestClassifier(n_estimators=12, random_state=0),
-            threshold=0.6,
-        ).fit(X, y)
-        published = PublishedHmd(hmd)
-        assert published.entropy_table is None
-        reference = hmd.analyze(X)
-        predictions, entropy, accepted = published.verdict(X)
-        np.testing.assert_array_equal(predictions, reference.predictions)
-        np.testing.assert_array_equal(entropy, reference.entropy)
-        np.testing.assert_array_equal(accepted, reference.accepted)
-
     def test_staleness_detection(self, fitted_hmd):
         X, y, _ = fitted_hmd
         hmd = TrustedHMD(
@@ -297,6 +288,17 @@ class TestPublishedHmd:
     def test_requires_fitted(self):
         with pytest.raises(ValueError):
             PublishedHmd(TrustedHMD(RandomForestClassifier(n_estimators=3)))
+
+    def test_fleet_refuses_model_without_count_tables(self):
+        X, y = three_class_blobs()
+        hmd = TrustedHMD(
+            RandomForestClassifier(n_estimators=12, random_state=0),
+            threshold=0.6,
+        ).fit(X, y)
+        with pytest.raises(ValueError, match="OnlineMonitor"):
+            PublishedHmd(hmd)
+        with pytest.raises(ValueError, match="3 classes"):
+            FleetMonitor(hmd, n_shards=2)
 
 
 MATRIX_MODES = ("float64", "float32", "quantized")
@@ -584,6 +586,32 @@ class TestRetrainIntegration:
             np.testing.assert_array_equal(result.entropy, reference.entropy)
             np.testing.assert_array_equal(result.accepted, reference.accepted)
             assert result.threshold == reference.threshold
+
+
+    def test_republish_without_count_tables_takes_no_rows(self, fitted_hmd):
+        """A retrain that adds a third class stops the fleet before a take.
+
+        The warm refit picks the new label up, so the model loses its
+        count tables; the next round refuses to publish it, and every
+        queued window is still pending.
+        """
+        X, y, _ = fitted_hmd
+        hmd = TrustedHMD(
+            RandomForestClassifier(
+                n_estimators=10, random_state=0, grower="hist"
+            ),
+            threshold=0.4,
+        ).fit(X, y)
+        monitor = FleetMonitor(hmd, batch_size=8)
+        monitor.submit_many("dev-a", X[:20])
+        monitor.process_batch()
+        assert monitor.pending == 12
+        hmd.partial_refit(X[:30], np.full(30, 2))
+        assert len(hmd.classes_) == 3
+        with pytest.raises(ValueError, match="3 classes"):
+            monitor.drain()
+        assert monitor.pending == 12
+        assert monitor.stats.n_seen == 8
 
 
 def schema1_checkpoint(X):

@@ -3,9 +3,8 @@
 Three layers, bottom up:
 
 1. :mod:`repro.fleet.shm` — the block-slot ring round-trips batches
-   bitwise, and a model mapped from a shared publication produces
-   bitwise-identical verdicts (both the table fast path and the pickle
-   fallback);
+   and vote counts bitwise, and a model mapped from a shared
+   publication counts votes bitwise like the parent's;
 2. snapshot versioning — :meth:`FleetMonitor.restore` (and the
    worker backend's) reject stale, foreign or inconsistent checkpoints
    before touching any state;
@@ -42,7 +41,11 @@ from repro.fleet.shm import ShmBlockRing, _unlink, map_publication, publish_mode
 from repro.ml import RandomForestClassifier
 from repro.uncertainty import TrustedHMD
 from tests.conftest import make_blobs
-from tests.fleet.test_sharding import assert_schema1_resumes, schema1_checkpoint
+from tests.fleet.test_sharding import (
+    assert_schema1_resumes,
+    schema1_checkpoint,
+    three_class_blobs,
+)
 
 mp_mark = pytest.mark.mp
 
@@ -87,9 +90,7 @@ def _forensic_stream(queue):
 class TestShmBlockRing:
     def test_round_trips_blocks_bitwise(self):
         rng = np.random.default_rng(0)
-        ring = ShmBlockRing(
-            n_slots=3, capacity=8, n_features=5, pred_dtype="<i8"
-        )
+        ring = ShmBlockRing(n_slots=3, capacity=8, n_features=5)
         try:
             attached = ShmBlockRing.attach(ring.spec())
             features = rng.normal(size=(6, 5))
@@ -101,29 +102,23 @@ class TestShmBlockRing:
             np.testing.assert_array_equal(slot["features"][:n], features)
             np.testing.assert_array_equal(slot["dev"][:n], dev)
             np.testing.assert_array_equal(slot["seqs"][:n], seqs)
-            # Result columns written through the attached mapping come
-            # back through the owner as fresh copies — once sealed with
-            # the result checksum the worker would stamp.
-            slot["predictions"][:n] = dev
-            slot["entropy"][:n] = features[:, 0]
-            slot["accepted"][:n] = (dev % 2).astype(np.uint8)
+            # Counts written through the attached mapping come back
+            # through the owner as a fresh copy — once sealed with the
+            # result checksum the worker would stamp.
+            slot["counts"][:n] = seqs
             attached.seal_results(1, n)
-            predictions, entropy, accepted = ring.read_results(1, n)
-            np.testing.assert_array_equal(predictions, dev)
-            np.testing.assert_array_equal(entropy, features[:, 0])
-            np.testing.assert_array_equal(accepted, dev % 2 == 1)
-            assert accepted.dtype == bool
-            slot["predictions"][:n] = 0  # copies must not alias the slot
-            np.testing.assert_array_equal(predictions, dev)
+            counts = ring.read_results(1, n)
+            np.testing.assert_array_equal(counts, seqs)
+            assert counts.dtype == np.int64
+            slot["counts"][:n] = 0  # the copy must not alias the slot
+            np.testing.assert_array_equal(counts, seqs)
             del slot  # views pin the mapping; drop before closing
             attached.close()
         finally:
             ring.close()
 
     def test_slots_are_independent(self):
-        ring = ShmBlockRing(
-            n_slots=2, capacity=4, n_features=2, pred_dtype="<i8"
-        )
+        ring = ShmBlockRing(n_slots=2, capacity=4, n_features=2)
         try:
             a = np.ones((4, 2))
             b = np.full((4, 2), 7.0)
@@ -135,21 +130,28 @@ class TestShmBlockRing:
             ring.close()
 
 
+def _assert_expands_to_analyze(published, counts, hmd, X):
+    """The parent's tables turn mapped counts into ``analyze``, bitwise."""
+    reference = hmd.analyze(X)
+    predictions, entropy, accepted = published.tables.expand(counts)
+    np.testing.assert_array_equal(predictions, reference.predictions)
+    np.testing.assert_array_equal(entropy, reference.entropy)
+    np.testing.assert_array_equal(accepted, reference.accepted)
+
+
 class TestModelPublication:
     def test_mapped_tables_verdicts_bitwise(self, fitted_hmd):
         X, _, hmd = fitted_hmd
         published = PublishedHmd(hmd)
         header, segment = publish_model(published, generation=3)
-        assert header["mode"] == "tables"
         mapped = map_publication(header)
         try:
             assert mapped.generation == 3
             for n in (1, 37, 400):
                 Xq = X[:n]
-                np.testing.assert_array_equal(
-                    np.column_stack(mapped.verdict(Xq)),
-                    np.column_stack(published.verdict(Xq)),
-                )
+                counts = mapped.counts(Xq)
+                np.testing.assert_array_equal(counts, published.counts(Xq))
+                _assert_expands_to_analyze(published, counts, hmd, Xq)
         finally:
             mapped.close()
             segment.close()
@@ -166,34 +168,30 @@ class TestModelPublication:
         header, segment = publish_model(published)
         mapped = map_publication(header)
         try:
-            np.testing.assert_array_equal(
-                np.column_stack(mapped.verdict(X)),
-                np.column_stack(published.verdict(X)),
-            )
+            counts = mapped.counts(X)
+            np.testing.assert_array_equal(counts, published.counts(X))
+            _assert_expands_to_analyze(published, counts, hmd, X)
         finally:
             mapped.close()
             segment.close()
             _unlink(segment)
 
-    def test_multiclass_pickle_fallback_bitwise(self):
-        rng = np.random.default_rng(5)
-        X = np.vstack(
-            [rng.normal(loc, 1.0, size=(60, 4)) for loc in (0.0, 3.0, 6.0)]
-        )
-        y = np.repeat([0, 1, 2], 60)
+
+    def test_refuses_model_without_count_tables_before_spawning(
+        self, monkeypatch
+    ):
+        X, y = three_class_blobs()
         hmd = TrustedHMD(
             RandomForestClassifier(n_estimators=12, random_state=0),
             threshold=0.8,
         ).fit(X, y)
-        published = PublishedHmd(hmd)
-        header, segment = publish_model(published)
-        assert header["mode"] == "pickle" and segment is None
-        mapped = map_publication(header)
-        np.testing.assert_array_equal(
-            np.column_stack(mapped.verdict(X)),
-            np.column_stack(published.verdict(X)),
+        spawned = []
+        monkeypatch.setattr(
+            WorkerShardedFleetMonitor, "_spawn_process", spawned.append
         )
-        mapped.close()
+        with pytest.raises(ValueError, match="OnlineMonitor"):
+            WorkerShardedFleetMonitor(hmd, n_shards=2, mp_context="fork")
+        assert spawned == []
 
 
 # ---------------------------------------------------------------------------
