@@ -9,8 +9,8 @@ setup(
     ),
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    # The native traversal kernel is built from source on first use.
-    package_data={"repro.ml": ["*.c"]},
+    # The native kernels are built from source on first use.
+    package_data={"repro.ml": ["*.c"], "repro.hmd": ["*.c"]},
     install_requires=["numpy>=1.24", "scipy>=1.10"],
     # The fleet worker backend builds on multiprocessing.shared_memory
     # (3.8+) and modern typing syntax; 3.10 is the tested floor.

@@ -13,39 +13,54 @@ This is the "Feature Extraction" box of the paper's HMD pipeline
   plus log-scaled raw counts.  Matches Zhou et al., where every counter
   sample is a data point (hence the much larger HPC dataset in Table I).
 
-Two DVFS extraction paths are maintained:
+:meth:`DvfsFeatureExtractor.extract_windows` turns a long trace into
+one row per window.  Three implementations of it are kept, all
+**bitwise identical**:
 
-* a **per-window reference path** (:meth:`DvfsFeatureExtractor.extract`,
-  :meth:`DvfsFeatureExtractor.extract_windows_reference`) — one window
-  and one channel at a time, the readable specification of every
-  feature;
-* a **one-pass path** (:meth:`DvfsFeatureExtractor.extract_windows`) —
-  the trace is reshaped to ``(n_windows, n_channels, window_steps)``
-  and every feature of every channel of every window comes out of
-  whole-tensor numpy ops, with no per-channel loop, written into one
-  preallocated matrix.
+* the **native kernel** (``_features.c``, built and loaded by
+  :mod:`repro.ml._native`) serves whenever the library is built and the
+  operands fit it (a state dtype with an entry point, a contiguous
+  float64 temperature).  One C sweep per (window, channel) writes every
+  column except the spectral bands straight into the output matrix,
+  plus the centred normalised series; numpy's ``rfft`` of that series
+  and the band sums give the bands.  The normalised series comes from
+  a per-channel lookup table of ``s / denom``, and every float sum is a
+  C copy of numpy's pairwise summation, built with
+  ``-ffp-contract=off`` so no multiply-add is fused.
+* the **numpy kernel** (:meth:`DvfsFeatureExtractor._extract_windows_numpy`)
+  is the fallback and the reference the native kernel is tested
+  against.  The trace is reshaped to ``(n_windows, n_channels,
+  window_steps)`` and every feature of every channel of every window
+  comes out of whole-tensor numpy ops, with no per-channel loop.
+* the **per-window specification** (:meth:`DvfsFeatureExtractor.extract`,
+  :meth:`DvfsFeatureExtractor.extract_windows_reference`) takes one
+  window and one channel at a time: the readable definition of every
+  feature.
 
-The one-pass path is **bitwise identical** to the reference path.  That
-is not automatic for floating point — it holds for three reasons.
-Every float accumulation reduces a *contiguous* innermost axis (numpy
-applies the same pairwise summation to a 1-D contiguous array and to
-each line of a C-contiguous 3-D array).  Dot products are spelled
-multiply-then-sum on both paths (BLAS ``ddot`` accumulates in a
+The whole-tensor numpy kernel equals the per-window specification
+bitwise.  That is not automatic for floating point — it holds for three
+reasons.  Every float accumulation reduces a *contiguous* innermost
+axis (numpy applies the same pairwise summation to a 1-D contiguous
+array and to each line of a C-contiguous 3-D array).  Dot products are
+spelled multiply-then-sum on both paths (BLAS ``ddot`` accumulates in a
 different order and is avoided).  The counting features — state
 fractions, transition and jump rates, mean dwell — are exact integer
 counts divided by the same denominator the reference's float mean
 divides by, and ``std`` is ``sqrt(var / n)``, the same operations as
 numpy's own.  ``tests/hmd/test_features_batched.py`` and
-``tests/hmd/test_property_features.py`` enforce the equivalence across
-randomized traces.
+``tests/hmd/test_property_features.py`` enforce the equivalence on both
+kernels, and ``tests/hmd/test_native_features.py`` holds the native
+kernel to the numpy kernel's bits.
 """
 
 from __future__ import annotations
 
 import functools
+from typing import NamedTuple
 
 import numpy as np
 
+from ..ml import _native
 from ..sim.trace import DvfsTrace, HpcTrace
 
 __all__ = ["DvfsFeatureExtractor", "HpcFeatureExtractor"]
@@ -219,18 +234,33 @@ class DvfsFeatureExtractor:
 
     # -- batched path --------------------------------------------------
 
+    class _Layout(NamedTuple):
+        """Indices of :meth:`extract_windows` for one trace shape."""
+
+        k: np.ndarray  # states per channel
+        bin_start: np.ndarray  # first residency bin of each channel
+        denom: np.ndarray  # (n_channels, 1) float normaliser
+        low_half: np.ndarray  # residency bins below half scale
+        hist_cols: np.ndarray  # output column of each residency bin
+        stat_cols: np.ndarray  # (n_channels, n_stats) statistic columns
+        edges: np.ndarray  # spectral band edges into the full rfft
+        a: np.ndarray  # first channel of each cross-correlation pair
+        b: np.ndarray  # second channel of each pair
+        plan: np.ndarray  # int64 layout of the native kernel
+        lut: np.ndarray  # s / denom of every (channel, state)
+        addresses: tuple[int, int]  # of plan and lut, for ctypes
+
     @classmethod
     @functools.lru_cache(maxsize=64)
     def _layout(cls, cardinalities: tuple[int, ...], window_steps: int):
-        """Bin and column indices of :meth:`extract_windows` for one shape.
+        """The :class:`_Layout` of one trace shape, built once.
 
-        Returns the per-channel state counts, first residency bin and
-        float normaliser; the low-half mask and output column of every
-        residency bin; the ``(n_channels, n_stats)`` output columns of the
-        per-channel statistics; the spectral band edges into the full
-        ``rfft`` output (the reference splits the spectrum after its DC
-        bin, so they start at 1); and the channel pairs of the
-        cross-correlations.
+        The spectral band edges start at 1 because the reference splits
+        the spectrum after its DC bin.  The native kernel reads the
+        ``plan`` (channel count, window length, output width, first
+        cross-correlation column, then each channel's state count,
+        first residency and statistic columns and table offset) and the
+        ``lut`` of normalised states.
         """
         k = np.array(cardinalities, dtype=np.int64)
         n_stats = len(cls._CHANNEL_STATS) + cls.N_SPECTRAL_BANDS
@@ -239,18 +269,31 @@ class DvfsFeatureExtractor:
         channel = np.repeat(np.arange(len(k)), k)
         state = np.arange(k.sum()) - bin_start[channel]
         denom = np.maximum(k - 1, 1)
+        lut = state / denom[channel]
         bands = np.array_split(np.arange(window_steps // 2), cls.N_SPECTRAL_BANDS)
-        layout = (
+        a, b = np.triu_indices(len(k), k=1)
+        n_channel_cols = len(lut) + len(k) * n_stats
+        plan = np.concatenate(
+            [
+                [len(k), window_steps, n_channel_cols + len(a) + 3, n_channel_cols],
+                np.column_stack([k, col_start, col_start + k, bin_start]).ravel(),
+            ]
+        ).astype(np.int64)
+        layout = cls._Layout(
             k,
             bin_start,
             denom[:, None].astype(float),
-            state / denom[channel] < 0.5,
+            lut < 0.5,
             col_start[channel] + state,
             (col_start + k)[:, None] + np.arange(n_stats),
             np.cumsum([1] + [len(band) for band in bands]),
-            *np.triu_indices(len(k), k=1),
+            a,
+            b,
+            plan,
+            lut,
+            (plan.ctypes.data, lut.ctypes.data),
         )
-        for array in layout:  # shared by every call through the cache
+        for array in layout[:-1]:  # shared by every call through the cache
             array.flags.writeable = False
         return layout
 
@@ -259,23 +302,97 @@ class DvfsFeatureExtractor:
 
         Trailing steps that do not fill a whole window are dropped.
         Returns the same ``(n_windows, n_features)`` matrix as
-        :meth:`extract_windows_reference`, bitwise, from one pass over the
-        ``(n_windows, n_channels, window_steps)`` state tensor with no
-        per-channel loop: one offset-``bincount`` counts the residency of
-        every (window, channel) pair, and one ``diff``, one ``rfft`` and
-        one run-length pass cover all channels.  The state fractions,
-        transition and jump rates and the mean dwell are integer counts
-        divided by the same denominator the reference's float mean
-        divides by, so they are exact.
+        :meth:`extract_windows_reference`, bitwise.  The native kernel
+        (``_features.c``) writes every column but the spectral bands in
+        one sweep per (window, channel), together with the centred
+        normalised series; numpy's ``rfft`` of that series gives the
+        bands.  The numpy kernel (:meth:`_extract_windows_numpy`) serves
+        when the native one cannot (:meth:`_native_kernel`), and it is
+        the reference the native kernel is tested against.
         """
         n_windows = self._check_windowing(trace, window_steps)
+        layout = self._layout(
+            tuple(trace.n_states(c) for c in range(trace.n_channels)), window_steps
+        )
+        kernel = self._native_kernel(trace, n_windows * window_steps)
+        if kernel is None:
+            return self._extract_windows_numpy(trace, window_steps, n_windows, layout)
+        states = trace.states
+        out = np.empty((n_windows, layout.plan[2]))
+        centered = np.empty((n_windows, trace.n_channels, window_steps))
+        if kernel(
+            *layout.addresses,
+            states.ctypes.data,
+            *states.strides,
+            trace.temperature_c.ctypes.data,
+            n_windows,
+            centered.ctypes.data,
+            out.ctypes.data,
+        ):
+            # The sweep stopped at a state outside [0, k): the numpy
+            # kernel's range check raises, naming the lowest-index
+            # channel that holds one.
+            return self._extract_windows_numpy(trace, window_steps, n_windows, layout)
+        out[:, layout.stat_cols[:, len(self._CHANNEL_STATS) :]] = self._band_energies(
+            centered, layout.edges
+        )
+        return out
+
+    @staticmethod
+    def _native_kernel(trace: DvfsTrace, used: int):
+        """The C entry point for ``trace``, or ``None`` when numpy serves:
+        no library, a states dtype without an entry, unaligned states,
+        no channels (the numpy kernel's range check raises), or a
+        temperature that is not a contiguous float64 vector of at least
+        ``used`` steps."""
+        lib = _native.library()
+        name = _native.FEATURE_ENTRIES.get(trace.states.dtype)
+        temperature = trace.temperature_c
+        if (
+            lib is None
+            or name is None
+            or not trace.states.flags.aligned
+            or trace.n_channels == 0
+            or temperature.dtype != np.float64
+            or temperature.ndim != 1
+            or not temperature.flags.c_contiguous
+            or len(temperature) < used
+        ):
+            return None
+        return getattr(lib, name)
+
+    def _band_energies(self, centered: np.ndarray, edges) -> np.ndarray:
+        """Spectral band shares of every centred series, shape
+        ``centered.shape[:-1] + (N_SPECTRAL_BANDS,)``; 0 where the
+        spectrum past DC is empty."""
+        spectrum = np.abs(np.fft.rfft(centered, axis=-1)) ** 2
+        total = spectrum[..., 1:].sum(axis=-1)
+        bands = np.zeros(centered.shape[:-1] + (self.N_SPECTRAL_BANDS,))
+        for band in range(self.N_SPECTRAL_BANDS):
+            np.divide(
+                spectrum[..., edges[band] : edges[band + 1]].sum(axis=-1),
+                total,
+                out=bands[..., band],
+                where=total > 0,
+            )
+        return bands
+
+    def _extract_windows_numpy(
+        self, trace: DvfsTrace, window_steps: int, n_windows: int, layout: _Layout
+    ) -> np.ndarray:
+        """The numpy kernel of :meth:`extract_windows`: one pass over
+        the ``(n_windows, n_channels, window_steps)`` state tensor with
+        no per-channel loop.  One offset-``bincount`` counts the
+        residency of every (window, channel) pair, and one ``diff``, one
+        ``rfft`` and one run-length pass cover all channels.  The state
+        fractions, transition and jump rates and the mean dwell are
+        integer counts divided by the same denominator the reference's
+        float mean divides by, so they are exact.
+        """
         n_channels = trace.n_channels
         T = window_steps
         used = n_windows * T
-        cardinalities = tuple(trace.n_states(c) for c in range(n_channels))
-        k, bin_start, denom, low_half, hist_cols, stat_cols, edges, a, b = (
-            self._layout(cardinalities, T)
-        )
+        k, bin_start, denom, low_half, hist_cols, stat_cols, edges, a, b = layout[:9]
         # Each per-(window, channel) series contiguous: the layout every
         # float reduction below needs for bitwise identity with the 1-D
         # reference path.
@@ -337,16 +454,7 @@ class DvfsFeatureExtractor:
 
         lag1 = (centered[..., :-1] * centered[..., 1:]).sum(axis=-1)
         np.divide(lag1, var, out=feats[..., 11], where=var > 1e-12)
-
-        spectrum = np.abs(np.fft.rfft(centered, axis=-1)) ** 2
-        total = spectrum[..., 1:].sum(axis=-1)
-        for band in range(self.N_SPECTRAL_BANDS):
-            np.divide(
-                spectrum[..., edges[band] : edges[band + 1]].sum(axis=-1),
-                total,
-                out=feats[..., len(self._CHANNEL_STATS) + band],
-                where=total > 0,
-            )
+        feats[..., len(self._CHANNEL_STATS) :] = self._band_energies(centered, edges)
 
         n_channel_cols = n_bins + stat_cols.size
         out = np.empty((n_windows, n_channel_cols + len(a) + 3))

@@ -1,9 +1,18 @@
-"""Build, cache and load the native traversal kernel (``_traverse.c``).
+"""Build, cache and load the native kernels as one library.
 
-On first use the C source is compiled with the host compiler
-(``cc -O2 -shared -fPIC``, about 0.1 s) into a per-user cache directory
-(``~/.cache/repro``, mode ``0o700``), under a name hashed from the
-source, the flags and the machine type, and loaded with :mod:`ctypes`.
+Two C sources go into it: the forest traversal ``ml/_traverse.c``,
+which serves :mod:`repro.ml.backend`, and the DVFS featurization
+``hmd/_features.c``, which serves
+:meth:`repro.hmd.features.DvfsFeatureExtractor.extract_windows`.  On
+first use they are compiled with the host compiler
+(``cc -O2 -ffp-contract=off -fno-math-errno -shared -fPIC``, about
+0.5 s) into a per-user cache directory (``~/.cache/repro``, mode
+``0o700``), under a name hashed from every source, the flags and the
+machine type, and loaded with :mod:`ctypes`.  ``-ffp-contract=off``
+keeps a compiler from fusing a multiply and an add on FMA targets,
+which would break the featurization's bitwise equality with numpy;
+``-fno-math-errno`` lets ``sqrt`` compile to the (correctly rounded)
+instruction, so the library needs no ``libm``.
 Later loads, in this process or in any other (spawned shard workers),
 reuse the cached library.  A build goes to a temporary file that
 ``os.replace`` moves into place, so concurrent builds never load a
@@ -11,8 +20,8 @@ half-written library.
 
 :func:`library` never raises: when no compiler is found, the build
 fails or the library does not load, it returns ``None`` and the numpy
-kernel in :mod:`repro.ml.backend` serves.  Tests force that fallback
-by setting ``_handle`` to ``None``.
+kernels serve.  Tests force that fallback by setting ``_handle`` to
+``None``.
 """
 
 from __future__ import annotations
@@ -28,8 +37,11 @@ from pathlib import Path
 
 import numpy as np
 
-_SOURCE = Path(__file__).with_name("_traverse.c")
-_FLAGS = ("-O2", "-shared", "-fPIC")
+_SOURCES = (
+    Path(__file__).with_name("_traverse.c"),
+    Path(__file__).parent.parent / "hmd" / "_features.c",
+)
+_FLAGS = ("-O2", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
 
 _UNSET = object()
 _handle = _UNSET  # the loaded CDLL, or None once a build or load failed
@@ -51,11 +63,11 @@ def _cache_dir() -> Path:
 
 
 def build_and_load() -> ctypes.CDLL:
-    """Load the cached kernel, compiling it first if needed (raises on
+    """Load the cached library, compiling it first if needed (raises on
     any failure: a missing compiler, a failed build, an unsafe cache)."""
-    source = _SOURCE.read_bytes()
+    sources = [source.read_bytes() for source in _SOURCES]
     key = hashlib.sha256(
-        b"\0".join([source, " ".join(_FLAGS).encode(), platform.machine().encode()])
+        b"\0".join([*sources, " ".join(_FLAGS).encode(), platform.machine().encode()])
     ).hexdigest()[:16]
     cache = _cache_dir()
     cache.mkdir(mode=0o700, parents=True, exist_ok=True)
@@ -63,7 +75,7 @@ def build_and_load() -> ctypes.CDLL:
     # Only load code from a directory no other user can write to.
     if status.st_uid != os.getuid() or status.st_mode & 0o022:
         raise PermissionError(f"{cache} is writable by other users.")
-    path = cache / f"_traverse-{key}.so"
+    path = cache / f"_kernels-{key}.so"
     if not path.exists():
         _build(path)
     lib = ctypes.CDLL(str(path))
@@ -79,7 +91,7 @@ def _build(path: Path) -> None:
     os.close(fd)
     try:
         subprocess.run(
-            [compiler, *_FLAGS, "-o", tmp, str(_SOURCE)],
+            [compiler, *_FLAGS, "-o", tmp, *map(str, _SOURCES)],
             check=True,
             capture_output=True,
             timeout=120,
@@ -90,10 +102,21 @@ def _build(path: Path) -> None:
             os.unlink(tmp)
 
 
+#: States dtype → featurization entry point in ``_features.c``.
+FEATURE_ENTRIES = {
+    np.dtype(t): f"dvfs_features_{np.dtype(t).name}"
+    for t in (np.int8, np.int16, np.int32, np.int64, np.uint8)
+}
+
+
 def _declare(lib: ctypes.CDLL) -> None:
-    """``argtypes``/``restype`` of the three entry points (one per node
-    record layout); the array arguments are checked for dtype and
-    C-contiguity on every call."""
+    """``argtypes``/``restype`` of every entry point.
+
+    The traversal entries (one per node record layout) check their
+    arrays' dtype and C-contiguity on every call.  The featurization
+    entries take raw addresses: the caller checks dtypes and layout
+    first, which costs less per call than ``ndpointer``.
+    """
 
     def array(dtype):
         return np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
@@ -117,3 +140,19 @@ def _declare(lib: ctypes.CDLL) -> None:
             array(np.int64),  # counts (out)
         ]
         entry.restype = None
+
+    pointer = ctypes.c_void_p
+    for name in FEATURE_ENTRIES.values():
+        entry = getattr(lib, name)
+        entry.argtypes = [
+            pointer,  # plan
+            pointer,  # lut
+            pointer,  # states
+            i64,  # row_stride (bytes)
+            i64,  # col_stride (bytes)
+            pointer,  # temperature
+            i64,  # n_windows
+            pointer,  # centered (out)
+            pointer,  # out
+        ]
+        entry.restype = i64

@@ -32,7 +32,9 @@ def make_blobs(
 
 @pytest.fixture
 def numpy_kernel(monkeypatch):
-    """Vote counting through the numpy loop, the native kernel's fallback."""
+    """Every native kernel's numpy fallback serves: one library handle
+    holds both the vote counting and the DVFS featurization, so setting
+    it to ``None`` sends both through numpy."""
     from repro.ml import _native
 
     monkeypatch.setattr(_native, "_handle", None)

@@ -20,6 +20,7 @@ windows silently lost (``account_windows`` comes back empty).
 import pickle
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -508,7 +509,7 @@ class TestAbnormalTeardown:
             [sys.executable, "-c", _LEAK_SCRIPT],
             capture_output=True,
             text=True,
-            cwd="/root/repo",
+            cwd=Path(__file__).resolve().parents[2],  # this checkout's root
             env={"PYTHONPATH": "src:.", "PATH": "/usr/bin:/bin"},
             timeout=120,
         )

@@ -3,10 +3,12 @@
 The batched feature paths and the fused scaler→PCA front are pure
 performance backends: they must never change results.
 
-* ``DvfsFeatureExtractor.extract_windows`` (whole-tensor) vs.
+* ``DvfsFeatureExtractor.extract_windows`` vs.
   ``extract_windows_reference`` (per-window loop): **bitwise identical**
   across randomized trace lengths, channel counts, state cardinalities,
-  state dtypes, constant signals and minimal (len ≤ 2) windows.
+  state dtypes, constant signals and minimal (len ≤ 2) windows.  The
+  class runs the native kernel wherever it is built, and its ``Numpy``
+  subclass reruns every test on the numpy kernel.
 * ``HpcFeatureExtractor.extract_many`` vs. stacked per-trace
   ``extract``: bitwise identical.
 * The fused affine front of ``TrustedHMD``/``UntrustedHMD`` vs. the
@@ -196,6 +198,12 @@ class TestDvfsBatchedEquivalence:
             extractor.extract_windows(trace, 4)
         with pytest.raises(ValueError):
             extractor.extract_windows_reference(trace, 4)
+
+
+@pytest.mark.usefixtures("numpy_kernel")
+class TestDvfsBatchedEquivalenceNumpy(TestDvfsBatchedEquivalence):
+    """The same checks with the numpy kernel featurizing: the class
+    above runs the native kernel wherever it is built."""
 
 
 class TestHpcBulkEquivalence:

@@ -5,11 +5,14 @@ window in one pass; ``extract_windows_reference`` loops over windows
 and channels.  Hypothesis draws the trace shape (channels, per-channel
 state counts, window length, window count, a partial trailing window)
 and the signal (per-channel switching probability, from constant to
-switching every step) and requires the two to agree bitwise.
+switching every step) and requires the two to agree bitwise.  The
+first test runs the native kernel wherever it is built; its ``_numpy``
+twin runs the numpy kernel.
 """
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.hmd import DvfsFeatureExtractor
@@ -50,12 +53,29 @@ def dvfs_traces(draw):
     return trace, window_steps, n_windows
 
 
-@given(case=dvfs_traces())
-@settings(max_examples=200, deadline=None)
-def test_extract_windows_equals_reference_bitwise(case):
+def check_equals_reference(case):
     trace, window_steps, n_windows = case
     extractor = DvfsFeatureExtractor()
     batched = extractor.extract_windows(trace, window_steps)
     reference = extractor.extract_windows_reference(trace, window_steps)
     assert batched.shape == (n_windows, len(extractor.feature_names(trace)))
     assert np.array_equal(batched, reference)
+
+
+@given(case=dvfs_traces())
+@settings(max_examples=200, deadline=None)
+def test_extract_windows_equals_reference_bitwise(case):
+    check_equals_reference(case)
+
+
+# The fixture only clears the library handle, which every example
+# should see cleared, so sharing it across examples is intended.
+@pytest.mark.usefixtures("numpy_kernel")
+@given(case=dvfs_traces())
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_extract_windows_equals_reference_bitwise_numpy(case):
+    check_equals_reference(case)
