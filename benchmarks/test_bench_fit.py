@@ -14,6 +14,10 @@ M = 100 member trees):
   member regrowth from the appended binned buffer, flat backend
   recompile) must beat the seed behaviour (full `hmd.fit` from
   scratch) by at least 3x;
+* **native tree growth** — the hpc benchmark forest (``bench``'s
+  ``hpc_rows_quantized`` fit, M = 100) grown by ``_grow.c`` must be
+  bitwise the numpy grower's forest and at least 2x faster, timed in
+  interleaved native/numpy pairs;
 * **flat-backend compatibility** — binned-trained trees must flow
   through the PR 2 flattened vote path unchanged (bitwise-identical
   votes/entropies vs. the member loop), and on the fig5 (HPC) workload
@@ -34,8 +38,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bench.workloads import DEPLOYMENT_SEED, FULL, _fit
 from repro.data import build_hpc_dataset
-from repro.ml import BaggingClassifier, DecisionTreeClassifier, RandomForestClassifier
+from repro.ml import (
+    BaggingClassifier,
+    DecisionTreeClassifier,
+    RandomForestClassifier,
+    _native,
+)
 from repro.uncertainty import TrustedHMD
 from repro.uncertainty.entropy import vote_entropy
 from repro.uncertainty.online import FlaggedSample, RetrainingLoop
@@ -168,6 +178,47 @@ def test_bench_retrain_step_gate(fit_workload):
     assert speedup >= 3.0, (
         f"retrain-loop step only {speedup:.1f}x over the seed full refit"
     )
+
+
+@pytest.mark.skipif(_native.library() is None, reason="no C compiler")
+def test_bench_native_grower_hpc_forest():
+    """The hpc bench forest fit, native vs numpy grower, interleaved."""
+    train = build_hpc_dataset(seed=DEPLOYMENT_SEED, scale=FULL.hpc_scale).train
+    lib = _native.library()
+    seconds = {"native": [], "numpy": []}
+    forests = {}
+    try:
+        for _ in range(2):
+            for kernel, handle in (("native", lib), ("numpy", None)):
+                _native._handle = handle
+                t0 = time.perf_counter()
+                hmd = _fit(train.X, train.y, FULL, grower="hist", n_components=0.95)
+                seconds[kernel].append(time.perf_counter() - t0)
+                forests[kernel] = hmd.ensemble_
+    finally:
+        _native._handle = lib
+    for a, b in zip(forests["native"].estimators_, forests["numpy"].estimators_):
+        for name in ("feature", "threshold", "children_left", "children_right",
+                     "value", "impurity", "n_node_samples"):
+            assert getattr(a.tree_, name).tobytes() == getattr(b.tree_, name).tobytes()
+    native_s, numpy_s = min(seconds["native"]), min(seconds["numpy"])
+    speedup = numpy_s / native_s
+    _results["native_grower_hpc_forest"] = {
+        "n_train": len(train.y),
+        "n_members": FULL.n_estimators,
+        "n_nodes": int(sum(t.tree_.node_count for t in forests["native"].estimators_)),
+        "native_fit_s": seconds["native"],
+        "numpy_fit_s": seconds["numpy"],
+        "speedup": speedup,
+    }
+    print(
+        f"\nhpc bench forest fit (n={len(train.y)}, M={FULL.n_estimators}), "
+        f"best of {len(seconds['native'])} interleaved pairs:\n"
+        f"  numpy grower:  {numpy_s:8.2f} s\n"
+        f"  native grower: {native_s:8.2f} s\n"
+        f"  speedup:       {speedup:8.1f} x"
+    )
+    assert speedup >= 2.0, f"native grower only {speedup:.1f}x over numpy"
 
 
 def test_bench_binned_trees_flow_through_flat_backend(hpc_dataset):

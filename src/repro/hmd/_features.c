@@ -16,8 +16,8 @@
  *  - products are rounded before they are summed, as numpy stores them;
  *    the build passes -ffp-contract=off so no multiply-add is fused;
  *  - integer counts are divided by the same denominators as numpy's;
- *  - a step's diff is taken in the state dtype, so unsigned states
- *    wrap as numpy's S[1:] - S[:-1] does.
+ *  - a step's diff is taken in int64, as the numpy kernel takes it
+ *    after widening unsigned states, so no diff wraps.
  *
  * plan (int64) = n_channels, window_steps, n_cols, first xcorr column,
  * then per channel: states k, first residency column, first statistic
@@ -106,8 +106,8 @@ static int NAME(const char *states, int64_t stride, int64_t T, int64_t k,  \
             return 1;                                                      \
         x[t] = table[s];                                                   \
         hist[s] += 1.;                                                     \
-        const ST d = (ST)(s - prev);                                       \
-        const int64_t jump = d < 0 ? -(int64_t)d : (int64_t)d;             \
+        const int64_t d = (int64_t)s - (int64_t)prev;                      \
+        const int64_t jump = d < 0 ? -d : d;                               \
         ups += d > 0;                                                      \
         jump_sum += jump;                                                  \
         max_jump = jump > max_jump ? jump : max_jump;                      \

@@ -140,7 +140,8 @@ class DvfsFeatureExtractor:
         feats: list[float] = []
         norms = []
         for c in range(trace.n_channels):
-            states = trace.states[:, c]
+            # int64, so unsigned diffs do not wrap and uint64 bincounts.
+            states = trace.states[:, c].astype(np.int64, copy=False)
             n_states = trace.n_states(c)
             hist = np.bincount(states, minlength=n_states).astype(float)
             hist /= len(states)
@@ -412,6 +413,11 @@ class DvfsFeatureExtractor:
                 f"but only {k[c]} frequency states are defined."
             )
 
+        if S.dtype.kind == "u":
+            # Unsigned diffs wrap (a step down reads as a huge jump up)
+            # and uint64 + int64 offsets promote to float: work in int64,
+            # which holds every state the check above let through.
+            S = S.astype(np.int64)
         n_bins = len(hist_cols)
         offsets = np.arange(n_windows)[:, None] * n_bins + bin_start
         counts = np.bincount(

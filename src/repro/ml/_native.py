@@ -1,12 +1,13 @@
 """Build, cache and load the native kernels as one library.
 
-Two C sources go into it: the forest traversal ``ml/_traverse.c``,
-which serves :mod:`repro.ml.backend`, and the DVFS featurization
-``hmd/_features.c``, which serves
+Three C sources go into it: the forest traversal ``ml/_traverse.c``,
+which serves :mod:`repro.ml.backend`, the histogram tree growth
+``ml/_grow.c``, which serves :func:`repro.ml.training.grow_tree_binned`,
+and the DVFS featurization ``hmd/_features.c``, which serves
 :meth:`repro.hmd.features.DvfsFeatureExtractor.extract_windows`.  On
 first use they are compiled with the host compiler
 (``cc -O2 -ffp-contract=off -fno-math-errno -shared -fPIC``, about
-0.5 s) into a per-user cache directory (``~/.cache/repro``, mode
+1 s) into a per-user cache directory (``~/.cache/repro``, mode
 ``0o700``), under a name hashed from every source, the flags and the
 machine type, and loaded with :mod:`ctypes`.  ``-ffp-contract=off``
 keeps a compiler from fusing a multiply and an add on FMA targets,
@@ -39,6 +40,7 @@ import numpy as np
 
 _SOURCES = (
     Path(__file__).with_name("_traverse.c"),
+    Path(__file__).with_name("_grow.c"),
     Path(__file__).parent.parent / "hmd" / "_features.c",
 )
 _FLAGS = ("-O2", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
@@ -114,8 +116,9 @@ def _declare(lib: ctypes.CDLL) -> None:
 
     The traversal entries (one per node record layout) check their
     arrays' dtype and C-contiguity on every call.  The featurization
-    entries take raw addresses: the caller checks dtypes and layout
-    first, which costs less per call than ``ndpointer``.
+    and tree-growth entries take raw addresses: the caller checks
+    dtypes and layout first, which costs less per call than
+    ``ndpointer``.
     """
 
     def array(dtype):
@@ -156,3 +159,33 @@ def _declare(lib: ctypes.CDLL) -> None:
             pointer,  # out
         ]
         entry.restype = i64
+
+    lib.hist_grow_new.argtypes = []
+    lib.hist_grow_new.restype = pointer
+    lib.hist_grow_free.argtypes = [pointer]
+    lib.hist_grow_free.restype = None
+    lib.hist_grow_resume.argtypes = [pointer]
+    lib.hist_grow_resume.restype = i64
+    lib.hist_grow_start.argtypes = [
+        pointer,  # grower
+        pointer,  # codes
+        i64,  # d
+        pointer,  # y
+        pointer,  # weights (or NULL)
+        pointer,  # rows
+        i64,  # n_rows
+        i64,  # n_classes
+        pointer,  # cut_limit
+        pointer,  # edges
+        pointer,  # edge_offset
+        i64,  # n_bins_max
+        i64,  # max_depth
+        i64,  # min_samples_split
+        i64,  # min_samples_leaf
+        ctypes.c_double,  # min_impurity_decrease
+        i64,  # candidate features
+        pointer,  # draw buffer
+    ]
+    lib.hist_grow_start.restype = i64
+    lib.hist_grow_take.argtypes = [pointer] * 8
+    lib.hist_grow_take.restype = None

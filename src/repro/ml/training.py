@@ -22,7 +22,9 @@ LightGBM / ``HistGradientBoosting`` design instead:
   of a split pays a histogram pass, the other is derived as
   ``parent − sibling``.  Fractional ``sample_weight`` is native — the
   weights enter the histograms directly, with no integer-replication
-  blowup.
+  blowup.  The C kernel ``_grow.c`` (built by :mod:`repro.ml._native`)
+  grows each tree in one call, bitwise equal to the numpy loop, which
+  stays as the fallback and the reference.
 * :class:`BinnedPartialRefitMixin` — the ensemble-facing ``partial_refit``
   contract: append analyst-labelled rows to the growth buffer, refit
   every member on the grown codes with warm bin edges, and recompile
@@ -39,10 +41,12 @@ replication counted duplicates.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _native
 from .validation import check_array, check_random_state
 
 __all__ = [
@@ -452,6 +456,137 @@ def grow_tree_binned(
 ):
     """Grow a :class:`~repro.ml.tree.TreeStructure` from binned codes.
 
+    The native kernel ``_grow.c`` grows the tree when
+    :func:`_native_grower` says it covers the fit, and the numpy loop
+    below (:func:`_grow_numpy`, the reference) otherwise; both return
+    the same arrays, bit for bit, and advance ``random_state`` alike.
+    """
+    params = dict(
+        criterion=criterion,
+        max_depth=max_depth,
+        min_samples_split=min_samples_split,
+        min_samples_leaf=min_samples_leaf,
+        min_impurity_decrease=min_impurity_decrease,
+        n_candidate_features=(
+            view.n_features if n_candidate_features is None else n_candidate_features
+        ),
+        sample_weight=sample_weight,
+        rows=np.arange(view.n_rows, dtype=np.intp) if rows is None else rows,
+        random_state=check_random_state(random_state),
+    )
+    lib = _native_grower(criterion, n_classes)
+    if lib is not None:
+        return _grow_native(lib, view, y_encoded, n_classes, **params)
+    return _grow_numpy(view, y_encoded, n_classes, **params)
+
+
+def _native_grower(criterion: str, n_classes: int):
+    """The library when its grower covers the fit, else ``None``.
+
+    The kernel folds class sums in order, which is numpy's order only
+    below its 8-term pairwise block, and it has no entropy: C's
+    ``log2`` is not shown to match numpy's bit for bit.
+    """
+    if criterion != "gini" or n_classes > _NATIVE_MAX_CLASSES:
+        return None
+    return _native.library()
+
+
+_NATIVE_MAX_CLASSES = 7  # MAX_CLASSES in _grow.c
+_DRAW, _NO_MEMORY = -1, -2  # hist_grow_* status codes
+_workspaces = threading.local()
+
+
+class _GrowWorkspace:
+    """The kernel's grow-only workspace: one per thread, reused by every
+    tree that thread grows."""
+
+    def __init__(self, lib):
+        self.lib = lib
+        self.handle = lib.hist_grow_new()
+        if not self.handle:
+            raise MemoryError("cannot allocate the tree-growth workspace.")
+
+    def __del__(self):
+        self.lib.hist_grow_free(self.handle)
+
+    @classmethod
+    def of(cls, lib) -> "_GrowWorkspace":
+        """This thread's workspace for ``lib``."""
+        workspace = getattr(_workspaces, "grower", None)
+        if workspace is None or workspace.lib is not lib:
+            workspace = _workspaces.grower = cls(lib)
+        return workspace
+
+
+def _grow_native(lib, view, y_encoded, n_classes, *, criterion, max_depth,
+                 min_samples_split, min_samples_leaf, min_impurity_decrease,
+                 n_candidate_features, sample_weight, rows, random_state):
+    """:func:`_grow_numpy` in one ``_grow.c`` call per tree, resumed
+    once per node that draws its candidate features."""
+    from .tree import TreeStructure
+
+    codes = np.ascontiguousarray(view.codes, dtype=np.uint8)
+    d = codes.shape[1]
+    y = np.ascontiguousarray(y_encoded, dtype=np.int64)
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    weights = (
+        None if sample_weight is None
+        else np.ascontiguousarray(sample_weight, dtype=np.float64)
+    )
+    n_bins = np.asarray(view.n_bins, dtype=np.int64)
+    # The kernel does no bounds checks: refuse what would take it
+    # outside its arrays.
+    n_indexable = min(len(codes), len(y), len(y if weights is None else weights))
+    bad = bool((codes.max(axis=0, initial=0) >= n_bins).any())
+    if rows.size and not bad:
+        bad = rows.min() < 0 or rows.max() >= n_indexable
+        bad = bad or not 0 <= y[rows].min() <= y[rows].max() < n_classes
+    if bad:
+        raise ValueError("refusing to grow: a row, class id or bin code is out of range.")
+    cut_limit = n_bins - 1
+    edges = np.concatenate([np.asarray(e, dtype=np.float64) for e in view.bin_edges])
+    edge_offset = np.concatenate([[0], np.cumsum(cut_limit)[:-1]]).astype(np.int64)
+    k = n_candidate_features
+    draw = np.zeros(k, dtype=np.int64)
+    handle = _GrowWorkspace.of(lib).handle
+    status = lib.hist_grow_start(
+        handle, codes.ctypes.data, d, y.ctypes.data,
+        None if weights is None else weights.ctypes.data,
+        rows.ctypes.data, len(rows), n_classes, cut_limit.ctypes.data,
+        edges.ctypes.data, edge_offset.ctypes.data, int(n_bins.max()),
+        np.iinfo(np.int64).max if max_depth is None else max_depth,
+        min_samples_split, min_samples_leaf, float(min_impurity_decrease),
+        k, draw.ctypes.data,
+    )
+    resume = lib.hist_grow_resume
+    while status == _DRAW:
+        draw[:] = np.sort(random_state.choice(d, size=k, replace=False))
+        status = resume(handle)
+    if status == _NO_MEMORY:
+        raise MemoryError("the tree-growth workspace could not grow.")
+    tree = TreeStructure(
+        feature=np.empty(status, dtype=np.int64),
+        threshold=np.empty(status, dtype=np.float64),
+        children_left=np.empty(status, dtype=np.int64),
+        children_right=np.empty(status, dtype=np.int64),
+        value=np.empty((status, n_classes), dtype=np.float64),
+        impurity=np.empty(status, dtype=np.float64),
+        n_node_samples=np.empty(status, dtype=np.int64),
+    )
+    lib.hist_grow_take(handle, *(
+        getattr(tree, name).ctypes.data
+        for name in ("feature", "threshold", "children_left", "children_right",
+                     "value", "impurity", "n_node_samples")
+    ))
+    return tree
+
+
+def _grow_numpy(view, y_encoded, n_classes, *, criterion, max_depth,
+                min_samples_split, min_samples_leaf, min_impurity_decrease,
+                n_candidate_features, sample_weight, rows, random_state):
+    """The histogram grower in numpy: the fallback and the reference.
+
     Two histogram strategies, chosen by the feature budget:
 
     * **all features** (``n_candidate_features == n_features``): each
@@ -471,12 +606,7 @@ def grow_tree_binned(
     from .tree import TreeStructure, _impurity
 
     codes = view.codes
-    n_total, d = codes.shape
-    if n_candidate_features is None:
-        n_candidate_features = d
-    rng = check_random_state(random_state)
-    if rows is None:
-        rows = np.arange(n_total, dtype=np.intp)
+    d = codes.shape[1]
     max_depth_f = np.inf if max_depth is None else max_depth
 
     B = int(view.n_bins.max())
@@ -526,7 +656,7 @@ def grow_tree_binned(
 
         if n_candidate_features < d:
             feats = np.sort(
-                rng.choice(d, size=n_candidate_features, replace=False)
+                random_state.choice(d, size=n_candidate_features, replace=False)
             )
         else:
             feats = None

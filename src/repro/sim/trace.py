@@ -146,6 +146,11 @@ class DvfsTrace:
             )
         if len(self.frequencies_mhz) != len(self.channel_names):
             raise ValueError("One frequency table per channel is required.")
+        if len(self.temperature_c) != len(self.states):
+            raise ValueError(
+                f"temperature_c has {len(self.temperature_c)} steps but "
+                f"states has {len(self.states)}."
+            )
 
     @property
     def n_steps(self) -> int:

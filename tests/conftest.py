@@ -30,11 +30,31 @@ def make_blobs(
     return X[order], y[order]
 
 
+class Spy:
+    """A library handle that records which entry points are resolved."""
+
+    def __init__(self, lib):
+        self.lib = lib
+        self.resolved = []
+
+    def __getattr__(self, name):
+        self.resolved.append(name)
+        return getattr(self.lib, name)
+
+
+class Trap:
+    """A library handle that fails the test on any entry point."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"native {name} called")
+
+
 @pytest.fixture
 def numpy_kernel(monkeypatch):
     """Every native kernel's numpy fallback serves: one library handle
-    holds both the vote counting and the DVFS featurization, so setting
-    it to ``None`` sends both through numpy."""
+    holds the vote counting, the histogram tree growth and the DVFS
+    featurization, so setting it to ``None`` sends all three through
+    numpy."""
     from repro.ml import _native
 
     monkeypatch.setattr(_native, "_handle", None)

@@ -7,8 +7,9 @@ state dtypes, strided state views, window lengths on both sides of the
 pairwise-summation block (128) and of its multiples of 8, cardinalities
 above 256, constant channels and NaN, ±inf and -0.0 temperatures.  The
 rest pin which kernel serves (a trap handle, a float32 or strided or
-short temperature, a dtype with no entry, unaligned states) and that a
-bad state raises the same error under both.
+short temperature, a dtype with no entry, unaligned states), that
+unsigned states featurize as int64 ones under both, and that a bad
+state raises the same error under both.
 """
 
 import numpy as np
@@ -19,29 +20,13 @@ from hypothesis import strategies as st
 from repro.hmd import DvfsFeatureExtractor
 from repro.ml import _native
 from repro.sim import DvfsTrace
+from tests.conftest import Spy, Trap
 
 needs_native = pytest.mark.skipif(
     _native.library() is None, reason="no C compiler: only numpy can serve"
 )
 
 STATE_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8]
-
-
-class Spy:
-    """A library handle that records which entry points are resolved."""
-
-    def __init__(self, lib):
-        self.lib = lib
-        self.resolved = []
-
-    def __getattr__(self, name):
-        self.resolved.append(name)
-        return getattr(self.lib, name)
-
-
-class Trap:
-    def __getattr__(self, name):
-        raise AssertionError(f"native {name} called")
 
 
 def run(handle, trace, window_steps):
@@ -180,9 +165,31 @@ class TestKernelsAgree:
 
     def test_short_temperature_is_not_read_past_its_end(self):
         rng = np.random.default_rng(2)
-        trace = make_trace(rng.integers(0, 6, (480, 3)), rng.normal(40, 3, 400))
+        states = rng.integers(0, 6, (480, 3))
+        with pytest.raises(ValueError, match="400 steps but states has 480"):
+            make_trace(states, rng.normal(40, 3, 400))
+        # Cut short after construction, it still never reaches C.
+        trace = make_trace(states, rng.normal(40, 3, 480))
+        trace.temperature_c = trace.temperature_c[:400]
         with pytest.raises(ValueError, match="reshape"):
             run(Trap(), trace, 96)
+
+
+@pytest.mark.parametrize("kernel", ["native", "numpy"])
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.uint64])
+def test_unsigned_states_featurize_as_int64(kernel, dtype):
+    """Steps down do not wrap into jumps up, and uint64 states count
+    (uint16 and wider have no native entry, so numpy serves them)."""
+    if kernel == "native" and _native.library() is None:
+        pytest.skip("no C compiler: only numpy can serve")
+    rng = np.random.default_rng(4)
+    states = rng.integers(0, 7, (480, 3))
+    temperature = rng.normal(40, 3, 480)
+    handle = _native.library() if kernel == "native" else None
+    want = run(handle, make_trace(states, temperature), 96)
+    trace = make_trace(states.astype(dtype), temperature)
+    assert_bitwise(run(handle, trace, 96), want)
+    assert_bitwise(DvfsFeatureExtractor().extract_windows_reference(trace, 96), want)
 
 
 @pytest.mark.parametrize("kernel", ["native", "numpy"])

@@ -25,7 +25,7 @@ from repro.fleet.sharding import PublishedHmd
 from repro.ml import RandomForestClassifier, _native
 from repro.ml.backend import FlatForest, QuantizedForest
 from repro.uncertainty import TrustedHMD
-from tests.conftest import make_blobs
+from tests.conftest import Trap, make_blobs
 
 needs_native = pytest.mark.skipif(
     _native.library() is None, reason="no C compiler: only numpy can serve"
@@ -220,10 +220,6 @@ class TestWhereNativeServes:
     def test_analyze_never_calls_c(self, monkeypatch):
         """``analyze`` (the bench's oracle) stays on numpy, while the
         fleet's verdict path reaches the kernel."""
-
-        class Trap:
-            def __getattr__(self, name):
-                raise AssertionError(f"native {name} called")
 
         hmd, X = hmd_and_rows()
         reference = hmd.analyze(X)

@@ -100,6 +100,17 @@ class TestDvfsTrace:
                 temperature_c=np.zeros(5),
             )
 
+    def test_temperature_length_mismatch_raises(self):
+        with pytest.raises(
+            ValueError, match="temperature_c has 470 steps but states has 480"
+        ):
+            DvfsTrace(
+                states=np.zeros((480, 2), dtype=int),
+                frequencies_mhz=((1.0, 2.0), (1.0, 2.0)),
+                channel_names=("a", "b"),
+                temperature_c=np.full(470, 40.0),
+            )
+
 
 class TestHpcTrace:
     def _trace(self):
