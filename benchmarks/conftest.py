@@ -5,9 +5,16 @@ enough for the paper's qualitative shapes to be stable, small enough to
 run in minutes.  The printed output of each benchmark is the series the
 corresponding paper artifact plots; EXPERIMENTS.md records a full-scale
 run.
+
+A benchmark module that defines ``RESULTS_PATH`` and a ``_results``
+dict gets its measurements persisted by :func:`persist_results` when
+the module finishes, merged into the existing file.
 """
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
 
 import pytest
 
@@ -29,3 +36,24 @@ def bench_context_warm(bench_context):
         bench_context.dataset(domain)
         bench_context.fitted(domain, "rf")
     return bench_context
+
+
+def merge_results(path: Path, results: dict) -> None:
+    """Merge ``results`` into the JSON object at ``path``.
+
+    Entries of tests that did not run this time (``-k``, a failure
+    before recording) keep their last measured values.
+    """
+    merged = json.loads(path.read_text()) if path.exists() else {}
+    merged.update(results)
+    path.write_text(json.dumps(merged, indent=2) + "\n")
+    print(f"\nwrote {path}")
+
+
+@pytest.fixture(scope="module", autouse=True)
+def persist_results(request):
+    """Write the module's ``_results`` to its ``RESULTS_PATH`` on teardown."""
+    yield
+    results = getattr(request.module, "_results", None)
+    if results:
+        merge_results(request.module.RESULTS_PATH, results)

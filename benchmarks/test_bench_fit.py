@@ -31,7 +31,6 @@ written to ``BENCH_fit.json`` (uploaded as a CI artifact).
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
@@ -279,10 +278,3 @@ def test_bench_binned_trees_flow_through_flat_backend(hpc_dataset):
             f"{split}: mean entropy drifted by {d_entropy:.3f}"
         )
     _results["fig5_verdict_tolerance"] = tolerance
-
-
-def teardown_module(module):
-    """Persist whatever was measured, even on partial runs."""
-    if _results:
-        RESULTS_PATH.write_text(json.dumps(_results, indent=2) + "\n")
-        print(f"\nwrote {RESULTS_PATH}")

@@ -20,7 +20,6 @@ Measured numbers are printed and written to ``BENCH_ingest.json``
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
@@ -193,10 +192,3 @@ def test_bench_fused_front_verdict_drift(ingest_context):
     )
     drift["no_pca_bitwise"] = True
     _results["fused_front"] = drift
-
-
-def teardown_module(module):
-    """Persist whatever was measured, even on partial runs."""
-    if _results:
-        RESULTS_PATH.write_text(json.dumps(_results, indent=2) + "\n")
-        print(f"\nwrote {RESULTS_PATH}")

@@ -2,11 +2,10 @@
 
 Acceptance criteria of the observability subsystem:
 
-* draining 96 devices' traffic through a K=4
-  ``WorkerShardedFleetMonitor`` with full telemetry on (metrics
-  registries in parent and workers, production-rate 1/1024 tracer,
-  shm trace sidecar) sustains at least **0.97x** the uninstrumented
-  drain's throughput — on a multi-core host; the gate only arms when
+* draining 96 devices' traffic through a ``FleetMonitor(n_shards=4)``
+  with full telemetry on (metrics registry, production-rate 1/1024
+  tracer) sustains at least **0.97x** the uninstrumented drain's
+  throughput — on a multi-core host; the gate only arms when
   ``os.cpu_count() >= 4`` (equivalence assertions are unconditional);
 * verdicts are **bitwise identical** with telemetry on and off —
   instrumentation observes the stream, it never touches it;
@@ -20,7 +19,6 @@ Measured numbers are printed and written to ``BENCH_obs.json``
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from pathlib import Path
@@ -29,11 +27,7 @@ import numpy as np
 import pytest
 
 from repro.experiments import ExperimentConfig, ExperimentContext
-from repro.fleet import (
-    BackpressurePolicy,
-    FleetWindowSampler,
-    WorkerShardedFleetMonitor,
-)
+from repro.fleet import BackpressurePolicy, FleetMonitor, FleetWindowSampler
 from repro.fleet.engine import batch_verdict_key
 from repro.hmd.apps import DVFS_KNOWN_BENIGN, DVFS_KNOWN_MALWARE, DVFS_UNKNOWN
 from repro.ml import RandomForestClassifier
@@ -86,7 +80,7 @@ def _drive(monitor, devices, arrivals):
 
 
 def test_bench_telemetry_overhead(obs_setup):
-    """Gate: fully instrumented K-process drain >= 0.97x uninstrumented
+    """Gate: fully instrumented K-partition drain >= 0.97x uninstrumented
     (multi-core hosts), verdicts bitwise identical everywhere."""
     hmd, devices, arrivals = obs_setup
     policy = BackpressurePolicy(max_pending=len(arrivals) + 1)
@@ -94,34 +88,29 @@ def test_bench_telemetry_overhead(obs_setup):
     plain_elapsed, instr_elapsed = np.inf, np.inf
     plain_batches = instr_batches = None
     # Interleave the repeats so host noise hits both paths alike and
-    # take the best of each; workers are reused across repeats (process
-    # startup is deployment cost, not per-drain cost).
-    with WorkerShardedFleetMonitor(
+    # take the best of each; the monitors are reused across repeats.
+    plain_fleet = FleetMonitor(
+        hmd, n_shards=N_SHARDS, batch_size=BATCH_SIZE, policy=policy
+    )
+    instr_fleet = FleetMonitor(
         hmd,
         n_shards=N_SHARDS,
         batch_size=BATCH_SIZE,
         policy=policy,
-        mp_context="fork",
-    ) as plain_fleet, WorkerShardedFleetMonitor(
-        hmd,
-        n_shards=N_SHARDS,
-        batch_size=BATCH_SIZE,
-        policy=policy,
-        mp_context="fork",
         telemetry=True,
         tracer=TraceContext(TraceSampler(rate=1024, seed=7)),
-    ) as instr_fleet:
-        for repeat in range(REPEATS):
-            batches, elapsed = _drive(plain_fleet, devices, arrivals)
-            plain_elapsed = min(plain_elapsed, elapsed)
-            if repeat == 0:
-                plain_batches = batches
+    )
+    for repeat in range(REPEATS):
+        batches, elapsed = _drive(plain_fleet, devices, arrivals)
+        plain_elapsed = min(plain_elapsed, elapsed)
+        if repeat == 0:
+            plain_batches = batches
 
-            batches, elapsed = _drive(instr_fleet, devices, arrivals)
-            instr_elapsed = min(instr_elapsed, elapsed)
-            if repeat == 0:
-                instr_batches = batches
-        instr_report = instr_fleet.report()
+        batches, elapsed = _drive(instr_fleet, devices, arrivals)
+        instr_elapsed = min(instr_elapsed, elapsed)
+        if repeat == 0:
+            instr_batches = batches
+    instr_report = instr_fleet.report()
 
     n = len(arrivals)
     ratio = plain_elapsed / instr_elapsed  # instrumented / plain throughput
@@ -225,10 +214,3 @@ def test_bench_snapshot_latency():
         "best_sec": best,
     }
     assert best < 1e-2, f"snapshot too slow: {best * 1e3:.1f} ms"
-
-
-def teardown_module(module):
-    """Persist whatever was measured, even on partial runs."""
-    if _results:
-        RESULTS_PATH.write_text(json.dumps(_results, indent=2) + "\n")
-        print(f"\nwrote {RESULTS_PATH}")

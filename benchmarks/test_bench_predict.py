@@ -28,7 +28,6 @@ scheduler tick cannot fail the gate.  Results are written to
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
@@ -297,10 +296,3 @@ def test_bench_fleet_end_to_end_delta(dataset):
         f"  delta:            {delta:10.1f}x"
     )
     assert delta >= 2.0, f"fleet end-to-end delta only {delta:.1f}x"
-
-
-def teardown_module(module):
-    """Persist whatever was measured, even on partial runs."""
-    if _results:
-        RESULTS_PATH.write_text(json.dumps(_results, indent=2) + "\n")
-        print(f"\nwrote {RESULTS_PATH}")

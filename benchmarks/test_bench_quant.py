@@ -16,9 +16,8 @@ Acceptance criteria of the quantized/narrowed kernels (PR 8):
   pipeline (entropy + accept decisions on the DVFS test/unknown
   splits) is unchanged.
 
-Windows are quantized **once at ingest** in the deployed fleet (the
-shm ring carries codes, not floats), so the drain gate times traversal
-over pre-encoded codes; the one-off encode cost is measured and
+The drain gate times traversal over pre-encoded codes (one batched
+encode per verdict pass in the fleet); the encode cost is measured and
 reported alongside.
 
 Measured numbers are printed and written to ``BENCH_quant.json``
@@ -27,7 +26,6 @@ Measured numbers are printed and written to ``BENCH_quant.json``
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
@@ -167,8 +165,8 @@ def test_bench_float32_front(fleet_forest):
     drift = float(np.max(np.abs(Z32.astype(np.float64) - Z64) / col_scale))
 
     # Throughput: the PublishedHmd fused-front expression over
-    # arena-resident windows — the shm ring already holds each dtype's
-    # native rows, so each side consumes its own precision end to end.
+    # windows already held in each dtype, so each side consumes its own
+    # precision end to end.
     probe64 = rng.normal(size=(16_384, N_FEATURES))
     probe32 = probe64.astype(np.float32)
 
@@ -244,10 +242,3 @@ def test_bench_fig5_verdict_parity():
     for split, checks in parity.items():
         for name, equal in checks.items():
             assert equal, f"fig5 {split} {name.replace('_', ' ')} changed"
-
-
-def teardown_module(module):
-    """Persist whatever was measured, even on partial runs."""
-    if _results:
-        RESULTS_PATH.write_text(json.dumps(_results, indent=2) + "\n")
-        print(f"\nwrote {RESULTS_PATH}")

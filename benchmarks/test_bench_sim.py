@@ -22,7 +22,6 @@ Measured numbers are printed and written to ``BENCH_sim.json``
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
@@ -281,10 +280,3 @@ def test_bench_million_window_build():
     assert X.shape[0] == MILLION
     assert np.isfinite(X[:: MILLION // 997]).all()  # finite on a stride sample
     assert 0 < y.sum() < MILLION  # both classes present
-
-
-def teardown_module(module):
-    """Persist whatever was measured, even on partial runs."""
-    if _results:
-        RESULTS_PATH.write_text(json.dumps(_results, indent=2) + "\n")
-        print(f"\nwrote {RESULTS_PATH}")

@@ -12,8 +12,7 @@ setup(
     # The native kernels are built from source on first use.
     package_data={"repro.ml": ["*.c"], "repro.hmd": ["*.c"]},
     install_requires=["numpy>=1.24", "scipy>=1.10"],
-    # The fleet worker backend builds on multiprocessing.shared_memory
-    # (3.8+) and modern typing syntax; 3.10 is the tested floor.
+    # Modern typing syntax; 3.10 is the tested floor.
     python_requires=">=3.10",
     classifiers=[
         "Programming Language :: Python :: 3.10",

@@ -82,14 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="fraction of the Table I HPC counts (1.0 = paper)")
     parser.add_argument("--n-estimators", type=int, default=100,
                         help="ensemble size M")
-    parser.add_argument("--processes", type=int, default=None, metavar="K",
-                        help="shard experiment only: also drain through K "
-                             "worker processes and print both backends")
-    parser.add_argument("--chaos", type=int, default=None, metavar="SEED",
-                        help="shard experiment only (requires --processes): "
-                             "replay the worker drain under a seeded "
-                             "fault-injection campaign and report degraded "
-                             "throughput, equivalence and accounting")
     parser.add_argument("--dtype", choices=("float64", "float32"),
                         default="float64",
                         help="ingest/shard experiments: inference precision "
@@ -139,10 +131,6 @@ def main(argv: list[str] | None = None) -> int:
     for name in names:
         t0 = time.time()
         kwargs = {}
-        if name in ("shard", "dashboard") and args.processes is not None:
-            kwargs["processes"] = args.processes
-        if name == "shard" and args.chaos is not None:
-            kwargs["chaos"] = args.chaos
         if name in ("ingest", "shard", "dashboard"):
             if args.dtype != "float64":
                 kwargs["dtype"] = args.dtype

@@ -1,11 +1,8 @@
 """Live fleet dashboard experiment (beyond-paper extension).
 
 Stands up a small simulated fleet behind a telemetry-enabled
-partitioned monitor — in-process
 :class:`~repro.fleet.engine.FleetMonitor` with ``n_shards`` partition
-cores by default, the multi-process
-:class:`~repro.fleet.workers.WorkerShardedFleetMonitor` with
-``--processes K`` — and drives the traffic through it in slices,
+cores and drives the traffic through it in slices,
 posting a message burst into :class:`~repro.obs.Dashboard` after each
 slice and rendering a frame.  On a TTY the frames redraw in place
 (plain ANSI clear-and-home, no curses); headless, the frames are
@@ -13,7 +10,6 @@ captured as strings on the result, which is what makes the dashboard
 snapshot-testable without a terminal.
 
     python -m repro.experiments dashboard
-    python -m repro.experiments dashboard --processes 4
 """
 
 from __future__ import annotations
@@ -22,7 +18,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from ..fleet import FleetMonitor, WorkerShardedFleetMonitor
+from ..fleet import FleetMonitor
 from ..obs import (
     Dashboard,
     MetricsUpdate,
@@ -43,7 +39,6 @@ __all__ = ["DashboardResult", "run_dashboard"]
 class DashboardResult:
     """Captured dashboard frames plus the drive summary."""
 
-    backend: str
     n_devices: int
     n_windows: int
     n_shards: int
@@ -61,7 +56,7 @@ class DashboardResult:
     def as_text(self) -> str:
         """The final frame with a one-line drive summary on top."""
         return (
-            f"Dashboard drive — {self.backend} backend, {self.n_devices} "
+            f"Dashboard drive — {self.n_devices} "
             f"devices, {self.n_windows} windows, K={self.n_shards}, "
             f"{self.n_frames} frames from {self.n_messages} messages, "
             f"{self.n_spans} trace spans\n\n{self.final_frame}"
@@ -69,27 +64,16 @@ class DashboardResult:
 
 
 def _sample_shards(monitor, dashboard: Dashboard) -> None:
-    """Post one per-shard health/throughput sample burst."""
-    health: dict[int, tuple[str, int]] = {}
-    if hasattr(monitor, "shard_health"):
-        health = {
-            row.shard_id: (row.health.value, row.total_restarts)
-            for row in monitor.shard_health()
-        }
-    rows = []
-    for shard_id, shard in enumerate(monitor.shards):
-        stats = shard.stats
-        state, restarts = health.get(shard_id, ("healthy", 0))
-        rows.append(
-            ShardSample(
-                shard_id=shard_id,
-                health=state,
-                n_seen=stats.n_seen,
-                n_flagged=stats.n_flagged,
-                pending=len(shard.queue),
-                restarts=restarts,
-            )
+    """Post one per-shard throughput sample burst."""
+    rows = [
+        ShardSample(
+            shard_id=shard_id,
+            n_seen=shard.stats.n_seen,
+            n_flagged=shard.stats.n_flagged,
+            pending=len(shard.queue),
         )
+        for shard_id, shard in enumerate(monitor.shards)
+    ]
     dashboard.post(ShardsUpdate(rows=tuple(rows), ts=time.monotonic()))
 
 
@@ -140,7 +124,6 @@ def run_dashboard(
     windows_per_device: int = 12,
     n_shards: int = 4,
     batch_size: int = 256,
-    processes: int | None = None,
     frames: int = 6,
     refresh: float = 0.0,
     trace_rate: int = 8,
@@ -170,46 +153,26 @@ def run_dashboard(
     if live is None:
         live = stream is None and sys.stdout.isatty()
 
-    if processes is not None:
-        backend = "worker"
-        with WorkerShardedFleetMonitor(
-            hmd,
-            n_shards=processes,
-            batch_size=batch_size,
-            policy=policy,
-            telemetry=True,
-            tracer=tracer,
-        ) as monitor:
-            rendered = _drive(
-                monitor, tracer, dashboard, devices, arrivals,
-                frames=frames, refresh=refresh, live=live, stream=stream,
-            )
-            n_flagged = monitor.stats.n_flagged
-        n_shards = processes
-    else:
-        backend = "in-process"
-        monitor = FleetMonitor(
-            hmd,
-            n_shards=n_shards,
-            batch_size=batch_size,
-            policy=policy,
-            telemetry=True,
-            tracer=tracer,
-        )
-        rendered = _drive(
-            monitor, tracer, dashboard, devices, arrivals,
-            frames=frames, refresh=refresh, live=live, stream=stream,
-        )
-        n_flagged = monitor.stats.n_flagged
+    monitor = FleetMonitor(
+        hmd,
+        n_shards=n_shards,
+        batch_size=batch_size,
+        policy=policy,
+        telemetry=True,
+        tracer=tracer,
+    )
+    rendered = _drive(
+        monitor, tracer, dashboard, devices, arrivals,
+        frames=frames, refresh=refresh, live=live, stream=stream,
+    )
 
     return DashboardResult(
-        backend=backend,
         n_devices=n_devices,
         n_windows=len(arrivals),
         n_shards=n_shards,
         n_frames=len(rendered),
         n_messages=dashboard.n_messages,
-        n_flagged=n_flagged,
+        n_flagged=monitor.stats.n_flagged,
         n_spans=tracer.n_completed,
         frames=tuple(rendered),
     )

@@ -13,10 +13,12 @@ the forensic queue, collects analyst labels and warm-refits the shared
 HMD live between batches.  ``FleetMonitor(n_shards=K)`` scales the
 engine horizontally — K partition cores behind a device-hash router
 (:mod:`~repro.fleet.sharding`), one fused round over all of them, live
-rebalancing and full checkpoint/restore — and
-:mod:`~repro.fleet.workers` moves each partition's verdict pass into
-its own process.  See ``docs/architecture.md`` for the dataflow and
-the backpressure policy.
+rebalancing and full checkpoint/restore.  A window with NaN or
+infinite features is never verdicted: it moves into the monitor's
+quarantine store, and :func:`account_windows` audits that every
+admitted window is verdicted, quarantined or shed exactly once
+(:mod:`~repro.fleet.resilience`).  See ``docs/architecture.md`` for
+the dataflow and the backpressure policy.
 """
 
 from .engine import (
@@ -27,25 +29,16 @@ from .engine import (
 )
 from .queueing import BackpressurePolicy, FleetQueue, WindowBatch
 from .report import DeviceReport, FleetReport, device_report_key
-from .resilience import (
-    FaultPlan,
-    QuarantineStore,
-    QuarantinedWindow,
-    ShardHealth,
-    ShardHealthReport,
-    account_windows,
-)
+from .resilience import QuarantineStore, QuarantinedWindow, account_windows
 from .retrain import FleetRetrainer, RetrainOutcome
 from .sampler import FleetWindowSampler
 from .sharding import PublishedHmd, ShardRouter
 from .state import DeviceState, RingBuffer
-from .workers import WorkerShardedFleetMonitor
 
 __all__ = [
     "BackpressurePolicy",
     "DeviceReport",
     "DeviceState",
-    "FaultPlan",
     "FleetBatchResult",
     "FleetFlaggedSample",
     "FleetMonitor",
@@ -58,11 +51,8 @@ __all__ = [
     "QuarantinedWindow",
     "RetrainOutcome",
     "RingBuffer",
-    "ShardHealth",
-    "ShardHealthReport",
     "ShardRouter",
     "WindowBatch",
-    "WorkerShardedFleetMonitor",
     "account_windows",
     "batched_verdicts_equal_sequential",
     "device_report_key",

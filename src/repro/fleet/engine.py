@@ -14,9 +14,12 @@ ensemble vote pass — across fixed-size batches:
    partition, whose :class:`~repro.fleet.queueing.FleetQueue` applies
    the backpressure policy;
 2. :meth:`~FleetMonitor.process_batch` takes up to ``batch_size``
-   rows from every partition and runs a **single** vectorised pass
-   through the monitor's :class:`~repro.fleet.sharding.PublishedHmd`
-   (fused front, one routing sweep, vote-count table lookups);
+   rows from every partition, moves any row with NaN or infinite
+   features into the monitor's
+   :class:`~repro.fleet.resilience.QuarantineStore`, and runs a
+   **single** vectorised pass over the rest through the monitor's
+   :class:`~repro.fleet.sharding.PublishedHmd` (fused front, one
+   routing sweep, vote-count table lookups);
 3. verdicts fold back on each batch's dense device indices into the
    partition's columnar device table (bincounts and one ring
    scatter, no per-device Python), flagged rows stage columnar for the
@@ -49,6 +52,7 @@ from ..uncertainty.online import FlaggedSample, ForensicQueue, MonitorStats
 from ..uncertainty.trust import TrustedHMD, TrustedVerdict
 from .queueing import BackpressurePolicy, FleetQueue, WindowBatch
 from .report import DeviceReport, FleetReport
+from .resilience import QuarantinedWindow, QuarantineStore
 from .sharding import SNAPSHOT_SCHEMA, PublishedHmd, ShardRouter
 from .state import DeviceState
 
@@ -192,10 +196,10 @@ def batch_verdict_key(batches) -> dict:
 def batch_window_keys(batches) -> set:
     """The ``(device_id, seq)`` keys a drain produced verdicts for.
 
-    The accounting half of :func:`batch_verdict_key`: chaos and
-    failover tests audit that every admitted window's key shows up
-    here, in the quarantine store, or in the shed counters — never
-    silently lost.
+    The accounting half of :func:`batch_verdict_key`: the
+    exactly-once audit (:func:`~repro.fleet.resilience.account_windows`)
+    checks that every admitted window's key shows up here, in the
+    quarantine store, or in the shed counters — never silently lost.
     """
     return set(batch_verdict_key(batches))
 
@@ -237,7 +241,7 @@ def _validate_snapshot(state: dict) -> None:
 
     A restore that starts applying a bad payload can leave a fleet
     half-built, so every structural check happens before any state is
-    touched (and before a worker backend spawns anything).
+    touched.
     """
     if not isinstance(state, dict):
         raise ValueError(
@@ -248,8 +252,8 @@ def _validate_snapshot(state: dict) -> None:
         raise ValueError(
             f"unsupported fleet snapshot schema {schema!r}; this build "
             f"restores {SNAPSHOT_SCHEMA!r} checkpoints only. Re-snapshot "
-            "with the current code (old unversioned payloads predate "
-            "supervised worker restarts and cannot be trusted)."
+            "with the current code (old unversioned payloads cannot be "
+            "trusted)."
         )
     required = ("n_shards", "batch_size", "entropy_window", "n_batches", "policy")
     missing = [key for key in required + ("shards", "forensics") if key not in state]
@@ -366,7 +370,7 @@ class _Partition:
         """Fold verdicts into the partition counters and the device table.
 
         The one place device counters change, called only from
-        :meth:`FleetMonitor._fold_round` on every backend, with no loop
+        :meth:`FleetMonitor._round`, with no loop
         over devices: bincounts, one stable argsort and one ring
         scatter.  Each device's entropy sum is the pairwise sum of its
         ordered segment (``sum(axis=1)`` over the gathered segments of
@@ -465,10 +469,11 @@ class FleetMonitor:
     tracer:
         Optional :class:`~repro.obs.tracing.TraceContext` recording
         sampled window-lifecycle spans (ingest→queue→verdict→scatter).
-    """
 
-    # Why this backend cannot repartition live (None: it can).
-    _rebalance_refusal: str | None = None
+    A taken row with NaN or infinite features is never verdicted: it
+    moves into :attr:`quarantine` (reason ``"non-finite"``) and the rest
+    of its batch is verdicted as usual.
+    """
 
     def __init__(
         self,
@@ -527,6 +532,8 @@ class FleetMonitor:
         self._m_scatter_rows = self.metrics.counter(
             "fleet_scatter_rows_total", "verdict rows folded into device state"
         )
+        self.quarantine = QuarantineStore()
+        self.quarantine.bind_metrics(self.metrics)
         self._install(
             [
                 _Partition(self.policy, entropy_window)
@@ -649,18 +656,48 @@ class FleetMonitor:
         """One fused round: up to ``batch_size`` rows *per partition*.
 
         The round's verdicts (grouped by partition, per device in
-        submission order), or ``None`` when every queue is empty.
+        submission order), or ``None`` when every queue is empty.  A
+        round whose taken rows were all quarantined takes again.
         """
         published = self._ensure_published()
-        parts: list[tuple[_Partition, WindowBatch]] = []
-        for shard in self.shards:
-            if len(shard.queue):
-                batch = shard.queue.take(self.batch_size)
-                if len(batch):
-                    parts.append((shard, batch))
-        if not parts:
-            return None
-        return self._fused_round(parts, published)
+        while True:
+            taken = [
+                (shard, shard.queue.take(self.batch_size))
+                for shard in self.shards
+                if len(shard.queue)
+            ]
+            if not any(len(batch) for _, batch in taken):
+                return None
+            parts = [(shard, self._finite_rows(batch)) for shard, batch in taken]
+            parts = [part for part in parts if len(part[1])]
+            if parts:
+                return self._round(parts, published)
+
+    def _finite_rows(self, batch: WindowBatch) -> WindowBatch:
+        """The batch without its non-finite rows, which go to quarantine.
+
+        One vectorised check per taken batch: NaN compares false in the
+        float kernels while the bin search puts it in the top bin, so
+        such a row has no verdict that every compile mode agrees on.
+        """
+        finite = np.isfinite(batch.features).all(axis=1)
+        if finite.all():
+            return batch
+        for i in np.flatnonzero(~finite):
+            self.quarantine.push(
+                QuarantinedWindow(
+                    device_id=str(batch.device_ids[i]),
+                    seq=int(batch.seqs[i]),
+                    features=batch.features[i].copy(),
+                    reason="non-finite",
+                )
+            )
+        return WindowBatch(
+            device_ids=batch.device_ids[finite],
+            seqs=batch.seqs[finite],
+            features=batch.features[finite],
+            device_index=batch.device_index[finite],
+        )
 
     def drain(self, max_batches: int | None = None) -> list[FleetBatchResult]:
         """Run rounds until every queue is empty (or the cap hits)."""
@@ -672,10 +709,14 @@ class FleetMonitor:
             results.append(result)
         return results
 
-    def _fused_round(self, parts, published: PublishedHmd) -> FleetBatchResult:
+    def _round(self, parts, published: PublishedHmd) -> FleetBatchResult:
         """Verdict ``[(partition, batch)]`` parts in one pass, then fold back.
 
-        A single part's features are not copied.
+        The vote counts are expanded once through the publication's
+        tables; each part's slice then folds into its partition's
+        device table and stages its withheld rows, in part order, and
+        the round's entropies feed the drift monitor.  A single part's
+        features are not copied.
         """
         if self._obs_on:
             self._trace(parts, "queue")
@@ -688,22 +729,7 @@ class FleetMonitor:
         if self._obs_on:
             self._m_verdict.observe(time.perf_counter() - t0)
             self._trace(parts, "verdict")
-        return self._fold_round(parts, counts, published)
-
-    def _fold_round(
-        self, parts, counts, published: PublishedHmd
-    ) -> FleetBatchResult:
-        """Expand one round's vote counts and fold them back out.
-
-        The fold half of every backend's round: the counts, whichever
-        process computed them, are expanded here once through the
-        tables of the publication that produced them.  Each part's
-        slice then folds into its partition's device table and stages
-        its withheld rows, in part order.  The round instruments are
-        recorded here, whatever backend ran the verdict half.
-        """
         predictions, entropy, accepted = published.tables.expand(counts)
-        threshold = published.threshold
         if self._obs_on:
             t1 = time.perf_counter()
             self._m_batches.inc()
@@ -724,8 +750,21 @@ class FleetMonitor:
             if self.tracer is not None:
                 for _, batch in parts:
                     self.tracer.complete_rows(batch.device_ids, batch.seqs, "scatter")
-        return self._round_result(
-            [batch for _, batch in parts], predictions, entropy, accepted, threshold
+        if self.drift is not None:
+            self.drift.observe(entropy)
+        self.n_batches += 1
+        if len(parts) == 1:
+            device_ids, seqs = parts[0][1].device_ids, parts[0][1].seqs
+        else:
+            device_ids = np.concatenate([batch.device_ids for _, batch in parts])
+            seqs = np.concatenate([batch.seqs for _, batch in parts])
+        return FleetBatchResult(
+            device_ids=device_ids,
+            seqs=seqs,
+            predictions=predictions,
+            entropy=entropy,
+            accepted=accepted,
+            threshold=published.threshold,
         )
 
     def _trace(self, parts, stage: str) -> None:
@@ -733,31 +772,6 @@ class FleetMonitor:
         if self.tracer is not None:
             for _, batch in parts:
                 self.tracer.stamp_rows(batch.device_ids, batch.seqs, stage)
-
-    def _round_result(
-        self, batches, predictions, entropy, accepted, threshold: float
-    ) -> FleetBatchResult:
-        """Close a round: feed drift, build the result.
-
-        ``batches`` are the round's parts in order and the verdict
-        columns are already concatenated to match.
-        """
-        if self.drift is not None:
-            self.drift.observe(entropy)
-        self.n_batches += 1
-        if len(batches) == 1:
-            device_ids, seqs = batches[0].device_ids, batches[0].seqs
-        else:
-            device_ids = np.concatenate([batch.device_ids for batch in batches])
-            seqs = np.concatenate([batch.seqs for batch in batches])
-        return FleetBatchResult(
-            device_ids=device_ids,
-            seqs=seqs,
-            predictions=predictions,
-            entropy=entropy,
-            accepted=accepted,
-            threshold=threshold,
-        )
 
     @property
     def forensics(self) -> ForensicQueue:
@@ -809,13 +823,9 @@ class FleetMonitor:
             n_batches=self.n_batches,
             mean_entropy=stats.mean_entropy,
             drift_status=self.drift.observe([]).status if self.drift else None,
+            n_quarantined=self.quarantine.total_quarantined,
             telemetry=telemetry,
-            **self._health_fields(),
         )
-
-    def _health_fields(self) -> dict:
-        """Supervision rows a report adds (none in process)."""
-        return {}
 
     # -- rebalancing ---------------------------------------------------
 
@@ -827,8 +837,6 @@ class FleetMonitor:
         unchanged and the telemetry counters keep counting.  Returns the
         router's deterministic move map ``{device: (old, new)}``.
         """
-        if self._rebalance_refusal is not None:
-            raise NotImplementedError(self._rebalance_refusal)
         plan = self.router.plan_rebalance(self.devices, n_shards)
         new_router = type(self.router)(n_shards)
         # Seed every new partition's step counter past all the old
@@ -862,8 +870,9 @@ class FleetMonitor:
         needs to resume mid-stream with identical verdicts.  Not
         included: the fitted HMD (a trained artifact with its own
         lifecycle; a snapshot restores against a warm-retrained model
-        too) and the drift detector's statistics (pass the reference to
-        :meth:`restore` and it restarts from a clean window).
+        too), the drift detector's statistics (pass the reference to
+        :meth:`restore` and it restarts from a clean window) and the
+        quarantine store (a restored monitor starts an empty one).
         """
         shards = [
             {
@@ -907,7 +916,6 @@ class FleetMonitor:
         *,
         drift_reference=None,
         router: ShardRouter | None = None,
-        **options,
     ) -> "FleetMonitor":
         """Rebuild a fleet from :meth:`snapshot` output.
 
@@ -915,10 +923,8 @@ class FleetMonitor:
         one works: verdicts then come from it, as for a monitor that
         stayed up through the retrain); ``drift_reference`` starts a
         fresh drift detector; a custom ``router`` must be passed again
-        (it is configuration); ``options`` carry a subclass's extra
-        constructor arguments.  Every structural check runs before
-        anything is built (a retired queue format raises ``ValueError``
-        before a worker backend spawns).
+        (it is configuration).  Every structural check runs before
+        anything is built (a retired queue format raises ``ValueError``).
         """
         _validate_snapshot(state)
         if router is not None and router.n_shards != state["n_shards"]:
@@ -935,7 +941,6 @@ class FleetMonitor:
             forensics=FlaggedStage.restore_queue(state["forensics"]),
             drift_reference=drift_reference,
             router=router,
-            **options,
         )
         fleet.n_batches = int(state["n_batches"])
         for shard, payload in zip(fleet.shards, state["shards"]):

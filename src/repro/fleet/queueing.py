@@ -8,7 +8,7 @@ core.  This module is that ingress: window submissions from all devices
 land in one :class:`FleetQueue`, bounded globally and per device, and
 overload is resolved by policy rather than by unbounded memory growth.
 Every partition of a :class:`~repro.fleet.engine.FleetMonitor` runs
-one, in process or as the parent side of a worker shard.
+one.
 
 Two shedding modes are provided:
 

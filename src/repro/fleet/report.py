@@ -51,11 +51,8 @@ class FleetReport:
     n_batches: int
     mean_entropy: float
     drift_status: str | None
-    # Degradation observability (multi-process backend): per-shard
-    # supervision rows (:class:`~repro.fleet.resilience.ShardHealthReport`)
-    # and the lifetime count of poison windows pulled into quarantine.
-    # Defaulted so in-process reports are unchanged.
-    shard_health: tuple = ()
+    # Lifetime count of windows pulled into the monitor's quarantine
+    # store (:class:`~repro.fleet.resilience.QuarantineStore`).
     n_quarantined: int = 0
     # Telemetry section: the monitor's
     # :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`, ``None`` when
@@ -106,24 +103,6 @@ class FleetReport:
             header += f"  quarantined={self.n_quarantined}"
         if self.telemetry:
             header += "\n" + _telemetry_line(self.telemetry)
-        if self.shard_health:
-            # Shard-health rows get their own aligned table: the old
-            # free-joined one-liner drifted out of alignment next to
-            # device tables whose id column outgrew its header.
-            health_table = format_table(
-                ["shard", "health", "restarts", "heartbeat_age"],
-                [
-                    [
-                        row.shard_id,
-                        row.health.value,
-                        row.total_restarts,
-                        f"{row.heartbeat_age:.1f}s",
-                    ]
-                    for row in self.shard_health
-                ],
-            )
-            header += "\n" + health_table
-
         ranked = sorted(
             self.devices, key=lambda d: (-d.alert_rate, -d.recent_entropy)
         )[:max_rows]
@@ -154,7 +133,6 @@ def _telemetry_line(telemetry: dict) -> str:
             ("admitted", "fleet_windows_admitted_total"),
             ("drained", "fleet_windows_drained_total"),
             ("shed", "fleet_windows_shed_total"),
-            ("restarts", "fleet_worker_restarts_total"),
         )
         if name in counters
     ]
@@ -174,7 +152,7 @@ def device_report_key(report: FleetReport) -> dict[str, tuple]:
     """Index a report's device rows as ``device_id -> stats tuple``.
 
     The single definition of what "identical device rows" means for
-    equivalence checks across partition counts and backends, shared by the ``shard``
+    equivalence checks across partition counts, shared by the ``shard``
     experiment runner, the benchmark acceptance gate and the test
     suite (the same role :func:`~repro.fleet.engine.batch_verdict_key`
     plays for verdicts).

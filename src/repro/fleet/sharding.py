@@ -15,9 +15,8 @@ This module holds the two pieces the partitions share:
 * :class:`PublishedHmd` — the record of the shared HMD's verdict parts
   (fused front, compiled forest, vote-count tables) that every round
   verdicts through, republished after a retrain.  A round computes
-  vote counts, on whichever side of the process boundary, and the
-  fold expands them through these tables; a model without tables
-  cannot be published, so the fleet refuses it.
+  vote counts and expands them through these tables; a model without
+  tables cannot be published, so the fleet refuses it.
 
 Why partitioning is faster *and* identical
 ------------------------------------------

@@ -14,8 +14,8 @@ keeps a compiler from fusing a multiply and an add on FMA targets,
 which would break the featurization's bitwise equality with numpy;
 ``-fno-math-errno`` lets ``sqrt`` compile to the (correctly rounded)
 instruction, so the library needs no ``libm``.
-Later loads, in this process or in any other (spawned shard workers),
-reuse the cached library.  A build goes to a temporary file that
+Later loads, in this process or in any other, reuse the cached
+library.  A build goes to a temporary file that
 ``os.replace`` moves into place, so concurrent builds never load a
 half-written library.
 

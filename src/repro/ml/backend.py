@@ -35,7 +35,7 @@ tree, 32 rows in lockstep, the same ``goto + (x > cut)`` step, reduced
 straight to counts.  The loader compiles it on first use with the host
 ``cc`` into a per-user cache (``~/.cache/repro``, mode ``0o700``,
 named by a hash of source and flags; a temp file is moved into place
-with ``os.replace``, so concurrent workers build safely) and loads it
+with ``os.replace``, so concurrent builds are safe) and loads it
 with ``ctypes``.  Without a compiler, or if building or loading fails, the
 numpy loop here serves; it is also the reference the kernel is tested
 against, and the integer counts of the two are identical.  Before a
@@ -497,10 +497,8 @@ class QuantizedForest(_RoutedForest):
       three shift/mask passes a bit-packed layout would pay per level.
 
     Carries the per-feature edge tables (``edges_sorted`` /
-    ``edge_prefix``) so it can encode raw float windows itself —
-    including when rebuilt around shared-memory views in a worker
-    process, where no fitted :class:`~repro.ml.training.BinMapper`
-    exists.
+    ``edge_prefix``) so it can encode raw float windows itself,
+    without a fitted :class:`~repro.ml.training.BinMapper`.
     """
 
     feature_dtype = np.dtype(np.uint8)

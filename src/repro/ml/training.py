@@ -73,8 +73,7 @@ def quantize_with_tables(
     exactness argument).  One ``searchsorted`` over the whole batch and
     one aligned gather produce codes bitwise identical to the
     per-feature loop.  Stand-alone so that a detached inference kernel
-    (:class:`~repro.ml.backend.QuantizedForest`, including one rebuilt
-    from shared-memory views in a worker process) can quantize without
+    (:class:`~repro.ml.backend.QuantizedForest`) can quantize without
     carrying a fitted :class:`BinMapper`.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)

@@ -6,7 +6,7 @@ Three pieces, all dependency-free (numpy + stdlib):
   a :class:`MetricsRegistry`, with an associative snapshot merge,
   Prometheus text rendering and JSONL export;
 * :mod:`repro.obs.tracing` — deterministic sampled window-lifecycle
-  spans (ingest→queue→ship→verdict→scatter) with per-transition
+  spans (ingest→queue→verdict→scatter) with per-transition
   duration percentiles;
 * :mod:`repro.obs.dashboard` — a message-driven, headless-renderable
   live terminal dashboard over the running fleet.

@@ -73,14 +73,12 @@ def ansi_frame(text: str) -> str:
 
 @dataclass(frozen=True)
 class ShardSample:
-    """One shard's health/throughput row at a sampling instant."""
+    """One shard's throughput row at a sampling instant."""
 
     shard_id: int
-    health: str
     n_seen: int
     n_flagged: int
     pending: int
-    restarts: int = 0
 
 
 @dataclass(frozen=True)
@@ -202,17 +200,14 @@ class Dashboard:
         rows = [self.shards[k] for k in sorted(self.shards)]
         depth_scale = max((row.pending for row in rows), default=0)
         return format_table(
-            ["shard", "health", "seen", "flagged", "pending", "wps",
-             "restarts", "queue"],
+            ["shard", "seen", "flagged", "pending", "wps", "queue"],
             [
                 [
                     row.shard_id,
-                    row.health,
                     row.n_seen,
                     row.n_flagged,
                     row.pending,
                     f"{self.shard_wps(row.shard_id):.0f}",
-                    row.restarts,
                     bar(row.pending, depth_scale),
                 ]
                 for row in rows
@@ -287,8 +282,6 @@ class Dashboard:
             ("shed", "fleet_windows_shed_total"),
             ("drained", "fleet_windows_drained_total"),
             ("flagged", "fleet_windows_flagged_total"),
-            ("restarts", "fleet_worker_restarts_total"),
-            ("failovers", "fleet_worker_failovers_total"),
             ("quarantined", "fleet_windows_quarantined_total"),
             ("retrains", "fleet_retrain_refits_total"),
         ]

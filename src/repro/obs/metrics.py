@@ -47,7 +47,7 @@ __all__ = [
 ]
 
 # Latency buckets: log-ish upper bounds from 10 µs to 10 s, wide enough
-# for a single verdict pass and a full worker block round-trip alike.
+# for a single-row verdict pass and a full-batch round alike.
 DEFAULT_BUCKETS = (
     1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4,
     1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2,
@@ -214,8 +214,9 @@ class MetricsRegistry:
     """Named instrument namespace with get-or-create semantics.
 
     One process-global :func:`default_registry` exists for ad-hoc use;
-    fleet monitors create (or are handed) their own instance so shard
-    and worker registries stay independent and merge explicitly.  A
+    fleet monitors create (or are handed) their own instance so the
+    registries of separate monitors stay independent and merge
+    explicitly.  A
     registry built with ``enabled=False`` returns the shared no-op
     instruments from every factory and snapshots to ``{}`` — the
     zero-cost off switch.

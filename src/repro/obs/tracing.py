@@ -2,19 +2,13 @@
 
 A traced window carries monotonic timestamps through the stages
 
-    ingest → queue → ship → verdict → scatter
-
-(``ship`` exists only on the multi-process path, where the block
-crosses the shm boundary; the worker's verdict timestamp rides back in
-the :class:`~repro.fleet.shm.ShmBlockRing` per-slot trace sidecar and
-is merged parent-side — ``time.monotonic`` is ``CLOCK_MONOTONIC`` on
-Linux, so parent and worker stamps share a clock).
+    ingest → queue → verdict → scatter
 
 Sampling is deterministic: :class:`TraceSampler` hashes
 ``(device_id, seq)`` with a seeded integer mix, so at the default
-1/1024 rate the *same* windows are sampled on every backend and every
-replay — spans from an in-process drain and a worker drain of the same
-traffic cover the same windows.  The per-batch cost of the vectorised
+1/1024 rate the *same* windows are sampled on every partition count
+and every replay — spans from two drains of the same traffic cover
+the same windows.  The per-batch cost of the vectorised
 row check is a few microseconds against a millisecond-scale verdict
 pass (gated in ``benchmarks/test_bench_obs.py``).
 """
@@ -30,9 +24,8 @@ import numpy as np
 __all__ = ["STAGES", "TraceContext", "TraceSampler", "TraceSpan"]
 
 # Fleet stages in lifecycle order.  Percentiles are reported per
-# *transition* between the consecutive stages a span actually visited,
-# so in-process spans (no ship stage) and worker spans coexist.
-STAGES = ("ingest", "queue", "ship", "verdict", "scatter")
+# *transition* between the consecutive stages a span actually visited.
+STAGES = ("ingest", "queue", "verdict", "scatter")
 
 _FNV_OFFSET = 0x811C9DC5
 _FNV_PRIME = 0x01000193
@@ -123,8 +116,8 @@ class TraceContext:
     mask and touch only the handful of sampled rows, so the per-batch
     cost is one vectorised hash plus O(sampled) dict work.
 
-    A window shed by backpressure never reaches scatter, so its span
-    never closes; open spans are therefore capped at ``max_spans`` too,
+    A window shed by backpressure or quarantined never reaches
+    scatter, so its span never closes; open spans are therefore capped at ``max_spans`` too,
     oldest dropped first.
     """
 

@@ -13,15 +13,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.fleet import (
-    BackpressurePolicy,
-    FleetMonitor,
-    FleetRetrainer,
-    WorkerShardedFleetMonitor,
-)
-from repro.fleet.engine import batch_verdict_key
+from repro.fleet import BackpressurePolicy, FleetMonitor, FleetRetrainer
 from repro.fleet.report import DeviceReport, FleetReport
-from repro.fleet.resilience import ShardHealth, ShardHealthReport
 from repro.ml import RandomForestClassifier, _native
 from repro.obs import MetricsRegistry
 from repro.uncertainty import TrustedHMD
@@ -160,55 +153,6 @@ class TestTelemetryNeutrality:
             assert counters["fleet_retrain_windows_labelled_total"] > 0
 
 
-@pytest.mark.mp
-class TestWorkerTelemetry:
-    def test_three_plane_fold_and_shm_roundtrip(self, fitted_hmd):
-        X, hmd = fitted_hmd
-        arrivals = _arrivals(X)
-        plain = FleetMonitor(
-            hmd, n_shards=2, batch_size=32, telemetry=True
-        )
-        plain_batches = _drive(plain, arrivals)
-        plain_telemetry = plain.report().telemetry
-        with WorkerShardedFleetMonitor(
-            hmd,
-            n_shards=2,
-            batch_size=32,
-            mp_context="fork",
-            telemetry=True,
-            policy=BackpressurePolicy(max_pending=len(arrivals) + 1),
-        ) as fleet:
-            batches = _drive(fleet, arrivals)
-            report = fleet.report()
-        assert batch_verdict_key(batches) == batch_verdict_key(plain_batches)
-        counters = report.telemetry["counters"]
-        # Parent plane: ingress admission; worker plane: drained counts
-        # ride home inside the worker reports; supervision plane: the
-        # restart/failover counters exist even at zero.
-        assert counters["fleet_windows_admitted_total"] == len(arrivals)
-        assert counters["fleet_windows_drained_total"] == len(arrivals)
-        assert counters["fleet_worker_restarts_total"] == 0
-        assert counters["fleet_worker_failovers_total"] == 0
-        roundtrip = report.telemetry["histograms"]["fleet_shm_roundtrip_seconds"]
-        assert roundtrip["count"] > 0
-        assert roundtrip["sum"] > 0.0
-        # One fold half for every backend: the round instruments count
-        # exactly what the in-process monitor counts on the same traffic.
-        for name in (
-            "fleet_batches_total",
-            "fleet_windows_drained_total",
-            "fleet_windows_flagged_total",
-            "fleet_scatter_rows_total",
-        ):
-            assert counters[name] == plain_telemetry["counters"][name], name
-        histograms = report.telemetry["histograms"]
-        for name in ("fleet_verdict_seconds", "fleet_scatter_seconds"):
-            assert (
-                histograms[name]["count"]
-                == plain_telemetry["histograms"][name]["count"]
-            ), name
-
-
 def _device(device_id, n_seen=10, n_flagged=1):
     return DeviceReport(
         device_id=device_id,
@@ -224,7 +168,7 @@ def _device(device_id, n_seen=10, n_flagged=1):
     )
 
 
-def _shard_report(device_id, *, telemetry=None, n_quarantined=0, health=()):
+def _shard_report(device_id, *, telemetry=None, n_quarantined=0):
     device = _device(device_id)
     return FleetReport(
         devices=(device,),
@@ -237,7 +181,6 @@ def _shard_report(device_id, *, telemetry=None, n_quarantined=0, health=()):
         n_batches=1,
         mean_entropy=0.2,
         drift_status=None,
-        shard_health=health,
         n_quarantined=n_quarantined,
         telemetry=telemetry,
     )
@@ -269,18 +212,6 @@ class TestReportRendering:
         # the long id widens every row, it never breaks alignment.
         assert len(table_lines) == 4
         assert len({len(line) for line in table_lines}) == 1
-
-    def test_shard_health_renders_as_table(self):
-        report = _shard_report(
-            "dev-a",
-            health=(
-                ShardHealthReport(0, ShardHealth.HEALTHY, 0, 0, 0.01),
-                ShardHealthReport(1, ShardHealth.DEAD, 3, 5, 0.0),
-            ),
-        )
-        text = report.as_text()
-        assert "shard" in text and "heartbeat_age" in text
-        assert "healthy" in text and "dead" in text
 
     def test_quarantined_rendered_only_when_nonzero(self):
         assert "quarantined=" not in _shard_report("dev-a").as_text()

@@ -2,10 +2,10 @@
 
 The fleet contract per mode:
 
-* ``"quantized"`` — every monitor (single, sharded, multi-process
-  worker) produces verdicts *bitwise identical* to ``TrustedHMD`` in
-  float64, because the uint8 kernel rewrites thresholds onto the bin
-  grid without moving them;
+* ``"quantized"`` — every monitor (single or sharded) produces
+  verdicts *bitwise identical* to ``TrustedHMD`` in float64, because
+  the uint8 kernel rewrites thresholds onto the bin grid without
+  moving them;
 * ``"float32"`` — all monitor shapes agree with each other bitwise (the
   arena write rounds exactly like the in-process cast), and the fused
   front drifts from the float64 front by at most 1e-6 per feature;
@@ -13,7 +13,8 @@ The fleet contract per mode:
   :meth:`PublishedHmd.is_current` go stale so the next drain
   republishes the right kernel;
 * a window with NaN or infinite features is never verdicted, whatever
-  the monitor shape or mode.
+  the monitor shape or mode: it is quarantined, and the rest of its
+  batch is verdicted as ``analyze`` verdicts it.
 """
 
 import pickle
@@ -21,12 +22,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.fleet import (
-    BackpressurePolicy,
-    FleetMonitor,
-    PublishedHmd,
-    WorkerShardedFleetMonitor,
-)
+from repro.fleet import BackpressurePolicy, FleetMonitor, PublishedHmd
 from repro.fleet.engine import batch_verdict_key, batch_window_keys
 from repro.fleet.report import device_report_key
 from repro.fleet.resilience import account_windows
@@ -35,11 +31,6 @@ from repro.ml.backend import FlatForest, QuantizedForest
 from repro.uncertainty import TrustedHMD
 from tests.conftest import make_blobs
 from tests.fleet.test_sharding import _arrivals, _drive
-
-pytestmark = pytest.mark.filterwarnings(
-    "ignore::DeprecationWarning"  # multiprocessing fork in threaded pytest
-)
-
 
 def make_hmd(mode, *, n_components=None, n_estimators=15, seed=0):
     X, y = make_blobs(n_per_class=120, separation=4.0, seed=70)
@@ -211,32 +202,6 @@ class TestShardedModes:
         )
 
 
-class TestWorkerModes:
-    @pytest.mark.parametrize("mode", ["quantized", "float32"])
-    def test_worker_fleet_matches_single(self, mode):
-        X, hmd = make_hmd(mode)
-        arrivals = _arrivals(X, n_devices=10, rounds=30, seed=8)
-        policy = BackpressurePolicy(max_pending=len(arrivals) + 1)
-        single_monitor = FleetMonitor(hmd, batch_size=64, policy=policy)
-        single = _drive(single_monitor, arrivals)
-        with WorkerShardedFleetMonitor(
-            hmd,
-            n_shards=2,
-            batch_size=64,
-            policy=policy,
-            mp_context="fork",
-        ) as fleet:
-            batches = _drive(fleet, arrivals)
-            assert batch_verdict_key(batches) == batch_verdict_key(single)
-            assert device_report_key(fleet.report()) == device_report_key(
-                single_monitor.report()
-            )
-            ring = fleet.handles[0].ring
-            expected = "<f4" if mode == "float32" else "<f8"
-            assert ring.feat_dtype == expected
-            assert ring.spec()["feat_dtype"] == expected
-
-
 def _with_bad_row(arrivals, position, value):
     """Arrivals with one feature of one window set to ``value``."""
     device_id, window = arrivals[position]
@@ -246,52 +211,57 @@ def _with_bad_row(arrivals, position, value):
 
 
 class TestNonFiniteInput:
-    """NaN/inf windows fail the same way on every in-process engine.
+    """NaN/inf windows are quarantined, and nothing else in their batch is lost.
 
-    The float64 and quantized kernels would otherwise disagree on such
-    a window (NaN compares false in the float kernel, while the bin
-    search puts it in the top bin), so the shared verdict function
-    refuses the batch with ``analyze``'s own error.
+    The float64 and quantized kernels would disagree on such a window
+    (NaN compares false in the float kernel, while the bin search puts
+    it in the top bin), so no verdict is the right one: the round moves
+    the row into the monitor's quarantine store and verdicts the rest
+    of the batch.  ``analyze`` itself still refuses the row.
     """
 
     @pytest.mark.parametrize("mode", ["float64", "quantized"])
     @pytest.mark.parametrize("n_shards", [None, 2], ids=["single", "sharded"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
-    def test_non_finite_window_raises(self, mode, n_shards, value):
+    def test_non_finite_window_quarantined(self, mode, n_shards, value):
         X, hmd = make_hmd(mode)
-        clean = _arrivals(X, n_devices=6, rounds=10, seed=3)
-        arrivals = _with_bad_row(clean, 17, value)
-        if n_shards is None:
-            monitor = FleetMonitor(hmd, batch_size=16)
-        else:
-            monitor = FleetMonitor(hmd, n_shards=n_shards, batch_size=16)
-        with pytest.raises(ValueError, match="NaN or infinite"):
-            _drive(monitor, arrivals)
-        with pytest.raises(ValueError, match="NaN or infinite"):
-            hmd.analyze(arrivals[17][1][None, :])
-
-    @pytest.mark.parametrize("mode", ["float64", "quantized"])
-    def test_worker_quarantines_non_finite_window(self, mode):
-        """The worker raises on the row, and poison bisection isolates it.
-
-        The row is quarantined and never verdicted; every other window
-        gets the verdict a clean in-process run gives it.
-        """
-        X, hmd = make_hmd(mode)
-        clean = _arrivals(X, n_devices=6, rounds=10, seed=3)
-        arrivals = _with_bad_row(clean, 17, np.nan)
-        device_id = arrivals[17][0]
-        bad_key = (device_id, sum(d == device_id for d, _ in arrivals[:17]))
-        reference = batch_verdict_key(
-            _drive(FleetMonitor(hmd, n_shards=2, batch_size=16), clean)
+        # 24 windows in batches of 8: the bad one shares its batch with
+        # good rows that must still be verdicted.
+        arrivals = _with_bad_row(
+            _arrivals(X, n_devices=6, rounds=4, seed=3), 17, value
         )
-        with WorkerShardedFleetMonitor(
-            hmd, n_shards=2, batch_size=16, mp_context="fork", worker_timeout=3.0
-        ) as fleet:
-            results = _drive(fleet, arrivals)
-            quarantined = fleet.quarantine.keys()
-        assert quarantined == {bad_key}
-        verdicts = batch_verdict_key(results)
-        verdicted = batch_window_keys(results)
-        assert account_windows(set(reference), verdicted, quarantined) == []
-        assert verdicts == {k: v for k, v in reference.items() if k != bad_key}
+        device_id, bad_window = arrivals[17]
+        bad_key = (device_id, sum(d == device_id for d, _ in arrivals[:17]))
+        submitted = [
+            (d, sum(e == d for e, _ in arrivals[:i])) for i, (d, _) in enumerate(arrivals)
+        ]
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            hmd.analyze(bad_window[None, :])
+
+        monitor = FleetMonitor(
+            hmd, n_shards=n_shards or 1, batch_size=8, telemetry=True
+        )
+        results = _drive(monitor, arrivals)
+
+        assert monitor.pending == 0
+        assert monitor.stats.n_seen == len(arrivals) - 1
+        assert monitor.quarantine.keys() == {bad_key}
+        (window,) = monitor.quarantine.snapshot()
+        assert window.reason == "non-finite"
+        np.testing.assert_array_equal(window.features, bad_window)
+        assert account_windows(
+            set(submitted), batch_window_keys(results), monitor.quarantine.keys()
+        ) == []
+        good = [i for i in range(len(arrivals)) if i != 17]
+        reference = hmd.analyze(np.vstack([arrivals[i][1] for i in good]))
+        assert batch_verdict_key(results) == {
+            submitted[i]: (
+                reference.predictions[j],
+                reference.entropy[j],
+                bool(reference.accepted[j]),
+            )
+            for j, i in enumerate(good)
+        }
+        report = monitor.report()
+        assert report.n_quarantined == 1
+        assert report.telemetry["counters"]["fleet_windows_quarantined_total"] == 1

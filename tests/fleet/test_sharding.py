@@ -37,6 +37,7 @@ from repro.fleet import (
 )
 from repro.fleet.engine import batch_verdict_key
 from repro.fleet.report import device_report_key
+from repro.fleet.sharding import SNAPSHOT_SCHEMA
 from repro.fleet.state import RingBuffer
 from repro.ml import BaggingClassifier, RandomForestClassifier
 from repro.obs import TraceContext, TraceSampler
@@ -766,6 +767,55 @@ def assert_payloads_equal(left, right, path="state"):
         assert type(right) is float and left.hex() == right.hex(), path
     else:
         assert type(left) is type(right) and left == right, path
+
+
+class TestSnapshotVersioning:
+    """Restore rejects stale, foreign or inconsistent checkpoints."""
+
+    def test_snapshot_carries_schema_tag(self, fitted_hmd):
+        _, _, hmd = fitted_hmd
+        fleet = FleetMonitor(hmd, n_shards=2)
+        assert fleet.snapshot()["schema"] == SNAPSHOT_SCHEMA
+
+    def test_rejects_unversioned_payload(self, fitted_hmd):
+        _, _, hmd = fitted_hmd
+        state = FleetMonitor(hmd, n_shards=2).snapshot()
+        del state["schema"]
+        with pytest.raises(ValueError, match="snapshot schema"):
+            FleetMonitor.restore(hmd, state)
+
+    def test_rejects_foreign_schema(self, fitted_hmd):
+        _, _, hmd = fitted_hmd
+        state = FleetMonitor(hmd, n_shards=2).snapshot()
+        state["schema"] = "repro.fleet.sharded/999"
+        with pytest.raises(ValueError, match="repro.fleet.sharded/999"):
+            FleetMonitor.restore(hmd, state)
+
+    def test_rejects_non_dict_payload(self, fitted_hmd):
+        _, _, hmd = fitted_hmd
+        with pytest.raises(ValueError, match="must be a dict"):
+            FleetMonitor.restore(hmd, [1, 2, 3])
+
+    def test_rejects_truncated_payload(self, fitted_hmd):
+        _, _, hmd = fitted_hmd
+        state = FleetMonitor(hmd, n_shards=2).snapshot()
+        del state["shards"]
+        with pytest.raises(ValueError, match="missing required keys"):
+            FleetMonitor.restore(hmd, state)
+
+    def test_rejects_shard_count_mismatch(self, fitted_hmd):
+        _, _, hmd = fitted_hmd
+        state = FleetMonitor(hmd, n_shards=3).snapshot()
+        state["n_shards"] = 2
+        with pytest.raises(ValueError, match="mismatched"):
+            FleetMonitor.restore(hmd, state)
+
+    def test_rejects_incompatible_policy(self, fitted_hmd):
+        _, _, hmd = fitted_hmd
+        state = FleetMonitor(hmd, n_shards=2).snapshot()
+        state["policy"]["no_such_knob"] = 1
+        with pytest.raises(ValueError, match="BackpressurePolicy"):
+            FleetMonitor.restore(hmd, state)
 
 
 class TestSnapshotRestore:
