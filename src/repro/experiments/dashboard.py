@@ -1,8 +1,8 @@
 """Live fleet dashboard experiment (beyond-paper extension).
 
 Stands up a small simulated fleet behind a telemetry-enabled
-:class:`~repro.fleet.engine.FleetMonitor` with ``n_shards`` partition
-cores and drives the traffic through it in slices,
+:class:`~repro.fleet.engine.FleetMonitor` and drives the traffic
+through it in slices,
 posting a message burst into :class:`~repro.obs.Dashboard` after each
 slice and rendering a frame.  On a TTY the frames redraw in place
 (plain ANSI clear-and-home, no curses); headless, the frames are
@@ -23,8 +23,6 @@ from ..obs import (
     Dashboard,
     MetricsUpdate,
     ReportUpdate,
-    ShardSample,
-    ShardsUpdate,
     TraceContext,
     TraceSampler,
     TraceUpdate,
@@ -41,7 +39,6 @@ class DashboardResult:
 
     n_devices: int
     n_windows: int
-    n_shards: int
     n_frames: int
     n_messages: int
     n_flagged: int
@@ -57,24 +54,10 @@ class DashboardResult:
         """The final frame with a one-line drive summary on top."""
         return (
             f"Dashboard drive — {self.n_devices} "
-            f"devices, {self.n_windows} windows, K={self.n_shards}, "
+            f"devices, {self.n_windows} windows, "
             f"{self.n_frames} frames from {self.n_messages} messages, "
             f"{self.n_spans} trace spans\n\n{self.final_frame}"
         )
-
-
-def _sample_shards(monitor, dashboard: Dashboard) -> None:
-    """Post one per-shard throughput sample burst."""
-    rows = [
-        ShardSample(
-            shard_id=shard_id,
-            n_seen=shard.stats.n_seen,
-            n_flagged=shard.stats.n_flagged,
-            pending=len(shard.queue),
-        )
-        for shard_id, shard in enumerate(monitor.shards)
-    ]
-    dashboard.post(ShardsUpdate(rows=tuple(rows), ts=time.monotonic()))
 
 
 def _drive(
@@ -98,9 +81,7 @@ def _drive(
     for start in range(0, len(arrivals), per_slice):
         for device_id, window in arrivals[start : start + per_slice]:
             monitor.submit(device_id, window)
-        _sample_shards(monitor, dashboard)  # queues loaded, pre-drain
         monitor.drain()
-        _sample_shards(monitor, dashboard)
         report = monitor.report()
         dashboard.post(ReportUpdate(report=report, ts=time.monotonic()))
         if report.telemetry:
@@ -122,7 +103,6 @@ def run_dashboard(
     *,
     n_devices: int = 48,
     windows_per_device: int = 12,
-    n_shards: int = 4,
     batch_size: int = 256,
     frames: int = 6,
     refresh: float = 0.0,
@@ -155,7 +135,6 @@ def run_dashboard(
 
     monitor = FleetMonitor(
         hmd,
-        n_shards=n_shards,
         batch_size=batch_size,
         policy=policy,
         telemetry=True,
@@ -169,7 +148,6 @@ def run_dashboard(
     return DashboardResult(
         n_devices=n_devices,
         n_windows=len(arrivals),
-        n_shards=n_shards,
         n_frames=len(rendered),
         n_messages=dashboard.n_messages,
         n_flagged=monitor.stats.n_flagged,

@@ -5,18 +5,22 @@ traffic twice — sequentially through the paper's
 :class:`~repro.uncertainty.online.OnlineMonitor` (one ensemble pass per
 window) and batched through the
 :class:`~repro.fleet.engine.FleetMonitor` (one vectorised pass per
-batch) — and reports the throughput ratio, verdict equivalence, and the
-fleet dashboard view.
+batch) — and reports the throughput ratio, verdict equivalence, the
+exactly-once window audit, a mid-stream checkpoint/restore round trip
+and the fleet dashboard view.
 
     python -m repro.experiments fleet
 """
 
 from __future__ import annotations
 
+import pickle
 import time
 from dataclasses import dataclass
 
-from ..fleet import FleetMonitor, batched_verdicts_equal_sequential
+from ..fleet import FleetMonitor, account_windows, batched_verdicts_equal_sequential
+from ..fleet.engine import batch_verdict_key, batch_window_keys
+from ..fleet.report import device_report_key
 from ..uncertainty.online import ForensicQueue, OnlineMonitor
 from .common import ExperimentConfig, ExperimentContext, fleet_scenario, format_table
 
@@ -33,6 +37,8 @@ class FleetResult:
     sequential_wps: float
     batched_wps: float
     verdicts_identical: bool
+    restore_identical: bool
+    windows_lost: int
     n_flagged: int
     n_malware_alerts: int
     n_shed: int
@@ -57,6 +63,8 @@ class FleetResult:
             f"{self.n_windows} windows\n{table}\n"
             f"speedup: {self.speedup:.1f}x   "
             f"verdicts identical: {self.verdicts_identical}\n"
+            f"snapshot→restore resumes identically: {self.restore_identical}   "
+            f"windows lost: {self.windows_lost}\n"
             f"flagged={self.n_flagged}  alerts={self.n_malware_alerts}  "
             f"shed={self.n_shed}\n\n{self.report_text}"
         )
@@ -70,7 +78,13 @@ def run_fleet(
     windows_per_device: int = 30,
     batch_size: int = 256,
 ) -> FleetResult:
-    """Screen a simulated fleet sequentially vs. batched."""
+    """Screen a simulated fleet sequentially vs. batched.
+
+    The batched drain is also audited exactly once (every submitted
+    window verdicted, quarantined or shed), and a second monitor is
+    snapshotted after one round, restored from pickled bytes and must
+    finish the drain with the same verdicts and device rows.
+    """
     ctx = context if context is not None else ExperimentContext(config)
     # One trusted HMD shared by the fleet, row-independent end to end,
     # so batched results are bitwise reproducible against the
@@ -99,6 +113,31 @@ def run_fleet(
     batched_elapsed = time.perf_counter() - t0
 
     identical = batched_verdicts_equal_sequential(batches, seq_verdicts)
+    report = fleet.report()
+    submitted, seq = set(), {}
+    for device_id, _ in arrivals:
+        seq[device_id] = seq.get(device_id, -1) + 1
+        submitted.add((device_id, seq[device_id]))
+    windows_lost = len(
+        account_windows(
+            submitted,
+            batch_window_keys(batches),
+            fleet.quarantine.keys(),
+            shed=report.n_shed,
+        )
+    )
+
+    # -- checkpoint/restore: snapshot a half-drained fleet -------------
+    probe = FleetMonitor(hmd, batch_size=batch_size, policy=scenario.policy)
+    probe.register_fleet(scenario.devices)
+    for device_id, window in arrivals:
+        probe.submit(device_id, window)
+    probe.drain(max_batches=1)
+    restored = FleetMonitor.restore(hmd, pickle.loads(pickle.dumps(probe.snapshot())))
+    restore_identical = batch_verdict_key(restored.drain()) == batch_verdict_key(
+        probe.drain()
+    ) and device_report_key(restored.report()) == device_report_key(probe.report())
+
     n_windows = len(arrivals)
     return FleetResult(
         n_devices=n_devices,
@@ -107,8 +146,10 @@ def run_fleet(
         sequential_wps=n_windows / max(sequential_elapsed, 1e-9),
         batched_wps=n_windows / max(batched_elapsed, 1e-9),
         verdicts_identical=identical,
+        restore_identical=restore_identical,
+        windows_lost=windows_lost,
         n_flagged=fleet.stats.n_flagged,
         n_malware_alerts=fleet.stats.n_malware_alerts,
-        n_shed=fleet.queue.total_shed,
-        report_text=fleet.report().as_text(max_rows=10),
+        n_shed=report.n_shed,
+        report_text=report.as_text(max_rows=10),
     )

@@ -4,25 +4,23 @@
 "millions of monitored devices" deployment needs.  Where
 :class:`~repro.uncertainty.online.OnlineMonitor` screens one device's
 windows, the fleet monitor multiplexes windows from *many* devices
-through bounded ingress queues and amortises the expensive part — the
-ensemble vote pass — across fixed-size batches:
+through one bounded ingress queue and amortises the expensive part —
+the ensemble vote pass — across fixed-size batches:
 
 1. devices :meth:`~FleetMonitor.submit` windows — one row straight
    into the arena tail, or a whole block via
-   :meth:`~FleetMonitor.submit_many` in one bulk copy; a stable device
-   hash (:class:`~repro.fleet.sharding.ShardRouter`) picks the
-   partition, whose :class:`~repro.fleet.queueing.FleetQueue` applies
-   the backpressure policy;
+   :meth:`~FleetMonitor.submit_many` in one bulk copy; the monitor's
+   :class:`~repro.fleet.queueing.FleetQueue` applies the backpressure
+   policy;
 2. :meth:`~FleetMonitor.process_batch` takes up to ``batch_size``
-   rows from every partition, moves any row with NaN or infinite
-   features into the monitor's
-   :class:`~repro.fleet.resilience.QuarantineStore`, and runs a
-   **single** vectorised pass over the rest through the monitor's
-   :class:`~repro.fleet.sharding.PublishedHmd` (fused front, one
-   routing sweep, vote-count table lookups);
-3. verdicts fold back on each batch's dense device indices into the
-   partition's columnar device table (bincounts and one ring
-   scatter, no per-device Python), flagged rows stage columnar for the
+   rows, moves any row with NaN or infinite features into the
+   monitor's :class:`~repro.fleet.resilience.QuarantineStore`, and
+   runs a **single** vectorised pass over the rest through the
+   monitor's :class:`PublishedHmd` (fused front, one routing sweep,
+   vote-count table lookups);
+3. verdicts fold back on the batch's dense device indices into the
+   monitor's columnar device table (bincounts and one ring scatter,
+   no per-device Python), flagged rows stage columnar for the
    forensic queue, and the entropy stream feeds an optional drift
    monitor;
 4. a :class:`~repro.fleet.retrain.FleetRetrainer` triages the forensic
@@ -33,9 +31,9 @@ ensemble vote pass — across fixed-size batches:
 Because every per-window computation in the pipeline is row-independent
 (element-wise scaling, per-row tree routing, per-row vote histograms),
 batched verdicts are *bitwise identical* to sequential per-window ones
-whatever the batch size or partition count — batching changes
-throughput, never results.  The benchmark
-``benchmarks/test_bench_fleet.py`` asserts both properties.
+whatever the batch size — batching changes throughput, never results.
+The benchmark ``benchmarks/test_bench_fleet.py`` asserts both
+properties.
 """
 
 from __future__ import annotations
@@ -49,21 +47,78 @@ from ..ml.backend import native_traversal
 from ..obs.metrics import resolve_registry
 from ..uncertainty.drift import EntropyDriftMonitor
 from ..uncertainty.online import FlaggedSample, ForensicQueue, MonitorStats
-from ..uncertainty.trust import TrustedHMD, TrustedVerdict
+from ..uncertainty.trust import TrustedHMD, TrustedVerdict, vote_counts
 from .queueing import BackpressurePolicy, FleetQueue, WindowBatch
 from .report import DeviceReport, FleetReport
 from .resilience import QuarantinedWindow, QuarantineStore
-from .sharding import SNAPSHOT_SCHEMA, PublishedHmd, ShardRouter
 from .state import DeviceState
 
 __all__ = [
     "FleetFlaggedSample",
     "FleetBatchResult",
     "FleetMonitor",
+    "PublishedHmd",
+    "SNAPSHOT_SCHEMA",
     "batch_verdict_key",
     "batch_window_keys",
     "batched_verdicts_equal_sequential",
 ]
+
+# Version tag stamped into every FleetMonitor.snapshot() payload.
+# restore() refuses anything else: a checkpoint from a different schema
+# generation (or a payload that was never a fleet snapshot at all) fails
+# loudly up front instead of leaving a fleet half-restored.  Bump the
+# suffix when the payload shape changes.
+SNAPSHOT_SCHEMA = "repro.fleet.sharded/1"
+
+
+class PublishedHmd:
+    """The shared HMD's verdict parts: the monitor's one verdict path.
+
+    A record of what :func:`~repro.uncertainty.trust.vote_counts`
+    needs — the fused front, the compiled forest and the vote-count
+    tables — as :meth:`TrustedHMD.verdict_parts` built them, plus the
+    verdict key they were built under.  Holding the parts fixed for a
+    whole round keeps it on one model generation; :meth:`is_current`
+    turns stale after a (warm) retrain, a threshold change or a compile
+    mode switch, and the monitor republishes.
+
+    Only models with count tables (a binary ensemble compiled to a flat
+    or quantized forest) can be published; anything else raises
+    ``ValueError`` and is served by ``hmd.analyze`` or
+    :class:`~repro.uncertainty.online.OnlineMonitor`.
+    """
+
+    def __init__(self, hmd: TrustedHMD):
+        if not hasattr(hmd, "estimator_"):
+            raise ValueError("hmd must be fitted before publishing.")
+        parts = hmd.verdict_parts()
+        if parts is None:
+            raise ValueError(
+                "the fleet serves binary forests with vote-count tables; "
+                f"this model ({len(hmd.classes_)} classes, "
+                f"{type(hmd.ensemble_).__name__}) has none. Serve it with "
+                "OnlineMonitor or hmd.analyze."
+            )
+        self.hmd = hmd
+        self.key = hmd.verdict_key()
+        self.front, self.backend, self.tables = parts
+        self.threshold = float(hmd.policy_.threshold)
+        self.compile_mode = hmd.compile_mode
+
+    def is_current(self) -> bool:
+        """False once the HMD refit, changed threshold, or switched mode."""
+        return self.hmd.is_current_key(self.key)
+
+    def counts(self, X) -> np.ndarray:
+        """Each row's second-class vote count for a stacked batch."""
+        return vote_counts(
+            self.front, self.backend, self.tables.leaf_is_second, X
+        )
+
+    def verdict(self, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(predictions, entropy, accepted)`` for a stacked batch."""
+        return self.tables.expand(self.counts(X))
 
 
 @dataclass(frozen=True)
@@ -279,15 +334,60 @@ def _validate_snapshot(state: dict) -> None:
         ) from None
 
 
-class _Partition:
-    """One device-hash partition of a :class:`FleetMonitor`.
+def _merge_partitions(shards: list) -> dict:
+    """The one partition payload a snapshot's ``shards`` list describes.
 
-    The ingress queue, the step counter, the partition's counters and a
-    columnar device table indexed by the queue's dense device index:
-    one array per :class:`MonitorStats` counter, ``seq``, ``last_step``
-    and the entropy rings as one ``(devices, entropy_window)`` array
-    with head and size columns.  :class:`DeviceState` records are
-    views built on read (:meth:`row`).
+    A one-partition payload (what :meth:`FleetMonitor.snapshot` writes)
+    passes through.  A checkpoint written by an older build with K > 1
+    device-hash partitions merges into one: device rows in
+    partition-major, then table order; each device's queued rows in
+    admission order (a device lived on one partition, so a stable sort
+    by device keeps them in order); shed counters unioned; counters
+    merged in partition order, which is how the monitor read its
+    fleet-wide counters then, so ``entropy_sum`` keeps its bits; and the
+    step counter set to the largest partition's, so later forensic steps
+    and ``last_step`` keep advancing.
+    """
+    if len(shards) == 1:
+        return shards[0]
+    devices = [device for shard in shards for device in shard["devices"]]
+    position = {device["device_id"]: i for i, device in enumerate(devices)}
+    queues = [shard["queue"] for shard in shards]
+    queue = dict(
+        queues[0],
+        shed_by_device={k: v for q in queues for k, v in q["shed_by_device"].items()},
+    )
+    backlog = [q for q in queues if len(q["seqs"])]
+    if backlog:
+        device_ids = np.concatenate([np.asarray(q["device_ids"]) for q in backlog])
+        order = np.argsort(
+            [position.get(str(d), len(position)) for d in device_ids], kind="stable"
+        )
+        queue["device_ids"] = device_ids[order]
+        queue["seqs"] = np.concatenate([np.asarray(q["seqs"]) for q in backlog])[order]
+        queue["features"] = np.vstack(
+            [np.atleast_2d(np.asarray(q["features"], dtype=float)) for q in backlog]
+        )[order]
+    stats = MonitorStats()
+    for shard in shards:
+        stats.merge(MonitorStats.restore(shard["stats"]))
+    return {
+        "devices": devices,
+        "seq": {k: v for shard in shards for k, v in shard["seq"].items()},
+        "step": max(int(shard["step"]) for shard in shards),
+        "stats": stats.snapshot(),
+        "queue": queue,
+    }
+
+
+class _DeviceTable:
+    """The monitor's ingress queue, step counter, counters and device table.
+
+    The device table is columnar, indexed by the queue's dense device
+    index: one array per :class:`MonitorStats` counter, ``seq``,
+    ``last_step`` and the entropy rings as one
+    ``(devices, entropy_window)`` array with head and size columns.
+    :class:`DeviceState` records are views built on read (:meth:`row`).
     """
 
     # The MonitorStats counters (field order), then each column's start value.
@@ -367,7 +467,7 @@ class _Partition:
         entropy: np.ndarray,
         accepted: np.ndarray,
     ) -> int:
-        """Fold verdicts into the partition counters and the device table.
+        """Fold verdicts into the counters and the device table.
 
         The one place device counters change, called only from
         :meth:`FleetMonitor._round`, with no loop
@@ -376,7 +476,7 @@ class _Partition:
         ordered segment (``sum(axis=1)`` over the gathered segments of
         each distinct length), and ring slots follow
         :meth:`~repro.fleet.state.RingBuffer.extend`, so state is
-        bitwise independent of batching and partitioning.  Returns the
+        bitwise independent of batching.  Returns the
         step counter before the batch.
         """
         n = len(entropy)
@@ -427,30 +527,23 @@ class _Partition:
 class FleetMonitor:
     """Multiplex many device streams through one batched trusted HMD.
 
-    The one in-process engine.  Devices are hash-routed onto
-    ``n_shards`` partition cores (each its own ingress queue, device
-    table and counters); one :meth:`process_batch` is a *fused round*
-    that verdicts up to ``batch_size`` rows from every partition in a
-    single pass through the shared
-    :class:`~repro.fleet.sharding.PublishedHmd`, then folds each slice
-    back into its partition's device table.  Verdicts are bitwise
-    identical for every partition count.  Backpressure bounds apply per
-    partition: a device lives on one partition, while ``max_pending``
-    bounds each partition's queue (fleet total ``n_shards x
-    max_pending``).
+    The one in-process engine: one ingress queue, one columnar device
+    table and one set of counters.  One :meth:`process_batch` is a
+    *round* that verdicts up to ``batch_size`` rows in a single pass
+    through the shared :class:`PublishedHmd`, then folds them back into
+    the device table.  Verdicts are bitwise identical for every batch
+    size.
 
     Parameters
     ----------
     hmd:
         A *fitted* :class:`TrustedHMD` with vote-count tables (a binary
         compiled forest); any other model raises ``ValueError``.
-    n_shards:
-        Device-hash partitions behind the router (default 1).
     batch_size:
-        Windows per partition per vectorised ensemble pass.
+        Windows per vectorised ensemble pass.
     policy:
-        Backpressure policy of every partition queue (default: 4096
-        deep, shed-oldest).
+        Backpressure policy of the ingress queue (default: 4096 deep,
+        shed-oldest); ``max_pending`` bounds the whole fleet.
     forensics:
         Forensic queue receiving flagged windows; created when omitted.
     drift_reference:
@@ -458,13 +551,10 @@ class FleetMonitor:
         entropy stream is then watched by an :class:`EntropyDriftMonitor`.
     entropy_window:
         Capacity of each device's recent-entropy ring.
-    router:
-        A :class:`~repro.fleet.sharding.ShardRouter` to use instead of
-        a fresh ``ShardRouter(n_shards)``; it sets the partition count.
     telemetry:
         ``True`` for a fresh :class:`~repro.obs.metrics.MetricsRegistry`,
         a registry to share, or ``None``/``False`` (default) for the
-        no-op one; every partition queue counts into it.  Verdicts are
+        no-op one; the ingress queue counts into it too.  Verdicts are
         bitwise identical either way.
     tracer:
         Optional :class:`~repro.obs.tracing.TraceContext` recording
@@ -479,13 +569,11 @@ class FleetMonitor:
         self,
         hmd: TrustedHMD,
         *,
-        n_shards: int = 1,
         batch_size: int = 256,
         policy: BackpressurePolicy | None = None,
         forensics: ForensicQueue | None = None,
         drift_reference=None,
         entropy_window: int = 128,
-        router: ShardRouter | None = None,
         telemetry=None,
         tracer=None,
     ):
@@ -496,7 +584,6 @@ class FleetMonitor:
         if entropy_window < 1:
             raise ValueError(f"entropy_window must be >= 1; got {entropy_window}.")
         self.hmd = hmd
-        self.router = router if router is not None else ShardRouter(n_shards)
         self.batch_size = batch_size
         self.policy = policy if policy is not None else BackpressurePolicy()
         self.entropy_window = entropy_window
@@ -534,47 +621,27 @@ class FleetMonitor:
         )
         self.quarantine = QuarantineStore()
         self.quarantine.bind_metrics(self.metrics)
-        self._install(
-            [
-                _Partition(self.policy, entropy_window)
-                for _ in range(self.router.n_shards)
-            ]
-        )
+        self.table = _DeviceTable(self.policy, entropy_window)
+        self.table.queue.bind_metrics(self.metrics)
         # Publishing compiles the HMD, so the first batch of live
         # traffic does not pay the one-off flattening cost.
         self.published = PublishedHmd(hmd)
 
-    def _install(self, shards: list[_Partition]) -> None:
-        """Make ``shards`` the partitions; their queues count into the registry.
-
-        Binding after any restore or migration keeps rows that were
-        already admitted once from counting as admissions again.
-        """
-        for shard in shards:
-            shard.queue.bind_metrics(self.metrics)
-        self.shards = shards
-
-    @property
-    def n_shards(self) -> int:
-        """Number of device-hash partitions."""
-        return len(self.shards)
-
     # -- ingress -------------------------------------------------------
 
     def register(self, device_id: str, *, cohort: str = "unknown") -> DeviceState:
-        """Idempotently create the device's row on its partition; a view of it."""
-        shard = self.shards[self.router.shard_of(device_id)]
-        return DeviceState.restore(shard.row(shard.register(device_id, cohort)))
+        """Idempotently create the device's table row; a view of it."""
+        table = self.table
+        return DeviceState.restore(table.row(table.register(device_id, cohort)))
 
     def register_fleet(self, devices) -> None:
         """Register a whole :class:`FleetDevice` population at once."""
         for device in devices:
-            shard = self.shards[self.router.shard_of(device.device_id)]
-            shard.register(device.device_id, device.cohort)
+            self.table.register(device.device_id, device.cohort)
 
-    def _admission(self, device_id: str, n_features: int) -> tuple[_Partition, int]:
+    def _admission(self, device_id: str, n_features: int) -> int:
         """Validate a submission's width first (so a rejected window
-        registers nothing), then its partition and dense index."""
+        registers nothing), then the device's dense index."""
         expected = getattr(self.hmd, "n_features_in_", None)
         if expected is not None and n_features != expected:
             # Reject at ingress: a ragged window admitted here would
@@ -583,18 +650,18 @@ class FleetMonitor:
                 f"windows from {device_id!r} have {n_features} features; "
                 f"the fleet HMD expects {expected}."
             )
-        shard = self.shards[self.router.shard_of(device_id)]
-        return shard, shard.register(device_id)
+        return self.table.register(device_id)
 
     def submit(self, device_id: str, window) -> bool:
         """Enqueue one window straight into the arena tail; False when shed."""
         window = np.asarray(window, dtype=float).ravel()
-        shard, index = self._admission(device_id, window.shape[0])
-        seq = int(shard.seq[index])
-        shard.seq[index] = seq + 1
+        index = self._admission(device_id, window.shape[0])
+        table = self.table
+        seq = int(table.seq[index])
+        table.seq[index] = seq + 1
         if self.tracer is not None:
             self.tracer.begin(device_id, seq)
-        return shard.queue.admit_row(index, window, seq)
+        return table.queue.admit_row(index, window, seq)
 
     def submit_many(self, device_id: str, windows) -> int:
         """Enqueue a stack of windows as one block; returns how many were admitted.
@@ -607,71 +674,59 @@ class FleetMonitor:
         )
         if windows.size == 0:
             return 0
-        shard, index = self._admission(device_id, windows.shape[1])
-        start = int(shard.seq[index])
-        shard.seq[index] = start + len(windows)
+        index = self._admission(device_id, windows.shape[1])
+        table = self.table
+        start = int(table.seq[index])
+        table.seq[index] = start + len(windows)
         seqs = np.arange(start, start + len(windows), dtype=np.int64)
         if self.tracer is not None:
             self.tracer.begin_block(device_id, seqs)
-        return shard.queue.submit_block(device_id, windows, seqs)
-
-    @property
-    def pending(self) -> int:
-        """Windows currently queued across all partitions."""
-        return sum(len(shard.queue) for shard in self.shards)
+        return table.queue.submit_block(device_id, windows, seqs)
 
     @property
     def queue(self) -> FleetQueue:
-        """The ingress queue of a one-partition monitor."""
-        if len(self.shards) != 1:
-            raise AttributeError(
-                f"a monitor with {len(self.shards)} partitions has one "
-                "queue per partition; read shards[i].queue."
-            )
-        return self.shards[0].queue
+        """The ingress queue."""
+        return self.table.queue
+
+    @property
+    def pending(self) -> int:
+        """Windows currently queued."""
+        return len(self.table.queue)
 
     @property
     def devices(self) -> dict[str, DeviceState]:
-        """Every partition's device states by id (views built on read)."""
-        return {k: v for shard in self.shards for k, v in shard.devices.items()}
+        """Every device's state by id (views built on read)."""
+        return self.table.devices
 
     @property
     def stats(self) -> MonitorStats:
-        """Fleet-wide counters, merged from the partitions on read."""
-        merged = MonitorStats()
-        for shard in self.shards:
-            merged.merge(shard.stats)
-        return merged
+        """Fleet-wide counters."""
+        return self.table.stats
 
-    # -- fused inference rounds ----------------------------------------
+    # -- inference rounds ----------------------------------------------
 
     def _ensure_published(self) -> PublishedHmd:
         if not self.published.is_current():
             # One recompile per retrain/threshold/mode change; the new
-            # parts serve every partition from this round on.
+            # parts serve every round from this one on.
             self.published = PublishedHmd(self.hmd)
         return self.published
 
     def process_batch(self) -> FleetBatchResult | None:
-        """One fused round: up to ``batch_size`` rows *per partition*.
+        """One round: verdict up to ``batch_size`` queued rows.
 
-        The round's verdicts (grouped by partition, per device in
-        submission order), or ``None`` when every queue is empty.  A
-        round whose taken rows were all quarantined takes again.
+        The round's verdicts (per device in submission order), or
+        ``None`` when the queue is empty.  A round whose taken rows
+        were all quarantined takes again.
         """
         published = self._ensure_published()
         while True:
-            taken = [
-                (shard, shard.queue.take(self.batch_size))
-                for shard in self.shards
-                if len(shard.queue)
-            ]
-            if not any(len(batch) for _, batch in taken):
+            batch = self.table.queue.take(self.batch_size)
+            if not len(batch):
                 return None
-            parts = [(shard, self._finite_rows(batch)) for shard, batch in taken]
-            parts = [part for part in parts if len(part[1])]
-            if parts:
-                return self._round(parts, published)
+            batch = self._finite_rows(batch)
+            if len(batch):
+                return self._round(batch, published)
 
     def _finite_rows(self, batch: WindowBatch) -> WindowBatch:
         """The batch without its non-finite rows, which go to quarantine.
@@ -700,7 +755,7 @@ class FleetMonitor:
         )
 
     def drain(self, max_batches: int | None = None) -> list[FleetBatchResult]:
-        """Run rounds until every queue is empty (or the cap hits)."""
+        """Run rounds until the queue is empty (or the cap hits)."""
         results: list[FleetBatchResult] = []
         while max_batches is None or len(results) < max_batches:
             result = self.process_batch()
@@ -709,69 +764,49 @@ class FleetMonitor:
             results.append(result)
         return results
 
-    def _round(self, parts, published: PublishedHmd) -> FleetBatchResult:
-        """Verdict ``[(partition, batch)]`` parts in one pass, then fold back.
+    def _round(self, batch: WindowBatch, published: PublishedHmd) -> FleetBatchResult:
+        """Verdict a batch in one pass, then fold it back.
 
         The vote counts are expanded once through the publication's
-        tables; each part's slice then folds into its partition's
-        device table and stages its withheld rows, in part order, and
-        the round's entropies feed the drift monitor.  A single part's
-        features are not copied.
+        tables; the verdicts then fold into the device table and stage
+        their withheld rows, and the round's entropies feed the drift
+        monitor.
         """
+        tracer = self.tracer
         if self._obs_on:
-            self._trace(parts, "queue")
+            if tracer is not None:
+                tracer.stamp_rows(batch.device_ids, batch.seqs, "queue")
             t0 = time.perf_counter()
-        if len(parts) == 1:
-            features = parts[0][1].features
-        else:
-            features = np.vstack([batch.features for _, batch in parts])
-        counts = published.counts(features)
+        counts = published.counts(batch.features)
         if self._obs_on:
             self._m_verdict.observe(time.perf_counter() - t0)
-            self._trace(parts, "verdict")
+            if tracer is not None:
+                tracer.stamp_rows(batch.device_ids, batch.seqs, "verdict")
         predictions, entropy, accepted = published.tables.expand(counts)
         if self._obs_on:
             t1 = time.perf_counter()
             self._m_batches.inc()
             self._m_drained.inc(len(predictions))
-        offset = n_flagged = 0
-        for shard, batch in parts:
-            stop = offset + len(batch)
-            part = (
-                predictions[offset:stop], entropy[offset:stop], accepted[offset:stop]
-            )
-            base_step = shard._fold(batch.device_index, *part)
-            n_flagged += self._stage.add(batch, *part, base_step)
-            offset = stop
-        self._m_flagged.inc(n_flagged)
+        base_step = self.table._fold(batch.device_index, predictions, entropy, accepted)
+        self._m_flagged.inc(
+            self._stage.add(batch, predictions, entropy, accepted, base_step)
+        )
         if self._obs_on:
             self._m_scatter.observe(time.perf_counter() - t1)
             self._m_scatter_rows.inc(len(predictions))
-            if self.tracer is not None:
-                for _, batch in parts:
-                    self.tracer.complete_rows(batch.device_ids, batch.seqs, "scatter")
+            if tracer is not None:
+                tracer.complete_rows(batch.device_ids, batch.seqs, "scatter")
         if self.drift is not None:
             self.drift.observe(entropy)
         self.n_batches += 1
-        if len(parts) == 1:
-            device_ids, seqs = parts[0][1].device_ids, parts[0][1].seqs
-        else:
-            device_ids = np.concatenate([batch.device_ids for _, batch in parts])
-            seqs = np.concatenate([batch.seqs for _, batch in parts])
         return FleetBatchResult(
-            device_ids=device_ids,
-            seqs=seqs,
+            device_ids=batch.device_ids,
+            seqs=batch.seqs,
             predictions=predictions,
             entropy=entropy,
             accepted=accepted,
             threshold=published.threshold,
         )
-
-    def _trace(self, parts, stage: str) -> None:
-        """Stamp every part's sampled rows with a lifecycle stage."""
-        if self.tracer is not None:
-            for _, batch in parts:
-                self.tracer.stamp_rows(batch.device_ids, batch.seqs, stage)
 
     @property
     def forensics(self) -> ForensicQueue:
@@ -781,8 +816,8 @@ class FleetMonitor:
     # -- egress --------------------------------------------------------
 
     def report(self) -> FleetReport:
-        """Aggregate every partition's current state into one report view."""
-        stats = self.stats
+        """Aggregate the current state into one report view."""
+        stats, queue = self.stats, self.table.queue
         device_reports = tuple(
             DeviceReport(
                 device_id=state.device_id,
@@ -790,27 +825,22 @@ class FleetMonitor:
                 n_seen=state.n_seen,
                 n_flagged=state.n_flagged,
                 n_malware_alerts=state.n_malware_alerts,
-                n_shed=shard.queue.shed_by_device.get(state.device_id, 0),
-                n_pending=shard.queue.pending(state.device_id),
+                n_shed=queue.shed_by_device.get(state.device_id, 0),
+                n_pending=queue.pending(state.device_id),
                 rejection_rate=state.rejection_rate,
                 alert_rate=state.alert_rate,
                 recent_entropy=state.recent_entropy,
             )
-            for shard in self.shards
-            for state in shard.devices.values()
+            for state in self.devices.values()
         )
         telemetry = None
         if self.metrics.enabled:
-            # The partition queues share these gauges, each setting its
-            # own level; the report reads the fleet-wide ones.
             self.metrics.gauge("fleet_queue_depth").set(self.pending)
             self.metrics.gauge(
                 "fleet_native_kernel",
                 "1 when vote counting runs the native kernel, 0 for numpy",
             ).set(int(native_traversal()))
-            self.metrics.gauge("fleet_arena_blocks").set(
-                sum(shard.queue.arena_blocks for shard in self.shards)
-            )
+            self.metrics.gauge("fleet_arena_blocks").set(queue.arena_blocks)
             telemetry = self.metrics.snapshot()
         return FleetReport(
             devices=device_reports,
@@ -818,7 +848,7 @@ class FleetMonitor:
             n_accepted=stats.n_accepted,
             n_flagged=stats.n_flagged,
             n_malware_alerts=stats.n_malware_alerts,
-            n_shed=sum(shard.queue.total_shed for shard in self.shards),
+            n_shed=queue.total_shed,
             n_pending=self.pending,
             n_batches=self.n_batches,
             mean_entropy=stats.mean_entropy,
@@ -827,131 +857,87 @@ class FleetMonitor:
             telemetry=telemetry,
         )
 
-    # -- rebalancing ---------------------------------------------------
-
-    def rebalance(self, n_shards: int) -> dict[str, tuple[int, int]]:
-        """Change the partition count, migrating device state and backlogs.
-
-        Every moved device takes its table row, shed history and queued
-        windows (in order) to its new partition, so later verdicts are
-        unchanged and the telemetry counters keep counting.  Returns the
-        router's deterministic move map ``{device: (old, new)}``.
-        """
-        plan = self.router.plan_rebalance(self.devices, n_shards)
-        new_router = type(self.router)(n_shards)
-        # Seed every new partition's step counter past all the old
-        # ones, so post-rebalance flagged-sample steps and last_step
-        # keep advancing monotonically (as snapshot/restore keep them).
-        step_seed = max(shard.step for shard in self.shards)
-        new_shards = [
-            _Partition(self.policy, self.entropy_window) for _ in range(n_shards)
-        ]
-        for shard in new_shards:
-            shard.step = step_seed
-        for shard in self.shards:
-            for index in range(len(shard)):
-                row = shard.row(index)
-                target = new_shards[new_router.shard_of(row["device_id"])]
-                target.load(row, shard.seq[index])
-                target.stats.merge(MonitorStats.restore(row["stats"]))
-                shard.queue.move_device(row["device_id"], target.queue)
-        self.router = new_router
-        self._install(new_shards)
-        return plan
-
     # -- persistence ---------------------------------------------------
 
     def snapshot(self) -> dict:
         """Checkpoint the full fleet (model excluded).
 
-        Per-partition payloads (queue backlogs, device table rows in
-        :meth:`DeviceState.snapshot` form, counters), the router/policy
-        configuration and the forensic backlog: what :meth:`restore`
-        needs to resume mid-stream with identical verdicts.  Not
-        included: the fitted HMD (a trained artifact with its own
-        lifecycle; a snapshot restores against a warm-retrained model
-        too), the drift detector's statistics (pass the reference to
-        :meth:`restore` and it restarts from a clean window) and the
-        quarantine store (a restored monitor starts an empty one).
+        The queue backlog, the device table rows in
+        :meth:`DeviceState.snapshot` form, the counters, the policy and
+        the forensic backlog: what :meth:`restore` needs to resume
+        mid-stream with identical verdicts.  The payload keeps the
+        schema's partition list, with one entry.  Not included: the
+        fitted HMD (a trained artifact with its own lifecycle; a
+        snapshot restores against a warm-retrained model too), the drift
+        detector's statistics (pass the reference to :meth:`restore` and
+        it restarts from a clean window) and the quarantine store (a
+        restored monitor starts an empty one).
         """
-        shards = [
-            {
-                "devices": [shard.row(i) for i in range(len(shard))],
-                "seq": {
-                    shard.queue.device_name(i): int(shard.seq[i])
-                    for i in range(len(shard))
-                },
-                "step": shard.step,
-                "stats": shard.stats.snapshot(),
-                "queue": shard.queue.snapshot(),
-                # Keys the schema kept from when every shard was a full
-                # monitor: written for the payload shape, ignored on read.
-                "batch_size": self.batch_size,
-                "entropy_window": self.entropy_window,
-                "n_batches": 0,
-                "forensics": {
-                    "samples": (),
-                    "maxlen": self._stage.queue.maxlen,
-                    "total_flagged": 0,
-                },
-            }
-            for shard in self.shards
-        ]
+        table = self.table
+        partition = {
+            "devices": [table.row(i) for i in range(len(table))],
+            "seq": {
+                table.queue.device_name(i): int(table.seq[i]) for i in range(len(table))
+            },
+            "step": table.step,
+            "stats": table.stats.snapshot(),
+            "queue": table.queue.snapshot(),
+            # Keys the schema kept from when every partition was a full
+            # monitor: written for the payload shape, ignored on read.
+            "batch_size": self.batch_size,
+            "entropy_window": self.entropy_window,
+            "n_batches": 0,
+            "forensics": {
+                "samples": (),
+                "maxlen": self._stage.queue.maxlen,
+                "total_flagged": 0,
+            },
+        }
         return {
             "schema": SNAPSHOT_SCHEMA,
-            "n_shards": self.n_shards,
+            "n_shards": 1,
             "batch_size": self.batch_size,
             "entropy_window": self.entropy_window,
             "n_batches": self.n_batches,
             "policy": asdict(self.policy),
-            "shards": shards,
+            "shards": [partition],
             "forensics": self._stage.snapshot(),
         }
 
     @classmethod
     def restore(
-        cls,
-        hmd: TrustedHMD,
-        state: dict,
-        *,
-        drift_reference=None,
-        router: ShardRouter | None = None,
+        cls, hmd: TrustedHMD, state: dict, *, drift_reference=None
     ) -> "FleetMonitor":
         """Rebuild a fleet from :meth:`snapshot` output.
 
         ``hmd`` is the separately persisted model (a newer warm-retrained
         one works: verdicts then come from it, as for a monitor that
         stayed up through the retrain); ``drift_reference`` starts a
-        fresh drift detector; a custom ``router`` must be passed again
-        (it is configuration).  Every structural check runs before
-        anything is built (a retired queue format raises ``ValueError``).
+        fresh drift detector.  A checkpoint written with several
+        partitions merges into the one table (:func:`_merge_partitions`).
+        Every structural check runs before anything is built (a retired
+        queue format raises ``ValueError``).
         """
         _validate_snapshot(state)
-        if router is not None and router.n_shards != state["n_shards"]:
-            raise ValueError(
-                f"router has {router.n_shards} shards but the "
-                f"snapshot holds {state['n_shards']}."
-            )
+        payload = _merge_partitions(state["shards"])
         fleet = cls(
             hmd,
-            n_shards=state["n_shards"],
             batch_size=state["batch_size"],
             entropy_window=state["entropy_window"],
             policy=BackpressurePolicy(**state["policy"]),
             forensics=FlaggedStage.restore_queue(state["forensics"]),
             drift_reference=drift_reference,
-            router=router,
         )
         fleet.n_batches = int(state["n_batches"])
-        for shard, payload in zip(fleet.shards, state["shards"]):
-            names = [device["device_id"] for device in payload["devices"]]
-            shard.queue = FleetQueue.restore(payload["queue"], names)
-            for device in payload["devices"]:
-                shard.load(device, payload["seq"][device["device_id"]])
-            for name in shard.queue.names_array().tolist():
-                shard.register(name)
-            shard.step = int(payload["step"])
-            shard.stats = MonitorStats.restore(payload["stats"])
+        table = fleet.table
+        names = [device["device_id"] for device in payload["devices"]]
+        table.queue = FleetQueue.restore(payload["queue"], names)
+        for device in payload["devices"]:
+            table.load(device, payload["seq"][device["device_id"]])
+        for name in table.queue.names_array().tolist():
+            table.register(name)
+        table.step = int(payload["step"])
+        table.stats = MonitorStats.restore(payload["stats"])
         # Bound after the backlog is in, so it is not counted as admitted.
-        fleet._install(fleet.shards)
+        table.queue.bind_metrics(fleet.metrics)
         return fleet

@@ -7,8 +7,7 @@ a bounded central queue in front of the batched processing core, with a
 core.  This module is that ingress: window submissions from all devices
 land in one :class:`FleetQueue`, bounded globally and per device, and
 overload is resolved by policy rather than by unbounded memory growth.
-Every partition of a :class:`~repro.fleet.engine.FleetMonitor` runs
-one.
+A :class:`~repro.fleet.engine.FleetMonitor` runs one.
 
 Two shedding modes are provided:
 
@@ -28,8 +27,8 @@ block, and the verdict fold downstream groups rows with integer
 ``bincount`` arithmetic instead of string grouping.  Each row also
 carries its device's admission ordinal, and one rule says which rows
 are still queued: a device's live rows are exactly the ordinals
-``[floor, tail)``.  Admission issues ``tail`` and bumps it; takes,
-global and per-device eviction and migration only raise ``floor``.  A
+``[floor, tail)``.  Admission issues ``tail`` and bumps it; takes and
+global and per-device eviction only raise ``floor``.  A
 row left behind its device's floor is dead storage, skipped by the
 next pass over it; once dead rows outnumber the live rows the arena is
 rebuilt from the live rows, so storage stays bounded by the backlog,
@@ -487,49 +486,7 @@ class FleetQueue:
             device_index=dev,
         )
 
-    # -- rebalancing / persistence -------------------------------------
-
-    def extract_device(self, device_id: str) -> tuple[np.ndarray, np.ndarray]:
-        """Remove one device's queued rows (migration, not shedding).
-
-        Returns ``(features, seqs)`` in admission order; the rows are
-        *moved*, so shed counters are untouched.
-        """
-        index = self._index.get(device_id)
-        if index is None or self._tail[index] == self._floor[index]:
-            return np.empty((0, 0)), np.empty(0, dtype=np.int64)
-        features, seqs = [], []
-        for block in self._blocks:
-            rows = self._live_rows(block)
-            rows = rows[block.dev[rows] == index]
-            if len(rows):
-                features.append(block.x[rows])
-                seqs.append(block.seqs[rows])
-        moved = int(self._tail[index] - self._floor[index])
-        self._floor[index] = self._tail[index]
-        self._dead_count += moved
-        self._n_pending -= moved
-        self._compact()
-        return np.vstack(features), np.concatenate(seqs)
-
-    def move_device(self, device_id: str, target: "FleetQueue") -> None:
-        """Migrate one device's backlog and shed history to ``target``.
-
-        The rows already passed the backpressure policy once, so they
-        are admitted directly — a migration moves them, never re-sheds
-        them.
-        """
-        shed = self.shed_by_device.pop(device_id, 0)
-        if shed:
-            target.shed_by_device[device_id] = (
-                target.shed_by_device.get(device_id, 0) + shed
-            )
-        features, seqs = self.extract_device(device_id)
-        if len(seqs):
-            index = target.register_device(device_id)
-            target._admit_rows(
-                np.full(len(seqs), index, dtype=np.int64), features, seqs
-            )
+    # -- persistence ---------------------------------------------------
 
     def snapshot(self) -> dict:
         """Plain-data state: live rows in admission order + counters.

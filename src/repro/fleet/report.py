@@ -152,9 +152,8 @@ def device_report_key(report: FleetReport) -> dict[str, tuple]:
     """Index a report's device rows as ``device_id -> stats tuple``.
 
     The single definition of what "identical device rows" means for
-    equivalence checks across partition counts, shared by the ``shard``
-    experiment runner, the benchmark acceptance gate and the test
-    suite (the same role :func:`~repro.fleet.engine.batch_verdict_key`
+    equivalence checks across batch sizes and restores, shared by the
+    benchmark acceptance gate and the test suite (the same role :func:`~repro.fleet.engine.batch_verdict_key`
     plays for verdicts).
     """
     return {

@@ -1,7 +1,7 @@
 """Per-device monitoring state: read views of the fleet's device table.
 
-A fleet partition keeps each device's counters and recent-entropy ring
-as columns of one table (``_Partition`` in :mod:`repro.fleet.engine`,
+The fleet monitor keeps each device's counters and recent-entropy ring
+as columns of one table (``_DeviceTable`` in :mod:`repro.fleet.engine`,
 whose verdict fold is the one place they change).  :class:`DeviceState`
 — the single-device monitor's :class:`MonitorStats` plus a
 :class:`RingBuffer` — is built from a table row on read.  The fleet

@@ -200,6 +200,7 @@ class DvfsFeatureExtractor:
         return np.asarray(feats)
 
     def _check_windowing(self, trace: DvfsTrace, window_steps: int) -> int:
+        trace.validate()
         if window_steps < 2:
             raise ValueError("window_steps must be >= 2.")
         n_windows = trace.n_steps // window_steps

@@ -80,7 +80,7 @@ _LEAF = -1
 # batch is split into the fewest equal row chunks whose slot count
 # (rows x members) stays within ``_SLOT_TARGET``, so the per-level
 # working arrays stay cache-resident: a 256-row batch of a 100-member
-# forest is one chunk, a sharded fleet's fused round a few.  Once fewer
+# forest is one chunk, a 1024-row round a few.  Once fewer
 # than ``_COMPACT_RATIO`` of a chunk's slots are still routing, the
 # finished ones are banked and dropped, as long as the active set is big
 # enough for the two compaction passes to pay.

@@ -3,8 +3,8 @@
 Three pieces, all dependency-free (numpy + stdlib):
 
 * :mod:`repro.obs.metrics` — counters/gauges/fixed-bucket histograms in
-  a :class:`MetricsRegistry`, with an associative snapshot merge,
-  Prometheus text rendering and JSONL export;
+  a :class:`MetricsRegistry`, with Prometheus text rendering and JSONL
+  export;
 * :mod:`repro.obs.tracing` — deterministic sampled window-lifecycle
   spans (ingest→queue→verdict→scatter) with per-transition
   duration percentiles;
@@ -20,11 +20,8 @@ from .dashboard import (
     Dashboard,
     MetricsUpdate,
     ReportUpdate,
-    ShardSample,
-    ShardsUpdate,
     TraceUpdate,
     ansi_frame,
-    bar,
     sparkline,
 )
 from .metrics import (
@@ -37,7 +34,6 @@ from .metrics import (
     NULL_REGISTRY,
     default_registry,
     histogram_percentile,
-    merge_snapshots,
     render_prometheus,
     resolve_registry,
     summarize_snapshot,
@@ -56,17 +52,13 @@ __all__ = [
     "NULL_REGISTRY",
     "ReportUpdate",
     "STAGES",
-    "ShardSample",
-    "ShardsUpdate",
     "TraceContext",
     "TraceSampler",
     "TraceSpan",
     "TraceUpdate",
     "ansi_frame",
-    "bar",
     "default_registry",
     "histogram_percentile",
-    "merge_snapshots",
     "render_prometheus",
     "resolve_registry",
     "sparkline",

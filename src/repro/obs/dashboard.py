@@ -27,11 +27,8 @@ __all__ = [
     "Dashboard",
     "MetricsUpdate",
     "ReportUpdate",
-    "ShardSample",
-    "ShardsUpdate",
     "TraceUpdate",
     "ansi_frame",
-    "bar",
     "sparkline",
 ]
 
@@ -54,39 +51,12 @@ def sparkline(values, width: int = 16) -> str:
     )
 
 
-def bar(value: float, maximum: float, width: int = 10) -> str:
-    """Render a level as a fixed-width block bar."""
-    if maximum <= 0:
-        filled = 0
-    else:
-        filled = int(round(min(max(value / maximum, 0.0), 1.0) * width))
-    return "[" + "█" * filled + "░" * (width - filled) + "]"
-
-
 def ansi_frame(text: str) -> str:
     """Wrap a frame for in-place terminal redraw (clear + home)."""
     return ANSI_CLEAR + text
 
 
 # -- messages ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ShardSample:
-    """One shard's throughput row at a sampling instant."""
-
-    shard_id: int
-    n_seen: int
-    n_flagged: int
-    pending: int
-
-
-@dataclass(frozen=True)
-class ShardsUpdate:
-    """Per-shard samples, stamped so the dashboard can derive rates."""
-
-    rows: tuple
-    ts: float
 
 
 @dataclass(frozen=True)
@@ -99,7 +69,7 @@ class ReportUpdate:
 
 @dataclass(frozen=True)
 class MetricsUpdate:
-    """A registry snapshot (merged fleet view)."""
+    """A registry snapshot (the fleet's telemetry view)."""
 
     snapshot: dict
 
@@ -127,8 +97,6 @@ class Dashboard:
         self.report = None
         self.snapshot: dict = {}
         self.trace: dict | None = None
-        self.shards: dict[int, ShardSample] = {}
-        self._shard_marks: dict[int, deque] = {}
         self._device_trends: dict[str, deque] = {}
         self.n_frames = 0
         self.n_messages = 0
@@ -138,14 +106,7 @@ class Dashboard:
     def post(self, message) -> None:
         """Fold one state-change message into the dashboard."""
         self.n_messages += 1
-        if isinstance(message, ShardsUpdate):
-            for row in message.rows:
-                self.shards[row.shard_id] = row
-                marks = self._shard_marks.setdefault(
-                    row.shard_id, deque(maxlen=self.history)
-                )
-                marks.append((message.ts, row.n_seen))
-        elif isinstance(message, ReportUpdate):
+        if isinstance(message, ReportUpdate):
             self.report = message.report
             for device in message.report.devices:
                 trend = self._device_trends.setdefault(
@@ -159,22 +120,12 @@ class Dashboard:
         else:
             raise TypeError(f"unknown dashboard message: {message!r}")
 
-    def shard_wps(self, shard_id: int) -> float:
-        """Windows/sec this shard verdicted over its sample history."""
-        marks = self._shard_marks.get(shard_id)
-        if not marks or len(marks) < 2:
-            return 0.0
-        (t0, n0), (t1, n1) = marks[0], marks[-1]
-        return (n1 - n0) / (t1 - t0) if t1 > t0 else 0.0
-
     # -- rendering -----------------------------------------------------
 
     def render(self, *, max_devices: int = 8, spark_width: int = 16) -> str:
         """One full frame as a plain string (headless-safe, no TTY)."""
         self.n_frames += 1
         sections = [self._header()]
-        if self.shards:
-            sections.append(self._shard_table())
         if self.report is not None and self.report.devices:
             sections.append(self._device_table(max_devices, spark_width))
         if self.trace:
@@ -194,24 +145,6 @@ class Dashboard:
             f"{report.n_flagged} flagged ({report.rejection_rate:.1%}) · "
             f"{report.n_malware_alerts} alerts · "
             f"pending {report.n_pending} · shed {report.n_shed}"
-        )
-
-    def _shard_table(self) -> str:
-        rows = [self.shards[k] for k in sorted(self.shards)]
-        depth_scale = max((row.pending for row in rows), default=0)
-        return format_table(
-            ["shard", "seen", "flagged", "pending", "wps", "queue"],
-            [
-                [
-                    row.shard_id,
-                    row.n_seen,
-                    row.n_flagged,
-                    row.pending,
-                    f"{self.shard_wps(row.shard_id):.0f}",
-                    bar(row.pending, depth_scale),
-                ]
-                for row in rows
-            ],
         )
 
     def _device_table(self, max_devices: int, spark_width: int) -> str:

@@ -11,9 +11,7 @@ enough to leave on in production:
 * histograms are fixed-bucket numpy count arrays updated lock-free
   (``np.add.at`` for bulk observations); only instrument *creation*
   takes a lock;
-* :meth:`MetricsRegistry.snapshot` is plain data, and
-  :func:`merge_snapshots` is **associative** — registries of separate
-  monitors or runs fold into one view in any grouping.
+* :meth:`MetricsRegistry.snapshot` is plain data.
 
 Exposition: :func:`render_prometheus` (text format),
 :func:`summarize_snapshot` (terminal tables) and :class:`JsonlExporter`
@@ -40,7 +38,6 @@ __all__ = [
     "NULL_REGISTRY",
     "default_registry",
     "histogram_percentile",
-    "merge_snapshots",
     "render_prometheus",
     "resolve_registry",
     "summarize_snapshot",
@@ -311,47 +308,6 @@ def resolve_registry(telemetry) -> MetricsRegistry:
     if telemetry is True:
         return MetricsRegistry()
     return telemetry
-
-
-def merge_snapshots(snapshots) -> dict:
-    """Fold registry snapshots into one (associative, order-insensitive).
-
-    Counters and gauges sum — a summed gauge is the combined level
-    (e.g. total queued windows across monitors).  Histograms sum
-    bucket counts element-wise and require identical bucket bounds.
-    Empty snapshots (disabled registries) merge as identities, so a mix
-    of reporting and non-reporting sources folds cleanly.
-    """
-    merged: dict = {"counters": {}, "gauges": {}, "histograms": {}}
-    for snapshot in snapshots:
-        if not snapshot:
-            continue
-        for name, value in snapshot.get("counters", {}).items():
-            merged["counters"][name] = merged["counters"].get(name, 0) + value
-        for name, value in snapshot.get("gauges", {}).items():
-            merged["gauges"][name] = merged["gauges"].get(name, 0) + value
-        for name, hist in snapshot.get("histograms", {}).items():
-            into = merged["histograms"].get(name)
-            if into is None:
-                merged["histograms"][name] = {
-                    "buckets": list(hist["buckets"]),
-                    "counts": list(hist["counts"]),
-                    "sum": float(hist["sum"]),
-                    "count": int(hist["count"]),
-                }
-                continue
-            if list(hist["buckets"]) != into["buckets"]:
-                raise ValueError(
-                    f"histogram {name!r} has mismatched bucket bounds; "
-                    "snapshots must come from identically configured "
-                    "instruments."
-                )
-            into["counts"] = [
-                a + b for a, b in zip(into["counts"], hist["counts"])
-            ]
-            into["sum"] += float(hist["sum"])
-            into["count"] += int(hist["count"])
-    return merged
 
 
 def render_prometheus(snapshot: dict) -> str:

@@ -6,8 +6,8 @@ A traced window carries monotonic timestamps through the stages
 
 Sampling is deterministic: :class:`TraceSampler` hashes
 ``(device_id, seq)`` with a seeded integer mix, so at the default
-1/1024 rate the *same* windows are sampled on every partition count
-and every replay — spans from two drains of the same traffic cover
+1/1024 rate the *same* windows are sampled at every batch size
+and on every replay — spans from two drains of the same traffic cover
 the same windows.  The per-batch cost of the vectorised
 row check is a few microseconds against a millisecond-scale verdict
 pass (gated in ``benchmarks/test_bench_obs.py``).
@@ -33,7 +33,7 @@ _MASK32 = 0xFFFFFFFF
 
 
 def _fnv1a_32(text: str) -> int:
-    """FNV-1a over the utf-8 bytes (same family as the shard router)."""
+    """FNV-1a over the utf-8 bytes: stable across runs and platforms."""
     value = _FNV_OFFSET
     for byte in text.encode("utf-8"):
         value = ((value ^ byte) * _FNV_PRIME) & _MASK32
@@ -167,14 +167,6 @@ class TraceContext:
             return np.empty(0, dtype=np.int64)
         mask = self.sampler.sample_rows(device_ids, seqs)
         return np.flatnonzero(mask)
-
-    def stamp(
-        self, device_id: str, seq: int, stage: str, ts: float | None = None
-    ) -> None:
-        """Stamp one stage on an open span (no-op for untraced windows)."""
-        entry = self._pending.get((str(device_id), int(seq)))
-        if entry is not None:
-            entry[stage] = time.monotonic() if ts is None else ts
 
     def stamp_rows(
         self, device_ids, seqs, stage: str, ts: float | None = None

@@ -137,6 +137,15 @@ class DvfsTrace:
     name: str = ""
 
     def __post_init__(self) -> None:
+        self.validate()
+
+    def validate(self) -> None:
+        """Raise ``ValueError`` unless the fields describe one trace.
+
+        Runs at construction and again before featurization, since the
+        fields stay assignable: a ``temperature_c`` cut short afterwards
+        fails here by name instead of deep inside a kernel.
+        """
         if self.states.ndim != 2:
             raise ValueError(f"states must be 2-d; got shape {self.states.shape}.")
         if self.states.shape[1] != len(self.channel_names):

@@ -161,7 +161,7 @@ class MonitorStats:
         self.entropy_sum += float(np.sum(entropy))
 
     def merge(self, other: "MonitorStats") -> None:
-        """Fold another counter set into this one (shard aggregation)."""
+        """Fold another counter set into this one (checkpoint partition merge)."""
         self.n_seen += other.n_seen
         self.n_accepted += other.n_accepted
         self.n_flagged += other.n_flagged

@@ -448,7 +448,7 @@ class TrustedHMD(_FusedFrontMixin, BaseEstimator):
         """``(front, forest, tables)`` for :func:`vote_counts`.
 
         Built fresh on each call (the fleet's
-        :class:`~repro.fleet.sharding.PublishedHmd` holds them per
+        :class:`~repro.fleet.engine.PublishedHmd` holds them per
         :meth:`verdict_key`).  ``None`` when the count tables cannot
         serve this model — more than two classes, or no flat/quantized
         compiled forest — and the model is served by :meth:`analyze`

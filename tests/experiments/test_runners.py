@@ -23,7 +23,6 @@ from repro.experiments import (
     run_fig9b,
     run_ingest,
     run_platt_ablation,
-    run_shard,
     run_table1,
 )
 
@@ -329,6 +328,21 @@ class TestFleet:
         text = result.as_text()
         assert "Fleet monitoring" in text and "speedup" in text
 
+    def test_audit_and_restore_identical(self, small_context):
+        result = run_fleet(
+            context=small_context,
+            n_devices=24,
+            windows_per_device=12,
+            batch_size=32,
+        )
+        flags = {k: v for k, v in asdict(result).items() if k.endswith("_identical")}
+        assert len(flags) == 2
+        assert all(value is True for value in flags.values()), flags
+        assert result.n_windows == 24 * 12
+        assert result.windows_lost == 0
+        text = result.as_text()
+        assert "identical: False" not in text and "windows lost: 0" in text
+
 
 class TestIngest:
     def test_batched_front_matches_reference(self, small_context):
@@ -338,20 +352,3 @@ class TestIngest:
         assert result.n_windows == 48
         assert result.features_identical
         assert result.verdicts_identical
-
-
-class TestShard:
-    def test_sharded_run_identical(self, small_context):
-        result = run_shard(
-            context=small_context,
-            n_devices=24,
-            windows_per_device=12,
-            n_shards=3,
-            batch_size=32,
-        )
-        flags = {k: v for k, v in asdict(result).items() if k.endswith("_identical")}
-        assert len(flags) == 3
-        assert all(value is True for value in flags.values()), flags
-        assert result.n_windows == 24 * 12
-        assert result.windows_lost == 0
-        assert "identical: False" not in result.as_text()

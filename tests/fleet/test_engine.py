@@ -286,7 +286,7 @@ class TestFleetMonitor:
         """A window rejected at ingress leaves no phantom device behind
         in the device table, the report or a snapshot."""
         X, _, hmd = fitted_hmd
-        fleet = FleetMonitor(hmd, n_shards=2, batch_size=4)
+        fleet = FleetMonitor(hmd, batch_size=4)
         fleet.submit("dev-0", X[0])
         with pytest.raises(ValueError, match="features"):
             fleet.submit("ghost", np.zeros(X.shape[1] - 1))

@@ -1,6 +1,6 @@
 """Property test: the columnar device-table fold equals the per-device loop.
 
-``_Partition._fold`` folds a verdict batch into int64/float64 columns
+``_DeviceTable._fold`` folds a verdict batch into int64/float64 columns
 and one ``(devices, entropy_window)`` ring array with no loop over
 devices; ``tests.oracles.device_fold.fold_per_device`` is the loop it
 replaced (``np.sum`` per ordered segment, ``RingBuffer.extend`` per
@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fleet import BackpressurePolicy, DeviceState, RingBuffer
-from repro.fleet.engine import _Partition
+from repro.fleet.engine import _DeviceTable
 from tests.oracles.device_fold import fold_per_device
 
 SEGMENT_LENGTHS = st.sampled_from([0, 1, 2, 7, 8, 9, 15, 16, 17, 33]) | st.integers(0, 70)
@@ -50,10 +50,10 @@ def _bits(value) -> bytes:
 def test_columnar_fold_matches_per_device_loop(stream):
     window, n_devices, batches, dtype, seed = stream
     rng = np.random.default_rng(seed)
-    partition = _Partition(BackpressurePolicy(), window)
+    table = _DeviceTable(BackpressurePolicy(), window)
     oracle = []
     for d in range(n_devices):
-        assert partition.register(f"dev-{d}") == d
+        assert table.register(f"dev-{d}") == d
         oracle.append(DeviceState(device_id=f"dev-{d}", entropy_recent=RingBuffer(window)))
     step = 0
     for lengths in batches:
@@ -65,13 +65,13 @@ def test_columnar_fold_matches_per_device_loop(stream):
         predictions = rng.integers(0, 2, n)
         accepted = rng.random(n) < 0.6
 
-        base_step = partition._fold(device_index, predictions, entropy, accepted)
+        base_step = table._fold(device_index, predictions, entropy, accepted)
         assert base_step == step
         fold_per_device(oracle, device_index, predictions, entropy, accepted, step)
         step += n
 
         for d, expected in enumerate(oracle):
-            row = partition.row(d)
+            row = table.row(d)
             for name, value in expected.stats.snapshot().items():
                 assert _bits(row["stats"][name]) == _bits(value), name
             assert row["last_step"] == expected.last_step
@@ -81,6 +81,6 @@ def test_columnar_fold_matches_per_device_loop(stream):
                 expected_ring["head"],
                 expected_ring["size"],
             )
-            view = partition.devices[f"dev-{d}"]
+            view = table.devices[f"dev-{d}"]
             assert _bits(view.recent_entropy) == _bits(expected.recent_entropy)
             assert view.stats == expected.stats

@@ -2,11 +2,10 @@
 
 ``FleetQueue`` decides which rows are still queued by one rule — a
 device's live rows are its admission ordinals ``[floor, tail)`` — and
-every removal (take, global eviction, per-device eviction, migration)
-only raises ``floor``.  ``tests.oracles.queue_policy.PolicyModel``
+every removal (take, global eviction, per-device eviction) only raises
+``floor``.  ``tests.oracles.queue_policy.PolicyModel``
 keeps the same policy as a list with no storage tricks.  Hypothesis
-draws an operation sequence — row and block submits, takes,
-``extract_device``, ``move_device`` to a second queue, and a
+draws an operation sequence — row and block submits, takes and a
 snapshot→restore — over every policy in ``POLICIES`` and requires every
 return value, pending count, shed tally and snapshot payload to agree
 after every operation.
@@ -32,8 +31,6 @@ OPS = st.one_of(
     BLOCK,
     BLOCK,
     st.tuples(st.just("take"), st.integers(1, 20)),
-    st.tuples(st.just("extract"), st.sampled_from(DEVICES)),
-    st.tuples(st.just("move"), st.sampled_from(DEVICES)),
     st.tuples(st.just("restore")),
 )
 
@@ -45,10 +42,6 @@ def _rows(device, start, m):
 
 def _batch(batch):
     return batch.device_ids.tolist(), batch.seqs.tolist(), batch.features.tolist()
-
-
-def _moved(features, seqs):
-    return features.tolist(), seqs.tolist()
 
 
 def _assert_same(queue, model):
@@ -65,8 +58,7 @@ def _assert_same(queue, model):
 @settings(max_examples=150, deadline=None)
 @given(policy=st.sampled_from(POLICIES), ops=st.lists(OPS, min_size=1, max_size=60))
 def test_queue_matches_policy_oracle(policy, ops):
-    queue, other = FleetQueue(policy), FleetQueue(policy)
-    model, other_model = PolicyModel(policy), PolicyModel(policy)
+    queue, model = FleetQueue(policy), PolicyModel(policy)
     seqs = dict.fromkeys(DEVICES, 0)
     for op in ops:
         kind = op[0]
@@ -86,16 +78,7 @@ def test_queue_matches_policy_oracle(policy, ops):
             seqs[device] += m
         elif kind == "take":
             assert _batch(queue.take(op[1])) == _batch(model.take(op[1]))
-        elif kind == "extract":
-            assert _moved(*queue.extract_device(op[1])) == _moved(
-                *model.extract_device(op[1])
-            )
-        elif kind == "move":
-            queue.move_device(op[1], other)
-            model.move_device(op[1], other_model)
-            _assert_same(other, other_model)
         else:
             queue = FleetQueue.restore(pickle.loads(pickle.dumps(queue.snapshot())))
         _assert_same(queue, model)
     assert _batch(queue.take(10_000)) == _batch(model.take(10_000))
-    assert _batch(other.take(10_000)) == _batch(other_model.take(10_000))

@@ -2,7 +2,7 @@
 
 The fleet contract per mode:
 
-* ``"quantized"`` — every monitor (single or sharded) produces
+* ``"quantized"`` — every monitor produces
   verdicts *bitwise identical* to ``TrustedHMD`` in float64, because
   the uint8 kernel rewrites thresholds onto the bin grid without
   moving them;
@@ -13,7 +13,7 @@ The fleet contract per mode:
   :meth:`PublishedHmd.is_current` go stale so the next drain
   republishes the right kernel;
 * a window with NaN or infinite features is never verdicted, whatever
-  the monitor shape or mode: it is quarantined, and the rest of its
+  the batch size or mode: it is quarantined, and the rest of its
   batch is verdicted as ``analyze`` verdicts it.
 """
 
@@ -131,9 +131,8 @@ class TestPublishedHmdModesNumpy(TestPublishedHmdModes):
     """The mode verdicts with the numpy loop counting."""
 
 
-class TestShardedModes:
-    @pytest.mark.parametrize("sharded", [False, True], ids=["single", "sharded"])
-    def test_live_mode_switch_republishes(self, sharded, monkeypatch):
+class TestMonitorModes:
+    def test_live_mode_switch_republishes(self, monkeypatch):
         """Satellite 2 end-to-end: recompile mid-stream, next drain
         serves the new kernel."""
         served = []
@@ -148,28 +147,20 @@ class TestShardedModes:
         X, hmd = make_hmd("quantized")
         arrivals = _arrivals(X, n_devices=8, rounds=30, seed=6)
         policy = BackpressurePolicy(max_pending=len(arrivals) + 1)
-        if sharded:
-            monitor = FleetMonitor(
-                hmd, n_shards=2, batch_size=64, policy=policy
-            )
-        else:
-            monitor = FleetMonitor(hmd, batch_size=64, policy=policy)
+        monitor = FleetMonitor(hmd, batch_size=64, policy=policy)
         first = _drive(monitor, arrivals)
         assert set(served) == {QuantizedForest}
-        if sharded:
-            assert isinstance(monitor.published.backend, QuantizedForest)
+        assert isinstance(monitor.published.backend, QuantizedForest)
 
         hmd.compile(mode="float64")
-        if sharded:
-            assert not monitor.published.is_current()
+        assert not monitor.published.is_current()
         served.clear()
         for device_id, window in arrivals:
             monitor.submit(device_id, window)
         second = monitor.drain()
         assert set(served) == {FlatForest}
-        if sharded:
-            assert isinstance(monitor.published.backend, FlatForest)
-            assert monitor.published.compile_mode == "float64"
+        assert isinstance(monitor.published.backend, FlatForest)
+        assert monitor.published.compile_mode == "float64"
         # Quantization is exact: replaying the same windows through the
         # float64 kernel yields the same verdicts (sequence numbers keep
         # counting across drains, so re-key the second drain back).
@@ -183,9 +174,7 @@ class TestShardedModes:
         X, hmd = make_hmd("quantized")
         arrivals = _arrivals(X, n_devices=10, rounds=30, seed=7)
         policy = BackpressurePolicy(max_pending=len(arrivals) + 1)
-        probe = FleetMonitor(
-            hmd, n_shards=2, batch_size=64, policy=policy
-        )
+        probe = FleetMonitor(hmd, batch_size=64, policy=policy)
         for device_id, _ in arrivals:
             probe.register(device_id)
         for device_id, window in arrivals:
@@ -221,12 +210,13 @@ class TestNonFiniteInput:
     """
 
     @pytest.mark.parametrize("mode", ["float64", "quantized"])
-    @pytest.mark.parametrize("n_shards", [None, 2], ids=["single", "sharded"])
+    @pytest.mark.parametrize("batch_size", [8, 1])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
-    def test_non_finite_window_quarantined(self, mode, n_shards, value):
+    def test_non_finite_window_quarantined(self, mode, batch_size, value):
         X, hmd = make_hmd(mode)
         # 24 windows in batches of 8: the bad one shares its batch with
-        # good rows that must still be verdicted.
+        # good rows that must still be verdicted.  In batches of 1 its
+        # round quarantines every row it took and takes again.
         arrivals = _with_bad_row(
             _arrivals(X, n_devices=6, rounds=4, seed=3), 17, value
         )
@@ -238,9 +228,7 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError, match="NaN or infinite"):
             hmd.analyze(bad_window[None, :])
 
-        monitor = FleetMonitor(
-            hmd, n_shards=n_shards or 1, batch_size=8, telemetry=True
-        )
+        monitor = FleetMonitor(hmd, batch_size=batch_size, telemetry=True)
         results = _drive(monitor, arrivals)
 
         assert monitor.pending == 0

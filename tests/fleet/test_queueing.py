@@ -1,10 +1,12 @@
 """Tests for the arena ingress queue and backpressure/shedding policy."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.fleet import BackpressurePolicy, FleetQueue, WindowBatch
-from tests.oracles.queue_policy import admit
+from tests.oracles.queue_policy import POLICIES, PolicyModel, admit, random_ops, replay
 
 
 def _submit(queue, device="dev-0", seq=0):
@@ -269,35 +271,92 @@ class TestDeadStorageCompaction:
         assert queue.arena_blocks == 1
 
 
-class TestExtractDevice:
-    def test_moves_rows_in_admission_order(self):
-        queue = FleetQueue()
-        queue.submit_block("a", np.arange(9.0).reshape(3, 3), np.arange(3))
-        _submit(queue, device="b", seq=0)
-        _submit(queue, device="a", seq=3)
-        features, seqs = queue.extract_device("a")
-        assert seqs.tolist() == [0, 1, 2, 3]
-        assert features.shape == (4, 3)
-        np.testing.assert_array_equal(features[:3], np.arange(9.0).reshape(3, 3))
-        assert queue.pending("a") == 0
-        assert queue.total_shed == 0  # moved, not shed
-        assert queue.take(10).device_ids.tolist() == ["b"]
+class TestArenaQueue:
+    """The arena queue against the plain-list policy oracle."""
 
-    def test_unknown_or_empty_device(self):
-        queue = FleetQueue()
-        features, seqs = queue.extract_device("ghost")
-        assert len(seqs) == 0
-        _submit(queue, device="a", seq=0)
-        queue.take(1)
-        features, seqs = queue.extract_device("a")
-        assert len(seqs) == 0
+    @pytest.mark.parametrize("policy_idx", range(len(POLICIES)))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_fleet_queue_semantics(self, policy_idx, seed):
+        """Same ops → same takes, same sheds, same pending, row for row."""
+        policy = POLICIES[policy_idx]
+        rng = np.random.default_rng(1000 * policy_idx + seed)
+        ops = random_ops(rng, n_devices=6, n_ops=120)
+        model, queue = PolicyModel(policy), FleetQueue(policy)
+        reference, ref_admitted = replay(model, ops)
+        actual, actual_admitted = replay(queue, ops)
+        assert actual == reference
+        assert actual_admitted == ref_admitted
+        assert queue.shed_by_device == model.shed_by_device
+        # Drain the rest and compare the tails too.
+        assert replay(queue, [("take", 10_000)]) == replay(model, [("take", 10_000)])
 
-    def test_bookkeeping_survives_extraction(self):
+    def test_shed_accounting_matches(self):
+        policy = BackpressurePolicy(max_pending=100, max_pending_per_device=3)
+        reference, arena_queue = PolicyModel(policy), FleetQueue(policy)
+        for queue in (reference, arena_queue):
+            for seq in range(10):
+                admit(queue, "chatty", np.zeros(3) + seq, seq)
+            admit(queue, "quiet", np.ones(3), 0)
+        assert arena_queue.shed_by_device == reference.shed_by_device
+        assert arena_queue.pending("chatty") == reference.pending("chatty")
+        assert arena_queue.pending("quiet") == reference.pending("quiet")
+        assert len(arena_queue) == len(reference)
+        assert arena_queue.total_shed == reference.total_shed
+
+    def test_take_returns_indexed_batch(self):
         queue = FleetQueue()
-        for seq in range(5):
-            _submit(queue, device="a", seq=seq)
-            _submit(queue, device="b", seq=seq)
-        queue.extract_device("a")
-        assert len(queue) == 5
-        assert queue.take(100).seqs.tolist() == list(range(5))
-        assert len(queue) == 0
+        queue.submit_block("a", np.arange(8.0).reshape(2, 4), [0, 1])
+        admit(queue, "b", np.zeros(4), 0)
+        batch = queue.take(3)
+        assert isinstance(batch, WindowBatch)
+        assert batch.device_ids.tolist() == ["a", "a", "b"]
+        assert batch.device_index.tolist() == [0, 0, 1]
+        assert batch.seqs.tolist() == [0, 1, 0]
+
+    def test_uncongested_take_is_zero_copy(self):
+        queue = FleetQueue()
+        queue.submit_block("a", np.arange(12.0).reshape(3, 4), [0, 1, 2])
+        batch = queue.take(2)
+        assert batch.features.base is not None  # a view of the arena
+
+    def test_ragged_rows_rejected(self):
+        queue = FleetQueue()
+        admit(queue, "a", np.zeros(4), 0)
+        with pytest.raises(ValueError):
+            admit(queue, "a", np.zeros(5), 1)
+
+    def test_take_validates_n(self):
+        with pytest.raises(ValueError):
+            FleetQueue().take(0)
+
+    def test_drained_devices_release_eviction_lookups(self):
+        """Under a per-device cap, consumed rows must not pin arena
+        blocks once every device has drained."""
+        policy = BackpressurePolicy(max_pending=10_000, max_pending_per_device=32)
+        queue = FleetQueue(policy)
+        for d in range(100):
+            queue.submit_block(
+                f"dev-{d}", np.full((16, 3), float(d)), np.arange(16)
+            )
+        assert queue.arena_blocks == 2
+        while len(queue):
+            queue.take(64)
+        assert queue.arena_blocks <= 1
+        assert queue._dead_count == 0
+        assert all(queue.pending(f"dev-{d}") == 0 for d in range(100))
+        assert queue.shed_by_device == {}
+
+    def test_snapshot_restore_roundtrip(self):
+        policy = BackpressurePolicy(max_pending=50, max_pending_per_device=8)
+        queue = FleetQueue(policy)
+        rng = np.random.default_rng(3)
+        ops = random_ops(rng, n_devices=4, n_ops=60)
+        replay(queue, ops)
+        restored = FleetQueue.restore(pickle.loads(pickle.dumps(queue.snapshot())))
+        assert len(restored) == len(queue)
+        assert restored.shed_by_device == queue.shed_by_device
+        original = queue.take(10_000)
+        copy = restored.take(10_000)
+        assert copy.device_ids.tolist() == original.device_ids.tolist()
+        assert copy.seqs.tolist() == original.seqs.tolist()
+        np.testing.assert_array_equal(copy.features, original.features)

@@ -1,23 +1,19 @@
-"""Tests for the sharded fleet subsystem.
+"""Tests for the fleet's verdict path, equivalence matrix and checkpoints.
 
 The load-bearing guarantees, in the order the module builds them up:
 
-1. :class:`ShardRouter` assignments are stable and rebalance plans are
-   deterministic and minimal;
-2. :class:`FleetQueue` (the arena queue every shard runs) reproduces
-   the plain-list policy oracle (``tests.oracles.queue_policy``)
-   operation for operation (fuzzed over submit/submit_block/take
-   interleavings and every shed mode);
-3. :class:`PublishedHmd` verdicts (the count-table verdict function)
+1. :class:`PublishedHmd` verdicts (the count-table verdict function)
    are bitwise identical to ``TrustedHMD.analyze`` (fuzzed over
    ensemble kinds, sizes, depths and class counts);
-4. :class:`FleetMonitor` gives every window ``TrustedHMD.analyze``'s
-   verdict in every cell of one matrix (partition count x compile mode
-   x telemetry), and a K-partition monitor is indistinguishable from a
-   one-partition one over the same traffic: identical device report
-   rows and forensic streams — fuzzed over partition counts, device
-   counts and backpressure policies;
-5. snapshot/restore and rebalance keep all of the above mid-stream.
+2. :class:`FleetMonitor` gives every window ``TrustedHMD.analyze``'s
+   verdict in every cell of one matrix (batch size x compile mode x
+   telemetry), and monitors that differ only in batch size are
+   indistinguishable: identical verdicts, device report rows, shed
+   counts and forensic streams — fuzzed over device counts and
+   backpressure policies;
+3. snapshot/restore keeps all of the above mid-stream, and a
+   ``repro.fleet.sharded/1`` checkpoint written with several device-hash
+   partitions restores into the one device table.
 """
 
 import dataclasses
@@ -26,24 +22,15 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.fleet import (
-    BackpressurePolicy,
-    FleetMonitor,
-    FleetQueue,
-    FleetRetrainer,
-    PublishedHmd,
-    ShardRouter,
-    WindowBatch,
-)
-from repro.fleet.engine import batch_verdict_key
+from repro.fleet import BackpressurePolicy, FleetMonitor, FleetRetrainer, PublishedHmd
+from repro.fleet.engine import SNAPSHOT_SCHEMA, batch_verdict_key
 from repro.fleet.report import device_report_key
-from repro.fleet.sharding import SNAPSHOT_SCHEMA
 from repro.fleet.state import RingBuffer
 from repro.ml import BaggingClassifier, RandomForestClassifier
 from repro.obs import TraceContext, TraceSampler
 from repro.uncertainty import MonitorStats, TrustedHMD
+from repro.uncertainty.online import ForensicQueue
 from tests.conftest import make_blobs
-from tests.oracles.queue_policy import POLICIES, PolicyModel, admit, random_ops, replay
 
 
 @pytest.fixture(scope="module")
@@ -76,149 +63,9 @@ def _drive(monitor, arrivals, *, register=True):
 
 def _forensic_stream(queue):
     return [
-        (s.device_id, s.seq, s.prediction, s.entropy) for s in queue.snapshot()
+        (s.device_id, s.seq, s.prediction, s.entropy, s.step)
+        for s in queue.snapshot()
     ]
-
-
-class TestShardRouter:
-    def test_assignment_stable_and_in_range(self):
-        router = ShardRouter(5)
-        ids = [f"device-{i}" for i in range(200)]
-        first = [router.shard_of(d) for d in ids]
-        assert all(0 <= s < 5 for s in first)
-        assert [ShardRouter(5).shard_of(d) for d in ids] == first
-
-    def test_spreads_devices(self):
-        router = ShardRouter(4)
-        spread = router.spread(f"device-{i}" for i in range(400))
-        assert set(spread) == {0, 1, 2, 3}
-        assert all(len(v) > 40 for v in spread.values())
-
-    def test_invalid_shard_count(self):
-        with pytest.raises(ValueError):
-            ShardRouter(0)
-
-    def test_rebalance_plan_lists_only_moves(self):
-        router = ShardRouter(4)
-        ids = [f"device-{i}" for i in range(100)]
-        plan = router.plan_rebalance(ids, 6)
-        new_router = ShardRouter(6)
-        for device_id in ids:
-            old, new = router.shard_of(device_id), new_router.shard_of(device_id)
-            if old != new:
-                assert plan[device_id] == (old, new)
-            else:
-                assert device_id not in plan
-
-    def test_rebalance_plan_deterministic(self):
-        ids = [f"device-{i}" for i in range(50)]
-        assert ShardRouter(3).plan_rebalance(ids, 7) == ShardRouter(
-            3
-        ).plan_rebalance(ids, 7)
-
-
-class TestShardQueue:
-    """The arena queue every partition runs, against the policy oracle."""
-
-    @pytest.mark.parametrize("policy_idx", range(len(POLICIES)))
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_fleet_queue_semantics(self, policy_idx, seed):
-        """Same ops → same takes, same sheds, same pending, row for row."""
-        policy = POLICIES[policy_idx]
-        rng = np.random.default_rng(1000 * policy_idx + seed)
-        ops = random_ops(rng, n_devices=6, n_ops=120)
-        model, queue = PolicyModel(policy), FleetQueue(policy)
-        reference, ref_admitted = replay(model, ops)
-        actual, actual_admitted = replay(queue, ops)
-        assert actual == reference
-        assert actual_admitted == ref_admitted
-        assert queue.shed_by_device == model.shed_by_device
-        # Drain the rest and compare the tails too.
-        assert replay(queue, [("take", 10_000)]) == replay(model, [("take", 10_000)])
-
-    def test_shed_accounting_matches(self):
-        policy = BackpressurePolicy(max_pending=100, max_pending_per_device=3)
-        reference, shard_queue = PolicyModel(policy), FleetQueue(policy)
-        for queue in (reference, shard_queue):
-            for seq in range(10):
-                admit(queue, "chatty", np.zeros(3) + seq, seq)
-            admit(queue, "quiet", np.ones(3), 0)
-        assert shard_queue.shed_by_device == reference.shed_by_device
-        assert shard_queue.pending("chatty") == reference.pending("chatty")
-        assert shard_queue.pending("quiet") == reference.pending("quiet")
-        assert len(shard_queue) == len(reference)
-        assert shard_queue.total_shed == reference.total_shed
-
-    def test_take_returns_indexed_batch(self):
-        queue = FleetQueue()
-        queue.submit_block("a", np.arange(8.0).reshape(2, 4), [0, 1])
-        admit(queue, "b", np.zeros(4), 0)
-        batch = queue.take(3)
-        assert isinstance(batch, WindowBatch)
-        assert batch.device_ids.tolist() == ["a", "a", "b"]
-        assert batch.device_index.tolist() == [0, 0, 1]
-        assert batch.seqs.tolist() == [0, 1, 0]
-
-    def test_uncongested_take_is_zero_copy(self):
-        queue = FleetQueue()
-        queue.submit_block("a", np.arange(12.0).reshape(3, 4), [0, 1, 2])
-        batch = queue.take(2)
-        assert batch.features.base is not None  # a view of the arena
-
-    def test_ragged_rows_rejected(self):
-        queue = FleetQueue()
-        admit(queue, "a", np.zeros(4), 0)
-        with pytest.raises(ValueError):
-            admit(queue, "a", np.zeros(5), 1)
-
-    def test_take_validates_n(self):
-        with pytest.raises(ValueError):
-            FleetQueue().take(0)
-
-    def test_extract_device_moves_rows(self):
-        queue = FleetQueue()
-        queue.submit_block("a", np.ones((3, 2)), [0, 1, 2])
-        queue.submit_block("b", np.full((2, 2), 2.0), [0, 1])
-        admit(queue, "a", np.full(2, 3.0), 3)
-        features, seqs = queue.extract_device("a")
-        assert seqs.tolist() == [0, 1, 2, 3]
-        assert features.shape == (4, 2)
-        assert queue.pending("a") == 0
-        assert queue.total_shed == 0  # moved, not shed
-        remaining = queue.take(10)
-        assert remaining.device_ids.tolist() == ["b", "b"]
-
-    def test_drained_devices_release_eviction_lookups(self):
-        """Under a per-device cap, consumed rows must not pin arena
-        blocks once every device has drained."""
-        policy = BackpressurePolicy(max_pending=10_000, max_pending_per_device=32)
-        queue = FleetQueue(policy)
-        for d in range(100):
-            queue.submit_block(
-                f"dev-{d}", np.full((16, 3), float(d)), np.arange(16)
-            )
-        assert queue.arena_blocks == 2
-        while len(queue):
-            queue.take(64)
-        assert queue.arena_blocks <= 1
-        assert queue._dead_count == 0
-        assert all(queue.pending(f"dev-{d}") == 0 for d in range(100))
-        assert queue.shed_by_device == {}
-
-    def test_snapshot_restore_roundtrip(self):
-        policy = BackpressurePolicy(max_pending=50, max_pending_per_device=8)
-        queue = FleetQueue(policy)
-        rng = np.random.default_rng(3)
-        ops = random_ops(rng, n_devices=4, n_ops=60)
-        replay(queue, ops)
-        restored = FleetQueue.restore(pickle.loads(pickle.dumps(queue.snapshot())))
-        assert len(restored) == len(queue)
-        assert restored.shed_by_device == queue.shed_by_device
-        original = queue.take(10_000)
-        copy = restored.take(10_000)
-        assert copy.device_ids.tolist() == original.device_ids.tolist()
-        assert copy.seqs.tolist() == original.seqs.tolist()
-        np.testing.assert_array_equal(copy.features, original.features)
 
 
 def three_class_blobs(n_per_class=60, seed=5):
@@ -299,7 +146,7 @@ class TestPublishedHmd:
         with pytest.raises(ValueError, match="OnlineMonitor"):
             PublishedHmd(hmd)
         with pytest.raises(ValueError, match="3 classes"):
-            FleetMonitor(hmd, n_shards=2)
+            FleetMonitor(hmd)
 
 
 MATRIX_MODES = ("float64", "float32", "quantized")
@@ -324,14 +171,15 @@ def mode_hmds():
 
 
 class TestEquivalenceMatrix:
-    """The same window gets the same verdict in every in-process cell:
-    partition count x compile mode x telemetry on/off, each checked
-    against ``TrustedHMD.analyze`` on the same rows."""
+    """The same window gets the same verdict in every cell: batch size
+    (round composition: one row, rounds that split devices, whole
+    rounds) x compile mode x telemetry on/off, each checked against
+    ``TrustedHMD.analyze`` on the same rows."""
 
     @pytest.mark.parametrize("telemetry", [False, True], ids=["plain", "telemetry"])
     @pytest.mark.parametrize("mode", MATRIX_MODES)
-    @pytest.mark.parametrize("n_shards", [1, 2, 3])
-    def test_verdicts_match_analyze(self, mode_hmds, n_shards, mode, telemetry):
+    @pytest.mark.parametrize("batch_size", [1, 7, 64])
+    def test_verdicts_match_analyze(self, mode_hmds, batch_size, mode, telemetry):
         X, hmds = mode_hmds
         hmd = hmds[mode]
         arrivals = _arrivals(X, n_devices=13, rounds=20)
@@ -341,9 +189,7 @@ class TestEquivalenceMatrix:
             if telemetry
             else {}
         )
-        monitor = FleetMonitor(
-            hmd, n_shards=n_shards, batch_size=64, policy=policy, **observe
-        )
+        monitor = FleetMonitor(hmd, batch_size=batch_size, policy=policy, **observe)
         keyed = batch_verdict_key(_drive(monitor, arrivals))
 
         reference = hmd.analyze(np.vstack([window for _, window in arrivals]))
@@ -364,7 +210,11 @@ class TestEquivalenceMatrix:
         )
 
 
-class TestShardedEquivalence:
+class TestBatchSizeEquivalence:
+    """A monitor at ``batch_size`` and one at four times it (the round
+    size four partitions of that batch size once fused) serve the same
+    traffic indistinguishably."""
+
     @pytest.mark.parametrize(
         "n_devices,rounds,batch_size", [(1, 30, 16), (7, 11, 8), (37, 6, 64)]
     )
@@ -373,74 +223,57 @@ class TestShardedEquivalence:
     ):
         X, y, hmd = fitted_hmd
         arrivals = _arrivals(X, n_devices=n_devices, rounds=rounds, seed=7)
-        single = FleetMonitor(hmd, batch_size=batch_size)
-        sharded = FleetMonitor(
-            hmd, n_shards=4, batch_size=batch_size
-        )
-        single_batches = _drive(single, arrivals)
-        sharded_batches = _drive(sharded, arrivals)
-        assert batch_verdict_key(sharded_batches) == batch_verdict_key(
-            single_batches
-        )
-        assert device_report_key(sharded.report()) == device_report_key(single.report())
+        small = FleetMonitor(hmd, batch_size=batch_size)
+        large = FleetMonitor(hmd, batch_size=4 * batch_size)
+        small_batches = _drive(small, arrivals)
+        large_batches = _drive(large, arrivals)
+        assert batch_verdict_key(large_batches) == batch_verdict_key(small_batches)
+        assert device_report_key(large.report()) == device_report_key(small.report())
 
-    def test_merged_report_consistency(self, fitted_hmd):
+    def test_report_totals_match(self, fitted_hmd):
         X, y, hmd = fitted_hmd
         arrivals = _arrivals(X, n_devices=24, rounds=15, seed=3)
-        single = FleetMonitor(hmd, batch_size=32)
-        sharded = FleetMonitor(hmd, n_shards=4, batch_size=32)
-        _drive(single, arrivals)
-        _drive(sharded, arrivals)
-        reference, merged = single.report(), sharded.report()
-        assert merged.n_devices == reference.n_devices
-        assert merged.n_seen == reference.n_seen
-        assert merged.n_accepted == reference.n_accepted
-        assert merged.n_flagged == reference.n_flagged
-        assert merged.n_malware_alerts == reference.n_malware_alerts
-        assert merged.n_shed == reference.n_shed
-        assert merged.n_pending == reference.n_pending == 0
-        assert merged.mean_entropy == pytest.approx(
-            reference.mean_entropy, abs=1e-12
-        )
-        assert device_report_key(merged) == device_report_key(reference)
-        # Facade-level merged stats mirror the single monitor's.
-        assert sharded.stats.n_seen == single.stats.n_seen
-        assert sharded.stats.n_flagged == single.stats.n_flagged
+        small = FleetMonitor(hmd, batch_size=32)
+        large = FleetMonitor(hmd, batch_size=128)
+        _drive(small, arrivals)
+        _drive(large, arrivals)
+        reference, report = small.report(), large.report()
+        assert report.n_devices == reference.n_devices
+        assert report.n_seen == reference.n_seen
+        assert report.n_accepted == reference.n_accepted
+        assert report.n_flagged == reference.n_flagged
+        assert report.n_malware_alerts == reference.n_malware_alerts
+        assert report.n_shed == reference.n_shed
+        assert report.n_pending == reference.n_pending == 0
+        # The fleet entropy sum adds one partial sum per round.
+        assert report.mean_entropy == pytest.approx(reference.mean_entropy, abs=1e-12)
+        assert large.stats.n_seen == small.stats.n_seen
+        assert large.stats.n_flagged == small.stats.n_flagged
 
     def test_forensic_streams_identical(self, fitted_hmd):
         X, y, hmd = fitted_hmd
         arrivals = _arrivals(X, n_devices=9, rounds=25, seed=5)
-        single = FleetMonitor(hmd, batch_size=48)
-        sharded = FleetMonitor(hmd, n_shards=3, batch_size=48)
-        _drive(single, arrivals)
-        _drive(sharded, arrivals)
-        reference = _forensic_stream(single.forensics)
-        merged = _forensic_stream(sharded.forensics)
-        # Same flagged windows with identical verdicts; global order may
-        # interleave differently across shards, per-device order must not.
-        assert sorted(merged) == sorted(reference)
-        for device_id in {s[0] for s in reference}:
-            assert [s for s in merged if s[0] == device_id] == [
-                s for s in reference if s[0] == device_id
-            ]
+        small = FleetMonitor(hmd, batch_size=48)
+        large = FleetMonitor(hmd, batch_size=144)
+        _drive(small, arrivals)
+        _drive(large, arrivals)
+        # Rows fold in admission order whatever the round size, so the
+        # streams agree in order and in steps.
+        reference = _forensic_stream(small.forensics)
+        assert reference
+        assert _forensic_stream(large.forensics) == reference
 
     def test_per_device_caps_shed_identically(self, fitted_hmd):
         X, y, hmd = fitted_hmd
         policy = BackpressurePolicy(max_pending=10_000, max_pending_per_device=6)
         arrivals = _arrivals(X, n_devices=11, rounds=30, seed=9)
-        single = FleetMonitor(hmd, batch_size=64, policy=policy)
-        sharded = FleetMonitor(
-            hmd, n_shards=4, batch_size=64, policy=policy
-        )
-        single_batches = _drive(single, arrivals)
-        sharded_batches = _drive(sharded, arrivals)
-        merged_shed = {}
-        for shard in sharded.shards:
-            merged_shed.update(shard.queue.shed_by_device)
-        assert merged_shed == single.queue.shed_by_device
-        assert batch_verdict_key(sharded_batches) == batch_verdict_key(
-            single_batches
-        )
+        small = FleetMonitor(hmd, batch_size=64, policy=policy)
+        large = FleetMonitor(hmd, batch_size=256, policy=policy)
+        small_batches = _drive(small, arrivals)
+        large_batches = _drive(large, arrivals)
+        assert small.queue.shed_by_device
+        assert large.queue.shed_by_device == small.queue.shed_by_device
+        assert batch_verdict_key(large_batches) == batch_verdict_key(small_batches)
 
     @pytest.mark.parametrize("shed", ["drop_oldest", "drop_newest"])
     def test_drop_modes_with_interleaved_drains(self, fitted_hmd, shed):
@@ -450,10 +283,9 @@ class TestShardedEquivalence:
             max_pending=10_000, max_pending_per_device=4, shed=shed
         )
         arrivals = _arrivals(X, n_devices=8, rounds=24, seed=13)
-        single = FleetMonitor(hmd, batch_size=32, policy=policy)
-        sharded = FleetMonitor(hmd, n_shards=3, batch_size=32, policy=policy)
         results = {}
-        for name, monitor in (("single", single), ("sharded", sharded)):
+        for batch_size in (32, 96):
+            monitor = FleetMonitor(hmd, batch_size=batch_size, policy=policy)
             batches = []
             for i, (device_id, window) in enumerate(arrivals):
                 monitor.submit(device_id, window)
@@ -462,47 +294,43 @@ class TestShardedEquivalence:
                     if result is not None:
                         batches.append(result)
             batches.extend(monitor.drain())
-            results[name] = batches
-        # Per-device caps see identical per-device pressure in both
-        # topologies even mid-drain, so sheds and verdicts agree.
-        assert batch_verdict_key(results["sharded"]) == batch_verdict_key(
-            results["single"]
-        )
+            results[batch_size] = batches
+        # The per-device caps keep at most 32 rows queued between
+        # rounds, so both round sizes drain the same rows mid-stream.
+        assert batch_verdict_key(results[96]) == batch_verdict_key(results[32])
 
     def test_submit_many_block_path(self, fitted_hmd):
         X, y, hmd = fitted_hmd
         rng = np.random.default_rng(2)
-        single = FleetMonitor(hmd, batch_size=50)
-        sharded = FleetMonitor(hmd, n_shards=4, batch_size=50)
+        small = FleetMonitor(hmd, batch_size=50)
+        large = FleetMonitor(hmd, batch_size=200)
         blocks = {
             f"dev-{d:03d}": X[rng.integers(len(X), size=12)] for d in range(17)
         }
-        for monitor in (single, sharded):
+        for monitor in (small, large):
             for device_id, windows in blocks.items():
                 assert monitor.submit_many(device_id, windows) == 12
-        assert batch_verdict_key(sharded.drain()) == batch_verdict_key(
-            single.drain()
-        )
+        assert batch_verdict_key(large.drain()) == batch_verdict_key(small.drain())
 
-    def test_facade_api_parity(self, fitted_hmd):
+
+class TestMonitorApi:
+    def test_submit_process_report(self, fitted_hmd):
         X, y, hmd = fitted_hmd
-        sharded = FleetMonitor(hmd, n_shards=2, batch_size=16)
-        assert sharded.pending == 0
-        assert sharded.process_batch() is None
-        sharded.register("dev-a", cohort="benign")
-        assert sharded.submit("dev-a", X[0])
-        assert sharded.pending == 1
+        monitor = FleetMonitor(hmd, batch_size=16)
+        assert monitor.pending == 0
+        assert monitor.process_batch() is None
+        monitor.register("dev-a", cohort="benign")
+        assert monitor.submit("dev-a", X[0])
+        assert monitor.pending == 1
         with pytest.raises(ValueError):
-            sharded.submit("dev-a", X[0][:-1])  # ragged window
-        result = sharded.process_batch()
+            monitor.submit("dev-a", X[0][:-1])  # ragged window
+        result = monitor.process_batch()
         assert result.device_ids.tolist() == ["dev-a"]
-        assert sharded.report().devices[0].cohort == "benign"
+        assert monitor.report().devices[0].cohort == "benign"
 
     def test_requires_fitted_hmd(self):
         with pytest.raises(ValueError):
-            FleetMonitor(
-                TrustedHMD(RandomForestClassifier(n_estimators=3)), n_shards=4
-            )
+            FleetMonitor(TrustedHMD(RandomForestClassifier(n_estimators=3)))
 
 
 def _zero_day(seed, n, d):
@@ -514,7 +342,7 @@ def _zero_day(seed, n, d):
 
 
 class TestRetrainIntegration:
-    def test_sharded_retrain_republishes(self, fitted_hmd):
+    def test_retrain_republishes(self, fitted_hmd):
         X, y, _ = fitted_hmd
         hmd = TrustedHMD(
             RandomForestClassifier(
@@ -522,39 +350,29 @@ class TestRetrainIntegration:
             ),
             threshold=0.40,
         ).fit(X, y)
-        sharded = FleetMonitor(hmd, n_shards=3, batch_size=32)
+        monitor = FleetMonitor(hmd, batch_size=96)
         retrainer = FleetRetrainer(
-            sharded, labeler=lambda cluster: 1, X_train=X, y_train=y,
+            monitor, labeler=lambda cluster: 1, X_train=X, y_train=y,
             min_batch=8,
         )
-        epoch_before = sharded.published
+        epoch_before = monitor.published
         # A zero-day cluster: high-entropy windows flood the forensic
         # stream and trigger warm retrains mid-drain.
         for i, window in enumerate(_zero_day(seed=21, n=80, d=X.shape[1])):
-            sharded.submit(f"dev-{i % 6:03d}", window)
+            monitor.submit(f"dev-{i % 6:03d}", window)
         outcomes = retrainer.drain()
         assert any(outcome.retrained for outcome in outcomes)
-        assert len(sharded.forensics) == 0  # fully triaged
-        sharded.submit("dev-000", X[0])
-        sharded.process_batch()
+        assert len(monitor.forensics) == 0  # fully triaged
+        monitor.submit("dev-000", X[0])
+        monitor.process_batch()
         # The monitor republished the shared view after the warm refit.
-        assert sharded.published is not epoch_before
-        assert sharded.published.is_current()
+        assert monitor.published is not epoch_before
+        assert monitor.published.is_current()
 
-    @pytest.mark.parametrize(
-        "make_monitor",
-        [
-            pytest.param(lambda hmd: FleetMonitor(hmd, batch_size=64), id="single"),
-            pytest.param(
-                lambda hmd: FleetMonitor(hmd, n_shards=2, batch_size=64),
-                id="sharded",
-            ),
-        ],
-    )
-    def test_post_retrain_verdicts_match_single(self, fitted_hmd, make_monitor):
+    def test_post_retrain_verdicts_match_analyze(self, fitted_hmd):
         """After a warm refit or a threshold change, verdicts track analyze.
 
-        Both monitors cache vote-count tables; each change lands between
+        The monitor caches vote-count tables; each change lands between
         two batches, and the next batch must serve the new model.
         """
         X, y, _ = fitted_hmd
@@ -567,7 +385,7 @@ class TestRetrainIntegration:
         # Midpoints between the classes: members disagree, so entropies
         # spread across the thresholds used below.
         probe = 0.5 * (X[y == 0][:30] + X[y == 1][:30])
-        monitor = make_monitor(hmd)
+        monitor = FleetMonitor(hmd, batch_size=64)
         monitor.submit_many("dev-a", probe)
         monitor.process_batch()  # tables built for the original fit
         for change in (
@@ -774,19 +592,19 @@ class TestSnapshotVersioning:
 
     def test_snapshot_carries_schema_tag(self, fitted_hmd):
         _, _, hmd = fitted_hmd
-        fleet = FleetMonitor(hmd, n_shards=2)
+        fleet = FleetMonitor(hmd)
         assert fleet.snapshot()["schema"] == SNAPSHOT_SCHEMA
 
     def test_rejects_unversioned_payload(self, fitted_hmd):
         _, _, hmd = fitted_hmd
-        state = FleetMonitor(hmd, n_shards=2).snapshot()
+        state = FleetMonitor(hmd).snapshot()
         del state["schema"]
         with pytest.raises(ValueError, match="snapshot schema"):
             FleetMonitor.restore(hmd, state)
 
     def test_rejects_foreign_schema(self, fitted_hmd):
         _, _, hmd = fitted_hmd
-        state = FleetMonitor(hmd, n_shards=2).snapshot()
+        state = FleetMonitor(hmd).snapshot()
         state["schema"] = "repro.fleet.sharded/999"
         with pytest.raises(ValueError, match="repro.fleet.sharded/999"):
             FleetMonitor.restore(hmd, state)
@@ -798,21 +616,21 @@ class TestSnapshotVersioning:
 
     def test_rejects_truncated_payload(self, fitted_hmd):
         _, _, hmd = fitted_hmd
-        state = FleetMonitor(hmd, n_shards=2).snapshot()
+        state = FleetMonitor(hmd).snapshot()
         del state["shards"]
         with pytest.raises(ValueError, match="missing required keys"):
             FleetMonitor.restore(hmd, state)
 
     def test_rejects_shard_count_mismatch(self, fitted_hmd):
         _, _, hmd = fitted_hmd
-        state = FleetMonitor(hmd, n_shards=3).snapshot()
+        state = FleetMonitor(hmd).snapshot()
         state["n_shards"] = 2
         with pytest.raises(ValueError, match="mismatched"):
             FleetMonitor.restore(hmd, state)
 
     def test_rejects_incompatible_policy(self, fitted_hmd):
         _, _, hmd = fitted_hmd
-        state = FleetMonitor(hmd, n_shards=2).snapshot()
+        state = FleetMonitor(hmd).snapshot()
         state["policy"]["no_such_knob"] = 1
         with pytest.raises(ValueError, match="BackpressurePolicy"):
             FleetMonitor.restore(hmd, state)
@@ -821,7 +639,7 @@ class TestSnapshotVersioning:
 class TestSnapshotRestore:
     def test_parent_device_table_payload_round_trips(self, fitted_hmd):
         """Per-object device records restore into the columnar table,
-        re-snapshot to the same payload and survive two rebalances."""
+        re-snapshot to the same payload and keep their counters."""
         X, y, hmd = fitted_hmd
         state = parent_table_checkpoint(X)
         fleet = FleetMonitor.restore(hmd, pickle.loads(pickle.dumps(state)))
@@ -830,16 +648,9 @@ class TestSnapshotRestore:
         assert fleet.devices["dev-a"].recent_entropy == np.mean(
             rows["dev-a"]["entropy_recent"]["data"]
         )
-        fleet.rebalance(3)
-        fleet.rebalance(2)
-        for shard in fleet.shards:
-            for index in range(len(shard)):
-                row = shard.row(index)
-                assert_payloads_equal(row, rows[row["device_id"]])
-        moved = fleet.snapshot()
-        assert sorted(
-            (name, seq) for s in moved["shards"] for name, seq in s["seq"].items()
-        ) == [("dev-a", 12), ("dev-b", 2)]
+        for index in range(len(fleet.table)):
+            row = fleet.table.row(index)
+            assert_payloads_equal(row, rows[row["device_id"]])
         assert fleet.pending == 1
         assert fleet.submit("dev-a", X[1])
         keyed = batch_verdict_key(fleet.drain())
@@ -853,7 +664,7 @@ class TestSnapshotRestore:
     def test_snapshot_matches_schema1_shape(self, fitted_hmd):
         """What this build writes has the hand-built checkpoint's keys."""
         X, y, hmd = fitted_hmd
-        fleet = FleetMonitor(hmd, n_shards=1, batch_size=16)
+        fleet = FleetMonitor(hmd, batch_size=16)
         fleet.submit_many("dev-a", X[:2])
         state, pinned = fleet.snapshot(), schema1_checkpoint(X)
         assert set(state) == set(pinned)
@@ -885,7 +696,7 @@ class TestSnapshotRestore:
         arrivals = _arrivals(X, n_devices=10, rounds=20, seed=31)
         half = len(arrivals) // 2
 
-        continuous = FleetMonitor(hmd, n_shards=3, batch_size=32)
+        continuous = FleetMonitor(hmd, batch_size=32)
         for device_id, window in arrivals[:half]:
             continuous.submit(device_id, window)
         first_half = continuous.drain(max_batches=3)  # leave a backlog
@@ -912,53 +723,25 @@ class TestSnapshotRestore:
             continuous.report()
         )
 
-    def test_restore_preserves_policy_through_rebalance(self, fitted_hmd):
-        """The monitor policy survives restore — and a later rebalance
-        builds its new shard queues with the original bounds."""
-        X, y, hmd = fitted_hmd
-        policy = BackpressurePolicy(max_pending=7, shed="drop_newest")
-        fleet = FleetMonitor(hmd, n_shards=2, batch_size=8, policy=policy)
-        fleet.submit_many("dev-a", X[:3])
-        restored = FleetMonitor.restore(
-            hmd, pickle.loads(pickle.dumps(fleet.snapshot()))
-        )
-        assert restored.policy == policy
-        restored.rebalance(3)
-        for shard in restored.shards:
-            assert shard.queue.policy == policy
-
-    def test_restore_rejects_mismatched_router(self, fitted_hmd):
-        X, y, hmd = fitted_hmd
-        fleet = FleetMonitor(hmd, n_shards=2, batch_size=8)
-        state = fleet.snapshot()
-        with pytest.raises(ValueError):
-            FleetMonitor.restore(hmd, state, router=ShardRouter(5))
-
     def test_flag_storm_stays_bounded(self, fitted_hmd):
         """Columnar staging must not defeat the forensic memory cap."""
         X, y, hmd = fitted_hmd
-        from repro.uncertainty.online import ForensicQueue
-
-        sharded = FleetMonitor(
-            hmd,
-            n_shards=2,
-            batch_size=64,
-            forensics=ForensicQueue(maxlen=40),
-        )
+        monitor = FleetMonitor(hmd, batch_size=64, forensics=ForensicQueue(maxlen=40))
         # Every zero-day window gets flagged: a flag storm.
         storm = _zero_day(seed=3, n=400, d=X.shape[1])
         for i, window in enumerate(storm):
-            sharded.submit(f"dev-{i % 4:03d}", window)
-        sharded.drain()
-        assert sharded._stage.rows <= sharded._stage.queue.maxlen
-        assert len(sharded.forensics) <= 40
-        assert sharded.forensics.total_flagged == sharded.stats.n_flagged
-        assert sharded.stats.n_flagged > 40  # the cap actually bit
+            monitor.submit(f"dev-{i % 4:03d}", window)
+        monitor.drain()
+        assert monitor._stage.rows <= monitor._stage.queue.maxlen
+        assert len(monitor.forensics) <= 40
+        assert monitor.forensics.total_flagged == monitor.stats.n_flagged
+        assert monitor.stats.n_flagged > 40  # the cap actually bit
 
     def test_single_monitor_snapshot_roundtrip(self, fitted_hmd):
         X, y, hmd = fitted_hmd
         arrivals = _arrivals(X, n_devices=5, rounds=8, seed=33)
-        monitor = FleetMonitor(hmd, batch_size=16)
+        policy = BackpressurePolicy(max_pending=60, shed="drop_newest")
+        monitor = FleetMonitor(hmd, batch_size=16, policy=policy)
         for device_id, window in arrivals:
             monitor.submit(device_id, window)
         monitor.drain(max_batches=1)
@@ -966,55 +749,144 @@ class TestSnapshotRestore:
             hmd, pickle.loads(pickle.dumps(monitor.snapshot()))
         )
         assert restored.pending == monitor.pending
+        assert restored.policy == restored.queue.policy == policy
         original = monitor.drain()
         copy = restored.drain()
         assert batch_verdict_key(copy) == batch_verdict_key(original)
         assert device_report_key(restored.report()) == device_report_key(monitor.report())
 
 
-class TestRebalance:
-    def test_rebalance_preserves_verdicts(self, fitted_hmd):
+STAT_KEYS = ("n_seen", "n_accepted", "n_flagged", "n_malware_alerts", "entropy_sum")
+
+
+def _table_row(device_id, cohort, stats, last_step, ring, head, size):
+    """One device-table row in ``DeviceState.snapshot()`` form (window 4)."""
+    return {
+        "device_id": device_id,
+        "cohort": cohort,
+        "stats": dict(zip(STAT_KEYS, stats)),
+        "last_step": last_step,
+        "entropy_recent": {
+            "capacity": 4, "data": np.array(ring), "head": head, "size": size
+        },
+    }
+
+
+def _partition(rows, seq, step, stats, backlog, features, shed):
+    """One partition payload; ``backlog`` is ``[(device_id, seq)]``."""
+    return {
+        "batch_size": 16,
+        "entropy_window": 4,
+        "devices": rows,
+        "seq": seq,
+        "step": step,
+        "n_batches": 0,
+        "stats": dict(zip(STAT_KEYS, stats)),
+        "queue": {
+            "kind": "shard",
+            "policy": MERGE_POLICY,
+            "device_ids": np.array([device for device, _ in backlog]),
+            "seqs": np.array([seq for _, seq in backlog], dtype=np.int64),
+            "features": np.array(features, dtype=float),
+            "shed_by_device": shed,
+        },
+        "forensics": {"samples": (), "maxlen": 100, "total_flagged": 0},
+    }
+
+
+MERGE_POLICY = {"max_pending": 64, "max_pending_per_device": None, "shed": "drop_oldest"}
+# Dyadic entropies: every sum below is exact in any order.
+ROW_A = _table_row("dev-a", "malware", (6, 4, 2, 3, 1.5), 9, [0.25, 0.5, 0.125, 0.375], 2, 4)
+ROW_C = _table_row("dev-c", "benign", (4, 4, 0, 0, 0.5), 7, [0.125] * 4, 0, 4)
+ROW_B = _table_row("dev-b", "unknown", (3, 2, 1, 0, 0.75), 7, [0.25, 0.25, 0.25, 0.0], 3, 3)
+ROW_D = _table_row("dev-d", "malware", (5, 5, 0, 5, 0.625), 6, [0.125, 0.25, 0.125, 0.125], 1, 4)
+
+
+def _merge_checkpoint(partitions):
+    return {
+        "schema": "repro.fleet.sharded/1",
+        "n_shards": len(partitions),
+        "batch_size": 16,
+        "entropy_window": 4,
+        "n_batches": 7,
+        "policy": MERGE_POLICY,
+        "shards": partitions,
+        "forensics": {"samples": (), "maxlen": 100, "total_flagged": 3},
+    }
+
+
+def two_partition_checkpoint(rows):
+    """A K=2 checkpoint of four devices, written the way a monitor with
+    two device-hash partitions wrote it: interleaved backlogs, shed
+    counts and full and partial entropy rings on both partitions."""
+    return _merge_checkpoint(
+        [
+            _partition(
+                [ROW_A, ROW_C], {"dev-a": 9, "dev-c": 5}, 10, (10, 8, 2, 3, 2.0),
+                [("dev-a", 7), ("dev-c", 4), ("dev-a", 8)], rows[[0, 1, 2]],
+                {"dev-a": 1},
+            ),
+            _partition(
+                [ROW_B, ROW_D], {"dev-b": 5, "dev-d": 7}, 8, (8, 7, 1, 5, 1.375),
+                [("dev-d", 5), ("dev-b", 4), ("dev-d", 6)], rows[[3, 4, 5]],
+                {"dev-b": 1},
+            ),
+        ]
+    )
+
+
+def merged_checkpoint(rows):
+    """The pinned one-partition form of :func:`two_partition_checkpoint`.
+
+    Before the partitions were deleted this was exactly what restoring
+    the K=2 checkpoint, rebalancing it onto one partition and
+    snapshotting wrote.
+    """
+    return _merge_checkpoint(
+        [
+            _partition(
+                [ROW_A, ROW_C, ROW_B, ROW_D],
+                {"dev-a": 9, "dev-c": 5, "dev-b": 5, "dev-d": 7},
+                10,
+                (18, 15, 3, 8, 3.375),
+                [("dev-a", 7), ("dev-a", 8), ("dev-c", 4), ("dev-b", 4),
+                 ("dev-d", 5), ("dev-d", 6)],
+                rows[[0, 2, 1, 4, 3, 5]],
+                {"dev-a": 1, "dev-b": 1},
+            )
+        ]
+    )
+
+
+class TestPartitionMerge:
+    def test_two_partition_checkpoint_restores_as_merged(self, fitted_hmd):
+        """A K=2 checkpoint restores into the one table exactly as its
+        pinned merged form does: same payload on re-snapshot, then the
+        same verdicts, device rows, counters and forensic steps after a
+        further drain."""
         X, y, hmd = fitted_hmd
-        arrivals = _arrivals(X, n_devices=12, rounds=16, seed=41)
-        half = len(arrivals) // 2
-
-        single = FleetMonitor(hmd, batch_size=32)
-        sharded = FleetMonitor(hmd, n_shards=2, batch_size=32)
-        for monitor in (single, sharded):
-            for device_id, window in arrivals[:half]:
-                monitor.submit(device_id, window)
-        single_batches = single.drain(max_batches=2)
-        sharded_batches = sharded.drain(max_batches=2)
-
-        plan = sharded.rebalance(5)
-        assert sharded.n_shards == 5
-        assert all(new < 5 for _, new in plan.values())
-
-        for monitor in (single, sharded):
-            for device_id, window in arrivals[half:]:
-                monitor.submit(device_id, window)
-        single_batches += single.drain()
-        sharded_batches += sharded.drain()
-        assert batch_verdict_key(sharded_batches) == batch_verdict_key(
-            single_batches
+        # Half the backlog is zero-day traffic, so the drain flags rows
+        # and the forensic steps show where the step counter resumed.
+        rows = np.vstack([X[:3], _zero_day(seed=5, n=3, d=X.shape[1])])
+        pinned = merged_checkpoint(rows)
+        merged = FleetMonitor.restore(
+            hmd, pickle.loads(pickle.dumps(two_partition_checkpoint(rows)))
         )
-        assert device_report_key(sharded.report()) == device_report_key(single.report())
+        assert_payloads_equal(merged.snapshot(), pinned)
+        reference = FleetMonitor.restore(hmd, pickle.loads(pickle.dumps(pinned)))
 
-    def test_rebalance_moves_backlog_and_state(self, fitted_hmd):
-        X, y, hmd = fitted_hmd
-        sharded = FleetMonitor(hmd, n_shards=2, batch_size=8)
-        for d in range(8):
-            sharded.submit_many(f"dev-{d:03d}", X[:5])
-        pending_before = sharded.pending
-        sharded.rebalance(4)
-        assert sharded.pending == pending_before
-        for shard_id, shard in enumerate(sharded.shards):
-            for device_id in shard.devices:
-                assert sharded.router.shard_of(device_id) == shard_id
-        # Per-device seq counters moved with their devices.
-        assert sharded.submit_many("dev-000", X[:2]) == 2
-        batches = sharded.drain()
-        seqs = np.concatenate(
-            [b.seqs[b.device_ids == "dev-000"] for b in batches]
+        extra = _zero_day(seed=6, n=4, d=X.shape[1])
+        drains = []
+        for monitor in (merged, reference):
+            for i, window in enumerate(extra):
+                monitor.submit(("dev-b", "dev-e")[i % 2], window)
+            drains.append(monitor.drain())
+        assert batch_verdict_key(drains[0]) == batch_verdict_key(drains[1])
+        assert device_report_key(merged.report()) == device_report_key(
+            reference.report()
         )
-        assert sorted(seqs.tolist()) == list(range(7))
+        assert_payloads_equal(merged.stats.snapshot(), reference.stats.snapshot())
+        stream = _forensic_stream(merged.forensics)
+        assert stream == _forensic_stream(reference.forensics)
+        assert stream and min(step for *_, step in stream) > 10
+        assert_payloads_equal(merged.snapshot(), reference.snapshot())

@@ -168,10 +168,11 @@ class TestKernelsAgree:
         states = rng.integers(0, 6, (480, 3))
         with pytest.raises(ValueError, match="400 steps but states has 480"):
             make_trace(states, rng.normal(40, 3, 400))
-        # Cut short after construction, it still never reaches C.
+        # Cut short after construction, it fails the same check and
+        # never reaches C.
         trace = make_trace(states, rng.normal(40, 3, 480))
         trace.temperature_c = trace.temperature_c[:400]
-        with pytest.raises(ValueError, match="reshape"):
+        with pytest.raises(ValueError, match="400 steps but states has 480"):
             run(Trap(), trace, 96)
 
 

@@ -19,9 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fleet import FleetMonitor
+from repro.fleet import FleetMonitor, PublishedHmd
 from repro.fleet.engine import batch_verdict_key
-from repro.fleet.sharding import PublishedHmd
 from repro.ml import RandomForestClassifier, _native
 from repro.ml.backend import FlatForest, QuantizedForest
 from repro.uncertainty import TrustedHMD
@@ -236,7 +235,7 @@ class TestWhereNativeServes:
         assert hmd.compile_mode == "quantized"
 
         def drain():
-            monitor = FleetMonitor(hmd, n_shards=2, batch_size=32)
+            monitor = FleetMonitor(hmd, batch_size=64)
             for i, row in enumerate(X):
                 monitor.submit(f"dev-{i % 7}", row)
             return batch_verdict_key(monitor.drain())

@@ -3,8 +3,8 @@
 The dashboard is a pure function from posted messages to a rendered
 string, so every test here runs without a TTY: deterministic message
 sequences produce deterministic frames, snapshot-asserted below, and
-the experiment runner drives real fleets through both backends and
-checks the captured frames.
+the experiment runner drives a real fleet and checks the captured
+frames.
 """
 
 import io
@@ -17,11 +17,8 @@ from repro.obs import (
     Dashboard,
     MetricsUpdate,
     ReportUpdate,
-    ShardSample,
-    ShardsUpdate,
     TraceUpdate,
     ansi_frame,
-    bar,
     sparkline,
 )
 
@@ -39,12 +36,6 @@ class TestPrimitives:
 
     def test_sparkline_truncates_to_width(self):
         assert len(sparkline(range(100), width=16)) == 16
-
-    def test_bar_levels(self):
-        assert bar(0, 10) == "[░░░░░░░░░░]"
-        assert bar(10, 10) == "[██████████]"
-        assert bar(5, 10) == "[█████░░░░░]"
-        assert bar(3, 0) == "[░░░░░░░░░░]"  # zero scale degrades gracefully
 
     def test_ansi_frame_prefixes_clear(self):
         assert ansi_frame("x").endswith("x")
@@ -82,15 +73,6 @@ class TestDashboardState:
         with pytest.raises(TypeError):
             Dashboard().post("not a message")
 
-    def test_shard_wps_from_sample_history(self):
-        dashboard = Dashboard()
-        for ts, seen in ((10.0, 0), (11.0, 500), (12.0, 1000)):
-            dashboard.post(ShardsUpdate(
-                rows=(ShardSample(0, seen, 0, 0),), ts=ts,
-            ))
-        assert dashboard.shard_wps(0) == 500.0
-        assert dashboard.shard_wps(99) == 0.0  # unknown shard
-
     def test_device_trends_accumulate(self):
         dashboard = Dashboard(history=4)
         for rate in (0.1, 0.2, 0.3, 0.4, 0.5):
@@ -106,20 +88,6 @@ class TestFrameSnapshot:
 
     def _loaded_dashboard(self):
         dashboard = Dashboard()
-        dashboard.post(ShardsUpdate(
-            rows=(
-                ShardSample(0, 0, 0, 64),
-                ShardSample(1, 0, 0, 32),
-            ),
-            ts=10.0,
-        ))
-        dashboard.post(ShardsUpdate(
-            rows=(
-                ShardSample(0, 128, 10, 0),
-                ShardSample(1, 64, 2, 0),
-            ),
-            ts=12.0,
-        ))
         dashboard.post(ReportUpdate(
             report=_report([
                 _device("dev-0000", "malware", n_malware_alerts=8,
@@ -154,11 +122,6 @@ class TestFrameSnapshot:
         expected = """\
 fleet dashboard — frame 1 · 2 devices · 20 seen · 4 flagged (20.0%) · 8 alerts · pending 0 · shed 0
 
-shard  seen  flagged  pending  wps  queue
------  ----  -------  -------  ---  ------------
-0      128   10       0        64   [░░░░░░░░░░]
-1      64    2        0        32   [░░░░░░░░░░]
-
 device    cohort   seen  alerts  flag%  flag trend
 --------  -------  ----  ------  -----  ----------
 dev-0000  malware  10    8       20.0%  ▁
@@ -181,7 +144,7 @@ counters: admitted=192  drained=192  flagged=12"""
         assert second == first.replace("frame 1", "frame 2")
 
     def test_message_count_tracked(self):
-        assert self._loaded_dashboard().n_messages == 5
+        assert self._loaded_dashboard().n_messages == 3
 
 
 class TestRunnerBackends:
@@ -200,8 +163,6 @@ class TestRunnerBackends:
         assert "stage latencies" in final
         assert "ingest→queue" in final
         assert "counters:" in final
-        for shard_id in range(result.n_shards):
-            assert f"\n{shard_id}      " in final
 
     def test_live_mode_writes_ansi_frames_to_stream(self, small_context):
         stream = io.StringIO()

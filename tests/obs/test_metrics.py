@@ -1,4 +1,4 @@
-"""Tests for the metrics registry: instruments, merge, exposition."""
+"""Tests for the metrics registry: instruments and exposition."""
 
 import json
 import math
@@ -13,7 +13,6 @@ from repro.obs import (
     NULL_REGISTRY,
     default_registry,
     histogram_percentile,
-    merge_snapshots,
     render_prometheus,
     resolve_registry,
     summarize_snapshot,
@@ -128,51 +127,6 @@ class TestDisabledRegistry:
         assert fresh.enabled and fresh is not resolve_registry(True)
         mine = MetricsRegistry()
         assert resolve_registry(mine) is mine
-
-
-def _snap(counter=0, gauge=0.0, hist_values=(), buckets=(0.1, 1.0)):
-    registry = MetricsRegistry()
-    registry.counter("c_total").inc(counter)
-    registry.gauge("g").set(gauge)
-    h = registry.histogram("h_seconds", buckets=buckets)
-    h.observe_many(list(hist_values))
-    return registry.snapshot()
-
-
-class TestMergeSnapshots:
-    def test_counters_and_gauges_sum(self):
-        merged = merge_snapshots([_snap(counter=3, gauge=1.0),
-                                  _snap(counter=4, gauge=2.5)])
-        assert merged["counters"]["c_total"] == 7
-        assert merged["gauges"]["g"] == 3.5
-
-    def test_histograms_merge_elementwise(self):
-        merged = merge_snapshots(
-            [_snap(hist_values=(0.05, 0.5)), _snap(hist_values=(5.0,))]
-        )
-        hist = merged["histograms"]["h_seconds"]
-        assert hist["count"] == 3
-        assert hist["counts"] == [1, 1, 1]
-        assert math.isclose(hist["sum"], 5.55)
-
-    def test_empty_snapshots_are_identities(self):
-        a = _snap(counter=5)
-        assert merge_snapshots([a, {}, {}]) == merge_snapshots([a])
-
-    def test_merge_is_associative(self):
-        a = _snap(counter=1, gauge=0.5, hist_values=(0.05,))
-        b = _snap(counter=2, gauge=1.5, hist_values=(0.5, 5.0))
-        c = _snap(counter=4, gauge=2.0, hist_values=(0.05, 0.05))
-        left = merge_snapshots([merge_snapshots([a, b]), c])
-        right = merge_snapshots([a, merge_snapshots([b, c])])
-        assert left == right
-
-    def test_mismatched_buckets_raise(self):
-        with pytest.raises(ValueError):
-            merge_snapshots(
-                [_snap(hist_values=(0.5,)),
-                 _snap(hist_values=(0.5,), buckets=(0.2, 2.0))]
-            )
 
 
 class TestHistogramPercentile:

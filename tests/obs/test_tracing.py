@@ -56,8 +56,8 @@ class TestTraceContext:
     def test_span_lifecycle_with_explicit_timestamps(self):
         tracer = TraceContext(TraceSampler(rate=1))
         assert tracer.begin("dev-0", 7, ts=1.0)
-        tracer.stamp("dev-0", 7, "queue", ts=2.0)
-        tracer.stamp("dev-0", 7, "verdict", ts=4.0)
+        tracer.stamp_rows(["dev-0"], [7], "queue", ts=2.0)
+        tracer.stamp_rows(["dev-0"], [7], "verdict", ts=4.0)
         assert tracer.complete_rows(["dev-0"], [7], ts=7.0) == 1
         assert tracer.n_completed == 1 and tracer.n_pending == 0
         (span,) = tracer.spans
@@ -80,14 +80,16 @@ class TestTraceContext:
 
     def test_stamp_on_untraced_window_is_noop(self):
         tracer = TraceContext(TraceSampler(rate=1))
-        tracer.stamp("dev-9", 3, "queue")  # never began
-        assert tracer.n_pending == 0
+        tracer.begin("dev-0", 1, ts=1.0)
+        tracer.stamp_rows(["dev-9", "dev-0"], [3, 2], "queue")  # never began
+        assert tracer.n_pending == 1
+        assert tracer.complete_rows(["dev-9", "dev-0"], [3, 2]) == 0
 
     def test_summary_shape(self):
         tracer = TraceContext(TraceSampler(rate=1))
         for seq in range(4):
             tracer.begin("dev-0", seq, ts=float(seq))
-            tracer.stamp("dev-0", seq, "queue", ts=float(seq) + 0.5)
+            tracer.stamp_rows(["dev-0"], [seq], "queue", ts=float(seq) + 0.5)
         tracer.complete_rows(["dev-0"] * 4, list(range(4)), ts=10.0)
         summary = tracer.summary()
         assert summary["n_completed"] == 4
@@ -142,9 +144,7 @@ class TestMonitorSpans:
     def test_inprocess_spans_cover_all_stages(self, fitted_hmd):
         X, hmd = fitted_hmd
         tracer = TraceContext(TraceSampler(rate=4, seed=0))
-        monitor = FleetMonitor(
-            hmd, n_shards=2, batch_size=32, tracer=tracer
-        )
+        monitor = FleetMonitor(hmd, batch_size=32, tracer=tracer)
         _drive(monitor, _arrivals(X))
         assert tracer.n_completed > 0
         assert tracer.n_pending == 0  # every begun span finished
@@ -153,15 +153,13 @@ class TestMonitorSpans:
             stamps = [span.stamps[s] for s in STAGES if s in span.stamps]
             assert stamps == sorted(stamps)  # monotone through the stages
 
-    def test_same_windows_sampled_on_both_backends(self, fitted_hmd):
+    def test_same_windows_sampled_at_every_batch_size(self, fitted_hmd):
         X, hmd = fitted_hmd
         arrivals = _arrivals(X)
         keys = []
-        for n_shards in (1, 3):
+        for batch_size in (32, 96):
             tracer = TraceContext(TraceSampler(rate=4, seed=0))
-            monitor = FleetMonitor(
-                hmd, n_shards=n_shards, batch_size=32, tracer=tracer
-            )
+            monitor = FleetMonitor(hmd, batch_size=batch_size, tracer=tracer)
             _drive(monitor, arrivals)
             keys.append(sorted((s.device_id, s.seq) for s in tracer.spans))
         assert keys[0] == keys[1]

@@ -2,8 +2,7 @@
 
 :class:`PolicyModel` is the reference the arena queue
 (:class:`repro.fleet.FleetQueue`) is fuzzed against: every rule of
-:class:`~repro.fleet.BackpressurePolicy`, plus migration, spelled out
-over a list of ``(device, seq, row)`` with no storage tricks.  It
+:class:`~repro.fleet.BackpressurePolicy` spelled out over a list of ``(device, seq, row)`` with no storage tricks.  It
 offers the queue's own admission surface (``register_device``,
 ``admit_row``, ``submit_block``), so :func:`admit` and :func:`replay`
 drive either one.
@@ -88,23 +87,6 @@ class PolicyModel:
             features=np.vstack([x for _, _, x in taken]) if taken else np.empty((0, 0)),
             device_index=np.empty(0, dtype=np.int64),
         )
-
-    def extract_device(self, device):
-        moved = [row for row in self.rows if row[0] == device]
-        self.rows = [row for row in self.rows if row[0] != device]
-        if not moved:
-            return np.empty((0, 0)), np.empty(0, dtype=np.int64)
-        return (
-            np.vstack([x for _, _, x in moved]),
-            np.array([s for _, s, _ in moved], dtype=np.int64),
-        )
-
-    def move_device(self, device, target):
-        shed = self.shed_by_device.pop(device, 0)
-        if shed:
-            target.shed_by_device[device] = target.shed_by_device.get(device, 0) + shed
-        features, seqs = self.extract_device(device)
-        target.rows.extend((device, int(s), x) for s, x in zip(seqs, features))
 
 
 def random_ops(rng, n_devices, n_ops):
