@@ -1,6 +1,6 @@
-"""Benchmark: the low-precision inference fast path.
+"""Benchmark: the quantized inference fast path.
 
-Acceptance criteria of the quantized/narrowed kernels (PR 8):
+Acceptance gate of the uint8 bin-code kernel:
 
 * **uint8 drain** — batch-256 drains through the
   :class:`QuantizedForest` bin-code kernel are at least **1.5x** the
@@ -8,13 +8,7 @@ Acceptance criteria of the quantized/narrowed kernels (PR 8):
   trees, ~1M nodes: node tables far larger than L2, where the 8-byte
   packed record + level-major layout pay off), with votes **exactly
   identical** — the bin-code rewrite is equivalence-preserving by
-  construction, so this is an equality assert, not a tolerance;
-* **float32 front** — the fused scaler→PCA affine applied to
-  arena-resident float32 windows is at least **1.3x** the float64
-  front, the narrowed features drift at most **1e-6** per feature
-  (relative to each column's float64 scale), and the fig. 5 verdict
-  pipeline (entropy + accept decisions on the DVFS test/unknown
-  splits) is unchanged.
+  construction, so this is an equality assert, not a tolerance.
 
 The drain gate times traversal over pre-encoded codes (one batched
 encode per verdict pass in the fleet); the encode cost is measured and
@@ -32,9 +26,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.data.builders import build_dvfs_dataset
 from repro.ml import RandomForestClassifier
-from repro.uncertainty import TrustedHMD
 
 RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_quant.json"
 _results: dict = {}
@@ -135,110 +127,3 @@ def test_bench_quantized_drain(fleet_forest):
     assert votes_identical, "uint8 votes drifted from the float64 kernel"
     assert speedup >= 1.5, f"uint8 drain only {speedup:.2f}x"
 
-
-def test_bench_float32_front(fleet_forest):
-    """Gate: float32 fused front >= 1.3x the float64 GEMM, feature
-    drift <= 1e-6 of each column's float64 scale."""
-    rng = np.random.default_rng(11)
-    n_components = 16
-    X = rng.normal(size=(4_000, N_FEATURES))
-    w = rng.normal(size=N_FEATURES)
-    y = ((X @ w) > 0).astype(int)
-    hmd = TrustedHMD(
-        RandomForestClassifier(n_estimators=30, random_state=7, grower="hist"),
-        threshold=0.40,
-        n_components=n_components,
-    ).fit(X, y)
-
-    weight64, bias64 = hmd._front_weight_, hmd._front_bias_
-    Z64 = hmd._transform(X)
-    hmd.compile(mode="float32")
-    weight32, bias32 = hmd._front_weight_, hmd._front_bias_
-    Z32 = hmd._transform(X)
-    assert weight32.dtype == np.float32 and Z32.dtype == np.float32
-
-    # Drift gate: each narrowed feature stays within 1e-6 of that
-    # column's float64 magnitude (a per-column scale, not element-wise:
-    # a feature's tolerance should not shrink to nothing on the rows
-    # where it happens to pass near zero).
-    col_scale = np.maximum(1.0, np.abs(Z64).max(axis=0))
-    drift = float(np.max(np.abs(Z32.astype(np.float64) - Z64) / col_scale))
-
-    # Throughput: the PublishedHmd fused-front expression over
-    # windows already held in each dtype, so each side consumes its own
-    # precision end to end.
-    probe64 = rng.normal(size=(16_384, N_FEATURES))
-    probe32 = probe64.astype(np.float32)
-
-    def front(weight, bias, batch):
-        return np.asarray(batch, dtype=weight.dtype) @ weight + bias
-
-    f64_sec, f32_sec = np.inf, np.inf
-    for _ in range(REPEATS):
-        f64_sec = min(
-            f64_sec, _batched(lambda b: front(weight64, bias64, b), probe64)
-        )
-        f32_sec = min(
-            f32_sec, _batched(lambda b: front(weight32, bias32, b), probe32)
-        )
-    speedup = f64_sec / f32_sec
-
-    print(
-        f"\nfloat32 front: {N_FEATURES} features -> {n_components} "
-        f"components, batch={BATCH}, {len(probe64)} windows\n"
-        f"  float64 front: {f64_sec * 1e3:8.2f} ms "
-        f"({len(probe64) / f64_sec:9.0f} windows/sec)\n"
-        f"  float32 front: {f32_sec * 1e3:8.2f} ms "
-        f"({len(probe32) / f32_sec:9.0f} windows/sec)\n"
-        f"  speedup: {speedup:.2f}x   drift: {drift:.2e}"
-    )
-    _results["float32_front"] = {
-        "n_features": N_FEATURES,
-        "n_components": n_components,
-        "batch_size": BATCH,
-        "n_windows": len(probe64),
-        "float64_sec": f64_sec,
-        "float32_sec": f32_sec,
-        "speedup": speedup,
-        "max_drift": drift,
-    }
-
-    assert drift <= 1e-6, f"float32 front drift {drift:.2e}"
-    assert speedup >= 1.3, f"float32 front only {speedup:.2f}x"
-
-
-def test_bench_fig5_verdict_parity():
-    """Gate: the fig. 5 verdict pipeline (DVFS test/unknown entropy +
-    accept decisions) is unchanged under the float32 front."""
-    dataset = build_dvfs_dataset(seed=7, scale=0.5)
-    hmd = TrustedHMD(
-        RandomForestClassifier(n_estimators=100, random_state=7),
-        threshold=0.40,
-        n_components=8,
-    ).fit(dataset.train.X, dataset.train.y)
-
-    reference = {
-        split: hmd.analyze(X)
-        for split, X in (("test", dataset.test.X), ("unknown", dataset.unknown.X))
-    }
-    hmd.compile(mode="float32")
-    parity = {}
-    for split, X in (("test", dataset.test.X), ("unknown", dataset.unknown.X)):
-        narrowed = hmd.analyze(X)
-        parity[split] = {
-            "predictions_equal": bool(
-                np.array_equal(narrowed.predictions, reference[split].predictions)
-            ),
-            "entropy_equal": bool(
-                np.array_equal(narrowed.entropy, reference[split].entropy)
-            ),
-            "accepted_equal": bool(
-                np.array_equal(narrowed.accepted, reference[split].accepted)
-            ),
-        }
-
-    print(f"\nfig5 verdict parity (float32 vs float64): {parity}")
-    _results["fig5_parity"] = parity
-    for split, checks in parity.items():
-        for name, equal in checks.items():
-            assert equal, f"fig5 {split} {name.replace('_', ' ')} changed"

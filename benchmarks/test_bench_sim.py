@@ -86,7 +86,7 @@ def test_bench_dvfs_signature_stage(fleet_batch):
     for _ in range(REPEATS):
         soc = SocSimulator(random_state=11)
         t0 = time.perf_counter()
-        traces = [soc.run_reference(w) for w in fleet_batch.windows()]
+        traces = [soc.run(w) for w in fleet_batch.windows()]
         rows = [extractor.extract(trace) for trace in traces]
         elapsed = time.perf_counter() - t0
         reference_elapsed = min(reference_elapsed, elapsed)
@@ -207,7 +207,7 @@ def test_bench_generation_and_hpc_context(fleet_batch):
         hpc = HpcSimulator(random_state=5)
         t0 = time.perf_counter()
         counters_ref = np.stack(
-            [hpc.run_reference(w).counters for w in fleet_batch.windows()]
+            [hpc.run(w).counters for w in fleet_batch.windows()]
         )
         reference_elapsed = min(reference_elapsed, time.perf_counter() - t0)
 

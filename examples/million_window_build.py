@@ -8,7 +8,7 @@ peak memory stays at one chunk of traces while the finished corpus
 accumulates as float32 feature rows.
 
 Every chunk is bitwise identical to what the per-window reference path
-(`generate` → `run_reference` → `extract`) would produce from the same
+(`generate` → `run` → `extract`) would produce from the same
 seeds; `benchmarks/test_bench_sim.py` gates exactly that while timing
 the same build at full scale.
 

@@ -80,10 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="fraction of the Table I HPC counts (1.0 = paper)")
     parser.add_argument("--n-estimators", type=int, default=100,
                         help="ensemble size M")
-    parser.add_argument("--dtype", choices=("float64", "float32"),
-                        default="float64",
-                        help="ingest/dashboard experiments: inference precision "
-                             "(float32 narrows the fused front and forest)")
     parser.add_argument("--quantized", action="store_true",
                         help="ingest/dashboard experiments: hist-grown ensemble "
                              "traversed in uint8 bin codes (float64 front, "
@@ -130,8 +126,6 @@ def main(argv: list[str] | None = None) -> int:
         t0 = time.time()
         kwargs = {}
         if name in ("ingest", "dashboard"):
-            if args.dtype != "float64":
-                kwargs["dtype"] = args.dtype
             if args.quantized:
                 kwargs["quantized"] = True
         if name == "ingest":

@@ -42,28 +42,9 @@ __all__ = [
     "make_ensemble",
     "boxplot_stats",
     "format_table",
-    "resolve_mode",
     "ENSEMBLE_KINDS",
 ]
 
-
-def resolve_mode(dtype: str, quantized: bool) -> str:
-    """Map the runners' ``--dtype``/``--quantized`` flags to a compile mode.
-
-    ``--quantized`` wins (and requires the float64 front — combining it
-    with ``--dtype float32`` is rejected rather than silently picking
-    one); otherwise ``dtype`` names the mode directly.
-    """
-    if dtype not in ("float64", "float32"):
-        raise ValueError(f"--dtype must be float64 or float32; got {dtype!r}.")
-    if quantized:
-        if dtype == "float32":
-            raise ValueError(
-                "--quantized runs the float64 front with uint8 traversal; "
-                "it cannot be combined with --dtype float32."
-            )
-        return "quantized"
-    return dtype
 
 #: Ensemble kinds evaluated per dataset, as in the paper's figures.
 ENSEMBLE_KINDS = {

@@ -28,7 +28,7 @@ from ..obs import (
     TraceUpdate,
     ansi_frame,
 )
-from .common import ExperimentConfig, ExperimentContext, fleet_scenario, resolve_mode
+from .common import ExperimentConfig, ExperimentContext, fleet_scenario
 
 __all__ = ["DashboardResult", "run_dashboard"]
 
@@ -109,7 +109,6 @@ def run_dashboard(
     trace_rate: int = 8,
     live: bool | None = None,
     stream=None,
-    dtype: str = "float64",
     quantized: bool = False,
 ) -> DashboardResult:
     """Drive a telemetry-enabled fleet and capture dashboard frames.
@@ -120,7 +119,7 @@ def run_dashboard(
     ``trace_rate`` oversamples spans relative to the production 1/1024
     default so short demo drives still populate the latency table.
     """
-    mode = resolve_mode(dtype, quantized)
+    mode = "quantized" if quantized else "float64"
     ctx = context if context is not None else ExperimentContext(config)
     scenario = fleet_scenario(
         ctx, n_devices=n_devices, windows_per_device=windows_per_device, mode=mode

@@ -45,7 +45,6 @@ from .common import (
     ExperimentContext,
     fleet_scenario,
     format_table,
-    resolve_mode,
 )
 
 __all__ = ["IngestResult", "run_ingest"]
@@ -138,19 +137,16 @@ def run_ingest(
     n_devices: int = 48,
     windows_per_device: int = 8,
     batch_size: int = 256,
-    dtype: str = "float64",
     quantized: bool = False,
     telemetry: bool = False,
     telemetry_out=None,
 ) -> IngestResult:
     """Screen raw device traces through both ingest fronts.
 
-    ``dtype``/``quantized`` select the inference precision
-    (``TrustedHMD.compile`` modes): ``--dtype float32`` narrows the
-    front and forest, ``--quantized`` runs the uint8 bin-code kernel
-    (implies a hist-grown ensemble and the float64 front).  Both paths
-    run the same mode, so the bitwise verdict-equivalence check stays
-    meaningful in every mode.
+    ``quantized`` selects the ``TrustedHMD.compile`` mode: the uint8
+    bin-code kernel (a hist-grown ensemble behind the float64 front)
+    instead of the float64 one.  Both paths run the same mode, so the
+    bitwise verdict-equivalence check stays meaningful in either.
 
     ``telemetry`` runs the batched front with a live metrics registry
     and renders its snapshot after the throughput table — the verdict
@@ -159,7 +155,7 @@ def run_ingest(
     path on exit (implies ``telemetry``).
     """
     telemetry = telemetry or telemetry_out is not None
-    mode = resolve_mode(dtype, quantized)
+    mode = "quantized" if quantized else "float64"
     ctx = context if context is not None else ExperimentContext(config)
     scenario = fleet_scenario(
         ctx, n_devices=n_devices, windows_per_device=windows_per_device, mode=mode

@@ -325,6 +325,7 @@ def _validate_snapshot(state: dict) -> None:
         )
     for payload in state["shards"]:
         FleetQueue.check_snapshot(payload["queue"])
+        _check_backlog(payload)
     try:
         BackpressurePolicy(**state["policy"])
     except TypeError as error:
@@ -332,6 +333,39 @@ def _validate_snapshot(state: dict) -> None:
             f"fleet snapshot policy {state['policy']!r} does not match "
             f"this build's BackpressurePolicy: {error}"
         ) from None
+
+
+def _check_backlog(partition: dict) -> None:
+    """Refuse a partition whose backlog a restore cannot keep apart.
+
+    Every device row needs a ``seq`` counter, and every queued row needs
+    its device's row and a counter above the row's seq: otherwise the
+    device's next submit reuses a ``(device_id, seq)`` key still queued.
+    """
+    seq = partition["seq"]
+    rows = {device["device_id"] for device in partition["devices"]}
+    missing = sorted(rows - seq.keys())
+    if missing:
+        raise ValueError(
+            f"fleet snapshot has device rows without a seq counter: {missing}."
+        )
+    queue = partition["queue"]
+    names, inverse = np.unique(
+        np.asarray(queue["device_ids"]).astype(str), return_inverse=True
+    )
+    last = np.full(len(names), -1, dtype=np.int64)
+    np.maximum.at(last, inverse, np.asarray(queue["seqs"], dtype=np.int64))
+    for name, top in zip(names.tolist(), last.tolist()):
+        if name not in rows:
+            raise ValueError(
+                f"fleet snapshot queues windows of {name!r}, which has no "
+                "device row; refusing an inconsistent checkpoint."
+            )
+        if seq[name] <= top:
+            raise ValueError(
+                f"fleet snapshot queues seq {top} of {name!r} but its seq "
+                f"counter is {seq[name]}; a later submit would reuse the key."
+            )
 
 
 def _merge_partitions(shards: list) -> dict:
@@ -361,7 +395,7 @@ def _merge_partitions(shards: list) -> dict:
     if backlog:
         device_ids = np.concatenate([np.asarray(q["device_ids"]) for q in backlog])
         order = np.argsort(
-            [position.get(str(d), len(position)) for d in device_ids], kind="stable"
+            [position[str(d)] for d in device_ids], kind="stable"
         )
         queue["device_ids"] = device_ids[order]
         queue["seqs"] = np.concatenate([np.asarray(q["seqs"]) for q in backlog])[order]
@@ -916,7 +950,8 @@ class FleetMonitor:
         fresh drift detector.  A checkpoint written with several
         partitions merges into the one table (:func:`_merge_partitions`).
         Every structural check runs before anything is built (a retired
-        queue format raises ``ValueError``).
+        queue format, or a queued row without its device's row and a
+        ``seq`` counter above it, raises ``ValueError``).
         """
         _validate_snapshot(state)
         payload = _merge_partitions(state["shards"])
@@ -934,8 +969,6 @@ class FleetMonitor:
         table.queue = FleetQueue.restore(payload["queue"], names)
         for device in payload["devices"]:
             table.load(device, payload["seq"][device["device_id"]])
-        for name in table.queue.names_array().tolist():
-            table.register(name)
         table.step = int(payload["step"])
         table.stats = MonitorStats.restore(payload["stats"])
         # Bound after the backlog is in, so it is not counted as admitted.

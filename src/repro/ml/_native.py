@@ -128,7 +128,6 @@ def _declare(lib: ctypes.CDLL) -> None:
     for name, tables, x in (
         ("count_second_u8", [array(np.int64)], np.uint8),
         ("count_second_f64", [array(np.int64), array(np.float64)], np.float64),
-        ("count_second_f32", [array(np.int64), array(np.float32)], np.float32),
     ):
         entry = getattr(lib, name)
         entry.argtypes = [

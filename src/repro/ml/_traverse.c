@@ -54,7 +54,7 @@ void NAME(__VA_ARGS__, const int64_t *roots, int64_t n_trees,              \
     live |= cut != 255;                                                    \
     node[i] = (rec >> 32) + (row[(rec >> 16) & 0xFFFF] > cut);
 
-/* FlatForest rows fg = (feature, goto) with float thresholds.  A leaf
+/* FlatForest rows fg = (feature, goto) with float64 thresholds.  A leaf
  * has feature -1: it reads row[0] instead, and never steps. */
 #define STEP_FLOAT                                                          \
     const int64_t f = fg[2 * node[i]];                                     \
@@ -66,5 +66,3 @@ void NAME(__VA_ARGS__, const int64_t *roots, int64_t n_trees,              \
 ROUTE(count_second_u8, uint8_t, STEP_U8, const int64_t *packed)
 ROUTE(count_second_f64, double, STEP_FLOAT,
       const int64_t *fg, const double *threshold)
-ROUTE(count_second_f32, float, STEP_FLOAT,
-      const int64_t *fg, const float *threshold)

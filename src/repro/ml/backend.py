@@ -16,7 +16,7 @@ program:
   ``estimators_features_``) are folded in by remapping each node's
   feature index into the *global* input space, so no per-member column
   slicing survives at predict time.
-* :class:`FlatForest` (float64/float32 thresholds) and
+* :class:`FlatForest` (float64 thresholds) and
   :class:`QuantizedForest` (uint8 bin codes) route all
   ``n_samples x n_members`` slots at once through one shared
   level-synchronous loop — one gather per node record per level, with
@@ -89,10 +89,9 @@ _COMPACT_RATIO = 0.5
 _MIN_COMPACT = 1024
 
 # Backend compile modes: "flat" is the float64 reference kernel,
-# "float32" the same kernel over float32 features/thresholds (front
-# drift-gated, see repro.uncertainty.trust), "quantized" the uint8
-# bin-code kernel (vote-identical by construction, hist-grown only).
-COMPILE_MODES = ("flat", "float32", "quantized")
+# "quantized" the uint8 bin-code kernel (vote-identical by
+# construction, hist-grown only).
+COMPILE_MODES = ("flat", "quantized")
 
 # QuantizedForest node record: one int64 per node,
 #   rec = (goto << 32) | (feature << 16) | code
@@ -374,6 +373,8 @@ class FlatForest(_RoutedForest):
         ``(n_members,) intp`` root node id per member.
     """
 
+    feature_dtype = np.dtype(np.float64)
+
     def __init__(
         self,
         fg: np.ndarray,
@@ -382,37 +383,11 @@ class FlatForest(_RoutedForest):
         roots: np.ndarray,
         n_features: int,
         max_depth: int,
-        feature_dtype=np.float64,
     ):
         super().__init__(leaf_label, roots, n_features, max_depth)
         self.fg = fg
         self.threshold = threshold
         self.n_nodes = len(threshold)
-        self.feature_dtype = np.dtype(feature_dtype)
-
-    def cast(self, dtype) -> "FlatForest":
-        """A view of this forest comparing in another float precision.
-
-        Thresholds are rounded once to ``dtype`` and incoming features
-        are cast the same way at :meth:`encode` time, so every
-        comparison runs narrow (half the bytes per gather at float32).
-        Topology arrays are shared, not copied.  Votes can differ from
-        the float64 forest only for values within one ``dtype`` ulp of
-        a threshold — the float32 fast path gates that drift at the
-        verdict level, not here.
-        """
-        dtype = np.dtype(dtype)
-        if dtype == self.threshold.dtype:
-            return self
-        return FlatForest(
-            fg=self.fg,
-            threshold=self.threshold.astype(dtype),
-            leaf_label=self.leaf_label,
-            roots=self.roots,
-            n_features=self.n_features,
-            max_depth=self.max_depth,
-            feature_dtype=dtype,
-        )
 
     def encode(self, X: np.ndarray) -> np.ndarray:
         """The traversal-ready feature matrix: a contiguous cast to
@@ -430,14 +405,11 @@ class FlatForest(_RoutedForest):
             fg.dtype == np.int64
             and fg.shape == (self.n_nodes, 2)
             and threshold.dtype == self.feature_dtype
-            and threshold.dtype in (np.float64, np.float32)
             and fg.flags.c_contiguous
             and threshold.flags.c_contiguous
         ):
             return None
-        if threshold.dtype == np.float64:
-            return "count_second_f64", (fg, threshold)
-        return "count_second_f32", (fg, threshold)
+        return "count_second_f64", (fg, threshold)
 
     def _node_fields(self):
         f = self.fg[:, 0]
@@ -705,8 +677,6 @@ def compile_quantized_forest(forest: FlatForest, mapper) -> QuantizedForest:
     multi-million-node forest span a few KB — instead of striding
     across the member-by-member depth-first layout the growers emit.
     """
-    if forest.threshold.dtype != np.float64:
-        raise BackendCompileError("only float64 forests can be quantized.")
     bin_edges = getattr(mapper, "bin_edges_", None)
     if bin_edges is None:
         raise BackendCompileError("mapper has no fitted bin edges.")
@@ -816,9 +786,6 @@ class CompiledVotePath:
         ``mode`` selects the kernel (see :data:`COMPILE_MODES`):
 
         * ``"flat"`` — the float64 reference kernel (default);
-        * ``"float32"`` — the same kernel over float32 thresholds and
-          features (uncompilable ensembles keep their float64
-          behaviour);
         * ``"quantized"`` — the uint8 bin-code kernel, available only
           for hist-grown ensembles (raises
           :class:`BackendCompileError` otherwise — vote identity
@@ -834,7 +801,7 @@ class CompiledVotePath:
         """
         if mode is None:
             mode = getattr(self, "_compile_mode_", "flat")
-        elif mode not in COMPILE_MODES:
+        if mode not in COMPILE_MODES:
             raise ValueError(
                 f"unknown compile mode {mode!r}; expected one of {COMPILE_MODES}."
             )
@@ -851,9 +818,7 @@ class CompiledVotePath:
         if "flat" not in by_mode:
             by_mode["flat"] = self._compile_flat(members, features_list)
         base = by_mode["flat"]
-        if mode == "float32":
-            backend = None if base is None else base.cast(np.float32)
-        elif mode == "quantized":
+        if mode == "quantized":
             binned = getattr(self, "_binned_", None)
             if binned is None or base is None:
                 raise BackendCompileError(

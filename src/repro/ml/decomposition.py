@@ -108,17 +108,13 @@ class PCA(BaseEstimator, TransformerMixin):
             X = X * np.sqrt(self.explained_variance_)
         return X @ self.components_ + self.mean_
 
-    def as_affine(self, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
+    def as_affine(self) -> tuple[np.ndarray, np.ndarray]:
         """The fitted projection as ``X @ weight + bias``.
 
         ``weight`` is ``(n_features, n_components)`` with whitening
         folded in; ``bias`` absorbs the centering.  Lets upstream
         pipelines fuse scaling and projection into one matmul.  Equal to
         :meth:`transform` up to floating-point associativity.
-
-        ``dtype`` selects the storage precision of the returned pair;
-        the composition itself always runs in float64 and is rounded
-        once at the end (see ``StandardScaler.as_affine``).
         """
         check_is_fitted(self, "components_")
         weight = np.array(self.components_.T)
@@ -126,6 +122,4 @@ class PCA(BaseEstimator, TransformerMixin):
             scale = np.sqrt(self.explained_variance_)
             scale[scale == 0.0] = 1.0
             weight = weight / scale
-        bias = -(self.mean_ @ weight)
-        dtype = np.dtype(dtype)
-        return weight.astype(dtype, copy=False), bias.astype(dtype, copy=False)
+        return weight, -(self.mean_ @ weight)

@@ -59,7 +59,7 @@ class StandardScaler(BaseEstimator, TransformerMixin):
         X = self._check_fitted_input(X)
         return X * self.scale_ + self.mean_
 
-    def as_affine(self, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
+    def as_affine(self) -> tuple[np.ndarray, np.ndarray]:
         """The fitted transform as ``X * mult + bias``.
 
         Lets downstream pipelines fuse the scaler into a single affine
@@ -67,16 +67,8 @@ class StandardScaler(BaseEstimator, TransformerMixin):
         :class:`~repro.uncertainty.trust.TrustedHMD` collapses into one
         matmul).  Equal to :meth:`transform` up to floating-point
         associativity (multiplying by ``1/scale`` instead of dividing).
-
-        ``dtype`` selects the storage precision of the returned pair:
-        the composition is always computed in float64 and rounded once
-        at the end, so ``dtype=np.float32`` is the correctly-rounded
-        narrowing of the float64 map (the low-precision front's
-        contract), not a float32 recomputation.
         """
         check_is_fitted(self, "mean_")
         mult = 1.0 / self.scale_
-        bias = -self.mean_ * mult
-        dtype = np.dtype(dtype)
-        return mult.astype(dtype, copy=False), bias.astype(dtype, copy=False)
+        return mult, -self.mean_ * mult
 

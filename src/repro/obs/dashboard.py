@@ -17,7 +17,7 @@ sequential frame prints on dumb terminals.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..formatting import format_table
 from .metrics import histogram_percentile
@@ -82,11 +82,6 @@ class TraceUpdate:
 
 
 # -- the dashboard -----------------------------------------------------
-
-
-@dataclass
-class _DeviceTrend:
-    history: deque = field(default_factory=lambda: deque(maxlen=32))
 
 
 class Dashboard:

@@ -244,13 +244,6 @@ class HpcSimulator:
             name=activity.name,
         )
 
-    def run_reference(self, activity: ActivityTrace) -> HpcTrace:
-        """The retained per-trace reference path (alias for :meth:`run`).
-
-        :meth:`run_batch` is fuzz-gated bitwise against this method.
-        """
-        return self.run(activity)
-
     def _resample_batch(
         self, series: np.ndarray, n_intervals: int, steps_per_interval: float
     ) -> np.ndarray:

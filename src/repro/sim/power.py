@@ -384,13 +384,6 @@ class SocSimulator:
             name=activity.name,
         )
 
-    def run_reference(self, activity: ActivityTrace) -> DvfsTrace:
-        """The retained per-step reference path (alias for :meth:`run`).
-
-        :meth:`run_batch` is fuzz-gated bitwise against this method.
-        """
-        return self.run(activity)
-
     def _governor_step_batch(self):
         """Window-vectorised governor decision function.
 

@@ -51,47 +51,21 @@ class _FusedFrontMixin:
     transforms.  With PCA the fused result differs from the two-pass
     reference only by float associativity (≲1e-12 per feature; the
     ingest benchmark gates the drift at 1e-9).
-
-    The front also carries a *dtype* (float64 by default): in float32
-    mode the composed weights/biases are rounded once to float32 and
-    every batch is cast on entry, halving the GEMM's memory traffic.
-    Feature drift against the float64 front stays ≤1e-6 on standardized
-    features (the quant benchmark gates it); the float64 modes are
-    untouched bit for bit.
     """
 
     scaler_: StandardScaler
     pca_: PCA | None
 
-    def _build_fused_front(self, dtype=None) -> None:
-        """(Re)compose the cached affine front from the fitted stages.
-
-        ``dtype=None`` keeps the front's current precision (so refits
-        never silently reset a float32 pipeline to float64); pass
-        ``np.float64``/``np.float32`` to switch.  The composition runs
-        in float64 and is rounded once at the end — the float32 front
-        is the correctly-rounded narrowing of the float64 map.
-        """
-        if dtype is None:
-            dtype = getattr(self, "_front_dtype_", np.float64)
-        dtype = np.dtype(dtype)
-        self._front_dtype_ = dtype
+    def _build_fused_front(self) -> None:
+        """(Re)compose the cached affine front from the fitted stages."""
         if self.pca_ is None:
             self._front_weight_ = None
             self._front_bias_ = None
-            if dtype == np.float32:
-                self._scaler32_ = (
-                    self.scaler_.mean_.astype(np.float32),
-                    self.scaler_.scale_.astype(np.float32),
-                )
-            else:
-                self._scaler32_ = None
             return
-        self._scaler32_ = None
         mult, bias = self.scaler_.as_affine()
         weight, offset = self.pca_.as_affine()
-        self._front_weight_ = (mult[:, None] * weight).astype(dtype, copy=False)
-        self._front_bias_ = (bias @ weight + offset).astype(dtype, copy=False)
+        self._front_weight_ = mult[:, None] * weight
+        self._front_bias_ = bias @ weight + offset
 
     def _transform(self, X) -> np.ndarray:
         weight = getattr(self, "_front_weight_", None)
@@ -101,19 +75,8 @@ class _FusedFrontMixin:
             self._build_fused_front()
             weight = self._front_weight_
         if weight is None:
-            scaler32 = getattr(self, "_scaler32_", None)
-            if scaler32 is not None:
-                # Float32 scaler-only front: same (X - mean) / scale op
-                # order as the float64 path, run narrow.
-                mean32, scale32 = scaler32
-                X = check_array(X, dtype=np.float32)
-                if X.shape[1] != self.n_features_in_:
-                    raise ValueError(
-                        f"Expected {self.n_features_in_} features, got {X.shape[1]}."
-                    )
-                return np.true_divide(np.subtract(X, mean32), scale32)
             return self.scaler_.transform(np.asarray(X, dtype=float))
-        X = check_array(np.asarray(X, dtype=float), dtype=weight.dtype)
+        X = check_array(X)
         if X.shape[1] != self.n_features_in_:
             raise ValueError(
                 f"Expected {self.n_features_in_} features, got {X.shape[1]}."
@@ -231,17 +194,14 @@ def vote_counts(front, forest, leaf_is_second, X) -> np.ndarray:
     ``front`` is the fused preprocessing map as a pair of arrays —
     ``(weight, bias)`` for ``X @ weight + bias`` (2-D weight, a PCA
     stage) or ``(mean, scale)`` for ``(X - mean) / scale`` (scaler
-    only) — in the dtype the compile mode runs it, exactly the
-    operations of :meth:`TrustedHMD._transform`.  ``forest`` sums
-    ``leaf_is_second`` over each row's leaves, and
+    only) — exactly the operations of :meth:`TrustedHMD._transform`.
+    ``forest`` sums ``leaf_is_second`` over each row's leaves, and
     :meth:`VoteCountTables.expand` turns the counts into verdicts that
     are bitwise :meth:`TrustedHMD.analyze`.  The batch is validated
     first, with the messages ``analyze`` raises: a window with NaN or
     infinite features is an error on every engine, never a verdict.
     """
-    X = np.asarray(X)
-    if X.dtype.kind != "f":
-        X = X.astype(float)
+    X = np.asarray(X, dtype=float)
     a, b = front
     if X.ndim != 2 or X.shape[1] != a.shape[0]:
         raise ValueError(
@@ -249,7 +209,6 @@ def vote_counts(front, forest, leaf_is_second, X) -> np.ndarray:
         )
     if not np.isfinite(X).all():
         raise ValueError("X contains NaN or infinite values.")
-    X = X.astype(a.dtype, copy=False)
     if a.ndim == 2:
         Z = X @ a + b
     else:
@@ -302,18 +261,13 @@ class TrustedHMD(_FusedFrontMixin, BaseEstimator):
         self._build_fused_front()
         return self
 
-    #: Inference precision modes.  "float64" is the bitwise reference;
-    #: "float32" narrows the fused front and forest comparisons (drift
-    #: gated ≤1e-6 on features); "quantized" keeps the float64 front and
-    #: traverses the forest in uint8 bin codes — votes exactly identical
-    #: by construction, hist-grown ensembles only.
-    COMPILE_MODES = ("float64", "float32", "quantized")
+    #: Inference modes.  "float64" is the bitwise reference;
+    #: "quantized" keeps the float64 front and traverses the forest in
+    #: uint8 bin codes — votes exactly identical by construction,
+    #: hist-grown ensembles only.
+    COMPILE_MODES = ("float64", "quantized")
 
-    _BACKEND_MODE = {
-        "float64": "flat",
-        "float32": "float32",
-        "quantized": "quantized",
-    }
+    _BACKEND_MODE = {"float64": "flat", "quantized": "quantized"}
 
     @property
     def compile_mode(self) -> str:
@@ -329,19 +283,20 @@ class TrustedHMD(_FusedFrontMixin, BaseEstimator):
         fused scaler→PCA front for the same reason.  No-op for
         ensembles without a compiled path.
 
-        ``mode`` selects the precision (:attr:`COMPILE_MODES`) and is
+        ``mode`` selects the kernel (:attr:`COMPILE_MODES`) and is
         *sticky*: once ``compile(mode="quantized")`` has been called,
         subsequent no-argument compiles — including the one inside
         :meth:`partial_refit` — rebuild the same kind of kernel, and
         the verdict tables are rebuilt for it (:meth:`verdict_key`
         includes the mode).  ``"quantized"`` requires a hist-grown
-        ensemble; anything else raises ``ValueError``.
+        ensemble; anything else raises ``ValueError``, as does a sticky
+        mode this version no longer serves (an older pickle's).
         """
         if not hasattr(self, "ensemble_"):
             raise ValueError("hmd must be fitted before compiling.")
         if mode is None:
             mode = self.compile_mode
-        elif mode not in self.COMPILE_MODES:
+        if mode not in self.COMPILE_MODES:
             raise ValueError(
                 f"unknown compile mode {mode!r}; expected one of "
                 f"{self.COMPILE_MODES}."
@@ -363,9 +318,7 @@ class TrustedHMD(_FusedFrontMixin, BaseEstimator):
                 f"the fitted ensemble has no compiled vote path; mode "
                 f"{mode!r} is unavailable."
             )
-        self._build_fused_front(
-            np.float32 if mode == "float32" else np.float64
-        )
+        self._build_fused_front()
         return self
 
     def supports_partial_refit(self) -> bool:
@@ -463,8 +416,6 @@ class TrustedHMD(_FusedFrontMixin, BaseEstimator):
             return None
         if self.pca_ is not None:
             front = (self._front_weight_, self._front_bias_)
-        elif self._scaler32_ is not None:
-            front = self._scaler32_
         else:
             front = (self.scaler_.mean_, self.scaler_.scale_)
         tables = VoteCountTables.build(

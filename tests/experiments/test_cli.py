@@ -18,6 +18,14 @@ class TestParser:
         assert args.experiments == ["table1"]
         assert args.dvfs_scale == pytest.approx(0.1)
 
+    def test_precision_is_not_an_option(self, capsys):
+        """The compile mode is float64, or uint8 with ``--quantized``."""
+        assert build_parser().parse_args(["ingest", "--quantized"]).quantized
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["ingest", "--dtype", "float32"])
+        assert exit_info.value.code == 2
+        assert "--dtype" in capsys.readouterr().err
+
 
 class TestMain:
     def test_list_mode(self, capsys):

@@ -1,14 +1,13 @@
-"""Fleet-level tests for the low-precision inference modes.
+"""Fleet-level tests for the compile modes.
 
-The fleet contract per mode:
+The fleet contract:
 
 * ``"quantized"`` — every monitor produces
   verdicts *bitwise identical* to ``TrustedHMD`` in float64, because
   the uint8 kernel rewrites thresholds onto the bin grid without
   moving them;
-* ``"float32"`` — all monitor shapes agree with each other bitwise (the
-  arena write rounds exactly like the in-process cast), and the fused
-  front drifts from the float64 front by at most 1e-6 per feature;
+* the mode is sticky across no-argument recompiles, and only the two
+  modes are served (an older pickle's float32 mode is refused);
 * switching the compile mode on a live HMD makes
   :meth:`PublishedHmd.is_current` go stale so the next drain
   republishes the right kernel;
@@ -47,37 +46,20 @@ def make_hmd(mode, *, n_components=None, n_estimators=15, seed=0):
     return X, hmd
 
 
-class TestFloat32Front:
-    @pytest.mark.parametrize("n_components", [None, 4])
-    def test_feature_drift_gate(self, n_components):
-        """f32 fused-front features drift ≤ 1e-6 from the f64 front."""
-        X, hmd = make_hmd("float64", n_components=n_components)
-        Z64 = hmd._transform(X)
-        hmd.compile(mode="float32")
-        Z32 = hmd._transform(X)
-        assert Z32.dtype == np.float32
-        scale = np.maximum(1.0, np.abs(Z64))
-        drift = np.max(np.abs(Z32.astype(np.float64) - Z64) / scale)
-        assert drift <= 1e-6, f"float32 front drift {drift:.2e}"
+class TestCompileModes:
+    def test_two_modes(self):
+        assert TrustedHMD.COMPILE_MODES == ("float64", "quantized")
 
     def test_mode_is_sticky_and_reported(self):
-        X, hmd = make_hmd("float32")
-        assert hmd.compile_mode == "float32"
-        assert np.dtype(hmd._front_dtype_) == np.float32
+        X, hmd = make_hmd("quantized", n_components=4)
+        assert hmd.compile_mode == "quantized"
         hmd.compile()  # no-arg recompile keeps the mode
-        assert hmd.compile_mode == "float32"
+        assert hmd.compile_mode == "quantized"
+        assert isinstance(hmd.ensemble_.compile(), QuantizedForest)
         hmd.compile(mode="float64")
-        assert np.dtype(hmd._front_dtype_) == np.float64
-
-    def test_verdict_agreement(self):
-        """f32 verdicts match f64 on well-separated data."""
-        X, hmd = make_hmd("float64")
-        v64 = hmd.analyze(X)
-        hmd.compile(mode="float32")
-        v32 = hmd.analyze(X)
-        agree = np.mean(v64.predictions == v32.predictions)
-        assert agree >= 0.999
-        assert np.mean(v64.accepted == v32.accepted) >= 0.999
+        hmd.compile()
+        assert hmd.compile_mode == "float64"
+        assert isinstance(hmd.ensemble_.compile(), FlatForest)
 
     def test_quantized_requires_hist(self):
         X, hmd = make_hmd("float64")  # exact grower
@@ -85,6 +67,21 @@ class TestFloat32Front:
             hmd.compile(mode="quantized")
         with pytest.raises(ValueError, match="unknown compile mode"):
             hmd.compile(mode="bfloat16")
+
+    @pytest.mark.parametrize("n_components", [None, 4])
+    def test_float32_mode_refused(self, n_components):
+        """Asked for, or left sticky in an older pickle, float32 is
+        refused with the modes there are."""
+        X, hmd = make_hmd("float64", n_components=n_components)
+        with pytest.raises(ValueError, match="'float64', 'quantized'"):
+            hmd.compile(mode="float32")
+        assert hmd.compile_mode == "float64"
+        hmd._compile_mode_ = "float32"  # as an older version pickled it
+        restored = pickle.loads(pickle.dumps(hmd))
+        with pytest.raises(ValueError, match="unknown compile mode 'float32'"):
+            restored.compile()
+        with pytest.raises(ValueError, match="'float64', 'quantized'"):
+            PublishedHmd(restored)
 
 
 class TestPublishedHmdModes:
@@ -101,16 +98,6 @@ class TestPublishedHmdModes:
         np.testing.assert_array_equal(predictions, reference.predictions)
         np.testing.assert_array_equal(entropy, reference.entropy)
         np.testing.assert_array_equal(accepted, reference.accepted)
-
-    def test_float32_verdicts_bitwise(self):
-        X, hmd = make_hmd("float32")
-        published = PublishedHmd(hmd)
-        assert isinstance(published.backend, FlatForest)
-        assert published.backend.feature_dtype == np.float32
-        reference = hmd.analyze(X)
-        predictions, entropy, _ = published.verdict(X)
-        np.testing.assert_array_equal(predictions, reference.predictions)
-        np.testing.assert_array_equal(entropy, reference.entropy)
 
     def test_is_current_tracks_compile_mode(self):
         """Satellite 2: a mode switch alone makes the publication stale."""

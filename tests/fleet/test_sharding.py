@@ -149,7 +149,7 @@ class TestPublishedHmd:
             FleetMonitor(hmd)
 
 
-MATRIX_MODES = ("float64", "float32", "quantized")
+MATRIX_MODES = ("float64", "quantized")
 
 
 @pytest.fixture(scope="module")
@@ -633,6 +633,31 @@ class TestSnapshotVersioning:
         state = FleetMonitor(hmd).snapshot()
         state["policy"]["no_such_knob"] = 1
         with pytest.raises(ValueError, match="BackpressurePolicy"):
+            FleetMonitor.restore(hmd, state)
+
+    @pytest.mark.parametrize(
+        "mutation", ["no_device_row", "counter_not_above", "no_seq_entry"]
+    )
+    def test_rejects_backlog_without_counter(self, fitted_hmd, monkeypatch, mutation):
+        """A queued row whose device has no row, no ``seq`` counter or a
+        counter not above the row's seq is refused before anything is
+        built: restored, the next submit would reuse a queued key."""
+        X, _, hmd = fitted_hmd
+        state = schema1_checkpoint(X)
+        shard = state["shards"][0]
+        if mutation == "no_device_row":
+            shard["devices"] = shard["devices"][:1]
+            del shard["seq"]["dev-b"]
+        elif mutation == "counter_not_above":
+            shard["seq"]["dev-a"] = 1
+        else:
+            del shard["seq"]["dev-a"]
+
+        def built(*args, **kwargs):
+            raise AssertionError("restore built a monitor")
+
+        monkeypatch.setattr(FleetMonitor, "__init__", built)
+        with pytest.raises(ValueError, match="fleet snapshot"):
             FleetMonitor.restore(hmd, state)
 
 

@@ -8,11 +8,9 @@ randomized ensembles across the axes that stress the flattening
 (ensemble size, tree depth, feature subsetting, class dtypes, stump
 trees) and pin the cache-invalidation-on-refit behaviour.  Both
 reductions of the shared routing loop — leaf ids and second-class
-vote counts — are checked against the legacy loop in every precision,
-at the chunk boundaries and through repeated compaction.
+vote counts — are checked against the legacy loop in every compile
+mode, at the chunk boundaries and through repeated compaction.
 """
-
-import copy
 
 import numpy as np
 import pytest
@@ -41,30 +39,10 @@ def assert_fast_path_identical(ensemble, X):
     np.testing.assert_array_equal(h_fast, h_legacy)  # bitwise, no tolerance
 
 
-def legacy_votes(ensemble, X, mode="flat"):
-    """Votes of the legacy per-member loop, in the backend's precision.
-
-    The quantized kernel is exact, so its reference is the plain loop.
-    A float32 forest compares float32-rounded features against
-    float32-rounded thresholds; both round-trip exactly through
-    float64, so the legacy loop over a copy with rounded thresholds,
-    fed rounded features, is its exact reference.
-    """
-    if mode != "float32":
-        return ensemble.decisions(X)
-    rounded = copy.deepcopy(ensemble)
-    rounded._invalidate_backend()
-    for member in rounded.estimators_:
-        member.__dict__.pop("_backend_cache_", None)
-        tree = member.tree_
-        tree.threshold = tree.threshold.astype(np.float32).astype(np.float64)
-    return rounded.decisions(np.asarray(X, dtype=np.float32).astype(np.float64))
-
-
 def assert_reductions_match_legacy(ensemble, X, mode="flat"):
     """Leaf ids and second-class counts match the legacy member loop."""
     backend = ensemble.compile(mode=mode)
-    legacy = legacy_votes(ensemble, X, mode)
+    legacy = ensemble.decisions(X)
     leaves = backend.apply(X)
     assert leaves.shape == legacy.shape
     np.testing.assert_array_equal(backend.leaf_label.take(leaves), legacy)
@@ -188,7 +166,7 @@ class TestRoutingReductions:
         forest = RandomForestClassifier(n_estimators=40, random_state=3).fit(X, y)
         return forest, X
 
-    @pytest.mark.parametrize("mode", ["flat", "float32"])
+    @pytest.mark.parametrize("mode", ["flat"])
     @pytest.mark.parametrize("rows", ["one", "chunk", "chunk+1"])
     def test_chunk_boundaries(self, deep_forest, mode, rows):
         forest, X = deep_forest
@@ -197,7 +175,7 @@ class TestRoutingReductions:
         probe = X[np.random.default_rng(n).integers(len(X), size=n)] + 0.01
         assert_reductions_match_legacy(forest, probe, mode)
 
-    @pytest.mark.parametrize("mode", ["flat", "float32"])
+    @pytest.mark.parametrize("mode", ["flat"])
     def test_stump_members(self, mode):
         X, y = make_blobs(n_per_class=80, seed=32)
         stumps = RandomForestClassifier(
@@ -206,7 +184,7 @@ class TestRoutingReductions:
         assert stumps.compile(mode=mode).max_depth == 1
         assert_reductions_match_legacy(stumps, np.vstack([X] * 30), mode)
 
-    @pytest.mark.parametrize("mode", ["flat", "float32"])
+    @pytest.mark.parametrize("mode", ["flat"])
     def test_repeated_compaction(self, deep_forest, mode, monkeypatch):
         forest, X = deep_forest
         backend = forest.compile(mode=mode)

@@ -4,7 +4,7 @@
 built it and the numpy level-synchronous loop otherwise; the two must
 return the same integers for every forest.  The property test below
 draws ragged random forests (single-node trees, stumps, spines down to
-depth 31) in all three record layouts and compares the two kernels at
+depth 31) in both record layouts and compares the two kernels at
 the block-size edges.  The rest pin the loader (fallback without a
 compiler, a cached second load, the bounds check) and that
 ``TrustedHMD.analyze`` never reaches C.
@@ -95,14 +95,12 @@ def build_forest(layout, rng, n_trees, depths, n_features):
             **shape,
         )
         return forest, (lambda n: rng.integers(0, 256, (n, n_features), np.uint8))
-    dtype = np.float64 if layout == "float64" else np.float32
     # A coarse grid of cuts and values makes exact ties (x == cut) common.
     cut = np.where(internal, rng.integers(-4, 5, n_nodes) / 2.0, np.inf)
     fg = np.stack([np.where(internal, feature, -1), goto], axis=1)
     forest = FlatForest(
         fg=np.ascontiguousarray(fg, dtype=np.intp),
-        threshold=cut.astype(dtype),
-        feature_dtype=dtype,
+        threshold=cut,
         **shape,
     )
     return forest, (lambda n: rng.integers(-5, 6, (n, n_features)) / 2.0)
@@ -112,7 +110,7 @@ def build_forest(layout, rng, n_trees, depths, n_features):
 class TestKernelsAgree:
     @settings(max_examples=60, deadline=None)
     @given(
-        layout=st.sampled_from(["float64", "float32", "quantized"]),
+        layout=st.sampled_from(["float64", "quantized"]),
         seed=st.integers(0, 2**32 - 1),
         depths=st.lists(st.integers(0, 31), min_size=1, max_size=12),
         n_features=st.integers(1, 9),
@@ -129,7 +127,7 @@ class TestKernelsAgree:
         assert native.dtype == reference.dtype
         np.testing.assert_array_equal(native, reference)
 
-    @pytest.mark.parametrize("layout", ["float64", "float32", "quantized"])
+    @pytest.mark.parametrize("layout", ["float64", "quantized"])
     def test_corrupt_goto_is_refused(self, layout):
         rng = np.random.default_rng(1)
         forest, batch = build_forest(layout, rng, 3, [4, 0, 6], 5)
@@ -179,6 +177,12 @@ def hmd_and_rows():
 
 
 class TestLoader:
+    @needs_native
+    def test_one_traversal_entry_per_layout(self):
+        lib = _native.library()
+        assert lib.count_second_u8 and lib.count_second_f64
+        assert not hasattr(lib, "count_second_f32")
+
     @needs_native
     def test_second_load_does_not_compile(self, fresh_loader, monkeypatch):
         calls = []

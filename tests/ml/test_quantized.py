@@ -1,15 +1,9 @@
-"""Equivalence suite for the low-precision inference kernels.
+"""Equivalence suite for the quantized inference kernel.
 
-Two contracts, two strictness levels:
-
-* the **quantized** (uint8 bin-code) kernel must reproduce the float64
-  flat kernel *bitwise* — every hist-tree threshold is exactly a bin
-  edge, so rewriting ``x > edges[b]`` as ``code > b`` cannot change a
-  single vote;
-* the **float32** kernel narrows thresholds and features with one
-  correct rounding each, so votes may flip only on rows that sit within
-  rounding distance of a threshold — the fuzz below checks agreement on
-  generic data and pins the dtype plumbing exactly.
+The **quantized** (uint8 bin-code) kernel must reproduce the float64
+flat kernel *bitwise* — every hist-tree threshold is exactly a bin
+edge, so rewriting ``x > edges[b]`` as ``code > b`` cannot change a
+single vote.
 
 The vectorized :meth:`BinMapper.transform` is pinned bitwise against
 the per-feature reference loop, including the degenerate inputs that
@@ -30,7 +24,7 @@ from repro.ml import (
     RandomForestClassifier,
     compile_quantized_forest,
 )
-from repro.ml.backend import COMPILE_MODES, BackendCompileError, FlatForest
+from repro.ml.backend import COMPILE_MODES, BackendCompileError
 from repro.ml.training import quantize_with_tables
 from tests.conftest import make_blobs
 from tests.ml.test_backend import assert_reductions_match_legacy, chunk_rows
@@ -239,12 +233,14 @@ class TestQuantizedReductionsNumpy(TestQuantizedReductions):
 
 class TestCompileModes:
     def test_mode_lattice(self):
-        assert COMPILE_MODES == ("flat", "float32", "quantized")
+        assert COMPILE_MODES == ("flat", "quantized")
 
     def test_unknown_mode_rejected(self):
         ensemble, _ = hist_forest(n_estimators=3)
         with pytest.raises(ValueError, match="unknown compile mode"):
             ensemble.compile(mode="uint4")
+        with pytest.raises(ValueError, match="unknown compile mode"):
+            ensemble.compile(mode="float32")
 
     def test_exact_grower_cannot_quantize(self):
         X, y = make_blobs(n_per_class=80, seed=6)
@@ -277,31 +273,3 @@ class TestCompileModes:
         np.testing.assert_array_equal(
             rebuilt.decisions(X2), ensemble.decisions(X2)
         )
-
-    def test_float32_backend_properties(self):
-        ensemble, X = hist_forest(n_estimators=10, seed=9)
-        flat = ensemble.compile(mode="flat")
-        f32 = ensemble.compile(mode="float32")
-        assert isinstance(f32, FlatForest)
-        assert f32.feature_dtype == np.float32
-        assert f32.threshold.dtype == np.float32
-        np.testing.assert_array_equal(
-            f32.threshold, flat.threshold.astype(np.float32)
-        )
-        # Structure arrays are shared, not copied.
-        assert f32.fg is flat.fg
-        assert f32.leaf_label is flat.leaf_label
-        # cast() to the same dtype is the identity.
-        assert flat.cast(np.float64) is flat
-        assert f32.cast(np.float32) is f32
-
-    def test_float32_vote_agreement_fuzz(self):
-        """On generic (off-threshold) rows, f32 votes match f64."""
-        ensemble, X = hist_forest(n_estimators=20, seed=10, n_per_class=150)
-        flat = ensemble.compile(mode="flat")
-        f32 = ensemble.compile(mode="float32")
-        probe = np.random.default_rng(10).normal(size=(400, 6))
-        v64 = flat.decisions(probe)
-        v32 = f32.decisions(probe)
-        agreement = np.mean(v64 == v32)
-        assert agreement >= 0.999, f"f32 vote agreement {agreement:.5f}"

@@ -2,7 +2,7 @@
 
 The vectorized backend (``generate_batch`` / ``run_batch``) promises
 *bitwise identity* with the retained per-step reference paths
-(``generate`` / ``run_reference``): the batched kernels consume the RNG
+(``generate`` / ``run``): the batched kernels consume the RNG
 stream window-by-window in the reference order and keep every remaining
 operation elementwise, so no float changes.  These tests fuzz that
 promise across phase counts, window lengths (including ``n_steps=1``),
@@ -249,7 +249,7 @@ class TestSocBatchEquivalence:
         batched = SocSimulator(
             governor=governor_factory(), random_state=5, **kwargs
         )
-        expected = [reference.run_reference(w) for w in batch.windows()]
+        expected = [reference.run(w) for w in batch.windows()]
         result = batched.run_batch(batch)
         assert result.n_windows == batch.n_windows
         for i, ref in enumerate(expected):
@@ -263,7 +263,7 @@ class TestSocBatchEquivalence:
         batch = _activity_batch(4, n_steps, seed=2)
         reference = SocSimulator(random_state=1)
         batched = SocSimulator(random_state=1)
-        expected = [reference.run_reference(w) for w in batch.windows()]
+        expected = [reference.run(w) for w in batch.windows()]
         result = batched.run_batch(batch)
         for i, ref in enumerate(expected):
             np.testing.assert_array_equal(result.window(i).states, ref.states)
@@ -281,7 +281,7 @@ class TestSocBatchEquivalence:
         )
         for w in range(5):
             solo = SocSimulator(random_state=np.random.default_rng(100 + w))
-            ref = solo.run_reference(batch.window(w))
+            ref = solo.run(batch.window(w))
             np.testing.assert_array_equal(result.window(w).states, ref.states)
             np.testing.assert_array_equal(
                 result.window(w).temperature_c, ref.temperature_c
@@ -314,7 +314,7 @@ class TestHpcBatchEquivalence:
         batch = _activity_batch(5, n_steps, seed=23)
         reference = HpcSimulator(dt=dt, random_state=3)
         batched = HpcSimulator(dt=dt, random_state=3)
-        expected = [reference.run_reference(w) for w in batch.windows()]
+        expected = [reference.run(w) for w in batch.windows()]
         result = batched.run_batch(batch)
         assert result.n_windows == batch.n_windows
         for i, ref in enumerate(expected):
@@ -349,7 +349,7 @@ class TestDownstreamVerdicts:
             gen_ref = WorkloadGenerator(random_state=77)
             soc_ref = SocSimulator(random_state=78)
             for _ in range(n_windows):
-                trace = soc_ref.run_reference(gen_ref.generate(spec, window_steps))
+                trace = soc_ref.run(gen_ref.generate(spec, window_steps))
                 rows["reference"].append(extractor.extract(trace))
 
             gen_fast = WorkloadGenerator(random_state=77)
