@@ -111,80 +111,108 @@ FEATURE_ENTRIES = {
 }
 
 
+def _array(dtype):
+    return np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
+
+
+_I64 = ctypes.c_int64
+_POINTER = ctypes.c_void_p
+# The walk's arguments after each layout's node tables.
+_WALK = (
+    _array(np.int64),  # roots
+    _I64,  # n_trees
+    _I64,  # max_depth
+    _array(np.int64),  # leaf_is_second
+)
+
+#: Every entry point of the library, as ``(name, argtypes, restype)``.
+#: :func:`_declare` sets each one, so a load fails when a symbol is
+#: missing.  The traversal entries (one per node record layout) check
+#: their arrays' dtype and C-contiguity on every call.  The
+#: featurization and tree-growth entries take raw addresses: the caller
+#: checks dtypes and layout first, which costs less per call than
+#: ``ndpointer``.
+ENTRIES = (
+    (
+        "count_second_u8",
+        [
+            _array(np.int64),  # packed
+            _array(np.float64),  # edges
+            _array(np.int64),  # edge_offset
+            *_WALK,
+            _array(np.float64),  # x
+            _array(np.uint8),  # codes (scratch, n_rows x n_features)
+            _I64,  # n_rows
+            _I64,  # n_features
+            _array(np.int64),  # counts (out)
+        ],
+        None,
+    ),
+    (
+        "count_second_f64",
+        [
+            _array(np.int64),  # fg
+            _array(np.float64),  # threshold
+            *_WALK,
+            _array(np.float64),  # x
+            _I64,  # n_rows
+            _I64,  # n_features
+            _array(np.int64),  # counts (out)
+        ],
+        None,
+    ),
+    *(
+        (
+            name,
+            [
+                _POINTER,  # plan
+                _POINTER,  # lut
+                _POINTER,  # states
+                _I64,  # row_stride (bytes)
+                _I64,  # col_stride (bytes)
+                _POINTER,  # temperature
+                _I64,  # n_windows
+                _POINTER,  # centered (out)
+                _POINTER,  # out
+            ],
+            _I64,
+        )
+        for name in FEATURE_ENTRIES.values()
+    ),
+    ("hist_grow_new", [], _POINTER),
+    ("hist_grow_free", [_POINTER], None),
+    ("hist_grow_resume", [_POINTER], _I64),
+    (
+        "hist_grow_start",
+        [
+            _POINTER,  # grower
+            _POINTER,  # codes
+            _I64,  # d
+            _POINTER,  # y
+            _POINTER,  # weights (or NULL)
+            _POINTER,  # rows
+            _I64,  # n_rows
+            _I64,  # n_classes
+            _POINTER,  # cut_limit
+            _POINTER,  # edges
+            _POINTER,  # edge_offset
+            _I64,  # n_bins_max
+            _I64,  # max_depth
+            _I64,  # min_samples_split
+            _I64,  # min_samples_leaf
+            ctypes.c_double,  # min_impurity_decrease
+            _I64,  # candidate features
+            _POINTER,  # draw buffer
+        ],
+        _I64,
+    ),
+    ("hist_grow_take", [_POINTER] * 8, None),
+)
+
+
 def _declare(lib: ctypes.CDLL) -> None:
-    """``argtypes``/``restype`` of every entry point.
-
-    The traversal entries (one per node record layout) check their
-    arrays' dtype and C-contiguity on every call.  The featurization
-    and tree-growth entries take raw addresses: the caller checks
-    dtypes and layout first, which costs less per call than
-    ``ndpointer``.
-    """
-
-    def array(dtype):
-        return np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
-
-    i64 = ctypes.c_int64
-    for name, tables, x in (
-        ("count_second_u8", [array(np.int64)], np.uint8),
-        ("count_second_f64", [array(np.int64), array(np.float64)], np.float64),
-    ):
+    """Set ``argtypes``/``restype`` of every entry in :data:`ENTRIES`."""
+    for name, argtypes, restype in ENTRIES:
         entry = getattr(lib, name)
-        entry.argtypes = [
-            *tables,
-            array(np.int64),  # roots
-            i64,  # n_trees
-            i64,  # max_depth
-            array(np.int64),  # leaf_is_second
-            array(x),
-            i64,  # n_rows
-            i64,  # n_features
-            array(np.int64),  # counts (out)
-        ]
-        entry.restype = None
-
-    pointer = ctypes.c_void_p
-    for name in FEATURE_ENTRIES.values():
-        entry = getattr(lib, name)
-        entry.argtypes = [
-            pointer,  # plan
-            pointer,  # lut
-            pointer,  # states
-            i64,  # row_stride (bytes)
-            i64,  # col_stride (bytes)
-            pointer,  # temperature
-            i64,  # n_windows
-            pointer,  # centered (out)
-            pointer,  # out
-        ]
-        entry.restype = i64
-
-    lib.hist_grow_new.argtypes = []
-    lib.hist_grow_new.restype = pointer
-    lib.hist_grow_free.argtypes = [pointer]
-    lib.hist_grow_free.restype = None
-    lib.hist_grow_resume.argtypes = [pointer]
-    lib.hist_grow_resume.restype = i64
-    lib.hist_grow_start.argtypes = [
-        pointer,  # grower
-        pointer,  # codes
-        i64,  # d
-        pointer,  # y
-        pointer,  # weights (or NULL)
-        pointer,  # rows
-        i64,  # n_rows
-        i64,  # n_classes
-        pointer,  # cut_limit
-        pointer,  # edges
-        pointer,  # edge_offset
-        i64,  # n_bins_max
-        i64,  # max_depth
-        i64,  # min_samples_split
-        i64,  # min_samples_leaf
-        ctypes.c_double,  # min_impurity_decrease
-        i64,  # candidate features
-        pointer,  # draw buffer
-    ]
-    lib.hist_grow_start.restype = i64
-    lib.hist_grow_take.argtypes = [pointer] * 8
-    lib.hist_grow_take.restype = None
+        entry.argtypes = argtypes
+        entry.restype = restype

@@ -31,15 +31,20 @@ Native vote counting
 ``count_second`` (the fleet's one verdict path, through
 :func:`~repro.uncertainty.trust.vote_counts`) runs the C kernel
 in ``_traverse.c`` when :mod:`repro.ml._native` could build it: tree by
-tree, 32 rows in lockstep, the same ``goto + (x > cut)`` step, reduced
-straight to counts.  The loader compiles it on first use with the host
-``cc`` into a per-user cache (``~/.cache/repro``, mode ``0o700``,
-named by a hash of source and flags; a temp file is moved into place
-with ``os.replace``, so concurrent builds are safe) and loads it
-with ``ctypes``.  Without a compiler, or if building or loading fails, the
+tree, a block of 128 rows at a time, the same ``goto + (x > cut)`` step
+for the rows not yet on a leaf (each step drops the settled ones from
+the block's live list), reduced straight to counts.  The uint8 entry
+takes the float64 rows and encodes them inside the same call, from a
+per-feature edge table derived once from the forest's encode tables;
+its codes are :meth:`QuantizedForest.encode`'s bit for bit.  The
+loader compiles the kernel on first use with the host ``cc`` into a
+per-user cache (``~/.cache/repro``, mode ``0o700``, named by a hash of
+source and flags; a temp file is moved into place with
+``os.replace``, so concurrent builds are safe) and loads it with
+``ctypes``.  Without a compiler, or if building or loading fails, the
 numpy loop here serves; it is also the reference the kernel is tested
 against, and the integer counts of the two are identical.  Before a
-forest's first native call one bounds check of its node table runs
+forest's first native call one check of its node and edge tables runs
 (the C loop has none) and a corrupt table raises.  A ``ctypes`` call
 releases the GIL, so threads can count in parallel.  ``apply`` and
 ``decisions`` stay on numpy: they feed ``TrustedHMD.analyze``, the
@@ -129,6 +134,10 @@ class BackendCompileError(Exception):
     """An ensemble (or member) cannot be flattened; callers fall back."""
 
 
+def _refused(what: str) -> ValueError:
+    return ValueError(f"forest {what}; refusing to traverse it natively.")
+
+
 class _RoutedForest:
     """The level-synchronous routing loop shared by both kernels.
 
@@ -146,9 +155,10 @@ class _RoutedForest:
     of node records) and :meth:`_fields` (a record's feature index, cut
     and goto) — and the liveness test :meth:`_alive` (which gathered
     records are internal nodes).  For the native count it names its C
-    entry point and tables (:meth:`_native_tables`) and lists every
-    node's feature read, goto and internal bit (:meth:`_node_fields`)
-    for the bounds check.
+    entry point and tables (:meth:`_native_tables`) and the per-call
+    row arguments (:meth:`_native_rows`), and lists every node's
+    feature read, goto and internal bit (:meth:`_node_fields`) for the
+    bounds check.
     """
 
     # The native kernel's (entry name, node tables) once checked; False
@@ -178,45 +188,63 @@ class _RoutedForest:
         With a 0/1 indicator of the leaves voting the second class,
         this is each row's second-class vote count.  The native kernel
         serves when it is loaded and the operands fit it (int64
-        indicator, one entry per node); otherwise the numpy loop
-        reduces chunk by chunk without materialising the
-        ``(n, n_members)`` matrix.  Both return the same integers.
+        indicator, one entry per node, rows it can take: see
+        :meth:`_native_rows`), in one call from the rows to the counts;
+        otherwise the numpy loop reduces :meth:`encode`'s output chunk
+        by chunk without materialising the ``(n, n_members)`` matrix.
+        Both return the same integers.
         """
-        x = self.encode(X)
         lib = _native.library()
-        if lib is None or not self._native_fits(x, leaf_is_second):
-            return self._route(x, leaf_is_second)
+        rows = (
+            self._native_rows(X)
+            if lib is not None and self._native_fits(leaf_is_second)
+            else None
+        )
+        if rows is None:
+            return self._route(self.encode(X), leaf_is_second)
         entry, tables = self._kernel
-        counts = np.empty(x.shape[0], dtype=np.int64)
+        n = rows[0].shape[0]
+        counts = np.empty(n, dtype=np.int64)
         getattr(lib, entry)(
             *tables,
             self.roots,
             self.n_members,
             self.max_depth,
             leaf_is_second,
-            x,
-            x.shape[0],
+            *rows,
+            n,
             self.n_features,
             counts,
         )
         return counts
 
-    def _native_fits(self, x, leaf_is_second) -> bool:
-        """Whether the C kernel can take this call.
+    def __setstate__(self, state):
+        # The checked native entry belongs to the library of the process
+        # that pickled the forest (and to its version of the entry's
+        # arguments): check again before the first native count here.
+        state.pop("_kernel", None)
+        self.__dict__.update(state)
+
+    def _native_fits(self, leaf_is_second) -> bool:
+        """Whether the C kernel can take this indicator.
 
         The first call checks the node table (:meth:`_check_nodes`) and
-        caches the answer; the operands are checked on every call.
+        caches the answer; the indicator is checked on every call.
         """
         if self._kernel is None:
             self._kernel = self._check_nodes()
         return (
             bool(self._kernel)
-            and x.dtype == self.feature_dtype
-            and x.flags.c_contiguous
             and leaf_is_second.dtype == np.int64
             and leaf_is_second.shape == (self.n_nodes,)
             and leaf_is_second.flags.c_contiguous
         )
+
+    def _check_width(self, x: np.ndarray) -> None:
+        if x.ndim != 2 or x.shape[1] != self.n_features:
+            raise ValueError(
+                f"X has shape {x.shape}; backend expects {self.n_features} features."
+            )
 
     def _check_nodes(self):
         """The kernel's ``(entry name, node tables)``, after a bounds
@@ -239,10 +267,7 @@ class _RoutedForest:
             and np.all((goto >= 0) & (goto + internal < n))
             and np.all((feature >= 0) & (feature < self.n_features))
         ):
-            raise ValueError(
-                "forest node table indexes outside itself or the feature "
-                "row; refusing to traverse it natively."
-            )
+            raise _refused("node table indexes outside itself or the feature row")
         return native
 
     def decisions(self, X: np.ndarray) -> np.ndarray:
@@ -393,11 +418,12 @@ class FlatForest(_RoutedForest):
         """The traversal-ready feature matrix: a contiguous cast to
         :attr:`feature_dtype`."""
         X = np.ascontiguousarray(X, dtype=self.feature_dtype)
-        if X.shape[1] != self.n_features:
-            raise ValueError(
-                f"X has {X.shape[1]} features; backend expects {self.n_features}."
-            )
+        self._check_width(X)
         return X
+
+    def _native_rows(self, X):
+        """The kernel's row arguments: the encoded batch."""
+        return (self.encode(X),)
 
     def _native_tables(self):
         fg, threshold = self.fg, self.threshold
@@ -446,14 +472,18 @@ class QuantizedForest(_RoutedForest):
     float64 kernel — votes are bitwise identical *by construction*, not
     by tolerance.
 
-    The payoff is bandwidth: a batch is quantized **once** (one batched
-    searchsorted, see :func:`~repro.ml.training.quantize_with_tables`),
-    after which each traversal level gathers one packed ``int64`` per
-    live slot (goto | feature | code, layout at the module header) and
-    one ``uint8`` feature code — versus the float kernel's 16-byte
-    ``fg`` row, 8-byte threshold and 8-byte feature value.  The code
-    matrix for a 256-row chunk is a few KB and stays cache-resident
-    across all M members.
+    The payoff is bandwidth: a batch is quantized **once**, after which
+    each traversal step gathers one packed ``int64`` per live slot
+    (goto | feature | code, layout at the module header) and one
+    ``uint8`` feature code — versus the float kernel's 16-byte ``fg``
+    row, 8-byte threshold and 8-byte feature value.  The code matrix
+    for a 256-row batch is a few KB and stays cache-resident across all
+    M members.  :meth:`encode` quantizes with one batched searchsorted
+    (:func:`~repro.ml.training.quantize_with_tables`) for the numpy
+    loop; the native ``count_second`` takes the float rows instead and
+    quantizes them inside its one C call, a binary search per value
+    over that feature's edges (:meth:`_edge_table`), to the same
+    codes.
 
     Two further layout choices keep the kernel ahead of the float path
     on fleet-sized forests (node tables far larger than cache):
@@ -507,17 +537,67 @@ class QuantizedForest(_RoutedForest):
             from .training import quantize_with_tables
 
             codes = quantize_with_tables(self.edges_sorted, self.edge_prefix, X)
-        if codes.shape[1] != self.n_features:
-            raise ValueError(
-                f"X has {codes.shape[1]} features; backend expects {self.n_features}."
-            )
+        self._check_width(codes)
         return codes
+
+    def _native_rows(self, X):
+        """The kernel's row arguments: the float64 batch, which it
+        encodes itself, and a scratch matrix for the codes.  ``None``
+        for a batch of codes already, which the numpy loop serves."""
+        X = np.asarray(X)
+        if X.dtype == np.uint8:
+            return None
+        x = np.ascontiguousarray(X, dtype=np.float64)
+        self._check_width(x)
+        return x, np.empty(x.shape, dtype=np.uint8)
 
     def _native_tables(self):
         packed = self.packed
         if packed.dtype != np.int64 or not packed.flags.c_contiguous:
             return None
-        return "count_second_u8", (packed,)
+        return "count_second_u8", (packed, *self._edge_table())
+
+    def _edge_table(self):
+        """Each feature's edges, concatenated in feature order, and the
+        int64 offsets of every feature's run (``n_features + 1``).
+
+        Derived from the encode tables: row ``r + 1`` of
+        ``edge_prefix`` steps up in the column of the feature that owns
+        ``edges_sorted[r]``, and its last row holds each feature's edge
+        count.
+        """
+        prefix = np.asarray(self.edge_prefix)
+        edges_sorted = np.asarray(self.edges_sorted, dtype=np.float64)
+        if prefix.shape != (len(edges_sorted) + 1, self.n_features):
+            raise _refused("encode tables do not match its width")
+        _, rank = np.nonzero(np.diff(prefix, axis=0).T)
+        offset = np.zeros(self.n_features + 1, dtype=np.int64)
+        np.cumsum(prefix[-1] - prefix[0], out=offset[1:])
+        return np.ascontiguousarray(edges_sorted[rank]), offset
+
+    def _check_nodes(self):
+        """The node check, then the edge table's: offsets monotone from
+        0 to the table's end, at most 255 edges per feature (so codes
+        fit a uint8) and each feature's edges strictly increasing and
+        not NaN (the kernel's binary search assumes it)."""
+        native = super()._check_nodes()
+        if native:
+            _, (_, edges, offset) = native
+            size = np.diff(offset)
+            increasing = np.diff(edges) > 0
+            # A step between two features' runs may go down.
+            ends = offset[1:-1]
+            increasing[ends[(ends > 0) & (ends < len(edges))] - 1] = True
+            if not (
+                offset.shape == (self.n_features + 1,)
+                and offset[0] == 0
+                and offset[-1] == len(edges)
+                and np.all((size >= 0) & (size <= 255))
+                and np.all(increasing)
+                and not np.isnan(edges).any()
+            ):
+                raise _refused("edge table is not sorted runs of at most 255 edges")
+        return native
 
     def _node_fields(self):
         # A leaf reads its feature (0) too; its code 255 keeps it put.
