@@ -8,14 +8,19 @@ run.
 
 A benchmark module that defines ``RESULTS_PATH`` and a ``_results``
 dict gets its measurements persisted by :func:`persist_results` when
-the module finishes, merged into the existing file.
+the module finishes, merged into the existing file.  Timed comparisons
+go through :func:`time_interleaved` (``from conftest import
+time_interleaved``).
 """
 
 from __future__ import annotations
 
 import json
+import time
+from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.experiments import ExperimentConfig, ExperimentContext
@@ -57,3 +62,36 @@ def persist_results(request):
     results = getattr(request.module, "_results", None)
     if results:
         merge_results(request.module.RESULTS_PATH, results)
+
+
+@dataclass(frozen=True)
+class Timing:
+    """Seconds per call over the repeats: median and quartiles."""
+
+    median: float
+    q1: float
+    q3: float
+
+    def as_dict(self) -> dict:
+        return {"median_s": self.median, "q1_s": self.q1, "q3_s": self.q3}
+
+
+def time_interleaved(*fns, repeats: int = 9, warmup: int = 1) -> list[Timing]:
+    """One :class:`Timing` per function in ``fns``.
+
+    Each repeat calls every function once, in an order that reverses
+    from one repeat to the next, so host drift and cache pressure hit
+    them alike; ``warmup`` untimed rounds go first.  Gates compare
+    medians, and the quartiles show how far the host spread.
+    """
+    for _ in range(warmup):
+        for fn in fns:
+            fn()
+    samples = [[] for _ in fns]
+    for repeat in range(repeats):
+        order = range(len(fns)) if repeat % 2 == 0 else reversed(range(len(fns)))
+        for i in order:
+            t0 = time.perf_counter()
+            fns[i]()
+            samples[i].append(time.perf_counter() - t0)
+    return [Timing(*np.percentile(s, [50, 25, 75])) for s in samples]

@@ -21,8 +21,9 @@ ensemble, fleet default batch size 256):
   ``TrustedHMD.analyze`` over the same batches with the backend
   disabled by >= 2x, with identical verdicts batch for batch.
 
-Timing uses min-over-repeats inside max-over-trials, so a single noisy
-scheduler tick cannot fail the gate.  Results are written to
+Timing takes the median of interleaved repeats
+(:func:`conftest.time_interleaved`) inside max-over-trials, so a single
+noisy scheduler tick cannot fail the gate.  Results are written to
 ``BENCH_predict.json`` (uploaded as a CI artifact).
 """
 
@@ -34,6 +35,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import time_interleaved
 from repro.data import build_dvfs_dataset
 from repro.fleet import BackpressurePolicy, FleetMonitor, FleetWindowSampler
 from repro.hmd.apps import DVFS_KNOWN_BENIGN, DVFS_KNOWN_MALWARE, DVFS_UNKNOWN
@@ -74,15 +76,6 @@ def _batch(dataset, size):
     return np.ascontiguousarray(np.vstack([X] * reps)[:size])
 
 
-def _min_time(fn, repeats=9):
-    best = np.inf
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
 class _disabled_member_backends:
     """Temporarily pin every member to its pre-backend ``TreeStructure``
     routing, so the measured loop is the true pre-change baseline."""
@@ -100,14 +93,14 @@ class _disabled_member_backends:
 
 
 def _speedup(ensemble, X, trials=3, repeats=9):
-    """Max-over-trials of min-over-repeats baseline/fast time ratios.
+    """Max-over-trials of the median baseline/fast time ratios.
 
     Timings are interleaved (one baseline rep, one fast rep, ...) so
     host-side throttling or cache-pressure swings hit both paths alike
     instead of whichever happened to be measured second.  Returns
-    ``(speedup, pre_ms, loop_ms, fast_ms)`` where ``pre_ms`` is the
-    pre-backend member loop and ``loop_ms`` the member loop as shipped
-    (members individually flat-accelerated).
+    ``(speedup, median_speedup, pre_ms, loop_ms, fast_ms)`` where
+    ``pre_ms`` is the pre-backend member loop and ``loop_ms`` the
+    member loop as shipped (members individually flat-accelerated).
     """
     ensemble.compile()  # exclude one-off flattening from timings
     # Warm every path (first calls pay page faults and lazy compiles).
@@ -119,23 +112,24 @@ def _speedup(ensemble, X, trials=3, repeats=9):
     ratios = []
     pre_ms = fast_ms = None
     for _ in range(trials):
-        t_pre = np.inf
-        t_fast = np.inf
-        for _ in range(repeats):
-            with _disabled_member_backends(ensemble):
-                t0 = time.perf_counter()
-                ensemble.decisions(X)
-                t_pre = min(t_pre, time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            ensemble.decisions_fast(X)
-            t_fast = min(t_fast, time.perf_counter() - t0)
-        if not ratios or t_pre / t_fast > max(ratios):
-            pre_ms, fast_ms = t_pre * 1e3, t_fast * 1e3
-        ratios.append(t_pre / t_fast)
-    loop_ms = _min_time(lambda: ensemble.decisions(X)) * 1e3
-    # Best trial gates (min-of-interleaved-reps estimates the true
-    # uncontended cost); the median is recorded for observability so a
-    # lucky trial is visible as such in BENCH_predict.json.
+        # The compiled path never routes through the members, so the
+        # pinned member backends leave it as it is.
+        with _disabled_member_backends(ensemble):
+            pre, fast = time_interleaved(
+                lambda: ensemble.decisions(X),
+                lambda: ensemble.decisions_fast(X),
+                repeats=repeats,
+                warmup=0,
+            )
+        ratio = pre.median / fast.median
+        if not ratios or ratio > max(ratios):
+            pre_ms, fast_ms = pre.median * 1e3, fast.median * 1e3
+        ratios.append(ratio)
+    (loop,) = time_interleaved(lambda: ensemble.decisions(X), repeats=repeats)
+    loop_ms = loop.median * 1e3
+    # Best trial gates; the median over trials is recorded for
+    # observability so a lucky trial is visible as such in
+    # BENCH_predict.json.
     return max(ratios), float(np.median(ratios)), pre_ms, loop_ms, fast_ms
 
 

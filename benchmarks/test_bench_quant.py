@@ -1,27 +1,28 @@
-"""Benchmark: the quantized inference fast path.
+"""Benchmark: the quantized kernel the fleet serves.
 
-Acceptance gate of the uint8 bin-code layout:
+Acceptance gate of the uint8 layout:
 
-* **uint8 drain** — batch-256 ``decisions`` through the
-  :class:`QuantizedForest` records are at least **1.5x** the float64
-  compiled path on a fleet-sized forest (M=100 hist-grown trees, ~1M
-  nodes: node tables far larger than L2, where the 8-byte packed
-  record + level-major layout pay off), with votes **exactly
-  identical** — the bin-code rewrite is equivalence-preserving by
-  construction, so this is an equality assert, not a tolerance.
-  ``decisions`` is always the numpy routing loop (``_route``), over
-  codes encoded once before the timed drains; the encode cost is
-  measured and reported alongside.
+* **served counts** — batch-256 native ``count_second`` through the
+  :class:`QuantizedForest` records (encode and walk in one C call) is
+  at least **1.3x** the native float64 ``count_second`` of the same
+  fleet-sized forest (M=100 hist-grown trees, ~1M nodes: node tables
+  far larger than L2, where the 8-byte record and the level-major
+  numbering pay off), with counts **exactly identical** — the bin-code
+  rewrite is equivalence-preserving by construction, so this is an
+  equality assert, not a tolerance.  Skipped when the native kernel is
+  not built: without it both layouts count through the same float64
+  numpy loop.
 
 Recorded without a gate:
 
-* **served path** — what the fleet runs every round: float rows to
-  vote counts.  The native ``count_second`` (encode and walk in one C
-  call when the kernel is built) against the numpy ``encode`` +
-  ``_route``, batch 256, with counts asserted identical.
+* **served path** — the native uint8 ``count_second`` against the
+  float64 numpy loop (``FlatForest._route``), which serves both
+  layouts when the library is not built, counts asserted identical.
 
-Measured numbers are printed and written to ``BENCH_quant.json``
-(uploaded as a CI artifact by the ``bench-quant`` job).
+Both compare medians of interleaved repeats
+(:func:`conftest.time_interleaved`).  Measured numbers are printed and
+written to ``BENCH_quant.json`` (uploaded as a CI artifact by the
+``bench-quant`` job).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import time_interleaved
 from repro.ml import RandomForestClassifier
 from repro.ml.backend import native_traversal
 
@@ -39,7 +41,7 @@ RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_quant.json"
 _results: dict = {}
 
 BATCH = 256
-REPEATS = 5
+REPEATS = 31
 
 # Fleet-scale synthetic traffic: overlapping classes (linear boundary
 # + heavy label noise) force the hist grower into deep trees, so M=100
@@ -66,113 +68,113 @@ def fleet_forest():
     return ensemble, probe, fit_sec
 
 
-def _batched(fn, data):
-    """One full sweep over ``data`` in BATCH-row drains; seconds."""
-    t0 = time.perf_counter()
-    for start in range(0, len(data), BATCH):
-        fn(data[start : start + BATCH])
-    return time.perf_counter() - t0
+def _counter(forest, ensemble):
+    """``forest``'s second-class count of a batch."""
+    leaf_is_second = (forest.leaf_label == ensemble.classes_[1]).astype(np.int64)
+    return lambda batch: forest.count_second(batch, leaf_is_second)
 
 
-def test_bench_quantized_drain(fleet_forest):
-    """Gate: uint8 bin-code drain >= 1.5x the float64 compiled path,
-    votes exactly identical."""
+def _sweep(count, data):
+    """One full sweep over ``data`` in BATCH-row calls."""
+
+    def run():
+        for start in range(0, len(data), BATCH):
+            count(data[start : start + BATCH])
+
+    return run
+
+
+def _us_per_window(timing) -> float:
+    return timing.median / N_PROBE * 1e6
+
+
+@pytest.mark.skipif(not native_traversal(), reason="the native kernel is not built")
+def test_bench_quantized_counts(fleet_forest):
+    """Gate: native uint8 counts >= 1.3x native float64 counts, counts
+    exactly identical."""
     ensemble, probe, fit_sec = fleet_forest
     flat = ensemble.compile(mode="flat")
     quant = ensemble.compile(mode="quantized")
+    count_flat, count_quant = _counter(flat, ensemble), _counter(quant, ensemble)
 
-    # The equivalence contract first: every vote, bit for bit.
-    votes_flat = flat.decisions(probe)
-    votes_quant = quant.decisions(probe)
-    votes_identical = np.array_equal(votes_flat, votes_quant)
-
-    # One-off encode (measured, reported, not part of the timed drain,
-    # which isolates the routing loop).
-    t0 = time.perf_counter()
-    codes = quant.encode(probe)
-    encode_sec = time.perf_counter() - t0
-
-    # Interleave the repeats so host noise hits both kernels alike and
-    # take the best of each (same discipline as the other benches).
-    flat_sec, quant_sec = np.inf, np.inf
-    for _ in range(REPEATS):
-        flat_sec = min(flat_sec, _batched(flat.decisions, probe))
-        quant_sec = min(quant_sec, _batched(quant.decisions, codes))
-    speedup = flat_sec / quant_sec
+    # The equivalence contract first: every count, bit for bit.
+    counts_identical = np.array_equal(count_flat(probe), count_quant(probe))
+    flat_t, quant_t = time_interleaved(
+        _sweep(count_flat, probe), _sweep(count_quant, probe), repeats=REPEATS
+    )
+    speedup = flat_t.median / quant_t.median
 
     flat_mb = (flat.fg.nbytes + flat.threshold.nbytes) / 1e6
     packed_mb = quant.packed.nbytes / 1e6
     print(
-        f"\nquantized drain: M={N_ESTIMATORS}, {flat.n_nodes} nodes, "
+        f"\nquantized counts: M={N_ESTIMATORS}, {flat.n_nodes} nodes, "
         f"batch={BATCH}, {N_PROBE} windows (fit {fit_sec:.0f}s)\n"
         f"  float64 tables: {flat_mb:7.1f} MB   uint8 packed: {packed_mb:5.1f} MB\n"
-        f"  float64 drain : {flat_sec * 1e3:8.1f} ms "
-        f"({N_PROBE / flat_sec:8.0f} windows/sec)\n"
-        f"  uint8 drain   : {quant_sec * 1e3:8.1f} ms "
-        f"({N_PROBE / quant_sec:8.0f} windows/sec)\n"
-        f"  one-off encode: {encode_sec * 1e3:8.1f} ms\n"
-        f"  speedup: {speedup:.2f}x   votes identical: {votes_identical}"
+        f"  native float64: {_us_per_window(flat_t):6.2f} us/window "
+        f"(q1-q3 {flat_t.q1 * 1e3:.1f}-{flat_t.q3 * 1e3:.1f} ms a sweep)\n"
+        f"  native uint8  : {_us_per_window(quant_t):6.2f} us/window "
+        f"(q1-q3 {quant_t.q1 * 1e3:.1f}-{quant_t.q3 * 1e3:.1f} ms a sweep)\n"
+        f"  speedup: {speedup:.2f}x   counts identical: {counts_identical}"
     )
-    _results["quantized_drain"] = {
+    _results["quantized_counts"] = {
         "n_estimators": N_ESTIMATORS,
         "n_nodes": int(flat.n_nodes),
         "max_depth": int(flat.max_depth),
         "batch_size": BATCH,
         "n_windows": N_PROBE,
+        "repeats": REPEATS,
         "fit_sec": fit_sec,
         "float64_table_mb": flat_mb,
         "packed_table_mb": packed_mb,
-        "float64_sec": flat_sec,
-        "uint8_sec": quant_sec,
-        "encode_sec": encode_sec,
-        "float64_wps": N_PROBE / flat_sec,
-        "uint8_wps": N_PROBE / quant_sec,
+        "float64": flat_t.as_dict(),
+        "uint8": quant_t.as_dict(),
+        "float64_us_per_window": _us_per_window(flat_t),
+        "uint8_us_per_window": _us_per_window(quant_t),
         "speedup": speedup,
-        "votes_identical": votes_identical,
+        "counts_identical": counts_identical,
     }
 
-    assert votes_identical, "uint8 votes drifted from the float64 kernel"
-    assert speedup >= 1.5, f"uint8 drain only {speedup:.2f}x"
-
+    assert counts_identical, "uint8 counts drifted from the float64 kernel"
+    assert speedup >= 1.3, f"native uint8 counts only {speedup:.2f}x float64"
 
 
 def test_bench_quantized_served_path(fleet_forest):
-    """Float batches to vote counts: native ``count_second`` against
-    the numpy ``encode`` + ``_route``, counts exactly identical."""
+    """Float batches to vote counts: the uint8 ``count_second`` against
+    the float64 numpy loop, counts exactly identical."""
     ensemble, probe, _ = fleet_forest
+    flat = ensemble.compile(mode="flat")
     quant = ensemble.compile(mode="quantized")
-    leaf_is_second = (quant.leaf_label == ensemble.classes_[1]).astype(np.int64)
+    served = _counter(quant, ensemble)
+    flat_second = (flat.leaf_label == ensemble.classes_[1]).astype(np.int64)
 
-    def served(batch):
-        return quant.count_second(batch, leaf_is_second)
+    def numpy_route(batch):
+        return flat._route(flat.encode(batch), flat_second)
 
-    def numpy_path(batch):
-        return quant._route(quant.encode(batch), leaf_is_second)
-
-    counts_identical = np.array_equal(served(probe), numpy_path(probe))
-    served_sec, numpy_sec = np.inf, np.inf
-    for _ in range(REPEATS):
-        served_sec = min(served_sec, _batched(served, probe))
-        numpy_sec = min(numpy_sec, _batched(numpy_path, probe))
+    counts_identical = np.array_equal(served(probe), numpy_route(probe))
+    served_t, numpy_t = time_interleaved(
+        _sweep(served, probe), _sweep(numpy_route, probe), repeats=REPEATS
+    )
     native = native_traversal()
     print(
         f"\nserved path: M={N_ESTIMATORS}, {quant.n_nodes} nodes, batch={BATCH}, "
         f"{N_PROBE} float windows, native kernel: {native}\n"
-        f"  count_second        : {served_sec / N_PROBE * 1e6:6.2f} us/window\n"
-        f"  encode + numpy route: {numpy_sec / N_PROBE * 1e6:6.2f} us/window\n"
-        f"  speedup: {numpy_sec / served_sec:.2f}x   counts identical: {counts_identical}"
+        f"  count_second       : {_us_per_window(served_t):6.2f} us/window\n"
+        f"  float64 numpy route: {_us_per_window(numpy_t):6.2f} us/window\n"
+        f"  speedup: {numpy_t.median / served_t.median:.2f}x   "
+        f"counts identical: {counts_identical}"
     )
     _results["served_path"] = {
         "n_nodes": int(quant.n_nodes),
         "batch_size": BATCH,
         "n_windows": N_PROBE,
+        "repeats": REPEATS,
         "native": native,
-        "count_second_sec": served_sec,
-        "encode_route_sec": numpy_sec,
-        "count_second_us_per_window": served_sec / N_PROBE * 1e6,
-        "encode_route_us_per_window": numpy_sec / N_PROBE * 1e6,
-        "speedup": numpy_sec / served_sec,
+        "count_second": served_t.as_dict(),
+        "numpy_route": numpy_t.as_dict(),
+        "count_second_us_per_window": _us_per_window(served_t),
+        "numpy_route_us_per_window": _us_per_window(numpy_t),
+        "speedup": numpy_t.median / served_t.median,
         "counts_identical": counts_identical,
     }
 
-    assert counts_identical, "native counts drifted from encode + _route"
+    assert counts_identical, "native counts drifted from the float64 numpy route"

@@ -1,7 +1,8 @@
 /* Per-row forest traversal reduced to second-class vote counts.
  *
- * The native twin of _RoutedForest.count_second in backend.py, which
- * stays the fallback and the reference.  Trees are walked one at a
+ * The native count_second of backend.py's two forest layouts; the
+ * float64 numpy loop (FlatForest._route) stays the fallback of both and
+ * the reference they are tested against.  Trees are walked one at a
  * time, a block of BLOCK rows together.  Each step is the branch-free
  * node = goto + (x[f] > cut) for every slot on the block's live list;
  * leaves self-loop, and a slot that stood on a leaf leaves the list
@@ -14,7 +15,9 @@
  * code for feature f is the number of f's edges e with !(e >= v),
  * which is searchsorted(edges, v, side="left") for every v (NaN, which
  * numpy sorts last, clears every edge; +-inf and +-0.0 compare as in
- * IEEE), so the codes are quantize_with_tables' bit for bit.
+ * IEEE), so the codes are BinMapper.transform's bit for bit.  The
+ * caller refuses non-finite rows: on NaN, code > cut holds where the
+ * float64 walk's NaN > threshold does not.
  *
  * The caller has checked the tables: every goto (+ 1 at internal
  * nodes) is a node id, every feature a column of x, every feature's

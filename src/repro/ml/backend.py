@@ -16,12 +16,15 @@ program:
   ``estimators_features_``) are folded in by remapping each node's
   feature index into the *global* input space, so no per-member column
   slicing survives at predict time.
-* :class:`FlatForest` (float64 thresholds) and
-  :class:`QuantizedForest` (uint8 bin codes) route all
-  ``n_samples x n_members`` slots at once through one shared
-  level-synchronous loop — one gather per node record per level, with
-  active-set compaction once most slots have reached leaves — reduced
-  either to leaf ids or to per-row second-class vote counts.
+* :class:`FlatForest` routes all ``n_samples x n_members`` slots at
+  once through one level-synchronous numpy loop — one gather per node
+  record per level, with active-set compaction once most slots have
+  reached leaves — reduced either to leaf ids or to per-row
+  second-class vote counts.
+* :class:`QuantizedForest` is a hist-grown :class:`FlatForest`
+  rewritten into the native uint8 kernel's layout and nothing else:
+  its leaf ids and votes, and its counts when the kernel is not
+  built, come from the :class:`FlatForest` it was compiled from.
 * :class:`CompiledVotePath` is the estimator-facing mixin: a cached
   ``compile()`` (auto-invalidated on refit) plus ``decisions_fast``,
   ``vote_distribution`` and ``predict`` routed through the backend.
@@ -34,22 +37,22 @@ in ``_traverse.c`` when :mod:`repro.ml._native` could build it: tree by
 tree, a block of 128 rows at a time, the same ``goto + (x > cut)`` step
 for the rows not yet on a leaf (each step drops the settled ones from
 the block's live list), reduced straight to counts.  The uint8 entry
-takes the float64 rows and encodes them inside the same call, from a
-per-feature edge table derived once from the forest's encode tables;
-its codes are :meth:`QuantizedForest.encode`'s bit for bit.  The
+takes the float64 rows and encodes them inside the same call, from the
+per-feature edge table of the mapper's ``bin_edges_``; its codes are
+:meth:`~repro.ml.training.BinMapper.transform`'s bit for bit.  The
 loader compiles the kernel on first use with the host ``cc`` into a
 per-user cache (``~/.cache/repro``, mode ``0o700``, named by a hash of
 source and flags; a temp file is moved into place with
 ``os.replace``, so concurrent builds are safe) and loads it with
 ``ctypes``.  Without a compiler, or if building or loading fails, the
-numpy loop here serves; it is also the reference the kernel is tested
-against, and the integer counts of the two are identical.  Before a
-forest's first native call one check of its node and edge tables runs
-(the C loop has none) and a corrupt table raises.  A ``ctypes`` call
-releases the GIL, so threads can count in parallel.  ``apply`` and
-``decisions`` stay on numpy: they feed ``TrustedHMD.analyze``, the
-oracle the fleet's verdicts are checked against, so the oracle never
-runs the code it checks.
+float64 numpy loop serves both layouts; it is also the reference the
+kernels are tested against, and the integer counts are identical for
+every finite row.  Before a forest's first native call one check of
+its node and edge tables runs (the C loop has none) and a corrupt
+table raises.  A ``ctypes`` call releases the GIL, so threads can
+count in parallel.  ``apply`` and ``decisions`` stay on numpy: they
+feed ``TrustedHMD.analyze``, the oracle the fleet's verdicts are
+checked against, so the oracle never runs the code it checks.
 
 Equivalence guarantee
 ---------------------
@@ -62,8 +65,6 @@ ensembles; ``benchmarks/test_bench_predict.py`` gates the speedup.
 """
 
 from __future__ import annotations
-
-import sys
 
 import numpy as np
 
@@ -81,14 +82,14 @@ __all__ = [
 
 _LEAF = -1
 
-# Traversal tuning, shared by both kernels and both reductions.  A
-# batch is split into the fewest equal row chunks whose slot count
-# (rows x members) stays within ``_SLOT_TARGET``, so the per-level
-# working arrays stay cache-resident: a 256-row batch of a 100-member
-# forest is one chunk, a 1024-row round a few.  Once fewer
-# than ``_COMPACT_RATIO`` of a chunk's slots are still routing, the
-# finished ones are banked and dropped, as long as the active set is big
-# enough for the two compaction passes to pay.
+# Traversal tuning of the numpy loop.  A batch is split into the
+# fewest equal row chunks whose slot count (rows x members) stays
+# within ``_SLOT_TARGET``, so the per-level working arrays stay
+# cache-resident: a 256-row batch of a 100-member forest is one chunk,
+# a 1024-row round a few.  Once fewer than ``_COMPACT_RATIO`` of a
+# chunk's slots are still routing, the finished ones are banked and
+# dropped, as long as the active set is big enough for the two
+# compaction passes to pay.
 _SLOT_TARGET = 25_600
 _COMPACT_RATIO = 0.5
 _MIN_COMPACT = 1024
@@ -98,31 +99,19 @@ _MIN_COMPACT = 1024
 # construction, hist-grown only).
 COMPILE_MODES = ("flat", "quantized")
 
-# QuantizedForest node record: one int64 per node,
+# QuantizedForest node record, the native uint8 kernel's layout: one
+# int64 per node,
 #   rec = (goto << 32) | (feature << 16) | code
-# so one 8-byte gather per live slot per level replaces the float
-# kernel's fg-row (16 B) + threshold (8 B) gathers.  Every field sits
-# on its natural byte boundary — code in byte 0, feature in bytes 2-3,
-# goto in bytes 4-7 (little-endian) — so the traversal extracts fields
-# from a gathered record array as zero-copy strided *views* instead of
-# paying three shift/mask passes per level.  Leaves store the sentinel
-# code 255 (internal cut bins never exceed 254: max_bins is capped at
-# 256, and a valid cut keeps both children non-empty so the cut bin is
-# <= n_bins - 2), goto = self (the float kernel's self-loop trick) and
-# feature 0 (any in-bounds index: the gathered code is compared
-# against 255, which no uint8 value exceeds, so the slot self-loops
-# forever).
+# so one 8-byte load per step replaces the float kernel's fg row
+# (16 B) and threshold (8 B).  Leaves store the sentinel code 255
+# (internal cut bins never exceed 254: max_bins is capped at 256, and a
+# valid cut keeps both children non-empty so the cut bin is
+# <= n_bins - 2), goto = self and feature 0 (any in-bounds index: no
+# uint8 code exceeds 255, so the slot stays put).
 _Q_GOTO_SHIFT = 32
 _Q_FEAT_SHIFT = 16
 _Q_FEAT_MASK = 0xFFFF
 _Q_LEAF_CODE = 255
-
-# Byte-view element offsets of (code: uint8, feature: uint16,
-# goto: int32) inside each int64 record, by host endianness.
-if sys.byteorder == "little":
-    _Q_CODE_OFF, _Q_FEAT_OFF, _Q_GOTO_OFF = 0, 1, 1
-else:  # pragma: no cover - big-endian hosts
-    _Q_CODE_OFF, _Q_FEAT_OFF, _Q_GOTO_OFF = 7, 2, 0
 
 
 def native_traversal() -> bool:
@@ -138,70 +127,42 @@ def _refused(what: str) -> ValueError:
     return ValueError(f"forest {what}; refusing to traverse it natively.")
 
 
-class _RoutedForest:
-    """The level-synchronous routing loop shared by both kernels.
+class _NativeCounted:
+    """The native ``count_second`` call shared by both layouts.
 
-    All ``rows x members`` slots of a chunk advance one tree level per
-    iteration: gather each slot's node record, compare the slot's
-    feature value against the node's cut, step to ``goto + (x > cut)``.
-    Leaves point ``goto`` at themselves with a cut no value exceeds, so
-    finished slots self-loop instead of branching.  The level-0 step is
-    precomputed per chunk shape; from level 2 on, a liveness scan ends
-    the loop once every slot has settled and compacts the active set
-    when most have.
-
-    A subclass supplies the node storage: :meth:`encode` (the batch in
-    comparison space), the record gather — :meth:`_records` (one gather
-    of node records) and :meth:`_fields` (a record's feature index, cut
-    and goto) — and the liveness test :meth:`_alive` (which gathered
-    records are internal nodes).  For the native count it names its C
-    entry point and tables (:meth:`_native_tables`) and the per-call
-    row arguments (:meth:`_native_rows`), and lists every node's
-    feature read, goto and internal bit (:meth:`_node_fields`) for the
-    bounds check.
+    A subclass names its C entry point and node tables
+    (:meth:`_native_tables`) and lists every node's feature read, goto
+    and internal bit (:meth:`_node_fields`) for the bounds check that
+    runs before its first native count.
     """
 
     # The native kernel's (entry name, node tables) once checked; False
     # when numpy serves this forest, None before the first count.
     _kernel = None
 
-    def __init__(self, leaf_label, roots, n_features: int, max_depth: int):
-        self.leaf_label = leaf_label
-        self.roots = roots
-        self.n_features = int(n_features)
-        self.max_depth = int(max_depth)
-        self.n_members = len(roots)
-        self._setup_cache: dict[int, tuple] = {}
+    def __setstate__(self, state):
+        # The checked native entry belongs to the library of the process
+        # that pickled the forest (and to its version of the entry's
+        # arguments): check again before the first native count here.
+        state.pop("_kernel", None)
+        self.__dict__.update(state)
 
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        """Leaf node id per (sample, member), shape ``(n, n_members)``.
-
-        Always the numpy loop: leaf ids feed ``decisions`` and so
-        ``TrustedHMD.analyze``, the reference the native counts are
-        checked against.
-        """
-        return self._route(self.encode(X))
-
-    def count_second(self, X, leaf_is_second: np.ndarray) -> np.ndarray:
-        """Per-row sum of ``leaf_is_second`` over the members' leaves.
-
-        With a 0/1 indicator of the leaves voting the second class,
-        this is each row's second-class vote count.  The native kernel
-        serves when it is loaded and the operands fit it (int64
-        indicator, one entry per node, rows it can take: see
-        :meth:`_native_rows`), in one call from the rows to the counts;
-        otherwise the numpy loop reduces :meth:`encode`'s output chunk
-        by chunk without materialising the ``(n, n_members)`` matrix.
-        Both return the same integers.
-        """
+    def _native_count(self, leaf_is_second, *rows):
+        """Counts from the C kernel over ``rows`` (its row arguments),
+        or ``None`` when it is not loaded or cannot take the indicator
+        (int64, one entry per node, C-contiguous)."""
         lib = _native.library()
-        rows = (
-            self._native_rows(X)
-            if lib is not None and self._native_fits(leaf_is_second)
-            else None
-        )
-        if rows is None:
-            return self._route(self.encode(X), leaf_is_second)
+        if lib is None:
+            return None
+        if self._kernel is None:
+            self._kernel = self._check_nodes()
+        if not (
+            self._kernel
+            and leaf_is_second.dtype == np.int64
+            and leaf_is_second.shape == (self.n_nodes,)
+            and leaf_is_second.flags.c_contiguous
+        ):
+            return None
         entry, tables = self._kernel
         n = rows[0].shape[0]
         counts = np.empty(n, dtype=np.int64)
@@ -217,34 +178,6 @@ class _RoutedForest:
             counts,
         )
         return counts
-
-    def __setstate__(self, state):
-        # The checked native entry belongs to the library of the process
-        # that pickled the forest (and to its version of the entry's
-        # arguments): check again before the first native count here.
-        state.pop("_kernel", None)
-        self.__dict__.update(state)
-
-    def _native_fits(self, leaf_is_second) -> bool:
-        """Whether the C kernel can take this indicator.
-
-        The first call checks the node table (:meth:`_check_nodes`) and
-        caches the answer; the indicator is checked on every call.
-        """
-        if self._kernel is None:
-            self._kernel = self._check_nodes()
-        return (
-            bool(self._kernel)
-            and leaf_is_second.dtype == np.int64
-            and leaf_is_second.shape == (self.n_nodes,)
-            and leaf_is_second.flags.c_contiguous
-        )
-
-    def _check_width(self, x: np.ndarray) -> None:
-        if x.ndim != 2 or x.shape[1] != self.n_features:
-            raise ValueError(
-                f"X has shape {x.shape}; backend expects {self.n_features} features."
-            )
 
     def _check_nodes(self):
         """The kernel's ``(entry name, node tables)``, after a bounds
@@ -270,6 +203,77 @@ class _RoutedForest:
             raise _refused("node table indexes outside itself or the feature row")
         return native
 
+
+class FlatForest(_NativeCounted):
+    """All trees of an ensemble packed into one node tensor.
+
+    All ``rows x members`` slots of a chunk advance one tree level per
+    iteration: gather each slot's ``fg`` row, compare the slot's
+    feature value against the node's threshold, step to ``goto + (x >
+    threshold)``.  The level-0 step is precomputed per chunk shape;
+    from level 2 on, a liveness scan ends the loop once every slot has
+    settled and compacts the active set when most have.
+
+    Storage (``n_nodes`` = total nodes across members; all index
+    arrays are ``intp`` — narrower dtypes force numpy's ``take`` onto a
+    casting slow path that is ~4x more expensive per gather):
+
+    ``fg``
+        ``(n_nodes, 2) intp`` — column 0 the *global* feature index
+        tested at the node (``-1`` for leaves), column 1 the ``goto``
+        target: the left-child node id.  Right children are always
+        allocated at ``left + 1`` (verified at compile time), so the
+        routing update is ``node = goto[node] + (x > threshold)``.
+        Leaves point ``goto`` at themselves with ``threshold = +inf``,
+        making finished slots self-loop instead of branching.
+    ``threshold``
+        ``(n_nodes,) float64`` split thresholds (``+inf`` at leaves).
+    ``leaf_label``
+        ``(n_nodes,)`` of the ensemble's class dtype — the label the
+        member emits if routing ends at that node (argmax of the
+        normalised leaf class counts, i.e. exactly
+        ``member.predict``'s choice including tie-breaks).
+    ``roots``
+        ``(n_members,) intp`` root node id per member.
+    """
+
+    def __init__(
+        self,
+        fg: np.ndarray,
+        threshold: np.ndarray,
+        leaf_label: np.ndarray,
+        roots: np.ndarray,
+        n_features: int,
+        max_depth: int,
+    ):
+        self.fg = fg
+        self.threshold = threshold
+        self.leaf_label = leaf_label
+        self.roots = roots
+        self.n_features = int(n_features)
+        self.max_depth = int(max_depth)
+        self.n_members = len(roots)
+        self.n_nodes = len(threshold)
+        self._setup_cache: dict[int, tuple] = {}
+
+    def encode(self, X: np.ndarray) -> np.ndarray:
+        """The batch as a contiguous float64 matrix of the forest's width."""
+        X = np.ascontiguousarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != self.n_features:
+            raise ValueError(
+                f"X has shape {X.shape}; backend expects {self.n_features} features."
+            )
+        return X
+
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        """Leaf node id per (sample, member), shape ``(n, n_members)``.
+
+        Always the numpy loop: leaf ids feed ``decisions`` and so
+        ``TrustedHMD.analyze``, the reference the native counts are
+        checked against.
+        """
+        return self._route(self.encode(X))
+
     def decisions(self, X: np.ndarray) -> np.ndarray:
         """Per-member hard votes, shape ``(n, n_members)``.
 
@@ -277,6 +281,38 @@ class _RoutedForest:
         """
         leaves = self.apply(X)
         return self.leaf_label.take(leaves.ravel()).reshape(leaves.shape)
+
+    def count_second(self, X, leaf_is_second: np.ndarray) -> np.ndarray:
+        """Per-row sum of ``leaf_is_second`` over the members' leaves.
+
+        With a 0/1 indicator of the leaves voting the second class,
+        this is each row's second-class vote count.  The native kernel
+        serves when it is loaded and takes the indicator, in one call
+        from the rows to the counts; otherwise the numpy loop reduces
+        chunk by chunk without materialising the ``(n, n_members)``
+        leaf matrix.  Both return the same integers.
+        """
+        x = self.encode(X)
+        counts = self._native_count(leaf_is_second, x)
+        return self._route(x, leaf_is_second) if counts is None else counts
+
+    def _native_tables(self):
+        fg, threshold = self.fg, self.threshold
+        if not (
+            fg.dtype == np.int64
+            and fg.shape == (self.n_nodes, 2)
+            and threshold.dtype == np.float64
+            and fg.flags.c_contiguous
+            and threshold.flags.c_contiguous
+        ):
+            return None
+        return "count_second_f64", (fg, threshold)
+
+    def _node_fields(self):
+        f = self.fg[:, 0]
+        internal = f >= 0
+        # A leaf (feature -1) never reads the row in C.
+        return np.where(internal, f, 0), self.fg[:, 1], internal
 
     def _route(self, x, leaf_is_second=None) -> np.ndarray:
         """The numpy kernel over an encoded batch."""
@@ -315,7 +351,8 @@ class _RoutedForest:
         rows = (np.arange(nc, dtype=np.intp) * self.n_features).repeat(
             self.n_members
         )
-        f, cut, goto = self._fields(self._records(self.roots), self.roots)
+        f, goto = self.fg[self.roots].T
+        cut = self.threshold[self.roots]
         cached = (rows, rows + np.tile(f, nc), np.tile(cut, nc), np.tile(goto, nc))
         self._setup_cache[nc] = cached
         return cached
@@ -327,9 +364,9 @@ class _RoutedForest:
         node = self._step(goto0, x.take(xi0, mode="clip"), cut0)
         idx = None  # None = all slots still tracked full-width
         for level in range(1, self.max_depth):
-            rec = self._records(node)
+            rec = self.fg.take(node, axis=0, mode="clip")
             if level >= 2:
-                alive = self._alive(rec)
+                alive = rec[:, 0] >= 0
                 n_alive = int(np.count_nonzero(alive))
                 if n_alive == 0:
                     break
@@ -362,99 +399,18 @@ class _RoutedForest:
         batches and faults them in again, measured up to ~1.5x slower
         on 256-row batches interleaved with other work.
         """
-        f, cut, goto = self._fields(rec, node)
-        # Clip-mode gather: a float leaf's feature is -1, so row 0's
-        # slot would index -1 (the compare against +inf ignores it).
-        return self._step(goto, x.take(np.add(f, rows), mode="clip"), cut)
+        # Clip-mode gather: a leaf's feature is -1, so row 0's slot
+        # would index -1 (the compare against +inf ignores it).
+        xv = x.take(np.add(rec[:, 0], rows), mode="clip")
+        return self._step(rec[:, 1], xv, self.threshold.take(node))
 
     @staticmethod
     def _step(goto, xv, cut):
         return np.add(goto, np.greater(xv, cut), dtype=np.intp)
 
 
-class FlatForest(_RoutedForest):
-    """All trees of an ensemble packed into one node tensor.
-
-    Storage (``n_nodes`` = total nodes across members; all index
-    arrays are ``intp`` — narrower dtypes force numpy's ``take`` onto a
-    casting slow path that is ~4x more expensive per gather):
-
-    ``fg``
-        ``(n_nodes, 2) intp`` — column 0 the *global* feature index
-        tested at the node (``-1`` for leaves), column 1 the ``goto``
-        target: the left-child node id.  Right children are always
-        allocated at ``left + 1`` (verified at compile time), so the
-        routing update is ``node = goto[node] + (x > threshold)``.
-        Leaves point ``goto`` at themselves with ``threshold = +inf``,
-        making finished slots self-loop instead of branching.
-    ``threshold``
-        ``(n_nodes,) float64`` split thresholds (``+inf`` at leaves).
-    ``leaf_label``
-        ``(n_nodes,)`` of the ensemble's class dtype — the label the
-        member emits if routing ends at that node (argmax of the
-        normalised leaf class counts, i.e. exactly
-        ``member.predict``'s choice including tie-breaks).
-    ``roots``
-        ``(n_members,) intp`` root node id per member.
-    """
-
-    feature_dtype = np.dtype(np.float64)
-
-    def __init__(
-        self,
-        fg: np.ndarray,
-        threshold: np.ndarray,
-        leaf_label: np.ndarray,
-        roots: np.ndarray,
-        n_features: int,
-        max_depth: int,
-    ):
-        super().__init__(leaf_label, roots, n_features, max_depth)
-        self.fg = fg
-        self.threshold = threshold
-        self.n_nodes = len(threshold)
-
-    def encode(self, X: np.ndarray) -> np.ndarray:
-        """The traversal-ready feature matrix: a contiguous cast to
-        :attr:`feature_dtype`."""
-        X = np.ascontiguousarray(X, dtype=self.feature_dtype)
-        self._check_width(X)
-        return X
-
-    def _native_rows(self, X):
-        """The kernel's row arguments: the encoded batch."""
-        return (self.encode(X),)
-
-    def _native_tables(self):
-        fg, threshold = self.fg, self.threshold
-        if not (
-            fg.dtype == np.int64
-            and fg.shape == (self.n_nodes, 2)
-            and threshold.dtype == self.feature_dtype
-            and fg.flags.c_contiguous
-            and threshold.flags.c_contiguous
-        ):
-            return None
-        return "count_second_f64", (fg, threshold)
-
-    def _node_fields(self):
-        f = self.fg[:, 0]
-        internal = f >= 0
-        # A leaf (feature -1) never reads the row in C.
-        return np.where(internal, f, 0), self.fg[:, 1], internal
-
-    def _records(self, node):
-        return self.fg.take(node, axis=0, mode="clip")
-
-    def _fields(self, rec, node):
-        return rec[:, 0], self.threshold.take(node), rec[:, 1]
-
-    def _alive(self, rec):
-        return rec[:, 0] >= 0
-
-
-class QuantizedForest(_RoutedForest):
-    """A hist-grown flat forest traversed entirely in uint8 bin codes.
+class QuantizedForest(_NativeCounted):
+    """A hist-grown flat forest in the native uint8 kernel's layout.
 
     Histogram-grown trees (:mod:`repro.ml.training`) only ever split at
     real bin-edge values: every internal threshold is *exactly*
@@ -468,42 +424,30 @@ class QuantizedForest(_RoutedForest):
     (``code <= b`` iff ``v <= edges[f][b]``: exactly ``b`` edges lie
     below ``edges[f][b]`` itself, and anything larger clears at least
     ``b + 1``).  Rewriting each node's float threshold as its cut-bin
-    code therefore routes every window to the **same leaf** as the
-    float64 kernel — votes are bitwise identical *by construction*, not
-    by tolerance.
+    code therefore routes every finite window to the **same leaf** as
+    the float64 kernel — votes are bitwise identical *by construction*,
+    not by tolerance.  NaN is the exception (it sorts above every edge
+    but compares false), so :meth:`count_second` refuses non-finite
+    rows on every path.
 
-    The payoff is bandwidth: a batch is quantized **once**, after which
-    each traversal step gathers one packed ``int64`` per live slot
-    (goto | feature | code, layout at the module header) and one
-    ``uint8`` feature code — versus the float kernel's 16-byte ``fg``
-    row, 8-byte threshold and 8-byte feature value.  The code matrix
-    for a 256-row batch is a few KB and stays cache-resident across all
-    M members.  :meth:`encode` quantizes with one batched searchsorted
-    (:func:`~repro.ml.training.quantize_with_tables`) for the numpy
-    loop; the native ``count_second`` takes the float rows instead and
-    quantizes them inside its one C call, a binary search per value
-    over that feature's edges (:meth:`_edge_table`), to the same
-    codes.
+    The payoff is bandwidth in the C walk: each step loads one packed
+    ``int64`` record (goto | feature | code, layout at the module
+    header) and one ``uint8`` code, versus the float kernel's 16-byte
+    ``fg`` row, 8-byte threshold and 8-byte feature value.  The kernel
+    encodes the float rows itself, from ``edges`` (every feature's
+    ``bin_edges_``, concatenated) and ``edge_offset`` (int64, feature
+    ``f``'s edges are ``edges[edge_offset[f]:edge_offset[f + 1]]``).
 
-    Two further layout choices keep the kernel ahead of the float path
-    on fleet-sized forests (node tables far larger than cache):
-
-    * **level-major numbering** — :func:`compile_quantized_forest`
-      renumbers nodes breadth-first across *all* members, so every
-      traversal level's gathers land in one contiguous block of the
-      packed array (the early levels span a few KB total) instead of
-      striding across the whole table in the growers' depth-first
-      order;
-    * **byte-aligned fields** — code/feature/goto are read from the
-      gathered records as zero-copy strided views, eliminating the
-      three shift/mask passes a bit-packed layout would pay per level.
-
-    Carries the per-feature edge tables (``edges_sorted`` /
-    ``edge_prefix``) so it can encode raw float windows itself,
-    without a fitted :class:`~repro.ml.training.BinMapper`.
+    Nodes are numbered **level-major** across all members
+    (:func:`compile_quantized_forest`), so the early steps of every
+    tree load from one small block of ``packed``: the native u8 walk
+    read 3.68–4.27 µs/row level-major against 3.93–4.81 member-major
+    on the bench's 123,678-node hpc forest.  ``order`` maps each node
+    of ``flat``, the :class:`FlatForest` this was compiled from, to its
+    id here.  There is no numpy walk of this layout: :meth:`apply`,
+    :meth:`decisions` and, without the library, :meth:`count_second`
+    route through ``flat``.
     """
-
-    feature_dtype = np.dtype(np.uint8)
 
     def __init__(
         self,
@@ -512,68 +456,63 @@ class QuantizedForest(_RoutedForest):
         roots: np.ndarray,
         n_features: int,
         max_depth: int,
-        edges_sorted: np.ndarray,
-        edge_prefix: np.ndarray,
+        edges: np.ndarray,
+        edge_offset: np.ndarray,
+        flat: FlatForest,
+        order: np.ndarray,
     ):
-        super().__init__(leaf_label, roots, n_features, max_depth)
         self.packed = packed
+        self.leaf_label = leaf_label
+        self.roots = roots
+        self.n_features = int(n_features)
+        self.max_depth = int(max_depth)
+        self.n_members = len(roots)
         self.n_nodes = len(packed)
-        self.edges_sorted = edges_sorted
-        self.edge_prefix = edge_prefix
+        self.edges = edges
+        self.edge_offset = edge_offset
+        self.flat = flat
+        self.order = order
 
-    def encode(self, X: np.ndarray) -> np.ndarray:
-        """Quantize a raw float batch to the uint8 code matrix.
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        """Leaf node id (in this layout) per (sample, member)."""
+        return self.order[self.flat.apply(X)]
 
-        One batched searchsorted over the globally sorted edges plus a
-        prefix-matrix gather — bitwise identical to
-        ``BinMapper.transform`` (which is itself pinned against the
-        per-feature reference loop).  Already-encoded uint8 input
-        passes through untouched.
+    def decisions(self, X: np.ndarray) -> np.ndarray:
+        """Per-member hard votes: ``flat``'s, which are this layout's."""
+        return self.flat.decisions(X)
+
+    def count_second(self, X, leaf_is_second: np.ndarray) -> np.ndarray:
+        """Per-row sum of ``leaf_is_second`` (indexed by this layout's
+        node ids) over the members' leaves.
+
+        The native uint8 kernel encodes and walks the float rows in one
+        call; without it, ``flat`` counts them with the indicator
+        carried over through ``order``.  A row with NaN or infinite
+        features raises ``ValueError`` on both paths, so the counts
+        never depend on whether the library loaded.
         """
-        X = np.asarray(X)
-        if X.dtype == np.uint8:
-            codes = np.ascontiguousarray(X)
-        else:
-            from .training import quantize_with_tables
-
-            codes = quantize_with_tables(self.edges_sorted, self.edge_prefix, X)
-        self._check_width(codes)
-        return codes
-
-    def _native_rows(self, X):
-        """The kernel's row arguments: the float64 batch, which it
-        encodes itself, and a scratch matrix for the codes.  ``None``
-        for a batch of codes already, which the numpy loop serves."""
-        X = np.asarray(X)
-        if X.dtype == np.uint8:
-            return None
-        x = np.ascontiguousarray(X, dtype=np.float64)
-        self._check_width(x)
-        return x, np.empty(x.shape, dtype=np.uint8)
+        x = self.flat.encode(X)
+        if not np.isfinite(x).all():
+            raise ValueError("X contains NaN or infinite values.")
+        counts = self._native_count(
+            leaf_is_second, x, np.empty(x.shape, dtype=np.uint8)
+        )
+        if counts is None:
+            counts = self.flat._route(x, leaf_is_second[self.order])
+        return counts
 
     def _native_tables(self):
-        packed = self.packed
-        if packed.dtype != np.int64 or not packed.flags.c_contiguous:
+        packed, edges, offset = self.packed, self.edges, self.edge_offset
+        if not (
+            packed.dtype == np.int64
+            and edges.dtype == np.float64
+            and offset.dtype == np.int64
+            and packed.flags.c_contiguous
+            and edges.flags.c_contiguous
+            and offset.flags.c_contiguous
+        ):
             return None
-        return "count_second_u8", (packed, *self._edge_table())
-
-    def _edge_table(self):
-        """Each feature's edges, concatenated in feature order, and the
-        int64 offsets of every feature's run (``n_features + 1``).
-
-        Derived from the encode tables: row ``r + 1`` of
-        ``edge_prefix`` steps up in the column of the feature that owns
-        ``edges_sorted[r]``, and its last row holds each feature's edge
-        count.
-        """
-        prefix = np.asarray(self.edge_prefix)
-        edges_sorted = np.asarray(self.edges_sorted, dtype=np.float64)
-        if prefix.shape != (len(edges_sorted) + 1, self.n_features):
-            raise _refused("encode tables do not match its width")
-        _, rank = np.nonzero(np.diff(prefix, axis=0).T)
-        offset = np.zeros(self.n_features + 1, dtype=np.int64)
-        np.cumsum(prefix[-1] - prefix[0], out=offset[1:])
-        return np.ascontiguousarray(edges_sorted[rank]), offset
+        return "count_second_u8", (packed, edges, offset)
 
     def _check_nodes(self):
         """The node check, then the edge table's: offsets monotone from
@@ -605,19 +544,6 @@ class QuantizedForest(_RoutedForest):
         internal = (packed & 0xFF) != _Q_LEAF_CODE
         feature = (packed >> _Q_FEAT_SHIFT) & _Q_FEAT_MASK
         return feature, packed >> _Q_GOTO_SHIFT, internal
-
-    def _records(self, node):
-        return self.packed.take(node)
-
-    def _fields(self, rec, node):
-        return (
-            rec.view(np.uint16)[_Q_FEAT_OFF::4],
-            rec.view(np.uint8)[_Q_CODE_OFF::8],
-            rec.view(np.int32)[_Q_GOTO_OFF::2],
-        )
-
-    def _alive(self, rec):
-        return rec.view(np.uint8)[_Q_CODE_OFF::8] != _Q_LEAF_CODE
 
 
 def _flatten_member(
@@ -752,10 +678,11 @@ def compile_quantized_forest(forest: FlatForest, mapper) -> QuantizedForest:
     Nodes are renumbered **level-major** across the whole forest: all
     members' depth-0 nodes first, then every depth-1 node, and so on,
     with each sibling pair adjacent (preserving the ``right = left +
-    1`` convention).  The level-synchronous kernel then gathers from
-    one contiguous block per level — the first few levels of even a
-    multi-million-node forest span a few KB — instead of striding
-    across the member-by-member depth-first layout the growers emit.
+    1`` convention), so the native walk's early steps load from a few
+    KB of records instead of striding across the member-by-member
+    depth-first layout the growers emit (measured at
+    :class:`QuantizedForest`).  The kernel's edge table is built once,
+    here, from ``mapper.bin_edges_``.
     """
     bin_edges = getattr(mapper, "bin_edges_", None)
     if bin_edges is None:
@@ -816,18 +743,19 @@ def compile_quantized_forest(forest: FlatForest, mapper) -> QuantizedForest:
     leaf_label[new_id] = forest.leaf_label
     roots = new_id[np.asarray(forest.roots, dtype=np.int64)].astype(np.intp)
 
-    edges_sorted = getattr(mapper, "_edges_sorted_", None)
-    if edges_sorted is None:
-        mapper._build_flat_quantizer()
-        edges_sorted = mapper._edges_sorted_
+    per_feature = [np.asarray(e, dtype=np.float64) for e in bin_edges]
+    edge_offset = np.zeros(len(per_feature) + 1, dtype=np.int64)
+    np.cumsum([len(e) for e in per_feature], out=edge_offset[1:])
     return QuantizedForest(
         packed=packed,
         leaf_label=leaf_label,
         roots=roots,
         n_features=forest.n_features,
         max_depth=forest.max_depth,
-        edges_sorted=edges_sorted,
-        edge_prefix=mapper._edge_prefix_,
+        edges=np.concatenate([np.empty(0), *per_feature]),
+        edge_offset=edge_offset,
+        flat=forest,
+        order=new_id,
     )
 
 
@@ -849,8 +777,20 @@ class CompiledVotePath:
 
     The compiled backend is keyed to the ``estimators_`` list object,
     so any refit (which rebuilds that list) invalidates it without the
-    host having to remember to.
+    host having to remember to.  It is a cache, never state: a pickle
+    carries none and drops one it finds, so the first use after
+    loading compiles the backend of this version again, whatever
+    layout the pickling version had.
     """
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state.pop("_backend_cache_", None)
+        return state
+
+    def __setstate__(self, state):
+        state.pop("_backend_cache_", None)
+        self.__dict__.update(state)
 
     def _vote_members(self) -> tuple[list, list | None]:
         """Members and optional per-member global feature maps."""

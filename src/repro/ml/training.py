@@ -10,7 +10,9 @@ LightGBM / ``HistGradientBoosting`` design instead:
   at most 256 bins).  Split thresholds are real bin-edge values, so
   trees grown on codes predict on *raw* feature vectors and compile
   into the flattened inference backend (:mod:`repro.ml.backend`)
-  unchanged.
+  unchanged.  ``bin_edges_`` is the one copy of the edges: the uint8
+  inference layout (:func:`~repro.ml.backend.compile_quantized_forest`)
+  builds its native kernel's edge table from it.
 * :class:`BinnedDataset` — the shared binned training matrix with an
   append-only growth buffer: ensembles bin once and fit all M members
   on the same codes; online retraining appends freshly binned rows
@@ -55,30 +57,9 @@ __all__ = [
     "BinnedView",
     "BinnedPartialRefitMixin",
     "grow_tree_binned",
-    "quantize_with_tables",
 ]
 
 _MAX_BINS_HARD_CAP = 256  # uint8 codes
-
-
-def quantize_with_tables(
-    edges_sorted: np.ndarray, edge_prefix: np.ndarray, X: np.ndarray
-) -> np.ndarray:
-    """Batched bin encoding from precomputed flat-quantizer tables.
-
-    ``edges_sorted`` is the globally sorted concatenation of every
-    feature's bin edges and ``edge_prefix`` its ``(n_edges + 1,
-    n_features)`` per-feature prefix-count matrix (see
-    :meth:`BinMapper._build_flat_quantizer` for the construction and the
-    exactness argument).  One ``searchsorted`` over the whole batch and
-    one aligned gather produce codes bitwise identical to the
-    per-feature loop.  Stand-alone so that a detached inference kernel
-    (:class:`~repro.ml.backend.QuantizedForest`) can quantize without
-    carrying a fitted :class:`BinMapper`.
-    """
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    r = np.searchsorted(edges_sorted, X, side="left")
-    return np.take_along_axis(edge_prefix, r, axis=0).astype(np.uint8)
 
 
 class BinMapper:
@@ -133,70 +114,15 @@ class BinMapper:
             [len(edges) + 1 for edges in self.bin_edges_], dtype=np.intp
         )
         self.n_features_in_ = n_features
-        self._build_flat_quantizer()
         return self
 
-    def _build_flat_quantizer(self) -> None:
-        """Precompute the single-searchsorted encoding tables.
-
-        All per-feature edge arrays are merged into **one** globally
-        sorted vector ``_edges_sorted_`` plus a ``(n_edges + 1,
-        n_features) int32`` prefix matrix ``_edge_prefix_`` whose row
-        ``r`` counts, per feature, how many of that feature's edges sit
-        among the first ``r`` globally-sorted edges.  Then for any value
-        ``v`` of feature ``f``::
-
-            r = searchsorted(_edges_sorted_, v, side="left")   # edges < v
-            code = _edge_prefix_[r, f]                          # f's edges < v
-
-        is *exactly* ``searchsorted(bin_edges_[f], v, side="left")``:
-        ``side="left"`` counts strictly-smaller entries, equal-valued
-        edges are wholly inside or outside that prefix regardless of
-        tie order, and the prefix row restricts the count to feature
-        ``f``.  Codes are therefore bitwise identical to the per-feature
-        loop (:meth:`transform_reference` pins this) while the whole
-        batch quantizes with one searchsorted and one gather.
-        """
-        if self.bin_edges_:
-            all_edges = np.concatenate(
-                [np.asarray(e, dtype=np.float64) for e in self.bin_edges_]
-            )
-            feat_of = np.concatenate(
-                [
-                    np.full(len(e), f, dtype=np.intp)
-                    for f, e in enumerate(self.bin_edges_)
-                ]
-            )
-        else:
-            all_edges = np.empty(0, dtype=np.float64)
-            feat_of = np.empty(0, dtype=np.intp)
-        order = np.argsort(all_edges, kind="stable")
-        self._edges_sorted_ = np.ascontiguousarray(all_edges[order])
-        n_edges = len(all_edges)
-        prefix = np.zeros((n_edges + 1, self.n_features_in_), dtype=np.int32)
-        if n_edges:
-            hits = np.zeros((n_edges, self.n_features_in_), dtype=np.int32)
-            hits[np.arange(n_edges), feat_of[order]] = 1
-            np.cumsum(hits, axis=0, out=prefix[1:])
-        self._edge_prefix_ = prefix
-
     def transform(self, X) -> np.ndarray:
-        """Map raw values to ``uint8`` bin codes (one batched searchsorted)."""
-        X = check_array(X)
-        if X.shape[1] != self.n_features_in_:
-            raise ValueError(
-                f"X has {X.shape[1]} features; mapper expects {self.n_features_in_}."
-            )
-        if not hasattr(self, "_edges_sorted_"):
-            # Fitted before the flat quantizer existed (legacy pickle).
-            self._build_flat_quantizer()
-        return quantize_with_tables(self._edges_sorted_, self._edge_prefix_, X)
+        """Map raw values to ``uint8`` bin codes.
 
-    def transform_reference(self, X) -> np.ndarray:
-        """The original per-feature searchsorted loop.
-
-        Kept as the reference implementation :meth:`transform` is
-        verified against (bitwise, fuzzed in ``tests/ml``).
+        Per feature, ``searchsorted(edges, v, side="left")``: the count
+        of edges strictly below ``v``, so ``v <= edges[b]`` iff
+        ``code <= b``.  The native vote kernel encodes float rows with
+        the same rule (``_traverse.c``).
         """
         X = check_array(X)
         if X.shape[1] != self.n_features_in_:
@@ -205,7 +131,6 @@ class BinMapper:
             )
         codes = np.empty(X.shape, dtype=np.uint8)
         for f, edges in enumerate(self.bin_edges_):
-            # side="left": v <= edges[b]  <=>  code <= b, for every v.
             codes[:, f] = np.searchsorted(edges, X[:, f], side="left")
         return codes
 

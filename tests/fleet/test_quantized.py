@@ -13,7 +13,10 @@ The fleet contract:
   republishes the right kernel;
 * a window with NaN or infinite features is never verdicted, whatever
   the batch size or mode: it is quarantined, and the rest of its
-  batch is verdicted as ``analyze`` verdicts it.
+  batch is verdicted as ``analyze`` verdicts it;
+* a pickled model carries no compiled forest: loading it recompiles,
+  so a model pickled with an older forest layout cached serves the
+  same verdicts.
 """
 
 import pickle
@@ -26,7 +29,7 @@ from repro.fleet.engine import batch_verdict_key, batch_window_keys
 from repro.fleet.report import device_report_key
 from repro.fleet.resilience import account_windows
 from repro.ml import RandomForestClassifier
-from repro.ml.backend import FlatForest, QuantizedForest
+from repro.ml.backend import CompiledVotePath, FlatForest, QuantizedForest
 from repro.uncertainty import TrustedHMD
 from tests.conftest import make_blobs
 from tests.fleet.test_sharding import _arrivals, _drive
@@ -176,6 +179,43 @@ class TestMonitorModes:
         assert device_report_key(restored.report()) == device_report_key(
             probe.report()
         )
+
+
+class TestPickledModel:
+    def test_old_layout_cache_is_not_restored(self, monkeypatch):
+        """The pickle holds no compiled forest; a pickle that does (an
+        older layout's, planted here) drops it on load, recompiles and
+        serves bitwise the same verdicts."""
+        X, hmd = make_hmd("quantized", n_components=4)
+        reference = PublishedHmd(hmd).verdict(X)
+        blob = pickle.dumps(hmd)
+        assert b"QuantizedForest" not in blob
+        assert "_backend_cache_" not in pickle.loads(blob).ensemble_.__dict__
+
+        forest = hmd.ensemble_.compile()
+        old = object.__new__(QuantizedForest)  # the fields of an older layout
+        old.__dict__.update(
+            packed=forest.packed,
+            leaf_label=forest.leaf_label,
+            roots=forest.roots,
+            n_features=forest.n_features,
+            max_depth=forest.max_depth,
+            n_members=forest.n_members,
+            n_nodes=forest.n_nodes,
+            edges_sorted=np.sort(forest.edges),
+            edge_prefix=np.zeros((len(forest.edges) + 1, forest.n_features), np.int32),
+        )
+        hmd.ensemble_._backend_cache_[1]["quantized"] = old
+        # Pickle the cache along, as a version without the rule did.
+        monkeypatch.delattr(CompiledVotePath, "__getstate__")
+        blob = pickle.dumps(hmd)
+        monkeypatch.undo()
+        assert b"edge_prefix" in blob
+        restored = pickle.loads(blob)
+        assert restored.compile_mode == "quantized"
+        for got, want in zip(PublishedHmd(restored).verdict(X), reference):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
 
 
 def _with_bad_row(arrivals, position, value):

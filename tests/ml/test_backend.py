@@ -191,16 +191,16 @@ class TestRoutingReductions:
         rows = np.random.default_rng(5).integers(len(X), size=chunk_rows(backend))
         probe = X[rows]
         assert_reductions_match_legacy(forest, probe, mode)
-        # One chunk's traversal: the active set seen by the liveness
-        # scan shrank (a compaction) more than once.
+        # One chunk's traversal: the active set stepped by the loop
+        # shrank (a compaction) more than once.
         sizes = []
-        alive = backend._alive
+        advance = backend._advance
 
-        def spy(rec):
-            sizes.append(len(rec))
-            return alive(rec)
+        def spy(rec, node, x, rows):
+            sizes.append(len(node))
+            return advance(rec, node, x, rows)
 
-        monkeypatch.setattr(backend, "_alive", spy)
+        monkeypatch.setattr(backend, "_advance", spy)
         backend.apply(probe)
         assert sum(b < a for a, b in zip(sizes, sizes[1:])) >= 2, sizes
 

@@ -1,20 +1,21 @@
 """The native traversal kernel against the numpy loop it replaces.
 
-``_RoutedForest.count_second`` runs ``_traverse.c`` when the loader
-built it and the numpy level-synchronous loop otherwise; the two must
-return the same integers for every forest.  The property test below
-draws ragged random forests (single-node trees, stumps, spines down to
-depth 31) in both record layouts and compares the two kernels at
-the block-size edges.  The uint8 entry encodes its float rows itself:
-a second property pins its codes to ``quantize_with_tables`` on exact
-edges, their neighbours, +-inf, +-0.0 and NaN.  The rest pin the
-loader (fallback without a compiler, a cached second load, the bounds
-and edge-table checks) and that ``TrustedHMD.analyze`` never reaches
-C.
+``count_second`` runs ``_traverse.c`` when the loader built it; the
+numpy float64 loop (``FlatForest._route``) is the fallback of both
+layouts and the reference of both kernels.  The property tests below
+draw ragged random forests (single-node trees, stumps, spines down to
+depth 31) on a bin-edge grid and compare the native counts of each
+layout with the float64 loop at the block-size edges; for the uint8
+layout that compares two independent layouts of one forest.  The uint8
+entry encodes its float rows itself: a stump property pins its codes to
+``BinMapper.transform``'s rule on exact edges, their neighbours,
++-inf, +-0.0 and NaN.  The rest pin the refusal of non-finite rows,
+the loader (fallback without a compiler, a cached second load, the
+bounds and edge-table checks) and that ``TrustedHMD.analyze`` never
+reaches C.
 """
 
 import os
-import pickle
 import re
 import stat
 import subprocess
@@ -27,8 +28,8 @@ from hypothesis import strategies as st
 from repro.fleet import FleetMonitor, PublishedHmd
 from repro.fleet.engine import batch_verdict_key
 from repro.ml import RandomForestClassifier, _native
-from repro.ml.backend import FlatForest, QuantizedForest
-from repro.ml.training import BinMapper, quantize_with_tables
+from repro.ml.backend import FlatForest, QuantizedForest, compile_quantized_forest
+from repro.ml.training import BinMapper
 from repro.uncertainty import TrustedHMD
 from tests.conftest import Trap, make_blobs
 
@@ -84,22 +85,36 @@ def random_forest_arrays(rng, n_trees, depths, n_features):
     )
 
 
-def encode_tables(per_feature):
-    """``(edges_sorted, edge_prefix)`` of per-feature edge arrays, as a
-    fitted :class:`BinMapper` builds them."""
+def flat_forest(feature, goto, threshold, internal, roots, max_depth, n_features):
+    """A :class:`FlatForest` of the given node arrays."""
+    fg = np.stack([np.where(internal, feature, -1), goto], axis=1)
+    return FlatForest(
+        fg=np.ascontiguousarray(fg, dtype=np.intp),
+        threshold=np.where(internal, threshold, np.inf),
+        leaf_label=np.zeros(len(feature), dtype=np.int64),
+        roots=roots,
+        n_features=n_features,
+        max_depth=max_depth,
+    )
+
+
+def mapper_of(per_feature):
+    """A :class:`BinMapper` fitted to the given per-feature edges."""
     mapper = BinMapper()
     mapper.bin_edges_ = [np.asarray(e, dtype=np.float64) for e in per_feature]
+    mapper.n_bins_ = np.array([len(e) + 1 for e in per_feature], dtype=np.intp)
     mapper.n_features_in_ = len(per_feature)
-    mapper._build_flat_quantizer()
-    return mapper._edges_sorted_, mapper._edge_prefix_
+    return mapper
 
 
 SPECIALS = np.array([np.inf, -np.inf, 0.0, -0.0, np.nan])
 
 
-def edge_rows(rng, per_feature, n):
+def edge_rows(rng, per_feature, n, finite=True):
     """``n`` float rows whose columns hit each feature's edges exactly,
-    their ``nextafter`` neighbours, +-inf, +-0.0 and NaN."""
+    their ``nextafter`` neighbours and +-0.0 (and, unless ``finite``,
+    +-inf and NaN)."""
+    specials = SPECIALS[np.isfinite(SPECIALS)] if finite else SPECIALS
     columns = []
     for edges in per_feature:
         pool = np.concatenate(
@@ -107,7 +122,7 @@ def edge_rows(rng, per_feature, n):
                 edges,
                 np.nextafter(edges, -np.inf),
                 np.nextafter(edges, np.inf),
-                SPECIALS,
+                specials,
                 rng.normal(scale=30.0, size=4),
             ]
         )
@@ -115,77 +130,74 @@ def edge_rows(rng, per_feature, n):
     return np.stack(columns, axis=1)
 
 
+def float64_route(forest, X, leaf_is_second):
+    """Counts of the numpy float64 loop, the reference of both layouts."""
+    if isinstance(forest, QuantizedForest):
+        forest, leaf_is_second = forest.flat, leaf_is_second[forest.order]
+    return forest._route(forest.encode(X), leaf_is_second)
+
+
 def build_forest(layout, rng, n_trees, depths, n_features):
-    """A random forest in one record layout, plus a batch to route."""
+    """A random forest in one layout, plus a batch to route."""
     feature, goto, internal, roots, max_depth = random_forest_arrays(
         rng, n_trees, depths, n_features
     )
-    n_nodes = len(feature)
-    shape = dict(
-        leaf_label=np.zeros(n_nodes, dtype=np.int64),
-        roots=roots,
-        n_features=n_features,
-        max_depth=max_depth,
-    )
+    shape = (internal, roots, max_depth, n_features)
     if layout == "quantized":
-        # Coarse edge grids (0 to 160 edges a feature) and cuts that
-        # span each feature's codes.
+        # Coarse edge grids (1 to 160 edges a feature), cut at edges
+        # that span each feature's codes, rewritten by the compiler.
         grid = np.arange(-80, 81) / 4.0
         per_feature = [
-            np.sort(rng.choice(grid, int(rng.integers(0, len(grid))), replace=False))
+            np.sort(rng.choice(grid, int(rng.integers(1, len(grid))), replace=False))
             for _ in range(n_features)
         ]
-        edges_sorted, edge_prefix = encode_tables(per_feature)
-        n_edges = np.array([len(e) for e in per_feature])
-        code = rng.integers(0, np.minimum(n_edges[feature] + 1, 255))
-        code = np.where(internal, code, 255)
-        packed = (goto << 32) | (np.where(internal, feature, 0) << 16) | code
-        forest = QuantizedForest(
-            packed=packed,
-            edges_sorted=edges_sorted,
-            edge_prefix=edge_prefix,
-            **shape,
-        )
+        cut = [per_feature[f][rng.integers(len(per_feature[f]))] for f in feature]
+        flat = flat_forest(feature, goto, np.asarray(cut), *shape)
+        forest = compile_quantized_forest(flat, mapper_of(per_feature))
         return forest, (lambda n: edge_rows(rng, per_feature, n))
     # A coarse grid of cuts and values makes exact ties (x == cut) common.
-    cut = np.where(internal, rng.integers(-4, 5, n_nodes) / 2.0, np.inf)
-    fg = np.stack([np.where(internal, feature, -1), goto], axis=1)
-    forest = FlatForest(
-        fg=np.ascontiguousarray(fg, dtype=np.intp),
-        threshold=cut,
-        **shape,
-    )
+    cut = rng.integers(-4, 5, len(feature)) / 2.0
+    forest = flat_forest(feature, goto, cut, *shape)
     return forest, (lambda n: rng.integers(-5, 6, (n, n_features)) / 2.0)
 
 
 def stump_forest(per_feature):
-    """A forest whose count is every feature's code, 8 bits each.
+    """A uint8 forest whose count is every feature's code, 8 bits each.
 
-    One stump per (feature ``f``, cut ``c`` in 0..254): its right leaf
-    is worth ``1 << 8 f``, so a row's count is the sum over features of
-    ``code_f << 8 f`` (a code is at most 255: no carry).
+    One stump per (feature ``f``, edge ``c``): its right leaf is worth
+    ``1 << 8 f``, so a row's count is the sum over features of
+    ``code_f << 8 f`` (a code is at most 255: no carry).  Returns the
+    forest and that indicator, in the forest's node ids.
     """
-    n_features = len(per_feature)
-    feature = np.repeat(np.arange(n_features), 255)
-    cut = np.tile(np.arange(255), n_features)
+    feature = np.concatenate(
+        [np.full(len(e), f) for f, e in enumerate(per_feature)]
+    ).astype(np.int64)
+    cut = np.concatenate([np.empty(0), *per_feature])
     root = 3 * np.arange(len(feature))
-    packed = np.full(3 * len(feature), 255, dtype=np.int64)
-    packed[1::3] |= (root + 1) << 32  # leaves loop on themselves
-    packed[2::3] |= (root + 2) << 32
-    packed[root] = ((root + 1) << 32) | (feature << 16) | cut
-    weight = np.zeros(len(packed), dtype=np.int64)
-    weight[root + 2] = 1 << (8 * feature)
-    edges_sorted, edge_prefix = encode_tables(per_feature)
-    forest = QuantizedForest(
-        packed=packed,
-        leaf_label=np.zeros(len(packed), dtype=np.int64),
-        roots=root.astype(np.intp),
-        n_features=n_features,
-        max_depth=1,
-        edges_sorted=edges_sorted,
-        edge_prefix=edge_prefix,
+    n_nodes = 3 * len(feature)
+    node_feature = np.zeros(n_nodes, dtype=np.int64)
+    node_feature[root] = feature
+    threshold = np.zeros(n_nodes)
+    threshold[root] = cut
+    goto = np.arange(n_nodes)
+    goto[root] = root + 1
+    internal = np.zeros(n_nodes, dtype=bool)
+    internal[root] = True
+    flat = flat_forest(
+        node_feature, goto, threshold, internal, root, 1, len(per_feature)
     )
+    forest = compile_quantized_forest(flat, mapper_of(per_feature))
+    weight = np.zeros(n_nodes, dtype=np.int64)
+    weight[forest.order[root + 2]] = 1 << (8 * feature)
     return forest, weight
+
+
+def searchsorted_codes(per_feature, X):
+    """``BinMapper.transform``'s rule, without its finiteness check."""
+    return np.stack(
+        [np.searchsorted(e, X[:, f], side="left") for f, e in enumerate(per_feature)],
+        axis=1,
+    )
 
 
 @needs_native
@@ -205,13 +217,9 @@ class TestKernelsAgree:
         leaf_is_second = rng.integers(0, 2, forest.n_nodes).astype(np.int64)
         native = forest.count_second(X, leaf_is_second)
         assert forest._kernel, "the native kernel did not serve"
-        reference = forest._route(forest.encode(X), leaf_is_second)
+        reference = float64_route(forest, X, leaf_is_second)
         assert native.dtype == reference.dtype
         np.testing.assert_array_equal(native, reference)
-        if layout == "quantized":
-            # A batch of codes is not encoded again: numpy routes it.
-            from_codes = forest.count_second(forest.encode(X), leaf_is_second)
-            np.testing.assert_array_equal(from_codes, reference)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -219,10 +227,11 @@ class TestKernelsAgree:
         sizes=st.lists(st.integers(0, 255), max_size=5),
         n_rows=st.sampled_from([1, BLOCK + 1, 300]),
     )
-    def test_fused_encode_is_quantize_with_tables(self, seed, sizes, n_rows):
-        """The uint8 entry's codes, read back through a stump forest,
-        equal the numpy encode's on every row, for features with 0 and
-        with 255 edges among them."""
+    def test_fused_encode_is_transform(self, seed, sizes, n_rows):
+        """The uint8 entry's codes are ``BinMapper.transform``'s, for
+        features with 0 and with 255 edges among them; its counts over
+        a stump forest read the codes back and equal the float64
+        loop's."""
         rng = np.random.default_rng(seed)
         grid = np.arange(-400, 400) / 8.0  # holds 0.0: ties with +-0.0
         per_feature = [
@@ -230,30 +239,18 @@ class TestKernelsAgree:
             for size in rng.permutation([0, 255, *sizes])
         ]
         forest, weight = stump_forest(per_feature)
+        # The C encode on every value, NaN and +-inf included, read
+        # from the entry's scratch (count_second refuses such rows).
+        X = edge_rows(rng, per_feature, n_rows, finite=False)
+        codes = np.empty(X.shape, dtype=np.uint8)
+        assert forest._native_count(weight, X, codes) is not None
+        np.testing.assert_array_equal(codes, searchsorted_codes(per_feature, X))
         X = edge_rows(rng, per_feature, n_rows)
+        transform = mapper_of(per_feature).transform(X)
         counts = forest.count_second(X, weight)
-        assert forest._kernel, "the native kernel did not serve"
-        codes = quantize_with_tables(forest.edges_sorted, forest.edge_prefix, X)
         for f in range(len(per_feature)):
-            np.testing.assert_array_equal((counts >> (8 * f)) & 0xFF, codes[:, f])
-        np.testing.assert_array_equal(
-            counts, forest._route(forest.encode(X), weight)
-        )
-
-    def test_forest_pickled_before_the_fused_encode_serves(self):
-        """A forest pickled with the old entry's checked tables cached
-        drops them on load and serves with the derived edge table."""
-        rng = np.random.default_rng(3)
-        forest, batch = build_forest("quantized", rng, 4, [5, 0, 9, 3], 3)
-        forest._kernel = ("count_second_u8", (forest.packed,))
-        restored = pickle.loads(pickle.dumps(forest))
-        X = batch(40)
-        leaf_is_second = rng.integers(0, 2, forest.n_nodes).astype(np.int64)
-        counts = restored.count_second(X, leaf_is_second)
-        assert len(restored._kernel[1]) == 3  # packed, edges, offsets
-        np.testing.assert_array_equal(
-            counts, restored._route(restored.encode(X), leaf_is_second)
-        )
+            np.testing.assert_array_equal((counts >> (8 * f)) & 0xFF, transform[:, f])
+        np.testing.assert_array_equal(counts, float64_route(forest, X, weight))
 
     @pytest.mark.parametrize("layout", ["float64", "quantized"])
     def test_corrupt_goto_is_refused(self, layout):
@@ -287,12 +284,11 @@ class TestKernelsAgree:
         "corruption",
         ["unsorted", "nan edge", "over 255 edges", "offset past the end", "offsets fall"],
     )
-    def test_corrupt_edge_table_is_refused(self, corruption, monkeypatch):
+    def test_corrupt_edge_table_is_refused(self, corruption):
         grid = np.arange(-40, 41) / 4.0
         per_feature = [grid[::3], grid[1::7], grid[::2]]
         forest, weight = stump_forest(per_feature)
-        edges, offset = forest._edge_table()
-        edges, offset = edges.copy(), offset.copy()
+        edges, offset = forest.edges.copy(), forest.edge_offset.copy()
         if corruption == "unsorted":
             edges[[1, 2]] = edges[[2, 1]]
         elif corruption == "nan edge":
@@ -304,9 +300,27 @@ class TestKernelsAgree:
             offset[-1] += 1
         else:
             offset[1] = offset[2] + 1
-        monkeypatch.setattr(forest, "_edge_table", lambda: (edges, offset))
+        forest.edges, forest.edge_offset = edges, offset
         with pytest.raises(ValueError, match="refusing to traverse"):
             forest.count_second(edge_rows(np.random.default_rng(0), per_feature, 4), weight)
+
+
+@pytest.mark.parametrize("kernel", ["native", "numpy"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_rows_are_refused(kernel, value, monkeypatch):
+    """The bin search and the float64 walk disagree on NaN, so the
+    uint8 layout counts no non-finite row, with or without the
+    library."""
+    if kernel == "native" and _native.library() is None:
+        pytest.skip("no C compiler: only numpy can serve")
+    if kernel == "numpy":
+        monkeypatch.setattr(_native, "_handle", None)
+    per_feature = [np.arange(-3.0, 4.0), np.array([0.5])]
+    forest, weight = stump_forest(per_feature)
+    X = edge_rows(np.random.default_rng(4), per_feature, 6)
+    X[3, 1] = value
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        forest.count_second(X, weight)
 
 
 @pytest.fixture

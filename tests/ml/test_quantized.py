@@ -5,10 +5,12 @@ flat kernel *bitwise* — every hist-tree threshold is exactly a bin
 edge, so rewriting ``x > edges[b]`` as ``code > b`` cannot change a
 single vote.
 
-The vectorized :meth:`BinMapper.transform` is pinned bitwise against
-the per-feature reference loop, including the degenerate inputs that
-stress the sorted-global-edges construction (constant features, exact
-edge values, out-of-range probes).
+:meth:`BinMapper.transform` is pinned against an independent count of
+the edges strictly below each value, including degenerate inputs
+(constant features, exact edge values, out-of-range probes).  The
+quantized layout has no numpy walk of its own: its leaf ids, votes and
+(without the library) counts go through the float64 forest it was
+compiled from, and are pinned against the legacy member loop here.
 """
 
 import pickle
@@ -25,7 +27,6 @@ from repro.ml import (
     compile_quantized_forest,
 )
 from repro.ml.backend import COMPILE_MODES, BackendCompileError
-from repro.ml.training import quantize_with_tables
 from tests.conftest import make_blobs
 from tests.ml.test_backend import assert_reductions_match_legacy, chunk_rows
 
@@ -41,6 +42,17 @@ def hist_forest(n_estimators=12, max_depth=None, seed=0, n_per_class=120):
     return ensemble, X
 
 
+def edges_below(mapper, X):
+    """Per feature, how many edges lie strictly below each value."""
+    return np.stack(
+        [
+            (edges[None, :] < X[:, [f]]).sum(axis=1)
+            for f, edges in enumerate(mapper.bin_edges_)
+        ],
+        axis=1,
+    )
+
+
 def assert_votes_identical(ensemble, X):
     """Quantized, flat and legacy votes all agree bitwise."""
     legacy = ensemble.decisions(X)
@@ -51,7 +63,7 @@ def assert_votes_identical(ensemble, X):
 
 
 class TestVectorizedTransform:
-    """Satellite: BinMapper.transform == transform_reference, bitwise."""
+    """BinMapper.transform counts the edges strictly below each value."""
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("max_bins", [2, 17, 256])
@@ -60,9 +72,7 @@ class TestVectorizedTransform:
         X = rng.normal(size=(200, 6)) * rng.gamma(1.0, size=6)
         mapper = BinMapper(max_bins=max_bins).fit(X)
         probe = rng.normal(scale=3.0, size=(97, 6))
-        np.testing.assert_array_equal(
-            mapper.transform(probe), mapper.transform_reference(probe)
-        )
+        np.testing.assert_array_equal(mapper.transform(probe), edges_below(mapper, probe))
 
     def test_degenerate_columns(self):
         rng = np.random.default_rng(5)
@@ -76,9 +86,7 @@ class TestVectorizedTransform:
         )
         mapper = BinMapper(max_bins=8).fit(X)
         probe = np.vstack([X, X + 1e3, X - 1e3, np.zeros((3, 4))])
-        np.testing.assert_array_equal(
-            mapper.transform(probe), mapper.transform_reference(probe)
-        )
+        np.testing.assert_array_equal(mapper.transform(probe), edges_below(mapper, probe))
 
     def test_exact_edge_values(self):
         """Probes sitting exactly on bin edges take the left bin."""
@@ -89,30 +97,12 @@ class TestVectorizedTransform:
             [np.resize(edges[f], 40) for f in range(3)]
         )
         codes = mapper.transform(probe)
-        np.testing.assert_array_equal(codes, mapper.transform_reference(probe))
+        np.testing.assert_array_equal(codes, edges_below(mapper, probe))
         # side="left": a value equal to edges[b] has exactly b edges
         # strictly below it, so it lands in bin b (the left side).
         for f in range(3):
             expected = np.searchsorted(edges[f], probe[:, f], side="left")
             np.testing.assert_array_equal(codes[:, f], expected)
-
-    def test_quantize_with_tables_matches_transform(self):
-        X = np.random.default_rng(2).normal(size=(120, 5))
-        mapper = BinMapper(max_bins=64).fit(X)
-        np.testing.assert_array_equal(
-            quantize_with_tables(
-                mapper._edges_sorted_, mapper._edge_prefix_, X
-            ),
-            mapper.transform(X),
-        )
-
-    def test_legacy_pickle_without_tables(self):
-        """Old pickles (no flat-quantizer tables) rebuild them lazily."""
-        X = np.random.default_rng(3).normal(size=(100, 4))
-        mapper = BinMapper(max_bins=16).fit(X)
-        reference = mapper.transform(X)
-        del mapper._edges_sorted_, mapper._edge_prefix_
-        np.testing.assert_array_equal(mapper.transform(X), reference)
 
 
 class TestQuantizedVoteIdentity:
@@ -153,7 +143,6 @@ class TestQuantizedVoteIdentity:
         ensemble, X = hist_forest(n_estimators=6, seed=3)
         backend = ensemble.compile(mode="quantized")
         assert isinstance(backend, QuantizedForest)
-        assert backend.feature_dtype == np.uint8
         assert backend.n_members == 6
         assert backend.packed.dtype == np.int64
         # Leaves carry the sentinel code 255 and self-loop.
@@ -163,11 +152,12 @@ class TestQuantizedVoteIdentity:
         np.testing.assert_array_equal(
             gotos[leaves], np.nonzero(leaves)[0]
         )
-        # encode() passes uint8 codes straight through (zero-copy path).
-        pre = backend.encode(X)
-        assert pre.dtype == np.uint8
-        assert backend.encode(pre) is not None
-        np.testing.assert_array_equal(backend.encode(pre), pre)
+        # The float64 forest it was compiled from, and each of its
+        # nodes' id here.
+        flat = ensemble.compile(mode="flat")
+        assert backend.flat is flat
+        np.testing.assert_array_equal(backend.leaf_label[backend.order], flat.leaf_label)
+        np.testing.assert_array_equal(backend.roots, backend.order[flat.roots])
 
     def test_compile_quantized_forest_direct(self):
         ensemble, X = hist_forest(n_estimators=5, seed=4)
@@ -214,14 +204,15 @@ class TestQuantizedReductions:
         rows = np.random.default_rng(5).integers(len(X), size=chunk_rows(backend))
         probe = X[rows]
         assert_reductions_match_legacy(ensemble, probe, "quantized")
+        # Leaf ids come from the float64 forest's loop, which compacts.
         sizes = []
-        alive = backend._alive
+        advance = backend.flat._advance
 
-        def spy(rec):
-            sizes.append(len(rec))
-            return alive(rec)
+        def spy(rec, node, x, rows):
+            sizes.append(len(node))
+            return advance(rec, node, x, rows)
 
-        monkeypatch.setattr(backend, "_alive", spy)
+        monkeypatch.setattr(backend.flat, "_advance", spy)
         backend.apply(probe)
         assert sum(b < a for a, b in zip(sizes, sizes[1:])) >= 2, sizes
 
