@@ -76,22 +76,34 @@ class Timing:
         return {"median_s": self.median, "q1_s": self.q1, "q3_s": self.q3}
 
 
-def time_interleaved(*fns, repeats: int = 9, warmup: int = 1) -> list[Timing]:
+def time_interleaved(
+    *fns, repeats: int = 9, warmup: int = 1, setup=None
+) -> list[Timing]:
     """One :class:`Timing` per function in ``fns``.
 
     Each repeat calls every function once, in an order that reverses
     from one repeat to the next, so host drift and cache pressure hit
     them alike; ``warmup`` untimed rounds go first.  Gates compare
     medians, and the quartiles show how far the host spread.
+    ``setup``, when given, holds one untimed callable (or ``None``) per
+    function, run right before each of its calls: what a timed call
+    consumes, such as the filled queue a drain empties.
     """
+    setup = setup if setup is not None else [None] * len(fns)
+
+    def call(i: int) -> float:
+        if setup[i] is not None:
+            setup[i]()
+        t0 = time.perf_counter()
+        fns[i]()
+        return time.perf_counter() - t0
+
     for _ in range(warmup):
-        for fn in fns:
-            fn()
+        for i in range(len(fns)):
+            call(i)
     samples = [[] for _ in fns]
     for repeat in range(repeats):
         order = range(len(fns)) if repeat % 2 == 0 else reversed(range(len(fns)))
         for i in order:
-            t0 = time.perf_counter()
-            fns[i]()
-            samples[i].append(time.perf_counter() - t0)
+            samples[i].append(call(i))
     return [Timing(*np.percentile(s, [50, 25, 75])) for s in samples]

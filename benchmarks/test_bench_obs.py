@@ -9,12 +9,16 @@ Acceptance criteria of the observability subsystem:
   ``os.cpu_count() >= 4`` (equivalence assertions are unconditional);
 * verdicts are **bitwise identical** with telemetry on and off —
   instrumentation observes the stream, it never touches it;
+* the per-row ``submit`` of the same traffic is timed with telemetry on
+  and off and recorded in µs/window (no gate: a trajectory entry);
 * the deterministic trace sampler decides in well under a microsecond
   per window, and a fully populated registry snapshot renders in
   single-digit milliseconds — both cheap enough to leave on.
 
-Measured numbers are printed and written to ``BENCH_obs.json``
-(uploaded as a CI artifact by the ``bench-obs`` job).
+Drains and submits are medians of interleaved repeats
+(:func:`conftest.time_interleaved`).  Measured numbers are printed and
+written to ``BENCH_obs.json`` (uploaded as a CI artifact by the
+``bench-obs`` job).
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import time_interleaved
 from repro.experiments import ExperimentConfig, ExperimentContext
 from repro.fleet import BackpressurePolicy, FleetMonitor, FleetWindowSampler
 from repro.fleet.engine import batch_verdict_key
@@ -41,7 +46,7 @@ _results: dict = {}
 N_DEVICES = 96
 WINDOWS_PER_DEVICE = 40
 BATCH_SIZE = 1024
-REPEATS = 3
+REPEATS = 15
 OVERHEAD_GATE = 0.97
 MULTI_CORE = (os.cpu_count() or 1) >= 4
 
@@ -69,69 +74,94 @@ def obs_setup():
     return hmd, devices, arrivals
 
 
-def _drive(monitor, devices, arrivals):
+def _monitor(hmd, devices, policy, instrumented: bool) -> FleetMonitor:
+    telemetry = (
+        {"telemetry": True, "tracer": TraceContext(TraceSampler(rate=1024, seed=7))}
+        if instrumented
+        else {}
+    )
+    monitor = FleetMonitor(hmd, batch_size=BATCH_SIZE, policy=policy, **telemetry)
     monitor.register_fleet(devices)
-    for device_id, window in arrivals:
-        monitor.submit(device_id, window)
-    t0 = time.perf_counter()
-    batches = monitor.drain()
-    return batches, time.perf_counter() - t0
+    return monitor
 
 
 def test_bench_telemetry_overhead(obs_setup):
     """Gate: fully instrumented drain >= 0.97x uninstrumented
-    (multi-core hosts), verdicts bitwise identical everywhere."""
+    (multi-core hosts), verdicts bitwise identical everywhere; the
+    per-row submit is timed with telemetry on and off alongside."""
     hmd, devices, arrivals = obs_setup
     policy = BackpressurePolicy(max_pending=len(arrivals) + 1)
-
-    plain_elapsed, instr_elapsed = np.inf, np.inf
-    plain_batches = instr_batches = None
-    # Interleave the repeats so host noise hits both paths alike and
-    # take the best of each; the monitors are reused across repeats.
-    plain_fleet = FleetMonitor(hmd, batch_size=BATCH_SIZE, policy=policy)
-    instr_fleet = FleetMonitor(
-        hmd,
-        batch_size=BATCH_SIZE,
-        policy=policy,
-        telemetry=True,
-        tracer=TraceContext(TraceSampler(rate=1024, seed=7)),
+    # One monitor per timed side: a drain empties the queue its setup
+    # filled, a submit fills the queue its setup drained.
+    drain_plain, drain_instr, submit_plain, submit_instr = (
+        _monitor(hmd, devices, policy, instrumented)
+        for instrumented in (False, True, False, True)
     )
-    for repeat in range(REPEATS):
-        batches, elapsed = _drive(plain_fleet, devices, arrivals)
-        plain_elapsed = min(plain_elapsed, elapsed)
-        if repeat == 0:
-            plain_batches = batches
+    first_batches = {}
 
-        batches, elapsed = _drive(instr_fleet, devices, arrivals)
-        instr_elapsed = min(instr_elapsed, elapsed)
-        if repeat == 0:
-            instr_batches = batches
-    instr_report = instr_fleet.report()
+    def submit(monitor):
+        def run():
+            for device_id, window in arrivals:
+                monitor.submit(device_id, window)
+
+        return run
+
+    def drain(monitor):
+        def run():
+            first_batches.setdefault(id(monitor), monitor.drain())
+
+        return run
+
+    plain_t, instr_t, plain_submit_t, instr_submit_t = time_interleaved(
+        drain(drain_plain),
+        drain(drain_instr),
+        submit(submit_plain),
+        submit(submit_instr),
+        setup=(
+            submit(drain_plain),
+            submit(drain_instr),
+            submit_plain.drain,
+            submit_instr.drain,
+        ),
+        repeats=REPEATS,
+    )
+    plain_elapsed, instr_elapsed = plain_t.median, instr_t.median
+    plain_batches = first_batches[id(drain_plain)]
+    instr_batches = first_batches[id(drain_instr)]
+    instr_report = drain_instr.report()
 
     n = len(arrivals)
     ratio = plain_elapsed / instr_elapsed  # instrumented / plain throughput
+    plain_submit_us = plain_submit_t.median / n * 1e6
+    instr_submit_us = instr_submit_t.median / n * 1e6
     verdicts_identical = batch_verdict_key(instr_batches) == batch_verdict_key(
         plain_batches
     )
     counters = (instr_report.telemetry or {}).get("counters", {})
     print(
         f"\nobs bench: {N_DEVICES} devices x {WINDOWS_PER_DEVICE} windows, "
-        f"batch={BATCH_SIZE}, cpus={os.cpu_count()}\n"
+        f"batch={BATCH_SIZE}, cpus={os.cpu_count()}, "
+        f"medians of {REPEATS} interleaved repeats\n"
         f"  uninstrumented: {plain_elapsed * 1e3:8.1f} ms "
         f"({n / plain_elapsed:8.0f} windows/sec)\n"
         f"  instrumented  : {instr_elapsed * 1e3:8.1f} ms "
         f"({n / instr_elapsed:8.0f} windows/sec)\n"
         f"  throughput ratio: {ratio:.3f}x "
         f"(gate {'armed' if MULTI_CORE else 'off: single-core host'} "
-        f"at {OVERHEAD_GATE}x)   verdicts identical: {verdicts_identical}"
+        f"at {OVERHEAD_GATE}x)   verdicts identical: {verdicts_identical}\n"
+        f"  per-row submit: {plain_submit_us:.2f} us/window uninstrumented, "
+        f"{instr_submit_us:.2f} us/window instrumented"
     )
     _results["telemetry_overhead"] = {
         "n_devices": N_DEVICES,
         "n_windows": n,
         "batch_size": BATCH_SIZE,
         "cpu_count": os.cpu_count(),
+        "repeats": REPEATS,
         "uninstrumented_sec": plain_elapsed,
         "instrumented_sec": instr_elapsed,
+        "uninstrumented": plain_t.as_dict(),
+        "instrumented": instr_t.as_dict(),
         "uninstrumented_wps": n / plain_elapsed,
         "instrumented_wps": n / instr_elapsed,
         "throughput_ratio": ratio,
@@ -139,11 +169,15 @@ def test_bench_telemetry_overhead(obs_setup):
         "throughput_gate_armed": MULTI_CORE,
         "verdicts_identical": verdicts_identical,
         "windows_drained": counters.get("fleet_windows_drained_total"),
+        "submit_us_per_window_uninstrumented": plain_submit_us,
+        "submit_us_per_window_instrumented": instr_submit_us,
+        "submit_uninstrumented": plain_submit_t.as_dict(),
+        "submit_instrumented": instr_submit_t.as_dict(),
     }
 
     assert verdicts_identical, "telemetry changed the verdict stream"
-    # The instrumented drain really did count its own traffic (first
-    # repeat only; later repeats accumulate into the same registries).
+    # The instrumented drain really did count its own traffic (its
+    # registry accumulates over the warm-up and every repeat).
     assert counters.get("fleet_windows_drained_total", 0) >= n
     if MULTI_CORE:
         assert ratio >= OVERHEAD_GATE, (

@@ -71,6 +71,9 @@ __all__ = [
 # suffix when the payload shape changes.
 SNAPSHOT_SCHEMA = "repro.fleet.sharded/1"
 
+# A window of this dtype, 1-D, is admitted without conversion.
+_F64 = np.dtype(np.float64)
+
 
 class PublishedHmd:
     """The shared HMD's verdict parts: the monitor's one verdict path.
@@ -418,16 +421,18 @@ class _DeviceTable:
     """The monitor's ingress queue, step counter, counters and device table.
 
     The device table is columnar, indexed by the queue's dense device
-    index: one array per :class:`MonitorStats` counter, ``seq``,
-    ``last_step`` and the entropy rings as one
-    ``(devices, entropy_window)`` array with head and size columns.
+    index: one array per :class:`MonitorStats` counter, ``last_step``
+    and the entropy rings as one ``(devices, entropy_window)`` array
+    with head and size columns.  ``seq``, the next sequence number of
+    each device, is a list of plain ints, because the per-row submit
+    reads and bumps it and nothing reads it vectorised.
     :class:`DeviceState` records are views built on read (:meth:`row`).
     """
 
     # The MonitorStats counters (field order), then each column's start value.
     _STATS = ("n_seen", "n_accepted", "n_flagged", "n_malware_alerts", "entropy_sum")
     _COLUMNS = dict.fromkeys(_STATS, 0) | {
-        "entropy_sum": 0.0, "seq": 0, "last_step": -1, "ring_head": 0, "ring_size": 0
+        "entropy_sum": 0.0, "last_step": -1, "ring_head": 0, "ring_size": 0
     }
 
     def __init__(self, policy: BackpressurePolicy, entropy_window: int):
@@ -436,6 +441,7 @@ class _DeviceTable:
         self.cohorts: list[str] = []
         self.step = 0
         self.stats = MonitorStats()
+        self.seq: list[int] = []
         self._grow(0)
 
     def register(self, device_id: str, cohort: str = "unknown") -> int:
@@ -451,6 +457,7 @@ class _DeviceTable:
 
     def _grow(self, capacity: int) -> None:
         """Extend every column to ``capacity`` rows (new rows at their start value)."""
+        self.seq += [0] * (capacity - len(self.seq))
         for name, fill in self._COLUMNS.items():
             old = getattr(self, name, np.full(0, fill))
             setattr(self, name, np.append(old, np.full(capacity - len(old), fill)))
@@ -489,7 +496,7 @@ class _DeviceTable:
         for name, value in row["stats"].items():
             getattr(self, name)[index] = value
         ring = row["entropy_recent"]
-        self.seq[index], self.last_step[index] = seq, row["last_step"]
+        self.seq[index], self.last_step[index] = int(seq), row["last_step"]
         self.ring[index], self.ring_head[index], self.ring_size[index] = (
             ring["data"], ring["head"], ring["size"]
         )
@@ -675,7 +682,8 @@ class FleetMonitor:
 
     def _admission(self, device_id: str, n_features: int) -> int:
         """Validate a submission's width first (so a rejected window
-        registers nothing), then the device's dense index."""
+        registers nothing), then the device's dense index: one dict
+        lookup for a known device."""
         expected = getattr(self.hmd, "n_features_in_", None)
         if expected is not None and n_features != expected:
             # Reject at ingress: a ragged window admitted here would
@@ -684,14 +692,22 @@ class FleetMonitor:
                 f"windows from {device_id!r} have {n_features} features; "
                 f"the fleet HMD expects {expected}."
             )
-        return self.table.register(device_id)
+        index = self.table.queue.indices.get(device_id)
+        return self.table.register(device_id) if index is None else index
 
     def submit(self, device_id: str, window) -> bool:
-        """Enqueue one window straight into the arena tail; False when shed."""
-        window = np.asarray(window, dtype=float).ravel()
-        index = self._admission(device_id, window.shape[0])
+        """Enqueue one window straight into the arena tail; False when shed.
+
+        The per-row ingress: a 1-D float64 ndarray is used as it is,
+        anything else goes through ``np.asarray(window, dtype=float).ravel()``
+        first.  The sequence number is a plain int, and the queue's
+        :meth:`FleetQueue.admit_row` does the rest.
+        """
+        if type(window) is not np.ndarray or window.ndim != 1 or window.dtype is not _F64:
+            window = np.asarray(window, dtype=float).ravel()
+        index = self._admission(device_id, len(window))
         table = self.table
-        seq = int(table.seq[index])
+        seq = table.seq[index]
         table.seq[index] = seq + 1
         if self.tracer is not None:
             self.tracer.begin(device_id, seq)
@@ -710,7 +726,7 @@ class FleetMonitor:
             return 0
         index = self._admission(device_id, windows.shape[1])
         table = self.table
-        start = int(table.seq[index])
+        start = table.seq[index]
         table.seq[index] = start + len(windows)
         seqs = np.arange(start, start + len(windows), dtype=np.int64)
         if self.tracer is not None:
@@ -910,9 +926,7 @@ class FleetMonitor:
         table = self.table
         partition = {
             "devices": [table.row(i) for i in range(len(table))],
-            "seq": {
-                table.queue.device_name(i): int(table.seq[i]) for i in range(len(table))
-            },
+            "seq": {table.queue.device_name(i): table.seq[i] for i in range(len(table))},
             "step": table.step,
             "stats": table.stats.snapshot(),
             "queue": table.queue.snapshot(),

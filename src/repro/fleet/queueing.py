@@ -28,7 +28,10 @@ block, and the verdict fold downstream groups rows with integer
 carries its device's admission ordinal, and one rule says which rows
 are still queued: a device's live rows are exactly the ordinals
 ``[floor, tail)``.  Admission issues ``tail`` and bumps it; takes and
-global and per-device eviction only raise ``floor``.  A
+global and per-device eviction only raise ``floor``.  Each is kept in
+the form its hot user wants: ``tail`` as plain Python ints, which the
+per-row admission reads and bumps, and ``floor`` as an int64 array,
+which every take raises with one ``bincount``.  A
 row left behind its device's floor is dead storage, skipped by the
 next pass over it; once dead rows outnumber the live rows the arena is
 rebuilt from the live rows, so storage stays bounded by the backlog,
@@ -154,12 +157,17 @@ class FleetQueue:
         self.policy = policy if policy is not None else BackpressurePolicy()
         self._blocks: deque[_ArenaBlock] = deque()
         self._n_features: int | None = None
-        self._index: dict[str, int] = {}
+        # Device id -> dense index: the one device registry.  Read it
+        # freely; add to it only through register_device.
+        self.indices: dict[str, int] = {}
         self._names: list[str] = []
         self._names_arr: np.ndarray | None = None
         # Per dense device index: the live rows are ordinals [floor, tail).
+        # floor is an array with spare capacity (takes raise it with one
+        # bincount); tail holds one plain int per registered device (the
+        # per-row admission bumps it).
         self._floor = np.zeros(8, dtype=np.int64)
-        self._tail = np.zeros(8, dtype=np.int64)
+        self._tail: list[int] = []
         self._n_pending = 0
         self._dead_count = 0    # unconsumed rows behind their device's floor
         self.shed_by_device: dict[str, int] = {}
@@ -168,10 +176,16 @@ class FleetQueue:
     def bind_metrics(self, registry) -> None:
         """Bind admission/shed/occupancy instruments to a registry.
 
-        The choke points every admission, shed and drain already flows
-        through observe at block/batch granularity, so instrumentation
-        adds one counter bump per *block*, never per window.
+        With a disabled registry (telemetry off) no instrument is ever
+        called: every hook sits behind one ``registry.enabled`` flag, so
+        the per-row admission pays one attribute test and nothing else.
+        With telemetry on, a block admission or a take costs one counter
+        add and two gauge sets, and so does each per-row admission: the
+        counters and the depth and arena gauges read the queue exactly
+        after every call, not once per batch.  Binding publishes the
+        queue's current depth and arena size.
         """
+        self._metrics_on = registry.enabled
         self._m_admitted = registry.counter(
             "fleet_windows_admitted_total", "windows accepted into the queue"
         )
@@ -184,21 +198,24 @@ class FleetQueue:
         self._m_arena = registry.gauge(
             "fleet_arena_blocks", "arena blocks currently allocated"
         )
+        if self._metrics_on:
+            self._m_depth.set(self._n_pending)
+            self._m_arena.set(len(self._blocks))
 
     # -- registry ------------------------------------------------------
 
     def register_device(self, device_id: str) -> int:
         """Dense integer index for a device (created on first sight)."""
-        index = self._index.get(device_id)
+        index = self.indices.get(device_id)
         if index is None:
             index = len(self._names)
-            self._index[device_id] = index
+            self.indices[device_id] = index
             self._names.append(device_id)
+            self._tail.append(0)
             self._names_arr = None
             if index >= len(self._floor):
                 grow = np.zeros(len(self._floor), dtype=np.int64)
                 self._floor = np.concatenate([self._floor, grow])
-                self._tail = np.concatenate([self._tail, grow])
         return index
 
     def device_name(self, index: int) -> str:
@@ -230,14 +247,15 @@ class FleetQueue:
         """Queued windows, queue-wide or for one device."""
         if device_id is None:
             return self._n_pending
-        index = self._index.get(device_id)
+        index = self.indices.get(device_id)
         if index is None:
             return 0
-        return int(self._tail[index] - self._floor[index])
+        return self._tail[index] - int(self._floor[index])
 
     def _shed(self, device_id: str) -> None:
         self.shed_by_device[device_id] = self.shed_by_device.get(device_id, 0) + 1
-        self._m_shed.inc(1)
+        if self._metrics_on:
+            self._m_shed.inc(1)
 
     # -- liveness ------------------------------------------------------
 
@@ -274,9 +292,10 @@ class FleetQueue:
         dev, seqs, features = self._live()
         self._blocks = deque()
         self._dead_count = 0
-        np.copyto(self._tail, self._floor)  # re-issues the same ordinals
-        self._append_rows(dev, features, seqs)
-        self._m_arena.set(len(self._blocks))
+        self._tail = self._floor[: len(self._tail)].tolist()  # re-issues the same ordinals
+        self._append_rows(dev, self._issue(dev), features, seqs)
+        if self._metrics_on:
+            self._m_arena.set(len(self._blocks))
 
     # -- shedding ------------------------------------------------------
 
@@ -310,12 +329,29 @@ class FleetQueue:
 
     # -- ingress -------------------------------------------------------
 
+    def _issue(self, dev: np.ndarray) -> np.ndarray:
+        """Device ordinals for rows of many devices, in admission order.
+
+        Each row gets its device's tail plus its rank among that
+        device's rows, and each tail moves past them.
+        """
+        counts = np.bincount(dev)
+        present = np.flatnonzero(counts).tolist()
+        first = np.zeros(len(counts), dtype=np.int64)
+        tail = self._tail
+        first[present] = [tail[i] for i in present]
+        for i, n in zip(present, counts[present].tolist()):
+            tail[i] += n
+        return first[dev] + _ranks(dev)
+
     def _append_rows(
-        self, dev: np.ndarray, features: np.ndarray, seqs: np.ndarray
+        self,
+        dev: np.ndarray,
+        ords: np.ndarray,
+        features: np.ndarray,
+        seqs: np.ndarray,
     ) -> None:
-        """Write rows into the arena tail, issuing each its device ordinal."""
-        ords = self._tail[dev] + _ranks(dev)
-        self._tail += np.bincount(dev, minlength=len(self._tail))
+        """Write issued rows into the arena tail."""
         m = len(seqs)
         written = 0
         while written < m:
@@ -332,16 +368,19 @@ class FleetQueue:
             written += k
 
     def _admit_rows(
-        self, dev: np.ndarray, features: np.ndarray, seqs: np.ndarray
+        self,
+        dev: np.ndarray,
+        ords: np.ndarray,
+        features: np.ndarray,
+        seqs: np.ndarray,
     ) -> None:
-        """Append rows verbatim (no policy) and update the counters."""
+        """Append width-checked, issued rows verbatim (no policy) and
+        update the counters."""
         m = len(seqs)
-        if m == 0:
-            return
-        self._check_width(features.shape[1])
         self._n_pending += m
-        self._append_rows(dev, features, seqs)
-        self._admitted(m)
+        self._append_rows(dev, ords, features, seqs)
+        if self._metrics_on:
+            self._admitted(m)
 
     def _check_width(self, n_features: int) -> None:
         if self._n_features is None:
@@ -364,9 +403,13 @@ class FleetQueue:
         congested :meth:`submit_block`): the policy runs, then the row
         is written straight into the arena tail.  A True return may
         still have shed an older window (in ``"drop_oldest"`` mode);
-        check :attr:`shed_by_device`.
+        check :attr:`shed_by_device`.  An uncongested admission is
+        plain-int bookkeeping around the row copy (the floor, an array,
+        is read only under a per-device cap), and with telemetry off no
+        instrument is called.
         """
-        self._check_width(len(row))
+        if len(row) != self._n_features:
+            self._check_width(len(row))
         policy = self.policy
         cap = policy.max_pending_per_device
         if cap is not None:
@@ -380,18 +423,22 @@ class FleetQueue:
                 self._shed(self._names[index])
                 return False
             self._evict_oldest()
-        if not self._blocks or self._blocks[-1].filled == _BLOCK_ROWS:
-            self._blocks.append(_ArenaBlock(self._n_features))
-        block = self._blocks[-1]
+        blocks = self._blocks
+        if not blocks or blocks[-1].filled == _BLOCK_ROWS:
+            blocks.append(_ArenaBlock(self._n_features))
+        block = blocks[-1]
         position = block.filled
+        tail = self._tail
+        ordinal = tail[index]
         block.x[position] = row
         block.dev[position] = index
-        block.ords[position] = self._tail[index]
+        block.ords[position] = ordinal
         block.seqs[position] = seq
         block.filled = position + 1
-        self._tail[index] += 1
+        tail[index] = ordinal + 1
         self._n_pending += 1
-        self._admitted(1)
+        if self._metrics_on:
+            self._admitted(1)
         return True
 
     def submit_block(
@@ -421,7 +468,15 @@ class FleetQueue:
         )
         fits_global = self._n_pending + m <= self.policy.max_pending
         if fits_device and fits_global:
-            self._admit_rows(np.full(m, index, dtype=np.int64), features, seqs)
+            self._check_width(features.shape[1])
+            start = self._tail[index]
+            self._tail[index] = start + m
+            self._admit_rows(
+                np.full(m, index, dtype=np.int64),
+                np.arange(start, start + m, dtype=np.int64),
+                features,
+                seqs,
+            )
             return m
 
         return sum(self.admit_row(index, features[i], int(seqs[i])) for i in range(m))
@@ -477,8 +532,9 @@ class FleetQueue:
         # simply moves up by the rows taken.
         self._floor += np.bincount(dev, minlength=len(self._floor))
         self._n_pending -= len(seqs)
-        self._m_depth.set(self._n_pending)
-        self._m_arena.set(len(self._blocks))
+        if self._metrics_on:
+            self._m_depth.set(self._n_pending)
+            self._m_arena.set(len(self._blocks))
         return WindowBatch(
             device_ids=self.names_array().take(dev),
             seqs=seqs,
@@ -537,9 +593,12 @@ class FleetQueue:
                 [queue.register_device(str(d)) for d in device_ids],
                 dtype=np.int64,
             )
+            features = np.atleast_2d(np.asarray(state["features"], dtype=float))
+            queue._check_width(features.shape[1])
             queue._admit_rows(
                 dev,
-                np.atleast_2d(np.asarray(state["features"], dtype=float)),
+                queue._issue(dev),
+                features,
                 np.asarray(state["seqs"], dtype=np.int64),
             )
         queue.shed_by_device = dict(state["shed_by_device"])

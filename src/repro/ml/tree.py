@@ -544,6 +544,17 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
     # prediction
     # ------------------------------------------------------------------
 
+    def __getstate__(self):
+        # The compiled backend is a cache, never state: a pickle carries
+        # none, and one found in an older pickle is dropped on load.
+        state = self.__dict__.copy()
+        state.pop("_backend_cache_", None)
+        return state
+
+    def __setstate__(self, state):
+        state.pop("_backend_cache_", None)
+        self.__dict__.update(state)
+
     def _flat(self):
         """Compiled single-member flat backend (cached per fitted tree).
 

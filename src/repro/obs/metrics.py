@@ -4,10 +4,14 @@ The telemetry plane the ROADMAP's "operable system" needs, kept cheap
 enough to leave on in production:
 
 * instruments are plain Python objects bound **once** at component
-  construction — the hot path pays one attribute call per *batch*
-  (never per window), and a disabled registry hands out shared no-op
-  instruments so uninstrumented deployments pay a no-op method call
-  and nothing else;
+  construction, and a disabled registry hands out shared no-op
+  instruments.  The batch paths (a block submit, a take, a verdict
+  round) pay one instrument call per hook per *batch*.  The per-row
+  admission (``FleetMonitor.submit``) is the one hook per *window*:
+  with telemetry on it pays three calls per row (the admitted counter,
+  the depth and arena gauges), so the gauges read the queue after every
+  call; with telemetry off it tests the registry's ``enabled`` flag
+  once and calls nothing;
 * histograms are fixed-bucket numpy count arrays updated lock-free
   (``np.add.at`` for bulk observations); only instrument *creation*
   takes a lock;

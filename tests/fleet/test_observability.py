@@ -16,6 +16,7 @@ from repro.fleet import BackpressurePolicy, FleetMonitor, FleetRetrainer
 from repro.fleet.report import DeviceReport, FleetReport
 from repro.ml import RandomForestClassifier, _native
 from repro.obs import MetricsRegistry
+from repro.obs.metrics import NULL_REGISTRY, _NullCounter, _NullGauge, _NullHistogram
 from repro.uncertainty import TrustedHMD
 from tests.conftest import make_blobs
 
@@ -124,6 +125,54 @@ class TestTelemetryNeutrality:
         if retrainer.loop.n_retrains:
             assert counters["fleet_retrain_refits_total"] >= 1
             assert counters["fleet_retrain_windows_labelled_total"] > 0
+
+
+class TestPerRowIngress:
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            BackpressurePolicy(),
+            BackpressurePolicy(max_pending=8, shed="drop_newest"),
+            BackpressurePolicy(max_pending=8, shed="drop_oldest"),
+            BackpressurePolicy(max_pending_per_device=1),
+            BackpressurePolicy(max_pending_per_device=1, shed="drop_newest"),
+        ],
+        ids=["uncongested", "drop_newest", "drop_oldest", "device_cap", "device_refuse"],
+    )
+    def test_telemetry_off_submit_calls_no_instrument(
+        self, fitted_hmd, policy, monkeypatch
+    ):
+        """With telemetry off, per-row ``submit`` (registration, shedding,
+        eviction and arena compaction included) calls no instrument:
+        the null instruments are patched to raise."""
+        X, hmd = fitted_hmd
+        monitor = FleetMonitor(hmd, batch_size=32, policy=policy)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an instrument was called with telemetry off")
+
+        for kind, names in (
+            (_NullCounter, ("inc",)),
+            (_NullGauge, ("set",)),
+            (_NullHistogram, ("observe", "observe_many")),
+        ):
+            for name in names:
+                monkeypatch.setattr(kind, name, refuse)
+        with pytest.raises(AssertionError):
+            NULL_REGISTRY.counter("probe").inc()  # the patch bites
+        # 3 devices x 1,100 rows: a cap of one evicts enough rows to
+        # trigger the arena's compaction.
+        admitted = sum(
+            monitor.submit(f"dev-{i % 3}", X[i % len(X)]) for i in range(1_100)
+        )
+        shed = monitor.queue.total_shed
+        if policy == BackpressurePolicy():
+            assert (admitted, shed) == (1_100, 0)
+        else:
+            assert shed > 0
+        if policy.max_pending_per_device == 1 and policy.shed == "drop_oldest":
+            # The 1,100 rows written would span two blocks uncompacted.
+            assert monitor.queue.arena_blocks == 1
 
 
 def _device(device_id, n_seen=10, n_flagged=1):

@@ -8,7 +8,9 @@ keeps the same policy as a list with no storage tricks.  Hypothesis
 draws an operation sequence — row and block submits, takes and a
 snapshot→restore — over every policy in ``POLICIES`` and requires every
 return value, pending count, shed tally and snapshot payload to agree
-after every operation.
+after every operation.  A second property binds a live registry and
+requires the queue's admitted and shed counters and its depth and arena
+gauges to read the oracle's totals after every operation.
 """
 
 import pickle
@@ -18,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fleet import FleetQueue
+from repro.obs import MetricsRegistry
 from tests.oracles.queue_policy import POLICIES, PolicyModel, admit
 
 DEVICES = [f"d{i}" for i in range(5)]
@@ -82,3 +85,45 @@ def test_queue_matches_policy_oracle(policy, ops):
             queue = FleetQueue.restore(pickle.loads(pickle.dumps(queue.snapshot())))
         _assert_same(queue, model)
     assert _batch(queue.take(10_000)) == _batch(model.take(10_000))
+
+
+def _assert_telemetry(registry, queue, model, admitted):
+    snapshot = registry.snapshot()
+    counters, gauges = snapshot["counters"], snapshot["gauges"]
+    assert counters["fleet_windows_admitted_total"] == admitted
+    assert counters["fleet_windows_shed_total"] == model.total_shed
+    assert gauges["fleet_queue_depth"] == len(model)
+    assert gauges["fleet_arena_blocks"] == queue.arena_blocks
+
+
+@settings(max_examples=150, deadline=None)
+@given(policy=st.sampled_from(POLICIES), ops=st.lists(OPS, min_size=1, max_size=60))
+def test_queue_telemetry_matches_policy_oracle(policy, ops):
+    registry = MetricsRegistry()
+    queue, model = FleetQueue(policy), PolicyModel(policy)
+    queue.bind_metrics(registry)
+    seqs = dict.fromkeys(DEVICES, 0)
+    admitted = 0
+    for op in ops:
+        kind = op[0]
+        if kind == "row":
+            device = op[1]
+            row = _rows(device, seqs[device], 1)[0]
+            admitted += admit(queue, device, row, seqs[device])
+            model.admit_row(device, row, seqs[device])
+            seqs[device] += 1
+        elif kind == "block":
+            _, device, m = op
+            rows, block_seqs = _rows(device, seqs[device], m), np.arange(m) + seqs[device]
+            admitted += queue.submit_block(device, rows, block_seqs)
+            model.submit_block(device, rows, block_seqs)
+            seqs[device] += m
+        elif kind == "take":
+            queue.take(op[1])
+            model.take(op[1])
+        else:
+            # A restored backlog is not admitted again: the counters
+            # carry on from the registry, the gauges read the new queue.
+            queue = FleetQueue.restore(pickle.loads(pickle.dumps(queue.snapshot())))
+            queue.bind_metrics(registry)
+        _assert_telemetry(registry, queue, model, admitted)

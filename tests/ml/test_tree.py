@@ -1,9 +1,11 @@
 """Tests for the CART decision tree."""
 
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.ml import DecisionTreeClassifier
+from repro.ml import DecisionTreeClassifier, RandomForestClassifier
 from tests.conftest import make_blobs
 
 
@@ -253,3 +255,22 @@ class TestTreeStructure:
                     + t.n_node_samples[t.children_right[i]]
                     == t.n_node_samples[i]
                 )
+
+
+class TestPickle:
+    def test_member_pickle_drops_compiled_cache(self, blobs):
+        """The legacy member loop compiles each member's own flat
+        backend; a pickled member carries none of it."""
+        X, y = blobs
+        forest = RandomForestClassifier(
+            n_estimators=4, grower="hist", random_state=0
+        ).fit(X, y)
+        forest.decisions(X)
+        member = forest.estimators_[0]
+        assert "_backend_cache_" in member.__dict__
+        blob = pickle.dumps(member)
+        assert b"FlatForest" not in blob
+        clone = pickle.loads(blob)
+        assert "_backend_cache_" not in clone.__dict__
+        np.testing.assert_array_equal(clone.predict(X), member.predict(X))
+        assert b"FlatForest" not in pickle.dumps(forest)
