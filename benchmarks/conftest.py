@@ -8,7 +8,8 @@ run.
 
 A benchmark module that defines ``RESULTS_PATH`` and a ``_results``
 dict gets its measurements persisted by :func:`persist_results` when
-the module finishes, merged into the existing file.  Timed comparisons
+the module finishes, merged into the existing file; an entry whose
+writing test the module no longer defines is dropped then.  Timed comparisons
 go through :func:`time_interleaved` (``from conftest import
 time_interleaved``).
 """
@@ -43,25 +44,74 @@ def bench_context_warm(bench_context):
     return bench_context
 
 
-def merge_results(path: Path, results: dict) -> None:
+# The file key naming each entry's writing test.
+WRITERS_KEY = "_writers"
+
+
+def merge_results(path: Path, results: dict, writers: dict, alive) -> None:
     """Merge ``results`` into the JSON object at ``path``.
 
-    Entries of tests that did not run this time (``-k``, a failure
-    before recording) keep their last measured values.
+    ``writers`` names the test that wrote each entry of ``results``, and
+    ``alive`` holds the tests the module still defines.  Entries of
+    tests that did not run this time (``-k``, a failure before
+    recording) keep their last measured values while their test exists;
+    an entry whose writing test is gone, or was never recorded, is
+    dropped.  The file keeps the writers under :data:`WRITERS_KEY`.
     """
-    merged = json.loads(path.read_text()) if path.exists() else {}
+    stored = json.loads(path.read_text()) if path.exists() else {}
+    known = stored.pop(WRITERS_KEY, {})
+    merged = {k: v for k, v in stored.items() if known.get(k) in alive}
     merged.update(results)
+    merged[WRITERS_KEY] = {
+        k: w for k, w in (known | writers).items() if k in merged
+    }
     path.write_text(json.dumps(merged, indent=2) + "\n")
     print(f"\nwrote {path}")
 
 
+def _defined_tests(module) -> set[str]:
+    """The test functions the module defines (benchmarks are functions)."""
+    return {
+        name
+        for name, obj in vars(module).items()
+        if name.startswith("test") and callable(obj)
+    }
+
+
+@pytest.fixture(scope="session")
+def result_writers() -> dict[str, dict[str, str]]:
+    """Per module name: ``_results`` entry -> the test that wrote it."""
+    return {}
+
+
+@pytest.fixture(autouse=True)
+def record_writer(request, result_writers):
+    """Name this test as the writer of the ``_results`` entries it sets."""
+    results = getattr(request.module, "_results", None)
+    if results is None:
+        yield
+        return
+    before = dict(results)
+    yield
+    writers = result_writers.setdefault(request.module.__name__, {})
+    for key, value in results.items():
+        if before.get(key) is not value:
+            writers[key] = request.node.originalname
+
+
 @pytest.fixture(scope="module", autouse=True)
-def persist_results(request):
+def persist_results(request, result_writers):
     """Write the module's ``_results`` to its ``RESULTS_PATH`` on teardown."""
     yield
-    results = getattr(request.module, "_results", None)
+    module = request.module
+    results = getattr(module, "_results", None)
     if results:
-        merge_results(request.module.RESULTS_PATH, results)
+        merge_results(
+            module.RESULTS_PATH,
+            results,
+            result_writers.get(module.__name__, {}),
+            _defined_tests(module),
+        )
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,11 @@ Recorded without a gate:
 * **served path** — the native uint8 ``count_second`` against the
   float64 numpy loop (``FlatForest._route``), which serves both
   layouts when the library is not built, counts asserted identical.
+* **rows per call** — per-row ``count_second`` cost of both layouts at
+  256, 1,024, 4,096 and 8,192 rows per call: what a fleet sweep (many
+  rounds in one call) buys over one call per round, and that the
+  walk's row tiles keep the float64 layout's 75-feature rows from
+  costing more per row in large calls.
 
 Both compare medians of interleaved repeats
 (:func:`conftest.time_interleaved`).  Measured numbers are printed and
@@ -51,6 +56,7 @@ N_TRAIN = 45_000
 N_FEATURES = 75
 N_PROBE = 4_096
 N_ESTIMATORS = 100
+ROWS_PER_CALL = (256, 1024, 4096, 8192)
 
 
 @pytest.fixture(scope="module")
@@ -178,3 +184,53 @@ def test_bench_quantized_served_path(fleet_forest):
     }
 
     assert counts_identical, "native counts drifted from the float64 numpy route"
+
+
+def test_bench_rows_per_call(fleet_forest):
+    """Per-row ``count_second`` cost by rows per call, both layouts
+    (record-only): one sweep over the same 8,192 rows per timing."""
+    ensemble, _, _ = fleet_forest
+    data = np.random.default_rng(8).normal(size=(max(ROWS_PER_CALL), N_FEATURES))
+    layouts = {
+        "uint8": _counter(ensemble.compile(mode="quantized"), ensemble),
+        "float64": _counter(ensemble.compile(mode="flat"), ensemble),
+    }
+    cells = [(layout, rows) for layout in layouts for rows in ROWS_PER_CALL]
+
+    def sweep(count, rows):
+        def run():
+            for start in range(0, len(data), rows):
+                count(data[start : start + rows])
+
+        return run
+
+    timings = time_interleaved(
+        *(sweep(layouts[layout], rows) for layout, rows in cells), repeats=15
+    )
+    us = {cell: t.median / len(data) * 1e6 for cell, t in zip(cells, timings)}
+    print(f"\nrows per call: M={N_ESTIMATORS}, native kernel: {native_traversal()}")
+    for layout in layouts:
+        base = us[(layout, ROWS_PER_CALL[0])]
+        print(
+            f"  {layout:7s}: "
+            + "  ".join(
+                f"{rows}: {us[(layout, rows)]:.2f} us ({us[(layout, rows)] / base:.3f})"
+                for rows in ROWS_PER_CALL
+            )
+        )
+    _results["rows_per_call"] = {
+        "n_windows": len(data),
+        "repeats": 15,
+        "native": native_traversal(),
+        **{
+            layout: {
+                str(rows): {
+                    "us_per_window": us[(layout, rows)],
+                    **timing.as_dict(),
+                }
+                for (cell_layout, rows), timing in zip(cells, timings)
+                if cell_layout == layout
+            }
+            for layout in layouts
+        },
+    }

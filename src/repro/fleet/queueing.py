@@ -70,6 +70,15 @@ class WindowBatch:
     def __len__(self) -> int:
         return len(self.seqs)
 
+    def __getitem__(self, rows) -> "WindowBatch":
+        """The batch's ``rows`` (a slice or a boolean mask), still aligned."""
+        return WindowBatch(
+            device_ids=self.device_ids[rows],
+            seqs=self.seqs[rows],
+            features=self.features[rows],
+            device_index=self.device_index[rows],
+        )
+
 
 _EMPTY_BATCH = WindowBatch(
     device_ids=np.empty(0, dtype="<U1"),
@@ -227,6 +236,18 @@ class FleetQueue:
         if self._names_arr is None or len(self._names_arr) != len(self._names):
             self._names_arr = np.asarray(self._names)
         return self._names_arr
+
+    @property
+    def names(self) -> list[str]:
+        """Device ids by dense index.  The list only ever grows (one
+        append per registration), so a cache keyed on it stays valid for
+        the indices it has seen; read it, never change it."""
+        return self._names
+
+    @property
+    def n_features(self) -> int | None:
+        """Features per queued window (``None`` before the first admission)."""
+        return self._n_features
 
     # -- accounting ----------------------------------------------------
 

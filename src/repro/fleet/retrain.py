@@ -47,10 +47,9 @@ class FleetRetrainer:
     Parameters
     ----------
     monitor:
-        The running :class:`FleetMonitor` (any partition count or
-        backend), whose ``forensics`` queue is the triage stream of
-        every partition and whose next round republishes the
-        warm-refitted HMD's verdict parts to all of them (recompiled
+        The running :class:`FleetMonitor`, whose ``forensics`` queue is
+        the triage stream of its one device table and whose next round
+        republishes the warm-refitted HMD's verdict parts (recompiled
         once, at the next ``process_batch``).  Its ``forensics`` queue
         and its ``hmd`` are the retrainer's inputs and outputs.
     labeler:

@@ -43,7 +43,7 @@ def _fnv1a_32(text: str) -> int:
 class TraceSampler:
     """Deterministic 1-in-``rate`` sampler keyed on ``(device_id, seq)``."""
 
-    __slots__ = ("rate", "seed", "_device_hashes")
+    __slots__ = ("rate", "seed", "_device_hashes", "_index_names", "_index_hashes")
 
     def __init__(self, rate: int = 1024, seed: int = 0):
         if rate < 1:
@@ -51,6 +51,10 @@ class TraceSampler:
         self.rate = int(rate)
         self.seed = int(seed)
         self._device_hashes: dict[str, int] = {}
+        # Hashes by dense device index (-1: not hashed yet), valid for
+        # the registry list they were read from.
+        self._index_names: list | None = None
+        self._index_hashes = np.empty(0, dtype=np.int64)
 
     def _device_hash(self, device_id: str) -> int:
         cached = self._device_hashes.get(device_id)
@@ -82,6 +86,32 @@ class TraceSampler:
         )
         return self._mix(hashes[inverse], seqs) % self.rate == 0
 
+    def sample_indexed(self, device_index, seqs, names) -> np.ndarray:
+        """Boolean mask over a batch keyed by dense device index.
+
+        ``names`` is the append-only registry the indices point into
+        (:attr:`~repro.fleet.queueing.FleetQueue.names`).  Each index is
+        hashed the first time a batch carries it and cached while the
+        same list is passed, so a batch costs one gather and the mix:
+        no string sort.  The mask equals :meth:`sample_rows`'s.
+        """
+        if self._index_names is not names:
+            self._index_names = names
+            self._index_hashes = np.empty(0, dtype=np.int64)
+        cache = self._index_hashes
+        if len(cache) < len(names):
+            grown = np.full(len(names), -1, dtype=np.int64)
+            grown[: len(cache)] = cache
+            cache = self._index_hashes = grown
+        device_index = np.asarray(device_index, dtype=np.int64)
+        hashes = cache[device_index]
+        if (hashes < 0).any():
+            for index in np.unique(device_index[hashes < 0]).tolist():
+                cache[index] = self._device_hash(names[index])
+            hashes = cache[device_index]
+        seqs = np.asarray(seqs, dtype=np.int64)
+        return self._mix(hashes, seqs) % self.rate == 0
+
 
 @dataclass(frozen=True)
 class TraceSpan:
@@ -112,9 +142,10 @@ class TraceContext:
     The monitor calls :meth:`begin`/:meth:`begin_block` at ingress (the
     sampler decides there, once, which windows are traced), then
     :meth:`stamp_rows` at each later stage and :meth:`complete_rows` at
-    scatter.  Post-ingress stages re-run the same deterministic sampler
-    mask and touch only the handful of sampled rows, so the per-batch
-    cost is one vectorised hash plus O(sampled) dict work.
+    scatter.  Post-ingress stages take the same deterministic sampler
+    mask (:meth:`sampled_rows`, computed once per batch and passed on)
+    and touch only the handful of sampled rows, so a batch costs one
+    vectorised hash plus O(sampled) dict work.
 
     A window shed by backpressure or quarantined never reaches
     scatter, so its span never closes; open spans are therefore capped at ``max_spans`` too,
@@ -162,17 +193,34 @@ class TraceContext:
 
     # -- later stages --------------------------------------------------
 
-    def _sampled_rows(self, device_ids, seqs) -> np.ndarray:
+    def sampled_rows(
+        self, device_ids, seqs, device_index=None, names=None
+    ) -> np.ndarray:
+        """Positions of the batch's sampled rows (none while no span is open).
+
+        With the batch's dense ``device_index`` and the registry
+        ``names`` it points into, the mask comes from
+        :meth:`TraceSampler.sample_indexed`; otherwise from the device
+        ids.  A monitor computes this once per sweep and passes it to
+        each stamp as ``rows``.
+        """
         if not self._pending:
             return np.empty(0, dtype=np.int64)
-        mask = self.sampler.sample_rows(device_ids, seqs)
+        if device_index is not None:
+            mask = self.sampler.sample_indexed(device_index, seqs, names)
+        else:
+            mask = self.sampler.sample_rows(device_ids, seqs)
         return np.flatnonzero(mask)
 
     def stamp_rows(
-        self, device_ids, seqs, stage: str, ts: float | None = None
+        self, device_ids, seqs, stage: str, ts: float | None = None, rows=None
     ) -> None:
-        """Stamp a stage on every open span present in this batch."""
-        rows = self._sampled_rows(device_ids, seqs)
+        """Stamp a stage on every open span present in this batch.
+
+        ``rows`` (from :meth:`sampled_rows`) skips the sampling pass.
+        """
+        if rows is None:
+            rows = self.sampled_rows(device_ids, seqs)
         if len(rows) == 0:
             return
         t = time.monotonic() if ts is None else ts
@@ -182,10 +230,12 @@ class TraceContext:
                 entry[stage] = t
 
     def complete_rows(
-        self, device_ids, seqs, stage: str = "scatter", ts: float | None = None
+        self, device_ids, seqs, stage: str = "scatter", ts: float | None = None,
+        rows=None,
     ) -> int:
         """Stamp the final stage and move finished spans out of pending."""
-        rows = self._sampled_rows(device_ids, seqs)
+        if rows is None:
+            rows = self.sampled_rows(device_ids, seqs)
         if len(rows) == 0:
             return 0
         t = time.monotonic() if ts is None else ts

@@ -73,9 +73,9 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 def device_stream_key(device_id: str) -> int:
     """64-bit FNV-1a hash of a device id (the pinned stream key).
 
-    The same platform-stable hash family the shard router uses; defined
-    here independently so the simulator has no dependency on the fleet
-    package.
+    FNV-1a is platform-stable, and the fleet's trace sampler hashes
+    device ids with its 32-bit form; it is defined here independently so
+    the simulator has no dependency on the fleet or telemetry packages.
     """
     h = _FNV_OFFSET
     for byte in device_id.encode("utf-8"):

@@ -677,8 +677,8 @@ class FleetTraceGenerator:
         fleet order) and ``batch`` an :class:`ActivityBatch` whose row
         ``i`` is ``devices[i]``'s window.  The rows feed the substrate
         batch simulators — and, featurised, land in
-        ``FleetMonitor.submit_many`` (any partition count) as one
-        block per device with no per-window Python work.
+        ``FleetMonitor.submit_many`` as one block per device with no
+        per-window Python work.
         """
         if n_rounds < 1:
             raise ValueError(f"n_rounds must be >= 1; got {n_rounds}.")

@@ -209,10 +209,14 @@ def vote_counts(front, forest, leaf_is_second, X) -> np.ndarray:
         )
     if not np.isfinite(X).all():
         raise ValueError("X contains NaN or infinite values.")
+    # The second operation writes into the first's result: the same
+    # values, and one temporary, not two, for a sweep of many rows.
     if a.ndim == 2:
-        Z = X @ a + b
+        Z = X @ a
+        np.add(Z, b, out=Z)
     else:
-        Z = np.true_divide(np.subtract(X, a), b)
+        Z = np.subtract(X, a)
+        np.true_divide(Z, b, out=Z)
     return forest.count_second(Z, leaf_is_second)
 
 

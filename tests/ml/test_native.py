@@ -37,10 +37,39 @@ needs_native = pytest.mark.skipif(
     _native.library() is None, reason="no C compiler: only numpy can serve"
 )
 
-# Rows per block of the native walk, read from its source.
-BLOCK = int(
-    re.search(r"#define BLOCK (\d+)", _native._SOURCES[0].read_text()).group(1)
+# Rows per block and bytes per row tile of the native walk, read from
+# its source.
+_TRAVERSE = _native._SOURCES[0].read_text()
+BLOCK = int(re.search(r"#define BLOCK (\d+)", _TRAVERSE).group(1))
+TILE_BYTES = int(
+    np.prod(
+        [int(k) for k in re.search(
+            r"#define TILE_BYTES \((\d+) \* (\d+)\)", _TRAVERSE
+        ).groups()]
+    )
 )
+
+
+def tile_rows(n_features: int, itemsize: int) -> int:
+    """Rows per tile of the walk: the tile bytes over the row bytes,
+    rounded down to whole blocks, at least one block."""
+    return max(BLOCK, TILE_BYTES // (n_features * itemsize) // BLOCK * BLOCK)
+
+
+# Row counts at the walk's seams, as (unit, multiple, offset): one row,
+# either side of one and two blocks, and either side of one and two
+# tiles.
+SEAMS = [
+    ("block", 0, 1),
+    ("block", 1, -1),
+    ("block", 1, 0),
+    ("block", 1, 1),
+    ("block", 2, 1),
+    ("tile", 1, -1),
+    ("tile", 1, 0),
+    ("tile", 1, 1),
+    ("tile", 2, 1),
+]
 
 
 def random_forest_arrays(rng, n_trees, depths, n_features):
@@ -208,12 +237,16 @@ class TestKernelsAgree:
         seed=st.integers(0, 2**32 - 1),
         depths=st.lists(st.integers(0, 31), min_size=1, max_size=12),
         n_features=st.integers(1, 9),
-        n_rows=st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]),
+        seam=st.sampled_from(SEAMS),
     )
-    def test_random_ragged_forests(self, layout, seed, depths, n_features, n_rows):
+    def test_random_ragged_forests(self, layout, seed, depths, n_features, seam):
         rng = np.random.default_rng(seed)
         forest, batch = build_forest(layout, rng, len(depths), depths, n_features)
-        X = batch(n_rows)
+        # The uint8 walk tiles its code rows, the float64 walk its rows.
+        itemsize = 1 if layout == "quantized" else 8
+        unit, multiple, offset = seam
+        rows = BLOCK if unit == "block" else tile_rows(n_features, itemsize)
+        X = batch(multiple * rows + offset)
         leaf_is_second = rng.integers(0, 2, forest.n_nodes).astype(np.int64)
         native = forest.count_second(X, leaf_is_second)
         assert forest._kernel, "the native kernel did not serve"

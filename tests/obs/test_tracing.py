@@ -1,7 +1,7 @@
 """Tests for sampled window-lifecycle tracing.
 
 The load-bearing guarantees: sampling is deterministic per
-``(device_id, seq)`` (same windows sampled on every partition count
+``(device_id, seq)`` (same windows sampled at every batch size
 and every replay), spans cover every pipeline stage the traffic
 actually visits, and the summary's transition percentiles are
 computed over completed spans only.
@@ -42,6 +42,23 @@ class TestTraceSampler:
         assert mask.tolist() == [
             sampler.sample(str(d), int(s)) for d, s in zip(device_ids, seqs)
         ]
+
+    def test_indexed_mask_matches_scalar_path(self):
+        """The mask from dense indices is the per-window one, as the
+        registry grows and when a different registry list is passed."""
+        sampler = TraceSampler(rate=4, seed=2)
+        rng = np.random.default_rng(0)
+        names = ["dev-a", "dev-b"]
+        for registry in (names, names, ["dev-z", "dev-y", "dev-x"]):
+            for grow in range(3):
+                if registry is names:
+                    names.append(f"dev-{grow}")
+                index = rng.integers(len(registry), size=60)
+                seqs = rng.integers(1000, size=60)
+                mask = sampler.sample_indexed(index, seqs, registry)
+                assert mask.tolist() == [
+                    sampler.sample(registry[i], int(s)) for i, s in zip(index, seqs)
+                ]
 
     def test_rate_one_samples_everything(self):
         sampler = TraceSampler(rate=1)
