@@ -18,6 +18,8 @@ import pickle
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..fleet import FleetMonitor, account_windows, batched_verdicts_equal_sequential
 from ..fleet.engine import batch_verdict_key, batch_window_keys
 from ..fleet.report import device_report_key
@@ -70,6 +72,12 @@ class FleetResult:
         )
 
 
+def _resume_state(fleet: FleetMonitor) -> tuple:
+    """Drift state (PH statistic bits included) and quarantine accounting."""
+    drift, quarantine = fleet.drift.observe([]), fleet.quarantine
+    return drift, drift.ph_statistic.hex(), quarantine.keys(), quarantine.total_quarantined
+
+
 def run_fleet(
     config: ExperimentConfig | None = None,
     context: ExperimentContext | None = None,
@@ -81,9 +89,10 @@ def run_fleet(
     """Screen a simulated fleet sequentially vs. batched.
 
     The batched drain is also audited exactly once (every submitted
-    window verdicted, quarantined or shed), and a second monitor is
-    snapshotted after one round, restored from pickled bytes and must
-    finish the drain with the same verdicts and device rows.
+    window verdicted, quarantined or shed), and a second monitor (drift
+    on, one NaN window quarantined) is snapshotted after one round,
+    restored from pickled bytes and must finish the drain with the same
+    verdicts, device rows, drift state and quarantine.
     """
     ctx = context if context is not None else ExperimentContext(config)
     # One trusted HMD shared by the fleet, row-independent end to end,
@@ -128,15 +137,21 @@ def run_fleet(
     )
 
     # -- checkpoint/restore: snapshot a half-drained fleet -------------
-    probe = FleetMonitor(hmd, batch_size=batch_size, policy=scenario.policy)
+    reference = hmd.predictive_entropy(scenario.dataset.test.X)  # held-out known
+    probe = FleetMonitor(
+        hmd, batch_size=batch_size, policy=scenario.policy, drift_reference=reference
+    )
     probe.register_fleet(scenario.devices)
+    probe.submit(arrivals[0][0], np.full(len(arrivals[0][1]), np.nan))
     for device_id, window in arrivals:
         probe.submit(device_id, window)
     probe.drain(max_batches=1)
     restored = FleetMonitor.restore(hmd, pickle.loads(pickle.dumps(probe.snapshot())))
-    restore_identical = batch_verdict_key(restored.drain()) == batch_verdict_key(
-        probe.drain()
-    ) and device_report_key(restored.report()) == device_report_key(probe.report())
+    restore_identical = (
+        batch_verdict_key(restored.drain()) == batch_verdict_key(probe.drain())
+        and device_report_key(restored.report()) == device_report_key(probe.report())
+        and _resume_state(restored) == _resume_state(probe)
+    )
 
     n_windows = len(arrivals)
     return FleetResult(

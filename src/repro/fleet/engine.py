@@ -67,12 +67,14 @@ __all__ = [
     "batched_verdicts_equal_sequential",
 ]
 
-# Version tag stamped into every FleetMonitor.snapshot() payload.
-# restore() refuses anything else: a checkpoint from a different schema
-# generation (or a payload that was never a fleet snapshot at all) fails
-# loudly up front instead of leaving a fleet half-restored.  Bump the
-# suffix when the payload shape changes.
-SNAPSHOT_SCHEMA = "repro.fleet.sharded/1"
+# Version tag of every FleetMonitor.snapshot() payload.  restore() reads
+# a one-partition schema-1 payload through one rename and refuses any
+# other tag up front.  Bump the suffix when the payload shape changes.
+SNAPSHOT_SCHEMA = "repro.fleet.table/2"
+_SCHEMA_1 = "repro.fleet.sharded/1"
+_TABLE_KEYS = ("devices", "seq", "step", "stats", "queue")
+_SNAPSHOT_KEYS = ("batch_size", "entropy_window", "n_batches", "policy", "forensics",
+                  *_TABLE_KEYS, "quarantine", "drift")
 
 # A window of this dtype, 1-D, is admitted without conversion.
 _F64 = np.dtype(np.float64)
@@ -207,15 +209,6 @@ class FlaggedStage:
             "total_flagged": queue.total_flagged,
         }
 
-    @staticmethod
-    def restore_queue(payload: dict) -> ForensicQueue:
-        """The forensic queue a :meth:`snapshot` payload describes."""
-        return ForensicQueue.restore(
-            payload["samples"],
-            maxlen=payload["maxlen"],
-            total_flagged=payload["total_flagged"],
-        )
-
 
 @dataclass(frozen=True)
 class FleetBatchResult:
@@ -303,41 +296,35 @@ def batched_verdicts_equal_sequential(
     return True
 
 
-def _validate_snapshot(state: dict) -> None:
+def _validate_snapshot(state) -> dict:
     """Reject stale, foreign or internally inconsistent checkpoints.
 
     A restore that starts applying a bad payload can leave a fleet
     half-built, so every structural check happens before any state is
-    touched.
+    touched.  Returns the schema-2 payload (a schema-1 one migrated).
     """
     if not isinstance(state, dict):
         raise ValueError(
             f"fleet snapshot must be a dict; got {type(state).__name__}."
         )
+    if state.get("schema") == _SCHEMA_1:
+        state = _from_schema_1(state)
     schema = state.get("schema")
     if schema != SNAPSHOT_SCHEMA:
         raise ValueError(
             f"unsupported fleet snapshot schema {schema!r}; this build "
-            f"restores {SNAPSHOT_SCHEMA!r} checkpoints only. Re-snapshot "
-            "with the current code (old unversioned payloads cannot be "
-            "trusted)."
+            f"restores {SNAPSHOT_SCHEMA!r} and one-partition {_SCHEMA_1!r} "
+            "checkpoints only. Re-snapshot with the current code (old "
+            "unversioned payloads cannot be trusted)."
         )
-    required = ("n_shards", "batch_size", "entropy_window", "n_batches", "policy")
-    missing = [key for key in required + ("shards", "forensics") if key not in state]
+    missing = [key for key in _SNAPSHOT_KEYS if key not in state]
     if missing:
         raise ValueError(
             f"fleet snapshot is missing required keys {missing}; "
             "the checkpoint is truncated or corrupt."
         )
-    if len(state["shards"]) != state["n_shards"]:
-        raise ValueError(
-            f"fleet snapshot declares {state['n_shards']} shards but "
-            f"carries {len(state['shards'])} shard payloads; refusing "
-            "a mismatched checkpoint."
-        )
-    for payload in state["shards"]:
-        FleetQueue.check_snapshot(payload["queue"])
-        _check_backlog(payload)
+    FleetQueue.check_snapshot(state["queue"])
+    _check_backlog(state)
     try:
         BackpressurePolicy(**state["policy"])
     except TypeError as error:
@@ -345,23 +332,58 @@ def _validate_snapshot(state: dict) -> None:
             f"fleet snapshot policy {state['policy']!r} does not match "
             f"this build's BackpressurePolicy: {error}"
         ) from None
+    return state
 
 
-def _check_backlog(partition: dict) -> None:
-    """Refuse a partition whose backlog a restore cannot keep apart.
+def _from_schema_1(state: dict) -> dict:
+    """A one-partition ``repro.fleet.sharded/1`` payload, renamed to schema 2.
+
+    The partition's table keys move to the top level (its other keys
+    were written for shape only).  Schema 1 carried no quarantine and
+    no drift detector: the quarantine starts empty and drift is off.
+    """
+    shards = state.get("shards", ())
+    if len(shards) != 1 or state.get("n_shards") != 1:
+        raise ValueError(
+            f"fleet snapshot has {len(shards)} partitions; this build "
+            "restores one-partition checkpoints only. Restore it with a "
+            "build from before snapshot schema 2 and snapshot it again."
+        )
+    flat = {k: v for k, v in state.items() if k not in ("n_shards", "shards")}
+    flat.update({key: shards[0][key] for key in _TABLE_KEYS if key in shards[0]})
+    flat.update(
+        schema=SNAPSHOT_SCHEMA,
+        quarantine=_quarantine_payload(QuarantineStore()),
+        drift=None,
+    )
+    return flat
+
+
+def _quarantine_payload(store: QuarantineStore) -> dict:
+    """The quarantine's checkpoint: its bound, count, windows and keys."""
+    return {
+        "maxlen": store.maxlen,
+        "total_quarantined": store.total_quarantined,
+        "windows": store.snapshot(),
+        "keys": sorted(store.keys()),
+    }
+
+
+def _check_backlog(state: dict) -> None:
+    """Refuse a checkpoint whose backlog a restore cannot keep apart.
 
     Every device row needs a ``seq`` counter, and every queued row needs
     its device's row and a counter above the row's seq: otherwise the
     device's next submit reuses a ``(device_id, seq)`` key still queued.
     """
-    seq = partition["seq"]
-    rows = {device["device_id"] for device in partition["devices"]}
+    seq = state["seq"]
+    rows = {device["device_id"] for device in state["devices"]}
     missing = sorted(rows - seq.keys())
     if missing:
         raise ValueError(
             f"fleet snapshot has device rows without a seq counter: {missing}."
         )
-    queue = partition["queue"]
+    queue = state["queue"]
     names, inverse = np.unique(
         np.asarray(queue["device_ids"]).astype(str), return_inverse=True
     )
@@ -378,52 +400,6 @@ def _check_backlog(partition: dict) -> None:
                 f"fleet snapshot queues seq {top} of {name!r} but its seq "
                 f"counter is {seq[name]}; a later submit would reuse the key."
             )
-
-
-def _merge_partitions(shards: list) -> dict:
-    """The one partition payload a snapshot's ``shards`` list describes.
-
-    A one-partition payload (what :meth:`FleetMonitor.snapshot` writes)
-    passes through.  A checkpoint written by an older build with K > 1
-    device-hash partitions merges into one: device rows in
-    partition-major, then table order; each device's queued rows in
-    admission order (a device lived on one partition, so a stable sort
-    by device keeps them in order); shed counters unioned; counters
-    merged in partition order, which is how the monitor read its
-    fleet-wide counters then, so ``entropy_sum`` keeps its bits; and the
-    step counter set to the largest partition's, so later forensic steps
-    and ``last_step`` keep advancing.
-    """
-    if len(shards) == 1:
-        return shards[0]
-    devices = [device for shard in shards for device in shard["devices"]]
-    position = {device["device_id"]: i for i, device in enumerate(devices)}
-    queues = [shard["queue"] for shard in shards]
-    queue = dict(
-        queues[0],
-        shed_by_device={k: v for q in queues for k, v in q["shed_by_device"].items()},
-    )
-    backlog = [q for q in queues if len(q["seqs"])]
-    if backlog:
-        device_ids = np.concatenate([np.asarray(q["device_ids"]) for q in backlog])
-        order = np.argsort(
-            [position[str(d)] for d in device_ids], kind="stable"
-        )
-        queue["device_ids"] = device_ids[order]
-        queue["seqs"] = np.concatenate([np.asarray(q["seqs"]) for q in backlog])[order]
-        queue["features"] = np.vstack(
-            [np.atleast_2d(np.asarray(q["features"], dtype=float)) for q in backlog]
-        )[order]
-    stats = MonitorStats()
-    for shard in shards:
-        stats.merge(MonitorStats.restore(shard["stats"]))
-    return {
-        "devices": devices,
-        "seq": {k: v for shard in shards for k, v in shard["seq"].items()},
-        "step": max(int(shard["step"]) for shard in shards),
-        "stats": stats.snapshot(),
-        "queue": queue,
-    }
 
 
 class _DeviceTable:
@@ -971,81 +947,73 @@ class FleetMonitor:
     # -- persistence ---------------------------------------------------
 
     def snapshot(self) -> dict:
-        """Checkpoint the full fleet (model excluded).
+        """Checkpoint the full fleet (model excluded), schema 2.
 
-        The queue backlog, the device table rows in
-        :meth:`DeviceState.snapshot` form, the counters, the policy and
-        the forensic backlog: what :meth:`restore` needs to resume
-        mid-stream with identical verdicts.  The payload keeps the
-        schema's partition list, with one entry.  Not included: the
-        fitted HMD (a trained artifact with its own lifecycle; a
-        snapshot restores against a warm-retrained model too), the drift
-        detector's statistics (pass the reference to :meth:`restore` and
-        it restarts from a clean window) and the quarantine store (a
-        restored monitor starts an empty one).
+        One flat payload: the policy, the forensic backlog, the device
+        table rows in :meth:`DeviceState.snapshot` form with their
+        ``seq`` counters, the step counter and counters, the queue
+        backlog, the quarantine (windows, keys and lifetime count) and
+        the drift detector's state (``None`` when drift is off).  That
+        is what :meth:`restore` needs to resume mid-stream as if never
+        stopped.  The fitted HMD is not included: it is a trained
+        artifact with its own lifecycle, and a snapshot restores against
+        a warm-retrained model too.
         """
         table = self.table
-        partition = {
+        return {
+            "schema": SNAPSHOT_SCHEMA,
+            "batch_size": self.batch_size,
+            "entropy_window": self.entropy_window,
+            "n_batches": self.n_batches,
+            "policy": asdict(self.policy),
             "devices": [table.row(i) for i in range(len(table))],
             "seq": {table.queue.device_name(i): table.seq[i] for i in range(len(table))},
             "step": table.step,
             "stats": table.stats.snapshot(),
             "queue": table.queue.snapshot(),
-            # Keys the schema kept from when every partition was a full
-            # monitor: written for the payload shape, ignored on read.
-            "batch_size": self.batch_size,
-            "entropy_window": self.entropy_window,
-            "n_batches": 0,
-            "forensics": {
-                "samples": (),
-                "maxlen": self._stage.queue.maxlen,
-                "total_flagged": 0,
-            },
-        }
-        return {
-            "schema": SNAPSHOT_SCHEMA,
-            "n_shards": 1,
-            "batch_size": self.batch_size,
-            "entropy_window": self.entropy_window,
-            "n_batches": self.n_batches,
-            "policy": asdict(self.policy),
-            "shards": [partition],
             "forensics": self._stage.snapshot(),
+            "quarantine": _quarantine_payload(self.quarantine),
+            "drift": None if self.drift is None else self.drift.snapshot(),
         }
 
     @classmethod
-    def restore(
-        cls, hmd: TrustedHMD, state: dict, *, drift_reference=None
-    ) -> "FleetMonitor":
+    def restore(cls, hmd: TrustedHMD, state: dict) -> "FleetMonitor":
         """Rebuild a fleet from :meth:`snapshot` output.
 
         ``hmd`` is the separately persisted model (a newer warm-retrained
         one works: verdicts then come from it, as for a monitor that
-        stayed up through the retrain); ``drift_reference`` starts a
-        fresh drift detector.  A checkpoint written with several
-        partitions merges into the one table (:func:`_merge_partitions`).
-        Every structural check runs before anything is built (a retired
-        queue format, or a queued row without its device's row and a
-        ``seq`` counter above it, raises ``ValueError``).
+        stayed up through the retrain).  The restored monitor watches
+        drift exactly when the snapshotted one did.  A one-partition
+        schema-1 checkpoint is read through a rename; one with several
+        partitions is refused.  Every structural check runs before
+        anything is built (a retired queue format, or a queued row
+        without its device's row and a ``seq`` counter above it, raises
+        ``ValueError``).
         """
-        _validate_snapshot(state)
-        payload = _merge_partitions(state["shards"])
+        state = _validate_snapshot(state)
         fleet = cls(
             hmd,
             batch_size=state["batch_size"],
             entropy_window=state["entropy_window"],
             policy=BackpressurePolicy(**state["policy"]),
-            forensics=FlaggedStage.restore_queue(state["forensics"]),
-            drift_reference=drift_reference,
+            forensics=ForensicQueue.restore(**state["forensics"]),
         )
         fleet.n_batches = int(state["n_batches"])
+        if state["drift"] is not None:
+            fleet.drift = EntropyDriftMonitor.restore(state["drift"])
+        held = state["quarantine"]
+        fleet.quarantine = QuarantineStore(
+            maxlen=held["maxlen"], total_quarantined=held["total_quarantined"],
+            _items=list(held["windows"]), _keys=set(held["keys"]),
+        )
+        fleet.quarantine.bind_metrics(fleet.metrics)
         table = fleet.table
-        names = [device["device_id"] for device in payload["devices"]]
-        table.queue = FleetQueue.restore(payload["queue"], names)
-        for device in payload["devices"]:
-            table.load(device, payload["seq"][device["device_id"]])
-        table.step = int(payload["step"])
-        table.stats = MonitorStats.restore(payload["stats"])
+        names = [device["device_id"] for device in state["devices"]]
+        table.queue = FleetQueue.restore(state["queue"], names)
+        for device in state["devices"]:
+            table.load(device, state["seq"][device["device_id"]])
+        table.step = int(state["step"])
+        table.stats = MonitorStats.restore(state["stats"])
         # Bound after the backlog is in, so it is not counted as admitted.
         table.queue.bind_metrics(fleet.metrics)
         return fleet

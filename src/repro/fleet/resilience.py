@@ -79,11 +79,12 @@ def account_windows(submitted, verdicts, quarantined, shed=0) -> list:
     ``submitted`` is the set of ``(device_id, seq)`` keys the ingress
     accepted, ``verdicts`` the keys that produced verdicts,
     ``quarantined`` the keys pulled into the quarantine store; ``shed``
-    is the count the backpressure policy dropped *by design* (sheds are
-    counted, not keyed — the policy drops before sequence assignment
-    stabilises a key set).  Returns the keys silently lost (must be
-    empty: ``len(submitted) == len(verdicts) + len(quarantined) +
-    shed`` up to the shed count).
+    is the count the backpressure policy dropped *by design*.  A shed
+    window has its key, but the queue counts sheds per device and keeps
+    no keys, so they are matched by count only (ROADMAP item 5 makes
+    the audit exact).  Returns the keys silently lost (must be empty:
+    ``len(submitted) == len(verdicts) + len(quarantined) + shed`` up to
+    the shed count).
     """
     missing = sorted(set(submitted) - set(verdicts) - set(quarantined))
     if shed:

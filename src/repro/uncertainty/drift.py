@@ -19,6 +19,7 @@ Two detectors are provided:
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +73,19 @@ class PageHinkleyDetector:
         """Current PH statistic (distance above the running minimum)."""
         return self._cumulative - self._minimum
 
+    def snapshot(self) -> dict:
+        """Plain-data parameters and running state for checkpointing."""
+        return {name.lstrip("_"): value for name, value in vars(self).items()}
+
+    @classmethod
+    def restore(cls, state: dict) -> "PageHinkleyDetector":
+        """Rebuild a detector from :meth:`snapshot` output."""
+        detector = cls(
+            delta=state["delta"], threshold=state["threshold"], alpha=state["alpha"]
+        )
+        vars(detector).update({name: state[name.lstrip("_")] for name in vars(detector)})
+        return detector
+
 
 @dataclass(frozen=True)
 class DriftState:
@@ -123,7 +137,7 @@ class EntropyDriftMonitor:
         self.reference_mean = float(reference.mean())
         self.warning_level = float(np.quantile(reference, warning_quantile))
         self.window = window
-        self._buffer: list[float] = []
+        self._buffer: deque[float] = deque(maxlen=window)
         if detector is None:
             # Default PH parameters scale with the reference spread so a
             # stream drawn from the reference regime itself does not trip
@@ -146,8 +160,6 @@ class EntropyDriftMonitor:
         drift = False
         for value in values:
             self._buffer.append(float(value))
-            if len(self._buffer) > self.window:
-                self._buffer.pop(0)
             drift = self.detector.update(float(value)) or drift
             self.n_observed += 1
 
@@ -164,6 +176,21 @@ class EntropyDriftMonitor:
             reference_mean=self.reference_mean,
             ph_statistic=self.detector.statistic,
         )
+
+    def snapshot(self) -> dict:
+        """Plain-data state for checkpointing (the detector's included)."""
+        state = {name.lstrip("_"): value for name, value in vars(self).items()}
+        return state | {"buffer": list(self._buffer), "detector": self.detector.snapshot()}
+
+    @classmethod
+    def restore(cls, state: dict) -> "EntropyDriftMonitor":
+        """Rebuild a monitor from :meth:`snapshot` output, mid-stream."""
+        monitor = cls.__new__(cls)
+        for name in ("reference_mean", "warning_level", "window", "n_observed"):
+            setattr(monitor, name, state[name])
+        monitor._buffer = deque(state["buffer"], maxlen=monitor.window)
+        monitor.detector = PageHinkleyDetector.restore(state["detector"])
+        return monitor
 
     def reset(self) -> None:
         """Clear the sliding window and the PH statistic."""

@@ -19,7 +19,7 @@ malware.  This module implements that loop:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -160,23 +160,9 @@ class MonitorStats:
         )
         self.entropy_sum += float(np.sum(entropy))
 
-    def merge(self, other: "MonitorStats") -> None:
-        """Fold another counter set into this one (checkpoint partition merge)."""
-        self.n_seen += other.n_seen
-        self.n_accepted += other.n_accepted
-        self.n_flagged += other.n_flagged
-        self.n_malware_alerts += other.n_malware_alerts
-        self.entropy_sum += other.entropy_sum
-
     def snapshot(self) -> dict:
         """Plain-data counter state for checkpointing."""
-        return {
-            "n_seen": self.n_seen,
-            "n_accepted": self.n_accepted,
-            "n_flagged": self.n_flagged,
-            "n_malware_alerts": self.n_malware_alerts,
-            "entropy_sum": self.entropy_sum,
-        }
+        return asdict(self)
 
     @classmethod
     def restore(cls, state: dict) -> "MonitorStats":

@@ -295,12 +295,8 @@ class TestFleetMonitor:
         assert set(fleet.devices) == {"dev-0"}
         assert [d.device_id for d in fleet.report().devices] == ["dev-0"]
         snapshot = fleet.snapshot()
-        assert [
-            d["device_id"] for shard in snapshot["shards"] for d in shard["devices"]
-        ] == ["dev-0"]
-        assert [name for shard in snapshot["shards"] for name in shard["seq"]] == [
-            "dev-0"
-        ]
+        assert [d["device_id"] for d in snapshot["devices"]] == ["dev-0"]
+        assert list(snapshot["seq"]) == ["dev-0"]
 
 
 # Blocks of (device, rows): uncongested blocks, blocks that trip the

@@ -3,7 +3,7 @@
 The contract the telemetry plane must keep: instrumentation observes
 the stream without touching it (verdicts bitwise identical with
 telemetry on and off — a column of the equivalence matrix in
-``test_sharding``), the counters account for the traffic, and the
+``test_verdict_path``), the counters account for the traffic, and the
 rendered report stays aligned whatever the device ids look like.
 """
 

@@ -32,7 +32,7 @@ from repro.ml import RandomForestClassifier
 from repro.ml.backend import CompiledVotePath, FlatForest, QuantizedForest
 from repro.uncertainty import TrustedHMD
 from tests.conftest import make_blobs
-from tests.fleet.test_sharding import _arrivals, _drive
+from tests.fleet.test_verdict_path import _arrivals, _drive
 
 def make_hmd(mode, *, n_components=None, n_estimators=15, seed=0):
     X, y = make_blobs(n_per_class=120, separation=4.0, seed=70)
