@@ -14,7 +14,8 @@ The load-bearing guarantees, in the order the module builds them up:
 3. a retrain republishes the verdict parts, and post-retrain verdicts
    still match ``TrustedHMD.analyze``.
 
-Checkpoints are tested in ``test_snapshot.py``.
+Checkpoints are tested in ``test_snapshot.py``; the drop modes under
+interleaved submit/drain in ``test_sharding.py``.
 """
 
 import numpy as np
@@ -270,30 +271,6 @@ class TestBatchSizeEquivalence:
         assert small.queue.shed_by_device
         assert large.queue.shed_by_device == small.queue.shed_by_device
         assert batch_verdict_key(large_batches) == batch_verdict_key(small_batches)
-
-    @pytest.mark.parametrize("shed", ["drop_oldest", "drop_newest"])
-    def test_drop_modes_with_interleaved_drains(self, fitted_hmd, shed):
-        """Backpressure fuzz: submit/drain interleave, caps tripping."""
-        X, y, hmd = fitted_hmd
-        policy = BackpressurePolicy(
-            max_pending=10_000, max_pending_per_device=4, shed=shed
-        )
-        arrivals = _arrivals(X, n_devices=8, rounds=24, seed=13)
-        results = {}
-        for batch_size in (32, 96):
-            monitor = FleetMonitor(hmd, batch_size=batch_size, policy=policy)
-            batches = []
-            for i, (device_id, window) in enumerate(arrivals):
-                monitor.submit(device_id, window)
-                if i % 40 == 39:
-                    result = monitor.process_batch()
-                    if result is not None:
-                        batches.append(result)
-            batches.extend(monitor.drain())
-            results[batch_size] = batches
-        # The per-device caps keep at most 32 rows queued between
-        # rounds, so both round sizes drain the same rows mid-stream.
-        assert batch_verdict_key(results[96]) == batch_verdict_key(results[32])
 
     def test_submit_many_block_path(self, fitted_hmd):
         X, y, hmd = fitted_hmd
